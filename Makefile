@@ -30,14 +30,16 @@ trace-smoke:
 # eight techniques on the preemptive scheduler and diffs the full report
 # (trace, per-technique stats, per-job tables) against the checked-in
 # golden. Any nondeterminism or unintended stats change fails the diff.
-# The second diff covers the fleet failover report: a two-device run
-# with periodic whole-device checkpoints, a chaos kill, a warm restore
-# (CTXBack) and the rerun fallback (CKPT), down to the decision log and
-# the per-job slab-digest witness.
+# The second diff covers failover in the serve loop: the same 8-job
+# trace on two devices with periodic whole-device checkpoints and a
+# device kill — a warm restore under CTXBack, an empty replacement plus
+# requeue under CKPT — down to the decision log and the per-job
+# slab-digest witness.
+FAILOVER_ARGS = -serve -quick -seed 9 -process uniform -devices 2 -checkpoint-every 40000 -statehash
 sched-smoke:
 	$(GO) run ./cmd/schedsim -quick -seed 9 > /tmp/ctxback-sched-smoke.txt
 	diff -u testdata/sched_smoke.golden /tmp/ctxback-sched-smoke.txt
-	$(GO) run ./cmd/schedsim -quick -seed 9 -kinds CTXBack,CKPT -devices 2 -checkpoint-every 40000 -kill-device 0@80000 -warm-pool 1 -statehash > /tmp/ctxback-sched-failover.txt
+	$(GO) run ./cmd/schedsim $(FAILOVER_ARGS) -kinds CTXBack,CKPT -kill-device 0@80000 -warm-pool 1 > /tmp/ctxback-sched-failover.txt
 	diff -u testdata/sched_failover.golden /tmp/ctxback-sched-failover.txt
 	@echo "sched and failover reports byte-identical"
 
@@ -63,16 +65,22 @@ serve-smoke:
 
 # snap-diff guards failover determinism end to end: the per-job
 # slab-digest state witness must be byte-identical between an
-# undisturbed fleet run, a run whose device 0 is chaos-killed at cycle
-# 80000 (restored from its last whole-device checkpoint), and the same
-# kill restored from the warm context pool.
+# undisturbed serve run, a run whose device 0 is killed at cycle 80000
+# (CTXBack restores its last whole-device checkpoint), and the same kill
+# restored from the warm context pool; and, on the non-relocatable path,
+# between an undisturbed and a killed CKPT run, whose dead device is
+# replaced empty and its undelivered jobs requeued.
 snap-diff:
-	$(GO) run ./cmd/schedsim -quick -seed 9 -kinds CTXBack -devices 2 -checkpoint-every 40000 -statehash | grep '^job ' > /tmp/ctxback-snap-base.txt
-	$(GO) run ./cmd/schedsim -quick -seed 9 -kinds CTXBack -devices 2 -checkpoint-every 40000 -kill-device 0@80000 -statehash | grep '^job ' > /tmp/ctxback-snap-kill.txt
-	$(GO) run ./cmd/schedsim -quick -seed 9 -kinds CTXBack -devices 2 -checkpoint-every 40000 -kill-device 0@80000 -warm-pool 1 -statehash | grep '^job ' > /tmp/ctxback-snap-warm.txt
+	$(GO) run ./cmd/schedsim $(FAILOVER_ARGS) -kinds CTXBack | grep '^job ' > /tmp/ctxback-snap-base.txt
+	$(GO) run ./cmd/schedsim $(FAILOVER_ARGS) -kinds CTXBack -kill-device 0@80000 | grep '^job ' > /tmp/ctxback-snap-kill.txt
+	$(GO) run ./cmd/schedsim $(FAILOVER_ARGS) -kinds CTXBack -kill-device 0@80000 -warm-pool 1 | grep '^job ' > /tmp/ctxback-snap-warm.txt
+	$(GO) run ./cmd/schedsim $(FAILOVER_ARGS) -kinds CKPT | grep '^job ' > /tmp/ctxback-snap-ckpt-base.txt
+	$(GO) run ./cmd/schedsim $(FAILOVER_ARGS) -kinds CKPT -kill-device 0@80000 | grep '^job ' > /tmp/ctxback-snap-ckpt-kill.txt
+	test -s /tmp/ctxback-snap-base.txt && test -s /tmp/ctxback-snap-ckpt-base.txt
 	diff -u /tmp/ctxback-snap-base.txt /tmp/ctxback-snap-kill.txt
 	diff -u /tmp/ctxback-snap-kill.txt /tmp/ctxback-snap-warm.txt
-	@echo "failover state witness byte-identical: undisturbed vs killed, cold vs warm"
+	diff -u /tmp/ctxback-snap-ckpt-base.txt /tmp/ctxback-snap-ckpt-kill.txt
+	@echo "failover state witness byte-identical: undisturbed vs killed, cold vs warm, CKPT requeue"
 
 # gen-smoke is the generated-corpus differential gate: 256 seeds from
 # the seeded SIMT generator run uninterrupted and under forced

@@ -8,8 +8,11 @@
 //	         [-sms N] [-iters N] [-kinds all|paper|K1,K2,...]
 //	         [-quick] [-procs N] [-shards N] [-verify=false] [-metrics]
 //	         [-events] [-cache-dir DIR]
-//	         [-devices N] [-checkpoint-every N] [-kill-device ID@CYCLE]
-//	         [-warm-pool N] [-statehash]
+//	schedsim -serve [-duration N] [-rate R] [-process P] [-burst F]
+//	         [-diurnal A] [-admit N] [-queue N] [-admit-every N]
+//	         [-report-every N] [-hypervisor-every N] [-migrate-threshold N]
+//	         [-devices N] [-warm-pool N] [-checkpoint-every N]
+//	         [-kill-device ID@CYCLE] [-statehash] [shared flags above]
 //
 // The trace (who arrives when, with which kernel and priority) is a
 // pure function of the flags, and each technique's run is a
@@ -22,16 +25,6 @@
 // -events appends each technique's scheduling decision log (arrivals,
 // preemptions, parks, resumes, completions with cycle stamps).
 //
-// Any of -devices, -checkpoint-every, -kill-device, -warm-pool or
-// -statehash switches to FLEET mode: the trace is partitioned across
-// -devices simulated GPUs, every device is checkpointed whole
-// (internal/snapshot) on the -checkpoint-every cadence, and
-// -kill-device ID@CYCLE chaos-kills one device mid-run — its jobs
-// restore from the last checkpoint (warm from the -warm-pool when one
-// is configured) or re-admit to the survivors. -statehash appends the
-// per-job slab-digest witness, which is byte-identical between a killed
-// and an undisturbed run of the same trace.
-//
 // -serve switches to SERVE mode: an open-loop arrival process
 // (-duration, -rate, -process, -burst, -diurnal) flows through
 // per-tenant token-bucket admission control (-admit, -queue) onto
@@ -41,6 +34,16 @@
 // rebalancing devices through checkpoint/warm-restore migration. The
 // report is each technique's per-tenant SLO table plus the serving
 // decision log, byte-identical at every -procs and -shards setting.
+//
+// Failover runs in the same barrier loop. -checkpoint-every checkpoints
+// every busy device whole (internal/snapshot) on that cadence, and
+// -kill-device ID@CYCLE destroys one device mid-run: under a relocatable
+// technique its latest checkpoint restores onto a replacement (warm from
+// the -warm-pool when one is ready) and the jobs the image does not
+// carry re-enter admission; otherwise the replacement starts empty and
+// every undelivered job re-enters admission. -statehash appends the
+// per-job slab-digest witness, which is byte-identical between a killed
+// and an undisturbed run of the same trace.
 package main
 
 import (
@@ -148,11 +151,11 @@ func main() {
 		hyperEvery  = flag.Int64("hypervisor-every", 0, "serve mode: SM-share re-arbitration cadence in cycles (0 = hypervisor off)")
 		migThresh   = flag.Int("migrate-threshold", 0, "serve mode: outstanding-job imbalance that triggers a migration (0 = default 8, negative = off)")
 
-		devices   = flag.Int("devices", 0, "fleet mode: partition the trace across N devices (0 = single-device comparison)")
-		ckptEvery = flag.Int64("checkpoint-every", 0, "fleet mode: whole-device checkpoint cadence in cycles (0 = no checkpoints)")
-		killSpec  = flag.String("kill-device", "", "fleet mode: chaos-kill device ID at CYCLE, as ID@CYCLE (e.g. 0@80000)")
-		warmPool  = flag.Int("warm-pool", 0, "fleet mode: pre-built device shells kept warm for restores")
-		statehash = flag.Bool("statehash", false, "fleet mode: append the per-job slab-digest state witness")
+		devices   = flag.Int("devices", 0, "serve mode: initial device count (0 = default 2)")
+		ckptEvery = flag.Int64("checkpoint-every", 0, "serve mode: whole-device checkpoint cadence in cycles (0 = no checkpoints)")
+		killSpec  = flag.String("kill-device", "", "serve mode: destroy device ID at CYCLE, as ID@CYCLE (e.g. 0@80000)")
+		warmPool  = flag.Int("warm-pool", 0, "serve mode: pre-built device shells kept warm for restores")
+		statehash = flag.Bool("statehash", false, "serve mode: append the per-job slab-digest state witness")
 	)
 	flag.Parse()
 
@@ -180,8 +183,8 @@ func main() {
 	if *process != "uniform" && *process != "poisson" {
 		usageErr("-process must be uniform or poisson, got %q", *process)
 	}
-	if *serve && (*killSpec != "" || *ckptEvery > 0 || *statehash) {
-		usageErr("-serve is incompatible with -kill-device, -checkpoint-every and -statehash")
+	if !*serve && (*devices != 0 || *ckptEvery != 0 || *killSpec != "" || *warmPool != 0 || *statehash) {
+		usageErr("-devices, -checkpoint-every, -kill-device, -warm-pool and -statehash need -serve")
 	}
 	if *procs < 0 {
 		usageErr("-procs must be >= 0, got %d", *procs)
@@ -198,33 +201,17 @@ func main() {
 	if *warmPool < 0 {
 		usageErr("-warm-pool must be >= 0, got %d", *warmPool)
 	}
-	fleet := !*serve && (*devices > 0 || *ckptEvery > 0 || *killSpec != "" || *warmPool > 0 || *statehash)
-	fo := sched.FailoverConfig{
-		Devices:         *devices,
-		CheckpointEvery: *ckptEvery,
-		KillDevice:      -1,
-		WarmPool:        *warmPool,
-	}
-	if fo.Devices == 0 {
-		fo.Devices = 2
-	}
+	var kill *sched.DeviceKill
 	if *killSpec != "" {
+		// Range and sign are ServeConfig's to check; only the syntax is
+		// the flag's.
 		idS, cycS, ok := strings.Cut(*killSpec, "@")
-		if !ok {
-			usageErr("-kill-device wants ID@CYCLE, got %q", *killSpec)
-		}
 		id, err1 := strconv.Atoi(idS)
 		cyc, err2 := strconv.ParseInt(cycS, 10, 64)
-		if err1 != nil || err2 != nil {
+		if !ok || err1 != nil || err2 != nil {
 			usageErr("-kill-device wants ID@CYCLE, got %q", *killSpec)
 		}
-		if id < 0 || id >= fo.Devices {
-			usageErr("-kill-device id %d out of range (fleet has %d devices)", id, fo.Devices)
-		}
-		if cyc <= 0 {
-			usageErr("-kill-device cycle must be positive, got %d", cyc)
-		}
-		fo.KillDevice, fo.KillCycle = id, cyc
+		kill = &sched.DeviceKill{Device: id, Cycle: cyc}
 	}
 	kinds, err := parseKinds(*kindsF)
 	if err != nil {
@@ -287,6 +274,10 @@ func main() {
 			WarmPool:    *warmPool,
 			Admit:       sched.AdmitConfig{TokensPer100k: *admitRate, MaxQueue: *queue},
 			Hypervisor:  sched.HypervisorConfig{Every: *hyperEvery, MigrateThreshold: *migThresh},
+
+			CheckpointEvery: *ckptEvery,
+			Kill:            kill,
+			StateHash:       *statehash,
 		}
 		for i, k := range kinds {
 			if i > 0 {
@@ -294,11 +285,12 @@ func main() {
 			}
 			// The decision log streams through a temp-file spool while the
 			// run is live and replays after the tables, where EventLog used
-			// to render the accumulated events.
+			// to render the accumulated events; the witness follows it.
+			var res *sched.ServeResult
 			if err := withSpool(func(sink *trace.LineSink) error {
 				svc.DecisionSink = sink
-				res, err := sched.Serve(svc, k, jobsList)
-				if err != nil {
+				var err error
+				if res, err = sched.Serve(svc, k, jobsList); err != nil {
 					return err
 				}
 				fmt.Print(res.Render())
@@ -307,41 +299,7 @@ func main() {
 			}); err != nil {
 				fail(err)
 			}
-		}
-		if *metrics {
-			fmt.Println()
-			fmt.Println(sc.Metrics.Render())
-		}
-		return
-	}
-
-	if fleet {
-		jobs, err := sched.GenTrace(tc)
-		if err != nil {
-			fail(err)
-		}
-		for i, k := range kinds {
-			if i > 0 {
-				fmt.Println()
-			}
-			// Render prints the decision log last, so replaying the spool
-			// right after it keeps the bytes identical.
-			var fr *sched.FleetResult
-			if err := withSpool(func(sink *trace.LineSink) error {
-				fo.DecisionSink = sink
-				var err error
-				fr, err = sched.RunFleet(sc, k, jobs, fo)
-				if err != nil {
-					return err
-				}
-				fmt.Print(fr.Render())
-				return nil
-			}); err != nil {
-				fail(err)
-			}
-			if *statehash {
-				fmt.Print(fr.StateHash())
-			}
+			fmt.Print(res.StateHash)
 		}
 		if *metrics {
 			fmt.Println()

@@ -3,6 +3,7 @@ package artifact
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 )
 
@@ -188,15 +189,10 @@ func (r *Reader) Len() int {
 	return n
 }
 
-// fnv1a64 is the per-section checksum (same construction the snapshot
-// CSNP format uses).
+// fnv1a64 is the per-section checksum: 64-bit FNV-1a, as in the
+// snapshot CSNP format.
 func fnv1a64(b []byte) uint64 {
-	const offset64 = 14695981039346656037
-	const prime64 = 1099511628211
-	h := uint64(offset64)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= prime64
-	}
-	return h
+	h := fnv.New64a()
+	h.Write(b)
+	return h.Sum64()
 }

@@ -161,6 +161,7 @@ func (t *flushTech) Hook(w *sim.Warp, pc int) ([]isa.Instruction, *sim.SavedCont
 	// populated directly — writing zeros needs no save traffic.
 	if hi := w.LDSShareHi - w.LDSShareLo; hi > 0 {
 		buf.LDS = make([]uint32, hi/4)
+		buf.LDSLo = w.LDSShareLo
 	}
 	body := saveSet(t.entryRegs)
 	body = append(body, isa.Instruction{Op: isa.CtxSavePC, Target: 0})

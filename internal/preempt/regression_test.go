@@ -160,6 +160,18 @@ func TestRegressionFlushLDSLaunchZeros(t *testing.T) {
 	preemptEveryCycle(t, prog, Chimera, 2, 1)
 }
 
+// TestRegressionLDSShareWiden pins the LDS save-range bug: a signal
+// after a block peer finished widens the victim's LDS share, but CKPT
+// and SM-flushing saved that warp's LDS before the signal, so the load
+// must restore exactly the saved range. One block of two warps; warp 0
+// finishes early while warp 1 loops over its own share.
+func TestRegressionLDSShareWiden(t *testing.T) {
+	prog := regProg(t, "lds-share-widen")
+	for _, kind := range ExtendedKinds() {
+		preemptEveryCycle(t, prog, kind, 1, 2)
+	}
+}
+
 // TestRegressionFlushColdWarp hardens the SM-flush resume path for a
 // warp with no entry snapshot: its resume routine must still re-zero
 // the vector file so the restart observes the launch contract instead

@@ -62,7 +62,8 @@ func (b *tokenBucket) take() bool {
 }
 
 // pendJob is one deferred arrival. paid marks a job whose admission
-// token was already spent (a migration re-queue must not pay twice).
+// token was already spent (a migration or failover re-queue must not
+// pay twice).
 type pendJob struct {
 	job  Job
 	paid bool
@@ -115,9 +116,10 @@ func (a *admitter) enqueue(j Job) bool {
 	return true
 }
 
-// requeue re-inserts a migration re-queue at its (arrival, ID) position
-// so the drain order stays the global arrival order. The job's token is
-// already paid and a full queue cannot shed it — it was admitted once.
+// requeue re-inserts a job that a migration or a device kill sent back
+// at its (arrival, ID) position, so the drain order stays the global
+// arrival order. The job's token is already paid and a full queue cannot
+// shed it — it was admitted once.
 func (a *admitter) requeue(j Job) {
 	t := j.Tenant
 	q := a.queues[t]
@@ -184,7 +186,7 @@ func (a *admitter) drain(now int64, route func() bool, admit func(Job) error) er
 		if err := admit(head.job); err != nil {
 			return err
 		}
-		// Migration re-queues (paid) were counted at first admission;
+		// Re-queues (paid) were counted at first admission;
 		// counting them again would break admitted+shed == arrived.
 		if !head.paid {
 			a.admitted[best]++

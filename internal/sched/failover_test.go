@@ -1,12 +1,18 @@
 package sched
 
 import (
-	"reflect"
+	"fmt"
 	"strings"
 	"testing"
 
 	"ctxback/internal/preempt"
 )
+
+// The failover tests drive periodic checkpoints and a device kill
+// through Serve's barrier loop on a small uniform trace. Admission
+// control and the hypervisor stay off unless a test turns them on, so
+// every arrival is admitted and the only cross-device moves are the
+// failover events under test.
 
 func fleetTrace(t *testing.T, seed int64, jobs int) []Job {
 	t.Helper()
@@ -17,259 +23,286 @@ func fleetTrace(t *testing.T, seed int64, jobs int) []Job {
 	return tr
 }
 
-func runFleet(t *testing.T, kind preempt.Kind, jobs []Job, fo FailoverConfig) *FleetResult {
+// fleetConfig is a two-device serve run with the state witness on.
+func fleetConfig(every int64, kill *DeviceKill) ServeConfig {
+	return ServeConfig{Sched: testSchedConfig(), Devices: 2, CheckpointEvery: every,
+		Kill: kill, StateHash: true}
+}
+
+func runFleet(t *testing.T, kind preempt.Kind, jobs []Job, cfg ServeConfig) *ServeResult {
 	t.Helper()
-	fr, err := RunFleet(testSchedConfig(), kind, jobs, fo)
+	res, err := Serve(cfg, kind, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fr.Jobs) != len(jobs) {
-		t.Fatalf("fleet finished %d jobs, want %d", len(fr.Jobs), len(jobs))
+	checkDeliveredOnce(t, res)
+	if res.Completed != len(jobs) {
+		t.Fatalf("fleet completed %d jobs, want %d", res.Completed, len(jobs))
 	}
-	return fr
+	return res
 }
 
-// TestFleetUndisturbedMatchesSingle sanity-checks the fleet plumbing:
-// with no kill, every job completes, digests are populated, and repeats
-// are bit-identical.
+// checkDeliveredOnce pins conservation under failover: arrived ==
+// admitted + shed, completed == admitted, and the state witness names
+// every completed job exactly once.
+func checkDeliveredOnce(t *testing.T, res *ServeResult) {
+	t.Helper()
+	if res.Admitted+res.Shed != res.Arrived {
+		t.Fatalf("admitted(%d)+shed(%d) != arrived(%d)", res.Admitted, res.Shed, res.Arrived)
+	}
+	if res.Completed != res.Admitted {
+		t.Fatalf("completed(%d) != admitted(%d)", res.Completed, res.Admitted)
+	}
+	seen := make(map[int]bool)
+	for _, line := range strings.SplitAfter(res.StateHash, "\n") {
+		if line == "" {
+			continue
+		}
+		var id int
+		if _, err := fmt.Sscanf(line, "job %d", &id); err != nil {
+			t.Fatalf("witness line %q: %v", line, err)
+		}
+		if seen[id] {
+			t.Fatalf("job %d delivered twice:\n%s", id, res.StateHash)
+		}
+		seen[id] = true
+	}
+	if len(seen) != res.Completed {
+		t.Fatalf("witness names %d jobs, %d completed", len(seen), res.Completed)
+	}
+}
+
+// events returns the decision-log entries whose kind starts with prefix.
+func events(res *ServeResult, prefix string) []ServeEvent {
+	var out []ServeEvent
+	for _, e := range res.Events {
+		if strings.HasPrefix(e.What, prefix) {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// detailField returns the value of key=value in an event detail.
+func detailField(detail, key string) string {
+	for _, f := range strings.Fields(detail) {
+		if v, ok := strings.CutPrefix(f, key+"="); ok {
+			return v
+		}
+	}
+	return ""
+}
+
+func fullReport(res *ServeResult) string { return res.Render() + res.EventLog() + res.StateHash }
+
+// TestFleetUndisturbedMatchesSingle checks the witness itself: with
+// checkpoints on and no kill, a two-device serve run's per-job slab
+// digests equal those of a single-device Run of the same trace, where
+// every job owns a slab of one fresh device — a digest depends on the
+// job alone, not on device, slab or schedule. Repeats are byte-identical.
 func TestFleetUndisturbedMatchesSingle(t *testing.T) {
 	jobs := fleetTrace(t, 31, 6)
-	fo := FailoverConfig{Devices: 2, CheckpointEvery: 50_000, KillDevice: -1}
-	a := runFleet(t, preempt.CTXBack, jobs, fo)
-	b := runFleet(t, preempt.CTXBack, jobs, fo)
-	if a.StateHash() != b.StateHash() {
-		t.Fatalf("state hashes differ between identical runs:\n--- a\n%s--- b\n%s", a.StateHash(), b.StateHash())
+	cfg := fleetConfig(50_000, nil)
+	a := runFleet(t, preempt.CTXBack, jobs, cfg)
+	if b := runFleet(t, preempt.CTXBack, jobs, cfg); fullReport(a) != fullReport(b) {
+		t.Fatalf("identical runs differ:\n--- a\n%s--- b\n%s", fullReport(a), fullReport(b))
 	}
-	if a.Render() != b.Render() {
-		t.Fatal("rendered fleet reports differ between identical runs")
-	}
-	if a.Checkpoints == 0 {
+	if len(events(a, "checkpoint")) == 0 {
 		t.Fatal("no checkpoints taken on a 50k cadence")
 	}
-	for _, j := range a.Jobs {
-		if j.Digest == 0 {
-			t.Errorf("job %d has empty slab digest", j.ID)
-		}
-		if j.Complete <= j.Arrival {
-			t.Errorf("job %d complete %d <= arrival %d", j.ID, j.Complete, j.Arrival)
-		}
+
+	sc := testSchedConfig()
+	sc.SlabBytes = (sc.Dev.GlobalMemBytes - slabBase) / 8 // Serve's default slab
+	sc.SlabBytes -= sc.SlabBytes % 4096
+	s, err := newScheduler(sc, preempt.CTXBack, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.run(); err != nil {
+		t.Fatal(err)
+	}
+	var want strings.Builder
+	for i, rj := range s.jobs { // (arrival, ID) order; job i owns slab i
+		lo := (slabBase + i*sc.SlabBytes) / 4
+		fmt.Fprintf(&want, "job %3d %-6s slab %016x\n", rj.job.ID, rj.job.Kernel,
+			slabDigest(s.d.Mem[lo:lo+sc.SlabBytes/4]))
+	}
+	if a.StateHash != want.String() {
+		t.Fatalf("fleet witness differs from the single-device run:\n--- fleet\n%s--- single\n%s",
+			a.StateHash, want.String())
 	}
 }
 
-// TestFleetCrashAtEveryBoundary is the equivalence test the issue asks
-// for: kill a device at EVERY checkpoint boundary (and between two of
-// them) and require the failover run's final memory and verify state —
-// the per-job slab digests, with Verify on throughout — to be
-// byte-identical to the undisturbed run's.
+// TestFleetCrashAtEveryBoundary kills each device at every checkpoint
+// boundary, and once between two of them, and requires the killed run's
+// final memory and verify state — the per-job slab digests, with Verify
+// on throughout — to be byte-identical to the undisturbed run's. A
+// mid-window kill rolls back to the previous checkpoint and replays.
 func TestFleetCrashAtEveryBoundary(t *testing.T) {
 	jobs := fleetTrace(t, 31, 6)
 	const every = 40_000
-	base := runFleet(t, preempt.CTXBack, jobs, FailoverConfig{
-		Devices: 2, CheckpointEvery: every, KillDevice: -1})
-	want := base.StateHash()
-
-	var boundaries []int64
+	base := runFleet(t, preempt.CTXBack, jobs, fleetConfig(every, nil))
+	var kills []int64
 	for c := int64(every); c <= base.Makespan; c += every {
-		boundaries = append(boundaries, c)
+		kills = append(kills, c)
 	}
-	if len(boundaries) < 2 {
-		t.Fatalf("makespan %d yields %d boundaries; need >= 2 for the sweep", base.Makespan, len(boundaries))
+	if len(kills) < 2 {
+		t.Fatalf("makespan %d yields %d boundaries; need >= 2 for the sweep", base.Makespan, len(kills))
 	}
-	// Also crash between boundaries: mid-window kills roll back to the
-	// previous checkpoint instead of resuming at the crash instant.
-	boundaries = append(boundaries, boundaries[0]+every/2)
+	kills = append(kills, kills[0]+every/2)
 
-	for _, kill := range boundaries {
+	for _, at := range kills {
 		for kd := 0; kd < 2; kd++ {
-			fr := runFleet(t, preempt.CTXBack, jobs, FailoverConfig{
-				Devices: 2, CheckpointEvery: every, KillDevice: kd, KillCycle: kill})
-			if got := fr.StateHash(); got != want {
+			res := runFleet(t, preempt.CTXBack, jobs, fleetConfig(every, &DeviceKill{Device: kd, Cycle: at}))
+			if res.StateHash != base.StateHash {
 				t.Fatalf("kill dev %d @ %d: final state diverged from undisturbed run:\n--- got\n%s--- want\n%s",
-					kd, kill, got, want)
+					kd, at, res.StateHash, base.StateHash)
 			}
-			var killed, recovered bool
-			for _, e := range fr.Decisions {
-				switch e.What {
-				case "kill":
-					killed = true
-				case "restore-warm", "restore-cold", "rerun", "readmit":
-					recovered = true
-				}
+			if n := len(events(res, "kill")); n != 1 {
+				t.Fatalf("kill dev %d @ %d: %d kill events", kd, at, n)
 			}
-			if !killed {
-				t.Fatalf("kill dev %d @ %d: decision log has no kill event", kd, kill)
-			}
-			if !recovered && killDeviceHadWork(base, kd) {
-				t.Fatalf("kill dev %d @ %d: no recovery decision logged:\n%s", kd, kill, fr.Render())
+			if n := len(events(res, "restore-")) + len(events(res, "replace")); n != 1 {
+				t.Fatalf("kill dev %d @ %d: %d recovery events:\n%s", kd, at, n, res.EventLog())
 			}
 		}
 	}
-}
-
-// killDeviceHadWork reports whether the undisturbed run placed any job
-// on device kd (a kill of an empty device needs no recovery moves).
-func killDeviceHadWork(base *FleetResult, kd int) bool {
-	for _, j := range base.Jobs {
-		if j.Device == kd {
-			return true
-		}
-	}
-	return false
 }
 
 // TestFleetWarmVsColdRestore pins the warm-pool split: a warm restore
-// skips the cold construction cycles but is otherwise byte-identical to
-// a cold one.
+// skips the cold construction cycles but transfers the same image, and
+// every job's final memory is byte-identical either way.
 func TestFleetWarmVsColdRestore(t *testing.T) {
 	jobs := fleetTrace(t, 47, 6)
-	fo := FailoverConfig{Devices: 2, CheckpointEvery: 40_000, KillDevice: 0, KillCycle: 80_000}
-	cold := runFleet(t, preempt.CTXBack, jobs, fo)
-	fo.WarmPool = 1
-	warm := runFleet(t, preempt.CTXBack, jobs, fo)
+	cfg := fleetConfig(40_000, &DeviceKill{Device: 0, Cycle: 80_000})
+	cold := runFleet(t, preempt.CTXBack, jobs, cfg)
+	cfg.WarmPool = 1
+	warm := runFleet(t, preempt.CTXBack, jobs, cfg)
 
-	if cold.Restore == nil || warm.Restore == nil {
-		t.Skip("kill landed after device 0 finished; no restore to compare")
+	ce, we := events(cold, "restore-cold"), events(warm, "restore-warm")
+	if len(ce) != 1 || len(we) != 1 {
+		t.Fatalf("want one cold and one warm restore:\n--- cold\n%s--- warm\n%s", cold.EventLog(), warm.EventLog())
 	}
-	if cold.Restore.Warm {
-		t.Error("pool-less restore reported warm")
-	}
-	if !warm.Restore.Warm {
-		t.Error("pooled restore reported cold")
-	}
-	if cold.Restore.SetupCycles == 0 {
+	if detailField(ce[0].Detail, "setup") == "0" {
 		t.Error("cold restore charged no setup cycles")
 	}
-	if warm.Restore.SetupCycles != 0 {
-		t.Errorf("warm restore charged %d setup cycles, want 0", warm.Restore.SetupCycles)
+	if s := detailField(we[0].Detail, "setup"); s != "0" {
+		t.Errorf("warm restore charged %s setup cycles, want 0", s)
 	}
-	if cold.Restore.TransferCycles != warm.Restore.TransferCycles {
-		t.Errorf("transfer cycles differ warm vs cold: %d vs %d",
-			warm.Restore.TransferCycles, cold.Restore.TransferCycles)
+	if c, w := detailField(ce[0].Detail, "transfer"), detailField(we[0].Detail, "transfer"); c != w {
+		t.Errorf("transfer cycles differ warm vs cold: %s vs %s", w, c)
 	}
-	if warm.StateHash() != cold.StateHash() {
-		t.Fatalf("warm and cold restores diverged:\n--- warm\n%s--- cold\n%s",
-			warm.StateHash(), cold.StateHash())
-	}
-	if !reflect.DeepEqual(warm.Jobs, cold.Jobs) {
-		t.Fatal("per-job stats differ between warm and cold restore")
+	if warm.StateHash != cold.StateHash {
+		t.Fatalf("warm and cold restores diverged:\n--- warm\n%s--- cold\n%s", warm.StateHash, cold.StateHash)
 	}
 }
 
-// TestFleetRerunPath covers the non-relocatable fallback: CKPT episodes
-// do not survive a snapshot trip, so the kill must trigger a
-// deterministic re-run, and the final state must still match the
-// undisturbed run.
+// TestFleetRerunPath covers the non-relocatable path: CKPT keeps
+// per-warp state outside the device image, so a kill replaces the dead
+// device with an empty one and every undelivered job re-enters
+// admission and runs again from scratch. The final state must match the
+// undisturbed run's.
 func TestFleetRerunPath(t *testing.T) {
 	jobs := fleetTrace(t, 31, 6)
-	base := runFleet(t, preempt.Ckpt, jobs, FailoverConfig{
-		Devices: 2, CheckpointEvery: 40_000, KillDevice: -1})
-	fr := runFleet(t, preempt.Ckpt, jobs, FailoverConfig{
-		Devices: 2, CheckpointEvery: 40_000, KillDevice: 0, KillCycle: 80_000})
-	if got, want := fr.StateHash(), base.StateHash(); got != want {
-		t.Fatalf("rerun failover diverged from undisturbed run:\n--- got\n%s--- want\n%s", got, want)
+	base := runFleet(t, preempt.Ckpt, jobs, fleetConfig(40_000, nil))
+	res := runFleet(t, preempt.Ckpt, jobs, fleetConfig(40_000, &DeviceKill{Device: 1, Cycle: 80_000}))
+	if res.StateHash != base.StateHash {
+		t.Fatalf("requeue failover diverged from undisturbed run:\n--- got\n%s--- want\n%s", res.StateHash, base.StateHash)
 	}
-	if fr.Restore != nil {
+	if len(events(res, "restore-")) != 0 {
 		t.Error("non-relocatable kind restored from a checkpoint")
 	}
-	if killDeviceHadWork(base, 0) && !strings.Contains(fr.Render(), "rerun") {
-		t.Fatalf("decision log has no rerun event:\n%s", fr.Render())
+	rep := events(res, "replace")
+	if len(rep) != 1 || !strings.Contains(rep[0].Detail, "not relocatable") || detailField(rep[0].Detail, "requeue") == "0" {
+		t.Fatalf("want one replacement that requeues the dead device's work:\n%s", res.EventLog())
 	}
 }
 
 // TestFleetNoCheckpointFallsBackToRerun kills a device before any
-// checkpoint exists: even a relocatable technique has nothing to restore
-// and must re-run.
+// checkpoint exists: even a relocatable technique has nothing to
+// restore, so the replacement starts empty and the dead device's jobs
+// run again.
 func TestFleetNoCheckpointFallsBackToRerun(t *testing.T) {
 	jobs := fleetTrace(t, 31, 6)
-	base := runFleet(t, preempt.CTXBack, jobs, FailoverConfig{
-		Devices: 2, KillDevice: -1})
-	fr := runFleet(t, preempt.CTXBack, jobs, FailoverConfig{
-		Devices: 2, KillDevice: 0, KillCycle: 10_000})
-	if got, want := fr.StateHash(), base.StateHash(); got != want {
-		t.Fatalf("checkpoint-less failover diverged:\n--- got\n%s--- want\n%s", got, want)
+	base := runFleet(t, preempt.CTXBack, jobs, fleetConfig(0, nil))
+	res := runFleet(t, preempt.CTXBack, jobs, fleetConfig(0, &DeviceKill{Device: 0, Cycle: 10_000}))
+	if res.StateHash != base.StateHash {
+		t.Fatalf("checkpoint-less failover diverged:\n--- got\n%s--- want\n%s", res.StateHash, base.StateHash)
 	}
-	if fr.Restore != nil {
-		t.Error("restore reported without any checkpoint")
+	if n := len(events(res, "checkpoint")); n != 0 {
+		t.Errorf("checkpointing disabled but %d checkpoints taken", n)
 	}
-	if fr.Checkpoints != 0 {
-		t.Errorf("checkpointing disabled but %d checkpoints taken", fr.Checkpoints)
+	rep := events(res, "replace")
+	if len(rep) != 1 || !strings.Contains(rep[0].Detail, "no checkpoint yet") {
+		t.Fatalf("want one replacement without a checkpoint:\n%s", res.EventLog())
 	}
 }
 
-// TestFleetDeterministicAcrossShards: the failover run must be
-// byte-identical whether the devices step serially or epoch-parallel.
+// TestFleetDeterministicAcrossShards: a killed run is byte-identical
+// whether devices step serially or epoch-parallel, and whether they
+// advance one at a time or on parallel workers.
 func TestFleetDeterministicAcrossShards(t *testing.T) {
 	jobs := fleetTrace(t, 31, 6)
-	fo := FailoverConfig{Devices: 2, CheckpointEvery: 40_000, KillDevice: 0, KillCycle: 80_000}
-	serialCfg := testSchedConfig()
-	shardCfg := testSchedConfig()
-	shardCfg.Shards = 2
-	serial, err := RunFleet(serialCfg, preempt.CTXBack, jobs, fo)
-	if err != nil {
-		t.Fatal(err)
+	run := func(shards, workers int) string {
+		cfg := fleetConfig(40_000, &DeviceKill{Device: 0, Cycle: 60_000})
+		cfg.Sched.Shards = shards
+		cfg.Workers = workers
+		return fullReport(runFleet(t, preempt.CTXBack, jobs, cfg))
 	}
-	sharded, err := RunFleet(shardCfg, preempt.CTXBack, jobs, fo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.StateHash() != sharded.StateHash() {
-		t.Fatalf("state hash differs across shards:\n--- serial\n%s--- sharded\n%s",
-			serial.StateHash(), sharded.StateHash())
-	}
-	if serial.Render() != sharded.Render() {
-		t.Fatal("fleet report differs across shards")
+	ref := run(1, 1)
+	for _, c := range []struct{ shards, workers int }{{2, 1}, {1, 2}} {
+		if got := run(c.shards, c.workers); got != ref {
+			t.Fatalf("shards=%d workers=%d diverged:\n--- ref\n%s--- got\n%s", c.shards, c.workers, ref, got)
+		}
 	}
 }
 
-// TestFleetConfigValidation covers the flag-level error paths.
+// TestFleetConfigValidation covers the failover config error paths.
 func TestFleetConfigValidation(t *testing.T) {
 	jobs := fleetTrace(t, 31, 4)
-	cases := []FailoverConfig{
-		{Devices: 2, KillDevice: 2, KillCycle: 1000},  // kill id out of range
-		{Devices: 2, KillDevice: 0},                   // kill cycle unset
-		{Devices: 2, KillDevice: 0, KillCycle: -5},    // negative kill cycle
-		{Devices: 2, CheckpointEvery: -1, KillDevice: -1}, // negative cadence
-	}
-	for i, fo := range cases {
-		if _, err := RunFleet(testSchedConfig(), preempt.CTXBack, jobs, fo); err == nil {
+	for i, cfg := range []ServeConfig{
+		fleetConfig(0, &DeviceKill{Device: 2, Cycle: 1000}),  // kill id out of range
+		fleetConfig(0, &DeviceKill{Device: -1, Cycle: 1000}), // negative kill id
+		fleetConfig(0, &DeviceKill{Device: 0}),               // kill cycle unset
+		fleetConfig(0, &DeviceKill{Device: 0, Cycle: -5}),    // negative kill cycle
+		fleetConfig(-1, nil),                                 // negative cadence
+	} {
+		if _, err := Serve(cfg, preempt.CTXBack, jobs); err == nil {
 			t.Errorf("case %d: invalid failover config accepted", i)
 		}
 	}
-	if _, err := RunFleet(testSchedConfig(), preempt.CTXBack, nil,
-		FailoverConfig{Devices: 2, KillDevice: -1}); err == nil {
+	if _, err := Serve(fleetConfig(0, nil), preempt.CTXBack, nil); err == nil {
 		t.Error("empty trace accepted")
 	}
 }
 
-// TestLeastLoadedReadmit pins the load-aware readmission pick: orphans
-// go to the device with the fewest outstanding jobs, ties to the lower
-// id, and each pick sees the previous one's load.
-func TestLeastLoadedReadmit(t *testing.T) {
-	mk := func(total, done int) *scheduler {
-		s := &scheduler{nDone: done}
-		for i := 0; i < total; i++ {
-			s.jobs = append(s.jobs, &runJob{})
+// TestFleetDeliveredOnce pins the delivered-once rule under a kill:
+// device 0 completes a job between its last checkpoint and the kill,
+// so the restore replays that job. Still arrived == admitted + shed,
+// completed == admitted, and no job counts twice.
+func TestFleetDeliveredOnce(t *testing.T) {
+	jobs := fleetTrace(t, 31, 6)
+	cfg := fleetConfig(40_000, &DeviceKill{Device: 0, Cycle: 76_000})
+	sv, err := newServer(cfg, preempt.CTXBack, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sv.run(); err != nil {
+		t.Fatal(err)
+	}
+	replays := 0
+	for _, dev := range sv.devices {
+		for _, rj := range dev.s.jobs {
+			if rj.delivered {
+				replays++
+			}
 		}
-		return s
 	}
-	scheds := []*scheduler{mk(5, 0), mk(3, 3), mk(4, 2)}
-	targets := []int{0, 1, 2}
-	if got := leastLoaded(scheds, targets); got != 1 {
-		t.Fatalf("leastLoaded = %d, want 1 (zero outstanding)", got)
+	res := sv.result()
+	checkDeliveredOnce(t, res)
+	if res.Completed != len(jobs) {
+		t.Fatalf("completed %d jobs, want %d", res.Completed, len(jobs))
 	}
-	// Simulate the readmit: device 1 takes the orphan, then ties device 2
-	// at 2 outstanding... no — device 1 now has 1, still lightest.
-	scheds[1].jobs = append(scheds[1].jobs, &runJob{})
-	if got := leastLoaded(scheds, targets); got != 1 {
-		t.Fatalf("after one readmit leastLoaded = %d, want 1", got)
-	}
-	scheds[1].jobs = append(scheds[1].jobs, &runJob{})
-	// Device 1 and 2 both at 2 outstanding: the tie goes to the lower id.
-	if got := leastLoaded(scheds, targets); got != 1 {
-		t.Fatalf("tie leastLoaded = %d, want 1 (lower id)", got)
-	}
-	// Restrict targets: only 0 and 2 survive.
-	if got := leastLoaded(scheds, []int{0, 2}); got != 2 {
-		t.Fatalf("restricted leastLoaded = %d, want 2", got)
+	if replays == 0 {
+		t.Fatalf("the kill replayed no delivered job, leaving the rule untested:\n%s", res.EventLog())
 	}
 }

@@ -49,7 +49,6 @@ type hypervisor struct {
 	rearbs       int
 	migrations   int
 	starveBoosts int
-	epoch        uint64
 }
 
 func newHypervisor(cfg HypervisorConfig, tenants int) *hypervisor {
@@ -230,66 +229,22 @@ func (h *hypervisor) maybeMigrate(sv *server, now int64) error {
 		return nil
 	}
 
-	h.epoch++
-	c, err := donor.s.checkpoint(h.epoch)
+	sv.epoch++
+	c, err := donor.checkpoint(sv.epoch)
 	if err != nil {
 		return fmt.Errorf("sched: migration checkpoint of device %d: %w", donor.id, err)
 	}
-	rs, res, err := restoreFrom(c, donor.s.cfg, sv.kind, donor.s.jobs, sv.pool)
+	nd, out, err := sv.restoreDevice(c, donor.s.quota, now)
 	if err != nil {
 		return fmt.Errorf("sched: migration restore of device %d: %w", donor.id, err)
 	}
-	if err := res.Validate(); err != nil {
-		return fmt.Errorf("sched: migrated device %d failed validation: %w", donor.id, err)
-	}
-	rs.quota = donor.s.quota
-
-	nd := &serveDevice{
-		id:           len(sv.devices),
-		s:            rs,
-		slabFree:     append([]bool(nil), donor.slabFree...),
-		slabOf:       make(map[int]int, len(donor.slabOf)),
-		incomplete:   append([]int(nil), donor.incomplete...),
-		blockedUntil: now + res.Outcome.RestoreCycles(),
-	}
-	for id, slab := range donor.slabOf {
-		nd.slabOf[id] = slab
-	}
-	sv.hookDevice(nd)
-
-	// Jobs without a checkpointed launch re-enter admission: free their
-	// slabs on the new device and queue them token-paid at their
-	// original arrival order.
-	requeued := 0
-	for i, jm := range c.meta.jobs {
-		if jm.launchIdx >= 0 || jm.complete != 0 {
-			// Launched jobs carry with the image; completed jobs were
-			// pruned from it and owe nothing.
-			continue
-		}
-		rj := donor.s.jobs[i]
-		nd.freeSlab(rj.job.ID)
-		nd.incomplete[rj.job.Tenant]--
-		sv.admit.requeue(rj.job)
-		requeued++
-	}
-
 	donor.retired = true
-	sv.devices = append(sv.devices, nd)
+	// Jobs without a checkpointed launch re-enter admission token-paid at
+	// their original arrival order.
+	requeued := sv.requeueLost(donor, c)
 	h.migrations++
-	warm := "cold"
-	if res.Outcome.Warm {
-		warm = "warm"
-	}
 	sv.log(now, "migrate", -1, nd.id,
 		fmt.Sprintf("from dev%d: carry=%d requeue=%d %s setup=%d transfer=%d",
-			donor.id, len(rs.jobs), requeued, warm,
-			res.Outcome.SetupCycles, res.Outcome.TransferCycles))
-	if sv.pool != nil {
-		// Top the warm pool back up so the next migration can also land
-		// on a prepared shell; a refill failure only means a cold shell
-		// later, not a lost move.
-		_ = sv.pool.Refill(1)
-	}
+			donor.id, len(nd.s.jobs), requeued, warmth(out), out.SetupCycles, out.TransferCycles))
 	return nil
 }

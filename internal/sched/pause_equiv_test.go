@@ -18,7 +18,7 @@ func TestPauseWindowEquivalence(t *testing.T) {
 	cfg.Dev.NumSMs = 2
 	cfg.Dev.GlobalMemBytes = 256 << 20
 
-	one, err := newScheduler(cfg, preempt.CTXBack, jobs, nil)
+	one, err := newScheduler(cfg, preempt.CTXBack, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestPauseWindowEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	win, err := newScheduler(cfg, preempt.CTXBack, jobs, nil)
+	win, err := newScheduler(cfg, preempt.CTXBack, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}

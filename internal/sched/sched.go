@@ -323,8 +323,7 @@ type runJob struct {
 	sm     int
 
 	// admitAt is the cycle the scheduler first considers the job: the
-	// trace arrival normally, the failover instant for a job re-admitted
-	// to a surviving device after its original device was killed.
+	// trace arrival under Run, the admission barrier under Serve.
 	// Queueing and turnaround statistics always measure from the
 	// original Job.Arrival.
 	admitAt int64
@@ -335,6 +334,14 @@ type runJob struct {
 
 	preemptions int
 	episode     *sim.Episode // parked episode while suspended
+
+	// delivered marks a failover replay: a killed device already
+	// delivered this job's output after the checkpoint its replacement
+	// restored. The job still runs, keeping the restored schedule
+	// cycle-exact, but its completion is not counted again.
+	delivered bool
+	// digest is the job's slab digest at completion (ServeConfig.StateHash).
+	digest uint64
 }
 
 type smSlot struct {
@@ -363,7 +370,7 @@ type scheduler struct {
 	progSeen  map[*isa.Program]bool
 
 	// onComplete, when set, observes every job completion on this
-	// scheduler's device (the fleet layer copies results host-side at
+	// scheduler's device (the serving layer copies results host-side at
 	// this point, so a later device kill cannot lose delivered output).
 	onComplete func(*runJob)
 
@@ -382,7 +389,7 @@ type scheduler struct {
 // deterministic simulation: no goroutines, no map-order dependence, no
 // wall-clock input.
 func Run(cfg Config, kind preempt.Kind, jobs []Job) (*Result, error) {
-	s, err := newScheduler(cfg, kind, jobs, nil)
+	s, err := newScheduler(cfg, kind, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -394,20 +401,7 @@ func Run(cfg Config, kind preempt.Kind, jobs []Job) (*Result, error) {
 
 const slabBase = 4096
 
-// slabIndex resolves a job's memory-slab index: its position in this
-// scheduler's admission order by default, or the fleet-wide index from
-// slabOf — a fleet assigns every job a GLOBAL slab index so a job keeps
-// the same device addresses wherever failover re-admits it (kernel
-// output depends on MemBase, so a stable slab is what makes the
-// failover run's final memory byte-comparable to the undisturbed run).
-func slabIndex(slabOf map[int]int, jobID, pos int) int {
-	if slabOf == nil {
-		return pos
-	}
-	return slabOf[jobID]
-}
-
-func newScheduler(cfg Config, kind preempt.Kind, jobs []Job, slabOf map[int]int) (*scheduler, error) {
+func newScheduler(cfg Config, kind preempt.Kind, jobs []Job) (*scheduler, error) {
 	if len(jobs) == 0 {
 		return nil, errors.New("sched: empty trace")
 	}
@@ -418,15 +412,9 @@ func newScheduler(cfg Config, kind preempt.Kind, jobs []Job, slabOf map[int]int)
 		cfg.SlabBytes = (cfg.Dev.GlobalMemBytes - slabBase) / len(jobs)
 		cfg.SlabBytes -= cfg.SlabBytes % 4096
 	}
-	maxIdx := 0
-	for i, j := range jobs {
-		if idx := slabIndex(slabOf, j.ID, i); idx > maxIdx {
-			maxIdx = idx
-		}
-	}
-	if slabBase+(maxIdx+1)*cfg.SlabBytes > cfg.Dev.GlobalMemBytes {
-		return nil, fmt.Errorf("sched: slab index %d x %d-byte slabs exceed device memory (%d bytes)",
-			maxIdx, cfg.SlabBytes, cfg.Dev.GlobalMemBytes)
+	if slabBase+len(jobs)*cfg.SlabBytes > cfg.Dev.GlobalMemBytes {
+		return nil, fmt.Errorf("sched: %d x %d-byte slabs exceed device memory (%d bytes)",
+			len(jobs), cfg.SlabBytes, cfg.Dev.GlobalMemBytes)
 	}
 	d, err := sim.NewDevice(cfg.Dev)
 	if err != nil {
@@ -448,7 +436,7 @@ func newScheduler(cfg Config, kind preempt.Kind, jobs []Job, slabOf map[int]int)
 	})
 	for i, j := range ordered {
 		p := cfg.Params
-		p.MemBase = slabBase + slabIndex(slabOf, j.ID, i)*cfg.SlabBytes
+		p.MemBase = slabBase + i*cfg.SlabBytes
 		wl, err := kernels.ByAbbrev(j.Kernel, p)
 		if err != nil {
 			return nil, fmt.Errorf("sched: job %d: %w", j.ID, err)
@@ -501,7 +489,7 @@ func (s *scheduler) run() error {
 // transitions, assign freed SMs, then step the simulator to the next
 // event (or fast-forward an idle device to the next arrival) — until
 // every job completes (true) or the clock reaches stop (false), the
-// fleet's checkpoint/kill boundary. The pause is a plain observation
+// serve loop's next barrier. The pause is a plain observation
 // point: warps may be mid-flight, mid-save or parked, exactly what a
 // whole-device snapshot must capture. At stop=MaxInt64 the pause terms
 // never fire and the loop is the original whole-run loop, byte for

@@ -21,7 +21,8 @@ import (
 // control (admit.go) onto a fleet of devices behind deterministic
 // load-aware routing, while the hypervisor (hypervisor.go) re-arbitrates
 // per-tenant SM shares and rebalances devices through checkpoint +
-// warm-pool restore. Devices advance independently between global
+// warm-pool restore, and failover (failover.go) checkpoints devices and
+// survives a device kill. Devices advance independently between global
 // admission barriers — the parallel axis — and every cross-device
 // decision runs serially at a barrier on state merged in device-id
 // order, so the decision log and SLO tables are byte-identical at every
@@ -33,8 +34,8 @@ type ServeConfig struct {
 	// settings. SlabBytes must divide the usable device memory into the
 	// per-device slab pool (0 picks SlabsPerDevice even slabs).
 	Sched Config
-	// Devices is the initial fleet size (migration retires and adds
-	// device ids, keeping the alive count constant). Default 2.
+	// Devices is the initial fleet size (migration and failover retire
+	// and add device ids, keeping the alive count constant). Default 2.
 	Devices int
 	// Workers caps how many devices advance concurrently between
 	// barriers; 0/1 is serial. Output is identical at every setting.
@@ -47,12 +48,20 @@ type ServeConfig struct {
 	// slab pool divides device memory, and filled-SM workloads overflow
 	// slabs much under a few megabytes.
 	SlabsPerDevice int
-	// WarmPool pre-builds this many warm device shells for migration
-	// restores. 0 restores cold.
+	// WarmPool pre-builds this many warm device shells for migration and
+	// failover restores. 0 restores cold.
 	WarmPool int
 	// ReportEvery is the decision-log aggregate cadence; 0 defaults to
 	// Hypervisor.Every, else 16 admission windows.
 	ReportEvery int64
+	// CheckpointEvery is the whole-device checkpoint cadence in cycles,
+	// rounded up to the admission window. 0 takes no checkpoints.
+	CheckpointEvery int64
+	// Kill, when non-nil, destroys one device mid-run (failover.go).
+	Kill *DeviceKill
+	// StateHash computes the per-job slab-digest witness
+	// (ServeResult.StateHash).
+	StateHash bool
 
 	// DecisionSink, when non-nil, receives each decision-log line
 	// (rendered with ServeEvent.String) the moment it is emitted,
@@ -69,7 +78,7 @@ type ServeConfig struct {
 // ServeEvent is one line of the serving decision log.
 type ServeEvent struct {
 	Cycle  int64
-	What   string // window, shed, shares, starve-boost, migrate
+	What   string // window, shed, shares, starve-boost, migrate, checkpoint, kill, restore-warm, restore-cold, replace
 	Tenant int    // -1 when fleet-scoped
 	Device int    // -1 when not device-bound
 	Detail string
@@ -116,12 +125,17 @@ type ServeResult struct {
 	PreemptionJain, ThroughputJain float64
 
 	Events []ServeEvent
+
+	// StateHash is the per-job slab-digest witness, one line per
+	// delivered job in (arrival, ID) order; empty unless
+	// ServeConfig.StateHash.
+	StateHash string
 }
 
 // serveDevice wraps one scheduler with the serving layer's host-side
 // state: the slab pool bounding its outstanding jobs, per-tenant
-// admitted-incomplete counts, and the routing block after a migration
-// restore.
+// admitted-incomplete counts, the routing block after a restore, and the
+// latest failover checkpoint.
 type serveDevice struct {
 	id      int
 	s       *scheduler
@@ -132,7 +146,8 @@ type serveDevice struct {
 	slabOf     map[int]int // jobID -> slab index
 	incomplete []int       // per tenant, admitted minus completed
 
-	blockedUntil int64 // routing exclusion after a migration restore
+	blockedUntil int64 // routing exclusion after a restore
+	ckpt         *ckpt // latest periodic checkpoint, nil when none
 
 	// completion buffer, filled inside the device's window advance
 	// (goroutine-local), drained at the barrier in device-id order.
@@ -181,6 +196,7 @@ type server struct {
 	admit   *admitter
 	hyper   *hypervisor
 	pool    *snapshot.Pool
+	epoch   uint64 // last checkpoint epoch, migration and failover alike
 
 	blocks map[string]int // abbrev -> occupancy-filled NumBlocks
 
@@ -192,7 +208,8 @@ type server struct {
 	trace   []Job // (arrival, ID) order
 	nextArr int
 
-	events []ServeEvent
+	events  []ServeEvent
+	digests []jobDigest // delivered jobs' slab digests (StateHash)
 
 	// per-tenant accounting
 	arrived     []int
@@ -218,10 +235,12 @@ func (sv *server) log(cycle int64, what string, tenant, device int, detail strin
 
 // hookDevice wires a device's completion observer: copy the outcome
 // host-side, verify while the slab is still intact, release the slab.
-// Runs inside the device's window advance — it must touch only this
-// device's state.
+// With the state witness on, the slab is hashed and then cleared, so the
+// next job on it starts from zeroed memory. Runs inside the device's
+// window advance — it must touch only this device's state.
 func (sv *server) hookDevice(dev *serveDevice) {
 	verify := sv.cfg.Sched.Verify
+	witness, slabBytes := sv.cfg.StateHash, sv.cfg.Sched.SlabBytes
 	dev.s.onComplete = func(rj *runJob) {
 		if verify && dev.verifyErr == nil {
 			if err := rj.wl.Verify(dev.s.d); err != nil {
@@ -229,10 +248,32 @@ func (sv *server) hookDevice(dev *serveDevice) {
 					rj.job.ID, rj.job.Kernel, rj.job.Tenant, dev.id, err)
 			}
 		}
+		if witness {
+			lo := (slabBase + dev.slabOf[rj.job.ID]*slabBytes) / 4
+			slab := dev.s.d.Mem[lo : lo+slabBytes/4]
+			rj.digest = slabDigest(slab)
+			clear(slab)
+		}
 		dev.freeSlab(rj.job.ID)
 		dev.incomplete[rj.job.Tenant]--
 		dev.completedWin = append(dev.completedWin, rj)
 	}
+}
+
+// addDevice registers s as a new idle device with an empty slab pool.
+func (sv *server) addDevice(s *scheduler) *serveDevice {
+	dev := &serveDevice{id: len(sv.devices), s: s,
+		slabFree:   make([]bool, sv.cfg.SlabsPerDevice),
+		slabOf:     make(map[int]int),
+		incomplete: make([]int, sv.tenants),
+		done:       true,
+	}
+	for i := range dev.slabFree {
+		dev.slabFree[i] = true
+	}
+	sv.hookDevice(dev)
+	sv.devices = append(sv.devices, dev)
+	return dev
 }
 
 // newBareScheduler builds a scheduler with an empty admission list: the
@@ -301,7 +342,7 @@ type wlKey struct {
 // the technique, which admitPrepared still builds fresh per admission.
 // Same-key reuse cannot overlap on one device — the slab allocator hands
 // each (device, slab) to one job at a time — and sharing one program
-// pointer across devices is already the norm under failover restore.
+// pointer across devices is already the norm under migration restore.
 func (sv *server) prepared(abbrev string, slab int) (*kernels.Workload, error) {
 	wk := wlKey{abbrev: abbrev, slab: slab}
 	if wl, ok := sv.wlCache[wk]; ok {
@@ -339,8 +380,8 @@ func (sv *server) prepared(abbrev string, slab int) (*kernels.Workload, error) {
 }
 
 // route picks the admission destination: the least-loaded alive device
-// with a free slab that is past any migration restore latency. Ties go
-// to the lower device id. Returns nil when the fleet is at capacity.
+// with a free slab that is past any restore latency. Ties go to the
+// lower device id. Returns nil when the fleet is at capacity.
 func (sv *server) route(now int64) *serveDevice {
 	var best *serveDevice
 	for _, dev := range sv.devices {
@@ -397,6 +438,14 @@ func newServer(cfg ServeConfig, kind preempt.Kind, jobs []Job) (*server, error) 
 	}
 	if cfg.Devices <= 0 {
 		cfg.Devices = 2
+	}
+	if cfg.CheckpointEvery < 0 {
+		return nil, errors.New("sched: checkpoint cadence must be >= 0")
+	}
+	if cfg.Kill != nil {
+		if err := cfg.Kill.validate(cfg.Devices); err != nil {
+			return nil, err
+		}
 	}
 	if cfg.AdmitEvery <= 0 {
 		cfg.AdmitEvery = 2000
@@ -459,17 +508,7 @@ func newServer(cfg ServeConfig, kind preempt.Kind, jobs []Job) (*server, error) 
 		if err != nil {
 			return nil, fmt.Errorf("sched: device %d: %w", di, err)
 		}
-		dev := &serveDevice{id: di, s: s,
-			slabFree:   make([]bool, cfg.SlabsPerDevice),
-			slabOf:     make(map[int]int),
-			incomplete: make([]int, tenants),
-			done:       true,
-		}
-		for i := range dev.slabFree {
-			dev.slabFree[i] = true
-		}
-		sv.hookDevice(dev)
-		sv.devices = append(sv.devices, dev)
+		sv.addDevice(s)
 	}
 
 	if cfg.WarmPool > 0 {
@@ -547,6 +586,10 @@ func (sv *server) mergeCompletions() error {
 			return fmt.Errorf("sched: %w", dev.verifyErr)
 		}
 		for _, rj := range dev.completedWin {
+			if rj.delivered {
+				// A replay of output a killed device already delivered.
+				continue
+			}
 			t := rj.job.Tenant
 			sv.completed[t]++
 			sv.preemptions[t] += int64(rj.preemptions)
@@ -554,6 +597,9 @@ func (sv *server) mergeCompletions() error {
 			sv.turnarounds[t] = append(sv.turnarounds[t], rj.complete-rj.job.Arrival)
 			if rj.complete > sv.makespan {
 				sv.makespan = rj.complete
+			}
+			if sv.cfg.StateHash {
+				sv.digests = append(sv.digests, jobDigest{rj.job, rj.digest})
 			}
 		}
 		// Retire the finished launches from the device so its state —
@@ -581,11 +627,19 @@ func (sv *server) run() error {
 		T          int64
 		nextReport = sv.cfg.ReportEvery
 		nextHyper  = int64(math.MaxInt64)
+		nextCkpt   = int64(math.MaxInt64)
+		killAt     = int64(math.MaxInt64)
 		lastProg   = -1
 		stall      int
 	)
 	if sv.hyper != nil {
 		nextHyper = sv.cfg.Hypervisor.Every
+	}
+	if sv.cfg.CheckpointEvery > 0 {
+		nextCkpt = sv.cfg.CheckpointEvery
+	}
+	if sv.cfg.Kill != nil {
+		killAt = sv.cfg.Kill.Cycle
 	}
 	for {
 		T += sv.cfg.AdmitEvery
@@ -595,6 +649,23 @@ func (sv *server) run() error {
 		}
 		if err := sv.mergeCompletions(); err != nil {
 			return err
+		}
+
+		// Failover events, checkpoint first: a kill on a checkpoint
+		// boundary restores the image taken at that very barrier.
+		if T >= nextCkpt {
+			if err := sv.checkpointAll(T); err != nil {
+				return err
+			}
+			for nextCkpt <= T {
+				nextCkpt += sv.cfg.CheckpointEvery
+			}
+		}
+		if T >= killAt {
+			killAt = math.MaxInt64
+			if err := sv.kill(T); err != nil {
+				return err
+			}
 		}
 
 		// Pull arrivals up to the barrier into the front door.
@@ -673,9 +744,9 @@ func (sv *server) run() error {
 			prog += s
 		}
 		if prog == lastProg {
-			// A device still inside its migration restore latency is a
-			// scheduled future event, not a stall: fast-forward the
-			// barrier clock to the unblock and keep going.
+			// A device still inside its restore latency is a scheduled
+			// future event, not a stall: fast-forward the barrier clock to
+			// the unblock and keep going.
 			if next := sv.nextUnblock(T); next > T {
 				if sv.nextArr < len(sv.trace) && sv.trace[sv.nextArr].Arrival < next {
 					next = sv.trace[sv.nextArr].Arrival
@@ -799,6 +870,9 @@ func (sv *server) result() *ServeResult {
 		r.Rearbitrations = sv.hyper.rearbs
 		r.Migrations = sv.hyper.migrations
 		r.StarveBoosts = sv.hyper.starveBoosts
+	}
+	if sv.cfg.StateHash {
+		r.StateHash = sv.stateHash()
 	}
 	sv.exportMetrics(r)
 	return r

@@ -88,8 +88,7 @@ func (s *scheduler) result() (*Result, error) {
 }
 
 // tenantStats aggregates per-tenant statistics over a run's jobs,
-// indexed densely by the tenant ids present, ascending. Shared by the
-// single-device result and the fleet failover result.
+// indexed densely by the tenant ids present, ascending.
 func tenantStats(jobs []JobStats) []TenantStats {
 	byTenant := map[int][]JobStats{}
 	for _, j := range jobs {

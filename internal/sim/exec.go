@@ -636,11 +636,13 @@ func (d *Device) execContext(w *Warp, in *isa.Instruction) (effect, error) {
 		share := make([]uint32, hi-lo)
 		copy(share, w.LDS.Data[lo:hi])
 		ctx.LDS = share
+		ctx.LDSLo = w.LDSShareLo
 		eff.memBytes = (hi - lo) * 4
 	case isa.CtxLoadLDS:
-		lo, hi := w.LDSShareLo>>2, w.LDSShareHi>>2
-		if len(ctx.LDS) != hi-lo {
-			return eff, d.fault(w, in, "LDS share size mismatch: saved %d words, share %d", len(ctx.LDS), hi-lo)
+		lo := ctx.LDSLo >> 2
+		hi := lo + len(ctx.LDS)
+		if hi > len(w.LDS.Data) {
+			return eff, d.fault(w, in, "LDS share [%d, %d) outside the block's %d words", lo, hi, len(w.LDS.Data))
 		}
 		copy(w.LDS.Data[lo:hi], ctx.LDS)
 		eff.memBytes = (hi - lo) * 4

@@ -178,6 +178,7 @@ func copySavedContext(c *SavedContext) *SavedContext {
 		SSlots:   make(map[int32]uint64, len(c.SSlots)),
 		Specs:    make(map[int32]uint64, len(c.Specs)),
 		LDS:      append([]uint32(nil), c.LDS...),
+		LDSLo:    c.LDSLo,
 		PC:       c.PC,
 		DynCount: c.DynCount,
 		Barriers: c.Barriers,
@@ -498,6 +499,12 @@ func (d *Device) ImportState(st *DeviceState, rt Runtime, progs []*isa.Program) 
 			w.hookSavedCtx = copySavedContext(ws.HookSavedCtx)
 			w.skipHookOnce = ws.SkipHookOnce
 			w.ctx = copySavedContext(ws.Ctx)
+			if w.ctx != nil {
+				// The wire format carries no LDS offset: a context an
+				// image holds mid-switch was saved from the warp's
+				// current share.
+				w.ctx.LDSLo = ws.LDSShareLo
+			}
 			w.snapshot = copyArch(ws.Snapshot)
 			if ws.Rec != nil {
 				rec := *ws.Rec

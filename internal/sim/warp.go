@@ -111,11 +111,11 @@ type Warp struct {
 	// stalled list, its index in the future heap, and its scan-position
 	// sequence number — the tie-break that reproduces the reference
 	// scan's first-in-scan-order preference.
-	qheap uint8
-	qprev *Warp
-	qnext *Warp
-	qidx  int
-	qseq  int64
+	qheap  uint8
+	qprev  *Warp
+	qnext  *Warp
+	qidx   int
+	qseq   int64
 	launch *Launch
 }
 
@@ -148,10 +148,15 @@ type LDSBlock struct {
 // keyed by the Imm0 the context instructions carry; the generating
 // technique chooses the slot layout.
 type SavedContext struct {
-	VSlots   map[int32][]uint32
-	SSlots   map[int32]uint64
-	Specs    map[int32]uint64
-	LDS      []uint32 // the warp's LDS share
+	VSlots map[int32][]uint32
+	SSlots map[int32]uint64
+	Specs  map[int32]uint64
+	LDS    []uint32 // the warp's LDS share
+	// LDSLo is the byte offset in the block's LDS that LDS was saved
+	// from. A signal may widen a warp's share after a pre-signal save (a
+	// CKPT checkpoint, an SM-flush entry image); the load restores the
+	// range that was saved.
+	LDSLo    int
 	PC       int
 	DynCount int64
 	Barriers int

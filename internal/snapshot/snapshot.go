@@ -30,6 +30,7 @@ package snapshot
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"sort"
 
@@ -109,31 +110,26 @@ func (e *StaleError) Error() string {
 	return fmt.Sprintf("snapshot: stale epoch %d, want %d", e.Got, e.Want)
 }
 
-// fnv1a64 is the section checksum (same construction as the sim context
-// checksums).
+// fnv1a64 is the section checksum: 64-bit FNV-1a over the payload.
 func fnv1a64(data []byte) uint64 {
-	const offset, prime = 14695981039346656037, 1099511628211
-	h := uint64(offset)
-	for _, b := range data {
-		h ^= uint64(b)
-		h *= prime
-	}
-	return h
+	h := fnv.New64a()
+	h.Write(data)
+	return h.Sum64()
 }
 
 // ---- writer ----
 
 type wbuf struct{ b []byte }
 
-func (w *wbuf) u8(v uint8)     { w.b = append(w.b, v) }
-func (w *wbuf) u16(v uint16)   { w.b = binary.LittleEndian.AppendUint16(w.b, v) }
-func (w *wbuf) u32(v uint32)   { w.b = binary.LittleEndian.AppendUint32(w.b, v) }
-func (w *wbuf) u64(v uint64)   { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
-func (w *wbuf) i32(v int)      { w.u32(uint32(int32(v))) }
-func (w *wbuf) i64(v int64)    { w.u64(uint64(v)) }
-func (w *wbuf) f64(v float64)  { w.u64(math.Float64bits(v)) }
-func (w *wbuf) str(s string)   { w.u32(uint32(len(s))); w.b = append(w.b, s...) }
-func (w *wbuf) blob(b []byte)  { w.u32(uint32(len(b))); w.b = append(w.b, b...) }
+func (w *wbuf) u8(v uint8)    { w.b = append(w.b, v) }
+func (w *wbuf) u16(v uint16)  { w.b = binary.LittleEndian.AppendUint16(w.b, v) }
+func (w *wbuf) u32(v uint32)  { w.b = binary.LittleEndian.AppendUint32(w.b, v) }
+func (w *wbuf) u64(v uint64)  { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
+func (w *wbuf) i32(v int)     { w.u32(uint32(int32(v))) }
+func (w *wbuf) i64(v int64)   { w.u64(uint64(v)) }
+func (w *wbuf) f64(v float64) { w.u64(math.Float64bits(v)) }
+func (w *wbuf) str(s string)  { w.u32(uint32(len(s))); w.b = append(w.b, s...) }
+func (w *wbuf) blob(b []byte) { w.u32(uint32(len(b))); w.b = append(w.b, b...) }
 func (w *wbuf) boolean(v bool) {
 	if v {
 		w.u8(1)
@@ -236,11 +232,11 @@ func (r *rbuf) u64() uint64 {
 	return binary.LittleEndian.Uint64(b)
 }
 
-func (r *rbuf) i32() int         { return int(int32(r.u32())) }
-func (r *rbuf) i64() int64       { return int64(r.u64()) }
-func (r *rbuf) f64() float64     { return math.Float64frombits(r.u64()) }
-func (r *rbuf) str() string      { return string(r.take(int(r.u32()))) }
-func (r *rbuf) blob() []byte     { return append([]byte(nil), r.take(int(r.u32()))...) }
+func (r *rbuf) i32() int     { return int(int32(r.u32())) }
+func (r *rbuf) i64() int64   { return int64(r.u64()) }
+func (r *rbuf) f64() float64 { return math.Float64frombits(r.u64()) }
+func (r *rbuf) str() string  { return string(r.take(int(r.u32()))) }
+func (r *rbuf) blob() []byte { return append([]byte(nil), r.take(int(r.u32()))...) }
 func (r *rbuf) boolean() bool {
 	switch v := r.u8(); v {
 	case 0:
