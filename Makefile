@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check bench bench-smoke eval trace-smoke evalcheck sched-smoke serve-smoke procs-diff shards-diff snap-diff gen-smoke cache-diff
+.PHONY: all build test check bench bench-smoke bench-test eval trace-smoke evalcheck sched-smoke serve-smoke procs-diff shards-diff snap-diff gen-smoke cache-diff
 
 all: build
 
@@ -21,15 +21,20 @@ check:
 
 # trace-smoke runs one preempted kernel with -trace and validates the
 # emitted Chrome trace-event JSON (known phase types, cycle-monotone
-# order) with tracecheck.
+# order) with tracecheck. The same run takes CPU and allocation profiles,
+# which go tool pprof must read back.
 trace-smoke:
-	$(GO) run ./cmd/gpusim -kernel VA -technique CTXBack -trace /tmp/ctxback-smoke.trace.json
+	$(GO) run ./cmd/gpusim -kernel VA -technique CTXBack -trace /tmp/ctxback-smoke.trace.json \
+		-cpuprofile /tmp/ctxback-smoke.cpu.pprof -memprofile /tmp/ctxback-smoke.mem.pprof
 	$(GO) run ./cmd/tracecheck /tmp/ctxback-smoke.trace.json
+	$(GO) tool pprof -top /tmp/ctxback-smoke.cpu.pprof > /dev/null
+	$(GO) tool pprof -top /tmp/ctxback-smoke.mem.pprof > /dev/null
 
 # sched-smoke replays a tiny contended multi-tenant trace under all
 # eight techniques on the preemptive scheduler and diffs the full report
 # (trace, per-technique stats, per-job tables) against the checked-in
 # golden. Any nondeterminism or unintended stats change fails the diff.
+# The run repeats with -cpuprofile, which must not change a byte.
 # The second diff covers failover in the serve loop: the same 8-job
 # trace on two devices with periodic whole-device checkpoints and a
 # device kill — a warm restore under CTXBack, an empty replacement plus
@@ -39,6 +44,8 @@ FAILOVER_ARGS = -serve -quick -seed 9 -process uniform -devices 2 -checkpoint-ev
 sched-smoke:
 	$(GO) run ./cmd/schedsim -quick -seed 9 > /tmp/ctxback-sched-smoke.txt
 	diff -u testdata/sched_smoke.golden /tmp/ctxback-sched-smoke.txt
+	$(GO) run ./cmd/schedsim -quick -seed 9 -cpuprofile /tmp/ctxback-sched-smoke.cpu.pprof > /tmp/ctxback-sched-smoke-prof.txt
+	diff -u testdata/sched_smoke.golden /tmp/ctxback-sched-smoke-prof.txt
 	$(GO) run ./cmd/schedsim $(FAILOVER_ARGS) -kinds CTXBack,CKPT -kill-device 0@80000 -warm-pool 1 > /tmp/ctxback-sched-failover.txt
 	diff -u testdata/sched_failover.golden /tmp/ctxback-sched-failover.txt
 	@echo "sched and failover reports byte-identical"
@@ -101,6 +108,13 @@ bench:
 # runs, and reports allocations.
 bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x -benchmem ./internal/sim/ ./internal/core/ ./internal/preempt/
+
+# bench-test runs the repository benchmark's own test (bench/ is a
+# module of its own, so the root go test ./... skips it): a simulator
+# change that breaks a benchmark workload fails here, not first in an
+# A/B run.
+bench-test:
+	cd bench && $(GO) test ./...
 
 # procs-diff guards evaluation-engine determinism across parallelism:
 # the quick sweep must emit byte-identical output at -procs 1 and

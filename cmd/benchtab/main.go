@@ -39,6 +39,7 @@ import (
 	"ctxback/internal/artifact"
 	"ctxback/internal/harness"
 	"ctxback/internal/preempt"
+	"ctxback/internal/prof"
 	"ctxback/internal/sched"
 	"ctxback/internal/sim"
 	"ctxback/internal/trace"
@@ -67,6 +68,7 @@ func main() {
 		faultSeed  = flag.Uint64("fault-seed", 0, "chaos fault seed (0 = default)")
 		cache      = flag.String("cache-dir", "", "persistent content-addressed artifact cache shared across runs and processes (empty = disabled)")
 	)
+	profiles := prof.Register(flag.CommandLine)
 	flag.Parse()
 
 	usageErr := func(format string, args ...any) {
@@ -105,8 +107,17 @@ func main() {
 
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "benchtab:", err)
+		profiles.Stop()
 		os.Exit(1)
 	}
+	if err := profiles.Start(); err != nil {
+		fail(err)
+	}
+	defer func() {
+		if err := profiles.Stop(); err != nil {
+			fail(err)
+		}
+	}()
 	if *cache != "" {
 		st, err := artifact.Open(*cache)
 		if err != nil {

@@ -31,6 +31,7 @@ import (
 	"ctxback/internal/gen"
 	"ctxback/internal/gen/sweep"
 	"ctxback/internal/preempt"
+	"ctxback/internal/prof"
 )
 
 func main() {
@@ -50,6 +51,7 @@ func main() {
 		maxFail        = flag.Int("max-failures", 20, "failure lines printed before truncating")
 		cache          = flag.String("cache-dir", "", "persistent content-addressed artifact cache shared across runs and processes (empty = disabled)")
 	)
+	profiles := prof.Register(flag.CommandLine)
 	flag.Parse()
 
 	usageErr := func(format string, args ...any) {
@@ -85,11 +87,23 @@ func main() {
 	if *chaosRate <= 0 || *chaosRate > 1 {
 		usageErr("-chaos-rate must be in (0,1], got %g", *chaosRate)
 	}
+	fail := func(err error) {
+		fmt.Fprintln(os.Stderr, "genrun:", err)
+		profiles.Stop()
+		os.Exit(1)
+	}
+	if err := profiles.Start(); err != nil {
+		fail(err)
+	}
+	defer func() {
+		if err := profiles.Stop(); err != nil {
+			fail(err)
+		}
+	}()
 	if *cache != "" {
 		st, err := artifact.Open(*cache)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "genrun:", err)
-			os.Exit(1)
+			fail(err)
 		}
 		artifact.SetDefault(st)
 	}
@@ -127,9 +141,8 @@ func main() {
 			}
 			fmt.Fprintln(os.Stderr, f.String())
 		}
-		fmt.Fprintf(os.Stderr, "genrun: %d of %d seeds failed (regenerate one with -dump SEED)\n",
-			rep.Seeds-rep.Passed, rep.Seeds)
-		os.Exit(1)
+		fail(fmt.Errorf("%d of %d seeds failed (regenerate one with -dump SEED)",
+			rep.Seeds-rep.Passed, rep.Seeds))
 	}
 }
 

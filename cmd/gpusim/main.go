@@ -36,6 +36,7 @@ import (
 	"ctxback/internal/faults"
 	"ctxback/internal/kernels"
 	"ctxback/internal/preempt"
+	"ctxback/internal/prof"
 	"ctxback/internal/sim"
 	"ctxback/internal/snapshot"
 	"ctxback/internal/trace"
@@ -58,6 +59,7 @@ func main() {
 		ckpt      = flag.Bool("checkpoint", false, "checkpoint the whole device at the parked episode and finish the run on a device restored from the snapshot bytes")
 		cache     = flag.String("cache-dir", "", "persistent content-addressed artifact cache shared across runs and processes (empty = disabled)")
 	)
+	profiles := prof.Register(flag.CommandLine)
 	flag.Parse()
 
 	usageErr := func(format string, args ...any) {
@@ -80,8 +82,17 @@ func main() {
 
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "gpusim:", err)
+		profiles.Stop()
 		os.Exit(1)
 	}
+	if err := profiles.Start(); err != nil {
+		fail(err)
+	}
+	defer func() {
+		if err := profiles.Stop(); err != nil {
+			fail(err)
+		}
+	}()
 	if *cache != "" {
 		st, err := artifact.Open(*cache)
 		if err != nil {

@@ -57,6 +57,7 @@ import (
 	"ctxback/internal/artifact"
 	"ctxback/internal/harness"
 	"ctxback/internal/preempt"
+	"ctxback/internal/prof"
 	"ctxback/internal/sched"
 	"ctxback/internal/sim"
 	"ctxback/internal/trace"
@@ -157,6 +158,7 @@ func main() {
 		warmPool  = flag.Int("warm-pool", 0, "serve mode: pre-built device shells kept warm for restores")
 		statehash = flag.Bool("statehash", false, "serve mode: append the per-job slab-digest state witness")
 	)
+	profiles := prof.Register(flag.CommandLine)
 	flag.Parse()
 
 	usageErr := func(format string, args ...any) {
@@ -166,6 +168,7 @@ func main() {
 	}
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "schedsim:", err)
+		profiles.Stop()
 		os.Exit(1)
 	}
 	if (*jobs <= 0 && !(*serve && *duration > 0)) || *tenants <= 0 || *gap <= 0 || *prio < 0 || *sms <= 0 || *iters <= 0 {
@@ -217,6 +220,14 @@ func main() {
 	if err != nil {
 		usageErr("%v", err)
 	}
+	if err := profiles.Start(); err != nil {
+		fail(err)
+	}
+	defer func() {
+		if err := profiles.Stop(); err != nil {
+			fail(err)
+		}
+	}()
 	if *cache != "" {
 		st, err := artifact.Open(*cache)
 		if err != nil {

@@ -116,13 +116,16 @@ func (p *Program) validateInstr(pc int) error {
 			return fail("branch target %d out of range", in.Target)
 		}
 	}
-	// Scalar ALU may not read vector registers (vector values reach the
-	// scalar file only via v_readlane).
-	if info.Class == ClassScalarALU {
-		for _, s := range in.SrcOperands() {
-			if s.IsReg() && s.Reg.Class == RegVector && in.Op != VReadLane {
-				return fail("scalar op reads vector register %s", s.Reg)
-			}
+	// The simulator reads each source from the file the opcode implies,
+	// and liveness records the operand as written: the two agree only
+	// when the operand names that file.
+	want := srcRegClass(in.Op)
+	for i, s := range in.SrcOperands() {
+		if want != RegNone && (!s.IsReg() || s.Reg.Class != want) {
+			return fail("source %d must be a %s register", i, want)
+		}
+		if readsScalarContext(in.Op) && s.IsReg() && s.Reg.Class == RegVector {
+			return fail("scalar-context source reads vector register %s", s.Reg)
 		}
 	}
 	if in.Op == VReadLane || in.Op == VWriteLane {
@@ -131,6 +134,32 @@ func (p *Program) validateInstr(pc int) error {
 		}
 	}
 	return nil
+}
+
+// srcRegClass is the register file every source of op must name, or
+// RegNone when any register or immediate will do.
+func srcRegClass(op Op) RegClass {
+	switch op {
+	case VReadLane, CtxSaveV:
+		return RegVector
+	case CtxSaveS:
+		return RegScalar
+	case CtxSaveSpec:
+		return RegSpecial
+	}
+	return RegNone
+}
+
+// readsScalarContext reports whether op reads its sources as one value
+// per warp: scalar registers, special registers or immediates, never a
+// vector register (vector values reach the scalar file only through
+// v_readlane).
+func readsScalarContext(op Op) bool {
+	switch op.Info().Class {
+	case ClassScalarALU, ClassScalarMem:
+		return true
+	}
+	return op == VWriteLane
 }
 
 func (p *Program) checkRegBounds(in *Instruction) error {

@@ -60,6 +60,11 @@ func TestBuilderErrors(t *testing.T) {
 }
 
 func TestValidateRejectsBadPrograms(t *testing.T) {
+	// src places one instruction at pc 1, between a nop and the end.
+	src := func(in Instruction) Program {
+		return Program{Name: "src", NumVRegs: 2, NumSRegs: 16,
+			Instrs: []Instruction{{Op: SNop}, in, {Op: SEndpgm}}}
+	}
 	cases := []struct {
 		name string
 		prog Program
@@ -115,11 +120,24 @@ func TestValidateRejectsBadPrograms(t *testing.T) {
 			}},
 			"lane",
 		},
+		// Sources outside the register file the opcode reads.
+		{"v_readlane s0, s1, 3", src(Instruction{Op: VReadLane, Dst: S(0), Srcs: [MaxSrcs]Operand{R(S(1))}, Imm0: 3}), "must be a vector register"},
+		{"v_readlane s0, 7, 3", src(Instruction{Op: VReadLane, Dst: S(0), Srcs: [MaxSrcs]Operand{Imm(7)}, Imm0: 3}), "must be a vector register"},
+		{"ctx_save_v s1, 0", src(Instruction{Op: CtxSaveV, Srcs: [MaxSrcs]Operand{R(S(1))}}), "must be a vector register"},
+		{"v_writelane v0, v1, 3", src(Instruction{Op: VWriteLane, Dst: V(0), Srcs: [MaxSrcs]Operand{R(V(1))}, Imm0: 3}), "reads vector register v1"},
+		{"s_gload s0, v1, 0", src(Instruction{Op: SGLoad, Dst: S(0), Srcs: [MaxSrcs]Operand{R(V(1))}}), "reads vector register v1"},
+		{"s_gstore v1, s1, 0", src(Instruction{Op: SGStore, Srcs: [MaxSrcs]Operand{R(V(1)), R(S(1))}}), "reads vector register v1"},
+		{"ctx_save_s 5, 0", src(Instruction{Op: CtxSaveS, Srcs: [MaxSrcs]Operand{Imm(5)}}), "must be a scalar register"},
+		{"ctx_save_s v1, 0", src(Instruction{Op: CtxSaveS, Srcs: [MaxSrcs]Operand{R(V(1))}}), "must be a scalar register"},
+		{"ctx_save_spec s1, 0", src(Instruction{Op: CtxSaveSpec, Srcs: [MaxSrcs]Operand{R(S(1))}}), "must be a special register"},
 	}
 	for _, c := range cases {
 		err := c.prog.Validate()
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want containing %q", c.name, err, c.want)
+		}
+		if c.prog.Name == "src" && err != nil && !strings.Contains(err.Error(), "pc 1 ") {
+			t.Errorf("%s: err = %v does not name the bad instruction's pc 1", c.name, err)
 		}
 	}
 }

@@ -105,12 +105,16 @@ func csdeferTargets(prog *isa.Program, g *cfg.Graph, live *liveness.Info) []int 
 	return got.([]int)
 }
 
-// computeCSDeferTargets is the cold path: one deferTarget evaluation per
-// PC.
+// computeCSDeferTargets is the cold path: each PC's live context size
+// once, then one deferTarget scan per PC.
 func computeCSDeferTargets(prog *isa.Program, g *cfg.Graph, live *liveness.Info) []int {
+	ctxBytes := make([]int, prog.Len())
+	for pc := range ctxBytes {
+		ctxBytes[pc] = live.ContextBytes(pc)
+	}
 	target := make([]int, prog.Len())
-	for pc := 0; pc < prog.Len(); pc++ {
-		target[pc] = deferTarget(prog, g, live, pc)
+	for pc := range target {
+		target[pc] = deferTarget(prog, g, ctxBytes, pc)
 	}
 	return target
 }

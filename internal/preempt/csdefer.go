@@ -33,12 +33,15 @@ func NewCSDefer(prog *isa.Program) (Technique, error) {
 	return &csdeferTech{prog: prog, live: a.live, target: csdeferTargets(prog, a.graph, a.live)}, nil
 }
 
-func deferTarget(prog *isa.Program, g *cfg.Graph, live *liveness.Info, pc int) int {
+// deferTarget scans the straight-line window from pc for the first
+// instruction with the smallest live context; ctxBytes[d] is the live
+// context size at d.
+func deferTarget(prog *isa.Program, g *cfg.Graph, ctxBytes []int, pc int) int {
 	end := g.BlockOf(pc).End
-	best, bestBytes := pc, live.ContextBytes(pc)
+	best := pc
 	for d := pc; d < end; d++ {
-		if b := live.ContextBytes(d); b < bestBytes {
-			best, bestBytes = d, b
+		if ctxBytes[d] < ctxBytes[best] {
+			best = d
 		}
 		in := prog.At(d)
 		if in.Op == isa.SBarrier || in.Op.Info().Class == isa.ClassAtomic || in.Op == isa.SEndpgm {

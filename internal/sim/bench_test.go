@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"ctxback/internal/isa"
@@ -157,5 +158,87 @@ func BenchmarkSimExecLoop(b *testing.B) {
 	}
 	if secs := b.Elapsed().Seconds(); secs > 0 {
 		b.ReportMetric(float64(instrs)/secs, "sim_instrs/s")
+	}
+}
+
+// benchExecs are the EXEC masks the per-instruction benchmarks run
+// under: every lane, and an irregular half of them.
+var benchExecs = []struct {
+	name string
+	exec uint64
+}{{"full", ^uint64(0)}, {"partial", 0x5555_AAAA_F0F0_0F0F}}
+
+// benchWarp is a warp whose v1/v2 hold small finite floats (no
+// denormals, which would time the FPU's slow path instead of the
+// executor), v3 holds word addresses, and s1 a scalar operand.
+func benchWarp() *Warp {
+	prog := &isa.Program{Name: "bench", NumVRegs: 4, NumSRegs: 16,
+		Instrs: []isa.Instruction{{Op: isa.SEndpgm}}}
+	w := newWarp(0, 0, 0, prog, nil)
+	w.SM = &SM{}
+	for l := 0; l < isa.WarpSize; l++ {
+		w.VRegs[1][l] = math.Float32bits(float32(l) + 1.5)
+		w.VRegs[2][l] = math.Float32bits(float32(l%7) - 2.25)
+		w.VRegs[3][l] = uint32(4096 + 4*l)
+	}
+	w.SRegs[1] = 3
+	w.VCC = 0x0F0F_F0F0_3333_CCCC
+	return w
+}
+
+// runInstrBench times one instruction executed repeatedly under each
+// EXEC mask of benchExecs; ns/op is the cost of one warp-wide execution.
+func runInstrBench(b *testing.B, name string, in isa.Instruction) {
+	for _, m := range benchExecs {
+		b.Run(name+"/"+m.name, func(b *testing.B) {
+			d := mustNewDevice(TestConfig())
+			w := benchWarp()
+			w.Exec = m.exec
+			for b.Loop() {
+				if _, err := d.execute(w, &in); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkVALU measures one vector ALU instruction per op: integer,
+// float, compare and select, with vector and scalar sources, each under
+// full and partial EXEC.
+func BenchmarkVALU(b *testing.B) {
+	v, s := func(i int) isa.Operand { return isa.R(isa.V(i)) }, isa.R(isa.S(1))
+	for _, c := range []struct {
+		name string
+		in   isa.Instruction
+	}{
+		{"int/v_add", isa.Instruction{Op: isa.VAdd, Dst: isa.V(0), Srcs: [isa.MaxSrcs]isa.Operand{v(1), v(2)}}},
+		{"int/v_mul_scalar", isa.Instruction{Op: isa.VMul, Dst: isa.V(0), Srcs: [isa.MaxSrcs]isa.Operand{v(1), s}}},
+		{"int/v_mad", isa.Instruction{Op: isa.VMad, Dst: isa.V(0), Srcs: [isa.MaxSrcs]isa.Operand{v(1), s, v(2)}}},
+		{"float/v_add_f32", isa.Instruction{Op: isa.VAddF, Dst: isa.V(0), Srcs: [isa.MaxSrcs]isa.Operand{v(1), v(2)}}},
+		{"float/v_mad_f32", isa.Instruction{Op: isa.VMadF, Dst: isa.V(0), Srcs: [isa.MaxSrcs]isa.Operand{v(1), v(2), v(1)}}},
+		{"float/v_min_f32", isa.Instruction{Op: isa.VMinF, Dst: isa.V(0), Srcs: [isa.MaxSrcs]isa.Operand{v(1), v(2)}}},
+		{"compare/v_cmp_lt_f32", isa.Instruction{Op: isa.VCmpLtF, Srcs: [isa.MaxSrcs]isa.Operand{v(1), v(2)}}},
+		{"compare/v_cmp_eq_i32", isa.Instruction{Op: isa.VCmpEqI, Srcs: [isa.MaxSrcs]isa.Operand{v(1), s}}},
+		{"select/v_cndmask", isa.Instruction{Op: isa.VCndMask, Dst: isa.V(0), Srcs: [isa.MaxSrcs]isa.Operand{v(1), v(2)}}},
+	} {
+		runInstrBench(b, c.name, c.in)
+	}
+}
+
+// BenchmarkVectorGlobal measures one vector global-memory instruction
+// (load, store, atomic add) over 64 consecutive words, under full and
+// partial EXEC.
+func BenchmarkVectorGlobal(b *testing.B) {
+	v := func(i int) isa.Operand { return isa.R(isa.V(i)) }
+	for _, c := range []struct {
+		name string
+		in   isa.Instruction
+	}{
+		{"v_gload", isa.Instruction{Op: isa.VGLoad, Dst: isa.V(0), Srcs: [isa.MaxSrcs]isa.Operand{v(3)}, Imm0: 64}},
+		{"v_gstore", isa.Instruction{Op: isa.VGStore, Srcs: [isa.MaxSrcs]isa.Operand{v(3), v(1)}, Imm0: 64}},
+		{"v_gatomic_add", isa.Instruction{Op: isa.VGAtomicAdd, Srcs: [isa.MaxSrcs]isa.Operand{v(3), v(1)}, Imm0: 64}},
+	} {
+		runInstrBench(b, c.name, c.in)
 	}
 }

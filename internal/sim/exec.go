@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"ctxback/internal/isa"
 )
@@ -79,18 +80,6 @@ func (w *Warp) writeScalarReg(r isa.Reg, v uint64) {
 			w.SCC = v != 0
 		}
 	}
-}
-
-// readLaneOperand resolves a vector-context source for one lane (scalar
-// registers broadcast; immediates are raw 32-bit patterns).
-func (w *Warp) readLaneOperand(o isa.Operand, lane int) uint32 {
-	if o.IsImm() {
-		return o.Imm
-	}
-	if o.Reg.Class == isa.RegVector {
-		return w.VRegs[o.Reg.Index][lane]
-	}
-	return uint32(w.readScalarReg(o.Reg))
 }
 
 // execute runs one instruction functionally and returns its effect.
@@ -211,170 +200,67 @@ func (d *Device) execVectorALU(w *Warp, in *isa.Instruction) {
 		return
 	}
 
-	// Resolve each source once: immediates and scalar registers are
-	// uniform across lanes, only vector registers vary. Hoisting this out
-	// of the lane loop removes two branches and a register-file decode
-	// per lane on the simulator's hottest path.
-	var av, bv, cv []uint32
-	var au, bu, cu uint32
-	n := in.NumSrcs()
-	if n >= 1 {
-		av, au = w.resolveVectorOperand(in.Srcs[0])
+	// Op-major: resolve each source once to a full warp of lanes, then
+	// run one tight loop for the op. Lanes outside EXEC are computed too
+	// (every op is lane-local and side-effect free) but never written.
+	// Sources an op does not take stay pointed at their (unused) scratch.
+	scratch := &w.SM.laneScratch
+	a, b, c := &scratch[0], &scratch[1], &scratch[2]
+	switch in.NumSrcs() {
+	case 3:
+		c = w.laneSource(in.Srcs[2], c)
+		fallthrough
+	case 2:
+		b = w.laneSource(in.Srcs[1], b)
+		fallthrough
+	case 1:
+		a = w.laneSource(in.Srcs[0], a)
 	}
-	if n >= 2 {
-		bv, bu = w.resolveVectorOperand(in.Srcs[1])
+	exec := w.Exec
+	if in.Op.Info().WritesVCC {
+		w.VCC = vcmp(in.Op, a, b) & exec
+		return
 	}
-	if n >= 3 {
-		cv, cu = w.resolveVectorOperand(in.Srcs[2])
+	if exec == 0 {
+		return
 	}
-	writesVCC := in.Op.Info().WritesVCC
-	var dst []uint32
-	if !writesVCC {
-		dst = w.VRegs[in.Dst.Index]
-		// Fully-active warps (the overwhelmingly common case) take
-		// specialized per-op loops with no per-lane mask test, operand
-		// branch, or function call.
-		if w.Exec == ^uint64(0) && execVALUFast(in.Op, dst, av, bv, au, bu) {
-			return
-		}
+	dst := (*laneVec)(w.VRegs[in.Dst.Index])
+	if exec == ^uint64(0) {
+		valu(in.Op, dst, a, b, c, w.VCC)
+		return
 	}
-	var newVCC uint64
-	for lane := 0; lane < isa.WarpSize; lane++ {
-		if w.Exec&(1<<uint(lane)) == 0 {
-			continue
-		}
-		a, b, c := au, bu, cu
-		if av != nil {
-			a = av[lane]
-		}
-		if bv != nil {
-			b = bv[lane]
-		}
-		if cv != nil {
-			c = cv[lane]
-		}
-		if writesVCC {
-			if vcmpLane(in.Op, a, b) {
-				newVCC |= 1 << uint(lane)
-			}
-			continue
-		}
-		dst[lane] = valuLane(w, in, lane, a, b, c)
-	}
-	if writesVCC {
-		w.VCC = newVCC
+	out := &scratch[3]
+	valu(in.Op, out, a, b, c, w.VCC)
+	for m := exec; m != 0; m &= m - 1 {
+		l := bits.TrailingZeros64(m)
+		dst[l] = out[l]
 	}
 }
 
-// execVALUFast executes the hottest integer vector ops for a fully
-// active EXEC mask with tight per-op loops over all lanes — the per-lane
-// dispatch (valuLane) is the single most executed call in the simulator,
-// and these loops replace it with straight-line slice arithmetic. It
-// covers the two dominant operand shapes (vector op vector, vector op
-// broadcast); anything else reports false and falls through to the
-// generic masked loop. Results are bit-identical to valuLane by
-// construction: each arm repeats the same expression.
-func execVALUFast(op isa.Op, dst, av, bv []uint32, au, bu uint32) bool {
-	dst = dst[:isa.WarpSize:isa.WarpSize]
-	switch op {
-	case isa.VLaneID:
-		for l := range dst {
-			dst[l] = uint32(l)
-		}
-		return true
-	case isa.VMov:
-		if av != nil {
-			copy(dst, av[:isa.WarpSize])
-		} else {
-			for l := range dst {
-				dst[l] = au
-			}
-		}
-		return true
+// laneVec holds one 32-bit value per lane of a warp.
+type laneVec [isa.WarpSize]uint32
+
+// laneSource resolves a vector-context source to its per-lane values: a
+// vector register by reference, an immediate or a scalar or special
+// register (low 32 bits) splatted into scratch.
+func (w *Warp) laneSource(o isa.Operand, scratch *laneVec) *laneVec {
+	if o.IsReg() && o.Reg.Class == isa.RegVector {
+		return (*laneVec)(w.VRegs[o.Reg.Index])
 	}
-	if av == nil {
-		return false
+	return w.splat(o, scratch)
+}
+
+func (w *Warp) splat(o isa.Operand, scratch *laneVec) *laneVec {
+	v := o.Imm
+	if o.IsReg() {
+		v = uint32(w.readScalarReg(o.Reg))
 	}
-	av = av[:isa.WarpSize]
-	if bv != nil {
-		bv = bv[:isa.WarpSize]
-		switch op {
-		case isa.VAdd:
-			for l := range dst {
-				dst[l] = av[l] + bv[l]
-			}
-		case isa.VSub:
-			for l := range dst {
-				dst[l] = av[l] - bv[l]
-			}
-		case isa.VMul:
-			for l := range dst {
-				dst[l] = av[l] * bv[l]
-			}
-		case isa.VAnd:
-			for l := range dst {
-				dst[l] = av[l] & bv[l]
-			}
-		case isa.VOr:
-			for l := range dst {
-				dst[l] = av[l] | bv[l]
-			}
-		case isa.VXor:
-			for l := range dst {
-				dst[l] = av[l] ^ bv[l]
-			}
-		case isa.VShl:
-			for l := range dst {
-				dst[l] = av[l] << (bv[l] & 31)
-			}
-		case isa.VShr:
-			for l := range dst {
-				dst[l] = av[l] >> (bv[l] & 31)
-			}
-		default:
-			return false
-		}
-		return true
+	// Four lanes per store: a lane-at-a-time fill costs as much as the op.
+	quad := [4]uint32{v, v, v, v}
+	for l := 0; l+4 <= len(scratch); l += 4 {
+		*(*[4]uint32)(scratch[l : l+4]) = quad
 	}
-	switch op {
-	case isa.VAdd:
-		for l := range dst {
-			dst[l] = av[l] + bu
-		}
-	case isa.VSub:
-		for l := range dst {
-			dst[l] = av[l] - bu
-		}
-	case isa.VMul:
-		for l := range dst {
-			dst[l] = av[l] * bu
-		}
-	case isa.VAnd:
-		for l := range dst {
-			dst[l] = av[l] & bu
-		}
-	case isa.VOr:
-		for l := range dst {
-			dst[l] = av[l] | bu
-		}
-	case isa.VXor:
-		for l := range dst {
-			dst[l] = av[l] ^ bu
-		}
-	case isa.VShl:
-		sh := bu & 31
-		for l := range dst {
-			dst[l] = av[l] << sh
-		}
-	case isa.VShr:
-		sh := bu & 31
-		for l := range dst {
-			dst[l] = av[l] >> sh
-		}
-	default:
-		return false
-	}
-	return true
+	return scratch
 }
 
 // resolveVectorOperand splits a vector-context source into its per-lane
@@ -390,89 +276,169 @@ func (w *Warp) resolveVectorOperand(o isa.Operand) ([]uint32, uint32) {
 	return nil, uint32(w.readScalarReg(o.Reg))
 }
 
-func vcmpLane(op isa.Op, a, b uint32) bool {
-	switch op {
-	case isa.VCmpEqI:
-		return a == b
-	case isa.VCmpLtI:
-		return int32(a) < int32(b)
-	case isa.VCmpGtI:
-		return int32(a) > int32(b)
-	case isa.VCmpLtF:
-		return math.Float32frombits(a) < math.Float32frombits(b)
-	case isa.VCmpGtF:
-		return math.Float32frombits(a) > math.Float32frombits(b)
-	case isa.VCmpLeF:
-		return math.Float32frombits(a) <= math.Float32frombits(b)
-	}
-	return false
-}
+// f32 and u32 reinterpret a lane's bits as binary32 and back.
+func f32(u uint32) float32 { return math.Float32frombits(u) }
+func u32(f float32) uint32 { return math.Float32bits(f) }
 
-func valuLane(w *Warp, in *isa.Instruction, lane int, a, b, c uint32) uint32 {
-	fa := func() float32 { return math.Float32frombits(a) }
-	fb := func() float32 { return math.Float32frombits(b) }
-	fc := func() float32 { return math.Float32frombits(c) }
-	f := math.Float32bits
-	switch in.Op {
-	case isa.VMov:
-		return a
-	case isa.VAdd:
-		return a + b
-	case isa.VSub:
-		return a - b
-	case isa.VMul:
-		return a * b
-	case isa.VMad:
-		return a*b + c
-	case isa.VAnd:
-		return a & b
-	case isa.VOr:
-		return a | b
-	case isa.VXor:
-		return a ^ b
-	case isa.VNot:
-		return ^a
-	case isa.VShl:
-		return a << (b & 31)
-	case isa.VShr:
-		return a >> (b & 31)
-	case isa.VMin:
-		return uint32(min(int32(a), int32(b)))
-	case isa.VMax:
-		return uint32(max(int32(a), int32(b)))
-	case isa.VLaneID:
-		return uint32(lane)
-	case isa.VAddF:
-		return f(fa() + fb())
-	case isa.VSubF:
-		return f(fa() - fb())
-	case isa.VMulF:
-		return f(fa() * fb())
-	case isa.VMadF:
-		return f(fa()*fb() + fc())
-	case isa.VMinF:
-		return f(float32(math.Min(float64(fa()), float64(fb()))))
-	case isa.VMaxF:
-		return f(float32(math.Max(float64(fa()), float64(fb()))))
-	case isa.VRcpF:
-		return f(1 / fa())
-	case isa.VSqrtF:
-		return f(float32(math.Sqrt(float64(fa()))))
-	case isa.VAbsF:
-		return f(float32(math.Abs(float64(fa()))))
-	case isa.VFloorF:
-		return f(float32(math.Floor(float64(fa()))))
-	case isa.VCvtI2F:
-		return f(float32(int32(a)))
-	case isa.VCvtF2I:
-		return uint32(int32(fa()))
-	case isa.VCndMask:
-		if w.VCC&(1<<uint(lane)) != 0 {
-			return b
-		}
-		return a
+// bit is 1 for true and 0 for false; the compiler emits no branch, so a
+// lane loop over data-dependent compares does not mispredict.
+func bit(c bool) uint64 {
+	if c {
+		return 1
 	}
 	return 0
+}
+
+// vcmp returns the lane mask of a vector compare over all lanes; the
+// caller clears the lanes outside EXEC.
+func vcmp(op isa.Op, a, b *laneVec) uint64 {
+	_, _ = a[0], b[0]
+	var m uint64
+	switch op {
+	case isa.VCmpEqI:
+		for l := range a {
+			m |= bit(a[l] == b[l]) << l
+		}
+	case isa.VCmpLtI:
+		for l := range a {
+			m |= bit(int32(a[l]) < int32(b[l])) << l
+		}
+	case isa.VCmpGtI:
+		for l := range a {
+			m |= bit(int32(a[l]) > int32(b[l])) << l
+		}
+	case isa.VCmpLtF:
+		for l := range a {
+			m |= bit(f32(a[l]) < f32(b[l])) << l
+		}
+	case isa.VCmpGtF:
+		for l := range a {
+			m |= bit(f32(a[l]) > f32(b[l])) << l
+		}
+	case isa.VCmpLeF:
+		for l := range a {
+			m |= bit(f32(a[l]) <= f32(b[l])) << l
+		}
+	}
+	return m
+}
+
+// valu computes a lane-wise vector ALU op on every lane into out, which
+// may alias a source: each lane reads its operands before writing its
+// result. Every float case repeats the per-lane reference expression
+// exactly (the same conversions and math calls), so NaN, -0 and
+// out-of-range conversions come out bit for bit the same.
+func valu(op isa.Op, out, a, b, c *laneVec, vcc uint64) {
+	_, _, _, _ = out[0], a[0], b[0], c[0] // one nil check each, not one per lane
+	switch op {
+	case isa.VMov:
+		*out = *a
+	case isa.VAdd:
+		for l := range out {
+			out[l] = a[l] + b[l]
+		}
+	case isa.VSub:
+		for l := range out {
+			out[l] = a[l] - b[l]
+		}
+	case isa.VMul:
+		for l := range out {
+			out[l] = a[l] * b[l]
+		}
+	case isa.VMad:
+		for l := range out {
+			out[l] = a[l]*b[l] + c[l]
+		}
+	case isa.VAnd:
+		for l := range out {
+			out[l] = a[l] & b[l]
+		}
+	case isa.VOr:
+		for l := range out {
+			out[l] = a[l] | b[l]
+		}
+	case isa.VXor:
+		for l := range out {
+			out[l] = a[l] ^ b[l]
+		}
+	case isa.VNot:
+		for l := range out {
+			out[l] = ^a[l]
+		}
+	case isa.VShl:
+		for l := range out {
+			out[l] = a[l] << (b[l] & 31)
+		}
+	case isa.VShr:
+		for l := range out {
+			out[l] = a[l] >> (b[l] & 31)
+		}
+	case isa.VMin:
+		for l := range out {
+			out[l] = uint32(min(int32(a[l]), int32(b[l])))
+		}
+	case isa.VMax:
+		for l := range out {
+			out[l] = uint32(max(int32(a[l]), int32(b[l])))
+		}
+	case isa.VLaneID:
+		for l := range out {
+			out[l] = uint32(l)
+		}
+	case isa.VAddF:
+		for l := range out {
+			out[l] = u32(f32(a[l]) + f32(b[l]))
+		}
+	case isa.VSubF:
+		for l := range out {
+			out[l] = u32(f32(a[l]) - f32(b[l]))
+		}
+	case isa.VMulF:
+		for l := range out {
+			out[l] = u32(f32(a[l]) * f32(b[l]))
+		}
+	case isa.VMadF:
+		for l := range out {
+			out[l] = u32(f32(a[l])*f32(b[l]) + f32(c[l]))
+		}
+	case isa.VMinF:
+		for l := range out {
+			out[l] = u32(float32(math.Min(float64(f32(a[l])), float64(f32(b[l])))))
+		}
+	case isa.VMaxF:
+		for l := range out {
+			out[l] = u32(float32(math.Max(float64(f32(a[l])), float64(f32(b[l])))))
+		}
+	case isa.VRcpF:
+		for l := range out {
+			out[l] = u32(1 / f32(a[l]))
+		}
+	case isa.VSqrtF:
+		for l := range out {
+			out[l] = u32(float32(math.Sqrt(float64(f32(a[l])))))
+		}
+	case isa.VAbsF:
+		for l := range out {
+			out[l] = u32(float32(math.Abs(float64(f32(a[l])))))
+		}
+	case isa.VFloorF:
+		for l := range out {
+			out[l] = u32(float32(math.Floor(float64(f32(a[l])))))
+		}
+	case isa.VCvtI2F:
+		for l := range out {
+			out[l] = u32(float32(int32(a[l])))
+		}
+	case isa.VCvtF2I:
+		for l := range out {
+			out[l] = uint32(int32(f32(a[l])))
+		}
+	case isa.VCndMask:
+		for l := range out {
+			take := -uint32(vcc >> l & 1) // all ones where VCC selects src1
+			out[l] = a[l] ^ (a[l]^b[l])&take
+		}
+	}
 }
 
 func (d *Device) execMemory(w *Warp, in *isa.Instruction) (effect, error) {
@@ -493,51 +459,7 @@ func (d *Device) execMemory(w *Warp, in *isa.Instruction) (effect, error) {
 		}
 		eff.memBytes = 4
 	case isa.VGLoad, isa.VGStore, isa.VGAtomicAdd:
-		addrV, addrU := w.resolveVectorOperand(in.Srcs[0])
-		var valV []uint32
-		var valU uint32
-		if in.Op != isa.VGLoad {
-			valV, valU = w.resolveVectorOperand(in.Srcs[1])
-		}
-		lanes := 0
-		for lane := 0; lane < isa.WarpSize; lane++ {
-			if w.Exec&(1<<uint(lane)) == 0 {
-				continue
-			}
-			lanes++
-			addr := addrU + uint32(in.Imm0)
-			if addrV != nil {
-				addr = addrV[lane] + uint32(in.Imm0)
-			}
-			val := valU
-			if valV != nil {
-				val = valV[lane]
-			}
-			switch in.Op {
-			case isa.VGLoad:
-				v, err := d.loadGlobal(w, in, addr)
-				if err != nil {
-					return eff, err
-				}
-				w.VRegs[in.Dst.Index][lane] = v
-			case isa.VGStore:
-				if err := d.storeGlobal(w, in, addr, val); err != nil {
-					return eff, err
-				}
-			case isa.VGAtomicAdd:
-				old, err := d.loadGlobal(w, in, addr)
-				if err != nil {
-					return eff, err
-				}
-				if err := d.storeGlobal(w, in, addr, old+val); err != nil {
-					return eff, err
-				}
-			}
-		}
-		eff.memBytes = max(lanes*4, 32)
-		if in.Op == isa.VGAtomicAdd {
-			eff.memBytes *= 2 // read + write
-		}
+		return d.execVectorGlobal(w, in)
 	case isa.VLLoad, isa.VLStore:
 		addrV, addrU := w.resolveVectorOperand(in.Srcs[0])
 		var valV []uint32
@@ -574,10 +496,65 @@ func (d *Device) execMemory(w *Warp, in *isa.Instruction) (effect, error) {
 	return eff, nil
 }
 
+// execVectorGlobal runs a vector load, store or atomic add lane by lane
+// over the set bits of EXEC, in ascending lane order. The first
+// misaligned or out-of-range lane faults after every earlier lane has
+// landed; atomics keep lane order, so lanes that add to one address all
+// accumulate.
+func (d *Device) execVectorGlobal(w *Warp, in *isa.Instruction) (effect, error) {
+	eff := effect{nextPC: -1}
+	scratch := &w.SM.laneScratch
+	addrs := w.laneSource(in.Srcs[0], &scratch[0])
+	off := uint32(in.Imm0)
+	mem := d.Mem
+	exec := w.Exec
+	switch in.Op {
+	case isa.VGLoad:
+		dst := (*laneVec)(w.VRegs[in.Dst.Index])
+		for m := exec; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			addr := addrs[l] + off
+			if addr%4 != 0 || int(addr>>2) >= len(mem) {
+				return eff, d.globalFault(w, in, addr)
+			}
+			dst[l] = mem[addr>>2]
+		}
+	case isa.VGStore:
+		vals := w.laneSource(in.Srcs[1], &scratch[1])
+		for m := exec; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			addr := addrs[l] + off
+			if addr%4 != 0 || int(addr>>2) >= len(mem) {
+				return eff, d.globalFault(w, in, addr)
+			}
+			mem[addr>>2] = vals[l]
+		}
+	case isa.VGAtomicAdd:
+		vals := w.laneSource(in.Srcs[1], &scratch[1])
+		for m := exec; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			addr := addrs[l] + off
+			if addr%4 != 0 || int(addr>>2) >= len(mem) {
+				return eff, d.globalFault(w, in, addr)
+			}
+			mem[addr>>2] += vals[l]
+		}
+	}
+	eff.memBytes = max(bits.OnesCount64(exec)*4, 32)
+	if in.Op == isa.VGAtomicAdd {
+		eff.memBytes *= 2 // read + write
+	}
+	return eff, nil
+}
+
+func (d *Device) globalFault(w *Warp, in *isa.Instruction, addr uint32) error {
+	return d.fault(w, in, "global address %#x out of range", addr)
+}
+
 func (d *Device) loadGlobal(w *Warp, in *isa.Instruction, addr uint32) (uint32, error) {
 	idx := int(addr) >> 2
 	if addr%4 != 0 || idx < 0 || idx >= len(d.Mem) {
-		return 0, d.fault(w, in, "global address %#x out of range", addr)
+		return 0, d.globalFault(w, in, addr)
 	}
 	return d.Mem[idx], nil
 }
@@ -585,7 +562,7 @@ func (d *Device) loadGlobal(w *Warp, in *isa.Instruction, addr uint32) (uint32, 
 func (d *Device) storeGlobal(w *Warp, in *isa.Instruction, addr uint32, v uint32) error {
 	idx := int(addr) >> 2
 	if addr%4 != 0 || idx < 0 || idx >= len(d.Mem) {
-		return d.fault(w, in, "global address %#x out of range", addr)
+		return d.globalFault(w, in, addr)
 	}
 	d.Mem[idx] = v
 	return nil

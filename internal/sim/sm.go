@@ -51,6 +51,9 @@ type SM struct {
 	// front so the hot path never allocates.
 	hazardScratch []isa.Reg
 	defsScratch   []isa.Reg
+	// laneScratch holds a vector instruction's splatted scalar sources
+	// and its result under a partial EXEC (exec.go).
+	laneScratch [4]laneVec
 
 	// phaseErr holds a scheduling error discovered by enqueueReady
 	// while this SM drains inside an epoch phase (the parallel
