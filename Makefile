@@ -101,13 +101,13 @@ gen-smoke:
 	@echo "generated corpus differential sweep clean"
 
 bench:
-	$(GO) test -run xxx -bench . -benchmem ./internal/sim/ ./internal/core/ ./internal/preempt/
+	$(GO) test -run xxx -bench . -benchmem ./internal/sim/ ./internal/core/ ./internal/preempt/ ./internal/snapshot/ ./internal/artifact/
 
 # bench-smoke is the CI flavor of bench: one iteration per benchmark,
 # no timing thresholds — it only proves every benchmark still compiles,
 # runs, and reports allocations.
 bench-smoke:
-	$(GO) test -run xxx -bench . -benchtime 1x -benchmem ./internal/sim/ ./internal/core/ ./internal/preempt/
+	$(GO) test -run xxx -bench . -benchtime 1x -benchmem ./internal/sim/ ./internal/core/ ./internal/preempt/ ./internal/snapshot/ ./internal/artifact/
 
 # bench-test runs the repository benchmark's own test (bench/ is a
 # module of its own, so the root go test ./... skips it): a simulator

@@ -39,7 +39,7 @@ func appendSection(out []byte, id uint16, body []byte) []byte {
 	out = binary.LittleEndian.AppendUint16(out, id)
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(body)))
 	out = append(out, body...)
-	return binary.LittleEndian.AppendUint64(out, fnv1a64(body))
+	return binary.LittleEndian.AppendUint64(out, uint64(NewChecksum().Bytes(body)))
 }
 
 // DecodeEntry validates a container and returns the echoed key and the
@@ -92,7 +92,7 @@ func readSection(data []byte, off int, wantID uint16) (body []byte, next int, er
 	}
 	body = data[off : off+n]
 	sum := binary.LittleEndian.Uint64(data[off+n:])
-	if sum != fnv1a64(body) {
+	if sum != uint64(NewChecksum().Bytes(body)) {
 		return nil, 0, fmt.Errorf("%w: section %d checksum", ErrCorrupt, id)
 	}
 	return body, off + n + 8, nil

@@ -3,7 +3,6 @@ package artifact
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
 )
 
@@ -187,12 +186,4 @@ func (r *Reader) Len() int {
 		return 0
 	}
 	return n
-}
-
-// fnv1a64 is the per-section checksum: 64-bit FNV-1a, as in the
-// snapshot CSNP format.
-func fnv1a64(b []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(b)
-	return h.Sum64()
 }

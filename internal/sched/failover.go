@@ -1,13 +1,12 @@
 package sched
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strings"
 
+	"ctxback/internal/artifact"
 	"ctxback/internal/isa"
 	"ctxback/internal/preempt"
 	"ctxback/internal/sim"
@@ -63,20 +62,10 @@ func (k *DeviceKill) validate(devices int) error {
 	return nil
 }
 
-// slabDigest hashes a slab's words as little-endian bytes (64-bit
-// FNV-1a) through a small staging buffer.
+// slabDigest hashes a slab's words as little-endian bytes with the
+// containers' checksum (64-bit FNV-1a).
 func slabDigest(words []uint32) uint64 {
-	h := fnv.New64a()
-	var buf [4096]byte
-	for len(words) > 0 {
-		n := min(len(words), len(buf)/4)
-		for i, w := range words[:n] {
-			binary.LittleEndian.PutUint32(buf[4*i:], w)
-		}
-		h.Write(buf[:4*n])
-		words = words[n:]
-	}
-	return h.Sum64()
+	return uint64(artifact.NewChecksum().Words(words))
 }
 
 // jobDigest is one delivered job's state-witness entry.

@@ -357,11 +357,15 @@ func (d *Device) runEpochs(cond func() bool, timeBound, limit int64, fenceEndpgm
 		if head.candT > limit {
 			return &BudgetError{Now: d.now, Next: head.candT, Limit: limit}
 		}
-		stop := d.horizon(fenceEndpgm)
-		if timeBound < stop {
-			stop = timeBound
+		// The horizon scan is O(SMs × warps), and a head that cannot
+		// drain locally commits serially whatever the horizon is, so
+		// only a local head computes it.
+		local := head.candT < timeBound && d.localStep(head, head.candW)
+		stop := timeBound
+		if local {
+			stop = min(stop, d.horizon(fenceEndpgm))
 		}
-		if head.candT >= stop || !d.localStep(head, head.candW) {
+		if !local || head.candT >= stop {
 			// Boundary step: commit the head serially. This is also how
 			// the clock crosses timeBound — the crossing pop commits
 			// alone, so cond sees the clock exactly where the serial

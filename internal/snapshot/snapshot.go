@@ -10,6 +10,10 @@
 //	header:   magic "CSNP" | version u16 | epoch u64
 //	section:  id u16 | payloadLen u32 | payload | fnv1a64(payload) u64
 //
+// The checksum is artifact.Checksum, the repository's one FNV-1a 64,
+// which folds zero runs exactly; Encode writes each section in place and
+// the memory section in the same pass that hashes it.
+//
 // Sections appear exactly once, in fixed order, with the bulk memory
 // image last: meta, programs, launches, SMs, episodes, memory. A
 // speculative decode (DecodeSpeculative) verifies everything except the
@@ -30,10 +34,11 @@ package snapshot
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
 
+	"ctxback/internal/artifact"
 	"ctxback/internal/isa"
 	"ctxback/internal/sim"
 	"ctxback/internal/trace"
@@ -110,13 +115,6 @@ func (e *StaleError) Error() string {
 	return fmt.Sprintf("snapshot: stale epoch %d, want %d", e.Got, e.Want)
 }
 
-// fnv1a64 is the section checksum: 64-bit FNV-1a over the payload.
-func fnv1a64(data []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(data)
-	return h.Sum64()
-}
-
 // ---- writer ----
 
 type wbuf struct{ b []byte }
@@ -130,6 +128,7 @@ func (w *wbuf) i64(v int64)   { w.u64(uint64(v)) }
 func (w *wbuf) f64(v float64) { w.u64(math.Float64bits(v)) }
 func (w *wbuf) str(s string)  { w.u32(uint32(len(s))); w.b = append(w.b, s...) }
 func (w *wbuf) blob(b []byte) { w.u32(uint32(len(b))); w.b = append(w.b, b...) }
+
 func (w *wbuf) boolean(v bool) {
 	if v {
 		w.u8(1)
@@ -826,8 +825,21 @@ func getEpisodes(r *rbuf, st *sim.DeviceState) {
 	}
 }
 
-func putMem(w *wbuf, st *sim.DeviceState) {
-	w.u32s(st.Mem)
+// putMem writes the whole memory section in one pass over the device
+// words; the payload is u32s' encoding of mem. w.b grows once, to the
+// section's exact size, and only ever grows by append, so the bytes past
+// its length are still zero from allocation: PutWords writes just the
+// non-zero blocks while it folds the checksum.
+func putMem(w *wbuf, mem []uint32) {
+	n := 4 * len(mem)
+	w.b = slices.Grow(w.b, 2+4+4+n+8)
+	w.u16(secMem)
+	w.u32(uint32(4 + n))
+	start := len(w.b)
+	w.u32(uint32(len(mem)))
+	w.b = w.b[:start+4+n]
+	sum := artifact.NewChecksum().Bytes(w.b[start:start+4]).PutWords(w.b[start+4:], mem)
+	w.u64(uint64(sum))
 }
 
 func getMem(r *rbuf, st *sim.DeviceState) {
@@ -840,18 +852,19 @@ func getMem(r *rbuf, st *sim.DeviceState) {
 // encode to equal bytes regardless of map layout or encode count.
 func Encode(snap *Snapshot) []byte {
 	st := snap.State
-	w := &wbuf{b: make([]byte, 0, 4*len(st.Mem)+64<<10)}
+	w := &wbuf{b: make([]byte, 0, 64<<10)}
 	w.b = append(w.b, magic...)
 	w.u16(version)
 	w.u64(snap.Epoch)
 
 	emit := func(id uint16, put func(*wbuf, *sim.DeviceState)) {
-		var pw wbuf
-		put(&pw, st)
 		w.u16(id)
-		w.u32(uint32(len(pw.b)))
-		w.b = append(w.b, pw.b...)
-		w.u64(fnv1a64(pw.b))
+		at := len(w.b)
+		w.u32(0) // payload length, patched once the payload is written
+		put(w, st)
+		payload := w.b[at+4:]
+		binary.LittleEndian.PutUint32(w.b[at:], uint32(len(payload)))
+		w.u64(uint64(artifact.NewChecksum().Bytes(payload)))
 	}
 	emit(secMeta, putMeta)
 	emit(secProgs, func(w *wbuf, st *sim.DeviceState) {
@@ -863,7 +876,7 @@ func Encode(snap *Snapshot) []byte {
 	emit(secLaunches, putLaunches)
 	emit(secSMs, putSMs)
 	emit(secEpisodes, putEpisodes)
-	emit(secMem, putMem)
+	putMem(w, st.Mem)
 	return w.b
 }
 
@@ -936,12 +949,12 @@ func decode(data []byte, speculative bool) (*Snapshot, func() error, error) {
 			// Defer the bulk checksum; everything structural still runs.
 			memPayload, memSum := payload, sum
 			validate = func() error {
-				if fnv1a64(memPayload) != memSum {
+				if uint64(artifact.NewChecksum().Bytes(memPayload)) != memSum {
 					return &CorruptError{Section: name, Detail: "deferred checksum mismatch"}
 				}
 				return nil
 			}
-		} else if fnv1a64(payload) != sum {
+		} else if uint64(artifact.NewChecksum().Bytes(payload)) != sum {
 			return nil, nil, &CorruptError{Section: name, Detail: "checksum mismatch"}
 		}
 		pr := &rbuf{data: payload, sec: name}

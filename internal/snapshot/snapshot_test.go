@@ -2,6 +2,9 @@ package snapshot
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -30,11 +33,11 @@ func mustWorkload(t testing.TB, abbrev string) *kernels.Workload {
 	return wl
 }
 
-// goldenCycles runs wl undisturbed and returns its completion cycle and
-// final memory.
-func goldenCycles(t testing.TB, wl *kernels.Workload) (int64, []uint32) {
+// goldenCycles runs wl undisturbed on a cfg device and returns its
+// completion cycle and final memory.
+func goldenCycles(t testing.TB, cfg sim.Config, wl *kernels.Workload) (int64, []uint32) {
 	t.Helper()
-	d := mustDevice(t, sim.TestConfig())
+	d := mustDevice(t, cfg)
 	if _, err := wl.Launch(d); err != nil {
 		t.Fatal(err)
 	}
@@ -45,15 +48,22 @@ func goldenCycles(t testing.TB, wl *kernels.Workload) (int64, []uint32) {
 }
 
 // parked drives wl under kind to a fully-saved (parked) episode on
-// SM 0, signalled halfway through the golden run.
+// SM 0 of a sim.TestConfig device, signalled halfway through the golden
+// run.
 func parked(t testing.TB, kind preempt.Kind, wl *kernels.Workload) (*sim.Device, *sim.Episode, preempt.Technique) {
 	t.Helper()
-	cycles, _ := goldenCycles(t, wl)
+	return parkedOn(t, sim.TestConfig(), kind, wl)
+}
+
+// parkedOn is parked on a cfg device.
+func parkedOn(t testing.TB, cfg sim.Config, kind preempt.Kind, wl *kernels.Workload) (*sim.Device, *sim.Episode, preempt.Technique) {
+	t.Helper()
+	cycles, _ := goldenCycles(t, cfg, wl)
 	tech, err := preempt.New(kind, wl.Prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := mustDevice(t, sim.TestConfig())
+	d := mustDevice(t, cfg)
 	d.AttachRuntime(tech)
 	if _, err := wl.Launch(d); err != nil {
 		t.Fatal(err)
@@ -116,6 +126,21 @@ func TestRepeatEncodeByteStable(t *testing.T) {
 	}
 }
 
+// TestEncodePinned pins one image byte for byte: VA parked under CTXBack
+// on the test device. The digest is SHA-256, not the section checksum
+// the image carries, so a change to that checksum cannot hide here.
+func TestEncodePinned(t *testing.T) {
+	d, _, _ := parked(t, preempt.CTXBack, mustWorkload(t, "VA"))
+	_, enc := Capture(d, 1)
+	const (
+		wantLen    = 1069113
+		wantSHA256 = "7c6fb09adfd167c553c75a5366eb227ceaa529c0602f7712893ef0856d65c30d"
+	)
+	if got := fmt.Sprintf("%x", sha256.Sum256(enc)); len(enc) != wantLen || got != wantSHA256 {
+		t.Fatalf("image is %d bytes, sha256 %s; want %d bytes, sha256 %s", len(enc), got, wantLen, wantSHA256)
+	}
+}
+
 // TestRestoreRoundTripTechniques: for every relocatable technique, a
 // parked episode checkpoints, restores onto a fresh shell under a NEW
 // technique instance, resumes there, and finishes with output identical
@@ -125,7 +150,7 @@ func TestRestoreRoundTripTechniques(t *testing.T) {
 	for _, kind := range preempt.RelocatableKinds() {
 		for _, abbrev := range []string{"VA", "MS"} {
 			wl := mustWorkload(t, abbrev)
-			_, golden := goldenCycles(t, wl)
+			_, golden := goldenCycles(t, sim.TestConfig(), wl)
 			d, _, _ := parked(t, kind, wl)
 			_, enc := Capture(d, 1)
 
@@ -151,6 +176,22 @@ func TestRestoreRoundTripTechniques(t *testing.T) {
 	}
 }
 
+// memPayload returns the offset and length of the memory-section payload
+// in an Encode image.
+func memPayload(t testing.TB, enc []byte) (int, int) {
+	t.Helper()
+	for off := len(magic) + 2 + 8; off+6 <= len(enc); {
+		id := binary.LittleEndian.Uint16(enc[off:])
+		n := int(binary.LittleEndian.Uint32(enc[off+2:]))
+		if id == secMem {
+			return off + 6, n
+		}
+		off += 6 + n + 8
+	}
+	t.Fatal("image has no memory section")
+	return 0, 0
+}
+
 func memBytes(mem []uint32) []byte {
 	out := make([]byte, 0, len(mem)*4)
 	for _, w := range mem {
@@ -164,7 +205,7 @@ func memBytes(mem []uint32) []byte {
 // restored device completes the save, resumes, and verifies.
 func TestSnapshotMidSave(t *testing.T) {
 	wl := mustWorkload(t, "MS")
-	cycles, _ := goldenCycles(t, wl)
+	cycles, _ := goldenCycles(t, sim.TestConfig(), wl)
 	tech, err := preempt.New(preempt.CTXBack, wl.Prog)
 	if err != nil {
 		t.Fatal(err)
@@ -218,37 +259,54 @@ func TestSnapshotMidSave(t *testing.T) {
 // machine end to end: a bit flip in the bulk memory section passes the
 // speculative structural decode, replay runs, and the deferred
 // validator is what catches the corruption — after which the sync path
-// with the authoritative bytes recovers the job.
+// with the authoritative bytes recovers the job. One flip sits in the
+// payload's last bytes, one inside an all-zero 64-byte block, where the
+// checksum folds the whole block into one multiply.
 func TestSpeculativeRestoreFlow(t *testing.T) {
 	wl := mustWorkload(t, "VA")
 	d, _, _ := parked(t, preempt.Baseline, wl)
 	_, enc := Capture(d, 5)
 
-	// Flip one bit inside the memory payload (the last section; its
-	// payload starts 14 bytes after the section tail begins... locate it
-	// robustly by flipping a byte near the end, inside the payload,
-	// before the trailing checksum).
-	corrupt := append([]byte(nil), enc...)
-	corrupt[len(corrupt)-16] ^= 0x10
+	memAt, memLen := memPayload(t, enc)
+	zeroBlock := -1
+	for at := memAt; at+64 <= memAt+memLen; at += 64 {
+		if bytes.Equal(enc[at:at+64], make([]byte, 64)) {
+			zeroBlock = at
+			break
+		}
+	}
+	if zeroBlock < 0 {
+		t.Fatal("memory section has no all-zero 64-byte block")
+	}
+	for _, flip := range []struct {
+		name string
+		at   int
+	}{
+		{"payload-tail", memAt + memLen - 8},
+		{"zero-block", zeroBlock + 37},
+	} {
+		corrupt := append([]byte(nil), enc...)
+		corrupt[flip.at] ^= 0x10
 
-	if _, err := Decode(corrupt); err == nil {
-		t.Fatal("full decode accepted a corrupt memory section")
-	}
+		if _, err := Decode(corrupt); err == nil {
+			t.Fatalf("%s: full decode accepted a corrupt memory section", flip.name)
+		}
 
-	tech, err := preempt.New(preempt.Baseline, wl.Prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Restore(nil, corrupt, enc, 5, tech, wl.Prog)
-	if err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-	if !res.Outcome.Speculative {
-		t.Fatal("corrupt memory section should still restore speculatively")
-	}
-	finishRestored(t, res)
-	if err := res.Validate(); err == nil {
-		t.Fatal("deferred validator missed the memory corruption")
+		tech, err := preempt.New(preempt.Baseline, wl.Prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Restore(nil, corrupt, enc, 5, tech, wl.Prog)
+		if err != nil {
+			t.Fatalf("%s: restore: %v", flip.name, err)
+		}
+		if !res.Outcome.Speculative {
+			t.Fatalf("%s: corrupt memory section should still restore speculatively", flip.name)
+		}
+		finishRestored(t, res)
+		if err := res.Validate(); err == nil {
+			t.Fatalf("%s: deferred validator missed the memory corruption", flip.name)
+		}
 	}
 
 	// The caller's mandated next move: synchronous restore from the
