@@ -12,11 +12,14 @@ test:
 
 # check is the PR gate: vet everything, run the packages that carry
 # concurrency (the parallel harness, the simulator it drives, and the
-# metrics registry they share) under the race detector, then smoke the
+# metrics registry they share) under the race detector, race the
+# technique memo that concurrent episodes share (its tests only: the
+# whole preempt suite takes minutes under -race), then smoke the
 # tracing pipeline end to end.
 check:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/artifact/ ./internal/harness/ ./internal/sched/ ./internal/sim/ ./internal/snapshot/ ./internal/trace/ ./internal/gen/...
+	$(GO) test -race -run '^TestMemo' ./internal/preempt/
 	$(MAKE) trace-smoke
 
 # trace-smoke runs one preempted kernel with -trace and validates the
@@ -144,10 +147,11 @@ shards-diff:
 
 # cache-diff guards the artifact store's byte-identity contract: the
 # quick evaluation sweep and the serve smoke must produce identical
-# bytes with the cache disabled, cold (empty directory, computes and
-# publishes) and warm (second run over the same directory, loads
-# everything from disk). Any drift between the three means a cached
-# artifact decodes to something the cold path would not have computed.
+# bytes with the store in memory only (no -cache-dir), cold (empty
+# directory, computes and publishes) and warm (second run over the same
+# directory, loads everything from disk). Any drift between the three
+# means a cached artifact decodes to something the cold path would not
+# have computed.
 CACHE_DIR = /tmp/ctxback-cache-diff
 cache-diff:
 	rm -rf $(CACHE_DIR)
@@ -160,7 +164,7 @@ cache-diff:
 	diff -u testdata/serve_smoke.golden /tmp/ctxback-cache-serve-cold.txt
 	$(GO) run ./cmd/schedsim $(SERVE_SMOKE_ARGS) -cache-dir $(CACHE_DIR) > /tmp/ctxback-cache-serve-warm.txt
 	diff -u testdata/serve_smoke.golden /tmp/ctxback-cache-serve-warm.txt
-	@echo "eval sweep and serve golden byte-identical: cache disabled, cold and warm"
+	@echo "eval sweep and serve golden byte-identical: in memory only, cold and warm"
 
 # Regenerate EXPERIMENTS.md from a full evaluation sweep.
 eval:

@@ -66,7 +66,7 @@ func main() {
 		chaos      = flag.Bool("chaos", false, "fault-injection robustness sweep across kernels x techniques")
 		faultRate  = flag.Float64("faults", 0, "chaos fault rate in [0,1] (0 = sweep the default rates)")
 		faultSeed  = flag.Uint64("fault-seed", 0, "chaos fault seed (0 = default)")
-		cache      = flag.String("cache-dir", "", "persistent content-addressed artifact cache shared across runs and processes (empty = disabled)")
+		cache      = flag.String("cache-dir", "", "persistent content-addressed artifact cache shared across runs and processes (empty = in memory only)")
 	)
 	profiles := prof.Register(flag.CommandLine)
 	flag.Parse()

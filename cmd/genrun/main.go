@@ -49,7 +49,7 @@ func main() {
 		chaosRate      = flag.Float64("chaos-rate", 0.2, "chaos fault rate in (0,1]")
 		dump           = flag.Int64("dump", -1, "disassemble one seed's kernel and exit")
 		maxFail        = flag.Int("max-failures", 20, "failure lines printed before truncating")
-		cache          = flag.String("cache-dir", "", "persistent content-addressed artifact cache shared across runs and processes (empty = disabled)")
+		cache          = flag.String("cache-dir", "", "persistent content-addressed artifact cache shared across runs and processes (empty = in memory only)")
 	)
 	profiles := prof.Register(flag.CommandLine)
 	flag.Parse()

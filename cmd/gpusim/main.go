@@ -57,7 +57,7 @@ func main() {
 		faultRate = flag.Float64("faults", 0, "fault-injection rate in [0,1] for the preempted run (0 = off)")
 		faultSeed = flag.Uint64("fault-seed", 1, "fault-injection seed")
 		ckpt      = flag.Bool("checkpoint", false, "checkpoint the whole device at the parked episode and finish the run on a device restored from the snapshot bytes")
-		cache     = flag.String("cache-dir", "", "persistent content-addressed artifact cache shared across runs and processes (empty = disabled)")
+		cache     = flag.String("cache-dir", "", "persistent content-addressed artifact cache shared across runs and processes (empty = in memory only)")
 	)
 	profiles := prof.Register(flag.CommandLine)
 	flag.Parse()

@@ -137,7 +137,7 @@ func main() {
 		verify  = flag.Bool("verify", true, "check every job's output against its CPU golden reference")
 		metrics = flag.Bool("metrics", false, "append per-tenant counters and latency histograms")
 		events  = flag.Bool("events", false, "append each technique's scheduling decision log")
-		cache   = flag.String("cache-dir", "", "persistent content-addressed artifact cache shared across runs and processes (empty = disabled)")
+		cache   = flag.String("cache-dir", "", "persistent content-addressed artifact cache shared across runs and processes (empty = in memory only)")
 
 		serve       = flag.Bool("serve", false, "serve mode: open-loop traffic through admission control onto a load-balanced fleet with an online hypervisor")
 		duration    = flag.Int64("duration", 0, "serve mode: generate arrivals for N cycles (0 = use -jobs as a fixed count)")

@@ -1,17 +1,18 @@
-// Package artifact is a content-addressed, disk-persisted, cross-process
-// store for expensive deterministic build products: compiled CTXBack
-// plans, CFG/liveness analyses, checkpoint-site tables, prepared-workload
-// metadata and whole evaluation matrices. A cold KM compile costs ~1.4s;
-// loading the same plans from a warm store costs single-digit
-// milliseconds, and the store is shared by every process pointed at the
-// same -cache-dir.
+// Package artifact is a content-addressed store for expensive
+// deterministic build products: compiled CTXBack plans, CFG/liveness
+// analyses, checkpoint-site tables, prepared-workload metadata and whole
+// evaluation matrices. The process store (Default) is memory-only
+// unless a CLI installs a disk-backed one with -cache-dir; then it is
+// shared by every process pointed at the same directory. A cold KM
+// compile costs ~1.4s; loading the same plans from a warm disk store
+// costs single-digit milliseconds.
 //
 // # Keying
 //
 // Every artifact is addressed by the SHA-256 of a canonical key blob
 // built with NewKey: a kind string, the store schema version, and a
 // sequence of (label, tag, value) fields covering every semantic input
-// of the computation (canonical program bytes, feature flags, checkpoint
+// of the computation (program digests, feature flags, checkpoint
 // interval, device config, workload params, ...). Labels and values are
 // length-prefixed, so no two distinct field sequences share an encoding
 // and key collisions reduce to SHA-256 collisions.
@@ -32,8 +33,8 @@
 // published; a semantic change to any producer must bump SchemaVersion,
 // which changes every key and orphans the old entries (a cache dir is
 // disposable — delete it to reclaim space). The `make cache-diff` gate
-// byte-compares cold, warm and disabled runs to catch a producer change
-// that forgot the bump.
+// byte-compares cold, warm and memory-only runs to catch a producer
+// change that forgot the bump.
 //
 // # Cross-process protocol
 //
@@ -41,7 +42,8 @@
 // dir, then rename(2) onto the final name — readers observe either the
 // old entry, no entry, or the complete new entry. Duplicate work is
 // suppressed at two levels: within a process, Do single-flights per key
-// (concurrent callers block on one compute and share its result);
+// (concurrent callers block on one compute and share its result; in a
+// memory-only store that is the whole cache, and nothing is encoded);
 // across processes, the computing process holds a <key>.lock file
 // created with O_CREATE|O_EXCL while it computes, and losers poll for
 // the artifact to appear. Locks are advisory only — a stale lock
@@ -55,7 +57,7 @@ import "errors"
 // SchemaVersion is baked into every key blob. Bump it whenever any
 // serialized form or any producer's semantics change: old entries then
 // simply miss instead of deserializing into wrong results.
-const SchemaVersion = 1
+const SchemaVersion = 2
 
 // Sentinel errors for entry validation failures. All of them mean
 // "treat as a cache miss and recompute"; they are distinguished so

@@ -203,6 +203,61 @@ func TestEncodeDecodeEntryIdentity(t *testing.T) {
 	}
 }
 
+// strCodec stores a string value as its bytes.
+var strCodec = Codec{
+	Encode: func(v any) []byte { return []byte(v.(string)) },
+	Decode: func(p []byte) (any, error) { return string(p), nil },
+}
+
+// TestMemoryStoreNeverEncodes: a memory-only store memoizes the computed
+// value itself, so cold and warm lookups, and a failed compute, never
+// call the codec; a store with a directory encodes each fresh value
+// once and decodes it in the next process.
+func TestMemoryStoreNeverEncodes(t *testing.T) {
+	var encodes, decodes int
+	counting := Codec{
+		Encode: func(v any) []byte { encodes++; return strCodec.Encode(v) },
+		Decode: func(p []byte) (any, error) { decodes++; return strCodec.Decode(p) },
+	}
+	ok := func() (any, error) { return "v", nil }
+	fail := func() (any, error) { return nil, errors.New("boom") }
+
+	mem := NewMemory()
+	if mem.Dir() != "" {
+		t.Fatalf("memory-only store has dir %q", mem.Dir())
+	}
+	mem.Do(NewKey("test/lazy").Int("n", 1), counting, fail)
+	for i := 0; i < 3; i++ {
+		for n := 1; n <= 2; n++ {
+			if v, err := mem.Do(NewKey("test/lazy").Int("n", n), counting, ok); err != nil || v != "v" {
+				t.Fatalf("memory Do = %v, %v", v, err)
+			}
+		}
+	}
+	if encodes != 0 || decodes != 0 {
+		t.Fatalf("memory-only store: %d encodes, %d decodes, want 0", encodes, decodes)
+	}
+	if c, disk, hits := mem.Stats(); c != 2 || disk != 0 || hits != 4 {
+		t.Fatalf("memory Stats = %d computes, %d diskHits, %d memHits", c, disk, hits)
+	}
+
+	dir := t.TempDir()
+	for i := 0; i < 2; i++ {
+		st, _ := Open(dir)
+		for j := 0; j < 2; j++ {
+			if v, err := st.Do(NewKey("test/lazy"), counting, ok); err != nil || v != "v" {
+				t.Fatalf("disk Do = %v, %v", v, err)
+			}
+		}
+	}
+	if encodes != 1 || decodes != 1 {
+		t.Fatalf("disk store: %d encodes, %d decodes, want 1 and 1", encodes, decodes)
+	}
+	if Default() == nil || Default().Dir() != "" {
+		t.Fatal("the process default store must be a memory-only store")
+	}
+}
+
 // TestDoSingleFlight races 8 workers on one cold key: exactly one
 // compute, everyone sees the same value, the rest are memory hits.
 func TestDoSingleFlight(t *testing.T) {
@@ -214,15 +269,13 @@ func TestDoSingleFlight(t *testing.T) {
 	var computes int
 	var mu sync.Mutex
 	do := func() (any, error) {
-		return st.Do(key,
-			func(payload []byte) (any, error) { return string(payload), nil },
-			func() (any, []byte, error) {
-				mu.Lock()
-				computes++
-				mu.Unlock()
-				time.Sleep(20 * time.Millisecond) // widen the race window
-				return "value", []byte("value"), nil
-			})
+		return st.Do(key, strCodec, func() (any, error) {
+			mu.Lock()
+			computes++
+			mu.Unlock()
+			time.Sleep(20 * time.Millisecond) // widen the race window
+			return "value", nil
+		})
 	}
 	const workers = 8
 	vals := make([]any, workers)
@@ -261,17 +314,16 @@ func TestDoSingleFlight(t *testing.T) {
 func TestDoDiskHit(t *testing.T) {
 	dir := t.TempDir()
 	key := NewKey("test/disk").Str("k", "v")
-	decode := func(payload []byte) (any, error) { return string(payload), nil }
 
 	st1, _ := Open(dir)
-	v, err := st1.Do(key, decode, func() (any, []byte, error) { return "first", []byte("first"), nil })
+	v, err := st1.Do(key, strCodec, func() (any, error) { return "first", nil })
 	if err != nil || v != "first" {
 		t.Fatalf("cold Do = %v, %v", v, err)
 	}
 
 	st2, _ := Open(dir)
-	v, err = st2.Do(key, decode, func() (any, []byte, error) {
-		return nil, nil, errors.New("must not recompute")
+	v, err = st2.Do(key, strCodec, func() (any, error) {
+		return nil, errors.New("must not recompute")
 	})
 	if err != nil || v != "first" {
 		t.Fatalf("warm Do = %v, %v", v, err)
@@ -287,18 +339,17 @@ func TestDoErrorNotMemoized(t *testing.T) {
 	key := NewKey("test/err")
 	boom := errors.New("boom")
 	calls := 0
-	compute := func() (any, []byte, error) {
+	compute := func() (any, error) {
 		calls++
 		if calls == 1 {
-			return nil, nil, boom
+			return nil, boom
 		}
-		return "ok", []byte("ok"), nil
+		return "ok", nil
 	}
-	decode := func(p []byte) (any, error) { return string(p), nil }
-	if _, err := st.Do(key, decode, compute); !errors.Is(err, boom) {
+	if _, err := st.Do(key, strCodec, compute); !errors.Is(err, boom) {
 		t.Fatalf("first Do: %v", err)
 	}
-	v, err := st.Do(key, decode, compute)
+	v, err := st.Do(key, strCodec, compute)
 	if err != nil || v != "ok" {
 		t.Fatalf("retry Do = %v, %v", v, err)
 	}
@@ -366,12 +417,10 @@ func TestTamper(t *testing.T) {
 			}
 			// Do must fall back to compute and repair the entry.
 			recomputed := false
-			v, err := st.Do(key,
-				func(p []byte) (any, error) { return string(p), nil },
-				func() (any, []byte, error) {
-					recomputed = true
-					return string(good), good, nil
-				})
+			v, err := st.Do(key, strCodec, func() (any, error) {
+				recomputed = true
+				return string(good), nil
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -405,14 +454,15 @@ func TestDecodeErrorIsMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	st2, _ := Open(dir)
-	v, err := st2.Do(key,
-		func(p []byte) (any, error) {
+	v, err := st2.Do(key, Codec{
+		Encode: func(any) []byte { return []byte("new") },
+		Decode: func(p []byte) (any, error) {
 			if string(p) != "new" {
 				return nil, fmt.Errorf("unexpected payload %q", p)
 			}
 			return "decoded", nil
 		},
-		func() (any, []byte, error) { return "fresh", []byte("new"), nil })
+	}, func() (any, error) { return "fresh", nil })
 	if err != nil || v != "fresh" {
 		t.Fatalf("Do = %v, %v", v, err)
 	}
@@ -437,9 +487,7 @@ func TestStaleLockTakeover(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	v, err := st.Do(key,
-		func(p []byte) (any, error) { return string(p), nil },
-		func() (any, []byte, error) { return "ok", []byte("ok"), nil })
+	v, err := st.Do(key, strCodec, func() (any, error) { return "ok", nil })
 	if err != nil || v != "ok" {
 		t.Fatalf("Do = %v, %v", v, err)
 	}
@@ -517,25 +565,23 @@ func TestCrossProcessHelper(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := NewKey("test/cross-process").Int("n", 1)
-	v, err := st.Do(key,
-		func(p []byte) (any, error) { return string(p), nil },
-		func() (any, []byte, error) {
-			// Log the compute append-only so the parent can count them
-			// fleet-wide, and linger so the sibling really races the lock.
-			f, err := os.OpenFile(filepath.Join(dir, "computes.log"),
-				os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-			if err != nil {
-				return nil, nil, err
-			}
-			if _, err := f.WriteString("C\n"); err != nil {
-				return nil, nil, err
-			}
-			if err := f.Close(); err != nil {
-				return nil, nil, err
-			}
-			time.Sleep(300 * time.Millisecond)
-			return "the-value", []byte("the-value"), nil
-		})
+	v, err := st.Do(key, strCodec, func() (any, error) {
+		// Log the compute append-only so the parent can count them
+		// fleet-wide, and linger so the sibling really races the lock.
+		f, err := os.OpenFile(filepath.Join(dir, "computes.log"),
+			os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
+		if err != nil {
+			return nil, err
+		}
+		if _, err := f.WriteString("C\n"); err != nil {
+			return nil, err
+		}
+		if err := f.Close(); err != nil {
+			return nil, err
+		}
+		time.Sleep(300 * time.Millisecond)
+		return "the-value", nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

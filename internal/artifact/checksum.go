@@ -20,7 +20,8 @@ const (
 
 // Checksum is a running 64-bit FNV-1a hash: the section checksum of every
 // container in the repository (CART entries here, CSNP device snapshots
-// in internal/snapshot) and the serve state witness (internal/sched). It
+// in internal/snapshot), the saved-context checksum (internal/sim) and
+// the serve state witness (internal/sched). It
 // equals hash/fnv's New64a over the same bytes. It scans 64-byte blocks
 // and folds each all-zero block, or all-zero 8-byte word of a mixed
 // block, into one multiply, so a zero-heavy device image hashes at
@@ -40,7 +41,7 @@ func (h Checksum) Bytes(b []byte) Checksum {
 			le.Uint64(b[32:]), le.Uint64(b[40:]), le.Uint64(b[48:]), le.Uint64(b[56:]))
 	}
 	for ; len(b) >= 8; b = b[8:] {
-		h = h.word(le.Uint64(b))
+		h = h.Word(le.Uint64(b))
 	}
 	for _, c := range b {
 		h = (h ^ Checksum(c)) * fnvPrime
@@ -94,11 +95,11 @@ func (h Checksum) block(x0, x1, x2, x3, x4, x5, x6, x7 uint64) Checksum {
 	if x0|x1|x2|x3|x4|x5|x6|x7 == 0 {
 		return h * fnvPrime64
 	}
-	return h.word(x0).word(x1).word(x2).word(x3).word(x4).word(x5).word(x6).word(x7)
+	return h.Word(x0).Word(x1).Word(x2).Word(x3).Word(x4).Word(x5).Word(x6).Word(x7)
 }
 
-// word folds the eight little-endian bytes of x.
-func (h Checksum) word(x uint64) Checksum {
+// Word returns h extended by the eight little-endian bytes of x.
+func (h Checksum) Word(x uint64) Checksum {
 	if x == 0 {
 		return h * fnvPrime8
 	}

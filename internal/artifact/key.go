@@ -19,7 +19,10 @@ import (
 // regression test pins this.
 type Key struct {
 	kind string
-	blob []byte
+	// id is the key's canonical pre-image, u32 len(kind) | kind | blob:
+	// its SHA-256 is the disk address, and a store's in-memory flight
+	// map is keyed by id itself.
+	id []byte
 }
 
 // Field type tags. Tags make a key self-describing enough that e.g. the
@@ -36,28 +39,36 @@ const (
 // NewKey starts a key of the given kind. The store schema version is
 // folded in automatically so a format bump misses every old entry.
 func NewKey(kind string) *Key {
-	k := &Key{kind: kind}
-	k.blob = binary.LittleEndian.AppendUint32(k.blob, SchemaVersion)
+	k := rawKey(kind, 128)
+	k.id = binary.LittleEndian.AppendUint32(k.id, SchemaVersion)
 	return k
 }
 
 // RawKey reconstructs a key from its kind and blob (as decoded from an
 // entry's key-echo section). Used by round-trip tests and fuzzing.
 func RawKey(kind string, blob []byte) Key {
-	return Key{kind: kind, blob: append([]byte(nil), blob...)}
+	k := rawKey(kind, len(blob))
+	k.id = append(k.id, blob...)
+	return *k
+}
+
+// rawKey is a key of kind with an empty blob and room for n blob bytes.
+func rawKey(kind string, n int) *Key {
+	id := make([]byte, 0, 4+len(kind)+n)
+	id = binary.LittleEndian.AppendUint32(id, uint32(len(kind)))
+	return &Key{kind: kind, id: append(id, kind...)}
 }
 
 func (k *Key) field(label string, tag uint8, value []byte) *Key {
-	k.blob = binary.LittleEndian.AppendUint16(k.blob, uint16(len(label)))
-	k.blob = append(k.blob, label...)
-	k.blob = append(k.blob, tag)
-	k.blob = binary.LittleEndian.AppendUint32(k.blob, uint32(len(value)))
-	k.blob = append(k.blob, value...)
+	k.id = binary.LittleEndian.AppendUint16(k.id, uint16(len(label)))
+	k.id = append(k.id, label...)
+	k.id = append(k.id, tag)
+	k.id = binary.LittleEndian.AppendUint32(k.id, uint32(len(value)))
+	k.id = append(k.id, value...)
 	return k
 }
 
-// Bytes adds a labeled byte-slice field (e.g. a canonical program
-// encoding).
+// Bytes adds a labeled byte-slice field (e.g. a program digest).
 func (k *Key) Bytes(label string, v []byte) *Key { return k.field(label, tagBytes, v) }
 
 // Str adds a labeled string field.
@@ -97,15 +108,10 @@ func (k *Key) F64(label string, v float64) *Key {
 func (k *Key) Kind() string { return k.kind }
 
 // Blob returns the canonical field blob (read-only).
-func (k *Key) Blob() []byte { return k.blob }
+func (k *Key) Blob() []byte { return k.id[4+len(k.kind):] }
 
 // Hash returns the hex SHA-256 content address of the key.
 func (k *Key) Hash() string {
-	h := sha256.New()
-	var n [4]byte
-	binary.LittleEndian.PutUint32(n[:], uint32(len(k.kind)))
-	h.Write(n[:])
-	h.Write([]byte(k.kind))
-	h.Write(k.blob)
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(k.id)
+	return hex.EncodeToString(sum[:])
 }

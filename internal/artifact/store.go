@@ -24,7 +24,7 @@ const (
 func EncodeEntry(key *Key, payload []byte) []byte {
 	kw := NewWriter()
 	kw.Str(key.kind)
-	kw.Bytes(key.blob)
+	kw.Bytes(key.Blob())
 	echo := kw.Data()
 
 	out := make([]byte, 0, len(magic)+2+2*(2+4+8)+len(echo)+len(payload))
@@ -98,9 +98,12 @@ func readSection(data []byte, off int, wantID uint16) (body []byte, next int, er
 	return body, off + n + 8, nil
 }
 
-// Store is one cache directory. The zero value is unusable; Open it.
+// Store memoizes artifacts by content key. Its single-flight map is the
+// in-process cache; a store opened on a directory also persists every
+// entry there and shares it across processes. The zero value is
+// unusable; use NewMemory or Open.
 type Store struct {
-	dir string
+	dir string // "" for a memory-only store
 
 	// Advisory-lock tuning, overridable in tests. LockPoll is the wait
 	// between checks while another process holds a key's lock; LockStale
@@ -110,7 +113,8 @@ type Store struct {
 	LockStale   time.Duration
 	LockTimeout time.Duration
 
-	flights sync.Map // hash -> *flight
+	mu      sync.Mutex
+	flights map[string]*flight // Key.id -> entry
 
 	computes atomic.Int64
 	diskHits atomic.Int64
@@ -125,20 +129,32 @@ type flight struct {
 	err  error
 }
 
+// Codec is an artifact kind's disk form. Only a store with a directory
+// calls it: Encode on the way to disk after a compute, Decode on a
+// validated payload read back. Decode errors are misses.
+type Codec struct {
+	Encode func(value any) []byte
+	Decode func(payload []byte) (any, error)
+}
+
+// NewMemory returns a memory-only store: its flight map is the whole
+// cache, and it never encodes, decodes or touches a disk.
+func NewMemory() *Store { return &Store{flights: make(map[string]*flight)} }
+
 // Open creates/opens a store rooted at dir.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("artifact: %w", err)
 	}
-	return &Store{
-		dir:         dir,
-		LockPoll:    5 * time.Millisecond,
-		LockStale:   10 * time.Second,
-		LockTimeout: 60 * time.Second,
-	}, nil
+	s := NewMemory()
+	s.dir = dir
+	s.LockPoll = 5 * time.Millisecond
+	s.LockStale = 10 * time.Second
+	s.LockTimeout = 60 * time.Second
+	return s, nil
 }
 
-// Dir returns the store's root directory.
+// Dir returns the store's root directory, or "" for a memory-only store.
 func (s *Store) Dir() string { return s.dir }
 
 // Stats reports lifetime counters: computes actually run, disk loads,
@@ -166,7 +182,7 @@ func (s *Store) load(key *Key) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if echo.kind != key.kind || string(echo.blob) != string(key.blob) {
+	if string(echo.id) != string(key.id) {
 		return nil, fmt.Errorf("%w: kind %q", ErrKeyMismatch, echo.kind)
 	}
 	return payload, nil
@@ -199,67 +215,80 @@ func (s *Store) Put(key *Key, payload []byte) error {
 }
 
 // Do returns the value for key, computing it at most once per process
-// and — barring crashes and lock timeouts — at most once fleet-wide.
+// and, in a store with a directory, barring crashes and lock timeouts,
+// at most once fleet-wide.
 //
-// decode turns a validated disk payload into the value; a decode error
-// is a miss (the entry is recomputed and replaced). compute produces
-// the value plus its disk payload; a nil payload skips publication.
-// The returned value is shared by every in-process caller of the same
-// key, so it must be immutable (which all artifact values are).
-func (s *Store) Do(key *Key,
-	decode func(payload []byte) (any, error),
-	compute func() (value any, payload []byte, err error),
-) (any, error) {
-	hash := key.Hash()
-	fl, loaded := s.flights.LoadOrStore(hash, &flight{})
-	f := fl.(*flight)
-	if loaded {
+// compute produces the value. A store with a directory first tries to
+// decode a disk entry, and publishes c.Encode of a fresh value; a
+// memory-only store never calls c. The returned value is shared by
+// every in-process caller of the same key, so it must be immutable
+// (which all artifact values are). compute must not call Do on its own
+// key: the nested call would wait on itself.
+func (s *Store) Do(key *Key, c Codec, compute func() (any, error)) (any, error) {
+	s.mu.Lock()
+	f, hit := s.flights[string(key.id)]
+	if !hit {
+		f = &flight{}
+		s.flights[string(key.id)] = f
+	}
+	s.mu.Unlock()
+	if hit {
 		s.memHits.Add(1)
 	}
-	f.once.Do(func() { f.val, f.err = s.doCold(key, hash, decode, compute) })
+	f.once.Do(func() { f.val, f.err = s.doCold(key, c, compute) })
 	if f.err != nil {
 		// Do not memoize failures: a transient error (disk full during
 		// publish never reaches here, but compute errors may be
 		// environmental) should not wedge the key for the process.
-		s.flights.CompareAndDelete(hash, fl)
+		s.mu.Lock()
+		if s.flights[string(key.id)] == f {
+			delete(s.flights, string(key.id))
+		}
+		s.mu.Unlock()
 	}
 	return f.val, f.err
 }
 
-func (s *Store) doCold(key *Key, hash string,
-	decode func([]byte) (any, error),
-	compute func() (any, []byte, error),
-) (any, error) {
-	if payload, err := s.load(key); err == nil {
-		if v, derr := decode(payload); derr == nil {
-			s.diskHits.Add(1)
+func (s *Store) doCold(key *Key, c Codec, compute func() (any, error)) (any, error) {
+	if s.dir != "" {
+		if v, ok := s.loadValue(key, c); ok {
 			return v, nil
 		}
-		// Decodable container but undecodable payload: recompute and
-		// overwrite below.
-	}
-	release, _ := s.acquire(hash)
-	defer release()
-	// Re-check the disk whether or not we hold the lock: a peer may have
-	// published while we were waiting (or between our first load and the
-	// lock acquisition).
-	if payload, err := s.load(key); err == nil {
-		if v, derr := decode(payload); derr == nil {
-			s.diskHits.Add(1)
+		release, _ := s.acquire(key.Hash())
+		defer release()
+		// Re-check the disk whether or not we hold the lock: a peer may
+		// have published while we were waiting (or between our first load
+		// and the lock acquisition).
+		if v, ok := s.loadValue(key, c); ok {
 			return v, nil
 		}
 	}
-	v, payload, err := compute()
+	v, err := compute()
 	if err != nil {
 		return nil, err
 	}
 	s.computes.Add(1)
-	if payload != nil {
+	if s.dir != "" {
 		// Publication failure is not a compute failure: the value is
 		// good, the disk just didn't take it.
-		_ = s.Put(key, payload)
+		_ = s.Put(key, c.Encode(v))
 	}
 	return v, nil
+}
+
+// loadValue decodes key's disk entry. A decodable container with an
+// undecodable payload is a miss; the caller recomputes and overwrites.
+func (s *Store) loadValue(key *Key, c Codec) (any, bool) {
+	payload, err := s.load(key)
+	if err != nil {
+		return nil, false
+	}
+	v, err := c.Decode(payload)
+	if err != nil {
+		return nil, false
+	}
+	s.diskHits.Add(1)
+	return v, true
 }
 
 // acquire takes the advisory per-key lock, or waits for the holder.
@@ -296,14 +325,20 @@ func (s *Store) acquire(hash string) (release func(), acquired bool) {
 	}
 }
 
-// defaultStore is the process-wide store configured by -cache-dir.
-// nil means disabled: every consumer falls back to its compute path,
-// byte-identical to a build without the artifact layer.
+// defaultStore is the process-wide store: memory-only unless a CLI
+// installs a disk-backed one with -cache-dir.
 var defaultStore atomic.Pointer[Store]
 
-// SetDefault installs the process-wide store (nil disables caching) and
-// returns the previous one so tests can restore it.
-func SetDefault(s *Store) *Store { return defaultStore.Swap(s) }
+func init() { defaultStore.Store(NewMemory()) }
 
-// Default returns the process-wide store, or nil when caching is off.
+// SetDefault installs the process-wide store and returns the previous
+// one so tests can restore it. s must not be nil.
+func SetDefault(s *Store) *Store {
+	if s == nil {
+		panic("artifact: SetDefault(nil)")
+	}
+	return defaultStore.Swap(s)
+}
+
+// Default returns the process-wide store; it is never nil.
 func Default() *Store { return defaultStore.Load() }

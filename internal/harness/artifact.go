@@ -4,17 +4,18 @@ import (
 	"fmt"
 
 	"ctxback/internal/artifact"
-	"ctxback/internal/isa"
 	"ctxback/internal/kernels"
 	"ctxback/internal/preempt"
 )
 
-// Artifact-store integration: with a process-wide store configured
-// (-cache-dir on the CLIs), the two expensive per-process memoizations —
+// Artifact-store integration: when the process-wide store persists to a
+// directory (-cache-dir on the CLIs), the two expensive memoizations —
 // prepared workloads (occupancy fill + full golden run) and the episode
 // matrix — are also content-addressed on disk and shared across
-// processes. Without a store every path below is byte-for-byte the
-// pre-store one.
+// processes. They go through the store only then: the Runner keeps its
+// own in-memory memo of both, scoped to the Runner, so a fresh Runner
+// still runs its golden runs and episode matrix, and a memory-only
+// store never pins a prepared workload's host arrays.
 
 // Artifact kinds written by this package.
 const (
@@ -61,17 +62,25 @@ func (o *Options) keyInputs(k *artifact.Key) {
 // golden simulation, leaving only the cheap host-side construction.
 func (o *Options) prepare(factory kernels.Factory) (*prepared, error) {
 	st := artifact.Default()
-	if st == nil {
+	if st.Dir() == "" {
 		return o.prepareCold(factory)
 	}
 	base, err := factory(o.Params)
 	if err != nil {
 		return nil, err
 	}
-	k := artifact.NewKey(kindPrepared).Bytes("prog", isa.EncodeProgram(base.Prog))
+	d := base.Prog.Digest()
+	k := artifact.NewKey(kindPrepared).Bytes("prog", d[:])
 	o.keyInputs(k)
-	v, err := st.Do(k,
-		func(payload []byte) (any, error) {
+	v, err := st.Do(k, artifact.Codec{
+		Encode: func(v any) []byte {
+			pr := v.(*prepared)
+			w := artifact.NewWriter()
+			w.Int(pr.wl.NumBlocks)
+			w.I64(pr.goldenCycles)
+			return w.Data()
+		},
+		Decode: func(payload []byte) (any, error) {
 			r := artifact.NewReader(payload)
 			blocks := r.Int()
 			golden := r.I64()
@@ -86,16 +95,7 @@ func (o *Options) prepare(factory kernels.Factory) (*prepared, error) {
 			}
 			return &prepared{wl: wl, goldenCycles: golden}, nil
 		},
-		func() (any, []byte, error) {
-			pr, err := o.prepareCold(factory)
-			if err != nil {
-				return nil, nil, err
-			}
-			w := artifact.NewWriter()
-			w.Int(pr.wl.NumBlocks)
-			w.I64(pr.goldenCycles)
-			return pr, w.Data(), nil
-		})
+	}, func() (any, error) { return o.prepareCold(factory) })
 	if err != nil {
 		return nil, err
 	}
@@ -104,12 +104,11 @@ func (o *Options) prepare(factory kernels.Factory) (*prepared, error) {
 
 // matrixFor runs measureMatrix's compute through the artifact store:
 // the full (kernel, kind, sample) episode matrix is keyed by every
-// prepared program's canonical bytes plus the options above, so a warm
-// sweep deserializes its folded stats instead of re-simulating every
-// episode.
+// prepared program's digest plus the options above, so a warm sweep
+// deserializes its folded stats instead of re-simulating every episode.
 func (r *Runner) matrixFor(kinds []preempt.Kind) ([][]EpisodeStats, error) {
 	st := artifact.Default()
-	if st == nil {
+	if st.Dir() == "" {
 		r.matrixComputes.Add(1)
 		return r.computeMatrix(kinds)
 	}
@@ -126,19 +125,17 @@ func (r *Runner) matrixFor(kinds []preempt.Kind) ([][]EpisodeStats, error) {
 		k.Int("kind", int(kd))
 	}
 	for i := range r.prep {
-		k.Bytes("prog", isa.EncodeProgram(r.prep[i].p.wl.Prog))
+		d := r.prep[i].p.wl.Prog.Digest()
+		k.Bytes("prog", d[:])
 	}
 	nk, nt := len(r.prep), len(kinds)
-	v, err := st.Do(k,
-		func(payload []byte) (any, error) { return decodeMatrix(payload, nk, nt) },
-		func() (any, []byte, error) {
-			r.matrixComputes.Add(1)
-			avg, err := r.computeMatrix(kinds)
-			if err != nil {
-				return nil, nil, err
-			}
-			return avg, encodeMatrix(avg), nil
-		})
+	v, err := st.Do(k, artifact.Codec{
+		Encode: func(v any) []byte { return encodeMatrix(v.([][]EpisodeStats)) },
+		Decode: func(payload []byte) (any, error) { return decodeMatrix(payload, nk, nt) },
+	}, func() (any, error) {
+		r.matrixComputes.Add(1)
+		return r.computeMatrix(kinds)
+	})
 	if err != nil {
 		return nil, err
 	}

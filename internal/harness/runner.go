@@ -30,8 +30,9 @@ import (
 // Workloads are safe to share across concurrent Devices: factories
 // capture their inputs and golden outputs at construction, and
 // Init/WarpSetup/Verify only read them while writing per-episode device
-// state. Technique compilation behind preempt.New is memoized per
-// program with sync.Map (see internal/preempt/cache.go).
+// state. Technique compilation behind preempt.New is memoized by
+// program content in the process artifact store (see
+// internal/preempt/cache.go).
 type Runner struct {
 	o    Options
 	prep []prepEntry // one slot per kernels.Registry() index

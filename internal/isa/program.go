@@ -1,13 +1,19 @@
 package isa
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // Program is an assembled kernel: a flat instruction sequence plus the
 // static resource declaration the hardware allocator needs.
+//
+// A program is immutable once built: every analysis derived from it is
+// memoized by its Digest, which is computed once and held on the
+// program. Build a new program (or Clone one) instead of editing one.
 type Program struct {
 	Name string
 	// Instrs is the instruction stream; an instruction's index is its PC.
@@ -20,6 +26,19 @@ type Program struct {
 	LDSBytes int
 	// Labels maps label names to PCs (kept for disassembly/debugging).
 	Labels map[string]int
+
+	digest atomic.Pointer[[32]byte] // Digest, once computed
+}
+
+// Digest returns the SHA-256 of EncodeProgram(p), the program's content
+// address. The first call computes it and later calls reuse it.
+func (p *Program) Digest() [32]byte {
+	if d := p.digest.Load(); d != nil {
+		return *d
+	}
+	d := sha256.Sum256(EncodeProgram(p))
+	p.digest.Store(&d)
+	return d
 }
 
 // Allocation granularities on the modeled hardware (paper §V: AMD Radeon

@@ -131,7 +131,8 @@ func TestValidateRejectsBadPrograms(t *testing.T) {
 		{"ctx_save_s v1, 0", src(Instruction{Op: CtxSaveS, Srcs: [MaxSrcs]Operand{R(V(1))}}), "must be a scalar register"},
 		{"ctx_save_spec s1, 0", src(Instruction{Op: CtxSaveSpec, Srcs: [MaxSrcs]Operand{R(S(1))}}), "must be a special register"},
 	}
-	for _, c := range cases {
+	for i := range cases {
+		c := &cases[i]
 		err := c.prog.Validate()
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want containing %q", c.name, err, c.want)

@@ -19,8 +19,8 @@ func benchKM(b *testing.B) *kernels.Workload {
 	return wl
 }
 
-// BenchmarkKMCompileCold is the price a store-less process pays the
-// first time it needs CTXBack plans for KM: the full compilation pass.
+// BenchmarkKMCompileCold is the price a process pays the first time it
+// needs CTXBack plans for KM: the full compilation pass.
 func BenchmarkKMCompileCold(b *testing.B) {
 	wl := benchKM(b)
 	b.ResetTimer()
@@ -38,15 +38,11 @@ func BenchmarkKMCompileCold(b *testing.B) {
 func BenchmarkKMCompileWarm(b *testing.B) {
 	wl := benchKM(b)
 	dir := b.TempDir()
-	st0, err := artifact.Open(dir)
-	if err != nil {
+	diskStore(b, dir)
+	if _, err := analysisFor(wl.Prog); err != nil {
 		b.Fatal(err)
 	}
-	enc := encodedProgram(wl.Prog)
-	if _, err := storedCompiled(st0, wl.Prog, core.FeatAll, enc); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := storedAnalysis(st0, wl.Prog); err != nil {
+	if _, err := NewCTXBack(wl.Prog); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -55,10 +51,11 @@ func BenchmarkKMCompileWarm(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := storedAnalysis(st, wl.Prog); err != nil {
+		artifact.SetDefault(st)
+		if _, err := analysisFor(wl.Prog); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := storedCompiled(st, wl.Prog, core.FeatAll, enc); err != nil {
+		if _, err := NewCTXBack(wl.Prog); err != nil {
 			b.Fatal(err)
 		}
 		if comp, _, _ := st.Stats(); comp != 0 {

@@ -3,19 +3,21 @@ package preempt
 import (
 	"bytes"
 	"reflect"
+	"sync"
 	"testing"
 
 	"ctxback/internal/artifact"
 	"ctxback/internal/cfg"
 	"ctxback/internal/core"
+	"ctxback/internal/isa"
 	"ctxback/internal/kernels"
 	"ctxback/internal/liveness"
 )
 
-// uniqueKM builds a KM workload with an iteration count no other test
-// uses, so the process-wide content caches cannot mask the store paths
-// under test.
-func uniqueKM(t *testing.T, iters int) *kernels.Workload {
+// uniqueKM builds a KM workload at the given iteration count. Every
+// call returns a fresh program value; equal counts give content-equal
+// programs.
+func uniqueKM(t testing.TB, iters int) *kernels.Workload {
 	t.Helper()
 	p := kernels.TestParams()
 	p.ItersPerWarp = iters
@@ -26,37 +28,73 @@ func uniqueKM(t *testing.T, iters int) *kernels.Workload {
 	return wl
 }
 
+// useStore installs st as the process store until the test ends.
+func useStore(t testing.TB, st *artifact.Store) *artifact.Store {
+	prev := artifact.SetDefault(st)
+	t.Cleanup(func() { artifact.SetDefault(prev) })
+	return st
+}
+
+// diskStore opens a store on dir, as a fresh process would, and
+// installs it as the process store until the test ends.
+func diskStore(t testing.TB, dir string) *artifact.Store {
+	t.Helper()
+	st, err := artifact.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return useStore(t, st)
+}
+
+// delta runs f and returns the computes and disk hits it cost st.
+func delta(st *artifact.Store, f func()) (computes, diskHits int64) {
+	c0, d0, _ := st.Stats()
+	f()
+	c1, d1, _ := st.Stats()
+	return c1 - c0, d1 - d0
+}
+
+// compiledFor constructs CTXBack through the process store and returns
+// its plans.
+func compiledFor(t testing.TB, prog *isa.Program, feats core.Feature) *core.Compiled {
+	t.Helper()
+	tech, err := NewCTXBackFeatures(prog, feats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tech.(*ctxbackTech).Compiled()
+}
+
+func mustAnalysis(t testing.TB, prog *isa.Program) *progAnalysis {
+	t.Helper()
+	a, err := analysisFor(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
 // TestStoredCompiledWarmColdEquivalence: a warm load from a fresh Store
 // over the same directory (a simulated new process) must decode to the
 // same compiled plans, byte for byte, as the cold compile.
 func TestStoredCompiledWarmColdEquivalence(t *testing.T) {
-	wl := uniqueKM(t, 37)
-	prog := wl.Prog
+	prog := uniqueKM(t, 37).Prog
 	cold, err := core.Compile(prog, core.FeatAll)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	st1, err := artifact.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c1, err := storedCompiled(st1, prog, core.FeatAll, encodedProgram(prog))
-	if err != nil {
-		t.Fatal(err)
-	}
+	st1 := diskStore(t, dir)
+	c1 := compiledFor(t, prog, core.FeatAll)
 	if comp, disk, _ := st1.Stats(); comp != 1 || disk != 0 {
 		t.Fatalf("cold store stats: %d computes, %d disk hits", comp, disk)
 	}
-	st2, err := artifact.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := storedCompiled(st2, prog, core.FeatAll, encodedProgram(prog))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if comp, disk, _ := st2.Stats(); comp != 0 || disk != 1 {
+	// The decoder relinks the plans against the program's analysis;
+	// resolve it first so the stats below count the plans alone.
+	st2 := diskStore(t, dir)
+	mustAnalysis(t, prog)
+	var c2 *core.Compiled
+	if comp, disk := delta(st2, func() { c2 = compiledFor(t, prog, core.FeatAll) }); comp != 0 || disk != 1 {
 		t.Fatalf("warm store stats: %d computes, %d disk hits", comp, disk)
 	}
 	b0 := core.EncodeCompiled(cold)
@@ -70,19 +108,10 @@ func TestStoredCompiledWarmColdEquivalence(t *testing.T) {
 // TestStoredCompiledKeyedByFeats: the feature subset is not derivable
 // from the program bytes, so each ablation must get its own artifact.
 func TestStoredCompiledKeyedByFeats(t *testing.T) {
-	wl := uniqueKM(t, 38)
-	prog := wl.Prog
-	st, err := artifact.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc := encodedProgram(prog)
-	if _, err := storedCompiled(st, prog, core.FeatAll, enc); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := storedCompiled(st, prog, core.FeatOSRB, enc); err != nil {
-		t.Fatal(err)
-	}
+	prog := uniqueKM(t, 38).Prog
+	st := diskStore(t, t.TempDir())
+	compiledFor(t, prog, core.FeatAll)
+	compiledFor(t, prog, core.FeatOSRB)
 	if comp, _, _ := st.Stats(); comp != 2 {
 		t.Fatalf("%d computes for two feature subsets, want 2", comp)
 	}
@@ -91,8 +120,7 @@ func TestStoredCompiledKeyedByFeats(t *testing.T) {
 // TestStoredAnalysisWarmColdEquivalence re-encodes the warm-loaded graph
 // and liveness and compares the canonical bytes with the cold pass.
 func TestStoredAnalysisWarmColdEquivalence(t *testing.T) {
-	wl := uniqueKM(t, 39)
-	prog := wl.Prog
+	prog := uniqueKM(t, 39).Prog
 	g, err := cfg.Build(prog)
 	if err != nil {
 		t.Fatal(err)
@@ -103,15 +131,10 @@ func TestStoredAnalysisWarmColdEquivalence(t *testing.T) {
 	liveness.EncodeInfo(live, cold)
 
 	dir := t.TempDir()
-	st1, _ := artifact.Open(dir)
-	if _, err := storedAnalysis(st1, prog); err != nil {
-		t.Fatal(err)
-	}
-	st2, _ := artifact.Open(dir)
-	a, err := storedAnalysis(st2, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
+	diskStore(t, dir)
+	mustAnalysis(t, prog)
+	st2 := diskStore(t, dir)
+	a := mustAnalysis(t, prog)
 	if comp, disk, _ := st2.Stats(); comp != 0 || disk != 1 {
 		t.Fatalf("warm store stats: %d computes, %d disk hits", comp, disk)
 	}
@@ -123,33 +146,36 @@ func TestStoredAnalysisWarmColdEquivalence(t *testing.T) {
 	}
 }
 
+func mustCkpt(t testing.TB, prog *isa.Program, interval int) *ckptStatic {
+	t.Helper()
+	s, err := ckptStaticFor(prog, interval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // TestStoredCkptStaticKeyedByInterval: the checkpoint interval is an
 // input the program bytes do not cover, so it must be keyed explicitly,
 // and the warm load must reproduce the cold tables exactly.
 func TestStoredCkptStaticKeyedByInterval(t *testing.T) {
-	wl := uniqueKM(t, 40)
-	prog := wl.Prog
-	coldA, err := computeCkptStatic(prog, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := uniqueKM(t, 40).Prog
+	useStore(t, artifact.NewMemory())
+	coldA := mustCkpt(t, prog, 100)
+
 	dir := t.TempDir()
-	st1, _ := artifact.Open(dir)
-	if _, err := storedCkptStatic(st1, prog, 100); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := storedCkptStatic(st1, prog, 200); err != nil {
-		t.Fatal(err)
-	}
-	if comp, _, _ := st1.Stats(); comp != 2 {
+	st1 := diskStore(t, dir)
+	mustAnalysis(t, prog)
+	if comp, _ := delta(st1, func() {
+		mustCkpt(t, prog, 100)
+		mustCkpt(t, prog, 200)
+	}); comp != 2 {
 		t.Fatalf("%d computes for two intervals, want 2", comp)
 	}
-	st2, _ := artifact.Open(dir)
-	warmA, err := storedCkptStatic(st2, prog, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if comp, disk, _ := st2.Stats(); comp != 0 || disk != 1 {
+	st2 := diskStore(t, dir)
+	mustAnalysis(t, prog)
+	var warmA *ckptStatic
+	if comp, disk := delta(st2, func() { warmA = mustCkpt(t, prog, 100) }); comp != 0 || disk != 1 {
 		t.Fatalf("warm store stats: %d computes, %d disk hits", comp, disk)
 	}
 	if !reflect.DeepEqual(coldA.site, warmA.site) ||
@@ -159,39 +185,44 @@ func TestStoredCkptStaticKeyedByInterval(t *testing.T) {
 	}
 }
 
+func mustFlush(t testing.TB, prog *isa.Program) *flushStatic {
+	t.Helper()
+	s, err := flushStaticFor(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+func mustTargets(t testing.TB, prog *isa.Program) []int {
+	t.Helper()
+	target, err := csdeferTargets(prog, mustAnalysis(t, prog))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return target
+}
+
 // TestStoredFlushAndCSDeferWarmEquivalence covers the remaining two
 // artifact kinds with the same fresh-store warm/cold comparison.
 func TestStoredFlushAndCSDeferWarmEquivalence(t *testing.T) {
-	wl := uniqueKM(t, 41)
-	prog := wl.Prog
-	a, err := analysisFor(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coldFlush, err := computeFlushStatic(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coldTargets := computeCSDeferTargets(prog, a.graph, a.live)
+	prog := uniqueKM(t, 41).Prog
+	useStore(t, artifact.NewMemory())
+	coldFlush := mustFlush(t, prog)
+	coldTargets := mustTargets(t, prog)
 
 	dir := t.TempDir()
-	st1, _ := artifact.Open(dir)
-	if _, err := storedFlushStatic(st1, prog); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := storedCSDeferTargets(st1, prog, a.graph, a.live); err != nil {
-		t.Fatal(err)
-	}
-	st2, _ := artifact.Open(dir)
-	warmFlush, err := storedFlushStatic(st2, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warmTargets, err := storedCSDeferTargets(st2, prog, a.graph, a.live)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if comp, disk, _ := st2.Stats(); comp != 0 || disk != 2 {
+	diskStore(t, dir)
+	mustFlush(t, prog)
+	mustTargets(t, prog)
+	st2 := diskStore(t, dir)
+	mustAnalysis(t, prog)
+	var warmFlush *flushStatic
+	var warmTargets []int
+	if comp, disk := delta(st2, func() {
+		warmFlush = mustFlush(t, prog)
+		warmTargets = mustTargets(t, prog)
+	}); comp != 0 || disk != 2 {
 		t.Fatalf("warm store stats: %d computes, %d disk hits", comp, disk)
 	}
 	if warmFlush.flushable != coldFlush.flushable ||
@@ -205,33 +236,25 @@ func TestStoredFlushAndCSDeferWarmEquivalence(t *testing.T) {
 
 // TestNewCTXBackWarmFromStore drives the full technique-construction
 // path against a pre-populated directory with content this process has
-// never compiled through the technique caches: the construction must be
-// served from disk, not recompiled, and behave identically.
+// never compiled: the construction must be served from disk, not
+// recompiled, and behave identically.
 func TestNewCTXBackWarmFromStore(t *testing.T) {
 	wl1 := uniqueKM(t, 43)
 	dir := t.TempDir()
-	st1, _ := artifact.Open(dir)
-	// Populate the disk without touching the in-process technique caches.
+	diskStore(t, dir)
 	// The analysis artifact rides along, as it would after any cold run
 	// that built a non-CTXBack technique for the program: the compiled
 	// plans' decoder relinks against it.
-	want, err := storedCompiled(st1, wl1.Prog, core.FeatAll, encodedProgram(wl1.Prog))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := storedAnalysis(st1, wl1.Prog); err != nil {
-		t.Fatal(err)
-	}
+	want := compiledFor(t, wl1.Prog, core.FeatAll)
+	mustAnalysis(t, wl1.Prog)
 
-	// Fresh Store, fresh (but content-identical) program: the pointer and
-	// content caches miss, the disk hits.
+	// Fresh Store, fresh (but content-identical) program: memory misses,
+	// the disk hits.
 	wl2 := uniqueKM(t, 43)
 	if wl2.Prog == wl1.Prog {
 		t.Fatal("test needs distinct program pointers")
 	}
-	st2, _ := artifact.Open(dir)
-	prev := artifact.SetDefault(st2)
-	defer artifact.SetDefault(prev)
+	st2 := diskStore(t, dir)
 	tech, err := NewCTXBackFeatures(wl2.Prog, core.FeatAll)
 	if err != nil {
 		t.Fatal(err)
@@ -242,5 +265,158 @@ func TestNewCTXBackWarmFromStore(t *testing.T) {
 	got := tech.(*ctxbackTech).Compiled()
 	if !bytes.Equal(core.EncodeCompiled(got), core.EncodeCompiled(want)) {
 		t.Fatal("warm-constructed technique decodes different plans")
+	}
+}
+
+// memoTables is every memoized table of one program, in comparable
+// form, plus the program each constructed technique drives.
+type memoTables struct {
+	compiled  []byte
+	ckpt      *ckptStatic
+	targets   []int
+	flush     *flushStatic
+	baseline  isa.RegSet
+	combined  []bool
+	techProgs []*isa.Program
+}
+
+// constructAll builds every kind in ExtendedKinds on prog through the
+// process store and collects its tables. SM-flushing may refuse the
+// kernel; the refusal must then be the same for every program.
+func constructAll(t testing.TB, prog *isa.Program) memoTables {
+	t.Helper()
+	var m memoTables
+	for _, k := range ExtendedKinds() {
+		tech, err := New(k, prog)
+		if err != nil {
+			if k == SMFlush {
+				continue
+			}
+			t.Fatalf("%v: %v", k, err)
+		}
+		switch tt := tech.(type) {
+		case *baselineTech:
+			m.baseline = tt.all
+			m.techProgs = append(m.techProgs, tt.prog)
+		case *liveTech:
+			m.techProgs = append(m.techProgs, tt.prog)
+		case *ckptTech:
+			m.ckpt = tt.static
+			m.techProgs = append(m.techProgs, tt.prog)
+		case *csdeferTech:
+			m.targets = tt.target
+			m.techProgs = append(m.techProgs, tt.prog)
+		case *ctxbackTech:
+			m.compiled = core.EncodeCompiled(tt.compiled)
+			m.techProgs = append(m.techProgs, tt.prog)
+		case *combinedTech:
+			m.combined = tt.useCTX
+			m.techProgs = append(m.techProgs, tt.prog)
+		case *flushTech:
+			m.techProgs = append(m.techProgs, tt.prog)
+		case *chimeraTech:
+			m.flush = &flushStatic{flushable: tt.flush.flushable, entryRegs: tt.flush.entryRegs}
+			m.techProgs = append(m.techProgs, tt.prog)
+		default:
+			t.Fatalf("%v: unexpected technique type %T", k, tech)
+		}
+	}
+	return m
+}
+
+// sameTables reports whether a and b hold equal tables.
+func sameTables(a, b memoTables) bool {
+	return bytes.Equal(a.compiled, b.compiled) &&
+		reflect.DeepEqual(a.ckpt.site, b.ckpt.site) &&
+		reflect.DeepEqual(a.ckpt.siteOf, b.ckpt.siteOf) &&
+		reflect.DeepEqual(a.ckpt.forced, b.ckpt.forced) &&
+		reflect.DeepEqual(a.targets, b.targets) &&
+		reflect.DeepEqual(a.flush, b.flush) &&
+		reflect.DeepEqual(a.baseline, b.baseline) &&
+		reflect.DeepEqual(a.combined, b.combined)
+}
+
+// memoKernels are small registry kernels for the one-path memo tests:
+// SM-flushing accepts DC and refuses HS (atomics).
+var memoKernels = []kernels.Factory{kernels.NewDC, kernels.NewHS}
+
+// freshProg builds f's program at test scale; every call returns a new,
+// content-equal program value.
+func freshProg(t testing.TB, f kernels.Factory) *isa.Program {
+	t.Helper()
+	wl, err := f(kernels.TestParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wl.Prog
+}
+
+// TestMemoSharedByContentEqualPrograms: a program rebuilt as a fresh
+// value shares every memoized analysis of its content-equal twin: the
+// second program costs zero computes and yields identical tables, while
+// every technique still drives its caller's program.
+func TestMemoSharedByContentEqualPrograms(t *testing.T) {
+	for _, f := range memoKernels {
+		p1, p2 := freshProg(t, f), freshProg(t, f)
+		if p1 == p2 {
+			t.Fatal("test needs distinct program pointers")
+		}
+		st := useStore(t, artifact.NewMemory())
+		first := constructAll(t, p1)
+		if comp, _, _ := st.Stats(); comp == 0 {
+			t.Fatalf("%s: first program computed nothing", p1.Name)
+		}
+		var second memoTables
+		if comp, _ := delta(st, func() { second = constructAll(t, p2) }); comp != 0 {
+			t.Fatalf("%s: content-equal program cost %d computes, want 0", p1.Name, comp)
+		}
+		if !sameTables(first, second) {
+			t.Fatalf("%s: content-equal programs got different tables", p1.Name)
+		}
+		for i, p := range second.techProgs {
+			if p != p2 {
+				t.Fatalf("%s: technique %d drives another program than its caller's", p1.Name, i)
+			}
+		}
+	}
+}
+
+// TestMemoSingleFlightConcurrent: 8 goroutines construct every kind at
+// once on content-equal programs, two goroutines per program value (so
+// the program's digest is raced too). Each key is computed once — as
+// many computes as one serial construction on a fresh store — and every
+// goroutine sees identical tables.
+func TestMemoSingleFlightConcurrent(t *testing.T) {
+	for _, f := range memoKernels {
+		serial := useStore(t, artifact.NewMemory())
+		want := constructAll(t, freshProg(t, f))
+		keys, _, _ := serial.Stats()
+
+		const workers = 8
+		progs := make([]*isa.Program, workers)
+		for i := range progs {
+			if progs[i] = freshProg(t, f); i%2 == 1 {
+				progs[i] = progs[i-1]
+			}
+		}
+		st := useStore(t, artifact.NewMemory())
+		got := make([]memoTables, workers)
+		var wg sync.WaitGroup
+		for i := range progs {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				got[i] = constructAll(t, progs[i])
+			}(i)
+		}
+		wg.Wait()
+		if comp, _, _ := st.Stats(); comp != keys {
+			t.Fatalf("%s: %d computes for %d keys", progs[0].Name, comp, keys)
+		}
+		for i := range got {
+			if !sameTables(got[i], want) {
+				t.Fatalf("%s: goroutine %d got different tables", progs[0].Name, i)
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package preempt
 
 import (
+	"ctxback/internal/artifact"
 	"ctxback/internal/isa"
 	"ctxback/internal/liveness"
 	"ctxback/internal/sim"
@@ -18,10 +19,44 @@ type baselineTech struct {
 // NewBaseline compiles the BASELINE technique. The swapped register set
 // is memoized per program and shared read-only across episodes.
 func NewBaseline(prog *isa.Program) (Technique, error) {
-	if err := prog.Validate(); err != nil {
+	all, err := baselineRegs(prog)
+	if err != nil {
 		return nil, err
 	}
-	return &baselineTech{prog: prog, all: baselineRegs(prog)}, nil
+	return &baselineTech{prog: prog, all: all}, nil
+}
+
+// baselineRegs is the full allocated register set BASELINE swaps. Its
+// compute validates the program, so validation runs once per program
+// content rather than once per construction.
+func baselineRegs(prog *isa.Program) (isa.RegSet, error) {
+	return memo(progKey(kindBaseline, prog),
+		func() (isa.RegSet, error) {
+			if err := prog.Validate(); err != nil {
+				return nil, err
+			}
+			all := make(isa.RegSet)
+			for i := 0; i < prog.AllocatedVRegs(); i++ {
+				all.Add(isa.V(i))
+			}
+			for i := 0; i < prog.AllocatedSRegs(); i++ {
+				all.Add(isa.S(i))
+			}
+			all.Add(isa.Exec)
+			all.Add(isa.VCC)
+			all.Add(isa.SCC)
+			return all, nil
+		},
+		func(all isa.RegSet) []byte {
+			w := artifact.NewWriter()
+			liveness.EncodeRegSet(all, w)
+			return w.Data()
+		},
+		func(p []byte) (isa.RegSet, error) {
+			r := artifact.NewReader(p)
+			all := liveness.DecodeRegSet(r)
+			return all, r.Close()
+		})
 }
 
 func (t *baselineTech) Kind() Kind   { return Baseline }

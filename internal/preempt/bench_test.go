@@ -35,3 +35,25 @@ func BenchmarkTechniqueConstruct(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkTechniqueConstructKind splits BenchmarkTechniqueConstruct's
+// warm construction by technique kind.
+func BenchmarkTechniqueConstructKind(b *testing.B) {
+	wl, err := kernels.NewKM(kernels.TestParams())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, k := range Kinds() {
+		if _, err := New(k, wl.Prog); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(k.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := New(k, wl.Prog); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

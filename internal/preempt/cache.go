@@ -1,8 +1,6 @@
 package preempt
 
 import (
-	"sync"
-
 	"ctxback/internal/artifact"
 	"ctxback/internal/cfg"
 	"ctxback/internal/isa"
@@ -12,18 +10,61 @@ import (
 // The evaluation harness constructs a fresh Technique per simulated
 // episode (per-run state like CKPT snapshots must not leak between
 // runs), but the static analyses behind a technique — CFG construction,
-// liveness, deferral targets, checkpoint sites — are pure functions of
-// the program. These caches memoize that immutable output per program
-// identity so thousands of episode constructions against the same dozen
-// kernels pay for each analysis once. All cached values are shared
-// read-only; anything mutable stays on the per-episode technique.
+// liveness, CTXBack plans, deferral targets, checkpoint sites, the flush
+// verdict — are pure functions of the program. Each of them takes one
+// path: a content key naming the program by its Digest, then the
+// process artifact store's single-flight Do, then the compute. So
+// thousands of episode constructions against the same dozen kernels pay
+// for each analysis once, and a program rebuilt as a fresh but
+// content-equal value shares the result too.
 //
-// Keys are *isa.Program pointers: the harness shares one prepared
-// workload (and thus one Program value) across every episode of a
-// kernel, so pointer identity is the natural — and cheapest — key. A
-// program rebuilt as a fresh value simply misses and re-analyzes. The
-// maps grow with the number of distinct programs per process, which is
-// bounded in every current caller (12 kernels x a few parameter sets).
+// The process store is memory-only unless a CLI was given -cache-dir;
+// then the same entries also persist on disk, through the codec each
+// kind keeps next to its compute. All memoized values are shared
+// read-only, and anything mutable stays on the per-episode technique.
+// A memoized graph may belong to another, content-equal program, so
+// techniques compare warps against their own program, never the graph's.
+
+// Artifact kinds. Every key starts from the program's Digest, the
+// SHA-256 of its canonical binary encoding (isa.EncodeProgram), so any
+// program change — instructions, register counts, LDS footprint —
+// changes every key. Parameters that scale the kernels (iteration
+// counts, grid size) are baked into the generated instruction stream and
+// are therefore covered by the same digest; inputs that are NOT
+// program-derived (checkpoint interval, feature flags, window bound) are
+// keyed explicitly, as TestStoredCompiledKeyedByFeats and
+// TestStoredCkptStaticKeyedByInterval pin.
+const (
+	kindAnalysis = "preempt/analysis"
+	kindBaseline = "preempt/baseline-regs"
+	kindCompiled = "preempt/compiled"
+	kindCombined = "preempt/combined-choice"
+	kindCkpt     = "preempt/ckpt-static"
+	kindCSDefer  = "preempt/csdefer-targets"
+	kindFlush    = "preempt/flush-static"
+)
+
+// memo resolves one program-derived artifact through the process store.
+// enc and dec are the kind's disk form; a memory-only store never calls
+// them. compute must not look up its own key.
+func memo[T any](key *artifact.Key, compute func() (T, error),
+	enc func(T) []byte, dec func([]byte) (T, error)) (T, error) {
+	v, err := artifact.Default().Do(key, artifact.Codec{
+		Encode: func(v any) []byte { return enc(v.(T)) },
+		Decode: func(p []byte) (any, error) { return dec(p) },
+	}, func() (any, error) { return compute() })
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return v.(T), nil
+}
+
+// progKey starts the key of an artifact kind derived from prog.
+func progKey(kind string, prog *isa.Program) *artifact.Key {
+	d := prog.Digest()
+	return artifact.NewKey(kind).Bytes("prog", d[:])
+}
 
 // progAnalysis bundles the shared CFG + liveness result.
 type progAnalysis struct {
@@ -31,107 +72,32 @@ type progAnalysis struct {
 	live  *liveness.Info
 }
 
-var analysisCache sync.Map // *isa.Program -> *progAnalysis
-
-// analysisFor returns the memoized CFG and liveness analysis for prog.
-// Concurrent first callers may both compute; the analyses are
-// deterministic so either result is valid and LoadOrStore picks one.
-// With a configured artifact store the content-addressed copy on disk is
-// consulted first, sharing the analysis across processes.
+// analysisFor returns prog's CFG and liveness analysis.
 func analysisFor(prog *isa.Program) (*progAnalysis, error) {
-	if a, ok := analysisCache.Load(prog); ok {
-		return a.(*progAnalysis), nil
-	}
-	var a *progAnalysis
-	if st := artifact.Default(); st != nil {
-		var err error
-		a, err = storedAnalysis(st, prog)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		g, err := cfg.Build(prog)
-		if err != nil {
-			return nil, err
-		}
-		a = &progAnalysis{graph: g, live: liveness.Analyze(g)}
-	}
-	got, _ := analysisCache.LoadOrStore(prog, a)
-	return got.(*progAnalysis), nil
+	return memo(progKey(kindAnalysis, prog),
+		func() (*progAnalysis, error) {
+			g, err := cfg.Build(prog)
+			if err != nil {
+				return nil, err
+			}
+			return &progAnalysis{graph: g, live: liveness.Analyze(g)}, nil
+		},
+		func(a *progAnalysis) []byte {
+			w := artifact.NewWriter()
+			cfg.EncodeGraph(a.graph, w)
+			liveness.EncodeInfo(a.live, w)
+			return w.Data()
+		},
+		func(p []byte) (*progAnalysis, error) {
+			r := artifact.NewReader(p)
+			g, err := cfg.DecodeGraph(prog, r)
+			if err != nil {
+				return nil, err
+			}
+			live, err := liveness.DecodeInfo(g, r)
+			if err != nil {
+				return nil, err
+			}
+			return &progAnalysis{graph: g, live: live}, r.Close()
+		})
 }
-
-var baselineCache sync.Map // *isa.Program -> isa.RegSet
-
-// baselineRegs returns the memoized full allocated register set BASELINE
-// swaps. The set is shared read-only across episodes.
-func baselineRegs(prog *isa.Program) isa.RegSet {
-	if s, ok := baselineCache.Load(prog); ok {
-		return s.(isa.RegSet)
-	}
-	all := make(isa.RegSet)
-	for i := 0; i < prog.AllocatedVRegs(); i++ {
-		all.Add(isa.V(i))
-	}
-	for i := 0; i < prog.AllocatedSRegs(); i++ {
-		all.Add(isa.S(i))
-	}
-	all.Add(isa.Exec)
-	all.Add(isa.VCC)
-	all.Add(isa.SCC)
-	got, _ := baselineCache.LoadOrStore(prog, all)
-	return got.(isa.RegSet)
-}
-
-var csdeferCache sync.Map // *isa.Program -> []int
-
-// csdeferTargets returns the memoized per-PC deferral destinations,
-// consulting the artifact store when one is configured.
-func csdeferTargets(prog *isa.Program, g *cfg.Graph, live *liveness.Info) []int {
-	if t, ok := csdeferCache.Load(prog); ok {
-		return t.([]int)
-	}
-	var target []int
-	if st := artifact.Default(); st != nil {
-		var err error
-		target, err = storedCSDeferTargets(st, prog, g, live)
-		if err != nil {
-			target = nil
-		}
-	}
-	if target == nil {
-		target = computeCSDeferTargets(prog, g, live)
-	}
-	got, _ := csdeferCache.LoadOrStore(prog, target)
-	return got.([]int)
-}
-
-// computeCSDeferTargets is the cold path: each PC's live context size
-// once, then one deferTarget scan per PC.
-func computeCSDeferTargets(prog *isa.Program, g *cfg.Graph, live *liveness.Info) []int {
-	ctxBytes := make([]int, prog.Len())
-	for pc := range ctxBytes {
-		ctxBytes[pc] = live.ContextBytes(pc)
-	}
-	target := make([]int, prog.Len())
-	for pc := range target {
-		target[pc] = deferTarget(prog, g, ctxBytes, pc)
-	}
-	return target
-}
-
-// ckptStatic is the immutable part of a CKPT compilation: checkpoint
-// sites and forced-snapshot PCs. Per-run snapshot state lives on the
-// technique instance, never here.
-type ckptStatic struct {
-	live   *liveness.Info
-	site   map[int]int
-	siteOf map[int]bool
-	forced map[int]bool
-}
-
-type ckptKey struct {
-	prog     *isa.Program
-	interval int
-}
-
-var ckptCache sync.Map // ckptKey -> *ckptStatic

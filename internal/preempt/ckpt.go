@@ -1,8 +1,11 @@
 package preempt
 
 import (
+	"sort"
+
 	"ctxback/internal/artifact"
 	"ctxback/internal/isa"
+	"ctxback/internal/liveness"
 	"ctxback/internal/sim"
 	"ctxback/internal/trace"
 )
@@ -49,97 +52,122 @@ func NewCKPT(prog *isa.Program, interval int) (Technique, error) {
 	}, nil
 }
 
-// ckptStaticFor builds (or returns the memoized) immutable part of a
-// CKPT compilation, consulting the artifact store when one is
-// configured.
-func ckptStaticFor(prog *isa.Program, interval int) (*ckptStatic, error) {
-	key := ckptKey{prog: prog, interval: interval}
-	if st, ok := ckptCache.Load(key); ok {
-		return st.(*ckptStatic), nil
-	}
-	var s *ckptStatic
-	var err error
-	if store := artifact.Default(); store != nil {
-		s, err = storedCkptStatic(store, prog, interval)
-	} else {
-		s, err = computeCkptStatic(prog, interval)
-	}
-	if err != nil {
-		return nil, err
-	}
-	got, _ := ckptCache.LoadOrStore(key, s)
-	return got.(*ckptStatic), nil
+// ckptStatic is the immutable part of a CKPT compilation: checkpoint
+// sites and forced-snapshot PCs. Per-run snapshot state lives on the
+// technique instance, never here.
+type ckptStatic struct {
+	live   *liveness.Info
+	site   map[int]int
+	siteOf map[int]bool
+	forced map[int]bool
 }
 
-// computeCkptStatic is the cold path: checkpoint-site selection over the
-// block structure plus the forced post-hazard snapshot PCs.
-func computeCkptStatic(prog *isa.Program, interval int) (*ckptStatic, error) {
-	a, err := analysisFor(prog)
-	if err != nil {
-		return nil, err
-	}
-	g, live := a.graph, a.live
-	st := &ckptStatic{
-		live:   live,
-		site:   make(map[int]int),
-		siteOf: make(map[int]bool),
-		forced: make(map[int]bool),
-	}
-	for bi := range g.Blocks {
-		b := &g.Blocks[bi]
-		pc, _ := live.MinContextPC(b.Start, b.End)
-		st.site[b.ID] = pc
-		// Blocks that write LDS get no periodic site: a snapshot taken
-		// between a cross-warp LDS write and its consuming barrier could
-		// capture a cut where the producer never replays (the classic
-		// consistent-checkpoint problem). Such blocks rely on checkpoint
-		// 0 and the forced post-barrier snapshots instead.
-		writesLDS := false
-		for i := b.Start; i < b.End; i++ {
-			if prog.At(i).Op == isa.VLStore {
-				writesLDS = true
-				break
+// ckptStaticFor is the immutable part of a CKPT compilation for prog at
+// the given interval: checkpoint-site selection over the block
+// structure plus the forced post-hazard snapshot PCs. The liveness link
+// is not part of the disk form; a load re-attaches prog's analysis.
+func ckptStaticFor(prog *isa.Program, interval int) (*ckptStatic, error) {
+	return memo(progKey(kindCkpt, prog).Int("interval", interval),
+		func() (*ckptStatic, error) {
+			a, err := analysisFor(prog)
+			if err != nil {
+				return nil, err
 			}
-		}
-		if !writesLDS {
-			st.siteOf[pc] = true
-		}
-	}
-	// Replay is only sound over an idempotent region. Atomics and
-	// barriers end one unconditionally; so does any global store that may
-	// alias a global load — a replay crossing such a store re-executes
-	// the load against memory the dropped incarnation already mutated
-	// (the load observes its own future store). That is the same hazard
-	// class SM-flushing refuses outright (flushSound); CKPT cannot
-	// refuse, so it pins a checkpoint right after each hazardous store,
-	// bounding every replay region to re-read only memory its own
-	// execution has not yet touched. LDS is exempt: the share is part of
-	// the snapshot, so replayed LDS loads see checkpoint-time contents.
-	var gloads []*isa.Instruction
-	for pc := 0; pc < prog.Len(); pc++ {
-		in := prog.At(pc)
-		if in.Op == isa.VGLoad || in.Op == isa.SGLoad {
-			gloads = append(gloads, in)
-		}
-	}
-	for pc := 0; pc < prog.Len(); pc++ {
-		in := prog.At(pc)
-		if pc+1 >= prog.Len() {
-			break
-		}
-		switch {
-		case in.Op.Info().Class == isa.ClassAtomic || in.Op == isa.SBarrier:
-			st.forced[pc+1] = true
-		case in.Op == isa.VGStore || in.Op == isa.SGStore:
-			for _, l := range gloads {
-				if isa.MayAlias(l, in) {
-					st.forced[pc+1] = true
-					break
+			g, live := a.graph, a.live
+			st := &ckptStatic{
+				live:   live,
+				site:   make(map[int]int),
+				siteOf: make(map[int]bool),
+				forced: make(map[int]bool),
+			}
+			for bi := range g.Blocks {
+				b := &g.Blocks[bi]
+				pc, _ := live.MinContextPC(b.Start, b.End)
+				st.site[b.ID] = pc
+				// Blocks that write LDS get no periodic site: a snapshot
+				// taken between a cross-warp LDS write and its consuming
+				// barrier could capture a cut where the producer never
+				// replays (the classic consistent-checkpoint problem).
+				// Such blocks rely on checkpoint 0 and the forced
+				// post-barrier snapshots instead.
+				writesLDS := false
+				for i := b.Start; i < b.End; i++ {
+					if prog.At(i).Op == isa.VLStore {
+						writesLDS = true
+						break
+					}
+				}
+				if !writesLDS {
+					st.siteOf[pc] = true
 				}
 			}
-		}
-	}
-	return st, nil
+			// Replay is only sound over an idempotent region. Atomics
+			// and barriers end one unconditionally; so does any global
+			// store that may alias a global load — a replay crossing
+			// such a store re-executes the load against memory the
+			// dropped incarnation already mutated (the load observes its
+			// own future store). That is the same hazard class
+			// SM-flushing refuses outright (flushSound); CKPT cannot
+			// refuse, so it pins a checkpoint right after each hazardous
+			// store, bounding every replay region to re-read only memory
+			// its own execution has not yet touched. LDS is exempt: the
+			// share is part of the snapshot, so replayed LDS loads see
+			// checkpoint-time contents.
+			var gloads []*isa.Instruction
+			for pc := 0; pc < prog.Len(); pc++ {
+				in := prog.At(pc)
+				if in.Op == isa.VGLoad || in.Op == isa.SGLoad {
+					gloads = append(gloads, in)
+				}
+			}
+			for pc := 0; pc < prog.Len(); pc++ {
+				in := prog.At(pc)
+				if pc+1 >= prog.Len() {
+					break
+				}
+				switch {
+				case in.Op.Info().Class == isa.ClassAtomic || in.Op == isa.SBarrier:
+					st.forced[pc+1] = true
+				case in.Op == isa.VGStore || in.Op == isa.SGStore:
+					for _, l := range gloads {
+						if isa.MayAlias(l, in) {
+							st.forced[pc+1] = true
+							break
+						}
+					}
+				}
+			}
+			return st, nil
+		},
+		func(s *ckptStatic) []byte {
+			w := artifact.NewWriter()
+			ids := sortedKeys(s.site)
+			w.Int(len(ids))
+			for _, id := range ids {
+				w.Int(id)
+				w.Int(s.site[id])
+			}
+			encodeIntSet(w, s.siteOf)
+			encodeIntSet(w, s.forced)
+			return w.Data()
+		},
+		func(p []byte) (*ckptStatic, error) {
+			a, err := analysisFor(prog)
+			if err != nil {
+				return nil, err
+			}
+			r := artifact.NewReader(p)
+			s := &ckptStatic{live: a.live}
+			n := r.Len()
+			s.site = make(map[int]int, n)
+			for i := 0; i < n; i++ {
+				id := r.Int()
+				s.site[id] = r.Int()
+			}
+			s.siteOf = decodeIntSet(r)
+			s.forced = decodeIntSet(r)
+			return s, r.Close()
+		})
 }
 
 func (t *ckptTech) Kind() Kind   { return Ckpt }
@@ -242,3 +270,30 @@ func (t *ckptTech) StaticContextBytes(pc int) int {
 
 // EstPreemptCycles: dropping is nearly free.
 func (t *ckptTech) EstPreemptCycles(pc int) int64 { return estFixedCycles }
+
+// sortedKeys returns m's keys in increasing order.
+func sortedKeys[V any](m map[int]V) []int {
+	out := make([]int, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Ints(out)
+	return out
+}
+
+func encodeIntSet(w *artifact.Writer, set map[int]bool) {
+	keys := sortedKeys(set)
+	w.Int(len(keys))
+	for _, k := range keys {
+		w.Int(k)
+	}
+}
+
+func decodeIntSet(r *artifact.Reader) map[int]bool {
+	n := r.Len()
+	m := make(map[int]bool, n)
+	for i := 0; i < n; i++ {
+		m[r.Int()] = true
+	}
+	return m
+}

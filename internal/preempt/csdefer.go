@@ -1,6 +1,7 @@
 package preempt
 
 import (
+	"ctxback/internal/artifact"
 	"ctxback/internal/cfg"
 	"ctxback/internal/isa"
 	"ctxback/internal/liveness"
@@ -30,7 +31,48 @@ func NewCSDefer(prog *isa.Program) (Technique, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &csdeferTech{prog: prog, live: a.live, target: csdeferTargets(prog, a.graph, a.live)}, nil
+	target, err := csdeferTargets(prog, a)
+	if err != nil {
+		return nil, err
+	}
+	return &csdeferTech{prog: prog, live: a.live, target: target}, nil
+}
+
+// csdeferTargets is the per-PC deferral destination table for prog,
+// whose analysis is a: each PC's live context size once, then one
+// deferTarget scan per PC.
+func csdeferTargets(prog *isa.Program, a *progAnalysis) ([]int, error) {
+	return memo(progKey(kindCSDefer, prog),
+		func() ([]int, error) {
+			ctxBytes := make([]int, prog.Len())
+			for pc := range ctxBytes {
+				ctxBytes[pc] = a.live.ContextBytes(pc)
+			}
+			target := make([]int, prog.Len())
+			for pc := range target {
+				target[pc] = deferTarget(prog, a.graph, ctxBytes, pc)
+			}
+			return target, nil
+		},
+		func(target []int) []byte {
+			w := artifact.NewWriter()
+			w.Int(len(target))
+			for _, t := range target {
+				w.Int(t)
+			}
+			return w.Data()
+		},
+		func(p []byte) ([]int, error) {
+			r := artifact.NewReader(p)
+			if r.Len() != prog.Len() {
+				return nil, artifact.ErrCorrupt
+			}
+			target := make([]int, prog.Len())
+			for i := range target {
+				target[i] = r.Int()
+			}
+			return target, r.Close()
+		})
 }
 
 // deferTarget scans the straight-line window from pc for the first

@@ -44,11 +44,11 @@ func TestCSDeferTargetsMatchScan(t *testing.T) {
 		progs = append(progs, gen.Generate(seed).Prog)
 	}
 	for _, prog := range progs {
-		a, err := analysisFor(prog)
+		a := mustAnalysis(t, prog)
+		got, err := csdeferTargets(prog, a)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := computeCSDeferTargets(prog, a.graph, a.live)
 		for pc := range got {
 			if want := deferTargetScan(prog, a.graph, a.live, pc); got[pc] != want {
 				t.Fatalf("%s pc %d: target %d, reference scan %d", prog.Name, pc, got[pc], want)

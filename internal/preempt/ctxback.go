@@ -1,8 +1,6 @@
 package preempt
 
 import (
-	"sync"
-
 	"ctxback/internal/artifact"
 	"ctxback/internal/core"
 	"ctxback/internal/isa"
@@ -23,58 +21,29 @@ func NewCTXBack(prog *isa.Program) (Technique, error) {
 	return NewCTXBackFeatures(prog, core.FeatAll)
 }
 
-// compileCache memoizes the (deterministic) pass output, keyed by the
-// program's canonical binary encoding, so rebuilding the same kernel —
-// even as a fresh Program value — never recompiles. The cached Compiled
-// is only shared read-only state (plans and routines); its Prog/Graph
-// fields refer to the first-seen equivalent program, which is fine
-// because plan PCs are positional.
-var compileCache sync.Map // compileKey -> *core.Compiled
-
-type compileKey struct {
-	encoded string
-	feats   core.Feature
-}
-
-// ptrCompileCache is a fast path in front of compileCache: the harness
-// constructs a technique per episode against the same shared Program
-// value, and pointer identity skips re-encoding the program on every
-// construction.
-var ptrCompileCache sync.Map // ptrCompileKey -> *core.Compiled
-
-type ptrCompileKey struct {
-	prog  *isa.Program
-	feats core.Feature
-}
-
 // NewCTXBackFeatures compiles CTXBack with a feature subset (ablations).
-// Lookup order: per-pointer cache, per-content cache, artifact store
-// (when configured — a warm store replaces the ~seconds compile with a
-// millisecond plan load), then the cold core.Compile.
+// The pass output is memoized per (program, features): a warm disk store
+// replaces the ~seconds compile with a millisecond plan load, relinked
+// against prog's memoized analysis. The Compiled's Prog and Graph may
+// belong to the first content-equal program seen, which is fine because
+// plan PCs are positional.
 func NewCTXBackFeatures(prog *isa.Program, feats core.Feature) (Technique, error) {
-	pkey := ptrCompileKey{prog: prog, feats: feats}
-	if c, ok := ptrCompileCache.Load(pkey); ok {
-		return &ctxbackTech{prog: prog, compiled: c.(*core.Compiled)}, nil
-	}
-	enc := encodedProgram(prog)
-	key := compileKey{encoded: string(enc), feats: feats}
-	if c, ok := compileCache.Load(key); ok {
-		ptrCompileCache.LoadOrStore(pkey, c)
-		return &ctxbackTech{prog: prog, compiled: c.(*core.Compiled)}, nil
-	}
-	var c *core.Compiled
-	var err error
-	if st := artifact.Default(); st != nil {
-		c, err = storedCompiled(st, prog, feats, enc)
-	} else {
-		c, err = core.Compile(prog, feats)
-	}
+	c, err := memo(progKey(kindCompiled, prog).
+		Int("feats", int(feats)).
+		Int("maxwindow", core.DefaultMaxWindow),
+		func() (*core.Compiled, error) { return core.Compile(prog, feats) },
+		core.EncodeCompiled,
+		func(p []byte) (*core.Compiled, error) {
+			a, err := analysisFor(prog)
+			if err != nil {
+				return nil, err
+			}
+			return core.DecodeCompiled(prog, a.graph, a.live, p)
+		})
 	if err != nil {
 		return nil, err
 	}
-	got, _ := compileCache.LoadOrStore(key, c)
-	ptrCompileCache.LoadOrStore(pkey, got)
-	return &ctxbackTech{prog: prog, compiled: got.(*core.Compiled)}, nil
+	return &ctxbackTech{prog: prog, compiled: c}, nil
 }
 
 // Compiled exposes the underlying pass output (selection details,
@@ -147,12 +116,9 @@ type combinedTech struct {
 	useCTX []bool
 }
 
-// combinedCache memoizes the per-PC CTXBack-vs-CS-Defer choice: the
-// estimates are pure functions of the program, so the selection table is
+// NewCombined compiles CTXBack+CS-Defer. The per-PC choice is a pure
+// function of the program, so the selection table is memoized and
 // shared read-only across episodes.
-var combinedCache sync.Map // *isa.Program -> []bool
-
-// NewCombined compiles CTXBack+CS-Defer.
 func NewCombined(prog *isa.Program) (Technique, error) {
 	ctx, err := NewCTXBack(prog)
 	if err != nil {
@@ -162,18 +128,34 @@ func NewCombined(prog *isa.Program) (Technique, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &combinedTech{prog: prog, ctx: ctx, csd: csd}
-	if cached, ok := combinedCache.Load(prog); ok {
-		t.useCTX = cached.([]bool)
-		return t, nil
+	useCTX, err := memo(progKey(kindCombined, prog),
+		func() ([]bool, error) {
+			useCTX := make([]bool, prog.Len())
+			for pc := range useCTX {
+				useCTX[pc] = ctx.EstPreemptCycles(pc) <= csd.EstPreemptCycles(pc)
+			}
+			return useCTX, nil
+		},
+		func(useCTX []bool) []byte {
+			w := artifact.NewWriter()
+			w.Int(len(useCTX))
+			for _, b := range useCTX {
+				w.Bool(b)
+			}
+			return w.Data()
+		},
+		func(p []byte) ([]bool, error) {
+			r := artifact.NewReader(p)
+			useCTX := make([]bool, r.Len())
+			for pc := range useCTX {
+				useCTX[pc] = r.Bool()
+			}
+			return useCTX, r.Close()
+		})
+	if err != nil {
+		return nil, err
 	}
-	useCTX := make([]bool, prog.Len())
-	for pc := 0; pc < prog.Len(); pc++ {
-		useCTX[pc] = ctx.EstPreemptCycles(pc) <= csd.EstPreemptCycles(pc)
-	}
-	got, _ := combinedCache.LoadOrStore(prog, useCTX)
-	t.useCTX = got.([]bool)
-	return t, nil
+	return &combinedTech{prog: prog, ctx: ctx, csd: csd, useCTX: useCTX}, nil
 }
 
 func (t *combinedTech) Kind() Kind   { return Combined }

@@ -2,11 +2,11 @@ package preempt
 
 import (
 	"fmt"
-	"sync"
 
 	"ctxback/internal/artifact"
 	"ctxback/internal/cfg"
 	"ctxback/internal/isa"
+	"ctxback/internal/liveness"
 	"ctxback/internal/sim"
 	"ctxback/internal/trace"
 )
@@ -69,63 +69,53 @@ type flushStatic struct {
 	entryRegs isa.RegSet
 }
 
-var flushCache sync.Map // *isa.Program -> *flushStatic
-
-// flushStaticFor memoizes the flush static analysis per program,
-// consulting the artifact store when one is configured. Before this
-// cache every flush (and chimera) construction re-ran CFG construction
-// and the soundness scan.
+// flushStaticFor is prog's flush static analysis: the soundness verdict
+// and the entry register set, shared by SM-flushing and Chimera.
 func flushStaticFor(prog *isa.Program) (*flushStatic, error) {
-	if s, ok := flushCache.Load(prog); ok {
-		return s.(*flushStatic), nil
-	}
-	if err := prog.Validate(); err != nil {
-		return nil, err
-	}
-	var s *flushStatic
-	var err error
-	if store := artifact.Default(); store != nil {
-		s, err = storedFlushStatic(store, prog)
-	} else {
-		s, err = computeFlushStatic(prog)
-	}
-	if err != nil {
-		return nil, err
-	}
-	got, _ := flushCache.LoadOrStore(prog, s)
-	return got.(*flushStatic), nil
-}
-
-func computeFlushStatic(prog *isa.Program) (*flushStatic, error) {
-	if err := prog.Validate(); err != nil {
-		return nil, err
-	}
-	g, err := cfg.Build(prog)
-	if err != nil {
-		return nil, err
-	}
-	flushable := flushSound(prog)
-	// The entry context is every register a warp needs at pc 0: its
-	// kernel arguments. Conservatively snapshot all scalar registers
-	// plus EXEC (vector registers start zeroed by the launch contract
-	// and are re-zeroed explicitly on resume). The launch contract also
-	// zeroes VCC and SCC; a restart must reproduce that whenever the
-	// kernel can observe it — i.e. some path from the first instruction
-	// reads the flag before writing it — rather than leave whatever the
-	// resume poison put there.
-	regs := make(isa.RegSet)
-	for i := 0; i < prog.NumSRegs; i++ {
-		regs.Add(isa.S(i))
-	}
-	regs.Add(isa.Exec)
-	vccObs, sccObs := launchFlagsObservable(g)
-	if vccObs {
-		regs.Add(isa.VCC)
-	}
-	if sccObs {
-		regs.Add(isa.SCC)
-	}
-	return &flushStatic{flushable: flushable, entryRegs: regs}, nil
+	return memo(progKey(kindFlush, prog),
+		func() (*flushStatic, error) {
+			if err := prog.Validate(); err != nil {
+				return nil, err
+			}
+			g, err := cfg.Build(prog)
+			if err != nil {
+				return nil, err
+			}
+			flushable := flushSound(prog)
+			// The entry context is every register a warp needs at pc 0:
+			// its kernel arguments. Conservatively snapshot all scalar
+			// registers plus EXEC (vector registers start zeroed by the
+			// launch contract and are re-zeroed explicitly on resume).
+			// The launch contract also zeroes VCC and SCC; a restart
+			// must reproduce that whenever the kernel can observe it —
+			// i.e. some path from the first instruction reads the flag
+			// before writing it — rather than leave whatever the resume
+			// poison put there.
+			regs := make(isa.RegSet)
+			for i := 0; i < prog.NumSRegs; i++ {
+				regs.Add(isa.S(i))
+			}
+			regs.Add(isa.Exec)
+			vccObs, sccObs := launchFlagsObservable(g)
+			if vccObs {
+				regs.Add(isa.VCC)
+			}
+			if sccObs {
+				regs.Add(isa.SCC)
+			}
+			return &flushStatic{flushable: flushable, entryRegs: regs}, nil
+		},
+		func(s *flushStatic) []byte {
+			w := artifact.NewWriter()
+			w.Bool(s.flushable)
+			liveness.EncodeRegSet(s.entryRegs, w)
+			return w.Data()
+		},
+		func(p []byte) (*flushStatic, error) {
+			r := artifact.NewReader(p)
+			s := &flushStatic{flushable: r.Bool(), entryRegs: liveness.DecodeRegSet(r)}
+			return s, r.Close()
+		})
 }
 
 func (t *flushTech) Kind() Kind   { return SMFlush }

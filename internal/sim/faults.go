@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"ctxback/internal/artifact"
 	"ctxback/internal/faults"
 )
 
@@ -133,43 +134,29 @@ func (w *Warp) snapshotArch() *ArchSnapshot {
 }
 
 // Checksum folds every slot of the context buffer — registers, LDS
-// share, and progress words — in deterministic (sorted-key) order with
-// an FNV-1a fold. Computed at save time and verified at resume to
-// detect corruption of the swapped-out context.
+// share, and progress words — in deterministic (sorted-key) order, one
+// 8-byte little-endian word at a time, into the repository's FNV-1a
+// checksum. Computed at save time and verified at resume to detect
+// corruption of the swapped-out context.
 func (c *SavedContext) Checksum() uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	word := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h = (h ^ (v & 0xff)) * prime
-			v >>= 8
-		}
-	}
+	h := artifact.NewChecksum()
 	for _, k := range sortedVKeys(c.VSlots) {
-		word(uint64(uint32(k)) | 1<<40)
+		h = h.Word(uint64(uint32(k)) | 1<<40)
 		for _, v := range c.VSlots[k] {
-			word(uint64(v))
+			h = h.Word(uint64(v))
 		}
 	}
 	for _, k := range sortedUKeys(c.SSlots) {
-		word(uint64(uint32(k)) | 2<<40)
-		word(c.SSlots[k])
+		h = h.Word(uint64(uint32(k)) | 2<<40).Word(c.SSlots[k])
 	}
 	for _, k := range sortedUKeys(c.Specs) {
-		word(uint64(uint32(k)) | 3<<40)
-		word(c.Specs[k])
+		h = h.Word(uint64(uint32(k)) | 3<<40).Word(c.Specs[k])
 	}
-	word(uint64(len(c.LDS)) | 4<<40)
+	h = h.Word(uint64(len(c.LDS)) | 4<<40)
 	for _, v := range c.LDS {
-		word(uint64(v))
+		h = h.Word(uint64(v))
 	}
-	word(uint64(c.PC))
-	word(uint64(c.DynCount))
-	word(uint64(c.Barriers))
-	return h
+	return uint64(h.Word(uint64(c.PC)).Word(uint64(c.DynCount)).Word(uint64(c.Barriers)))
 }
 
 func sortedVKeys(m map[int32][]uint32) []int32 {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 
 	"ctxback/internal/faults"
@@ -69,6 +70,90 @@ func TestChecksumDeterministicAndSensitive(t *testing.T) {
 	ctx.LDS[0] ^= 1 << 31
 	if ctx.Checksum() == base {
 		t.Error("LDS bit flip not reflected in checksum")
+	}
+}
+
+// referenceChecksum is SavedContext.Checksum's original byte-at-a-time
+// FNV-1a fold, kept as the oracle for the shared artifact.Checksum word
+// fold: PreemptRecord.SavedChecksum lands in snapshot images, so every
+// value must stay identical.
+func referenceChecksum(c *SavedContext) uint64 {
+	const (
+		offset = 14695981039346656037
+		prime  = 1099511628211
+	)
+	h := uint64(offset)
+	word := func(v uint64) {
+		for i := 0; i < 8; i++ {
+			h = (h ^ (v & 0xff)) * prime
+			v >>= 8
+		}
+	}
+	for _, k := range sortedVKeys(c.VSlots) {
+		word(uint64(uint32(k)) | 1<<40)
+		for _, v := range c.VSlots[k] {
+			word(uint64(v))
+		}
+	}
+	for _, k := range sortedUKeys(c.SSlots) {
+		word(uint64(uint32(k)) | 2<<40)
+		word(c.SSlots[k])
+	}
+	for _, k := range sortedUKeys(c.Specs) {
+		word(uint64(uint32(k)) | 3<<40)
+		word(c.Specs[k])
+	}
+	word(uint64(len(c.LDS)) | 4<<40)
+	for _, v := range c.LDS {
+		word(uint64(v))
+	}
+	word(uint64(c.PC))
+	word(uint64(c.DynCount))
+	word(uint64(c.Barriers))
+	return h
+}
+
+// TestChecksumMatchesReference compares Checksum with the byte-fold
+// oracle over random contexts: empty ones, zero and non-zero slots
+// (zero words take the fold's one-multiply path), LDS shares, and
+// PC/progress words of every magnitude.
+func TestChecksumMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	val := func() uint64 {
+		switch rng.Intn(4) {
+		case 0:
+			return 0
+		case 1:
+			return uint64(rng.Intn(256))
+		default:
+			return rng.Uint64()
+		}
+	}
+	for i := 0; i < 500; i++ {
+		c := NewSavedContext()
+		for n := rng.Intn(5); n > 0; n-- {
+			lanes := make([]uint32, rng.Intn(3)*32)
+			for l := range lanes {
+				lanes[l] = uint32(val())
+			}
+			c.VSlots[int32(rng.Intn(64))-8] = lanes
+		}
+		for n := rng.Intn(5); n > 0; n-- {
+			c.SSlots[int32(rng.Intn(32))] = val()
+		}
+		for n := rng.Intn(3); n > 0; n-- {
+			c.Specs[int32(rng.Intn(3))] = val()
+		}
+		c.LDS = make([]uint32, rng.Intn(40))
+		for l := range c.LDS {
+			c.LDS[l] = uint32(val())
+		}
+		c.PC = int(val() >> 40)
+		c.DynCount = int64(val())
+		c.Barriers = int(val() >> 48)
+		if got, want := c.Checksum(), referenceChecksum(c); got != want {
+			t.Fatalf("context %d: Checksum %#x, reference fold %#x", i, got, want)
+		}
 	}
 }
 
