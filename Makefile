@@ -10,13 +10,14 @@ build:
 test:
 	$(GO) test ./...
 
-# check is the PR gate: vet everything, run the packages that carry
-# concurrency (the parallel harness, the simulator it drives, and the
-# metrics registry they share) under the race detector, race the
-# technique memo that concurrent episodes share (its tests only: the
-# whole preempt suite takes minutes under -race), then smoke the
-# tracing pipeline end to end.
+# check is the PR gate: require gofmt-clean sources, vet everything, run
+# the packages that carry concurrency (the parallel harness, the
+# simulator it drives, and the metrics registry they share) under the
+# race detector, race the technique memo that concurrent episodes share
+# (its tests only: the whole preempt suite takes minutes under -race),
+# then smoke the tracing pipeline end to end.
 check:
+	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) test -race ./internal/artifact/ ./internal/harness/ ./internal/sched/ ./internal/sim/ ./internal/snapshot/ ./internal/trace/ ./internal/gen/...
 	$(GO) test -race -run '^TestMemo' ./internal/preempt/

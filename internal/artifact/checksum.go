@@ -98,6 +98,19 @@ func (h Checksum) block(x0, x1, x2, x3, x4, x5, x6, x7 uint64) Checksum {
 	return h.Word(x0).Word(x1).Word(x2).Word(x3).Word(x4).Word(x5).Word(x6).Word(x7)
 }
 
+// Zeros returns h extended by n zero bytes: h times p^n, with p^n
+// computed by square-and-multiply, so a run of any length costs
+// O(log n) multiplies.
+func (h Checksum) Zeros(n int) Checksum {
+	for p := Checksum(fnvPrime); n > 0; n >>= 1 {
+		if n&1 != 0 {
+			h *= p
+		}
+		p *= p
+	}
+	return h
+}
+
 // Word returns h extended by the eight little-endian bytes of x.
 func (h Checksum) Word(x uint64) Checksum {
 	if x == 0 {

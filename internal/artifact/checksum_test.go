@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -17,12 +18,18 @@ func fnvOracle(b []byte) uint64 {
 }
 
 // checkChecksum compares every form of Checksum with hash/fnv on b: the
-// byte form, and, on b's whole little-endian words, the word form and
-// PutWords, whose output must also equal those bytes.
+// byte form, Zeros after it for two run lengths derived from b, and, on
+// b's whole little-endian words, the word form and PutWords, whose output
+// must also equal those bytes.
 func checkChecksum(b []byte) error {
 	want := fnvOracle(b)
 	if got := uint64(NewChecksum().Bytes(b)); got != want {
 		return fmt.Errorf("Bytes = %016x, hash/fnv = %016x", got, want)
+	}
+	for _, n := range []int{len(b), len(b) * 37 % 4099} {
+		if err := checkZeros(b, n); err != nil {
+			return err
+		}
 	}
 	whole := b[:len(b)&^3]
 	words := make([]uint32, len(whole)/4)
@@ -45,6 +52,16 @@ func checkChecksum(b []byte) error {
 		if got := uint64(NewChecksum().Bytes(whole[:4]).Words(words[1:])); got != want {
 			return fmt.Errorf("Bytes then Words = %016x, hash/fnv = %016x", got, want)
 		}
+	}
+	return nil
+}
+
+// checkZeros compares Bytes(b).Zeros(n) with hash/fnv over b followed by
+// n zero bytes.
+func checkZeros(b []byte, n int) error {
+	want := fnvOracle(append(slices.Clip(b), make([]byte, n)...))
+	if got := uint64(NewChecksum().Bytes(b).Zeros(n)); got != want {
+		return fmt.Errorf("Zeros(%d) after %d bytes = %016x, hash/fnv = %016x", n, len(b), got, want)
 	}
 	return nil
 }
@@ -111,6 +128,20 @@ func TestChecksumMatchesFNV(t *testing.T) {
 					t.Fatalf("byte %d = %#x hashes like the zero block", i, v)
 				}
 				b[i] = 0
+			}
+		}
+	})
+
+	t.Run("zeros", func(t *testing.T) {
+		prefix := mixed(rng, 100)
+		for n := 0; n <= 1000; n++ {
+			if err := checkZeros(prefix[:n%101], n); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, n := range []int{64 << 10, 1<<20 + 3, 16 << 20} {
+			if err := checkZeros(prefix, n); err != nil {
+				t.Fatal(err)
 			}
 		}
 	})

@@ -182,10 +182,8 @@ func TestChaosForcedFallbackEndToEnd(t *testing.T) {
 	if err := wl3.Verify(fb); err != nil {
 		t.Fatalf("fallback output failed CPU verification: %v", err)
 	}
-	for i := range golden.Mem {
-		if golden.Mem[i] != fb.Mem[i] {
-			t.Fatalf("fallback mem[%d] = %d, golden %d", i, fb.Mem[i], golden.Mem[i])
-		}
+	if i := golden.Mem.Diff(fb.Mem); i >= 0 {
+		t.Fatalf("fallback mem[%d] = %d, golden %d", i, fb.Mem.Load(i), golden.Mem.Load(i))
 	}
 }
 

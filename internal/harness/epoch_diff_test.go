@@ -157,10 +157,8 @@ func diffShardedEpisode(t *testing.T, cfg sim.Config, abbrev string, kind preemp
 	checkAligned(t, "completion", ser, shr)
 
 	// Final state: identical memory image and verified output.
-	for i := range ser.d.Mem {
-		if ser.d.Mem[i] != shr.d.Mem[i] {
-			t.Fatalf("device memory diverged at word %d: serial=%#x sharded=%#x", i, ser.d.Mem[i], shr.d.Mem[i])
-		}
+	if i := ser.d.Mem.Diff(shr.d.Mem); i >= 0 {
+		t.Fatalf("device memory diverged at word %d: serial=%#x sharded=%#x", i, ser.d.Mem.Load(i), shr.d.Mem.Load(i))
 	}
 	if err := ser.wl.Verify(ser.d); err != nil {
 		t.Fatalf("serial output failed verification: %v", err)

@@ -186,10 +186,8 @@ func diffEpisode(t *testing.T, cfg sim.Config, abbrev string, kind preempt.Kind,
 	if q.d.Stats != s.d.Stats {
 		t.Fatalf("final device stats diverged:\n  queue: %+v\n  scan:  %+v", q.d.Stats, s.d.Stats)
 	}
-	for i := range q.d.Mem {
-		if q.d.Mem[i] != s.d.Mem[i] {
-			t.Fatalf("device memory diverged at word %d: queue=%#x scan=%#x", i, q.d.Mem[i], s.d.Mem[i])
-		}
+	if i := q.d.Mem.Diff(s.d.Mem); i >= 0 {
+		t.Fatalf("device memory diverged at word %d: queue=%#x scan=%#x", i, q.d.Mem.Load(i), s.d.Mem.Load(i))
 	}
 	if err := q.wl.Verify(q.d); err != nil {
 		t.Fatalf("queue-scheduled output failed verification: %v", err)

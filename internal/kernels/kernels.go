@@ -160,23 +160,24 @@ func randInts(rng *rand.Rand, n, bound int) []uint32 {
 	return out
 }
 
-// checkWords compares a device region against expectation, reporting the
-// first few mismatches.
+// checkWords compares a device region against expectation in place,
+// reporting the first mismatch and how many words differ.
 func checkWords(d *sim.Device, addr int, want []uint32, what string) error {
-	got, err := d.ReadWords(addr, len(want))
-	if err != nil {
-		return err
+	if addr%4 != 0 || addr < 0 || addr/4+len(want) > d.Mem.Words() {
+		return fmt.Errorf("%s: %d words at %#x lie outside device memory", what, len(want), addr)
 	}
 	bad := 0
 	var first error
-	for i := range want {
-		if got[i] != want[i] {
-			if first == nil {
-				first = fmt.Errorf("%s: word %d = %#x, want %#x", what, i, got[i], want[i])
+	d.Mem.Runs(addr/4, len(want), func(off int, run []uint32, _ bool) {
+		for i, got := range run {
+			if got != want[off+i] {
+				if first == nil {
+					first = fmt.Errorf("%s: word %d = %#x, want %#x", what, off+i, got, want[off+i])
+				}
+				bad++
 			}
-			bad++
 		}
-	}
+	})
 	if bad > 0 {
 		return fmt.Errorf("%d/%d mismatches; first: %w", bad, len(want), first)
 	}

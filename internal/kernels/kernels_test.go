@@ -160,9 +160,7 @@ func TestWorkloadDeterminism(t *testing.T) {
 	}
 	d1 := runWorkload(t, wl1)
 	d2 := runWorkload(t, wl2)
-	for i := range d1.Mem {
-		if d1.Mem[i] != d2.Mem[i] {
-			t.Fatalf("nondeterminism at word %d", i)
-		}
+	if i := d1.Mem.Diff(d2.Mem); i >= 0 {
+		t.Fatalf("nondeterminism at word %d", i)
 	}
 }

@@ -29,11 +29,8 @@ func TestFlushAndChimeraGoldenEquivalence(t *testing.T) {
 						t.Errorf("%v@%.0f%%: %v", kind, f*100, err)
 						continue
 					}
-					for i := range golden.Mem {
-						if golden.Mem[i] != d.Mem[i] {
-							t.Errorf("%v@%.0f%%: mem[%d] differs", kind, f*100, i)
-							break
-						}
+					if i := golden.Mem.Diff(d.Mem); i >= 0 {
+						t.Errorf("%v@%.0f%%: mem[%d] differs", kind, f*100, i)
 					}
 				}
 			}

@@ -105,11 +105,9 @@ func TestFuzzDynamicGoldenEquivalence(t *testing.T) {
 			if err := d.Run(100_000_000); err != nil {
 				t.Fatalf("iter %d %v: %v\n%s", it, kind, err, prog.Disassemble())
 			}
-			for i := range golden.Mem {
-				if golden.Mem[i] != d.Mem[i] {
-					t.Fatalf("iter %d %v: mem[%d] = %#x, golden %#x\n%s",
-						it, kind, i, d.Mem[i], golden.Mem[i], prog.Disassemble())
-				}
+			if i := golden.Mem.Diff(d.Mem); i >= 0 {
+				t.Fatalf("iter %d %v: mem[%d] = %#x, golden %#x\n%s",
+					it, kind, i, d.Mem.Load(i), golden.Mem.Load(i), prog.Disassemble())
 			}
 		}
 	}
@@ -195,11 +193,9 @@ func FuzzFaultRecovery(f *testing.F) {
 		signal := int64(sigFrac * float64(golden.Now()))
 		checkGolden := func(d *sim.Device, what string) {
 			t.Helper()
-			for i := range golden.Mem {
-				if golden.Mem[i] != d.Mem[i] {
-					t.Fatalf("%s: mem[%d] = %#x, golden %#x (seed %d rate %.3f)\n%s",
-						what, i, d.Mem[i], golden.Mem[i], seed, rate, prog.Disassemble())
-				}
+			if i := golden.Mem.Diff(d.Mem); i >= 0 {
+				t.Fatalf("%s: mem[%d] = %#x, golden %#x (seed %d rate %.3f)\n%s",
+					what, i, d.Mem.Load(i), golden.Mem.Load(i), seed, rate, prog.Disassemble())
 			}
 		}
 

@@ -97,11 +97,8 @@ func TestGoldenEquivalenceAllKernelsAllTechniques(t *testing.T) {
 						t.Errorf("%s: output wrong: %v", name, err)
 						continue
 					}
-					for i := range golden.Mem {
-						if golden.Mem[i] != d.Mem[i] {
-							t.Errorf("%s: mem[%d] = %#x, golden %#x", name, i, d.Mem[i], golden.Mem[i])
-							break
-						}
+					if i := golden.Mem.Diff(d.Mem); i >= 0 {
+						t.Errorf("%s: mem[%d] = %#x, golden %#x", name, i, d.Mem.Load(i), golden.Mem.Load(i))
 					}
 					if ep != nil && ep.PreemptLatencyCycles() < 0 {
 						t.Errorf("%s: negative preemption latency", name)

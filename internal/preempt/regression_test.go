@@ -70,11 +70,9 @@ func preemptEveryCycle(t *testing.T, prog *isa.Program, kind Kind, blocks, wpb i
 		if err := d.Run(maxCycles); err != nil {
 			t.Fatalf("signal %d %v completion: %v", signal, kind, err)
 		}
-		for i := range golden.Mem {
-			if d.Mem[i] != golden.Mem[i] {
-				t.Fatalf("signal %d %v: mem[%#x] = %#x, golden %#x",
-					signal, kind, i*4, d.Mem[i], golden.Mem[i])
-			}
+		if i := d.Mem.Diff(golden.Mem); i >= 0 {
+			t.Fatalf("signal %d %v: mem[%#x] = %#x, golden %#x",
+				signal, kind, i*4, d.Mem.Load(i), golden.Mem.Load(i))
 		}
 	}
 }

@@ -62,10 +62,19 @@ func (k *DeviceKill) validate(devices int) error {
 	return nil
 }
 
-// slabDigest hashes a slab's words as little-endian bytes with the
-// containers' checksum (64-bit FNV-1a).
-func slabDigest(words []uint32) uint64 {
-	return uint64(artifact.NewChecksum().Words(words))
+// slabDigest hashes the n words of mem from word at as little-endian
+// bytes with the containers' checksum (64-bit FNV-1a); a page with no
+// storage of its own folds in as zeros without being read.
+func slabDigest(mem *sim.Memory, at, n int) uint64 {
+	h := artifact.NewChecksum()
+	mem.Runs(at, n, func(_ int, run []uint32, owned bool) {
+		if owned {
+			h = h.Words(run)
+		} else {
+			h = h.Zeros(4 * len(run))
+		}
+	})
+	return uint64(h)
 }
 
 // jobDigest is one delivered job's state-witness entry.

@@ -125,7 +125,7 @@ func TestFleetUndisturbedMatchesSingle(t *testing.T) {
 	for i, rj := range s.jobs { // (arrival, ID) order; job i owns slab i
 		lo := (slabBase + i*sc.SlabBytes) / 4
 		fmt.Fprintf(&want, "job %3d %-6s slab %016x\n", rj.job.ID, rj.job.Kernel,
-			slabDigest(s.d.Mem[lo:lo+sc.SlabBytes/4]))
+			slabDigest(s.d.Mem, lo, sc.SlabBytes/4))
 	}
 	if a.StateHash != want.String() {
 		t.Fatalf("fleet witness differs from the single-device run:\n--- fleet\n%s--- single\n%s",

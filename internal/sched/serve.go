@@ -236,7 +236,8 @@ func (sv *server) log(cycle int64, what string, tenant, device int, detail strin
 // hookDevice wires a device's completion observer: copy the outcome
 // host-side, verify while the slab is still intact, release the slab.
 // With the state witness on, the slab is hashed and then cleared, so the
-// next job on it starts from zeroed memory. Runs inside the device's
+// next job on it starts from zeroed memory; the pages it covers whole
+// give up their storage. Runs inside the device's
 // window advance — it must touch only this device's state.
 func (sv *server) hookDevice(dev *serveDevice) {
 	verify := sv.cfg.Sched.Verify
@@ -250,9 +251,8 @@ func (sv *server) hookDevice(dev *serveDevice) {
 		}
 		if witness {
 			lo := (slabBase + dev.slabOf[rj.job.ID]*slabBytes) / 4
-			slab := dev.s.d.Mem[lo : lo+slabBytes/4]
-			rj.digest = slabDigest(slab)
-			clear(slab)
+			rj.digest = slabDigest(dev.s.d.Mem, lo, slabBytes/4)
+			dev.s.d.Mem.Clear(lo, slabBytes/4)
 		}
 		dev.freeSlab(rj.job.ID)
 		dev.incomplete[rj.job.Tenant]--

@@ -228,9 +228,11 @@ func BenchmarkVALU(b *testing.B) {
 
 // BenchmarkVectorGlobal measures one vector global-memory instruction
 // (load, store, atomic add) over 64 consecutive words, under full and
-// partial EXEC.
+// partial EXEC: inside one page, and across a page boundary (lanes 0-31
+// in one page, 32-63 in the next).
 func BenchmarkVectorGlobal(b *testing.B) {
 	v := func(i int) isa.Operand { return isa.R(isa.V(i)) }
+	const cross = PageBytes - 4096 - 128 // offset from benchWarp's v3
 	for _, c := range []struct {
 		name string
 		in   isa.Instruction
@@ -238,7 +240,30 @@ func BenchmarkVectorGlobal(b *testing.B) {
 		{"v_gload", isa.Instruction{Op: isa.VGLoad, Dst: isa.V(0), Srcs: [isa.MaxSrcs]isa.Operand{v(3)}, Imm0: 64}},
 		{"v_gstore", isa.Instruction{Op: isa.VGStore, Srcs: [isa.MaxSrcs]isa.Operand{v(3), v(1)}, Imm0: 64}},
 		{"v_gatomic_add", isa.Instruction{Op: isa.VGAtomicAdd, Srcs: [isa.MaxSrcs]isa.Operand{v(3), v(1)}, Imm0: 64}},
+		{"page-cross/v_gload", isa.Instruction{Op: isa.VGLoad, Dst: isa.V(0), Srcs: [isa.MaxSrcs]isa.Operand{v(3)}, Imm0: cross}},
+		{"page-cross/v_gstore", isa.Instruction{Op: isa.VGStore, Srcs: [isa.MaxSrcs]isa.Operand{v(3), v(1)}, Imm0: cross}},
+		{"page-cross/v_gatomic_add", isa.Instruction{Op: isa.VGAtomicAdd, Srcs: [isa.MaxSrcs]isa.Operand{v(3), v(1)}, Imm0: cross}},
 	} {
 		runInstrBench(b, c.name, c.in)
+	}
+}
+
+var sinkDevice *Device
+
+// BenchmarkNewDevice measures device construction at the three memory
+// sizes in use: TestConfig's 1 MiB, serve's 64 MiB on TestConfig, and
+// DefaultConfig's 256 MiB.
+func BenchmarkNewDevice(b *testing.B) {
+	serve := TestConfig()
+	serve.GlobalMemBytes = 64 << 20
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{{"1MiB", TestConfig()}, {"64MiB", serve}, {"256MiB", DefaultConfig()}} {
+		b.Run(c.name, func(b *testing.B) {
+			for b.Loop() {
+				sinkDevice = mustNewDevice(c.cfg)
+			}
+		})
 	}
 }

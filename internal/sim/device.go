@@ -33,7 +33,7 @@ type Runtime interface {
 // Device is the simulated GPU.
 type Device struct {
 	Cfg      Config
-	Mem      []uint32
+	Mem      *Memory
 	SMs      []*SM
 	now      int64
 	memFree  int64 // device-memory bus next-free cycle
@@ -100,7 +100,7 @@ func NewDevice(cfg Config) (*Device, error) {
 	}
 	d := &Device{
 		Cfg:    cfg,
-		Mem:    make([]uint32, cfg.GlobalMemBytes/4),
+		Mem:    NewMemory(cfg.GlobalMemBytes / 4),
 		SMs:    make([]*SM, 0, cfg.NumSMs),
 		shards: 1,
 	}
@@ -757,19 +757,25 @@ func (d *Device) Run(maxCycles int64) error {
 
 // WriteWords copies words into device memory at byte address addr.
 func (d *Device) WriteWords(addr int, words []uint32) error {
-	if addr%4 != 0 || addr < 0 || addr/4+len(words) > len(d.Mem) {
+	if !d.wordsInRange(addr, len(words)) {
 		return fmt.Errorf("sim: WriteWords out of range addr=%d len=%d", addr, len(words))
 	}
-	copy(d.Mem[addr/4:], words)
+	d.Mem.Write(addr/4, words)
 	return nil
 }
 
 // ReadWords copies length words from byte address addr.
 func (d *Device) ReadWords(addr, length int) ([]uint32, error) {
-	if addr%4 != 0 || addr < 0 || addr/4+length > len(d.Mem) {
+	if !d.wordsInRange(addr, length) {
 		return nil, fmt.Errorf("sim: ReadWords out of range addr=%d len=%d", addr, length)
 	}
 	out := make([]uint32, length)
-	copy(out, d.Mem[addr/4:])
+	d.Mem.Read(addr/4, out)
 	return out, nil
+}
+
+// wordsInRange reports whether n words from byte address addr are
+// aligned and inside device memory.
+func (d *Device) wordsInRange(addr, n int) bool {
+	return addr%4 == 0 && addr >= 0 && n >= 0 && addr/4+n <= d.Mem.Words()
 }

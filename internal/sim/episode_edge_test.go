@@ -156,7 +156,7 @@ fast:
 		t.Fatal("episode never finished")
 	}
 	for wid := 0; wid < 4; wid++ {
-		if got := d.Mem[wid]; got != 42 {
+		if got := d.Mem.Load(wid); got != 42 {
 			t.Errorf("mem[%d] = %d, want 42", wid, got)
 		}
 	}

@@ -81,10 +81,8 @@ func TestShardedMatchesSerialOccupancy(t *testing.T) {
 		if got != want {
 			t.Errorf("shards=%d observables = %+v, want %+v", shards, got, want)
 		}
-		for i := range wantDev.Mem {
-			if gotDev.Mem[i] != wantDev.Mem[i] {
-				t.Fatalf("shards=%d: Mem[%d] = %#x, want %#x", shards, i, gotDev.Mem[i], wantDev.Mem[i])
-			}
+		if i := gotDev.Mem.Diff(wantDev.Mem); i >= 0 {
+			t.Fatalf("shards=%d: Mem[%d] = %#x, want %#x", shards, i, gotDev.Mem.Load(i), wantDev.Mem.Load(i))
 		}
 	}
 }
@@ -168,10 +166,8 @@ func TestShardedEpisodePhases(t *testing.T) {
 				t.Errorf("signal=%d shards=%d phases = %+v, want %+v",
 					signal, shards, gotPhases, wantPhases)
 			}
-			for i := range wantDev.Mem {
-				if gotDev.Mem[i] != wantDev.Mem[i] {
-					t.Fatalf("signal=%d shards=%d: Mem[%d] differs", signal, shards, i)
-				}
+			if i := gotDev.Mem.Diff(wantDev.Mem); i >= 0 {
+				t.Fatalf("signal=%d shards=%d: Mem[%d] differs", signal, shards, i)
 			}
 		}
 	}

@@ -501,6 +501,13 @@ func (d *Device) execMemory(w *Warp, in *isa.Instruction) (effect, error) {
 // misaligned or out-of-range lane faults after every earlier lane has
 // landed; atomics keep lane order, so lanes that add to one address all
 // accumulate.
+//
+// Lanes mostly stay inside one page, so the loops keep the page pg the
+// last lane touched, the number n of its words in memory (0: none yet)
+// and lo, its first word's byte address less the offset: a lane whose
+// address register holds a is aligned and inside pg exactly when word
+// RotateLeft32(a-lo, -2) is below n (see Memory.lanePage). A lane inside
+// pg thus pays one compare; any other faults or moves pg.
 func (d *Device) execVectorGlobal(w *Warp, in *isa.Instruction) (effect, error) {
 	eff := effect{nextPC: -1}
 	scratch := &w.SM.laneScratch
@@ -508,36 +515,49 @@ func (d *Device) execVectorGlobal(w *Warp, in *isa.Instruction) (effect, error) 
 	off := uint32(in.Imm0)
 	mem := d.Mem
 	exec := w.Exec
+	var (
+		pg    *page
+		lo, n uint32
+	)
 	switch in.Op {
 	case isa.VGLoad:
 		dst := (*laneVec)(w.VRegs[in.Dst.Index])
 		for m := exec; m != 0; m &= m - 1 {
 			l := bits.TrailingZeros64(m)
-			addr := addrs[l] + off
-			if addr%4 != 0 || int(addr>>2) >= len(mem) {
-				return eff, d.globalFault(w, in, addr)
+			i := bits.RotateLeft32(addrs[l]-lo, -2)
+			if i >= n {
+				addr := addrs[l] + off
+				if !d.inMemory(addr) {
+					return eff, d.globalFault(w, in, addr)
+				}
+				pg, lo, n = mem.lanePage(addr, false, 0)
+				lo -= off
+				i = bits.RotateLeft32(addrs[l]-lo, -2)
 			}
-			dst[l] = mem[addr>>2]
+			dst[l] = pg[i&pageMask]
 		}
-	case isa.VGStore:
+	case isa.VGStore, isa.VGAtomicAdd:
 		vals := w.laneSource(in.Srcs[1], &scratch[1])
+		add := in.Op == isa.VGAtomicAdd
 		for m := exec; m != 0; m &= m - 1 {
 			l := bits.TrailingZeros64(m)
-			addr := addrs[l] + off
-			if addr%4 != 0 || int(addr>>2) >= len(mem) {
-				return eff, d.globalFault(w, in, addr)
+			i := bits.RotateLeft32(addrs[l]-lo, -2)
+			if i >= n {
+				addr := addrs[l] + off
+				if !d.inMemory(addr) {
+					return eff, d.globalFault(w, in, addr)
+				}
+				if pg, lo, n = mem.lanePage(addr, true, vals[l]); pg == nil {
+					continue // zero into a page without storage
+				}
+				lo -= off
+				i = bits.RotateLeft32(addrs[l]-lo, -2)
 			}
-			mem[addr>>2] = vals[l]
-		}
-	case isa.VGAtomicAdd:
-		vals := w.laneSource(in.Srcs[1], &scratch[1])
-		for m := exec; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			addr := addrs[l] + off
-			if addr%4 != 0 || int(addr>>2) >= len(mem) {
-				return eff, d.globalFault(w, in, addr)
+			if add {
+				pg[i&pageMask] += vals[l]
+			} else {
+				pg[i&pageMask] = vals[l]
 			}
-			mem[addr>>2] += vals[l]
 		}
 	}
 	eff.memBytes = max(bits.OnesCount64(exec)*4, 32)
@@ -547,24 +567,28 @@ func (d *Device) execVectorGlobal(w *Warp, in *isa.Instruction) (effect, error) 
 	return eff, nil
 }
 
+// inMemory reports whether byte address addr is aligned and inside
+// device memory.
+func (d *Device) inMemory(addr uint32) bool {
+	return addr%4 == 0 && int(addr>>2) < d.Mem.words
+}
+
 func (d *Device) globalFault(w *Warp, in *isa.Instruction, addr uint32) error {
 	return d.fault(w, in, "global address %#x out of range", addr)
 }
 
 func (d *Device) loadGlobal(w *Warp, in *isa.Instruction, addr uint32) (uint32, error) {
-	idx := int(addr) >> 2
-	if addr%4 != 0 || idx < 0 || idx >= len(d.Mem) {
+	if !d.inMemory(addr) {
 		return 0, d.globalFault(w, in, addr)
 	}
-	return d.Mem[idx], nil
+	return d.Mem.Load(int(addr >> 2)), nil
 }
 
 func (d *Device) storeGlobal(w *Warp, in *isa.Instruction, addr uint32, v uint32) error {
-	idx := int(addr) >> 2
-	if addr%4 != 0 || idx < 0 || idx >= len(d.Mem) {
+	if !d.inMemory(addr) {
 		return d.globalFault(w, in, addr)
 	}
-	d.Mem[idx] = v
+	d.Mem.Store(int(addr>>2), v)
 	return nil
 }
 

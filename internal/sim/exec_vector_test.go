@@ -408,20 +408,24 @@ func TestOpMajorVALUMatchesPerLane(t *testing.T) {
 // TestOpMajorVectorGlobalMatchesPerLane differentially checks vector
 // loads, stores and atomic adds against the per-lane reference: address
 // and value sources of every form, partial EXEC, duplicate addresses
-// within one atomic or store, and a misaligned or out-of-range address
-// at the first, a middle and the last active lane. Results, the effect,
-// the error text, memory and every register must match; a fault must
-// leave exactly the earlier lanes landed.
+// within one atomic or store, lanes that straddle a page boundary, loads
+// and atomics on a page with no storage, the final partial page, and a
+// misaligned or out-of-range address at the first, a middle and the last
+// active lane. Results, the effect, the error text, memory, which pages
+// have storage and every register must match; a fault must leave exactly
+// the earlier lanes landed.
 func TestOpMajorVectorGlobalMatchesPerLane(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	const memWords = 64
-	// drawAddrs fills v0 with aligned byte addresses of the first span
-	// words, so lanes collide.
-	drawAddrs := func(w *Warp, span int) {
-		for l := range w.VRegs[0] {
-			w.VRegs[0][l] = uint32(rng.Intn(span)) * 4
-		}
-	}
+	// Three whole pages and a final partial one. Pages 0, 1 and 3 hold
+	// random words around the windows below; page 2 has no storage.
+	const memWords = 3*PageWords + 64
+	// Each trial draws its addresses from one 64-word window: the bottom
+	// of memory, across the page 0|1 boundary, across the boundary into
+	// page 2, inside page 2, and the final partial page up to the end of
+	// memory.
+	const window = 64
+	windows := []int{0, PageWords - window/2, 2*PageWords - window/2, 2*PageWords + 1000, 3 * PageWords}
+	filled := []int{0, PageWords - window/2, 3 * PageWords}
 	badAddrs := []uint32{2, 4*memWords - 3, 4 * memWords, 4*memWords + 4, 0xFFFFFFFC, 0x80000000}
 	active := func(exec uint64) []int {
 		var ls []int
@@ -434,17 +438,23 @@ func TestOpMajorVectorGlobalMatchesPerLane(t *testing.T) {
 	}
 	var faults int
 	for _, op := range []isa.Op{isa.VGLoad, isa.VGStore, isa.VGAtomicAdd} {
-		for trial := 0; trial < 200; trial++ {
+		for trial := 0; trial < 300; trial++ {
 			w := diffWarp(rng)
 			w.Exec = []uint64{^uint64(0), rng.Uint64(), rng.Uint64() & rng.Uint64(), 0}[trial%4]
-			drawAddrs(w, 1+rng.Intn(memWords/2))
-			in := isa.Instruction{Op: op, Imm0: int32(4 * rng.Intn(memWords/2))}
+			// addr draws an aligned byte address among the window's first
+			// span words, less the offset, so lanes collide.
+			lo, span := windows[rng.Intn(len(windows))], 1+rng.Intn(window)
+			in := isa.Instruction{Op: op, Imm0: int32(4 * rng.Intn(window/2))}
+			addr := func() uint32 { return uint32(lo+rng.Intn(span))*4 - uint32(in.Imm0) }
+			for l := range w.VRegs[0] {
+				w.VRegs[0][l] = addr()
+			}
 			switch trial % 5 {
 			case 0: // uniform address: every lane hits one word
 				in.Srcs[0] = isa.R(isa.S(1))
-				w.SRegs[1] = uint64(4 * rng.Intn(memWords/2))
+				w.SRegs[1] = uint64(addr())
 			case 1:
-				in.Srcs[0] = isa.ImmU(uint32(4 * rng.Intn(memWords/2)))
+				in.Srcs[0] = isa.ImmU(addr())
 			default:
 				in.Srcs[0] = isa.R(isa.V(0))
 			}
@@ -454,19 +464,26 @@ func TestOpMajorVectorGlobalMatchesPerLane(t *testing.T) {
 				in.Srcs[1] = drawOperand(rng, operandKinds[rng.Intn(len(operandKinds))])
 			}
 			// One in three trials plants a bad address at the first, a
-			// middle or the last active lane.
+			// middle or the last active lane: one of badAddrs, or a
+			// misaligned one inside the window's page.
 			if lanes := active(w.Exec); trial%3 == 0 && len(lanes) > 0 && in.Srcs[0].Reg.IsVector() {
 				at := []int{lanes[0], lanes[len(lanes)/2], lanes[len(lanes)-1]}[trial/3%3]
-				w.VRegs[0][at] = badAddrs[rng.Intn(len(badAddrs))] - uint32(in.Imm0)
+				bad := uint32(4*lo + 1 + rng.Intn(3))
+				if rng.Intn(2) == 0 {
+					bad = badAddrs[rng.Intn(len(badAddrs))]
+				}
+				w.VRegs[0][at] = bad - uint32(in.Imm0)
 			}
 
 			d := mustNewDevice(TestConfig())
-			d.Mem = make([]uint32, memWords)
-			for i := range d.Mem {
-				d.Mem[i] = rng.Uint32()
+			d.Mem = NewMemory(memWords)
+			for _, at := range filled {
+				for i := at; i < at+window; i++ {
+					d.Mem.Store(i, rng.Uint32())
+				}
 			}
 			ref := mustNewDevice(TestConfig())
-			ref.Mem = append([]uint32(nil), d.Mem...)
+			ref.Mem = d.Mem.Clone()
 			rw := cloneWarp(w)
 
 			eff, err := d.execute(w, &in)
@@ -481,10 +498,16 @@ func TestOpMajorVectorGlobalMatchesPerLane(t *testing.T) {
 			if eff != refEff {
 				t.Fatalf("%s: effect %+v, per-lane %+v", what, eff, refEff)
 			}
-			for i := range ref.Mem {
-				if d.Mem[i] != ref.Mem[i] {
-					t.Fatalf("%s: mem[%d] = %#x, per-lane %#x", what, i, d.Mem[i], ref.Mem[i])
+			if i := d.Mem.Diff(ref.Mem); i >= 0 {
+				t.Fatalf("%s: mem[%d] = %#x, per-lane %#x", what, i, d.Mem.Load(i), ref.Mem.Load(i))
+			}
+			for pi := range d.Mem.pages {
+				if (d.Mem.pages[pi] == nil) != (ref.Mem.pages[pi] == nil) {
+					t.Fatalf("%s: page %d has storage %v, per-lane %v", what, pi, d.Mem.pages[pi] != nil, ref.Mem.pages[pi] != nil)
 				}
+			}
+			if zeroPage != (page{}) {
+				t.Fatalf("%s: wrote to the shared zero page", what)
 			}
 			sameRegs(t, what, w, rw)
 		}

@@ -171,10 +171,8 @@ func TestZeroRateInjectorChangesNothing(t *testing.T) {
 	if plain.Now() != faulty.Now() {
 		t.Errorf("zero-rate injector perturbed timing: %d vs %d cycles", plain.Now(), faulty.Now())
 	}
-	for i := range plain.Mem {
-		if plain.Mem[i] != faulty.Mem[i] {
-			t.Fatalf("zero-rate injector perturbed mem[%d]: %d vs %d", i, plain.Mem[i], faulty.Mem[i])
-		}
+	if i := plain.Mem.Diff(faulty.Mem); i >= 0 {
+		t.Fatalf("zero-rate injector perturbed mem[%d]: %d vs %d", i, plain.Mem.Load(i), faulty.Mem.Load(i))
 	}
 	if n := faulty.FaultStats().Total(); n != 0 {
 		t.Errorf("zero-rate injector reported %d faults", n)

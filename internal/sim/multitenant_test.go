@@ -31,7 +31,7 @@ func checkSumAt(t *testing.T, d *Device, loops, numWarps, outBase int, tenant st
 	want := uint32(loops * (loops + 1) / 2)
 	for wid := 0; wid < numWarps; wid++ {
 		for l := 0; l < isa.WarpSize; l++ {
-			got := d.Mem[outBase/4+wid*isa.WarpSize+l]
+			got := d.Mem.Load(outBase/4 + wid*isa.WarpSize + l)
 			if got != want+uint32(l) {
 				t.Fatalf("%s: warp %d lane %d: got %d, want %d", tenant, wid, l, got, want+uint32(l))
 			}

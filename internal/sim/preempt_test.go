@@ -111,7 +111,7 @@ func checkSum(t *testing.T, d *Device, loops, numWarps int) {
 	want := uint32(loops * (loops + 1) / 2)
 	for wid := 0; wid < numWarps; wid++ {
 		for l := 0; l < isa.WarpSize; l++ {
-			got := d.Mem[1024+wid*isa.WarpSize+l]
+			got := d.Mem.Load(1024 + wid*isa.WarpSize + l)
 			if got != want+uint32(l) {
 				t.Fatalf("warp %d lane %d: got %d, want %d", wid, l, got, want+uint32(l))
 			}
@@ -197,10 +197,8 @@ func TestPreemptMatchesGoldenRun(t *testing.T) {
 	if err := d.Run(50_000_000); err != nil {
 		t.Fatal(err)
 	}
-	for i := range golden.Mem {
-		if golden.Mem[i] != d.Mem[i] {
-			t.Fatalf("mem[%d]: golden %d vs preempted %d", i, golden.Mem[i], d.Mem[i])
-		}
+	if i := golden.Mem.Diff(d.Mem); i >= 0 {
+		t.Fatalf("mem[%d]: golden %d vs preempted %d", i, golden.Mem.Load(i), d.Mem.Load(i))
 	}
 }
 
@@ -255,8 +253,8 @@ fast:
 	if err := d.Run(50_000_000); err != nil {
 		t.Fatal(err)
 	}
-	if d.Mem[0] != 42 || d.Mem[1] != 42 {
-		t.Errorf("mem = %d,%d want 42,42", d.Mem[0], d.Mem[1])
+	if d.Mem.Load(0) != 42 || d.Mem.Load(1) != 42 {
+		t.Errorf("mem = %d,%d want 42,42", d.Mem.Load(0), d.Mem.Load(1))
 	}
 }
 
@@ -326,7 +324,7 @@ func TestPreemptFreesSMForOtherKernel(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkSum(t, d, loops, warps)
-	if d.Mem[0] != 7 {
-		t.Errorf("ls kernel output = %d", d.Mem[0])
+	if d.Mem.Load(0) != 7 {
+		t.Errorf("ls kernel output = %d", d.Mem.Load(0))
 	}
 }

@@ -67,8 +67,8 @@ func TestScalarALUSemantics(t *testing.T) {
 			t.Errorf("s%d = %d, want %d", idx, warp.SRegs[idx], v)
 		}
 	}
-	if d.Mem[0] != uint32(0x30^0xFF) {
-		t.Errorf("mem[0] = %d", d.Mem[0])
+	if d.Mem.Load(0) != uint32(0x30^0xFF) {
+		t.Errorf("mem[0] = %d", d.Mem.Load(0))
 	}
 }
 
@@ -91,8 +91,8 @@ func TestVectorALUAndLaneID(t *testing.T) {
 	})
 	for l := 0; l < isa.WarpSize; l++ {
 		want := uint32(l*l + l*4 + 100)
-		if d.Mem[l] != want {
-			t.Fatalf("lane %d: mem = %d, want %d", l, d.Mem[l], want)
+		if d.Mem.Load(l) != want {
+			t.Fatalf("lane %d: mem = %d, want %d", l, d.Mem.Load(l), want)
 		}
 	}
 }
@@ -116,7 +116,7 @@ func TestFloatSemantics(t *testing.T) {
 			w.VRegs[6][l] = uint32(l * 4)
 		}
 	})
-	got := math.Float32frombits(d.Mem[0])
+	got := math.Float32frombits(d.Mem.Load(0))
 	want := float32(math.Sqrt(15)) // 2*3*2+3
 	if got != want {
 		t.Errorf("sqrt result = %v, want %v", got, want)
@@ -148,8 +148,8 @@ func TestExecMaskPredication(t *testing.T) {
 		if l < 4 {
 			want = 1007
 		}
-		if d.Mem[l] != want {
-			t.Fatalf("lane %d = %d, want %d", l, d.Mem[l], want)
+		if d.Mem.Load(l) != want {
+			t.Fatalf("lane %d = %d, want %d", l, d.Mem.Load(l), want)
 		}
 	}
 }
@@ -175,8 +175,8 @@ loop:
 			w.VRegs[1][l] = uint32(l * 4)
 		}
 	})
-	if d.Mem[0] != 55 {
-		t.Errorf("sum = %d, want 55", d.Mem[0])
+	if d.Mem.Load(0) != 55 {
+		t.Errorf("sum = %d, want 55", d.Mem.Load(0))
 	}
 }
 
@@ -192,9 +192,9 @@ func TestGlobalLoadStoreRoundTrip(t *testing.T) {
   s_endpgm
 `)
 	d := mustNewDevice(TestConfig())
-	d.Mem[0] = 5 // scalar arg at addr 0
+	d.Mem.Store(0, 5) // scalar arg at addr 0
 	for l := 0; l < isa.WarpSize; l++ {
-		d.Mem[1+l] = uint32(l * 10)
+		d.Mem.Store(1+l, uint32(l*10))
 	}
 	_, err := d.Launch(LaunchSpec{Prog: prog, NumBlocks: 1, WarpsPerBlock: 1, Setup: func(w *Warp) {
 		w.SRegs[0] = 0
@@ -210,7 +210,7 @@ func TestGlobalLoadStoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for l := 0; l < isa.WarpSize; l++ {
-		if got := d.Mem[256+l]; got != uint32(l*10+5) {
+		if got := d.Mem.Load(256 + l); got != uint32(l*10+5) {
 			t.Fatalf("lane %d: got %d, want %d", l, got, l*10+5)
 		}
 	}
@@ -248,8 +248,8 @@ func TestLDSAndBarrier(t *testing.T) {
 	if err := d.Run(1_000_000); err != nil {
 		t.Fatal(err)
 	}
-	if d.Mem[0] != 1 || d.Mem[1] != 0 {
-		t.Errorf("cross-warp LDS exchange: mem[0]=%d mem[1]=%d, want 1 0", d.Mem[0], d.Mem[1])
+	if d.Mem.Load(0) != 1 || d.Mem.Load(1) != 0 {
+		t.Errorf("cross-warp LDS exchange: mem[0]=%d mem[1]=%d, want 1 0", d.Mem.Load(0), d.Mem.Load(1))
 	}
 }
 
@@ -272,8 +272,8 @@ func TestAtomicAdd(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 2 warps x 64 lanes each add 1 to mem[0].
-	if d.Mem[0] != 2*isa.WarpSize {
-		t.Errorf("atomic sum = %d, want %d", d.Mem[0], 2*isa.WarpSize)
+	if d.Mem.Load(0) != 2*isa.WarpSize {
+		t.Errorf("atomic sum = %d, want %d", d.Mem.Load(0), 2*isa.WarpSize)
 	}
 }
 
@@ -359,7 +359,7 @@ func TestMultiBlockDispatchWaves(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < numBlocks; i++ {
-		if d.Mem[i] != 1 {
+		if d.Mem.Load(i) != 1 {
 			t.Fatalf("block %d never ran", i)
 		}
 	}

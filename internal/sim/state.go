@@ -22,9 +22,10 @@ import (
 // launch time and dispatch never re-invokes them, so the field imports
 // as nil.
 
-// DeviceState is the plain-data image of a device. All slices and maps
-// are deep copies: mutating the device after ExportState never changes
-// the state, and vice versa.
+// DeviceState is the plain-data image of a device. All slices and maps,
+// and the memory, are deep copies: mutating the device after ExportState
+// never changes the state, and vice versa. Copying the memory copies only
+// its pages with storage of their own.
 type DeviceState struct {
 	Cfg     Config
 	Shards  int // epoch-engine width at export (restore target must match)
@@ -32,7 +33,7 @@ type DeviceState struct {
 	MemFree int64
 	CtxFree int64
 	Stats   DeviceStats
-	Mem     []uint32
+	Mem     *Memory
 
 	// Progs holds the canonical encoding of every distinct program
 	// referenced by the launches, deduplicated by identity in
@@ -229,7 +230,7 @@ func (d *Device) ExportState() (*DeviceState, *StateIndex) {
 		MemFree: d.memFree,
 		CtxFree: d.ctxFree,
 		Stats:   d.Stats,
-		Mem:     append([]uint32(nil), d.Mem...),
+		Mem:     d.Mem.Clone(),
 	}
 	idx := &StateIndex{Launches: append([]*Launch(nil), d.launches...)}
 
@@ -428,7 +429,7 @@ func (d *Device) ImportState(st *DeviceState, rt Runtime, progs []*isa.Program) 
 	}
 
 	idx := &StateIndex{}
-	copy(d.Mem, st.Mem)
+	d.Mem = st.Mem.Clone()
 	d.now = st.Now
 	d.memFree = st.MemFree
 	d.ctxFree = st.CtxFree
@@ -610,8 +611,11 @@ func (st *DeviceState) CheckInvariants() error {
 	if st.Now < 0 {
 		return fmt.Errorf("negative clock %d", st.Now)
 	}
-	if len(st.Mem) != st.Cfg.GlobalMemBytes/4 {
-		return fmt.Errorf("memory image has %d words, config needs %d", len(st.Mem), st.Cfg.GlobalMemBytes/4)
+	if st.Mem == nil {
+		return fmt.Errorf("no memory image")
+	}
+	if st.Mem.Words() != st.Cfg.GlobalMemBytes/4 {
+		return fmt.Errorf("memory image has %d words, config needs %d", st.Mem.Words(), st.Cfg.GlobalMemBytes/4)
 	}
 	if len(st.SMs) != st.Cfg.NumSMs {
 		return fmt.Errorf("state has %d SMs, config needs %d", len(st.SMs), st.Cfg.NumSMs)

@@ -136,10 +136,8 @@ func TestStateRoundTripCycleExact(t *testing.T) {
 		if gotPhases != wantPhases {
 			t.Errorf("cut=%s phases = %+v, want %+v", cut, gotPhases, wantPhases)
 		}
-		for i := range wantDev.Mem {
-			if gotDev.Mem[i] != wantDev.Mem[i] {
-				t.Fatalf("cut=%s: Mem[%d] = %#x, want %#x", cut, i, gotDev.Mem[i], wantDev.Mem[i])
-			}
+		if i := gotDev.Mem.Diff(wantDev.Mem); i >= 0 {
+			t.Fatalf("cut=%s: Mem[%d] = %#x, want %#x", cut, i, gotDev.Mem.Load(i), wantDev.Mem.Load(i))
 		}
 	}
 }
@@ -179,10 +177,8 @@ func TestStateRoundTripBarrierParked(t *testing.T) {
 	if observeState(a) != observeState(b) {
 		t.Fatalf("observables diverged: %+v vs %+v", observeState(a), observeState(b))
 	}
-	for i := range a.Mem {
-		if a.Mem[i] != b.Mem[i] {
-			t.Fatalf("Mem[%d] diverged", i)
-		}
+	if i := a.Mem.Diff(b.Mem); i >= 0 {
+		t.Fatalf("Mem[%d] diverged", i)
 	}
 }
 
@@ -252,6 +248,13 @@ func TestImportRejects(t *testing.T) {
 	bad.Launches[0].DoneWarps++
 	expectErr("invariants", mustNewDevice(d.Cfg), bad, progs, "state invalid")
 
+	// Invariant violation: a memory image of the wrong size, or none.
+	bad, _ = d.ExportState()
+	bad.Mem = NewMemory(d.Mem.Words() - 1)
+	expectErr("mem-size", mustNewDevice(d.Cfg), bad, progs, "memory image has")
+	bad.Mem = nil
+	expectErr("mem-missing", mustNewDevice(d.Cfg), bad, progs, "no memory image")
+
 	// A valid import still works after all the refusals above (they
 	// never corrupted shared state).
 	if _, err := mustNewDevice(d.Cfg).ImportState(st, naiveRuntime{}, progs); err != nil {
@@ -291,10 +294,8 @@ func TestStateRoundTripSharded(t *testing.T) {
 	if err := shell.Run(1 << 40); err != nil {
 		t.Fatal(err)
 	}
-	for i := range want.Mem {
-		if shell.Mem[i] != want.Mem[i] {
-			t.Fatalf("Mem[%d] = %#x, want %#x", i, shell.Mem[i], want.Mem[i])
-		}
+	if i := shell.Mem.Diff(want.Mem); i >= 0 {
+		t.Fatalf("Mem[%d] = %#x, want %#x", i, shell.Mem.Load(i), want.Mem.Load(i))
 	}
 	if shell.Stats != want.Stats {
 		t.Fatalf("stats = %+v, want %+v", shell.Stats, want.Stats)

@@ -32,6 +32,7 @@
 package snapshot
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -826,24 +827,56 @@ func getEpisodes(r *rbuf, st *sim.DeviceState) {
 }
 
 // putMem writes the whole memory section in one pass over the device
-// words; the payload is u32s' encoding of mem. w.b grows once, to the
-// section's exact size, and only ever grows by append, so the bytes past
-// its length are still zero from allocation: PutWords writes just the
-// non-zero blocks while it folds the checksum.
-func putMem(w *wbuf, mem []uint32) {
-	n := 4 * len(mem)
+// pages; the payload is u32s' encoding of every word of mem. w.b grows
+// once, to the section's exact size, and only ever grows by append, so
+// the bytes past its length are still zero from allocation: pages with
+// storage of their own write just their non-zero blocks while the
+// checksum folds them, and a page without storage is only folded, as
+// zeros.
+func putMem(w *wbuf, mem *sim.Memory) {
+	n := 4 * mem.Words()
 	w.b = slices.Grow(w.b, 2+4+4+n+8)
 	w.u16(secMem)
 	w.u32(uint32(4 + n))
 	start := len(w.b)
-	w.u32(uint32(len(mem)))
+	w.u32(uint32(mem.Words()))
 	w.b = w.b[:start+4+n]
-	sum := artifact.NewChecksum().Bytes(w.b[start:start+4]).PutWords(w.b[start+4:], mem)
+	body := w.b[start+4:]
+	sum := artifact.NewChecksum().Bytes(w.b[start : start+4])
+	mem.Runs(0, mem.Words(), func(off int, run []uint32, owned bool) {
+		if owned {
+			sum = sum.PutWords(body[4*off:], run)
+		} else {
+			sum = sum.Zeros(4 * len(run))
+		}
+	})
 	w.u64(uint64(sum))
 }
 
+// zeroPage is one all-zero page of the memory section's bytes.
+var zeroPage [sim.PageBytes]byte
+
+// getMem decodes the memory section page by page straight into device
+// memory: an all-zero page is skipped, so it gets no storage of its own.
 func getMem(r *rbuf, st *sim.DeviceState) {
-	st.Mem = r.u32s()
+	n := r.count(4)
+	raw := r.take(4 * n)
+	if r.err != nil {
+		return
+	}
+	st.Mem = sim.NewMemory(n)
+	words := make([]uint32, min(n, sim.PageWords))
+	for at := 0; at < n; at += sim.PageWords {
+		chunk := raw[4*at : 4*min(at+sim.PageWords, n)]
+		if bytes.Equal(chunk, zeroPage[:len(chunk)]) {
+			continue
+		}
+		run := words[:len(chunk)/4]
+		for i := range run {
+			run[i] = binary.LittleEndian.Uint32(chunk[4*i:])
+		}
+		st.Mem.Write(at, run)
+	}
 }
 
 // ---- top level ----

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -35,7 +36,7 @@ func mustWorkload(t testing.TB, abbrev string) *kernels.Workload {
 
 // goldenCycles runs wl undisturbed on a cfg device and returns its
 // completion cycle and final memory.
-func goldenCycles(t testing.TB, cfg sim.Config, wl *kernels.Workload) (int64, []uint32) {
+func goldenCycles(t testing.TB, cfg sim.Config, wl *kernels.Workload) (int64, *sim.Memory) {
 	t.Helper()
 	d := mustDevice(t, cfg)
 	if _, err := wl.Launch(d); err != nil {
@@ -44,7 +45,7 @@ func goldenCycles(t testing.TB, cfg sim.Config, wl *kernels.Workload) (int64, []
 	if err := d.Run(maxCycles); err != nil {
 		t.Fatal(err)
 	}
-	return d.Now(), append([]uint32(nil), d.Mem...)
+	return d.Now(), d.Mem
 }
 
 // parked drives wl under kind to a fully-saved (parked) episode on
@@ -141,6 +142,40 @@ func TestEncodePinned(t *testing.T) {
 	}
 }
 
+// TestMemoryPagesRoundTrip: a page with storage of its own that holds
+// only zeros encodes exactly like a page without storage, and Decode
+// gives storage to exactly the pages that hold a non-zero word.
+func TestMemoryPagesRoundTrip(t *testing.T) {
+	d, _, _ := parked(t, preempt.CTXBack, mustWorkload(t, "VA"))
+	_, enc := Capture(d, 1)
+	last := d.Mem.Words() - 1
+	d.Mem.Store(last, 1)
+	d.Mem.Store(last, 0) // the last page keeps its storage, all zero
+	if _, again := Capture(d, 1); !bytes.Equal(enc, again) {
+		t.Fatal("an all-zero page with storage encodes differently from one without")
+	}
+	snap, err := Decode(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := snap.State.Mem
+	if i := mem.Diff(d.Mem); i >= 0 {
+		t.Fatalf("decoded mem[%d] = %#x, device %#x", i, mem.Load(i), d.Mem.Load(i))
+	}
+	owned := 0
+	mem.Runs(0, mem.Words(), func(off int, run []uint32, own bool) {
+		if nonZero := slices.ContainsFunc(run, func(v uint32) bool { return v != 0 }); own != nonZero {
+			t.Errorf("decoded page at word %d: storage %v, non-zero words %v", off, own, nonZero)
+		}
+		if own {
+			owned++
+		}
+	})
+	if owned == 0 || owned == mem.Words()/sim.PageWords {
+		t.Fatalf("decoded %d of %d pages with storage; the test wants a mix", owned, mem.Words()/sim.PageWords)
+	}
+}
+
 // TestRestoreRoundTripTechniques: for every relocatable technique, a
 // parked episode checkpoints, restores onto a fresh shell under a NEW
 // technique instance, resumes there, and finishes with output identical
@@ -169,7 +204,7 @@ func TestRestoreRoundTripTechniques(t *testing.T) {
 			if err := wl.Verify(res.Device); err != nil {
 				t.Fatalf("%v/%s: verify after restore: %v", kind, abbrev, err)
 			}
-			if !bytes.Equal(memBytes(res.Device.Mem), memBytes(golden)) {
+			if res.Device.Mem.Diff(golden) >= 0 {
 				t.Fatalf("%v/%s: restored memory differs from undisturbed run", kind, abbrev)
 			}
 		}
@@ -190,14 +225,6 @@ func memPayload(t testing.TB, enc []byte) (int, int) {
 	}
 	t.Fatal("image has no memory section")
 	return 0, 0
-}
-
-func memBytes(mem []uint32) []byte {
-	out := make([]byte, 0, len(mem)*4)
-	for _, w := range mem {
-		out = append(out, byte(w), byte(w>>8), byte(w>>16), byte(w>>24))
-	}
-	return out
 }
 
 // TestSnapshotMidSave covers the mid-episode edge: the checkpoint lands
@@ -391,7 +418,7 @@ func TestWarmPoolEquivalence(t *testing.T) {
 	d, _, _ := parked(t, preempt.CTXBack, wl)
 	_, enc := Capture(d, 2)
 
-	run := func(pool *Pool) (*Restored, []uint32) {
+	run := func(pool *Pool) (*Restored, *sim.Memory) {
 		tech, err := preempt.New(preempt.CTXBack, wl.Prog)
 		if err != nil {
 			t.Fatal(err)
@@ -404,7 +431,7 @@ func TestWarmPoolEquivalence(t *testing.T) {
 		if err := res.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		return res, append([]uint32(nil), res.Device.Mem...)
+		return res, res.Device.Mem
 	}
 
 	pool, err := NewPool(sim.TestConfig(), 1, 2)
@@ -433,7 +460,7 @@ func TestWarmPoolEquivalence(t *testing.T) {
 	if warmRes.Outcome.TransferCycles != coldRes.Outcome.TransferCycles {
 		t.Fatal("transfer cycles differ between warm and cold")
 	}
-	if !bytes.Equal(memBytes(warmMem), memBytes(coldMem)) {
+	if warmMem.Diff(coldMem) >= 0 {
 		t.Fatal("warm and cold restores produced different memory")
 	}
 	if warmRes.Device.Now() != coldRes.Device.Now() || warmRes.Device.Stats != coldRes.Device.Stats {

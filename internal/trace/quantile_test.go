@@ -154,10 +154,10 @@ func TestNearestRankEdges(t *testing.T) {
 		{5, math.SmallestNonzeroFloat64, 1},
 		{4, 0.5, 2},
 		{4, 0.25, 1},
-		{10, 0.9, 9},       // double(0.9) > 0.9; a double-exact ceiling would say 10
-		{100, 0.01, 1},     // double(0.01) > 0.01; a double-exact ceiling would say 2
-		{3, 1.0 / 3.0, 1},  // shortest decimal 0.3333333333333333 < 1/3
-		{3, 2.0 / 3.0, 2},  // shortest decimal 0.6666666666666666 < 2/3
+		{10, 0.9, 9},      // double(0.9) > 0.9; a double-exact ceiling would say 10
+		{100, 0.01, 1},    // double(0.01) > 0.01; a double-exact ceiling would say 2
+		{3, 1.0 / 3.0, 1}, // shortest decimal 0.3333333333333333 < 1/3
+		{3, 2.0 / 3.0, 2}, // shortest decimal 0.6666666666666666 < 2/3
 	}
 	for _, c := range cases {
 		if got := NearestRank(c.n, c.q); got != c.want {
