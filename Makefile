@@ -15,12 +15,15 @@ test:
 # simulator it drives, and the metrics registry they share) under the
 # race detector, race the technique memo that concurrent episodes share
 # (its tests only: the whole preempt suite takes minutes under -race),
-# then smoke the tracing pipeline end to end.
+# race concurrent CTXBack compiles (each owns its workspace; they share
+# only read-only CFG and liveness), then smoke the tracing pipeline end
+# to end.
 check:
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) test -race ./internal/artifact/ ./internal/harness/ ./internal/sched/ ./internal/sim/ ./internal/snapshot/ ./internal/trace/ ./internal/gen/...
 	$(GO) test -race -run '^TestMemo' ./internal/preempt/
+	$(GO) test -race -run '^TestCompileConcurrent$$' ./internal/core/
 	$(MAKE) trace-smoke
 
 # trace-smoke runs one preempted kernel with -trace and validates the

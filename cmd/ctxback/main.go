@@ -18,7 +18,6 @@ import (
 	"ctxback/internal/core"
 	"ctxback/internal/isa"
 	"ctxback/internal/kernels"
-	"ctxback/internal/liveness"
 )
 
 func main() {
@@ -50,7 +49,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ctxback:", err)
 		os.Exit(1)
 	}
-	live := liveness.Analyze(c.Graph)
+	live := c.Live
 
 	if *pc >= 0 {
 		dumpPC(c, *pc)

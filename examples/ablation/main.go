@@ -10,7 +10,6 @@ import (
 
 	"ctxback/internal/core"
 	"ctxback/internal/kernels"
-	"ctxback/internal/liveness"
 )
 
 func main() {
@@ -51,7 +50,7 @@ func main() {
 			}
 			fmt.Printf("%22.0f", sum/float64(wl.Prog.Len()))
 			if combo.feats == 0 {
-				live := liveness.Analyze(c.Graph)
+				live := c.Live
 				for pc := 0; pc < wl.Prog.Len(); pc++ {
 					liveMean += float64(live.ContextBytes(pc))
 				}

@@ -9,7 +9,6 @@ import (
 
 	"ctxback/internal/core"
 	"ctxback/internal/isa"
-	"ctxback/internal/liveness"
 	"ctxback/internal/preempt"
 	"ctxback/internal/sim"
 )
@@ -47,7 +46,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	live := liveness.Analyze(compiled.Graph)
+	live := compiled.Live
 	fmt.Println("CTXBack flashback-points for saxpy:")
 	fmt.Printf("%4s %-32s %6s %10s %10s\n", "PC", "instruction", "Q", "LIVE B", "CTXBack B")
 	for pc := 0; pc < prog.Len(); pc++ {

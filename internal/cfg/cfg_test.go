@@ -224,3 +224,13 @@ func TestBuildRejectsInvalidProgram(t *testing.T) {
 		t.Error("Build must reject invalid programs")
 	}
 }
+
+// TestBuildRejectsOversizedRegisterCounts: cfg.Build validates, so a
+// program whose register counts exceed an isa.RegSet never reaches the
+// analyses.
+func TestBuildRejectsOversizedRegisterCounts(t *testing.T) {
+	p := &isa.Program{Name: "big", Instrs: []isa.Instruction{{Op: isa.SEndpgm}}, NumVRegs: isa.MaxVRegs + 1}
+	if _, err := Build(p); err == nil {
+		t.Fatal("Build accepted more vector registers than a RegSet holds")
+	}
+}

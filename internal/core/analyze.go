@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"ctxback/internal/isa"
 	"ctxback/internal/liveness"
 )
@@ -11,59 +13,89 @@ type verRef struct {
 	ver version
 }
 
-// analyzer runs the window analysis for a single (P, Q) pair. Register
-// state is held in flat slices indexed by progInfo.regID — the search
-// runs this analysis for thousands of windows per program, and
-// Reg-keyed maps (struct hashing, random iteration) dominated its cost.
-// Iteration over registers always follows seedOrder or sorted live-in
-// sets, so the produced plan is deterministic.
+// analyzer runs the window analysis (Algorithms 1 and 2) for one (P, Q)
+// pair at a time. One analyzer serves a whole compile: its per-register
+// tables are indexed by progInfo.regID and its per-position tables by
+// window index, all sized once and reset between windows, so the
+// thousands of windows a compile analyzes allocate almost nothing.
+// Iteration over registers always follows seedOrder or the sorted
+// live-in set at P, so the produced plan is deterministic.
 type analyzer struct {
 	prog  *isa.Program
 	info  *progInfo
 	live  *liveness.Info
 	feats Feature
-	// osrb maps backed-up registers to their spare registers; only
-	// entries whose value at Q equals the backed-up copy are passed in
-	// (the selector filters per window).
-	osrb map[isa.Reg]isa.Reg
+	// osrb is the backup assignment on offer (nil: none); firstDef
+	// decides which backups are fresh at Q.
+	osrb osrbTable
+	// firstDef[id] is the first PC of P's block that defines register
+	// id (maxPC when none): a backup copied at block entry still equals
+	// the register's value at Q only when firstDef >= Q.
+	firstDef []int
 
-	p, q int
-	n    int
+	p, q, n int
+	liveP   []isa.Reg // LiveIn[P] in Sorted order
 
-	defsOf [][]int // by regID: ascending window indices defining reg
-	usesOf [][]int // by regID: ascending window indices reading reg
-	// Per-instruction caches (computed once; the fixpoint re-reads them
-	// every round).
-	needs [][]verRef  // resolved versioned operand reads
-	idefs [][]isa.Reg // defined registers (aliases into info.defs)
-
-	status    []Status
-	seeded    []bool       // by regID: register participates in the window
-	seedOrder []isa.Reg    // registers in first-seeded order
-	initSrc   []InitSource // by regID; zero value is InitUnavailable
-	revertPos []int        // by regID, for InitRevertResume
-
-	preemptReverts  []PreemptRevert
-	resumeReverts   []ResumeRevert // by regID
+	// Per-register state, by regID. Only registers in seedOrder are
+	// ever touched, so reset clears just those.
+	defsOf          [][]int   // ascending window indices defining reg
+	usesOf          [][]int   // ascending window indices reading reg
+	cur             []version // last in-window definition (after buildDefs)
+	seeded          []bool    // register participates in the window
+	seedOrder       []isa.Reg
+	initSrc         []InitSource // zero value is InitUnavailable
+	revertPos       []int        // for InitRevertResume
+	resumeReverts   []ResumeRevert
 	hasResumeRevert []bool
-	preemptState    []version // by regID: simulated state during preempt reverts
+	preemptState    []version // simulated state during preempt reverts
 	hasPreemptState []bool
+
+	// Per-position state, by window index (the fixpoint re-reads it
+	// every round).
+	needs  [][]verRef  // resolved versioned operand reads
+	idefs  [][]isa.Reg // defined registers (aliases into info.defs)
+	status []Status
+
+	preemptReverts []PreemptRevert
+	extras         []verRef // revertExtraRefs result
+
+	// Need-propagation scratch (walk). A value (reg, ver) is visited in
+	// the current walk when visited[regID*(n+1)+ver+1] == stamp, and
+	// window instruction k is counted as re-executed when
+	// replayed[k] == stamp, so no walk clears a table.
+	stamp      uint32
+	visited    []uint32
+	replayed   []uint32
+	queue      []verRef
+	needRevert []isa.Reg
 }
 
-// AnalyzeWindow builds (and validates) the plan for executing context
-// switching at flashback-point Q when the signal arrives at P. Returns
-// nil when Q is not a valid flashback-point for P under the enabled
-// features.
-func AnalyzeWindow(prog *isa.Program, live *liveness.Info, p, q int, feats Feature, osrb map[isa.Reg]isa.Reg) *Plan {
-	if q > p || q < 0 {
+// osrbTable is an OSRB backup assignment by regID: osrbTable[id] is
+// the spare register backing id up, or the zero Reg. nil offers none.
+type osrbTable []isa.Reg
+
+func newOSRBTable(info *progInfo, m map[isa.Reg]isa.Reg) osrbTable {
+	if len(m) == 0 {
 		return nil
 	}
-	info := infoFor(prog)
+	t := make(osrbTable, info.numRegIDs())
+	for r, spare := range m {
+		t[info.regID(r)] = spare
+	}
+	return t
+}
+
+// maxPC marks "no definition" in analyzer.firstDef.
+const maxPC = int(^uint(0) >> 1)
+
+// newAnalyzer sizes an analyzer for windows of up to maxN instructions.
+func newAnalyzer(prog *isa.Program, info *progInfo, live *liveness.Info, maxN int) *analyzer {
 	nids := info.numRegIDs()
 	a := &analyzer{
-		prog: prog, info: info, live: live, feats: feats, osrb: osrb,
-		p: p, q: q, n: p - q,
+		prog: prog, info: info, live: live,
+		firstDef:        make([]int, nids),
 		defsOf:          make([][]int, nids),
+		cur:             make([]version, nids),
 		usesOf:          make([][]int, nids),
 		seeded:          make([]bool, nids),
 		initSrc:         make([]InitSource, nids),
@@ -72,47 +104,94 @@ func AnalyzeWindow(prog *isa.Program, live *liveness.Info, p, q int, feats Featu
 		hasResumeRevert: make([]bool, nids),
 		preemptState:    make([]version, nids),
 		hasPreemptState: make([]bool, nids),
+		needs:           make([][]verRef, maxN),
+		idefs:           make([][]isa.Reg, maxN),
+		status:          make([]Status, maxN),
+		visited:         make([]uint32, nids*(maxN+1)),
+		replayed:        make([]uint32, maxN),
 	}
-	a.status = make([]Status, a.n)
-	a.buildDefs()
-	a.classify()
-	plan := a.buildPlan()
-	if plan == nil {
+	for id := range a.firstDef {
+		a.firstDef[id] = maxPC
+		a.cur[id] = verInit
+	}
+	return a
+}
+
+// AnalyzeWindow builds (and validates) the plan for executing context
+// switching at flashback-point Q when the signal arrives at P. Returns
+// nil when Q is not a valid flashback-point for P under the enabled
+// features. osrb offers backups as-is: the caller keeps only those whose
+// copy equals the register's value at Q.
+func AnalyzeWindow(prog *isa.Program, live *liveness.Info, p, q int, feats Feature, osrb map[isa.Reg]isa.Reg) *Plan {
+	if q > p || q < 0 {
 		return nil
 	}
-	if err := ValidatePlan(prog, live, plan); err != nil {
-		// The greedy planner proposed something the symbolic replay
-		// rejects; treat the window as infeasible rather than risk a
-		// miscompile.
+	info := newProgInfo(prog)
+	a := newAnalyzer(prog, info, live, p-q)
+	a.setP(p)
+	a.analyze(q, feats, newOSRBTable(info, osrb))
+	plan := a.build()
+	if plan == nil || newValidator(prog, info, live).validate(plan) != nil {
 		return nil
 	}
 	return plan
+}
+
+// setP points the analyzer at signal point p.
+func (a *analyzer) setP(p int) {
+	a.p = p
+	a.liveP = a.live.LiveIn[p].Append(a.liveP[:0])
+}
+
+// enterBlock recomputes firstDef for the basic block [start, end).
+func (a *analyzer) enterBlock(start, end int) {
+	for id := range a.firstDef {
+		a.firstDef[id] = maxPC
+	}
+	for pc := end - 1; pc >= start; pc-- {
+		for _, r := range a.info.defs[pc] {
+			a.firstDef[a.id(r)] = pc
+		}
+	}
+}
+
+// analyze classifies window [q, P) under feats, replacing the previous
+// window's state.
+func (a *analyzer) analyze(q int, feats Feature, osrb osrbTable) {
+	for _, r := range a.seedOrder {
+		id := a.id(r)
+		a.defsOf[id] = a.defsOf[id][:0]
+		a.usesOf[id] = a.usesOf[id][:0]
+		a.cur[id] = verInit
+		a.seeded[id] = false
+		a.initSrc[id] = InitUnavailable
+		a.hasResumeRevert[id] = false
+		a.hasPreemptState[id] = false
+	}
+	a.seedOrder = a.seedOrder[:0]
+	a.preemptReverts = a.preemptReverts[:0]
+	a.q, a.n, a.feats, a.osrb = q, a.p-q, feats, osrb
+	for i := 0; i < a.n; i++ {
+		a.status[i] = StatusUnknown
+	}
+	a.buildDefs()
+	a.classify()
 }
 
 func (a *analyzer) instr(i int) *isa.Instruction { return a.prog.At(a.q + i) }
 
 func (a *analyzer) id(r isa.Reg) int { return a.info.regID(r) }
 
+// buildDefs indexes the window's definitions and uses in one forward
+// pass: cur[id] is register id's latest in-window version before
+// position i, which is the version instruction i reads.
 func (a *analyzer) buildDefs() {
-	a.idefs = make([][]isa.Reg, a.n)
 	for i := 0; i < a.n; i++ {
-		a.idefs[i] = a.info.defs[a.q+i]
-		for _, r := range a.idefs[i] {
+		refs := a.needs[i][:0]
+		for _, r := range a.info.uses[a.q+i] {
 			id := a.id(r)
-			a.defsOf[id] = append(a.defsOf[id], i)
-		}
-	}
-	a.needs = make([][]verRef, a.n)
-	for i := 0; i < a.n; i++ {
-		uses := a.info.uses[a.q+i]
-		var refs []verRef
-		if len(uses) > 0 {
-			refs = make([]verRef, len(uses))
-			for j, r := range uses {
-				refs[j] = verRef{reg: r, ver: a.ver(i, r)}
-				id := a.id(r)
-				a.usesOf[id] = append(a.usesOf[id], i)
-			}
+			refs = append(refs, verRef{reg: r, ver: a.cur[id]})
+			a.usesOf[id] = append(a.usesOf[id], i)
 		}
 		// An EXEC-masked vector write under a partial mask merges into
 		// its destination: the inactive lanes keep the prior version.
@@ -121,10 +200,17 @@ func (a *analyzer) buildDefs() {
 		// mask region), re-executing the instruction additionally needs
 		// that prior version present.
 		if r, ok := partialDefReads(a.prog, a.live, a.q+i); ok {
-			refs = append(refs, verRef{reg: r, ver: a.ver(i, r)})
-			a.usesOf[a.id(r)] = append(a.usesOf[a.id(r)], i)
+			id := a.id(r)
+			refs = append(refs, verRef{reg: r, ver: a.cur[id]})
+			a.usesOf[id] = append(a.usesOf[id], i)
 		}
 		a.needs[i] = refs
+		a.idefs[i] = a.info.defs[a.q+i]
+		for _, r := range a.idefs[i] {
+			id := a.id(r)
+			a.defsOf[id] = append(a.defsOf[id], i)
+			a.cur[id] = version(i)
+		}
 	}
 }
 
@@ -150,20 +236,21 @@ func partialDefReads(prog *isa.Program, live *liveness.Info, pc int) (isa.Reg, b
 // ver returns the version of reg at window position i (before instr i
 // executes); i == n gives the version at P.
 func (a *analyzer) ver(i int, reg isa.Reg) version {
-	defs := a.defsOf[a.id(reg)]
-	v := verInit
-	for _, d := range defs {
-		if d < i {
-			v = version(d)
-		} else {
-			break
-		}
+	return latestBefore(a.defsOf[a.id(reg)], i)
+}
+
+// latestBefore returns the last of the ascending window indices defs
+// that is below i, or verInit.
+func latestBefore(defs []int, i int) version {
+	j, _ := slices.BinarySearch(defs, i)
+	if j == 0 {
+		return verInit
 	}
-	return v
+	return version(defs[j-1])
 }
 
 // lastDef returns the final in-window definition of reg (or verInit).
-func (a *analyzer) lastDef(reg isa.Reg) version { return a.ver(a.n, reg) }
+func (a *analyzer) lastDef(reg isa.Reg) version { return a.cur[a.id(reg)] }
 
 // resAvailAtP reports whether instruction i's definition of reg is still
 // in the physical register when the signal is processed (backward pass
@@ -171,9 +258,6 @@ func (a *analyzer) lastDef(reg isa.Reg) version { return a.ver(a.n, reg) }
 func (a *analyzer) resAvailAtP(i int, reg isa.Reg) bool {
 	return a.lastDef(reg) == version(i)
 }
-
-// operandNeeds lists the versioned values instruction i reads.
-func (a *analyzer) operandNeeds(i int) []verRef { return a.needs[i] }
 
 // availAt reports whether ref can be present in the register file at
 // replay position pos.
@@ -195,38 +279,36 @@ func (a *analyzer) availAt(ref verRef, pos int) bool {
 	return false
 }
 
-func (a *analyzer) classify() {
-	// Seed init availability: registers never defined in the window keep
-	// their flashback-point values in the physical file.
-	seedInit := func(reg isa.Reg) {
-		id := a.id(reg)
-		if a.seeded[id] {
-			return
-		}
-		a.seeded[id] = true
-		a.seedOrder = append(a.seedOrder, reg)
-		if len(a.defsOf[id]) == 0 {
-			a.initSrc[id] = InitDirect
-			return
-		}
-		if a.feats&FeatOSRB != 0 {
-			if _, ok := a.osrb[reg]; ok {
-				a.initSrc[id] = InitOSRB
-				return
-			}
-		}
+// seedInit seeds reg's init availability: a register never defined in
+// the window keeps its flashback-point value in the physical file.
+func (a *analyzer) seedInit(reg isa.Reg) {
+	id := a.id(reg)
+	if a.seeded[id] {
+		return
+	}
+	a.seeded[id] = true
+	a.seedOrder = append(a.seedOrder, reg)
+	switch {
+	case len(a.defsOf[id]) == 0:
+		a.initSrc[id] = InitDirect
+	case a.feats&FeatOSRB != 0 && a.osrb != nil && a.osrb[id].Valid() && a.firstDef[id] >= a.q:
+		a.initSrc[id] = InitOSRB
+	default:
 		a.initSrc[id] = InitUnavailable
 	}
+}
+
+func (a *analyzer) classify() {
 	for i := 0; i < a.n; i++ {
 		for _, ref := range a.needs[i] {
-			seedInit(ref.reg)
+			a.seedInit(ref.reg)
 		}
 		for _, r := range a.idefs[i] {
-			seedInit(r)
+			a.seedInit(r)
 		}
 	}
-	for _, r := range a.live.LiveIn[a.p].Sorted() {
-		seedInit(r)
+	for _, r := range a.liveP {
+		a.seedInit(r)
 	}
 
 	// Stores and other durable side effects need no restoration: their
@@ -268,32 +350,26 @@ func (a *analyzer) classify() {
 	// unchanged by the upgrade (both statuses restore the results), so a
 	// single pass suffices.
 	for i := 0; i < a.n; i++ {
-		if a.status[i] != StatusReload {
-			continue
-		}
-		ok := true
-		for _, ref := range a.operandNeeds(i) {
-			if !a.availAt(ref, i) {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if a.status[i] == StatusReload && a.operandsAvail(i) {
 			a.status[i] = StatusReExec
 		}
 	}
 }
 
-func (a *analyzer) tryClassify(i int) bool {
-	// Re-executable: every operand's needed version reaches position i.
-	ok := true
-	for _, ref := range a.operandNeeds(i) {
+// operandsAvail reports whether every operand of window instruction i
+// can hold its needed version at position i.
+func (a *analyzer) operandsAvail(i int) bool {
+	for _, ref := range a.needs[i] {
 		if !a.availAt(ref, i) {
-			ok = false
-			break
+			return false
 		}
 	}
-	if ok {
+	return true
+}
+
+func (a *analyzer) tryClassify(i int) bool {
+	// Re-executable: every operand's needed version reaches position i.
+	if a.operandsAvail(i) {
 		a.status[i] = StatusReExec
 		return true
 	}
@@ -339,22 +415,14 @@ func (a *analyzer) defNeededSomewhere(i int, reg isa.Reg) bool {
 }
 
 // revertExtraRefs lists the versioned values the revert of window
-// instruction k reads besides the recovered register itself. Vector
-// reverts implicitly depend on the EXEC mask the original ran under.
-func (a *analyzer) revertExtraRefs(k int) ([]verRef, bool) {
-	in := a.instr(k)
-	regs, ok := in.RevertExtraOperands()
-	if !ok {
-		return nil, false
+// instruction k reads besides the recovered register itself (into a
+// buffer the next call reuses).
+func (a *analyzer) revertExtraRefs(k int) []verRef {
+	a.extras = a.extras[:0]
+	for _, x := range a.info.reverts[a.q+k].extras {
+		a.extras = append(a.extras, verRef{reg: x, ver: a.ver(k, x)})
 	}
-	var out []verRef
-	for _, x := range regs {
-		out = append(out, verRef{reg: x, ver: a.ver(k, x)})
-	}
-	if in.Op.Info().ReadsExec {
-		out = append(out, verRef{reg: isa.Exec, ver: a.ver(k, isa.Exec)})
-	}
-	return out, true
+	return a.extras
 }
 
 // tryRevert attempts to make reg's flashback-point value available via
@@ -370,53 +438,56 @@ func (a *analyzer) tryRevert(reg isa.Reg) bool {
 	return a.tryRevertAtResume(reg, defs)
 }
 
+// preemptVer is reg's version in the simulated preemption-stage state.
+func (a *analyzer) preemptVer(r isa.Reg) version {
+	if id := a.id(r); a.hasPreemptState[id] {
+		return a.preemptState[id]
+	}
+	return a.lastDef(r)
+}
+
 // tryRevertAtPreempt simulates reverting every in-window definition of
-// reg, newest first, against the evolving preemption-stage machine state.
+// reg, newest first, against the evolving preemption-stage machine
+// state. Only reg's own version changes during the simulation, so the
+// tentative state is that one version; the reverts are appended
+// tentatively and dropped again on failure.
 func (a *analyzer) tryRevertAtPreempt(reg isa.Reg, defs []int) bool {
-	// Tentative simulation on a copy of the state.
-	state := func(r isa.Reg) version {
-		if id := a.id(r); a.hasPreemptState[id] {
-			return a.preemptState[id]
-		}
-		return a.lastDef(r)
-	}
-	tentative := make(map[int]version)
+	cur := a.preemptVer(reg)
 	get := func(r isa.Reg) version {
-		if v, ok := tentative[a.id(r)]; ok {
-			return v
+		if r == reg {
+			return cur
 		}
-		return state(r)
+		return a.preemptVer(r)
 	}
-	var revs []PreemptRevert
+	mark := len(a.preemptReverts)
 	for j := len(defs) - 1; j >= 0; j-- {
 		k := defs[j]
-		in := a.instr(k)
-		rev, ok := in.Revertible()
-		if !ok || in.Dst != reg {
-			return false
-		}
-		if get(reg) != version(k) {
-			return false
-		}
-		extras, _ := a.revertExtraRefs(k)
-		for _, ref := range extras {
-			if get(ref.reg) != ref.ver {
-				return false
+		rf := &a.info.reverts[a.q+k]
+		ok := rf.ok && a.instr(k).Dst == reg && cur == version(k)
+		if ok {
+			for _, ref := range a.revertExtraRefs(k) {
+				if get(ref.reg) != ref.ver {
+					ok = false
+					break
+				}
 			}
 		}
-		tentative[a.id(reg)] = a.ver(k, reg)
-		revs = append(revs, PreemptRevert{K: k, Instr: rev})
+		if !ok {
+			a.preemptReverts = a.preemptReverts[:mark]
+			return false
+		}
+		cur = a.ver(k, reg)
+		a.preemptReverts = append(a.preemptReverts, PreemptRevert{K: k, Instr: rf.instr})
 	}
-	if get(reg) != verInit {
+	if cur != verInit {
+		a.preemptReverts = a.preemptReverts[:mark]
 		return false
 	}
 	// Commit.
-	for id, v := range tentative {
-		a.preemptState[id] = v
-		a.hasPreemptState[id] = true
-	}
-	a.preemptReverts = append(a.preemptReverts, revs...)
-	a.initSrc[a.id(reg)] = InitRevertPreempt
+	id := a.id(reg)
+	a.preemptState[id] = cur
+	a.hasPreemptState[id] = true
+	a.initSrc[id] = InitRevertPreempt
 	return true
 }
 
@@ -429,9 +500,8 @@ func (a *analyzer) tryRevertAtResume(reg isa.Reg, defs []int) bool {
 		return false
 	}
 	k := defs[0]
-	in := a.instr(k)
-	rev, ok := in.Revertible()
-	if !ok || in.Dst != reg {
+	rf := &a.info.reverts[a.q+k]
+	if !rf.ok || a.instr(k).Dst != reg {
 		return false
 	}
 	// The source value (def k) must be physically present at P so it can
@@ -439,7 +509,7 @@ func (a *analyzer) tryRevertAtResume(reg isa.Reg, defs []int) bool {
 	if !a.resAvailAtP(k, reg) {
 		return false
 	}
-	extras, _ := a.revertExtraRefs(k)
+	extras := a.revertExtraRefs(k)
 	// Find the earliest placement p (before the first init-version use of
 	// reg) where every extra operand holds its at-k version.
 	limit := a.firstInitUse(reg)
@@ -455,7 +525,7 @@ func (a *analyzer) tryRevertAtResume(reg isa.Reg, defs []int) bool {
 			id := a.id(reg)
 			a.initSrc[id] = InitRevertResume
 			a.revertPos[id] = pos
-			a.resumeReverts[id] = ResumeRevert{Pos: pos, Instr: rev, SlotReg: reg, SlotVer: version(k)}
+			a.resumeReverts[id] = ResumeRevert{Pos: pos, Instr: rf.instr, SlotReg: reg, SlotVer: version(k)}
 			a.hasResumeRevert[id] = true
 			return true
 		}
@@ -479,84 +549,124 @@ func (a *analyzer) firstInitUse(reg isa.Reg) int {
 	return a.n
 }
 
-// buildPlan propagates needs backward from R_cur and assembles the plan.
-// Returns nil when some needed value is unobtainable.
-func (a *analyzer) buildPlan() *Plan {
-	plan := &Plan{
-		P:              a.p,
-		Q:              a.q,
-		Status:         make([]Status, a.n),
-		InitRegs:       make(map[isa.Reg]InitSource),
-		ReloadRegs:     make(map[int]isa.RegSet),
-		PreemptReverts: a.preemptReverts,
-		OSRB:           make(map[isa.Reg]isa.Reg),
+// walk propagates needs backward from R_cur (the live-in set at P) and
+// totals the plan's register context and re-executed instructions. With
+// plan non-nil it also records the plan's tables. It reports false when
+// some needed value is unobtainable. score and build share it, so the
+// ranking always uses exactly the costs of the plan build would emit.
+func (a *analyzer) walk(plan *Plan) (ctxBytes, reExec int, ok bool) {
+	a.stamp++
+	if a.stamp == 0 { // wrapped: old marks could collide
+		clear(a.visited)
+		clear(a.replayed)
+		a.stamp = 1
 	}
-	for i := range plan.Status {
-		plan.Status[i] = StatusSkip // only needed instructions replay
-	}
-
-	// processed is keyed by (regID, version) packed into one int; the
-	// version range is [-1, n).
-	processed := make(map[int]bool)
-	var queue []verRef
+	a.queue = a.queue[:0]
+	a.needRevert = a.needRevert[:0]
 	push := func(ref verRef) {
 		key := a.id(ref.reg)*(a.n+1) + int(ref.ver) + 1
-		if !processed[key] {
-			processed[key] = true
-			queue = append(queue, ref)
+		if a.visited[key] != a.stamp {
+			a.visited[key] = a.stamp
+			a.queue = append(a.queue, ref)
 		}
 	}
-	for _, r := range a.live.LiveIn[a.p].Sorted() {
+	for _, r := range a.liveP {
 		push(verRef{reg: r, ver: a.ver(a.n, r)})
 	}
-
-	var needRevert []isa.Reg
-	for len(queue) > 0 {
-		ref := queue[0]
-		queue = queue[1:]
+	for h := 0; h < len(a.queue); h++ {
+		ref := a.queue[h]
 		if ref.ver == verInit {
 			id := a.id(ref.reg)
 			src := a.initSrc[id]
 			switch src {
 			case InitDirect, InitRevertPreempt:
-				plan.InitRegs[ref.reg] = src
+				ctxBytes += ref.reg.ContextBytes()
 			case InitOSRB:
-				plan.InitRegs[ref.reg] = src
-				plan.OSRB[ref.reg] = a.osrb[ref.reg]
+				spare := a.osrb[id]
+				ctxBytes += spare.ContextBytes()
+				if plan != nil {
+					plan.OSRB[ref.reg] = spare
+				}
 			case InitRevertResume:
-				// processed dedupes (reg, verInit), so reg appears once.
-				needRevert = append(needRevert, ref.reg)
-				plan.InitRegs[ref.reg] = src
-				rr := a.resumeReverts[id]
-				// The revert consumes the saved def-version slot and its
-				// extra operands at the placement position.
-				extras, _ := a.revertExtraRefs(int(rr.SlotVer))
-				for _, e := range extras {
+				// visited dedupes (reg, verInit), so reg appears once.
+				// The overwriting result is saved instead; the revert
+				// consumes that slot and its extra operands at the
+				// placement position.
+				ctxBytes += ref.reg.ContextBytes()
+				a.needRevert = append(a.needRevert, ref.reg)
+				for _, e := range a.revertExtraRefs(int(a.resumeReverts[id].SlotVer)) {
 					push(e)
 				}
 			default:
-				return nil
+				return 0, 0, false
+			}
+			if plan != nil {
+				plan.InitRegs[ref.reg] = src
 			}
 			continue
 		}
 		k := int(ref.ver)
 		switch a.status[k] {
 		case StatusReExec:
-			plan.Status[k] = StatusReExec
-			for _, need := range a.operandNeeds(k) {
+			if a.replayed[k] != a.stamp {
+				a.replayed[k] = a.stamp
+				reExec++
+			}
+			if plan != nil {
+				plan.Status[k] = StatusReExec
+			}
+			for _, need := range a.needs[k] {
 				push(need)
 			}
 		case StatusReload:
-			plan.Status[k] = StatusReload
-			if plan.ReloadRegs[k] == nil {
-				plan.ReloadRegs[k] = make(isa.RegSet)
+			ctxBytes += ref.reg.ContextBytes()
+			if plan != nil {
+				plan.Status[k] = StatusReload
+				regs := plan.ReloadRegs[k]
+				regs.Add(ref.reg)
+				plan.ReloadRegs[k] = regs
 			}
-			plan.ReloadRegs[k].Add(ref.reg)
 		default:
-			return nil
+			return 0, 0, false
 		}
 	}
-	for _, reg := range needRevert {
+	return ctxBytes, reExec + len(a.needRevert), true
+}
+
+// score ranks the analyzed window without building its plan; ok is
+// false when the window is infeasible.
+func (a *analyzer) score() (planRank, bool) {
+	ctxBytes, reExec, ok := a.walk(nil)
+	if !ok {
+		return planRank{}, false
+	}
+	return planRank{
+		pre: estPreemptCost(ctxBytes, len(a.preemptReverts)),
+		res: estResumeCost(ctxBytes, reExec),
+		q:   a.q,
+	}, true
+}
+
+// build assembles the analyzed window's plan, or returns nil when some
+// needed value is unobtainable.
+func (a *analyzer) build() *Plan {
+	plan := &Plan{
+		P:              a.p,
+		Q:              a.q,
+		Status:         make([]Status, a.n),
+		InitRegs:       make(map[isa.Reg]InitSource),
+		ReloadRegs:     make(map[int]isa.RegSet),
+		PreemptReverts: append([]PreemptRevert(nil), a.preemptReverts...),
+		OSRB:           make(map[isa.Reg]isa.Reg),
+	}
+	for i := range plan.Status {
+		plan.Status[i] = StatusSkip // only needed instructions replay
+	}
+	ctxBytes, reExec, ok := a.walk(plan)
+	if !ok {
+		return nil
+	}
+	for _, reg := range a.needRevert {
 		plan.ResumeReverts = append(plan.ResumeReverts, a.resumeReverts[a.id(reg)])
 	}
 	sortResumeReverts(plan.ResumeReverts)
@@ -568,33 +678,9 @@ func (a *analyzer) buildPlan() *Plan {
 	// keep all committed reverts — extra reverts are harmless to
 	// correctness and cost one cycle each).
 
-	plan.ContextBytes = a.contextBytes(plan)
-	for i := 0; i < a.n; i++ {
-		if plan.Status[i] == StatusReExec {
-			plan.ReExecCount++
-		}
-	}
-	plan.ReExecCount += len(plan.ResumeReverts)
+	plan.ContextBytes = ctxBytes
+	plan.ReExecCount = reExec
 	return plan
-}
-
-func (a *analyzer) contextBytes(plan *Plan) int {
-	bytes := 0
-	for reg, src := range plan.InitRegs {
-		switch src {
-		case InitDirect, InitRevertPreempt:
-			bytes += reg.ContextBytes()
-		case InitOSRB:
-			bytes += plan.OSRB[reg].ContextBytes()
-		case InitRevertResume:
-			// The overwriting result is saved instead.
-			bytes += reg.ContextBytes()
-		}
-	}
-	for _, regs := range plan.ReloadRegs {
-		bytes += regs.ContextBytes()
-	}
-	return bytes
 }
 
 func sortResumeReverts(rr []ResumeRevert) {

@@ -20,17 +20,6 @@ import (
 // artifact's key, and the analyses are relinked by the caller (they are
 // either their own artifact or recomputed in microseconds).
 
-func encodeReg(w *artifact.Writer, r isa.Reg) {
-	w.U8(uint8(r.Class))
-	w.U16(r.Index)
-}
-
-func decodeReg(r *artifact.Reader) isa.Reg {
-	cls := isa.RegClass(r.U8())
-	idx := r.U16()
-	return isa.Reg{Class: cls, Index: idx}
-}
-
 func encodeRoutine(w *artifact.Writer, instrs []isa.Instruction) {
 	w.Bytes(isa.EncodeRoutine(instrs))
 }
@@ -65,14 +54,14 @@ func encodePlan(w *artifact.Writer, p *Plan) {
 	for _, s := range p.Status {
 		w.U8(uint8(s))
 	}
-	initKeys := make(isa.RegSet, len(p.InitRegs))
+	var initKeys isa.RegSet
 	for reg := range p.InitRegs {
 		initKeys.Add(reg)
 	}
 	sortedInit := initKeys.Sorted()
 	w.Int(len(sortedInit))
 	for _, reg := range sortedInit {
-		encodeReg(w, reg)
+		liveness.EncodeReg(w, reg)
 		w.U8(uint8(p.InitRegs[reg]))
 	}
 	reloadIdx := make([]int, 0, len(p.ReloadRegs))
@@ -94,7 +83,7 @@ func encodePlan(w *artifact.Writer, p *Plan) {
 	for _, rv := range p.ResumeReverts {
 		w.Int(rv.Pos)
 		encodeRoutine(w, []isa.Instruction{rv.Instr})
-		encodeReg(w, rv.SlotReg)
+		liveness.EncodeReg(w, rv.SlotReg)
 		w.I64(int64(rv.SlotVer))
 	}
 	encodeRegMap(w, p.OSRB)
@@ -114,7 +103,7 @@ func decodePlan(r *artifact.Reader) *Plan {
 	ni := r.Len()
 	p.InitRegs = make(map[isa.Reg]InitSource, ni)
 	for i := 0; i < ni; i++ {
-		reg := decodeReg(r)
+		reg := liveness.DecodeReg(r)
 		p.InitRegs[reg] = InitSource(r.U8())
 	}
 	nr := r.Len()
@@ -134,7 +123,7 @@ func decodePlan(r *artifact.Reader) *Plan {
 	for i := range p.ResumeReverts {
 		p.ResumeReverts[i].Pos = r.Int()
 		p.ResumeReverts[i].Instr = decodeInstr(r)
-		p.ResumeReverts[i].SlotReg = decodeReg(r)
+		p.ResumeReverts[i].SlotReg = liveness.DecodeReg(r)
 		p.ResumeReverts[i].SlotVer = version(r.I64())
 	}
 	p.OSRB = decodeRegMap(r)
@@ -144,15 +133,15 @@ func decodePlan(r *artifact.Reader) *Plan {
 }
 
 func encodeRegMap(w *artifact.Writer, m map[isa.Reg]isa.Reg) {
-	keys := make(isa.RegSet, len(m))
+	var keys isa.RegSet
 	for reg := range m {
 		keys.Add(reg)
 	}
 	sorted := keys.Sorted()
 	w.Int(len(sorted))
 	for _, reg := range sorted {
-		encodeReg(w, reg)
-		encodeReg(w, m[reg])
+		liveness.EncodeReg(w, reg)
+		liveness.EncodeReg(w, m[reg])
 	}
 }
 
@@ -160,8 +149,8 @@ func decodeRegMap(r *artifact.Reader) map[isa.Reg]isa.Reg {
 	n := r.Len()
 	m := make(map[isa.Reg]isa.Reg, n)
 	for i := 0; i < n; i++ {
-		k := decodeReg(r)
-		m[k] = decodeReg(r)
+		k := liveness.DecodeReg(r)
+		m[k] = liveness.DecodeReg(r)
 	}
 	return m
 }

@@ -57,7 +57,7 @@ func TestFig2RelaxedCondition(t *testing.T) {
 		}
 	}
 	// Saved registers: v0 (I2's result slot), v4 and v5 (init), exec.
-	if _, ok := plan.ReloadRegs[2][isa.V(0)]; !ok {
+	if !plan.ReloadRegs[2].Has(isa.V(0)) {
 		t.Errorf("v0 must be saved as I2's reloadable result: %v", plan.ReloadRegs)
 	}
 	if plan.InitRegs[isa.V(4)] != InitDirect || plan.InitRegs[isa.V(5)] != InitDirect {

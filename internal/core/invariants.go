@@ -18,6 +18,7 @@ func (c *Compiled) CheckInvariants() error {
 		return fmt.Errorf("core: plan/routine tables sized %d/%d/%d for a %d-instruction program",
 			len(c.Plans), len(c.PreemptRoutines), len(c.ResumeRoutines), n)
 	}
+	v := newValidator(c.Prog, newProgInfo(c.Prog), c.Live)
 	for pc, plan := range c.Plans {
 		if plan == nil {
 			return fmt.Errorf("core: no plan for pc %d", pc)
@@ -31,7 +32,7 @@ func (c *Compiled) CheckInvariants() error {
 		if w := plan.WindowLen(); w > c.MaxWindow {
 			return fmt.Errorf("core: pc %d: window %d exceeds bound %d", pc, w, c.MaxWindow)
 		}
-		if err := ValidatePlan(c.Prog, c.Live, plan); err != nil {
+		if err := v.validate(plan); err != nil {
 			return fmt.Errorf("core: pc %d: %w", pc, err)
 		}
 	}

@@ -76,7 +76,7 @@ func TestRestoreContract(t *testing.T) {
 		if !set.Has(isa.Exec) {
 			t.Fatalf("pc %d: contract missing EXEC", pc)
 		}
-		for r := range c.Live.LiveIn[pc] {
+		for _, r := range c.Live.LiveIn[pc].Sorted() {
 			if !set.Has(r) {
 				t.Fatalf("pc %d: contract missing live-in %v", pc, r)
 			}

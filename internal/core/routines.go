@@ -8,24 +8,37 @@ import (
 
 // slotLayout assigns context-buffer slot ids to the values a plan saves.
 // Vector, scalar and special registers live in separate id spaces (they
-// use different context ops), so ids may repeat across spaces.
+// use different context ops), so ids may repeat across spaces. A
+// routine saves a few dozen values at most, so a linear scan beats a
+// map.
 type slotLayout struct {
-	next map[isa.RegClass]int32
-	ids  map[slotKey]int32
+	next  [isa.RegSpecial + 1]int32 // by class
+	slots []assignedSlot
 }
 
-func newSlotLayout() *slotLayout {
-	return &slotLayout{next: make(map[isa.RegClass]int32), ids: make(map[slotKey]int32)}
+type assignedSlot struct {
+	key slotKey
+	id  int32
+}
+
+// lookup returns k's slot id, if one was assigned.
+func (l *slotLayout) lookup(k slotKey) (int32, bool) {
+	for _, s := range l.slots {
+		if s.key == k {
+			return s.id, true
+		}
+	}
+	return 0, false
 }
 
 func (l *slotLayout) slot(reg isa.Reg, ver version) int32 {
 	k := slotKey{reg, ver}
-	if id, ok := l.ids[k]; ok {
+	if id, ok := l.lookup(k); ok {
 		return id
 	}
 	id := l.next[reg.Class]
 	l.next[reg.Class] = id + 1
-	l.ids[k] = id
+	l.slots = append(l.slots, assignedSlot{k, id})
 	return id
 }
 
@@ -57,9 +70,6 @@ func loadInstr(reg isa.Reg, slot int32) isa.Instruction {
 	return isa.Instruction{Op: loadOp(reg), Dst: reg, Imm0: slot}
 }
 
-// sortedRegs returns set members deterministically.
-func sortedRegs(s isa.RegSet) []isa.Reg { return s.Sorted() }
-
 // GenRoutines lowers a plan into its dedicated preemption and resume
 // routines (register part only — the technique layer appends LDS
 // save/restore, CtxSavePC/CtxResume and CtxExit).
@@ -68,44 +78,66 @@ func sortedRegs(s isa.RegSet) []isa.Reg { return s.Sorted() }
 // physical file first, then reverts rewind the overwritten registers,
 // then the flashback-point context is saved.
 func GenRoutines(prog *isa.Program, plan *Plan) (preempt, resume []isa.Instruction) {
-	layout := newSlotLayout()
+	var slots [32]assignedSlot
+	layout := slotLayout{slots: slots[:0]}
 	n := plan.WindowLen()
+
+	// Size both routines up front: compiled routines are kept for the
+	// life of the kernel, and append's growth would retain slack.
+	reloads, reExecs, inits, osrbInits := 0, 0, 0, 0
+	for _, regs := range plan.ReloadRegs {
+		reloads += regs.Len()
+	}
+	for _, st := range plan.Status {
+		if st == StatusReExec {
+			reExecs++
+		}
+	}
+	for _, src := range plan.InitRegs {
+		switch src {
+		case InitDirect, InitRevertPreempt:
+			inits++
+		case InitOSRB:
+			osrbInits++
+		}
+	}
+	preempt = make([]isa.Instruction, 0, reloads+len(plan.ResumeReverts)+len(plan.PreemptReverts)+inits+osrbInits)
+	resume = make([]isa.Instruction, 0, inits+2*osrbInits+2*len(plan.ResumeReverts)+reExecs+reloads)
 
 	// --- Preemption ---
 	// 1. Result slots (reload + resume-revert sources), deterministic
-	// order, deduplicated by the layout.
-	saved := make(map[slotKey]bool)
-	var reloadPCs []int
+	// order, deduplicated by the layout: a key is saved exactly when
+	// this phase first assigns its slot.
+	saveSlot := func(r isa.Reg, ver version) {
+		if _, saved := layout.lookup(slotKey{r, ver}); !saved {
+			preempt = append(preempt, saveInstr(r, layout.slot(r, ver)))
+		}
+	}
+	reloadPCs := make([]int, 0, len(plan.ReloadRegs))
 	for i := range plan.ReloadRegs {
 		reloadPCs = append(reloadPCs, i)
 	}
 	sort.Ints(reloadPCs)
+	var regs []isa.Reg
 	for _, i := range reloadPCs {
-		for _, r := range sortedRegs(plan.ReloadRegs[i]) {
-			k := slotKey{r, version(i)}
-			if !saved[k] {
-				saved[k] = true
-				preempt = append(preempt, saveInstr(r, layout.slot(r, version(i))))
-			}
+		regs = plan.ReloadRegs[i].Append(regs[:0])
+		for _, r := range regs {
+			saveSlot(r, version(i))
 		}
 	}
 	for _, rr := range plan.ResumeReverts {
-		k := slotKey{rr.SlotReg, rr.SlotVer}
-		if !saved[k] {
-			saved[k] = true
-			preempt = append(preempt, saveInstr(rr.SlotReg, layout.slot(rr.SlotReg, rr.SlotVer)))
-		}
+		saveSlot(rr.SlotReg, rr.SlotVer)
 	}
 	// 2. Preemption-stage reverts.
 	for _, pr := range plan.PreemptReverts {
 		preempt = append(preempt, pr.Instr)
 	}
 	// 3. Flashback-point context.
-	var initRegs []isa.Reg
+	var initSet isa.RegSet
 	for r := range plan.InitRegs {
-		initRegs = append(initRegs, r)
+		initSet.Add(r)
 	}
-	sortRegsStable(initRegs)
+	initRegs := initSet.Sorted()
 	for _, r := range initRegs {
 		switch plan.InitRegs[r] {
 		case InitDirect, InitRevertPreempt:
@@ -134,14 +166,12 @@ func GenRoutines(prog *isa.Program, plan *Plan) (preempt, resume []isa.Instructi
 		}
 	}
 	// 2. Replay with reverts and reloads at their positions.
-	revertAt := make(map[int][]ResumeRevert)
-	for _, rr := range plan.ResumeReverts {
-		revertAt[rr.Pos] = append(revertAt[rr.Pos], rr)
-	}
 	for pos := 0; pos <= n; pos++ {
-		for _, rr := range revertAt[pos] {
-			resume = append(resume, loadInstr(rr.SlotReg, layout.slot(rr.SlotReg, rr.SlotVer)))
-			resume = append(resume, rr.Instr)
+		for _, rr := range plan.ResumeReverts {
+			if rr.Pos == pos {
+				resume = append(resume, loadInstr(rr.SlotReg, layout.slot(rr.SlotReg, rr.SlotVer)))
+				resume = append(resume, rr.Instr)
+			}
 		}
 		if pos == n {
 			break
@@ -152,7 +182,8 @@ func GenRoutines(prog *isa.Program, plan *Plan) (preempt, resume []isa.Instructi
 			in.Comment = "re-exec"
 			resume = append(resume, in)
 		case StatusReload:
-			for _, r := range sortedRegs(plan.ReloadRegs[pos]) {
+			regs = plan.ReloadRegs[pos].Append(regs[:0])
+			for _, r := range regs {
 				resume = append(resume, loadInstr(r, layout.slot(r, version(pos))))
 			}
 		}
@@ -183,13 +214,4 @@ func backupInstr(reg, spare isa.Reg) isa.Instruction {
 	default:
 		return isa.Instruction{Op: isa.SMov, Dst: spare, Srcs: [isa.MaxSrcs]isa.Operand{isa.R(reg)}, Comment: "osrb backup"}
 	}
-}
-
-func sortRegsStable(regs []isa.Reg) {
-	sort.Slice(regs, func(i, j int) bool {
-		if regs[i].Class != regs[j].Class {
-			return regs[i].Class < regs[j].Class
-		}
-		return regs[i].Index < regs[j].Index
-	})
 }

@@ -15,76 +15,64 @@ type symVal struct {
 }
 
 // symTab maps physical registers to abstract values, stored flat by
-// progInfo.regID (the validator replays thousands of plans per compile;
-// Reg-keyed maps dominated its cost). Registers never written read
-// through base — or poison (zero symVal) when base is nil.
+// progInfo.regID. An entry is set when mark[id] == stamp, so reset is
+// O(1). Registers never written read as their version at P (atP) or as
+// poison.
 type symTab struct {
-	info *progInfo
-	vals []symVal
-	set  []bool
-	base func(isa.Reg) symVal
+	vals  []symVal
+	mark  []uint32
+	stamp uint32
+	atP   bool
 }
 
-func newSymTab(info *progInfo, base func(isa.Reg) symVal) *symTab {
-	n := info.numRegIDs()
-	return &symTab{info: info, vals: make([]symVal, n), set: make([]bool, n), base: base}
+func newSymTab(nids int, atP bool) symTab {
+	return symTab{vals: make([]symVal, nids), mark: make([]uint32, nids), atP: atP}
 }
 
-func (t *symTab) get(r isa.Reg) symVal {
-	if id := t.info.regID(r); t.set[id] {
-		return t.vals[id]
+func (t *symTab) reset() {
+	t.stamp++
+	if t.stamp == 0 { // wrapped: old marks could collide
+		clear(t.mark)
+		t.stamp = 1
 	}
-	if t.base != nil {
-		return t.base(r)
-	}
-	return symVal{}
 }
 
-func (t *symTab) put(r isa.Reg, v symVal) {
-	id := t.info.regID(r)
-	t.vals[id] = v
-	t.set[id] = true
-}
-
-// slotKey identifies a context-buffer slot in the validator.
+// slotKey identifies a context-buffer slot.
 type slotKey struct {
 	reg isa.Reg
 	ver version
 }
 
-// winIndex resolves register versions inside a window without
-// materializing per-position states: verAt(i, r) is the version of r
-// just before window instruction i executes.
-type winIndex struct {
-	info   *progInfo
-	defsOf [][]int // by regID
-	n      int
+// validator replays plans symbolically. One validator serves a whole
+// compile and reuses its tables for every plan it checks.
+type validator struct {
+	prog *isa.Program
+	info *progInfo
+	live *liveness.Info
+
+	// The window under validation: defsOf[id] lists the window indices
+	// defining register id (touched names the ids to clear next time).
+	q, n    int
+	defsOf  [][]int
+	touched []int
+
+	st, rst symTab
+	// slots holds the context-buffer slots the preemption stage saved.
+	// A saved slot's value is always its own (reg, ver), so the set of
+	// keys is all the replay needs.
+	slots []slotKey
+	regs  []isa.Reg
 }
 
-func newWinIndex(info *progInfo, q, n int) *winIndex {
-	w := &winIndex{info: info, defsOf: make([][]int, info.numRegIDs()), n: n}
-	for i := 0; i < n; i++ {
-		for _, r := range info.defs[q+i] {
-			id := info.regID(r)
-			w.defsOf[id] = append(w.defsOf[id], i)
-		}
+func newValidator(prog *isa.Program, info *progInfo, live *liveness.Info) *validator {
+	nids := info.numRegIDs()
+	return &validator{
+		prog: prog, info: info, live: live,
+		defsOf: make([][]int, nids),
+		st:     newSymTab(nids, true),
+		rst:    newSymTab(nids, false),
 	}
-	return w
 }
-
-func (w *winIndex) verAt(i int, r isa.Reg) version {
-	v := verInit
-	for _, d := range w.defsOf[w.info.regID(r)] {
-		if d < i {
-			v = version(d)
-		} else {
-			break
-		}
-	}
-	return v
-}
-
-func (w *winIndex) valAt(i int, r isa.Reg) symVal { return symVal{reg: r, ver: w.verAt(i, r)} }
 
 // ValidatePlan symbolically replays plan's preemption and resume stages
 // over abstract value versions and verifies that every live-in register
@@ -96,56 +84,114 @@ func (w *winIndex) valAt(i int, r isa.Reg) symVal { return symVal{reg: r, ver: w
 // memory loads (internal/cfg region analysis) and OSRB backup freshness
 // (the selector only offers backups whose copy equals the value at Q).
 func ValidatePlan(prog *isa.Program, live *liveness.Info, plan *Plan) error {
-	n := plan.WindowLen()
-	info := infoFor(prog)
-	instr := func(i int) *isa.Instruction { return prog.At(plan.Q + i) }
-	idx := newWinIndex(info, plan.Q, n)
+	return newValidator(prog, newProgInfo(prog), live).validate(plan)
+}
+
+// verAt is the version of r just before window instruction i executes.
+func (v *validator) verAt(i int, r isa.Reg) version {
+	return latestBefore(v.defsOf[v.info.regID(r)], i)
+}
+
+func (v *validator) valAt(i int, r isa.Reg) symVal { return symVal{reg: r, ver: v.verAt(i, r)} }
+
+func (v *validator) get(t *symTab, r isa.Reg) symVal {
+	if id := v.info.regID(r); t.mark[id] == t.stamp {
+		return t.vals[id]
+	}
+	if t.atP {
+		return v.valAt(v.n, r)
+	}
+	return symVal{}
+}
+
+func (v *validator) put(t *symTab, r isa.Reg, val symVal) {
+	id := v.info.regID(r)
+	t.vals[id] = val
+	t.mark[id] = t.stamp
+}
+
+func (v *validator) saved(k slotKey) bool {
+	for _, s := range v.slots {
+		if s == k {
+			return true
+		}
+	}
+	return false
+}
+
+func (v *validator) save(k slotKey) {
+	if !v.saved(k) {
+		v.slots = append(v.slots, k)
+	}
+}
+
+func (v *validator) validate(plan *Plan) error {
+	for _, id := range v.touched {
+		v.defsOf[id] = v.defsOf[id][:0]
+	}
+	v.touched = v.touched[:0]
+	v.q, v.n = plan.Q, plan.WindowLen()
+	for i := 0; i < v.n; i++ {
+		for _, r := range v.info.defs[v.q+i] {
+			id := v.info.regID(r)
+			if len(v.defsOf[id]) == 0 {
+				v.touched = append(v.touched, id)
+			}
+			v.defsOf[id] = append(v.defsOf[id], i)
+		}
+	}
+	v.slots = v.slots[:0]
+	n := v.n
+	instr := func(i int) *isa.Instruction { return v.prog.At(plan.Q + i) }
 
 	// --- Preemption stage ---
 	// st starts as the state at P; registers never written hold their
 	// at-P version implicitly.
-	st := newSymTab(info, func(r isa.Reg) symVal { return idx.valAt(n, r) })
-	slots := make(map[slotKey]symVal)
+	st := &v.st
+	st.reset()
 
 	// 1. Save reload slots and resume-revert source slots from the
 	// physical state (before any revert mutates it).
 	for i, regs := range plan.ReloadRegs {
-		for r := range regs {
+		v.regs = regs.Append(v.regs[:0])
+		for _, r := range v.regs {
 			want := symVal{reg: r, ver: version(i)}
-			if got := st.get(r); got != want {
+			if got := v.get(st, r); got != want {
 				return fmt.Errorf("reload slot (%s,v%d): physical holds %v at preemption", r, i, got)
 			}
-			slots[slotKey{r, version(i)}] = want
+			v.save(slotKey(want))
 		}
 	}
 	for _, rr := range plan.ResumeReverts {
 		want := symVal{reg: rr.SlotReg, ver: rr.SlotVer}
-		if got := st.get(rr.SlotReg); got != want {
+		if got := v.get(st, rr.SlotReg); got != want {
 			return fmt.Errorf("revert slot (%s,v%d): physical holds %v at preemption", rr.SlotReg, rr.SlotVer, got)
 		}
-		slots[slotKey{rr.SlotReg, rr.SlotVer}] = want
+		v.save(slotKey(want))
 	}
 
 	// 2. Execute preemption-stage reverts in order.
 	for _, pr := range plan.PreemptReverts {
-		if err := applyRevert(st, idx, instr, pr.K, pr.Instr); err != nil {
+		if err := v.applyRevert(st, instr(pr.K), pr.K, pr.Instr); err != nil {
 			return fmt.Errorf("preempt revert of window[%d]: %w", pr.K, err)
 		}
 	}
 
-	// 3. Save init-version registers.
-	initSlots := make(map[isa.Reg]symVal)
+	// 3. Save init-version registers; the resume stage loads them first.
+	// rst is explicit: registers never restored are poison.
+	rst := &v.rst
+	rst.reset()
 	for r, src := range plan.InitRegs {
 		switch src {
 		case InitDirect, InitRevertPreempt:
-			got := st.get(r)
+			got := v.get(st, r)
 			if got != (symVal{reg: r, ver: verInit}) {
 				return fmt.Errorf("init save of %s (%v): holds %v after reverts", r, src, got)
 			}
-			initSlots[r] = got
+			v.put(rst, r, got)
 		case InitOSRB:
 			// Backup premise: the spare holds the value at Q.
-			initSlots[r] = symVal{reg: r, ver: verInit}
+			v.put(rst, r, symVal{reg: r, ver: verInit})
 		case InitRevertResume:
 			// Recovered during resume; the source slot was saved above.
 		default:
@@ -154,25 +200,17 @@ func ValidatePlan(prog *isa.Program, live *liveness.Info, plan *Plan) error {
 	}
 
 	// --- Resume stage ---
-	// rst is explicit: registers never restored are poison.
-	rst := newSymTab(info, nil)
-	for r, v := range initSlots {
-		rst.put(r, v)
-	}
-
-	revertAt := make(map[int][]ResumeRevert)
-	for _, rr := range plan.ResumeReverts {
-		revertAt[rr.Pos] = append(revertAt[rr.Pos], rr)
-	}
-
 	for pos := 0; pos <= n; pos++ {
-		for _, rr := range revertAt[pos] {
-			v, ok := slots[slotKey{rr.SlotReg, rr.SlotVer}]
-			if !ok {
+		for _, rr := range plan.ResumeReverts {
+			if rr.Pos != pos {
+				continue
+			}
+			k := slotKey{rr.SlotReg, rr.SlotVer}
+			if !v.saved(k) {
 				return fmt.Errorf("resume revert at %d: slot (%s,v%d) never saved", pos, rr.SlotReg, rr.SlotVer)
 			}
-			rst.put(rr.SlotReg, v)
-			if err := applyRevert(rst, idx, instr, int(rr.SlotVer), rr.Instr); err != nil {
+			v.put(rst, rr.SlotReg, symVal(k))
+			if err := v.applyRevert(rst, instr(int(rr.SlotVer)), int(rr.SlotVer), rr.Instr); err != nil {
 				return fmt.Errorf("resume revert at %d: %w", pos, err)
 			}
 		}
@@ -182,9 +220,9 @@ func ValidatePlan(prog *isa.Program, live *liveness.Info, plan *Plan) error {
 		switch plan.Status[pos] {
 		case StatusReExec:
 			in := instr(pos)
-			for _, u := range info.uses[plan.Q+pos] {
-				want := idx.valAt(pos, u)
-				if got := rst.get(u); got != want {
+			for _, u := range v.info.uses[plan.Q+pos] {
+				want := v.valAt(pos, u)
+				if got := v.get(rst, u); got != want {
 					return fmt.Errorf("re-exec window[%d] (%s): operand %s holds %v, want %v",
 						pos, in, u, got, want)
 				}
@@ -192,23 +230,24 @@ func ValidatePlan(prog *isa.Program, live *liveness.Info, plan *Plan) error {
 			// A masked partial def merges into its destination: when the
 			// masked-out lanes are observable, the prior version must be
 			// present for the re-execution to reproduce the value.
-			if r, ok := partialDefReads(prog, live, plan.Q+pos); ok {
-				want := idx.valAt(pos, r)
-				if got := rst.get(r); got != want {
+			if r, ok := partialDefReads(v.prog, v.live, plan.Q+pos); ok {
+				want := v.valAt(pos, r)
+				if got := v.get(rst, r); got != want {
 					return fmt.Errorf("re-exec window[%d] (%s): masked dst %s holds %v, want prior %v",
 						pos, in, r, got, want)
 				}
 			}
-			for _, d := range info.defs[plan.Q+pos] {
-				rst.put(d, symVal{reg: d, ver: version(pos)})
+			for _, d := range v.info.defs[plan.Q+pos] {
+				v.put(rst, d, symVal{reg: d, ver: version(pos)})
 			}
 		case StatusReload:
-			for r := range plan.ReloadRegs[pos] {
-				v, ok := slots[slotKey{r, version(pos)}]
-				if !ok {
+			v.regs = plan.ReloadRegs[pos].Append(v.regs[:0])
+			for _, r := range v.regs {
+				k := slotKey{r, version(pos)}
+				if !v.saved(k) {
 					return fmt.Errorf("reload window[%d]: slot (%s,v%d) never saved", pos, r, pos)
 				}
-				rst.put(r, v)
+				v.put(rst, r, symVal(k))
 			}
 		case StatusSkip:
 			// Either a durable side effect or a dead instruction.
@@ -218,28 +257,28 @@ func ValidatePlan(prog *isa.Program, live *liveness.Info, plan *Plan) error {
 	}
 
 	// Final check: R_cur restored exactly.
-	for r := range live.LiveIn[plan.P] {
-		want := idx.valAt(n, r)
-		if got := rst.get(r); got != want {
+	v.regs = v.live.LiveIn[plan.P].Append(v.regs[:0])
+	for _, r := range v.regs {
+		want := v.valAt(n, r)
+		if got := v.get(rst, r); got != want {
 			return fmt.Errorf("live-in %s at P: restored %v, want %v", r, got, want)
 		}
 	}
 	return nil
 }
 
-// applyRevert checks and applies the revert of window instruction k on a
-// state: the recovered register must hold k's result, every extra
-// operand must hold its value as of k's execution, and the recovered
-// register becomes the pre-k value.
-func applyRevert(st *symTab, idx *winIndex, instr func(int) *isa.Instruction, k int, rev isa.Instruction) error {
-	orig := instr(k)
+// applyRevert checks and applies the revert of window instruction k
+// (orig) on a state: the recovered register must hold k's result, every
+// extra operand must hold its value as of k's execution, and the
+// recovered register becomes the pre-k value.
+func (v *validator) applyRevert(t *symTab, orig *isa.Instruction, k int, rev isa.Instruction) error {
 	dst := orig.Dst
-	if cur := st.get(dst); cur != (symVal{reg: dst, ver: version(k)}) {
+	if cur := v.get(t, dst); cur != (symVal{reg: dst, ver: version(k)}) {
 		return fmt.Errorf("register %s holds %v, not the result of window[%d]", dst, cur, k)
 	}
 	check := func(x isa.Reg) error {
-		want := idx.valAt(k, x)
-		if got := st.get(x); got != want {
+		want := v.valAt(k, x)
+		if got := v.get(t, x); got != want {
 			return fmt.Errorf("revert operand %s holds %v, want %v", x, got, want)
 		}
 		return nil
@@ -256,6 +295,6 @@ func applyRevert(st *symTab, idx *winIndex, instr func(int) *isa.Instruction, k 
 			return err
 		}
 	}
-	st.put(dst, idx.valAt(k, dst))
+	v.put(t, dst, v.valAt(k, dst))
 	return nil
 }

@@ -562,61 +562,71 @@ func integrityChecker(live *liveness.Info, warpsPerBlock int) func(w *sim.Warp) 
 		if w.PC != rec.PCAtSignal || w.DynCount != rec.DynAtSignal {
 			return nil
 		}
-		fail := func(format string, args ...any) error {
-			return &sim.IntegrityError{WarpID: w.ID, Stage: "gen-oracle",
-				Detail: fmt.Sprintf(format, args...)}
-		}
-		// EXEC can be dead at the signal point (the instruction there
-		// overwrites it without reading it, e.g. the s_setexec of a
-		// reconvergence); a resume legitimately leaves it unrestored.
-		if live.LiveIn[rec.PCAtSignal].Has(isa.Exec) && w.Exec != snap.Exec {
-			return fail("EXEC %#x, snapshot %#x at pc %d", w.Exec, snap.Exec, w.PC)
-		}
-		for r := range live.LiveIn[rec.PCAtSignal] {
-			switch r.Class {
-			case isa.RegVector:
-				// A live vector register whose masked-out lanes cannot be
-				// observed below the signal point (no EXEC write or lane
-				// read crossed while live) is only readable on the lanes
-				// active at the signal; a resume may legitimately leave
-				// the dead lanes unrestored.
-				lanes := ^uint64(0)
-				if !live.EscIn[rec.PCAtSignal].Has(r) {
-					lanes = snap.Exec
-				}
-				for l, v := range w.VRegs[r.Index] {
-					if lanes&(1<<uint(l)) == 0 {
-						continue
-					}
-					if v != snap.VRegs[r.Index][l] {
-						return fail("v%d[%d] = %#x, snapshot %#x at pc %d", r.Index, l, v, snap.VRegs[r.Index][l], w.PC)
-					}
-				}
-			case isa.RegScalar:
-				if w.SRegs[r.Index] != snap.SRegs[r.Index] {
-					return fail("s%d = %#x, snapshot %#x at pc %d", r.Index, w.SRegs[r.Index], snap.SRegs[r.Index], w.PC)
-				}
-			case isa.RegSpecial:
-				switch r.Index {
-				case isa.SpecVCC:
-					if w.VCC != snap.VCC {
-						return fail("VCC %#x, snapshot %#x at pc %d", w.VCC, snap.VCC, w.PC)
-					}
-				case isa.SpecSCC:
-					if w.SCC != snap.SCC {
-						return fail("SCC %v, snapshot %v at pc %d", w.SCC, snap.SCC, w.PC)
-					}
-				}
-			}
-		}
-		if warpsPerBlock == 1 && len(snap.LDSShare) > 0 {
-			share := w.LDS.Data[w.LDSShareLo>>2 : w.LDSShareHi>>2]
-			for i, v := range share {
-				if v != snap.LDSShare[i] {
-					return fail("LDS[%d] = %#x, snapshot %#x", i, v, snap.LDSShare[i])
-				}
-			}
-		}
-		return nil
+		pc := rec.PCAtSignal
+		return integrityDiff(w, snap, live.LiveIn[pc], live.EscIn[pc], warpsPerBlock)
 	}
+}
+
+// integrityDiff compares a resumed warp against its signal-time
+// snapshot over the live-in set (esc: the live vectors whose masked-out
+// lanes are observable). Registers are checked in Sorted order, so when
+// several diverge the error names the first in (class, index) order and
+// its text is the same on every run.
+func integrityDiff(w *sim.Warp, snap *sim.ArchSnapshot, live, esc isa.RegSet, warpsPerBlock int) error {
+	fail := func(format string, args ...any) error {
+		return &sim.IntegrityError{WarpID: w.ID, Stage: "gen-oracle",
+			Detail: fmt.Sprintf(format, args...)}
+	}
+	// EXEC can be dead at the signal point (the instruction there
+	// overwrites it without reading it, e.g. the s_setexec of a
+	// reconvergence); a resume legitimately leaves it unrestored.
+	if live.Has(isa.Exec) && w.Exec != snap.Exec {
+		return fail("EXEC %#x, snapshot %#x at pc %d", w.Exec, snap.Exec, w.PC)
+	}
+	for _, r := range live.Sorted() {
+		switch r.Class {
+		case isa.RegVector:
+			// A live vector register whose masked-out lanes cannot be
+			// observed below the signal point (no EXEC write or lane
+			// read crossed while live) is only readable on the lanes
+			// active at the signal; a resume may legitimately leave
+			// the dead lanes unrestored.
+			lanes := ^uint64(0)
+			if !esc.Has(r) {
+				lanes = snap.Exec
+			}
+			for l, v := range w.VRegs[r.Index] {
+				if lanes&(1<<uint(l)) == 0 {
+					continue
+				}
+				if v != snap.VRegs[r.Index][l] {
+					return fail("v%d[%d] = %#x, snapshot %#x at pc %d", r.Index, l, v, snap.VRegs[r.Index][l], w.PC)
+				}
+			}
+		case isa.RegScalar:
+			if w.SRegs[r.Index] != snap.SRegs[r.Index] {
+				return fail("s%d = %#x, snapshot %#x at pc %d", r.Index, w.SRegs[r.Index], snap.SRegs[r.Index], w.PC)
+			}
+		case isa.RegSpecial:
+			switch r.Index {
+			case isa.SpecVCC:
+				if w.VCC != snap.VCC {
+					return fail("VCC %#x, snapshot %#x at pc %d", w.VCC, snap.VCC, w.PC)
+				}
+			case isa.SpecSCC:
+				if w.SCC != snap.SCC {
+					return fail("SCC %v, snapshot %v at pc %d", w.SCC, snap.SCC, w.PC)
+				}
+			}
+		}
+	}
+	if warpsPerBlock == 1 && len(snap.LDSShare) > 0 {
+		share := w.LDS.Data[w.LDSShareLo>>2 : w.LDSShareHi>>2]
+		for i, v := range share {
+			if v != snap.LDSShare[i] {
+				return fail("LDS[%d] = %#x, snapshot %#x", i, v, snap.LDSShare[i])
+			}
+		}
+	}
+	return nil
 }

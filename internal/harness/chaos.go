@@ -203,48 +203,56 @@ func chaosChecker(live *liveness.Info, warpsPerBlock int) func(w *sim.Warp) erro
 		if w.PC != rec.PCAtSignal || w.DynCount != rec.DynAtSignal {
 			return nil
 		}
-		fail := func(format string, args ...any) error {
-			return &sim.IntegrityError{WarpID: w.ID, Stage: "oracle",
-				Detail: fmt.Sprintf(format, args...)}
-		}
-		if w.Exec != snap.Exec {
-			return fail("EXEC %#x, snapshot %#x at pc %d", w.Exec, snap.Exec, w.PC)
-		}
-		for r := range live.LiveIn[rec.PCAtSignal] {
-			switch r.Class {
-			case isa.RegVector:
-				for l, v := range w.VRegs[r.Index] {
-					if v != snap.VRegs[r.Index][l] {
-						return fail("v%d[%d] = %#x, snapshot %#x at pc %d", r.Index, l, v, snap.VRegs[r.Index][l], w.PC)
-					}
-				}
-			case isa.RegScalar:
-				if w.SRegs[r.Index] != snap.SRegs[r.Index] {
-					return fail("s%d = %#x, snapshot %#x at pc %d", r.Index, w.SRegs[r.Index], snap.SRegs[r.Index], w.PC)
-				}
-			case isa.RegSpecial:
-				switch r.Index {
-				case isa.SpecVCC:
-					if w.VCC != snap.VCC {
-						return fail("VCC diverged at pc %d", w.PC)
-					}
-				case isa.SpecSCC:
-					if w.SCC != snap.SCC {
-						return fail("SCC diverged at pc %d", w.PC)
-					}
-				}
-			}
-		}
-		if warpsPerBlock == 1 && len(snap.LDSShare) > 0 {
-			share := w.LDS.Data[w.LDSShareLo>>2 : w.LDSShareHi>>2]
-			for i, v := range share {
-				if v != snap.LDSShare[i] {
-					return fail("LDS[%d] = %#x, snapshot %#x", i, v, snap.LDSShare[i])
-				}
-			}
-		}
-		return nil
+		return chaosDiff(w, snap, live.LiveIn[rec.PCAtSignal], warpsPerBlock)
 	}
+}
+
+// chaosDiff compares a resumed warp against its signal-time snapshot
+// over the live-in set. Registers are checked in Sorted order, so when
+// several diverge the error names the first in (class, index) order
+// and its text is the same on every run.
+func chaosDiff(w *sim.Warp, snap *sim.ArchSnapshot, live isa.RegSet, warpsPerBlock int) error {
+	fail := func(format string, args ...any) error {
+		return &sim.IntegrityError{WarpID: w.ID, Stage: "oracle",
+			Detail: fmt.Sprintf(format, args...)}
+	}
+	if w.Exec != snap.Exec {
+		return fail("EXEC %#x, snapshot %#x at pc %d", w.Exec, snap.Exec, w.PC)
+	}
+	for _, r := range live.Sorted() {
+		switch r.Class {
+		case isa.RegVector:
+			for l, v := range w.VRegs[r.Index] {
+				if v != snap.VRegs[r.Index][l] {
+					return fail("v%d[%d] = %#x, snapshot %#x at pc %d", r.Index, l, v, snap.VRegs[r.Index][l], w.PC)
+				}
+			}
+		case isa.RegScalar:
+			if w.SRegs[r.Index] != snap.SRegs[r.Index] {
+				return fail("s%d = %#x, snapshot %#x at pc %d", r.Index, w.SRegs[r.Index], snap.SRegs[r.Index], w.PC)
+			}
+		case isa.RegSpecial:
+			switch r.Index {
+			case isa.SpecVCC:
+				if w.VCC != snap.VCC {
+					return fail("VCC diverged at pc %d", w.PC)
+				}
+			case isa.SpecSCC:
+				if w.SCC != snap.SCC {
+					return fail("SCC diverged at pc %d", w.PC)
+				}
+			}
+		}
+	}
+	if warpsPerBlock == 1 && len(snap.LDSShare) > 0 {
+		share := w.LDS.Data[w.LDSShareLo>>2 : w.LDSShareHi>>2]
+		for i, v := range share {
+			if v != snap.LDSShare[i] {
+				return fail("LDS[%d] = %#x, snapshot %#x", i, v, snap.LDSShare[i])
+			}
+		}
+	}
+	return nil
 }
 
 // chaosEpisode runs one preempt/resume episode under fault injection

@@ -275,7 +275,9 @@ func Ablation(o Options) ([]AblationRow, error) { return NewRunner(o).Ablation()
 // Ablation quantifies each of CTXBack's three techniques (DESIGN.md
 // call-out): strict condition only, +relaxed, +reverting, +OSRB. Each
 // (combo, kernel) compilation is an independent static analysis, so the
-// full cross product goes to the worker pool.
+// full cross product goes to the worker pool. Compiles go through the
+// technique memo, so the full-feature plans Fig 7 already built are
+// reused and -cache-dir persists every combination.
 func (r *Runner) Ablation() ([]AblationRow, error) {
 	combos := []core.Feature{
 		0,
@@ -293,7 +295,7 @@ func (r *Runner) Ablation() ([]AblationRow, error) {
 		if err != nil {
 			return err
 		}
-		c, err := core.Compile(wl.Prog, feats)
+		c, err := preempt.CompileCTXBack(wl.Prog, feats)
 		if err != nil {
 			return fmt.Errorf("%s/%v: %w", wl.Abbrev, feats, err)
 		}

@@ -1,9 +1,8 @@
 package isa
 
 import (
-	"fmt"
 	"math"
-	"strings"
+	"strconv"
 )
 
 // OperandKind distinguishes source-operand forms.
@@ -40,14 +39,16 @@ func (o Operand) IsReg() bool { return o.Kind == OperandReg }
 // IsImm reports whether the operand is an immediate.
 func (o Operand) IsImm() bool { return o.Kind == OperandImm }
 
-func (o Operand) String() string {
+func (o Operand) String() string { return string(o.appendText(nil)) }
+
+func (o Operand) appendText(b []byte) []byte {
 	switch o.Kind {
 	case OperandReg:
-		return o.Reg.String()
+		return o.Reg.appendText(b)
 	case OperandImm:
-		return fmt.Sprintf("%d", int32(o.Imm))
+		return strconv.AppendInt(b, int64(int32(o.Imm)), 10)
 	}
-	return "_"
+	return append(b, '_')
 }
 
 // MaxSrcs is the maximum number of explicit source operands.
@@ -143,22 +144,16 @@ func (in *Instruction) Defs(dst []Reg) []Reg {
 	return dst
 }
 
-// UseSet returns the use registers as a fresh set.
+// UseSet returns the use registers as a set.
 func (in *Instruction) UseSet() RegSet {
-	s := make(RegSet, 4)
-	for _, r := range in.Uses(nil) {
-		s.Add(r)
-	}
-	return s
+	var buf [MaxSrcs + 4]Reg
+	return NewRegSet(in.Uses(buf[:0])...)
 }
 
-// DefSet returns the def registers as a fresh set.
+// DefSet returns the def registers as a set.
 func (in *Instruction) DefSet() RegSet {
-	s := make(RegSet, 2)
-	for _, r := range in.Defs(nil) {
-		s.Add(r)
-	}
-	return s
+	var buf [4]Reg
+	return NewRegSet(in.Defs(buf[:0])...)
 }
 
 // IsBranch reports whether the instruction may transfer control.
@@ -271,36 +266,41 @@ func (in *Instruction) RevertExtraOperands() (regs []Reg, ok bool) {
 }
 
 // String renders the instruction in assembler syntax (without labels).
-func (in *Instruction) String() string {
+func (in *Instruction) String() string { return string(in.AppendText(nil)) }
+
+// AppendText appends String's rendering to b. Hot paths (routine
+// sharing keys every compiled routine by its text) render into a reused
+// buffer instead of allocating a string per instruction.
+func (in *Instruction) AppendText(b []byte) []byte {
 	info := in.Op.Info()
-	var b strings.Builder
-	b.WriteString(info.Name)
+	b = append(b, info.Name...)
 	sep := " "
 	if info.HasDst && in.Dst.Valid() {
-		b.WriteString(sep)
-		b.WriteString(in.Dst.String())
+		b = append(b, sep...)
+		b = in.Dst.appendText(b)
 		sep = ", "
 	}
 	for _, s := range in.SrcOperands() {
-		b.WriteString(sep)
-		b.WriteString(s.String())
+		b = append(b, sep...)
+		b = s.appendText(b)
 		sep = ", "
 	}
 	if info.HasImm {
-		b.WriteString(sep)
-		fmt.Fprintf(&b, "%d", in.Imm0)
+		b = append(b, sep...)
+		b = strconv.AppendInt(b, int64(in.Imm0), 10)
 		sep = ", "
 	}
 	if info.HasTgt {
-		b.WriteString(sep)
-		fmt.Fprintf(&b, "@%d", in.Target)
+		b = append(b, sep...)
+		b = append(b, '@')
+		b = strconv.AppendInt(b, int64(in.Target), 10)
 	}
 	if in.NoOverflow {
-		b.WriteString(" !noovf")
+		b = append(b, " !noovf"...)
 	}
 	if in.Comment != "" {
-		b.WriteString(" ; ")
-		b.WriteString(in.Comment)
+		b = append(b, " ; "...)
+		b = append(b, in.Comment...)
 	}
-	return b.String()
+	return b
 }

@@ -24,11 +24,11 @@ func TestOpInfoComplete(t *testing.T) {
 func TestUsesDefsExplicit(t *testing.T) {
 	in := Instruction{Op: VAdd, Dst: V(3), Srcs: [MaxSrcs]Operand{R(V(1)), R(S(2))}}
 	uses := NewRegSet(in.Uses(nil)...)
-	if !uses.Equal(NewRegSet(V(1), S(2), Exec)) {
+	if uses != NewRegSet(V(1), S(2), Exec) {
 		t.Errorf("uses = %v", uses.Sorted())
 	}
 	defs := NewRegSet(in.Defs(nil)...)
-	if !defs.Equal(NewRegSet(V(3))) {
+	if defs != NewRegSet(V(3)) {
 		t.Errorf("defs = %v", defs.Sorted())
 	}
 }

@@ -76,12 +76,17 @@ func (p *Program) At(pc int) *Instruction { return &p.Instrs[pc] }
 // Len returns the instruction count.
 func (p *Program) Len() int { return len(p.Instrs) }
 
-// Validate performs static checks: operand classes match opcode
-// expectations, register indices are within declared bounds, branch
-// targets are in range, and the program ends in a terminator.
+// Validate performs static checks: register counts fit a RegSet,
+// operand classes match opcode expectations, register indices are within
+// declared bounds, branch targets are in range, and the program ends in
+// a terminator.
 func (p *Program) Validate() error {
 	if len(p.Instrs) == 0 {
 		return fmt.Errorf("program %q: empty", p.Name)
+	}
+	if p.NumVRegs > MaxVRegs || p.NumSRegs > MaxSRegs {
+		return fmt.Errorf("program %q: %d vector / %d scalar registers exceed the capacity of %d / %d",
+			p.Name, p.NumVRegs, p.NumSRegs, MaxVRegs, MaxSRegs)
 	}
 	for pc := range p.Instrs {
 		if err := p.validateInstr(pc); err != nil {
@@ -196,6 +201,8 @@ func (p *Program) checkRegBounds(in *Instruction) error {
 			if r.Index > SpecSCC {
 				return fmt.Errorf("unknown special register %s", r)
 			}
+		default:
+			return fmt.Errorf("register %s has no register class", r)
 		}
 		return nil
 	}

@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -211,6 +212,40 @@ beta:
 	for i := 0; i < 32; i++ {
 		if got := p.Disassemble(); got != first {
 			t.Fatalf("iteration %d: listing changed:\n%s\nvs\n%s", i, got, first)
+		}
+	}
+}
+
+// TestValidateRejectsOversizedRegisterCounts: register counts beyond a
+// RegSet's capacity are rejected by Validate and so by every path that
+// builds a program: Builder, the assembler and DecodeProgram.
+func TestValidateRejectsOversizedRegisterCounts(t *testing.T) {
+	for _, c := range []struct {
+		nv, ns int
+		ok     bool
+	}{
+		{MaxVRegs, MaxSRegs, true},
+		{MaxVRegs + 1, 16, false},
+		{8, MaxSRegs + 1, false},
+	} {
+		b := NewBuilder("big", c.nv, c.ns, 0)
+		b.I(SEndpgm)
+		if _, err := b.Build(); (err == nil) != c.ok {
+			t.Errorf("Builder %d/%d: err = %v, want ok=%v", c.nv, c.ns, err, c.ok)
+		}
+		if c.ok {
+			continue
+		}
+		p := &Program{Name: "big", Instrs: []Instruction{{Op: SEndpgm}}, NumVRegs: c.nv, NumSRegs: c.ns}
+		if err := p.Validate(); err == nil || !strings.Contains(err.Error(), "capacity") {
+			t.Errorf("Validate %d/%d: err = %v, want a capacity error", c.nv, c.ns, err)
+		}
+		src := fmt.Sprintf(".kernel big\n.vregs %d\n.sregs %d\n  s_endpgm\n", c.nv, c.ns)
+		if _, err := Assemble(src); err == nil {
+			t.Errorf("Assemble %d/%d: accepted", c.nv, c.ns)
+		}
+		if _, err := DecodeProgram(EncodeProgram(p)); err == nil {
+			t.Errorf("DecodeProgram %d/%d: accepted", c.nv, c.ns)
 		}
 	}
 }

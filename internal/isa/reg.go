@@ -6,7 +6,11 @@
 // simulator in internal/sim.
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+	"strconv"
+)
 
 // WarpSize is the number of lanes per warp (GCN wavefront size).
 const WarpSize = 64
@@ -98,132 +102,204 @@ func (r Reg) ContextBytes() int {
 	return 0
 }
 
-func (r Reg) String() string {
+func (r Reg) String() string { return string(r.appendText(nil)) }
+
+func (r Reg) appendText(b []byte) []byte {
 	switch r.Class {
 	case RegScalar:
-		return fmt.Sprintf("s%d", r.Index)
+		return strconv.AppendUint(append(b, 's'), uint64(r.Index), 10)
 	case RegVector:
-		return fmt.Sprintf("v%d", r.Index)
+		return strconv.AppendUint(append(b, 'v'), uint64(r.Index), 10)
 	case RegSpecial:
 		switch r.Index {
 		case SpecExec:
-			return "exec"
+			return append(b, "exec"...)
 		case SpecVCC:
-			return "vcc"
+			return append(b, "vcc"...)
 		case SpecSCC:
-			return "scc"
+			return append(b, "scc"...)
 		}
-		return fmt.Sprintf("spec%d", r.Index)
+		return strconv.AppendUint(append(b, "spec"...), uint64(r.Index), 10)
 	}
-	return "r?"
+	return append(b, "r?"...)
 }
 
-// RegSet is a set of registers. The zero value is an empty, usable set.
-type RegSet map[Reg]struct{}
+// Register-set capacity per class. A RegSet is a fixed-size bitset, so
+// Program.Validate rejects register counts beyond these limits; every
+// program in the repository uses far fewer (GCN itself has 256 VGPRs and
+// ~100 SGPRs per wave).
+const (
+	MaxVRegs    = 256
+	MaxSRegs    = 128
+	MaxSpecials = 64
+)
+
+// Word layout of a RegSet: scalar words, then vector words, then the
+// special word — the RegClass order, so walking the words low to high
+// visits members in Sorted order.
+const (
+	setSWords = MaxSRegs / 64
+	setVWords = MaxVRegs / 64
+	setVBase  = setSWords
+	setXBase  = setSWords + setVWords
+	setWords  = setXBase + 1
+)
+
+// RegSet is a set of registers held as a fixed-capacity bitset. It is a
+// plain value: the zero value is the empty set, an assignment copies it,
+// and == compares membership. Methods that mutate take a pointer, so a
+// function that must update a caller's set takes *RegSet.
+type RegSet struct {
+	w [setWords]uint64
+}
+
+// InRegSet reports whether r fits a RegSet: a scalar, vector or special
+// register whose index is below its class capacity.
+func (r Reg) InRegSet() bool {
+	_, _, ok := setBit(r)
+	return ok
+}
+
+// setBit locates r's bit; ok is false when r does not fit a RegSet.
+func setBit(r Reg) (word int, mask uint64, ok bool) {
+	i := int(r.Index)
+	switch r.Class {
+	case RegScalar:
+		if i < MaxSRegs {
+			return i >> 6, 1 << uint(i&63), true
+		}
+	case RegVector:
+		if i < MaxVRegs {
+			return setVBase + i>>6, 1 << uint(i&63), true
+		}
+	case RegSpecial:
+		if i < MaxSpecials {
+			return setXBase, 1 << uint(i), true
+		}
+	}
+	return 0, 0, false
+}
+
+// setReg is the register at bit b of word w (the inverse of setBit).
+func setReg(w, b int) Reg {
+	switch {
+	case w < setVBase:
+		return Reg{Class: RegScalar, Index: uint16(w<<6 + b)}
+	case w < setXBase:
+		return Reg{Class: RegVector, Index: uint16((w-setVBase)<<6 + b)}
+	}
+	return Reg{Class: RegSpecial, Index: uint16(b)}
+}
 
 // NewRegSet returns a set containing the given registers.
 func NewRegSet(regs ...Reg) RegSet {
-	s := make(RegSet, len(regs))
+	var s RegSet
 	for _, r := range regs {
 		s.Add(r)
 	}
 	return s
 }
 
-// Add inserts r.
-func (s RegSet) Add(r Reg) { s[r] = struct{}{} }
+// Add inserts r. It panics when r does not fit a RegSet (see InRegSet);
+// Program.Validate keeps every register of a valid program in range.
+func (s *RegSet) Add(r Reg) {
+	w, m, ok := setBit(r)
+	if !ok {
+		panic(fmt.Sprintf("isa: register %s (class %d) outside RegSet capacity", r, r.Class))
+	}
+	s.w[w] |= m
+}
 
-// Remove deletes r.
-func (s RegSet) Remove(r Reg) { delete(s, r) }
+// Remove deletes r (a no-op for registers outside the set's capacity).
+func (s *RegSet) Remove(r Reg) {
+	if w, m, ok := setBit(r); ok {
+		s.w[w] &^= m
+	}
+}
 
 // Has reports membership.
 func (s RegSet) Has(r Reg) bool {
-	_, ok := s[r]
-	return ok
+	w, m, ok := setBit(r)
+	return ok && s.w[w]&m != 0
 }
 
 // AddAll inserts every register of o.
-func (s RegSet) AddAll(o RegSet) {
-	for r := range o {
-		s[r] = struct{}{}
+func (s *RegSet) AddAll(o RegSet) {
+	for i := range s.w {
+		s.w[i] |= o.w[i]
 	}
 }
 
 // RemoveAll deletes every register of o.
-func (s RegSet) RemoveAll(o RegSet) {
-	for r := range o {
-		delete(s, r)
+func (s *RegSet) RemoveAll(o RegSet) {
+	for i := range s.w {
+		s.w[i] &^= o.w[i]
 	}
-}
-
-// Clone returns an independent copy.
-func (s RegSet) Clone() RegSet {
-	c := make(RegSet, len(s))
-	for r := range s {
-		c[r] = struct{}{}
-	}
-	return c
-}
-
-// Equal reports whether s and o contain the same registers.
-func (s RegSet) Equal(o RegSet) bool {
-	if len(s) != len(o) {
-		return false
-	}
-	for r := range s {
-		if !o.Has(r) {
-			return false
-		}
-	}
-	return true
 }
 
 // Intersects reports whether s and o share any register.
 func (s RegSet) Intersects(o RegSet) bool {
-	small, big := s, o
-	if len(big) < len(small) {
-		small, big = big, small
-	}
-	for r := range small {
-		if big.Has(r) {
+	for i := range s.w {
+		if s.w[i]&o.w[i] != 0 {
 			return true
 		}
 	}
 	return false
 }
 
-// ContextBytes sums the context cost of every member.
+// OfClass returns the members of register class c.
+func (s RegSet) OfClass(c RegClass) RegSet {
+	var o RegSet
+	switch c {
+	case RegScalar:
+		copy(o.w[:setVBase], s.w[:setVBase])
+	case RegVector:
+		copy(o.w[setVBase:setXBase], s.w[setVBase:setXBase])
+	case RegSpecial:
+		o.w[setXBase] = s.w[setXBase]
+	}
+	return o
+}
+
+// Len returns the number of members.
+func (s RegSet) Len() int {
+	n := 0
+	for _, w := range s.w {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// ContextBytes sums the context cost of every member (Reg.ContextBytes).
 func (s RegSet) ContextBytes() int {
-	total := 0
-	for r := range s {
-		total += r.ContextBytes()
-	}
-	return total
-}
-
-// Sorted returns the members in a deterministic order (class, then index).
-func (s RegSet) Sorted() []Reg {
-	out := make([]Reg, 0, len(s))
-	for r := range s {
-		out = append(out, r)
-	}
-	sortRegs(out)
-	return out
-}
-
-func sortRegs(regs []Reg) {
-	// Insertion sort: sets are small and this avoids importing sort for a
-	// custom comparator in hot analysis paths.
-	for i := 1; i < len(regs); i++ {
-		for j := i; j > 0 && regLess(regs[j], regs[j-1]); j-- {
-			regs[j], regs[j-1] = regs[j-1], regs[j]
+	n := 0
+	for i, w := range s.w {
+		switch {
+		case i < setVBase:
+			n += 4 * bits.OnesCount64(w)
+		case i < setXBase:
+			n += 4 * WarpSize * bits.OnesCount64(w)
+		default:
+			n += 8*bits.OnesCount64(w) - 4*int(w>>SpecSCC&1)
 		}
 	}
+	return n
 }
 
-func regLess(a, b Reg) bool {
-	if a.Class != b.Class {
-		return a.Class < b.Class
+// Append appends the members to dst in Sorted order (class, then index)
+// and returns the extended slice. It is the set's iteration: callers
+// that walk sets in a loop pass a reused buffer.
+func (s RegSet) Append(dst []Reg) []Reg {
+	for i, w := range s.w {
+		for w != 0 {
+			b := bits.TrailingZeros64(w)
+			w &= w - 1
+			dst = append(dst, setReg(i, b))
+		}
 	}
-	return a.Index < b.Index
+	return dst
 }
+
+// Sorted returns the members in a deterministic order (class, then
+// index) as a fresh slice.
+func (s RegSet) Sorted() []Reg { return s.Append(make([]Reg, 0, s.Len())) }

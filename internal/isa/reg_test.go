@@ -58,8 +58,8 @@ func TestRegClassPredicates(t *testing.T) {
 
 func TestRegSetBasics(t *testing.T) {
 	s := NewRegSet(V(1), S(2), V(1))
-	if len(s) != 2 {
-		t.Fatalf("set size = %d, want 2 (dup collapsed)", len(s))
+	if s.Len() != 2 {
+		t.Fatalf("set size = %d, want 2 (dup collapsed)", s.Len())
 	}
 	if !s.Has(V(1)) || !s.Has(S(2)) || s.Has(V(2)) {
 		t.Error("membership wrong")
@@ -76,12 +76,12 @@ func TestRegSetBasics(t *testing.T) {
 
 func TestRegSetCloneIndependence(t *testing.T) {
 	s := NewRegSet(V(1), V(2))
-	c := s.Clone()
+	c := s // a copy is a clone
 	c.Add(V(3))
 	if s.Has(V(3)) {
-		t.Error("Clone is not independent")
+		t.Error("copy is not independent")
 	}
-	if !s.Equal(NewRegSet(V(1), V(2))) {
+	if s != NewRegSet(V(1), V(2)) {
 		t.Error("original mutated")
 	}
 }
@@ -91,11 +91,11 @@ func TestRegSetOps(t *testing.T) {
 	b := NewRegSet(V(2), S(3))
 	a.AddAll(b)
 	want := NewRegSet(V(1), V(2), S(0), S(3))
-	if !a.Equal(want) {
+	if a != want {
 		t.Errorf("AddAll: got %v want %v", a.Sorted(), want.Sorted())
 	}
 	a.RemoveAll(b)
-	if !a.Equal(NewRegSet(V(1), S(0))) {
+	if a != NewRegSet(V(1), S(0)) {
 		t.Errorf("RemoveAll: got %v", a.Sorted())
 	}
 	if !a.Intersects(NewRegSet(S(0))) {
@@ -134,7 +134,7 @@ func TestRegSetSortedDeterministic(t *testing.T) {
 // random sequence of add/remove operations.
 func TestRegSetQuickSemantics(t *testing.T) {
 	f := func(ops []uint16) bool {
-		s := make(RegSet)
+		var s RegSet
 		ref := map[Reg]bool{}
 		for _, o := range ops {
 			r := V(int(o % 8))
@@ -149,7 +149,7 @@ func TestRegSetQuickSemantics(t *testing.T) {
 				delete(ref, r)
 			}
 		}
-		if len(s) != len(ref) {
+		if s.Len() != len(ref) {
 			return false
 		}
 		for r := range ref {
@@ -168,7 +168,7 @@ func TestRegSetQuickSemantics(t *testing.T) {
 func TestRegSetQuickUnionCommutative(t *testing.T) {
 	f := func(xs, ys []uint8) bool {
 		mk := func(idx []uint8) RegSet {
-			s := make(RegSet)
+			var s RegSet
 			for _, i := range idx {
 				s.Add(V(int(i % 16)))
 			}
@@ -178,9 +178,16 @@ func TestRegSetQuickUnionCommutative(t *testing.T) {
 		a2, b2 := mk(ys), mk(xs)
 		a1.AddAll(b1)
 		a2.AddAll(b2)
-		return a1.Equal(a2)
+		return a1 == a2
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(2))}); err != nil {
 		t.Error(err)
 	}
+}
+
+func regLess(a, b Reg) bool {
+	if a.Class != b.Class {
+		return a.Class < b.Class
+	}
+	return a.Index < b.Index
 }

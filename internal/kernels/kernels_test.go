@@ -79,7 +79,7 @@ func TestWorkloadsValidateAndAnalyze(t *testing.T) {
 		// the whole evaluation is moot.
 		minLive, maxLive := 1<<30, 0
 		for pc := 0; pc < wl.Prog.Len(); pc++ {
-			n := len(info.LiveIn[pc])
+			n := info.LiveIn[pc].Len()
 			if n < minLive {
 				minLive = n
 			}

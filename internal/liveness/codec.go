@@ -9,57 +9,98 @@ import (
 )
 
 // Binary codec for Info, used by the artifact store. Register sets and
-// def maps are written in isa.RegSet.Sorted order, so the encoding is
+// def chains are written in isa.RegSet.Sorted order, so the encoding is
 // canonical and encode∘decode∘encode is byte-identical. The Graph field
 // is relinked by the caller (it travels as its own artifact section).
 
+// EncodeReg appends one register.
+func EncodeReg(w *artifact.Writer, r isa.Reg) {
+	w.U8(uint8(r.Class))
+	w.U16(r.Index)
+}
+
+// DecodeReg reads a register written by EncodeReg. A register that does
+// not fit an isa.RegSet fails r: every register of a valid program
+// does, so such a payload was not produced from one.
+func DecodeReg(r *artifact.Reader) isa.Reg {
+	reg := isa.Reg{Class: isa.RegClass(r.U8()), Index: r.U16()}
+	if r.Err() == nil && !reg.InRegSet() {
+		r.Fail(fmt.Errorf("liveness: decode: register %s (class %d) outside RegSet capacity", reg, reg.Class))
+	}
+	return reg
+}
+
 // EncodeRegSet appends a register set in sorted order.
 func EncodeRegSet(s isa.RegSet, w *artifact.Writer) {
-	regs := s.Sorted()
-	w.Int(len(regs))
-	for _, r := range regs {
-		w.U8(uint8(r.Class))
-		w.U16(r.Index)
+	w.Int(s.Len())
+	for _, r := range s.Sorted() {
+		EncodeReg(w, r)
 	}
 }
 
 // DecodeRegSet reads a register set written by EncodeRegSet.
 func DecodeRegSet(r *artifact.Reader) isa.RegSet {
+	var s isa.RegSet
 	n := r.Len()
-	s := make(isa.RegSet, n)
-	for i := 0; i < n; i++ {
-		cls := isa.RegClass(r.U8())
-		idx := r.U16()
-		s.Add(isa.Reg{Class: cls, Index: idx})
+	for i := 0; i < n && r.Err() == nil; i++ {
+		if reg := DecodeReg(r); r.Err() == nil {
+			s.Add(reg)
+		}
 	}
 	return s
+}
+
+// defChain walks the block-local use-define chains in PC order: after
+// next(pc), regs holds the registers written earlier in pc's block, in
+// Sorted order, and last[reg] the PC of reg's most recent such write.
+type defChain struct {
+	g       *cfg.Graph
+	written isa.RegSet
+	last    map[isa.Reg]int
+	regs    []isa.Reg
+}
+
+func newDefChain(g *cfg.Graph) *defChain {
+	return &defChain{g: g, last: make(map[isa.Reg]int)}
+}
+
+func (c *defChain) next(pc int) {
+	if pc == c.g.BlockOf(pc).Start {
+		c.written = isa.RegSet{}
+		clear(c.last)
+	} else {
+		var buf [4]isa.Reg
+		for _, r := range c.g.Prog.At(pc - 1).Defs(buf[:0]) {
+			c.written.Add(r)
+			c.last[r] = pc - 1
+		}
+	}
+	c.regs = c.written.Append(c.regs[:0])
 }
 
 // EncodeInfo appends info's per-PC tables to w.
 func EncodeInfo(info *Info, w *artifact.Writer) {
 	n := len(info.LiveIn)
 	w.Int(n)
+	chain := newDefChain(info.Graph)
 	for pc := 0; pc < n; pc++ {
 		EncodeRegSet(info.LiveIn[pc], w)
 		EncodeRegSet(info.LiveOut[pc], w)
 		w.Bool(info.ExecFullIn[pc])
 		EncodeRegSet(info.EscIn[pc], w)
-		defs := info.DefOf[pc]
-		keys := make(isa.RegSet, len(defs))
-		for reg := range defs {
-			keys.Add(reg)
-		}
-		sorted := keys.Sorted()
-		w.Int(len(sorted))
-		for _, reg := range sorted {
-			w.U8(uint8(reg.Class))
-			w.U16(reg.Index)
-			w.Int(defs[reg])
+		chain.next(pc)
+		w.Int(len(chain.regs))
+		for _, reg := range chain.regs {
+			EncodeReg(w, reg)
+			w.Int(chain.last[reg])
 		}
 	}
 }
 
-// DecodeInfo reads an Info for g written by EncodeInfo.
+// DecodeInfo reads an Info for g written by EncodeInfo. The def chains
+// are not stored on Info (LastDefIn derives them from the program), so
+// the decoder checks them against g instead: a payload whose chains
+// disagree with the program was produced for a different one.
 func DecodeInfo(g *cfg.Graph, r *artifact.Reader) (*Info, error) {
 	n := r.Len()
 	if n != g.Prog.Len() {
@@ -71,21 +112,24 @@ func DecodeInfo(g *cfg.Graph, r *artifact.Reader) (*Info, error) {
 		LiveOut:    make([]isa.RegSet, n),
 		ExecFullIn: make([]bool, n),
 		EscIn:      make([]isa.RegSet, n),
-		DefOf:      make([]map[isa.Reg]int, n),
 	}
-	for pc := 0; pc < n; pc++ {
+	chain := newDefChain(g)
+	for pc := 0; pc < n && r.Err() == nil; pc++ {
 		info.LiveIn[pc] = DecodeRegSet(r)
 		info.LiveOut[pc] = DecodeRegSet(r)
 		info.ExecFullIn[pc] = r.Bool()
 		info.EscIn[pc] = DecodeRegSet(r)
+		chain.next(pc)
 		nd := r.Len()
-		m := make(map[isa.Reg]int, nd)
-		for i := 0; i < nd; i++ {
-			cls := isa.RegClass(r.U8())
-			idx := r.U16()
-			m[isa.Reg{Class: cls, Index: idx}] = r.Int()
+		if r.Err() == nil && nd != len(chain.regs) {
+			r.Fail(fmt.Errorf("liveness: decode: pc %d: %d def-chain entries, program has %d", pc, nd, len(chain.regs)))
 		}
-		info.DefOf[pc] = m
+		for i := 0; i < nd && r.Err() == nil; i++ {
+			reg, def := DecodeReg(r), r.Int()
+			if r.Err() == nil && (reg != chain.regs[i] || def != chain.last[reg]) {
+				r.Fail(fmt.Errorf("liveness: decode: pc %d: def chain %s@%d disagrees with the program", pc, reg, def))
+			}
+		}
 	}
 	if err := r.Err(); err != nil {
 		return nil, err

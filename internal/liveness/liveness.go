@@ -1,9 +1,9 @@
 // Package liveness implements backward dataflow liveness analysis and
-// use-define chains over isa programs. CTXBack uses the per-instruction
-// live-in sets as the register context of each instruction (paper §III-A:
-// "an instruction's register context is just its live-in registers") and
-// the use-define chains to determine which instruction overwrote a
-// register.
+// block-local use-define chains over isa programs. CTXBack uses the
+// per-instruction live-in sets as the register context of each
+// instruction (paper §III-A: "an instruction's register context is just
+// its live-in registers") and the use-define chains to determine which
+// instruction overwrote a register.
 //
 // Vector writes are EXEC-masked: an instruction executed under a partial
 // mask only overwrites the active lanes, so the destination's previous
@@ -45,15 +45,11 @@ type Info struct {
 	// this set, every downstream read happens under the mask in force at
 	// pc — its inactive lanes are dead.
 	EscIn []isa.RegSet
-	// DefOf[pc][r] is the PC of the most recent write to register r at
-	// the entry of pc, when that write is unique and within pc's basic
-	// block; absent otherwise. This is the block-local use-define chain
-	// CTXBack walks. A masked vector write counts: it is the instruction
-	// that overwrote the active lanes.
-	DefOf []map[isa.Reg]int
 }
 
-// Analyze runs liveness and use-def analysis for g's program.
+// Analyze runs liveness analysis for g's program. All register sets are
+// isa.RegSet bitsets: the fixpoint compares them with == and copies them
+// by assignment.
 func Analyze(g *cfg.Graph) *Info {
 	p := g.Prog
 	n := p.Len()
@@ -63,7 +59,6 @@ func Analyze(g *cfg.Graph) *Info {
 		LiveOut:    make([]isa.RegSet, n),
 		ExecFullIn: execFullness(g),
 		EscIn:      make([]isa.RegSet, n),
-		DefOf:      make([]map[isa.Reg]int, n),
 	}
 
 	// Pre-compute per-instruction use/def sets.
@@ -78,20 +73,18 @@ func Analyze(g *cfg.Graph) *Info {
 	// turning the state below the instruction into the state above it.
 	// esc ⊆ live holds the vector registers whose masked-out lanes may
 	// still be observed below.
-	step := func(pc int, live, esc isa.RegSet) {
+	var buf []isa.Reg
+	step := func(pc int, live, esc *isa.RegSet) {
 		in := p.At(pc)
 		// Crossing an EXEC write: the mask above differs from the mask
 		// below, so defs above must preserve the masked-out lanes of
 		// everything live here.
 		if defs[pc].Has(isa.Exec) {
-			for r := range live {
-				if r.IsVector() {
-					esc.Add(r)
-				}
-			}
+			esc.AddAll(live.OfClass(isa.RegVector))
 		}
-		for r := range defs[pc] {
-			if killsDef(in, r, info.ExecFullIn[pc], esc) {
+		buf = defs[pc].Append(buf[:0])
+		for _, r := range buf {
+			if killsDef(in, r, info.ExecFullIn[pc], esc.Has(r)) {
 				live.Remove(r)
 				esc.Remove(r)
 			}
@@ -112,12 +105,6 @@ func Analyze(g *cfg.Graph) *Info {
 	blockOut := make([]isa.RegSet, nb)
 	escIn := make([]isa.RegSet, nb)
 	escOut := make([]isa.RegSet, nb)
-	for i := range blockIn {
-		blockIn[i] = make(isa.RegSet)
-		blockOut[i] = make(isa.RegSet)
-		escIn[i] = make(isa.RegSet)
-		escOut[i] = make(isa.RegSet)
-	}
 
 	// Iterate to fixpoint (reverse order speeds convergence).
 	changed := true
@@ -125,19 +112,17 @@ func Analyze(g *cfg.Graph) *Info {
 		changed = false
 		for bi := nb - 1; bi >= 0; bi-- {
 			b := &g.Blocks[bi]
-			out := make(isa.RegSet)
-			esc := make(isa.RegSet)
+			var out, esc isa.RegSet
 			for _, s := range b.Succs {
 				out.AddAll(blockIn[s])
 				esc.AddAll(escIn[s])
 			}
-			in := out.Clone()
-			escAbove := esc.Clone()
+			in, escAbove := out, esc
 			for pc := b.End - 1; pc >= b.Start; pc-- {
-				step(pc, in, escAbove)
+				step(pc, &in, &escAbove)
 			}
-			if !out.Equal(blockOut[bi]) || !in.Equal(blockIn[bi]) ||
-				!esc.Equal(escOut[bi]) || !escAbove.Equal(escIn[bi]) {
+			if out != blockOut[bi] || in != blockIn[bi] ||
+				esc != escOut[bi] || escAbove != escIn[bi] {
 				changed = true
 				blockOut[bi] = out
 				blockIn[bi] = in
@@ -150,30 +135,12 @@ func Analyze(g *cfg.Graph) *Info {
 	// Per-instruction sets from the block solutions.
 	for bi := range g.Blocks {
 		b := &g.Blocks[bi]
-		live := blockOut[bi].Clone()
-		esc := escOut[bi].Clone()
+		live, esc := blockOut[bi], escOut[bi]
 		for pc := b.End - 1; pc >= b.Start; pc-- {
-			info.LiveOut[pc] = live.Clone()
-			step(pc, live, esc)
-			info.LiveIn[pc] = live.Clone()
-			info.EscIn[pc] = esc.Clone()
-		}
-	}
-
-	// Block-local use-define chains: forward scan recording the last
-	// write of each register.
-	for bi := range g.Blocks {
-		b := &g.Blocks[bi]
-		lastDef := make(map[isa.Reg]int)
-		for pc := b.Start; pc < b.End; pc++ {
-			m := make(map[isa.Reg]int, len(lastDef))
-			for r, d := range lastDef {
-				m[r] = d
-			}
-			info.DefOf[pc] = m
-			for r := range defs[pc] {
-				lastDef[r] = pc
-			}
+			info.LiveOut[pc] = live
+			step(pc, &live, &esc)
+			info.LiveIn[pc] = live
+			info.EscIn[pc] = esc
 		}
 	}
 	return info
@@ -185,7 +152,7 @@ func Analyze(g *cfg.Graph) *Info {
 // ops are full kills only when the mask is provably full or the value
 // has not escaped the mask region; v_writelane (one lane, mask-ignoring)
 // never kills.
-func killsDef(in *isa.Instruction, r isa.Reg, execFull bool, esc isa.RegSet) bool {
+func killsDef(in *isa.Instruction, r isa.Reg, execFull, escaped bool) bool {
 	if !r.IsVector() {
 		return true
 	}
@@ -194,7 +161,7 @@ func killsDef(in *isa.Instruction, r isa.Reg, execFull bool, esc isa.RegSet) boo
 	case in.Op == isa.VWriteLane:
 		return false
 	case oi.DstVec && oi.ReadsExec && r == in.Dst:
-		return execFull || !esc.Has(r)
+		return execFull || !escaped
 	default:
 		// Whole-register vector writes (ctx_load_v).
 		return true
@@ -219,23 +186,14 @@ func execFullness(g *cfg.Graph) []bool {
 		full     bool
 		fullRegs isa.RegSet // scalar regs holding an all-ones mask
 	}
-	clone := func(s state) state {
-		return state{full: s.full, fullRegs: s.fullRegs.Clone()}
-	}
 	// meet narrows dst by src; reports whether dst changed.
 	meet := func(dst *state, src state) bool {
-		changed := false
-		if dst.full && !src.full {
-			dst.full = false
-			changed = true
-		}
-		for r := range dst.fullRegs {
-			if !src.fullRegs.Has(r) {
-				dst.fullRegs.Remove(r)
-				changed = true
-			}
-		}
-		return changed
+		old := *dst
+		dst.full = dst.full && src.full
+		lost := dst.fullRegs
+		lost.RemoveAll(src.fullRegs)
+		dst.fullRegs.RemoveAll(lost)
+		return *dst != old
 	}
 
 	// fullVal reports whether operand o is known to be an all-ones mask.
@@ -292,21 +250,21 @@ func execFullness(g *cfg.Graph) []bool {
 			break
 		}
 	}
-	in[entry] = state{full: true, fullRegs: make(isa.RegSet)}
+	in[entry] = state{full: true}
 	seen[entry] = true
 	work := []int{entry}
 	for len(work) > 0 {
 		bi := work[len(work)-1]
 		work = work[:len(work)-1]
 		b := &g.Blocks[bi]
-		st := clone(in[bi])
+		st := in[bi]
 		for pc := b.Start; pc < b.End; pc++ {
 			stepExec(&st, p.At(pc))
 		}
 		for _, s := range b.Succs {
 			if !seen[s] {
 				seen[s] = true
-				in[s] = clone(st)
+				in[s] = st
 				work = append(work, s)
 			} else if meet(&in[s], st) {
 				work = append(work, s)
@@ -320,7 +278,7 @@ func execFullness(g *cfg.Graph) []bool {
 			continue
 		}
 		b := &g.Blocks[bi]
-		st := clone(in[bi])
+		st := in[bi]
 		for pc := b.Start; pc < b.End; pc++ {
 			full[pc] = st.full
 			stepExec(&st, p.At(pc))
@@ -330,9 +288,9 @@ func execFullness(g *cfg.Graph) []bool {
 }
 
 // Context returns the register context of the instruction at pc — its
-// live-in registers (a clone safe to mutate).
+// live-in registers (a copy, safe to mutate).
 func (in *Info) Context(pc int) isa.RegSet {
-	return in.LiveIn[pc].Clone()
+	return in.LiveIn[pc]
 }
 
 // ContextBytes returns the byte size of pc's register context.
@@ -342,10 +300,21 @@ func (in *Info) ContextBytes(pc int) int {
 
 // LastDefIn returns the PC of the most recent write to r before pc
 // within pc's basic block; ok=false when r has no in-block write before
-// pc (its value flows in from outside the block).
+// pc (its value flows in from outside the block). This is the
+// block-local use-define chain; a masked vector write counts, since it
+// is the instruction that overwrote the active lanes. It walks the block
+// backwards rather than storing per-PC tables: outside the codec only
+// tests ask.
 func (in *Info) LastDefIn(pc int, r isa.Reg) (def int, ok bool) {
-	def, ok = in.DefOf[pc][r]
-	return def, ok
+	var buf [4]isa.Reg
+	for d := pc - 1; d >= in.Graph.BlockOf(pc).Start; d-- {
+		for _, x := range in.Graph.Prog.At(d).Defs(buf[:0]) {
+			if x == r {
+				return d, true
+			}
+		}
+	}
+	return 0, false
 }
 
 // MinContextPC returns the PC with the smallest live-in context within

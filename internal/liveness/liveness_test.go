@@ -231,10 +231,10 @@ loop:
 		p, info := analyze(t, src)
 		for pc := 0; pc < p.Len(); pc++ {
 			in := p.At(pc)
-			want := info.LiveOut[pc].Clone()
+			want := info.LiveOut[pc]
 			want.RemoveAll(in.DefSet())
 			want.AddAll(in.UseSet())
-			if !want.Equal(info.LiveIn[pc]) {
+			if want != info.LiveIn[pc] {
 				t.Errorf("%s pc %d (%s): LiveIn = %v, want %v", p.Name, pc, in,
 					info.LiveIn[pc].Sorted(), want.Sorted())
 			}

@@ -84,13 +84,15 @@ func TestStoredCompiledWarmColdEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
+	// The compile runs against the program's memoized analysis, and the
+	// decoder relinks the plans against it; resolve it first so the
+	// stats below count the plans alone.
 	st1 := diskStore(t, dir)
-	c1 := compiledFor(t, prog, core.FeatAll)
-	if comp, disk, _ := st1.Stats(); comp != 1 || disk != 0 {
+	mustAnalysis(t, prog)
+	var c1 *core.Compiled
+	if comp, disk := delta(st1, func() { c1 = compiledFor(t, prog, core.FeatAll) }); comp != 1 || disk != 0 {
 		t.Fatalf("cold store stats: %d computes, %d disk hits", comp, disk)
 	}
-	// The decoder relinks the plans against the program's analysis;
-	// resolve it first so the stats below count the plans alone.
 	st2 := diskStore(t, dir)
 	mustAnalysis(t, prog)
 	var c2 *core.Compiled
@@ -110,9 +112,12 @@ func TestStoredCompiledWarmColdEquivalence(t *testing.T) {
 func TestStoredCompiledKeyedByFeats(t *testing.T) {
 	prog := uniqueKM(t, 38).Prog
 	st := diskStore(t, t.TempDir())
-	compiledFor(t, prog, core.FeatAll)
-	compiledFor(t, prog, core.FeatOSRB)
-	if comp, _, _ := st.Stats(); comp != 2 {
+	mustAnalysis(t, prog) // shared by both compiles
+	comp, _ := delta(st, func() {
+		compiledFor(t, prog, core.FeatAll)
+		compiledFor(t, prog, core.FeatOSRB)
+	})
+	if comp != 2 {
 		t.Fatalf("%d computes for two feature subsets, want 2", comp)
 	}
 }

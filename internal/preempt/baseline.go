@@ -32,10 +32,10 @@ func NewBaseline(prog *isa.Program) (Technique, error) {
 func baselineRegs(prog *isa.Program) (isa.RegSet, error) {
 	return memo(progKey(kindBaseline, prog),
 		func() (isa.RegSet, error) {
+			var all isa.RegSet
 			if err := prog.Validate(); err != nil {
-				return nil, err
+				return all, err
 			}
-			all := make(isa.RegSet)
 			for i := 0; i < prog.AllocatedVRegs(); i++ {
 				all.Add(isa.V(i))
 			}

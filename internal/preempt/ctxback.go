@@ -22,16 +22,32 @@ func NewCTXBack(prog *isa.Program) (Technique, error) {
 }
 
 // NewCTXBackFeatures compiles CTXBack with a feature subset (ablations).
-// The pass output is memoized per (program, features): a warm disk store
-// replaces the ~seconds compile with a millisecond plan load, relinked
-// against prog's memoized analysis. The Compiled's Prog and Graph may
-// belong to the first content-equal program seen, which is fine because
-// plan PCs are positional.
 func NewCTXBackFeatures(prog *isa.Program, feats core.Feature) (Technique, error) {
-	c, err := memo(progKey(kindCompiled, prog).
+	c, err := CompileCTXBack(prog, feats)
+	if err != nil {
+		return nil, err
+	}
+	return &ctxbackTech{prog: prog, compiled: c}, nil
+}
+
+// CompileCTXBack returns the CTXBack pass output for prog under feats,
+// memoized per (program content, features): the compile runs against
+// prog's memoized CFG and liveness, and a warm disk store replaces it
+// with a millisecond plan load relinked against that analysis. The
+// Compiled's Prog and Graph may belong to the first content-equal
+// program seen, which is fine because plan PCs are positional. The
+// result is shared read-only.
+func CompileCTXBack(prog *isa.Program, feats core.Feature) (*core.Compiled, error) {
+	return memo(progKey(kindCompiled, prog).
 		Int("feats", int(feats)).
 		Int("maxwindow", core.DefaultMaxWindow),
-		func() (*core.Compiled, error) { return core.Compile(prog, feats) },
+		func() (*core.Compiled, error) {
+			a, err := analysisFor(prog)
+			if err != nil {
+				return nil, err
+			}
+			return core.CompileWith(prog, a.graph, a.live, feats, core.DefaultMaxWindow)
+		},
 		core.EncodeCompiled,
 		func(p []byte) (*core.Compiled, error) {
 			a, err := analysisFor(prog)
@@ -40,10 +56,6 @@ func NewCTXBackFeatures(prog *isa.Program, feats core.Feature) (Technique, error
 			}
 			return core.DecodeCompiled(prog, a.graph, a.live, p)
 		})
-	if err != nil {
-		return nil, err
-	}
-	return &ctxbackTech{prog: prog, compiled: c}, nil
 }
 
 // Compiled exposes the underlying pass output (selection details,

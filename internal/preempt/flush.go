@@ -91,7 +91,7 @@ func flushStaticFor(prog *isa.Program) (*flushStatic, error) {
 			// i.e. some path from the first instruction reads the flag
 			// before writing it — rather than leave whatever the resume
 			// poison put there.
-			regs := make(isa.RegSet)
+			var regs isa.RegSet
 			for i := 0; i < prog.NumSRegs; i++ {
 				regs.Add(isa.S(i))
 			}
