@@ -59,16 +59,22 @@ import "errors"
 // simply miss instead of deserializing into wrong results.
 const SchemaVersion = 2
 
-// Sentinel errors for entry validation failures. All of them mean
-// "treat as a cache miss and recompute"; they are distinguished so
-// tests (and curious humans) can tell tampering modes apart.
+// The wire error vocabulary. Every decode failure of a Reader, and so
+// of every container and payload written with Writer (CART entries,
+// CSNP snapshots, isa program images), wraps exactly one of the first
+// three, and a container's message names the container and section.
+// To the store each one means "treat as a cache miss and recompute";
+// they are distinguished so callers and tests can tell failure modes
+// apart.
 var (
-	// ErrTruncated: the container ends before its framing says it should.
-	ErrTruncated = errors.New("artifact: truncated entry")
-	// ErrCorrupt: framing, checksum or canonical-form violation.
-	ErrCorrupt = errors.New("artifact: corrupt entry")
-	// ErrStale: the container carries an unknown format version.
-	ErrStale = errors.New("artifact: stale format version")
+	// ErrTruncated: the bytes end before the framing or a count says
+	// they should.
+	ErrTruncated = errors.New("truncated")
+	// ErrCorrupt: bad magic, a wrong section id, a checksum mismatch,
+	// trailing bytes or any other canonical-form violation.
+	ErrCorrupt = errors.New("corrupt")
+	// ErrStale: the container carries another format version.
+	ErrStale = errors.New("stale format version")
 	// ErrKeyMismatch: the entry's echoed key differs from the requesting
 	// key — a hash collision or a renamed/moved file.
 	ErrKeyMismatch = errors.New("artifact: key echo mismatch")

@@ -2,6 +2,7 @@ package artifact
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"os"
@@ -203,6 +204,26 @@ func TestEncodeDecodeEntryIdentity(t *testing.T) {
 	}
 }
 
+// TestEntryPinned pins one CART container byte for byte; the digest is
+// SHA-256, not the section checksum the container carries.
+func TestEntryPinned(t *testing.T) {
+	key := NewKey("test/pinned").
+		Bytes("b", []byte{0, 1, 254, 255}).
+		Str("s", "flashback").
+		Int("i", -42).
+		I64("j", 1<<40).
+		Bool("f", true).
+		F64("g", 0.625)
+	enc := EncodeEntry(key, []byte("a pinned payload\x00\xff"))
+	const (
+		wantLen    = 161
+		wantSHA256 = "bdb8e1bb825be1e8aae637ac544ed00b297cf30fcbc00f8a5816f189e58fe07e"
+	)
+	if got := fmt.Sprintf("%x", sha256.Sum256(enc)); len(enc) != wantLen || got != wantSHA256 {
+		t.Fatalf("container is %d bytes, sha256 %s; want %d bytes, sha256 %s", len(enc), got, wantLen, wantSHA256)
+	}
+}
+
 // strCodec stores a string value as its bytes.
 var strCodec = Codec{
 	Encode: func(v any) []byte { return []byte(v.(string)) },
@@ -362,36 +383,37 @@ func TestTamper(t *testing.T) {
 	good := []byte("the one true payload")
 	tampers := []struct {
 		name   string
+		want   error // the class the loader reports
 		mutate func(t *testing.T, path string, data []byte)
 	}{
-		{"flip-payload-byte", func(t *testing.T, path string, data []byte) {
+		{"flip-payload-byte", ErrCorrupt, func(t *testing.T, path string, data []byte) {
 			data[len(data)-9] ^= 0xff // last payload body byte (before the 8-byte trailer)
 			writeFile(t, path, data)
 		}},
-		{"truncate", func(t *testing.T, path string, data []byte) {
+		{"truncate", ErrTruncated, func(t *testing.T, path string, data []byte) {
 			writeFile(t, path, data[:len(data)-5])
 		}},
-		{"empty", func(t *testing.T, path string, data []byte) {
+		{"empty", ErrTruncated, func(t *testing.T, path string, data []byte) {
 			writeFile(t, path, nil)
 		}},
-		{"bad-magic", func(t *testing.T, path string, data []byte) {
+		{"bad-magic", ErrCorrupt, func(t *testing.T, path string, data []byte) {
 			data[0] ^= 0xff
 			writeFile(t, path, data)
 		}},
-		{"stale-version", func(t *testing.T, path string, data []byte) {
+		{"stale-version", ErrStale, func(t *testing.T, path string, data []byte) {
 			data[4], data[5] = 0xfe, 0xff
 			writeFile(t, path, data)
 		}},
-		{"zero-checksum", func(t *testing.T, path string, data []byte) {
+		{"zero-checksum", ErrCorrupt, func(t *testing.T, path string, data []byte) {
 			for i := len(data) - 8; i < len(data); i++ {
 				data[i] = 0
 			}
 			writeFile(t, path, data)
 		}},
-		{"trailing-bytes", func(t *testing.T, path string, data []byte) {
+		{"trailing-bytes", ErrCorrupt, func(t *testing.T, path string, data []byte) {
 			writeFile(t, path, append(data, 0xaa))
 		}},
-		{"wrong-key-echo", func(t *testing.T, path string, data []byte) {
+		{"wrong-key-echo", ErrKeyMismatch, func(t *testing.T, path string, data []byte) {
 			// A perfectly valid entry... for some other key, squatting at
 			// this key's address.
 			other := NewKey("test/tamper").Int("n", 10)
@@ -414,6 +436,9 @@ func TestTamper(t *testing.T) {
 
 			if _, ok := st.Get(key); ok {
 				t.Fatal("tampered entry served as a hit")
+			}
+			if _, err := st.load(key); !errors.Is(err, tc.want) {
+				t.Fatalf("load error %v, want %v", err, tc.want)
 			}
 			// Do must fall back to compute and repair the entry.
 			recomputed := false

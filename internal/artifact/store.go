@@ -1,7 +1,6 @@
 package artifact
 
 import (
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -20,82 +19,36 @@ const (
 )
 
 // EncodeEntry frames a payload for disk: magic, format version, the key
-// echo section and the payload section, each with an FNV-1a 64 trailer.
+// echo section and the payload section.
 func EncodeEntry(key *Key, payload []byte) []byte {
-	kw := NewWriter()
-	kw.Str(key.kind)
-	kw.Bytes(key.Blob())
-	echo := kw.Data()
-
-	out := make([]byte, 0, len(magic)+2+2*(2+4+8)+len(echo)+len(payload))
-	out = append(out, magic...)
-	out = binary.LittleEndian.AppendUint16(out, formatVersion)
-	out = appendSection(out, secKey, echo)
-	out = appendSection(out, secPayload, payload)
-	return out
-}
-
-func appendSection(out []byte, id uint16, body []byte) []byte {
-	out = binary.LittleEndian.AppendUint16(out, id)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(body)))
-	out = append(out, body...)
-	return binary.LittleEndian.AppendUint64(out, uint64(NewChecksum().Bytes(body)))
+	blob := key.Blob()
+	w := NewWriter()
+	w.Grow(len(magic) + 2 + 2*(2+4+8) + 2*4 + len(key.kind) + len(blob) + len(payload))
+	w.Header(magic, formatVersion)
+	w.Section(secKey, func() {
+		w.Str(key.kind)
+		w.Bytes(blob)
+	})
+	w.Section(secPayload, func() { copy(w.Extend(len(payload)), payload) })
+	return w.Data()
 }
 
 // DecodeEntry validates a container and returns the echoed key and the
 // payload. Every violation maps to one of the sentinel errors; callers
 // treat any error as a miss.
 func DecodeEntry(data []byte) (Key, []byte, error) {
-	var key Key
-	if len(data) < len(magic)+2 {
-		return key, nil, fmt.Errorf("%w: %d-byte container", ErrTruncated, len(data))
-	}
-	if string(data[:len(magic)]) != magic {
-		return key, nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
-	if v := binary.LittleEndian.Uint16(data[len(magic):]); v != formatVersion {
-		return key, nil, fmt.Errorf("%w: format version %d (want %d)", ErrStale, v, formatVersion)
-	}
-	off := len(magic) + 2
-	echo, off, err := readSection(data, off, secKey)
-	if err != nil {
-		return key, nil, err
-	}
-	payload, off, err := readSection(data, off, secPayload)
-	if err != nil {
-		return key, nil, err
-	}
-	if off != len(data) {
-		return key, nil, fmt.Errorf("%w: %d trailing container bytes", ErrCorrupt, len(data)-off)
-	}
-	kr := NewReader(echo)
-	kind := kr.Str()
-	blob := kr.Bytes()
-	if err := kr.Close(); err != nil {
-		return key, nil, fmt.Errorf("%w: key echo: %v", ErrCorrupt, err)
+	r := NewReader(data)
+	r.Header(magic, formatVersion)
+	kr := r.Section(secKey, "key")
+	kind, blob := kr.Str(), kr.Bytes()
+	pr := r.Section(secPayload, "payload")
+	payload := pr.Rest()
+	for _, sr := range []*Reader{kr, pr, r} {
+		if err := sr.Close(); err != nil {
+			return Key{}, nil, err
+		}
 	}
 	return RawKey(kind, blob), payload, nil
-}
-
-func readSection(data []byte, off int, wantID uint16) (body []byte, next int, err error) {
-	if off+6 > len(data) {
-		return nil, 0, fmt.Errorf("%w: section header", ErrTruncated)
-	}
-	id := binary.LittleEndian.Uint16(data[off:])
-	n := int(binary.LittleEndian.Uint32(data[off+2:]))
-	off += 6
-	if id != wantID {
-		return nil, 0, fmt.Errorf("%w: section id %d (want %d)", ErrCorrupt, id, wantID)
-	}
-	if off+n+8 > len(data) {
-		return nil, 0, fmt.Errorf("%w: section %d body", ErrTruncated, id)
-	}
-	body = data[off : off+n]
-	sum := binary.LittleEndian.Uint64(data[off+n:])
-	if sum != uint64(NewChecksum().Bytes(body)) {
-		return nil, 0, fmt.Errorf("%w: section %d checksum", ErrCorrupt, id)
-	}
-	return body, off + n + 8, nil
 }
 
 // Store memoizes artifacts by content key. Its single-flight map is the

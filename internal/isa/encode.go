@@ -1,16 +1,19 @@
 package isa
 
 import (
-	"encoding/binary"
 	"fmt"
 	"strings"
+
+	"ctxback/internal/artifact"
 )
 
 // Binary program encoding. The paper's runtime transfers kernel code and
 // the dedicated preemption routines to device memory (§IV-A); this fixed
 // 40-byte-per-instruction format is the concrete representation the
 // simulator's host side uses for that transfer, and what the routine
-// size/sharing statistics are computed from.
+// size/sharing statistics are computed from. It is written and read
+// with the repository's one wire codec (artifact.Writer/Reader), so
+// decode failures wrap artifact.ErrTruncated, ErrCorrupt or ErrStale.
 //
 // Layout (little endian):
 //
@@ -19,6 +22,12 @@ import (
 //	instr:   op u16 | flags u8 | memSpace i8 |
 //	         dst u32 | imm0 i32 | target i32 |
 //	         3 x (kind u8, pad u8[3], payload u32)
+//
+// The decoders accept exactly the bytes the encoders write — no trailing
+// bytes, no non-zero padding, no unknown flag bits, no payload under an
+// absent operand — so a decoded program re-encodes byte-identically
+// (FuzzDecodeProgram), and they bound the instruction count by the bytes
+// present before allocating.
 const (
 	encMagic       = "CTXB"
 	encVersion     = 1
@@ -31,175 +40,132 @@ const (
 
 func encodeReg(r Reg) uint32 { return uint32(r.Class)<<16 | uint32(r.Index) }
 
-func decodeReg(v uint32) Reg {
-	return Reg{Class: RegClass(v >> 16), Index: uint16(v & 0xFFFF)}
+// getReg decodes an encodeReg word; a class beyond a byte would not
+// re-encode to the same word.
+func getReg(r *artifact.Reader) Reg {
+	v := r.U32()
+	if v>>16 > 0xFF {
+		r.Fail(fmt.Errorf("%w: register word %#x", artifact.ErrCorrupt, v))
+	}
+	return Reg{Class: RegClass(v >> 16), Index: uint16(v)}
 }
 
 // EncodeProgram serializes p.
 func EncodeProgram(p *Program) []byte {
-	var b []byte
-	b = append(b, encMagic...)
-	b = binary.LittleEndian.AppendUint16(b, encVersion)
-	b = binary.LittleEndian.AppendUint16(b, uint16(len(p.Name)))
-	b = append(b, p.Name...)
-	b = binary.LittleEndian.AppendUint32(b, uint32(p.NumVRegs))
-	b = binary.LittleEndian.AppendUint32(b, uint32(p.NumSRegs))
-	b = binary.LittleEndian.AppendUint32(b, uint32(p.LDSBytes))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(p.Instrs)))
-	for i := range p.Instrs {
-		b = appendInstr(b, &p.Instrs[i])
-	}
-	return b
+	w := artifact.NewWriter()
+	w.Grow(len(encMagic) + 2 + 2 + len(p.Name) + 16 + len(p.Instrs)*InstrWordBytes)
+	w.Header(encMagic, encVersion)
+	w.U16(uint16(len(p.Name)))
+	copy(w.Extend(len(p.Name)), p.Name)
+	w.U32(uint32(p.NumVRegs))
+	w.U32(uint32(p.NumSRegs))
+	w.U32(uint32(p.LDSBytes))
+	putInstrs(w, p.Instrs)
+	return w.Data()
 }
 
 // EncodeRoutine serializes a bare instruction sequence (a dedicated
 // preemption or resume routine). Used for transfer-size accounting.
 func EncodeRoutine(instrs []Instruction) []byte {
-	var b []byte
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(instrs)))
-	for i := range instrs {
-		b = appendInstr(b, &instrs[i])
-	}
-	return b
+	w := artifact.NewWriter()
+	w.Grow(RoutineBytes(instrs))
+	putInstrs(w, instrs)
+	return w.Data()
 }
 
-func appendInstr(b []byte, in *Instruction) []byte {
-	b = binary.LittleEndian.AppendUint16(b, uint16(in.Op))
-	var flags uint8
-	if in.NoOverflow {
-		flags |= flagNoOverflow
-	}
-	b = append(b, flags, uint8(in.MemSpace))
-	b = binary.LittleEndian.AppendUint32(b, encodeReg(in.Dst))
-	b = binary.LittleEndian.AppendUint32(b, uint32(in.Imm0))
-	b = binary.LittleEndian.AppendUint32(b, uint32(int32(in.Target)))
-	for s := 0; s < MaxSrcs; s++ {
-		b = append(b, uint8(in.Srcs[s].Kind), 0, 0, 0)
-		payload := in.Srcs[s].Imm
-		if in.Srcs[s].Kind == OperandReg {
-			payload = encodeReg(in.Srcs[s].Reg)
+func putInstrs(w *artifact.Writer, instrs []Instruction) {
+	w.U32(uint32(len(instrs)))
+	for i := range instrs {
+		in := &instrs[i]
+		w.U16(uint16(in.Op))
+		var flags uint8
+		if in.NoOverflow {
+			flags |= flagNoOverflow
 		}
-		b = binary.LittleEndian.AppendUint32(b, payload)
+		w.U8(flags)
+		w.U8(uint8(in.MemSpace))
+		w.U32(encodeReg(in.Dst))
+		w.I32(int(in.Imm0))
+		w.I32(in.Target)
+		for _, src := range in.Srcs {
+			w.U32(uint32(src.Kind)) // kind u8 | pad u8[3]
+			payload := src.Imm
+			if src.Kind == OperandReg {
+				payload = encodeReg(src.Reg)
+			}
+			w.U32(payload)
+		}
 	}
-	return b
 }
 
 // DecodeProgram parses an EncodeProgram buffer.
 func DecodeProgram(data []byte) (*Program, error) {
-	r := &reader{data: data}
-	if magic := string(r.bytes(4)); magic != encMagic {
-		return nil, fmt.Errorf("isa: bad magic %q", magic)
-	}
-	if v := r.u16(); v != encVersion {
-		return nil, fmt.Errorf("isa: unsupported version %d", v)
-	}
-	nameLen := int(r.u16())
-	name := string(r.bytes(nameLen))
+	r := artifact.NewReader(data)
+	r.Header(encMagic, encVersion)
 	p := &Program{
-		Name:     name,
-		NumVRegs: int(r.u32()),
-		NumSRegs: int(r.u32()),
-		LDSBytes: int(r.u32()),
+		Name:     string(r.Take(int(r.U16()))),
+		NumVRegs: int(r.U32()),
+		NumSRegs: int(r.U32()),
+		LDSBytes: int(r.U32()),
 		Labels:   map[string]int{},
+		Instrs:   getInstrs(r),
 	}
-	n := int(r.u32())
-	if r.err != nil {
-		return nil, r.err
-	}
-	if n < 0 || n > 1<<20 {
-		return nil, fmt.Errorf("isa: implausible instruction count %d", n)
-	}
-	p.Instrs = make([]Instruction, n)
-	for i := 0; i < n; i++ {
-		if err := readInstr(r, &p.Instrs[i]); err != nil {
-			return nil, fmt.Errorf("isa: instr %d: %w", i, err)
-		}
-	}
-	if r.err != nil {
-		return nil, r.err
+	if err := r.Close(); err != nil {
+		return nil, fmt.Errorf("isa: decode program: %w", err)
 	}
 	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("isa: decoded program invalid: %w", err)
+		return nil, fmt.Errorf("isa: decode program: %w: %w", artifact.ErrCorrupt, err)
 	}
 	return p, nil
 }
 
-func readInstr(r *reader, in *Instruction) error {
-	op := Op(r.u16())
-	if op == OpInvalid || op >= opCount {
-		return fmt.Errorf("bad opcode %d", op)
-	}
-	in.Op = op
-	flags := r.u8()
-	in.NoOverflow = flags&flagNoOverflow != 0
-	in.MemSpace = int16(int8(r.u8()))
-	in.Dst = decodeReg(r.u32())
-	in.Imm0 = int32(r.u32())
-	in.Target = int(int32(r.u32()))
-	for s := 0; s < MaxSrcs; s++ {
-		kind := OperandKind(r.u8())
-		r.bytes(3)
-		payload := r.u32()
-		switch kind {
-		case OperandNone:
-			in.Srcs[s] = Operand{}
-		case OperandReg:
-			in.Srcs[s] = Operand{Kind: OperandReg, Reg: decodeReg(payload)}
-		case OperandImm:
-			in.Srcs[s] = Operand{Kind: OperandImm, Imm: payload}
-		default:
-			return fmt.Errorf("bad operand kind %d", kind)
+// getInstrs decodes putInstrs.
+func getInstrs(r *artifact.Reader) []Instruction {
+	instrs := make([]Instruction, r.Count(InstrWordBytes))
+	for i := range instrs {
+		in := &instrs[i]
+		in.Op = Op(r.U16())
+		flags := r.U8()
+		in.NoOverflow = flags&flagNoOverflow != 0
+		in.MemSpace = int16(int8(r.U8()))
+		in.Dst = getReg(r)
+		in.Imm0 = int32(r.I32())
+		in.Target = r.I32()
+		for s := range in.Srcs {
+			// kind u8 | pad u8[3] reads as the kind itself exactly when
+			// the padding is zero.
+			switch kind := r.U32(); kind {
+			case uint32(OperandNone):
+				if payload := r.U32(); payload != 0 {
+					r.Fail(fmt.Errorf("%w: instr %d: payload %#x under an absent operand", artifact.ErrCorrupt, i, payload))
+				}
+			case uint32(OperandReg):
+				in.Srcs[s] = R(getReg(r))
+			case uint32(OperandImm):
+				in.Srcs[s] = ImmU(r.U32())
+			default:
+				r.Fail(fmt.Errorf("%w: instr %d: operand kind word %#x", artifact.ErrCorrupt, i, kind))
+			}
+		}
+		if in.Op == OpInvalid || in.Op >= opCount || flags&^flagNoOverflow != 0 {
+			r.Fail(fmt.Errorf("%w: instr %d: opcode %d, flags %#x", artifact.ErrCorrupt, i, in.Op, flags))
+		}
+		if r.Err() != nil {
+			return nil
 		}
 	}
-	return r.err
+	return instrs
 }
-
-type reader struct {
-	data []byte
-	off  int
-	err  error
-}
-
-func (r *reader) bytes(n int) []byte {
-	if r.err != nil || r.off+n > len(r.data) {
-		if r.err == nil {
-			r.err = fmt.Errorf("isa: truncated at offset %d", r.off)
-		}
-		return make([]byte, n)
-	}
-	out := r.data[r.off : r.off+n]
-	r.off += n
-	return out
-}
-
-func (r *reader) u8() uint8   { return r.bytes(1)[0] }
-func (r *reader) u16() uint16 { return binary.LittleEndian.Uint16(r.bytes(2)) }
-func (r *reader) u32() uint32 { return binary.LittleEndian.Uint32(r.bytes(4)) }
 
 // DecodeRoutine parses an EncodeRoutine buffer back into a bare
 // instruction sequence. Inverse of EncodeRoutine: device snapshots use
 // the pair to round-trip the routine stream of a warp captured mid
 // preemption or resume.
 func DecodeRoutine(data []byte) ([]Instruction, error) {
-	r := &reader{data: data}
-	n := int(r.u32())
-	if r.err != nil {
-		return nil, r.err
-	}
-	if n < 0 || n > 1<<20 {
-		return nil, fmt.Errorf("isa: implausible routine length %d", n)
-	}
-	instrs := make([]Instruction, n)
-	for i := 0; i < n; i++ {
-		if err := readInstr(r, &instrs[i]); err != nil {
-			return nil, fmt.Errorf("isa: routine instr %d: %w", i, err)
-		}
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(data) {
-		return nil, fmt.Errorf("isa: %d trailing bytes after routine", len(data)-r.off)
+	r := artifact.NewReader(data)
+	instrs := getInstrs(r)
+	if err := r.Close(); err != nil {
+		return nil, fmt.Errorf("isa: decode routine: %w", err)
 	}
 	return instrs, nil
 }

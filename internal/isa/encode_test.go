@@ -2,8 +2,13 @@ package isa
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
+
+	"ctxback/internal/artifact"
 )
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
@@ -69,27 +74,34 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	p := testProgram(t)
 	good := EncodeProgram(p)
 
-	if _, err := DecodeProgram(good[:8]); err == nil {
-		t.Error("truncated buffer must fail")
-	}
 	bad := append([]byte(nil), good...)
 	copy(bad, "XXXX")
-	if _, err := DecodeProgram(bad); err == nil {
-		t.Error("bad magic must fail")
-	}
 	bad2 := append([]byte(nil), good...)
 	bad2[4] = 0xFF // version
-	if _, err := DecodeProgram(bad2); err == nil {
-		t.Error("bad version must fail")
-	}
 	// Corrupt an opcode beyond the table: decoded program must be
 	// rejected rather than executed.
 	bad3 := append([]byte(nil), good...)
 	hdr := 4 + 2 + 2 + len(p.Name) + 16
 	bad3[hdr] = 0xFF
 	bad3[hdr+1] = 0xFF
-	if _, err := DecodeProgram(bad3); err == nil {
-		t.Error("bad opcode must fail")
+	// A well-formed encoding of an invalid program: a branch target
+	// past the end.
+	bad4 := append([]byte(nil), good...)
+	bad4[len(bad4)-InstrWordBytes-InstrWordBytes+12] = 0x7F
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want error
+	}{
+		{"truncated", good[:8], artifact.ErrTruncated},
+		{"bad magic", bad, artifact.ErrCorrupt},
+		{"bad version", bad2, artifact.ErrStale},
+		{"bad opcode", bad3, artifact.ErrCorrupt},
+		{"invalid program", bad4, artifact.ErrCorrupt},
+	} {
+		if _, err := DecodeProgram(tc.data); !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
 	}
 }
 
@@ -108,5 +120,32 @@ func TestRoutineEncoding(t *testing.T) {
 	}
 	if s := FormatRoutine(instrs); !bytes.Contains([]byte(s), []byte("ctx_save_v")) {
 		t.Errorf("FormatRoutine output: %q", s)
+	}
+}
+
+// TestDecodeHostileCountAllocatesLittle: a 4-byte routine or a 24-byte
+// program header claiming 2^20 instructions fails as truncated before
+// allocating room for them (2^20 instructions would take 80 MiB).
+func TestDecodeHostileCountAllocatesLittle(t *testing.T) {
+	routine := binary.LittleEndian.AppendUint32(nil, 1<<20)
+	program := EncodeProgram(&Program{})
+	binary.LittleEndian.PutUint32(program[len(program)-4:], 1<<20)
+	for _, tc := range []struct {
+		name   string
+		decode func() error
+	}{
+		{"routine", func() error { _, err := DecodeRoutine(routine); return err }},
+		{"program", func() error { _, err := DecodeProgram(program); return err }},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := tc.decode()
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, artifact.ErrTruncated) {
+			t.Errorf("%s: err = %v, want ErrTruncated", tc.name, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("%s: decode allocated %d bytes", tc.name, got)
+		}
 	}
 }

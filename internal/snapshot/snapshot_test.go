@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
 	"testing"
 
+	"ctxback/internal/artifact"
 	"ctxback/internal/kernels"
 	"ctxback/internal/preempt"
 	"ctxback/internal/sim"
@@ -139,6 +141,81 @@ func TestEncodePinned(t *testing.T) {
 	)
 	if got := fmt.Sprintf("%x", sha256.Sum256(enc)); len(enc) != wantLen || got != wantSHA256 {
 		t.Fatalf("image is %d bytes, sha256 %s; want %d bytes, sha256 %s", len(enc), got, wantLen, wantSHA256)
+	}
+}
+
+// TestFramingErrorClasses runs one table of framing faults over both
+// containers that share artifact's framing, a CART entry and a CSNP
+// image. Each fault must give its error class, named by the container
+// and, for a fault inside a section, by the section. A flip in the CSNP
+// memory section passes DecodeSpeculative, and its deferred validate
+// reports it.
+func TestFramingErrorClasses(t *testing.T) {
+	d, _, _ := parked(t, preempt.Baseline, mustWorkload(t, "VA"))
+	_, image := Capture(d, 1)
+	key := artifact.NewKey("test/framing").Int("n", 1)
+	type container struct {
+		magic       string
+		data        []byte
+		firstAt     int // offset of the first section
+		first, last string
+		decode      func([]byte) error
+	}
+	containers := []container{
+		{"CART", artifact.EncodeEntry(key, []byte("payload")), 6, "key", "payload",
+			func(b []byte) error { _, _, err := artifact.DecodeEntry(b); return err }},
+		{"CSNP", image, 6 + 8, "meta", "memory",
+			func(b []byte) error { _, err := Decode(b); return err }},
+	}
+	faults := []struct {
+		name    string
+		want    error
+		section func(c container) string // "" for a header or trailer fault
+		mutate  func(c container, b []byte) []byte
+	}{
+		{"truncated-header", artifact.ErrTruncated, nil,
+			func(_ container, b []byte) []byte { return b[:5] }},
+		{"truncated-section", artifact.ErrTruncated, func(c container) string { return c.last },
+			func(_ container, b []byte) []byte { return b[:len(b)-1] }},
+		{"bad-magic", artifact.ErrCorrupt, nil,
+			func(_ container, b []byte) []byte { b[0] ^= 0xff; return b }},
+		{"wrong-section-id", artifact.ErrCorrupt, func(c container) string { return c.first },
+			func(c container, b []byte) []byte { b[c.firstAt] ^= 0x40; return b }},
+		{"flipped-checksum", artifact.ErrCorrupt, func(c container) string { return c.last },
+			func(_ container, b []byte) []byte { b[len(b)-1] ^= 0x01; return b }},
+		{"trailing-bytes", artifact.ErrCorrupt, nil,
+			func(_ container, b []byte) []byte { return append(b, 0) }},
+		{"format-version", artifact.ErrStale, nil,
+			func(_ container, b []byte) []byte { b[4] ^= 0x01; return b }},
+	}
+	for _, c := range containers {
+		if err := c.decode(c.data); err != nil {
+			t.Fatalf("%s: intact container: %v", c.magic, err)
+		}
+		for _, f := range faults {
+			err := c.decode(f.mutate(c, bytes.Clone(c.data)))
+			if !errors.Is(err, f.want) {
+				t.Errorf("%s %s: err = %v, want %v", c.magic, f.name, err, f.want)
+				continue
+			}
+			where := c.magic
+			if f.section != nil {
+				where += " section " + f.section(c)
+			}
+			if !strings.HasPrefix(err.Error(), where+": ") {
+				t.Errorf("%s %s: %q does not name %q", c.magic, f.name, err, where)
+			}
+		}
+	}
+
+	flip := bytes.Clone(image)
+	flip[len(flip)-9] ^= 0x10 // the memory payload's last byte
+	_, validate, err := DecodeSpeculative(flip)
+	if err != nil {
+		t.Fatalf("speculative decode of a memory flip: %v", err)
+	}
+	if err := validate(); !errors.Is(err, artifact.ErrCorrupt) || !strings.Contains(err.Error(), "CSNP section memory") {
+		t.Fatalf("deferred validate of a memory flip: %v", err)
 	}
 }
 
