@@ -124,13 +124,17 @@ bench-test:
 	cd bench && $(GO) test ./...
 
 # procs-diff guards evaluation-engine determinism across parallelism:
-# the quick sweep must emit byte-identical output at -procs 1 and
-# -procs 4 (worker count may reorder episode execution, never results).
+# the quick sweep and the QoS waiting-time table, which runs on the same
+# worker pool, must emit byte-identical output at -procs 1 and -procs 4
+# (worker count may reorder episode execution, never results).
 procs-diff:
 	$(GO) run ./cmd/benchtab -quick -procs 1 > /tmp/ctxback-procs1.txt
 	$(GO) run ./cmd/benchtab -quick -procs 4 > /tmp/ctxback-procs4.txt
 	diff -u /tmp/ctxback-procs1.txt /tmp/ctxback-procs4.txt
-	@echo "quick sweep byte-identical across -procs 1/4"
+	$(GO) run ./cmd/benchtab -quick -qos KM -procs 1 > /tmp/ctxback-qos-procs1.txt
+	$(GO) run ./cmd/benchtab -quick -qos KM -procs 4 > /tmp/ctxback-qos-procs4.txt
+	diff -u /tmp/ctxback-qos-procs1.txt /tmp/ctxback-qos-procs4.txt
+	@echo "quick sweep and QoS table byte-identical across -procs 1/4"
 
 # shards-diff guards epoch-engine determinism across intra-device
 # parallelism, mirroring procs-diff on the other axis: the quick sweep

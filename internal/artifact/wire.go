@@ -275,15 +275,17 @@ func (r *Reader) Bytes() []byte {
 // Str decodes Bytes as a string.
 func (r *Reader) Str() string { return string(r.Bytes()) }
 
-// Len counts a non-negative collection length and bounds it by the
-// remaining payload so corrupt lengths fail fast instead of allocating.
-func (r *Reader) Len() int {
+// Len decodes a collection length written by Writer.Int and bounds it
+// by the bytes left, at elem bytes or more per element (the element's
+// minimum encoded size), so a hostile length fails before it drives an
+// allocation.
+func (r *Reader) Len(elem int) int {
 	n := r.Int()
 	if r.err != nil {
 		return 0
 	}
-	if n < 0 || n > len(r.data)-r.off {
-		r.fail(fmt.Errorf("%w: implausible collection length %d", ErrCorrupt, n))
+	if n < 0 || n > (len(r.data)-r.off)/elem {
+		r.fail(fmt.Errorf("%w: implausible length %d of %d-byte elements at offset %d of %d", ErrCorrupt, n, elem, r.off, len(r.data)))
 		return 0
 	}
 	return n

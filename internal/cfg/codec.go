@@ -40,7 +40,7 @@ func EncodeGraph(g *Graph, w *artifact.Writer) {
 func DecodeGraph(prog *isa.Program, r *artifact.Reader) (*Graph, error) {
 	n := prog.Len()
 	g := &Graph{Prog: prog}
-	nb := r.Len()
+	nb := r.Len(3 * 8) // start, end, successor count
 	if nb == 0 {
 		return nil, fmt.Errorf("cfg: decode: empty block list")
 	}
@@ -50,13 +50,13 @@ func DecodeGraph(prog *isa.Program, r *artifact.Reader) (*Graph, error) {
 		b.ID = i
 		b.Start = r.Int()
 		b.End = r.Int()
-		ns := r.Len()
+		ns := r.Len(8)
 		b.Succs = make([]int, ns)
 		for j := range b.Succs {
 			b.Succs[j] = r.Int()
 		}
 	}
-	nr := r.Len()
+	nr := r.Len(8)
 	g.regionStart = make([]int, nr)
 	for i := range g.regionStart {
 		g.regionStart[i] = r.Int()

@@ -20,6 +20,17 @@ import (
 // artifact's key, and the analyses are relinked by the caller (they are
 // either their own artifact or recomputed in microseconds).
 
+// Minimum encoded sizes, which bound decoded lengths (artifact.Reader.Len):
+// a routine is a byte-length prefix and an instruction count, one
+// instruction adds a word, and a plan is at least ten Ints (fields and
+// empty collections' lengths).
+const (
+	routineBytes = 4 + 4
+	instrBytes   = routineBytes + isa.InstrWordBytes
+	planBytes    = 10 * 8
+	regBytes     = liveness.RegBytes
+)
+
 func encodeRoutine(w *artifact.Writer, instrs []isa.Instruction) {
 	w.Bytes(isa.EncodeRoutine(instrs))
 }
@@ -95,30 +106,30 @@ func decodePlan(r *artifact.Reader) *Plan {
 	p := &Plan{}
 	p.P = r.Int()
 	p.Q = r.Int()
-	ns := r.Len()
+	ns := r.Len(1)
 	p.Status = make([]Status, ns)
 	for i := range p.Status {
 		p.Status[i] = Status(r.U8())
 	}
-	ni := r.Len()
+	ni := r.Len(regBytes + 1)
 	p.InitRegs = make(map[isa.Reg]InitSource, ni)
 	for i := 0; i < ni; i++ {
 		reg := liveness.DecodeReg(r)
 		p.InitRegs[reg] = InitSource(r.U8())
 	}
-	nr := r.Len()
+	nr := r.Len(8 + liveness.RegSetBytes)
 	p.ReloadRegs = make(map[int]isa.RegSet, nr)
 	for i := 0; i < nr; i++ {
 		idx := r.Int()
 		p.ReloadRegs[idx] = liveness.DecodeRegSet(r)
 	}
-	np := r.Len()
+	np := r.Len(8 + instrBytes)
 	p.PreemptReverts = make([]PreemptRevert, np)
 	for i := range p.PreemptReverts {
 		p.PreemptReverts[i].K = r.Int()
 		p.PreemptReverts[i].Instr = decodeInstr(r)
 	}
-	nv := r.Len()
+	nv := r.Len(8 + instrBytes + regBytes + 8)
 	p.ResumeReverts = make([]ResumeRevert, nv)
 	for i := range p.ResumeReverts {
 		p.ResumeReverts[i].Pos = r.Int()
@@ -146,7 +157,7 @@ func encodeRegMap(w *artifact.Writer, m map[isa.Reg]isa.Reg) {
 }
 
 func decodeRegMap(r *artifact.Reader) map[isa.Reg]isa.Reg {
-	n := r.Len()
+	n := r.Len(2 * regBytes)
 	m := make(map[isa.Reg]isa.Reg, n)
 	for i := 0; i < n; i++ {
 		k := liveness.DecodeReg(r)
@@ -199,23 +210,23 @@ func DecodeCompiled(prog *isa.Program, g *cfg.Graph, live *liveness.Info, data [
 	c := &Compiled{Prog: prog, Graph: g, Live: live}
 	c.Feats = Feature(r.U8())
 	c.MaxWindow = r.Int()
-	np := r.Len()
+	np := r.Len(planBytes)
 	c.Plans = make([]*Plan, np)
 	for i := range c.Plans {
 		c.Plans[i] = decodePlan(r)
 	}
-	n1 := r.Len()
+	n1 := r.Len(routineBytes)
 	c.PreemptRoutines = make([][]isa.Instruction, n1)
 	for i := range c.PreemptRoutines {
 		c.PreemptRoutines[i] = decodeRoutine(r)
 	}
-	n2 := r.Len()
+	n2 := r.Len(routineBytes)
 	c.ResumeRoutines = make([][]isa.Instruction, n2)
 	for i := range c.ResumeRoutines {
 		c.ResumeRoutines[i] = decodeRoutine(r)
 	}
 	c.OSRB = decodeRegMap(r)
-	nb := r.Len()
+	nb := r.Len(8 + routineBytes)
 	c.BackupAt = make(map[int][]isa.Instruction, nb)
 	for i := 0; i < nb; i++ {
 		pc := r.Int()

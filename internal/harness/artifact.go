@@ -102,16 +102,12 @@ func (o *Options) prepare(factory kernels.Factory) (*prepared, error) {
 	return v.(*prepared), nil
 }
 
-// matrixFor runs measureMatrix's compute through the artifact store:
-// the full (kernel, kind, sample) episode matrix is keyed by every
-// prepared program's digest plus the options above, so a warm sweep
-// deserializes its folded stats instead of re-simulating every episode.
+// matrixFor is measureMatrix through a persistent artifact store: the
+// (kernel, kind) matrix is keyed by every prepared program's digest plus
+// the options above, so a warm sweep deserializes its folded stats
+// instead of re-simulating every episode. A miss measures the Runner's
+// cells.
 func (r *Runner) matrixFor(kinds []preempt.Kind) ([][]EpisodeStats, error) {
-	st := artifact.Default()
-	if st.Dir() == "" {
-		r.matrixComputes.Add(1)
-		return r.computeMatrix(kinds)
-	}
 	// The key covers the prepared programs; preparing is itself
 	// store-backed and cheap when warm.
 	if err := r.prepareAll(); err != nil {
@@ -129,13 +125,10 @@ func (r *Runner) matrixFor(kinds []preempt.Kind) ([][]EpisodeStats, error) {
 		k.Bytes("prog", d[:])
 	}
 	nk, nt := len(r.prep), len(kinds)
-	v, err := st.Do(k, artifact.Codec{
+	v, err := artifact.Default().Do(k, artifact.Codec{
 		Encode: func(v any) []byte { return encodeMatrix(v.([][]EpisodeStats)) },
 		Decode: func(payload []byte) (any, error) { return decodeMatrix(payload, nk, nt) },
-	}, func() (any, error) {
-		r.matrixComputes.Add(1)
-		return r.computeMatrix(kinds)
-	})
+	}, func() (any, error) { return r.cellMatrix(kinds) })
 	if err != nil {
 		return nil, err
 	}
@@ -163,13 +156,13 @@ func encodeMatrix(avg [][]EpisodeStats) []byte {
 
 func decodeMatrix(payload []byte, nk, nt int) ([][]EpisodeStats, error) {
 	r := artifact.NewReader(payload)
-	rows := r.Len()
+	rows := r.Len(8) // each row's cell count
 	if rows != nk {
 		return nil, fmt.Errorf("harness: decode matrix: %d rows (want %d)", rows, nk)
 	}
 	avg := make([][]EpisodeStats, rows)
 	for i := range avg {
-		cols := r.Len()
+		cols := r.Len(8 * 8)
 		if cols != nt {
 			return nil, fmt.Errorf("harness: decode matrix: row %d has %d cells (want %d)", i, cols, nt)
 		}

@@ -215,8 +215,10 @@ func Fig10(o Options) (*Figure, error) { return NewRunner(o).Fig10() }
 
 // Fig10 measures the runtime overhead of the two techniques that do work
 // during normal execution: CKPT's checkpoint stores and CTXBack's OSRB
-// copies. The clean and instrumented full runs of every kernel are
-// independent simulations, so all of them go to the worker pool.
+// copies. The clean run is the golden run prepare already simulated and
+// verified, and so is the run of a technique that never instruments the
+// kernel (CTXBack where its compile places no backup); the instrumented
+// full runs are independent simulations on the worker pool.
 func (r *Runner) Fig10() (*Figure, error) {
 	if err := r.prepareAll(); err != nil {
 		return nil, err
@@ -228,14 +230,19 @@ func (r *Runner) Fig10() (*Figure, error) {
 	err := r.runJobs(nk*runs, func(f int) error {
 		ki, j := f/runs, f%runs
 		p := r.prep[ki].p
-		var c int64
-		var err error
 		if j == 0 {
-			c, err = r.o.runtimeCycles(p, preempt.Baseline, false)
-		} else {
-			c, err = r.o.runtimeCycles(p, kinds[j-1], true)
+			cycles[f] = p.goldenCycles
+			return nil
 		}
-		cycles[f] = c
+		tech, err := preempt.New(kinds[j-1], p.wl.Prog)
+		if err != nil {
+			return err
+		}
+		if !instruments(tech, p.wl.Prog) {
+			cycles[f] = p.goldenCycles
+			return nil
+		}
+		cycles[f], err = r.o.runtimeCycles(p, tech)
 		return err
 	})
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 
+	"ctxback/internal/isa"
 	"ctxback/internal/kernels"
 	"ctxback/internal/preempt"
 	"ctxback/internal/sim"
@@ -183,26 +184,38 @@ func classifyPreemptErr(err error) (drained bool, failure error) {
 
 // measure preempts SM 0 at signalCycle under the technique, resumes
 // immediately after the save completes, and (optionally) verifies the
-// completed run. ok=false when the kernel drained before the signal.
-func (o *Options) measure(p *prepared, kind preempt.Kind, signalCycle int64) (EpisodeStats, bool, error) {
+// completed run; it also returns the episode's device as it stopped.
+// ok=false when the kernel drained before the signal. With from nil the
+// episode simulates its prefix from launch; otherwise it starts from
+// from, the golden run's state at signalCycle (fork.go), which only a
+// technique that never instruments the kernel may do.
+func (o *Options) measure(p *prepared, kind preempt.Kind, signalCycle int64, from *sim.DeviceState) (EpisodeStats, bool, *sim.Device, error) {
 	tech, err := preempt.New(kind, p.wl.Prog)
 	if err != nil {
-		return EpisodeStats{}, false, fmt.Errorf("%s/%v: %w", p.wl.Abbrev, kind, err)
+		return EpisodeStats{}, false, nil, fmt.Errorf("%s/%v: %w", p.wl.Abbrev, kind, err)
 	}
 	d, err := o.newDevice()
 	if err != nil {
-		return EpisodeStats{}, false, err
+		return EpisodeStats{}, false, nil, err
 	}
-	d.AttachRuntime(tech)
-	launch, err := p.wl.Launch(d)
-	if err != nil {
-		return EpisodeStats{}, false, err
-	}
-	if err := d.RunToCycle(signalCycle, o.MaxCycles); err != nil {
-		return EpisodeStats{}, false, err
+	var launch *sim.Launch
+	if from == nil {
+		d.AttachRuntime(tech)
+		if launch, err = p.wl.Launch(d); err != nil {
+			return EpisodeStats{}, false, d, err
+		}
+		if err := d.RunToCycle(signalCycle, o.MaxCycles); err != nil {
+			return EpisodeStats{}, false, d, err
+		}
+	} else {
+		idx, err := d.ImportState(from, tech, []*isa.Program{p.wl.Prog})
+		if err != nil {
+			return EpisodeStats{}, false, d, fmt.Errorf("%s/%v fork: %w", p.wl.Abbrev, kind, err)
+		}
+		launch = idx.Launches[0]
 	}
 	if launch.Done() {
-		return EpisodeStats{}, false, nil
+		return EpisodeStats{}, false, d, nil
 	}
 	ep, err := d.Preempt(0, tech)
 	if err != nil {
@@ -211,18 +224,18 @@ func (o *Options) measure(p *prepared, kind preempt.Kind, signalCycle int64) (Ep
 			if m := o.Metrics; m != nil {
 				m.Counter("episodes.drained").Add(1)
 			}
-			return EpisodeStats{}, false, nil
+			return EpisodeStats{}, false, d, nil
 		}
-		return EpisodeStats{}, false, fmt.Errorf("%s/%v preempt: %w", p.wl.Abbrev, kind, failure)
+		return EpisodeStats{}, false, d, fmt.Errorf("%s/%v preempt: %w", p.wl.Abbrev, kind, failure)
 	}
 	if err := d.RunUntil(ep.Saved, o.MaxCycles); err != nil {
-		return EpisodeStats{}, false, fmt.Errorf("%s/%v save: %w", p.wl.Abbrev, kind, err)
+		return EpisodeStats{}, false, d, fmt.Errorf("%s/%v save: %w", p.wl.Abbrev, kind, err)
 	}
 	if err := d.Resume(ep); err != nil {
-		return EpisodeStats{}, false, err
+		return EpisodeStats{}, false, d, err
 	}
 	if err := d.RunUntil(ep.Finished, o.MaxCycles); err != nil {
-		return EpisodeStats{}, false, fmt.Errorf("%s/%v resume: %w", p.wl.Abbrev, kind, err)
+		return EpisodeStats{}, false, d, fmt.Errorf("%s/%v resume: %w", p.wl.Abbrev, kind, err)
 	}
 	ph := ep.Phases()
 	stats := EpisodeStats{
@@ -248,13 +261,13 @@ func (o *Options) measure(p *prepared, kind preempt.Kind, signalCycle int64) (Ep
 	}
 	if o.Verify {
 		if err := d.Run(o.MaxCycles); err != nil {
-			return stats, true, fmt.Errorf("%s/%v completion: %w", p.wl.Abbrev, kind, err)
+			return stats, true, d, fmt.Errorf("%s/%v completion: %w", p.wl.Abbrev, kind, err)
 		}
 		if err := p.wl.Verify(d); err != nil {
-			return stats, true, fmt.Errorf("%s/%v output corrupted by preemption: %w", p.wl.Abbrev, kind, err)
+			return stats, true, d, fmt.Errorf("%s/%v output corrupted by preemption: %w", p.wl.Abbrev, kind, err)
 		}
 	}
-	return stats, true, nil
+	return stats, true, d, nil
 }
 
 // samplePoints spreads n signal cycles over (0.15, 0.85) of the golden
@@ -264,7 +277,7 @@ func (o *Options) measure(p *prepared, kind preempt.Kind, signalCycle int64) (Ep
 // fractions onto the same cycle, so the result may hold fewer than n
 // points — always at least one, strictly increasing, all distinct.
 // Callers that want n samples should log the shortfall (see measureAvg
-// and measureMatrix).
+// and computeCells).
 func samplePoints(golden int64, n int) []int64 {
 	if n < 1 {
 		n = 1
@@ -295,7 +308,7 @@ func (o *Options) measureAvg(p *prepared, kind preempt.Kind) (EpisodeStats, erro
 	}
 	eps := make([]episodeResult, len(pts))
 	for i, pt := range pts {
-		st, ok, err := o.measure(p, kind, pt)
+		st, ok, _, err := o.measure(p, kind, pt, nil)
 		eps[i] = episodeResult{st: st, ok: ok, err: err}
 		if err != nil {
 			// Truncate to the attempted prefix: the unattempted tail is
@@ -307,20 +320,14 @@ func (o *Options) measureAvg(p *prepared, kind preempt.Kind) (EpisodeStats, erro
 	return foldEpisodes(p.wl.Abbrev, kind, eps)
 }
 
-// runtimeCycles measures full-kernel execution with (or without) a
-// technique's instrumentation attached — the Fig 10 runtime overhead.
-func (o *Options) runtimeCycles(p *prepared, kind preempt.Kind, attach bool) (int64, error) {
+// runtimeCycles measures full-kernel execution with tech's
+// instrumentation attached — the Fig 10 runtime overhead.
+func (o *Options) runtimeCycles(p *prepared, tech preempt.Technique) (int64, error) {
 	d, err := o.newDevice()
 	if err != nil {
 		return 0, err
 	}
-	if attach {
-		tech, err := preempt.New(kind, p.wl.Prog)
-		if err != nil {
-			return 0, err
-		}
-		d.AttachRuntime(tech)
-	}
+	d.AttachRuntime(tech)
 	if _, err := p.wl.Launch(d); err != nil {
 		return 0, err
 	}
@@ -329,7 +336,7 @@ func (o *Options) runtimeCycles(p *prepared, kind preempt.Kind, attach bool) (in
 	}
 	if o.Verify {
 		if err := p.wl.Verify(d); err != nil {
-			return 0, fmt.Errorf("%s/%v instrumented run corrupted output: %w", p.wl.Abbrev, kind, err)
+			return 0, fmt.Errorf("%s/%v instrumented run corrupted output: %w", p.wl.Abbrev, tech.Kind(), err)
 		}
 	}
 	return d.Now(), nil

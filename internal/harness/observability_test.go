@@ -3,6 +3,7 @@ package harness
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -121,7 +122,7 @@ func TestMeasurePhaseReconciliation(t *testing.T) {
 	pts := samplePoints(p.goldenCycles, 2)
 	for _, kind := range preempt.Kinds() {
 		for _, pt := range pts {
-			st, ok, err := o.measure(p, kind, pt)
+			st, ok, _, err := o.measure(p, kind, pt, nil)
 			if err != nil {
 				t.Fatalf("%v@%d: %v", kind, pt, err)
 			}
@@ -213,18 +214,20 @@ func TestPhaseBreakdownReusesMatrix(t *testing.T) {
 			}
 		}
 	}
-	// The breakdown over the same kinds must reuse the memoized matrix
-	// (same backing array), not re-simulate the sweep.
+	// The breakdown over the same kinds must reuse the memoized cells,
+	// not re-simulate the sweep.
+	computed := r.cellComputes.Load()
 	m1, err := r.measureMatrix(kinds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := r.measureMatrix(kinds)
-	if err != nil {
-		t.Fatal(err)
+	if got := r.cellComputes.Load(); got != computed {
+		t.Errorf("repeated sweep measured %d cells again", got-computed)
 	}
-	if &m1[0] != &m2[0] {
-		t.Error("matrix not memoized: repeated sweep re-simulated")
+	for ki, row := range rows {
+		if !reflect.DeepEqual(row.Stats, m1[ki]) {
+			t.Errorf("%s: breakdown %+v, memoized cells %+v", row.Abbrev, row.Stats, m1[ki])
+		}
 	}
 	if out := RenderPhases(kinds, rows); !strings.Contains(out, "drain") || !strings.Contains(out, "CTXBack") {
 		t.Errorf("render missing content:\n%s", out)

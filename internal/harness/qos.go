@@ -7,6 +7,7 @@ import (
 
 	"ctxback/internal/kernels"
 	"ctxback/internal/preempt"
+	"ctxback/internal/trace"
 )
 
 // QoSRow summarizes the waiting-time distribution one technique imposes
@@ -63,14 +64,19 @@ func (r *Runner) WaitDistribution(abbrev string, n int) (*QoSResult, error) {
 		}
 		kinds = append(kinds, kind)
 	}
-	results := make([]episodeResult, len(kinds)*n)
-	r.runJobs(len(results), func(f int) error {
-		kj, i := f/n, f%n
-		frac := 0.05 + 0.9*float64(i)/float64(max(n-1, 1))
-		st, ok, err := r.o.measure(p, kinds[kj], int64(frac*float64(p.goldenCycles)))
-		results[f] = episodeResult{st: st, ok: ok, err: err}
-		return nil // errors surface below, in serial order
-	})
+	eps := make([]episode, 0, len(kinds)*n)
+	for _, kind := range kinds {
+		for i := 0; i < n; i++ {
+			frac := 0.05 + 0.9*float64(i)/float64(max(n-1, 1))
+			eps = append(eps, episode{ki: ki, kind: kind, at: int64(frac * float64(p.goldenCycles))})
+		}
+	}
+	// Episode errors surface below, in serial order; a crashed episode
+	// left its slot zero-valued, and the fold would skip it as drained.
+	results, err := r.measureEpisodes(eps)
+	if err != nil {
+		return nil, err
+	}
 	res := &QoSResult{Abbrev: abbrev, Samples: n}
 	for kj, kind := range kinds {
 		var waits, resumes []float64
@@ -92,7 +98,7 @@ func (r *Runner) WaitDistribution(abbrev string, n int) (*QoSResult, error) {
 		res.Rows = append(res.Rows, QoSRow{
 			Kind:         kind,
 			MeanUs:       mean(waits),
-			P95Us:        percentile(waits, 0.95),
+			P95Us:        waits[trace.NearestRank(int64(len(waits)), 0.95)-1],
 			MaxUs:        waits[len(waits)-1],
 			ResumeMeanUs: mean(resumes),
 		})
@@ -106,14 +112,6 @@ func mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-func percentile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(q * float64(len(sorted)-1))
-	return sorted[idx]
 }
 
 // RenderQoS formats the distribution table.

@@ -7,17 +7,23 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"ctxback/internal/artifact"
 	"ctxback/internal/kernels"
 	"ctxback/internal/preempt"
 )
 
 // Runner is the parallel evaluation engine behind the experiments. It
-// owns two responsibilities the plain Options functions cannot:
+// owns three responsibilities the plain Options functions cannot:
 //
 //   - Golden-run memoization: prepare() (grid sizing + uninterrupted
 //     golden simulation) is computed once per registry kernel and shared
 //     read-only by every experiment on the same Runner, so an -all sweep
 //     no longer re-simulates each golden run per figure.
+//
+//   - One measurement per episode: every (kernel, technique) cell's
+//     sample average is measured once per Runner, whichever experiment
+//     asks first, so Table I's BASELINE cells are the ones Figs 8-9 and
+//     the phase breakdown read.
 //
 //   - Episode scheduling: every (kernel, technique, sample) episode is
 //     an independent deterministic simulation on its own Device, so the
@@ -25,7 +31,9 @@ import (
 //     in the exact order the serial path used. Sums over int64 cycle
 //     counts are order-independent, and per-cell folds walk samples in
 //     index order, so reported numbers are bit-identical to Parallelism
-//     1 (covered by TestParallelDeterminism).
+//     1 (covered by TestParallelDeterminism). An episode whose technique
+//     never instruments its kernel forks from the kernel's golden run
+//     instead of simulating the prefix to its signal point (fork.go).
 //
 // Workloads are safe to share across concurrent Devices: factories
 // capture their inputs and golden outputs at construction, and
@@ -37,27 +45,31 @@ type Runner struct {
 	o    Options
 	prep []prepEntry // one slot per kernels.Registry() index
 
-	// Matrix memoization: measureMatrix results keyed by the kind list's
-	// string form. Episodes are deterministic, so a repeated sweep (e.g.
-	// Table I followed by the phase breakdown over the same kinds) reuses
-	// the measured matrix instead of re-simulating every episode. Each key
-	// is computed exactly once (single-flight): concurrent callers that
-	// miss together block on the same entry's sync.Once instead of
-	// simulating the full matrix in parallel. Errors are memoized too —
-	// episodes are deterministic, so a retry would fail identically.
-	mmu    sync.Mutex
-	mcache map[string]*matrixEntry
+	// Cell memoization. Each (kernel, kind) cell is computed exactly
+	// once (single-flight): a caller that finds a cell missing claims it
+	// and computes it, and callers that need a claimed cell wait for it
+	// instead of simulating it again. Errors are memoized too — episodes
+	// are deterministic, so a retry would fail identically.
+	cmu   sync.Mutex
+	cells map[cellKey]*cell
 
-	// matrixComputes counts actual matrix simulations (not cache hits);
-	// the single-flight test asserts one compute per key. Atomic because
-	// distinct keys may compute concurrently.
-	matrixComputes atomic.Int64
+	// cellComputes counts cells actually measured (not memo hits); the
+	// single-flight test asserts one compute per cell. Atomic because
+	// distinct cells may compute concurrently.
+	cellComputes atomic.Int64
 }
 
-// matrixEntry is one single-flight matrix computation.
-type matrixEntry struct {
-	once sync.Once
-	avg  [][]EpisodeStats
+// cellKey names one (registry kernel, technique) cell.
+type cellKey struct {
+	ki   int
+	kind preempt.Kind
+}
+
+// cell is one single-flight cell computation: done closes once st and
+// err are final.
+type cell struct {
+	done chan struct{}
+	st   EpisodeStats
 	err  error
 }
 
@@ -70,9 +82,9 @@ type prepEntry struct {
 // NewRunner builds a Runner over the full kernel registry.
 func NewRunner(o Options) *Runner {
 	return &Runner{
-		o:      o,
-		prep:   make([]prepEntry, len(kernels.Registry())),
-		mcache: make(map[string]*matrixEntry),
+		o:     o,
+		prep:  make([]prepEntry, len(kernels.Registry())),
+		cells: make(map[cellKey]*cell),
 	}
 }
 
@@ -213,81 +225,96 @@ func foldEpisodes(abbrev string, kind preempt.Kind, eps []episodeResult) (Episod
 	return sum, nil
 }
 
-// measureMatrix measures every (registry kernel, kind, sample) episode
-// across the worker pool and folds each cell to its sample average.
-// avg[ki][kj] corresponds to Registry()[ki] under kinds[kj]. Episode
-// errors are reported in the serial path's order: cells in (kernel,
-// kind) order, samples in index order within a cell.
+// measureMatrix returns every registry kernel's sample-averaged episode
+// under each of kinds: avg[ki][kj] corresponds to Registry()[ki] under
+// kinds[kj]. It reads the Runner's cells, through the artifact store
+// when that persists to a directory (matrixFor).
 func (r *Runner) measureMatrix(kinds []preempt.Kind) ([][]EpisodeStats, error) {
-	key := fmt.Sprint(kinds)
-	r.mmu.Lock()
-	e, ok := r.mcache[key]
-	if !ok {
-		e = &matrixEntry{}
-		r.mcache[key] = e
+	if artifact.Default().Dir() != "" {
+		return r.matrixFor(kinds)
 	}
-	r.mmu.Unlock()
-	e.once.Do(func() {
-		e.avg, e.err = r.matrixFor(kinds)
-	})
-	return e.avg, e.err
+	return r.cellMatrix(kinds)
 }
 
-// computeMatrix simulates the full (kernel, kind, sample) episode matrix.
-// Only measureMatrix calls it, under the per-key single-flight entry.
-func (r *Runner) computeMatrix(kinds []preempt.Kind) (avg [][]EpisodeStats, err error) {
+// cellMatrix is measureMatrix over the Runner's cell memo. Cells another
+// call already measured, or is measuring, are reused; the rest are
+// measured together on the worker pool. Episode errors are reported in
+// the serial path's order: cells in (kernel, kind) order, samples in
+// index order within a cell.
+func (r *Runner) cellMatrix(kinds []preempt.Kind) ([][]EpisodeStats, error) {
 	if err := r.prepareAll(); err != nil {
 		return nil, err
 	}
-	nk := len(r.prep)
-	nt := len(kinds)
-	ns := r.o.Samples
-	if ns < 1 {
-		ns = 1 // samplePoints clamps the same way
-	}
-	// Sample points are fixed per kernel; compute (and log shortfalls)
-	// once here rather than per job. A short golden run can yield fewer
-	// than ns distinct points — the missing slots stay zero-valued
-	// (ok=false) and the fold skips them.
-	ptsByKernel := make([][]int64, nk)
-	for ki := range ptsByKernel {
-		p := r.prep[ki].p
-		ptsByKernel[ki] = samplePoints(p.goldenCycles, r.o.Samples)
-		if got := len(ptsByKernel[ki]); got < ns {
-			r.o.logf("%s: golden run of %d cycles yields only %d distinct sample points (want %d)",
-				p.wl.Abbrev, p.goldenCycles, got, ns)
+	nk, nt := len(r.prep), len(kinds)
+	cells := make([]*cell, nk*nt)
+	var mine []int // indices into cells this call claimed
+	r.cmu.Lock()
+	for f := range cells {
+		k := cellKey{f / nt, kinds[f%nt]}
+		c := r.cells[k]
+		if c == nil {
+			c = &cell{done: make(chan struct{})}
+			r.cells[k] = c
+			mine = append(mine, f)
 		}
+		cells[f] = c
 	}
-	results := make([]episodeResult, nk*nt*ns)
-	// Episode errors are stashed in results and surface via foldEpisodes
-	// in the serial path's order — but runJobs' own error (a panicking
-	// worker) must not be discarded: a crashed job left its slot
-	// zero-valued and the fold would silently average it as a miss.
-	if err := r.runJobs(len(results), func(f int) error {
-		ki := f / (nt * ns)
-		kj := (f / ns) % nt
-		si := f % ns
-		pts := ptsByKernel[ki]
-		if si >= len(pts) {
-			return nil // collapsed sample point; the fold skips this slot
-		}
-		st, ok, err := r.o.measure(r.prep[ki].p, kinds[kj], pts[si])
-		results[f] = episodeResult{st: st, ok: ok, err: err}
-		return nil
-	}); err != nil {
-		return nil, err
+	r.cmu.Unlock()
+	if len(mine) > 0 {
+		r.computeCells(kinds, cells, mine)
 	}
-	avg = make([][]EpisodeStats, nk)
-	for ki := 0; ki < nk; ki++ {
+	avg := make([][]EpisodeStats, nk)
+	for ki := range avg {
 		avg[ki] = make([]EpisodeStats, nt)
-		for kj := 0; kj < nt; kj++ {
-			cell := results[(ki*nt+kj)*ns : (ki*nt+kj+1)*ns]
-			st, err := foldEpisodes(r.prep[ki].p.wl.Abbrev, kinds[kj], cell)
-			if err != nil {
-				return nil, err
+		for kj := range avg[ki] {
+			c := cells[ki*nt+kj]
+			<-c.done
+			if c.err != nil {
+				return nil, c.err
 			}
-			avg[ki][kj] = st
+			avg[ki][kj] = c.st
 		}
 	}
 	return avg, nil
+}
+
+// computeCells measures the cells mine of measureMatrix's (kernel,
+// kind) matrix as one batch of episodes on the worker pool, then folds
+// each cell's samples in index order and closes it. Only measureMatrix
+// calls it, for the cells it claimed.
+func (r *Runner) computeCells(kinds []preempt.Kind, cells []*cell, mine []int) {
+	nt := len(kinds)
+	// Sample points are fixed per kernel. A short golden run can yield
+	// fewer than Samples distinct points; the cell averages the ones it
+	// has.
+	pts := make(map[int][]int64)
+	var eps []episode
+	for _, f := range mine {
+		ki := f / nt
+		if _, ok := pts[ki]; !ok {
+			p := r.prep[ki].p
+			pts[ki] = samplePoints(p.goldenCycles, r.o.Samples)
+			if got := len(pts[ki]); got < max(r.o.Samples, 1) {
+				r.o.logf("%s: golden run of %d cycles yields only %d distinct sample points (want %d)",
+					p.wl.Abbrev, p.goldenCycles, got, r.o.Samples)
+			}
+		}
+		for _, at := range pts[ki] {
+			eps = append(eps, episode{ki: ki, kind: kinds[f%nt], at: at})
+		}
+	}
+	// A crashed episode fails every cell of the batch: its slot is
+	// zero-valued, and the fold would average it as a drained sample.
+	results, err := r.measureEpisodes(eps)
+	for _, f := range mine {
+		ki, kind := f/nt, kinds[f%nt]
+		c := cells[f]
+		if c.err = err; err == nil {
+			n := len(pts[ki])
+			c.st, c.err = foldEpisodes(r.prep[ki].p.wl.Abbrev, kind, results[:n])
+			results = results[n:]
+		}
+		r.cellComputes.Add(1)
+		close(c.done)
+	}
 }

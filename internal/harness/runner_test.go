@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -33,9 +34,9 @@ func TestRunJobsPanicBecomesError(t *testing.T) {
 }
 
 // TestMeasureMatrixSingleFlight proves the cache-stampede fix: N
-// concurrent callers that miss the matrix cache together must run
-// exactly one simulation of the matrix, with every caller receiving the
-// same result.
+// concurrent callers that miss the cell memo together must measure each
+// (kernel, kind) cell exactly once, with every caller receiving the same
+// result.
 func TestMeasureMatrixSingleFlight(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates a full episode matrix")
@@ -44,6 +45,7 @@ func TestMeasureMatrixSingleFlight(t *testing.T) {
 	o.Samples = 1
 	r := NewRunner(o)
 	kinds := []preempt.Kind{preempt.Baseline}
+	cells := int64(len(r.prep) * len(kinds))
 
 	const callers = 8
 	results := make([][][]EpisodeStats, callers)
@@ -62,20 +64,24 @@ func TestMeasureMatrixSingleFlight(t *testing.T) {
 			t.Fatalf("caller %d: %v", c, err)
 		}
 	}
-	if got := r.matrixComputes.Load(); got != 1 {
-		t.Errorf("matrix simulated %d times under concurrent callers, want 1", got)
+	if got := r.cellComputes.Load(); got != cells {
+		t.Errorf("%d cells measured under concurrent callers, want %d", got, cells)
 	}
 	for c := 1; c < callers; c++ {
-		if &results[c][0] != &results[0][0] {
+		if !reflect.DeepEqual(results[c], results[0]) {
 			t.Errorf("caller %d received a different matrix than caller 0", c)
 		}
 	}
-	// A later call on the warm cache is also a hit.
+	// A later call on the warm memo is also a hit, and so is a matrix
+	// whose cells other kind lists already measured.
 	if _, err := r.measureMatrix(kinds); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.matrixComputes.Load(); got != 1 {
-		t.Errorf("warm-cache call recomputed the matrix (computes=%d)", got)
+	if _, err := r.measureMatrix(append(kinds, kinds...)); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.cellComputes.Load(); got != cells {
+		t.Errorf("warm-memo calls measured cells again (computes=%d, want %d)", got, cells)
 	}
 }
 

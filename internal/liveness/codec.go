@@ -13,6 +13,17 @@ import (
 // canonical and encode∘decode∘encode is byte-identical. The Graph field
 // is relinked by the caller (it travels as its own artifact section).
 
+// Minimum encoded sizes, which bound decoded lengths (artifact.Reader.Len).
+// RegBytes is EncodeReg's size and RegSetBytes an empty EncodeRegSet's
+// (its length). A PC of EncodeInfo is at least three sets, a bool and a
+// def-chain length, and a def-chain entry is a register and a PC.
+const (
+	RegBytes    = 3
+	RegSetBytes = 8
+	pcBytes     = 3*RegSetBytes + 1 + 8
+	chainBytes  = RegBytes + 8
+)
+
 // EncodeReg appends one register.
 func EncodeReg(w *artifact.Writer, r isa.Reg) {
 	w.U8(uint8(r.Class))
@@ -41,7 +52,7 @@ func EncodeRegSet(s isa.RegSet, w *artifact.Writer) {
 // DecodeRegSet reads a register set written by EncodeRegSet.
 func DecodeRegSet(r *artifact.Reader) isa.RegSet {
 	var s isa.RegSet
-	n := r.Len()
+	n := r.Len(RegBytes)
 	for i := 0; i < n && r.Err() == nil; i++ {
 		if reg := DecodeReg(r); r.Err() == nil {
 			s.Add(reg)
@@ -102,7 +113,7 @@ func EncodeInfo(info *Info, w *artifact.Writer) {
 // the decoder checks them against g instead: a payload whose chains
 // disagree with the program was produced for a different one.
 func DecodeInfo(g *cfg.Graph, r *artifact.Reader) (*Info, error) {
-	n := r.Len()
+	n := r.Len(pcBytes)
 	if n != g.Prog.Len() {
 		return nil, fmt.Errorf("liveness: decode: %d PCs for a %d-instruction program", n, g.Prog.Len())
 	}
@@ -120,7 +131,7 @@ func DecodeInfo(g *cfg.Graph, r *artifact.Reader) (*Info, error) {
 		info.ExecFullIn[pc] = r.Bool()
 		info.EscIn[pc] = DecodeRegSet(r)
 		chain.next(pc)
-		nd := r.Len()
+		nd := r.Len(chainBytes)
 		if r.Err() == nil && nd != len(chain.regs) {
 			r.Fail(fmt.Errorf("liveness: decode: pc %d: %d def-chain entries, program has %d", pc, nd, len(chain.regs)))
 		}

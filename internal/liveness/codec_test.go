@@ -96,13 +96,13 @@ func TestEncodedDefChainsAreLastDefs(t *testing.T) {
 	EncodeInfo(info, w)
 	r := artifact.NewReader(w.Data())
 	all := []isa.Reg{isa.V(0), isa.V(1), isa.V(2), isa.V(3), isa.S(0), isa.S(1), isa.Exec, isa.VCC, isa.SCC}
-	for pc, n := 0, r.Len(); pc < n; pc++ {
+	for pc, n := 0, r.Len(pcBytes); pc < n; pc++ {
 		DecodeRegSet(r)
 		DecodeRegSet(r)
 		r.Bool()
 		DecodeRegSet(r)
 		got := map[isa.Reg]int{}
-		for i, nd := 0, r.Len(); i < nd; i++ {
+		for i, nd := 0, r.Len(chainBytes); i < nd; i++ {
 			reg := DecodeReg(r)
 			got[reg] = r.Int()
 		}

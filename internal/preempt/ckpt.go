@@ -158,7 +158,7 @@ func ckptStaticFor(prog *isa.Program, interval int) (*ckptStatic, error) {
 			}
 			r := artifact.NewReader(p)
 			s := &ckptStatic{live: a.live}
-			n := r.Len()
+			n := r.Len(2 * 8)
 			s.site = make(map[int]int, n)
 			for i := 0; i < n; i++ {
 				id := r.Int()
@@ -290,7 +290,7 @@ func encodeIntSet(w *artifact.Writer, set map[int]bool) {
 }
 
 func decodeIntSet(r *artifact.Reader) map[int]bool {
-	n := r.Len()
+	n := r.Len(8)
 	m := make(map[int]bool, n)
 	for i := 0; i < n; i++ {
 		m[r.Int()] = true

@@ -64,7 +64,7 @@ func csdeferTargets(prog *isa.Program, a *progAnalysis) ([]int, error) {
 		},
 		func(p []byte) ([]int, error) {
 			r := artifact.NewReader(p)
-			if r.Len() != prog.Len() {
+			if r.Len(8) != prog.Len() {
 				return nil, artifact.ErrCorrupt
 			}
 			target := make([]int, prog.Len())

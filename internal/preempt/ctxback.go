@@ -158,7 +158,7 @@ func NewCombined(prog *isa.Program) (Technique, error) {
 		},
 		func(p []byte) ([]bool, error) {
 			r := artifact.NewReader(p)
-			useCTX := make([]bool, r.Len())
+			useCTX := make([]bool, r.Len(1))
 			for pc := range useCTX {
 				useCTX[pc] = r.Bool()
 			}

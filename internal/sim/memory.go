@@ -34,11 +34,20 @@ var zeroPage page
 // image scale with the pages kernels touch, not with the device's
 // capacity. Storing zero to a page without storage leaves it without.
 //
+// It is also copy-on-write: Clone shares page storage with the source,
+// and the first write to a shared page, on either side, copies it. A
+// page keeps its shared mark until it is copied or released, so a write
+// after the other side has gone copies once more than it needs to, and
+// nothing ever writes to storage that two memories hold.
+//
 // Word indices must lie in [0, Words()); out-of-range indices panic, as
 // slice indexing does.
 type Memory struct {
 	pages []*page // nil: no storage of its own; reads as zero
-	words int
+	// shared[pi]: pages[pi] may be held by another Memory too, so a
+	// write must copy it first.
+	shared []bool
+	words  int
 }
 
 // NewMemory returns words words of zero memory, none with storage of its
@@ -47,7 +56,8 @@ func NewMemory(words int) *Memory {
 	if words < 0 {
 		panic(fmt.Sprintf("sim: NewMemory(%d)", words))
 	}
-	return &Memory{pages: make([]*page, (words+PageWords-1)/PageWords), words: words}
+	n := (words + PageWords - 1) / PageWords
+	return &Memory{pages: make([]*page, n), shared: make([]bool, n), words: words}
 }
 
 // Words returns the memory's size in 32-bit words.
@@ -60,14 +70,19 @@ func (m *Memory) check(at, n int) {
 	}
 }
 
-// own returns page pi's storage, giving it storage of its own first if
-// it has none.
+// own returns page pi's storage for writing: storage of its own first
+// if it has none, and a private copy first if it is shared.
 func (m *Memory) own(pi int) *page {
 	p := m.pages[pi]
-	if p == nil {
+	switch {
+	case p == nil:
 		p = new(page)
-		m.pages[pi] = p
+	case m.shared[pi]:
+		p = (*page)(slices.Clone(p[:]))
+	default:
+		return p
 	}
+	m.pages[pi], m.shared[pi] = p, false
 	return p
 }
 
@@ -83,12 +98,13 @@ func (m *Memory) Load(i int) uint32 {
 // Store sets word i to v.
 func (m *Memory) Store(i int, v uint32) {
 	m.check(i, 1)
-	p := m.pages[i>>pageShift]
-	if p == nil {
-		if v == 0 {
+	pi := i >> pageShift
+	p := m.pages[pi]
+	if p == nil || m.shared[pi] {
+		if p == nil && v == 0 {
 			return
 		}
-		p = m.own(i >> pageShift)
+		p = m.own(pi)
 	}
 	p[i&pageMask] = v
 }
@@ -121,24 +137,30 @@ func (m *Memory) Clear(at, n int) {
 	for end := at + n; at < end; {
 		pi, o := at>>pageShift, at&pageMask
 		k := min(end-at, PageWords-o)
-		if p := m.pages[pi]; p != nil {
+		if m.pages[pi] != nil {
 			if o == 0 && at+k == min(at+PageWords, m.words) {
-				m.pages[pi] = nil
+				m.pages[pi], m.shared[pi] = nil, false
 			} else {
-				clear(p[o : o+k])
+				clear(m.own(pi)[o : o+k])
 			}
 		}
 		at += k
 	}
 }
 
-// Clone returns a deep copy of m: only pages with storage of their own
-// are copied.
+// Clone returns a copy of m that shares m's page storage until either
+// side writes a page. It marks a page of m shared only if it is not
+// already, so clones of a memory whose pages are all marked, such as a
+// clone, only read it and may run concurrently.
 func (m *Memory) Clone() *Memory {
 	c := NewMemory(m.words)
+	copy(c.pages, m.pages)
 	for pi, p := range m.pages {
 		if p != nil {
-			c.pages[pi] = (*page)(slices.Clone(p[:]))
+			if !m.shared[pi] {
+				m.shared[pi] = true
+			}
+			c.shared[pi] = true
 		}
 	}
 	return c
@@ -146,9 +168,10 @@ func (m *Memory) Clone() *Memory {
 
 // Runs calls fn once for each page the words [at, at+n) touch, in order:
 // run holds the range's words in that page and off is run's offset from
-// at. owned reports whether the page has storage of its own; a run on a
-// page without is a view of the shared zero page. fn must not modify
-// run: writes go through Store, Write and Clear.
+// at. owned reports whether the page has storage, its own or shared by a
+// clone; a run on a page without is a view of the shared zero page. fn
+// must not modify run: writes go through Store, Write and Clear, which
+// copy a shared page first.
 func (m *Memory) Runs(at, n int, fn func(off int, run []uint32, owned bool)) {
 	m.check(at, n)
 	for off := 0; off < n; {
@@ -172,7 +195,7 @@ func (m *Memory) Diff(o *Memory) int {
 	for lo := 0; lo < n; lo += PageWords {
 		a, b := m.pages[lo>>pageShift], o.pages[lo>>pageShift]
 		if a == b {
-			continue // both without storage
+			continue // both without storage, or sharing it
 		}
 		if a == nil {
 			a = &zeroPage
@@ -199,19 +222,20 @@ func (m *Memory) Diff(o *Memory) int {
 // inside the page exactly when RotateLeft32(a-base, -2) < n. A load may
 // get the shared zero page. A store of v gets storage of its own, except
 // a store of zero to a page without storage, which gets p == nil and
-// n == 0: the store leaves the page as it is.
+// n == 0: the store leaves the page as it is. A store to a shared page
+// gets a private copy.
 func (m *Memory) lanePage(addr uint32, store bool, v uint32) (p *page, base, n uint32) {
 	pi := int(addr >> (pageShift + 2))
 	p = m.pages[pi]
-	if p == nil {
-		switch {
-		case !store:
+	switch {
+	case !store:
+		if p == nil {
 			p = &zeroPage
-		case v == 0:
-			return nil, 0, 0
-		default:
-			p = m.own(pi)
 		}
+	case p == nil && v == 0:
+		return nil, 0, 0
+	case p == nil || m.shared[pi]:
+		p = m.own(pi)
 	}
 	lo := pi << pageShift
 	return p, uint32(lo) << 2, uint32(min(PageWords, m.words-lo))

@@ -7,10 +7,11 @@ import (
 	"ctxback/internal/trace"
 )
 
-// Whole-device state capture. ExportState deep-copies everything a
-// Device owns between steps into a plain-data tree; ImportState rebuilds
-// an equivalent device from it. The pair is the foundation of
-// internal/snapshot's checkpoint/restore: a restored device continues
+// Whole-device state capture. ExportState copies everything a Device
+// owns between steps into a plain-data tree, its memory copy-on-write;
+// ImportState rebuilds an equivalent device from it. The pair is the
+// foundation of internal/snapshot's checkpoint/restore and of the
+// harness's forked episodes: a restored device continues
 // cycle-exactly where the exported one stopped, because the ready
 // queue's (candTime, lastIssued, SM id, qseq) order is a strict total
 // order on serialized per-warp fields — re-enqueueing the restored
@@ -22,10 +23,11 @@ import (
 // launch time and dispatch never re-invokes them, so the field imports
 // as nil.
 
-// DeviceState is the plain-data image of a device. All slices and maps,
-// and the memory, are deep copies: mutating the device after ExportState
-// never changes the state, and vice versa. Copying the memory copies only
-// its pages with storage of their own.
+// DeviceState is the plain-data image of a device. All slices and maps
+// are deep copies, and the memory is a copy-on-write clone (Memory.Clone):
+// mutating the device after ExportState never changes the state, and vice
+// versa. The clone shares page storage, so it costs a page table, and the
+// device or an importer copies a page only when it first writes it.
 type DeviceState struct {
 	Cfg     Config
 	Shards  int // epoch-engine width at export (restore target must match)
@@ -486,8 +488,10 @@ func (d *Device) ImportState(st *DeviceState, rt Runtime, progs []*isa.Program) 
 			w.SCC = ws.SCC
 			w.State = ws.State
 			w.ReadyAt = ws.ReadyAt
-			w.regReady.v = append([]int64(nil), ws.RegReadyV...)
-			w.regReady.s = append([]int64(nil), ws.RegReadyS...)
+			// newWarp sized the clocks to the program; a longer saved
+			// clock (one grown by set) reallocates.
+			w.regReady.v = append(w.regReady.v[:0], ws.RegReadyV...)
+			w.regReady.s = append(w.regReady.s[:0], ws.RegReadyS...)
 			w.regReady.spec = ws.RegReadySpec
 			w.DynCount = ws.DynCount
 			w.BarrierCount = ws.BarrierCount

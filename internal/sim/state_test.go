@@ -3,6 +3,7 @@ package sim
 import (
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"ctxback/internal/isa"
@@ -196,6 +197,68 @@ func TestExportIsDeepCopy(t *testing.T) {
 	}
 	if !reflect.DeepEqual(st, snap) {
 		t.Fatal("running the source device mutated an exported state")
+	}
+}
+
+// TestConcurrentImportsOfOneState imports one exported state onto eight
+// devices at once and runs each to completion beside the source device,
+// so all of them write pages they share copy-on-write. Each must match
+// the uninterrupted run in cycles, counters and memory. Under -race it
+// also shows that importing only reads the state.
+func TestConcurrentImportsOfOneState(t *testing.T) {
+	// The kernel stores its results at its end; words already in the
+	// output page make that page shared storage at the export.
+	device := func() *Device {
+		d := oversubscribedDevice(t, 40)
+		d.Mem.Write(1<<16, []uint32{7, 7, 7, 7})
+		return d
+	}
+	want := device()
+	if err := want.Run(1 << 40); err != nil {
+		t.Fatal(err)
+	}
+	d := device()
+	if err := d.RunToCycle(want.Now()/2, 1<<40); err != nil {
+		t.Fatal(err)
+	}
+	st, _ := d.ExportState()
+	if owned(st.Mem) == 0 {
+		t.Fatal("the state holds no page with storage, so nothing is shared")
+	}
+	progs := []*isa.Program{d.launches[0].Spec.Prog}
+	devs := make([]*Device, 8)
+	errs := make([]error, len(devs))
+	var wg sync.WaitGroup
+	for i := range devs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			dev, err := NewDevice(d.Cfg)
+			if err == nil {
+				_, err = dev.ImportState(st, nil, progs)
+			}
+			if err == nil {
+				err = dev.Run(1 << 40)
+			}
+			devs[i], errs[i] = dev, err
+		}()
+	}
+	if err := d.Run(1 << 40); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("device %d: %v", i, err)
+		}
+	}
+	for i, dev := range append(devs, d) {
+		if got, w := observeState(dev), observeState(want); got != w {
+			t.Errorf("device %d: %+v, want %+v", i, got, w)
+		}
+		if j := dev.Mem.Diff(want.Mem); j >= 0 {
+			t.Errorf("device %d: Mem[%d] = %#x, want %#x", i, j, dev.Mem.Load(j), want.Mem.Load(j))
+		}
 	}
 }
 
