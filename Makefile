@@ -96,15 +96,15 @@ snap-diff:
 	diff -u /tmp/ctxback-snap-ckpt-base.txt /tmp/ctxback-snap-ckpt-kill.txt
 	@echo "failover state witness byte-identical: undisturbed vs killed, cold vs warm, CKPT requeue"
 
-# gen-smoke is the generated-corpus differential gate: 256 seeds from
-# the seeded SIMT generator run uninterrupted and under forced
-# mid-flight preemption by all 8 techniques, byte-compared against the
-# host-side golden interpreter, with every sampled oracle enabled
-# (scan-vs-readyqueue lockstep, 2-shard epoch engine, resume integrity,
-# snapshot round-trip, fault-injection chaos). genrun exits nonzero on
-# any divergence; the full ≥1000-seed sweep is `go run ./cmd/genrun`.
+# gen-smoke is the generated-corpus differential gate: the 1000 seeds
+# the benchmark's gencorpus workload draws from, run by the seeded SIMT
+# generator uninterrupted and under forced mid-flight preemption by all
+# 8 techniques, byte-compared against the host-side golden interpreter,
+# with every sampled oracle enabled (scan-vs-readyqueue lockstep, 2-shard
+# epoch engine, resume integrity, snapshot round-trip, fault-injection
+# chaos). genrun exits nonzero on any divergence.
 gen-smoke:
-	$(GO) run ./cmd/genrun -n 256 -procs 8
+	$(GO) run ./cmd/genrun -n 1000 -procs 8
 	@echo "generated corpus differential sweep clean"
 
 bench:

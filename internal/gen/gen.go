@@ -103,6 +103,9 @@ type Program struct {
 	expected    []uint32
 	expectedErr error
 	expectedFor int
+	// expectedZero[i]: page i (sim.PageWords words) of expected is all
+	// zeros (CheckDevice, which fills it once per expected image).
+	expectedZero []bool
 }
 
 // NumWarps returns the grid's total warp count.

@@ -3,6 +3,7 @@ package gen
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ctxback/internal/cfg"
@@ -130,5 +131,40 @@ func TestDifferentialUninterrupted(t *testing.T) {
 		if err := p.CheckDevice(d); err != nil {
 			t.Fatalf("seed %d: %v\n%s", seed, err, p.Prog.Disassemble())
 		}
+	}
+}
+
+// TestCheckDeviceCatchesStrayWrite pins CheckDevice's page summary: it
+// skips a device page without storage over a page the expected image
+// holds only zeros in, so a stray write there, which gives the page
+// storage, must still be found and counted once.
+func TestCheckDeviceCatchesStrayWrite(t *testing.T) {
+	p := Generate(0)
+	d, err := sim.NewDevice(sim.TestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Launch(d); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Run(100_000_000); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.CheckDevice(d); err != nil {
+		t.Fatal(err)
+	}
+	last := d.Mem.Words() - 1
+	if !p.expectedZero[last/sim.PageWords] {
+		t.Fatalf("the program writes the last page of memory; the stray write needs a page it never touches")
+	}
+	d.Mem.Runs(last, 1, func(_ int, _ []uint32, owned bool) {
+		if owned {
+			t.Fatalf("the last page has storage before the stray write")
+		}
+	})
+	d.Mem.Store(last, 0xBAD)
+	err = p.CheckDevice(d)
+	if err == nil || !strings.Contains(err.Error(), ": 1 words differ") {
+		t.Fatalf("CheckDevice after one stray write = %v, want 1 word differing", err)
 	}
 }

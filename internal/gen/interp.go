@@ -49,7 +49,7 @@ func (p *Program) Expected(memWords int) ([]uint32, error) {
 	}
 	mem := p.InitialMem(memWords)
 	err := p.interpret(mem)
-	p.expected, p.expectedErr, p.expectedFor = mem, err, memWords
+	p.expected, p.expectedErr, p.expectedFor, p.expectedZero = mem, err, memWords, nil
 	return mem, err
 }
 

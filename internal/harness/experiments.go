@@ -7,6 +7,7 @@ import (
 	"ctxback/internal/core"
 	"ctxback/internal/kernels"
 	"ctxback/internal/preempt"
+	"ctxback/internal/sim"
 )
 
 // TableIRow is one benchmark's line of Table I.
@@ -238,7 +239,7 @@ func (r *Runner) Fig10() (*Figure, error) {
 		if err != nil {
 			return err
 		}
-		if !instruments(tech, p.wl.Prog) {
+		if !sim.Instruments(tech, p.wl.Prog) {
 			cycles[f] = p.goldenCycles
 			return nil
 		}

@@ -33,29 +33,12 @@ type episode struct {
 	at   int64
 }
 
-// instruments reports whether tech may instrument prog: whether its
-// hook predicate holds at any PC for a warp of prog that has not
-// issued. A technique without a predicate counts as instrumenting.
-func instruments(tech preempt.Technique, prog *isa.Program) bool {
-	hp, ok := tech.(sim.HookPredicate)
-	if !ok {
-		return true
-	}
-	w := &sim.Warp{Prog: prog}
-	for pc := range prog.Len() {
-		if hp.HookAt(w, pc) {
-			return true
-		}
-	}
-	return false
-}
-
 // forkable reports whether kind never instruments prog. A technique
 // that cannot be built for prog is not forkable: its episodes take the
 // from-scratch path, which reports the construction error.
 func forkable(kind preempt.Kind, prog *isa.Program) bool {
 	tech, err := preempt.New(kind, prog)
-	return err == nil && !instruments(tech, prog)
+	return err == nil && !sim.Instruments(tech, prog)
 }
 
 // golden is one kernel's uninstrumented run for one batch of episodes:

@@ -244,6 +244,17 @@ func (p *Program) Disassemble() string {
 	return b.String()
 }
 
+// Alias returns a new program value with p's content: it shares p's
+// instructions and labels, which no one may modify, and p's digest. Use
+// it where programs are told apart by pointer but one content serves
+// several of them.
+func (p *Program) Alias() *Program {
+	a := &Program{Name: p.Name, Instrs: p.Instrs, NumVRegs: p.NumVRegs,
+		NumSRegs: p.NumSRegs, LDSBytes: p.LDSBytes, Labels: p.Labels}
+	a.digest.Store(p.digest.Load())
+	return a
+}
+
 // Clone returns a deep copy (instruction slice and labels are fresh).
 func (p *Program) Clone() *Program {
 	c := &Program{

@@ -32,9 +32,6 @@ func NewVA(p Params) (*Workload, error) {
 	perWarp := p.ItersPerWarp * elemsPerIter
 	warps := p.NumBlocks * p.WarpsPerBlock
 	total := warps * perWarp
-	aBase := p.base()
-	bBase := aBase + total*4
-	cBase := bBase + total*4
 
 	b := isa.NewBuilder("va", 12, 36, 0)
 	// ABI: s4=a tile, s5=b tile, s6=c tile, s7=iterations.
@@ -75,25 +72,29 @@ func NewVA(p Params) (*Workload, error) {
 	for i := range want {
 		want[i] = a[i] + bb[i]
 	}
-	return &Workload{
+	wl := &Workload{
 		Abbrev: "VA", FullName: "Vector Addition", Prog: prog,
 		PaperVRegKB: 3.0, PaperSRegKB: 0.141, PaperLDSKB: 0,
 		PaperPreemptUs: 102.2, PaperResumeUs: 81.1,
 		NumBlocks: p.NumBlocks, WarpsPerBlock: p.WarpsPerBlock,
-		Init: func(d *sim.Device) error {
+	}
+	return wl.bind(p, func(wl *Workload, aBase int) {
+		bBase := aBase + total*4
+		cBase := bBase + total*4
+		wl.Init = func(d *sim.Device) error {
 			if err := d.WriteWords(aBase, a); err != nil {
 				return err
 			}
 			return d.WriteWords(bBase, bb)
-		},
-		WarpSetup: func(w *sim.Warp) {
+		}
+		wl.WarpSetup = func(w *sim.Warp) {
 			w.SRegs[4] = warpTileBase(aBase, w.ID, perWarp)
 			w.SRegs[5] = warpTileBase(bBase, w.ID, perWarp)
 			w.SRegs[6] = warpTileBase(cBase, w.ID, perWarp)
 			w.SRegs[7] = uint64(p.ItersPerWarp)
-		},
-		Verify: func(d *sim.Device) error { return checkWords(d, cBase, want, "VA") },
-	}, nil
+		}
+		wl.Verify = func(d *sim.Device) error { return checkWords(d, cBase, want, "VA") }
+	}), nil
 }
 
 // NewRELU builds ReLU Activation (4.0 KB vregs): out = max(0, in) over
@@ -104,8 +105,6 @@ func NewRELU(p Params) (*Workload, error) {
 	perWarp := p.ItersPerWarp * elemsPerIter
 	warps := p.NumBlocks * p.WarpsPerBlock
 	total := warps * perWarp
-	inBase := p.base()
-	outBase := inBase + total*4
 
 	b := isa.NewBuilder("relu", 13, 36, 0)
 	// ABI: s4=in tile, s5=out tile, s6=iterations.
@@ -145,19 +144,22 @@ func NewRELU(p Params) (*Workload, error) {
 		}
 		want[i] = f32(v)
 	}
-	return &Workload{
+	wl := &Workload{
 		Abbrev: "RELU", FullName: "ReLU Activation", Prog: prog,
 		PaperVRegKB: 4.0, PaperSRegKB: 0.141, PaperLDSKB: 0,
 		PaperPreemptUs: 93.8, PaperResumeUs: 75.5,
 		NumBlocks: p.NumBlocks, WarpsPerBlock: p.WarpsPerBlock,
-		Init: func(d *sim.Device) error { return d.WriteWords(inBase, in) },
-		WarpSetup: func(w *sim.Warp) {
+	}
+	return wl.bind(p, func(wl *Workload, inBase int) {
+		outBase := inBase + total*4
+		wl.Init = func(d *sim.Device) error { return d.WriteWords(inBase, in) }
+		wl.WarpSetup = func(w *sim.Warp) {
 			w.SRegs[4] = warpTileBase(inBase, w.ID, perWarp)
 			w.SRegs[5] = warpTileBase(outBase, w.ID, perWarp)
 			w.SRegs[6] = uint64(p.ItersPerWarp)
-		},
-		Verify: func(d *sim.Device) error { return checkWords(d, outBase, want, "RELU") },
-	}, nil
+		}
+		wl.Verify = func(d *sim.Device) error { return checkWords(d, outBase, want, "RELU") }
+	}), nil
 }
 
 // NewLRN builds Local Response Normalization (4.0 KB vregs), simplified
@@ -172,8 +174,6 @@ func NewLRN(p Params) (*Workload, error) {
 	perWarp := p.ItersPerWarp * elemsPerIter
 	warps := p.NumBlocks * p.WarpsPerBlock
 	total := warps * perWarp
-	inBase := p.base()
-	outBase := inBase + total*4
 
 	b := isa.NewBuilder("lrn", 13, 36, 0)
 	b.I(isa.VLaneID, rg(vr(0)))
@@ -214,19 +214,22 @@ func NewLRN(p Params) (*Workload, error) {
 		den := x*x*alpha + kConst
 		want[i] = f32(x * (1 / den))
 	}
-	return &Workload{
+	wl := &Workload{
 		Abbrev: "LRN", FullName: "Local Response Norm", Prog: prog,
 		PaperVRegKB: 4.0, PaperSRegKB: 0.141, PaperLDSKB: 0,
 		PaperPreemptUs: 74.9, PaperResumeUs: 57.8,
 		NumBlocks: p.NumBlocks, WarpsPerBlock: p.WarpsPerBlock,
-		Init: func(d *sim.Device) error { return d.WriteWords(inBase, in) },
-		WarpSetup: func(w *sim.Warp) {
+	}
+	return wl.bind(p, func(wl *Workload, inBase int) {
+		outBase := inBase + total*4
+		wl.Init = func(d *sim.Device) error { return d.WriteWords(inBase, in) }
+		wl.WarpSetup = func(w *sim.Warp) {
 			w.SRegs[4] = warpTileBase(inBase, w.ID, perWarp)
 			w.SRegs[5] = warpTileBase(outBase, w.ID, perWarp)
 			w.SRegs[6] = uint64(p.ItersPerWarp)
-		},
-		Verify: func(d *sim.Device) error { return checkWords(d, outBase, want, "LRN") },
-	}, nil
+		}
+		wl.Verify = func(d *sim.Device) error { return checkWords(d, outBase, want, "LRN") }
+	}), nil
 }
 
 // NewAP builds Average Pooling (7.0 KB vregs): 1-D pooling with window 4
@@ -242,8 +245,6 @@ func NewAP(p Params) (*Workload, error) {
 	warps := p.NumBlocks * p.WarpsPerBlock
 	totalOut := warps * outPerWarp
 	totalIn := warps * inPerWarp
-	inBase := p.base()
-	outBase := inBase + totalIn*4
 
 	b := isa.NewBuilder("ap", 28, 48, 0)
 	// ABI: s4=in tile, s5=out tile, s6=iterations.
@@ -302,19 +303,22 @@ func NewAP(p Params) (*Workload, error) {
 			}
 		}
 	}
-	return &Workload{
+	wl := &Workload{
 		Abbrev: "AP", FullName: "Average Pooling", Prog: prog,
 		PaperVRegKB: 7.0, PaperSRegKB: 0.188, PaperLDSKB: 0,
 		PaperPreemptUs: 103.4, PaperResumeUs: 87.1,
 		NumBlocks: p.NumBlocks, WarpsPerBlock: p.WarpsPerBlock,
-		Init: func(d *sim.Device) error { return d.WriteWords(inBase, in) },
-		WarpSetup: func(w *sim.Warp) {
+	}
+	return wl.bind(p, func(wl *Workload, inBase int) {
+		outBase := inBase + totalIn*4
+		wl.Init = func(d *sim.Device) error { return d.WriteWords(inBase, in) }
+		wl.WarpSetup = func(w *sim.Warp) {
 			w.SRegs[4] = warpTileBase(inBase, w.ID, inPerWarp)
 			w.SRegs[5] = warpTileBase(outBase, w.ID, outPerWarp)
 			w.SRegs[6] = uint64(p.ItersPerWarp)
-		},
-		Verify: func(d *sim.Device) error { return checkWords(d, outBase, want, "AP") },
-	}, nil
+		}
+		wl.Verify = func(d *sim.Device) error { return checkWords(d, outBase, want, "AP") }
+	}), nil
 }
 
 // NewDC builds Direct Convolution (8.0 KB vregs): 1-D convolution with a
@@ -331,8 +335,6 @@ func NewDC(p Params) (*Workload, error) {
 	totalOut := warps * outPerWarp
 	inStride := outPerWarp + 64 // generous tile stride, keeps tiles disjoint
 	totalIn := warps * inStride
-	inBase := p.base()
-	outBase := inBase + totalIn*4
 
 	filter := []float32{0.1, -0.25, 0.5, 0.3, -0.2}
 
@@ -381,20 +383,23 @@ func NewDC(p Params) (*Workload, error) {
 		}
 	}
 	_ = inPerWarp
-	return &Workload{
+	wl := &Workload{
 		Abbrev: "DC", FullName: "Direct Convolution", Prog: prog,
 		PaperVRegKB: 8.0, PaperSRegKB: 0.141, PaperLDSKB: 0,
 		PaperPreemptUs: 153.0, PaperResumeUs: 114.2,
 		NumBlocks: p.NumBlocks, WarpsPerBlock: p.WarpsPerBlock,
-		Init: func(d *sim.Device) error { return d.WriteWords(inBase, in) },
-		WarpSetup: func(w *sim.Warp) {
+	}
+	return wl.bind(p, func(wl *Workload, inBase int) {
+		outBase := inBase + totalIn*4
+		wl.Init = func(d *sim.Device) error { return d.WriteWords(inBase, in) }
+		wl.WarpSetup = func(w *sim.Warp) {
 			w.SRegs[4] = warpTileBase(inBase, w.ID, inStride)
 			w.SRegs[5] = warpTileBase(outBase, w.ID, outPerWarp)
 			w.SRegs[6] = uint64(p.ItersPerWarp)
 			for t, c := range filter {
 				w.SRegs[8+t] = uint64(f32(c))
 			}
-		},
-		Verify: func(d *sim.Device) error { return checkWords(d, outBase, want, "DC") },
-	}, nil
+		}
+		wl.Verify = func(d *sim.Device) error { return checkWords(d, outBase, want, "DC") }
+	}), nil
 }

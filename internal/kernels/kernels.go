@@ -38,6 +38,34 @@ type Workload struct {
 	WarpSetup func(w *sim.Warp)
 	// Verify checks device memory against the CPU golden reference.
 	Verify func(d *sim.Device) error
+
+	// bindAt sets Init, WarpSetup and Verify for buffers that start at
+	// byte address base (Rebase).
+	bindAt func(wl *Workload, base int)
+}
+
+// bind sets wl's Init, WarpSetup and Verify for buffers at p's base and
+// keeps at for Rebase.
+func (wl *Workload) bind(p Params, at func(wl *Workload, base int)) *Workload {
+	wl.bindAt = at
+	at(wl, p.base())
+	return wl
+}
+
+// Rebase returns the workload with its buffers moved to byte address
+// base: it equals what the factory builds with Params.MemBase = base,
+// but shares wl's instructions, host inputs and golden outputs instead
+// of building them again. Kernels address their buffers only through the
+// scalar registers WarpSetup loads, so the program does not depend on
+// the base. The copy gets its own program value all the same, since
+// callers tell programs apart by pointer (a device's technique mux keys
+// per-job techniques by program). Only workloads built by this
+// package's factories can be rebased.
+func (wl *Workload) Rebase(base int) *Workload {
+	c := *wl
+	c.Prog = wl.Prog.Alias()
+	wl.bindAt(&c, base)
+	return &c
 }
 
 // Params scales the workloads.

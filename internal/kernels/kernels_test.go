@@ -1,6 +1,8 @@
 package kernels
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 
 	"ctxback/internal/cfg"
@@ -162,5 +164,66 @@ func TestWorkloadDeterminism(t *testing.T) {
 	d2 := runWorkload(t, wl2)
 	if i := d1.Mem.Diff(d2.Mem); i >= 0 {
 		t.Fatalf("nondeterminism at word %d", i)
+	}
+}
+
+// TestRebaseMatchesFactory pins Workload.Rebase against the factory:
+// rebinding a kernel's buffers to base b equals building it with
+// MemBase = b, in program bytes, initial memory and kernel arguments,
+// while the rebound copy has a program value of its own; and its Verify
+// passes after a golden run but not once an output word is corrupted.
+func TestRebaseMatchesFactory(t *testing.T) {
+	const base = 1 << 16
+	p := TestParams()
+	all, err := All(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := p
+	q.MemBase = base
+	for _, wl := range all {
+		rb := wl.Rebase(base)
+		want, err := ByAbbrev(wl.Abbrev, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rb.Prog == wl.Prog {
+			t.Errorf("%s: the rebound workload shares the program value", wl.Abbrev)
+		}
+		if !bytes.Equal(isa.EncodeProgram(rb.Prog), isa.EncodeProgram(want.Prog)) {
+			t.Errorf("%s: rebound program differs from the factory's at MemBase %#x", wl.Abbrev, base)
+		}
+		dr, dw := mustDevice(sim.TestConfig()), mustDevice(sim.TestConfig())
+		lr, err := rb.Launch(dr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lw, err := want.Launch(dw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i := dr.Mem.Diff(dw.Mem); i >= 0 {
+			t.Errorf("%s: memory after Init differs at word %d", wl.Abbrev, i)
+		}
+		for i, w := range lr.Warps {
+			if !slices.Equal(w.SRegs, lw.Warps[i].SRegs) {
+				t.Errorf("%s: warp %d SGPRs %v after WarpSetup, factory %v", wl.Abbrev, i, w.SRegs, lw.Warps[i].SRegs)
+			}
+		}
+		initial := dr.Mem.Clone()
+		if err := dr.Run(500_000_000); err != nil {
+			t.Fatal(err)
+		}
+		if err := rb.Verify(dr); err != nil {
+			t.Errorf("%s: rebound Verify after a golden run: %v", wl.Abbrev, err)
+		}
+		out := initial.Diff(dr.Mem) // the first word the kernel wrote
+		if out < base/4 {
+			t.Fatalf("%s: the kernel wrote word %d, below its base", wl.Abbrev, out)
+		}
+		dr.Mem.Store(out, dr.Mem.Load(out)^1)
+		if err := rb.Verify(dr); err == nil {
+			t.Errorf("%s: rebound Verify passed with output word %d corrupted", wl.Abbrev, out)
+		}
 	}
 }

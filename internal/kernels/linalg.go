@@ -18,8 +18,6 @@ func NewGE(p Params) (*Workload, error) {
 	rowsPerWarp := p.ItersPerWarp * unroll
 	warps := p.NumBlocks * p.WarpsPerBlock
 	totalRows := warps*rowsPerWarp + 1 // +1 pivot row
-	aBase := p.base()
-	outBase := aBase + totalRows*nCols*4
 
 	b := isa.NewBuilder("ge", 30, 36, 0)
 	// ABI: s4=first row addr of warp tile (in A), s5=out tile addr,
@@ -70,21 +68,24 @@ func NewGE(p Params) (*Workload, error) {
 			want[(i-1)*nCols+j] = f32(asF(a[i*nCols+j]) - res)
 		}
 	}
-	return &Workload{
+	wl := &Workload{
 		Abbrev: "GE", FullName: "Gaussian Elimination", Prog: prog,
 		PaperVRegKB: 8.0, PaperSRegKB: 0.141, PaperLDSKB: 0,
 		PaperPreemptUs: 92.3, PaperResumeUs: 74.0,
 		NumBlocks: p.NumBlocks, WarpsPerBlock: p.WarpsPerBlock,
-		Init: func(d *sim.Device) error { return d.WriteWords(aBase, a) },
-		WarpSetup: func(w *sim.Warp) {
+	}
+	return wl.bind(p, func(wl *Workload, aBase int) {
+		outBase := aBase + totalRows*nCols*4
+		wl.Init = func(d *sim.Device) error { return d.WriteWords(aBase, a) }
+		wl.WarpSetup = func(w *sim.Warp) {
 			firstRow := 1 + w.ID*rowsPerWarp
 			w.SRegs[4] = uint64(aBase + firstRow*nCols*4)
 			w.SRegs[5] = uint64(outBase + w.ID*rowsPerWarp*nCols*4)
 			w.SRegs[6] = uint64(p.ItersPerWarp)
 			w.SRegs[7] = uint64(aBase)
-		},
-		Verify: func(d *sim.Device) error { return checkWords(d, outBase, want, "GE") },
-	}, nil
+		}
+		wl.Verify = func(d *sim.Device) error { return checkWords(d, outBase, want, "GE") }
+	}), nil
 }
 
 // kmCentroids returns the K x D centroid table used by the KM workload.
@@ -113,8 +114,6 @@ func NewKM(p Params) (*Workload, error) {
 	ptsPerWarp := p.ItersPerWarp * ptsPerIter
 	warps := p.NumBlocks * p.WarpsPerBlock
 	totalPts := warps * ptsPerWarp
-	ptsBase := p.base()
-	lblBase := ptsBase + totalPts*dims*4
 
 	// Register map: v0 lane, v1 point ptr, v2 label ptr;
 	// dims v3..v30 (7x4), best v31..v37, bestIdx v38..v44,
@@ -192,13 +191,16 @@ func NewKM(p Params) (*Workload, error) {
 		}
 		want[i] = bestIdx
 	}
-	return &Workload{
+	wl := &Workload{
 		Abbrev: "KM", FullName: "K-Means", Prog: prog,
 		PaperVRegKB: 13.0, PaperSRegKB: 0.141, PaperLDSKB: 0,
 		PaperPreemptUs: 327.4, PaperResumeUs: 283.1,
 		NumBlocks: p.NumBlocks, WarpsPerBlock: p.WarpsPerBlock,
-		Init: func(d *sim.Device) error { return d.WriteWords(ptsBase, pts) },
-		WarpSetup: func(w *sim.Warp) {
+	}
+	return wl.bind(p, func(wl *Workload, ptsBase int) {
+		lblBase := ptsBase + totalPts*dims*4
+		wl.Init = func(d *sim.Device) error { return d.WriteWords(ptsBase, pts) }
+		wl.WarpSetup = func(w *sim.Warp) {
 			w.SRegs[4] = warpTileBase(ptsBase, w.ID, ptsPerWarp*dims)
 			w.SRegs[5] = warpTileBase(lblBase, w.ID, ptsPerWarp)
 			w.SRegs[6] = uint64(p.ItersPerWarp)
@@ -207,7 +209,7 @@ func NewKM(p Params) (*Workload, error) {
 					w.SRegs[16+c*dims+dIdx] = uint64(f32(cents[c][dIdx]))
 				}
 			}
-		},
-		Verify: func(d *sim.Device) error { return checkWords(d, lblBase, want, "KM") },
-	}, nil
+		}
+		wl.Verify = func(d *sim.Device) error { return checkWords(d, lblBase, want, "KM") }
+	}), nil
 }

@@ -27,9 +27,6 @@ func NewDOT(p Params) (*Workload, error) {
 	perWarp := p.ItersPerWarp * isa.WarpSize * 2 // unroll 2
 	warps := p.NumBlocks * p.WarpsPerBlock
 	total := warps * perWarp
-	aBase := p.base()
-	bBase := aBase + total*4
-	outBase := bBase + total*4
 
 	b := isa.NewBuilder("dot", 22, 36, 1024)
 	// ABI: s4=a tile, s5=b tile, s6=iters, s7=LDS share base, s8=out addr.
@@ -100,26 +97,30 @@ func NewDOT(p Params) (*Workload, error) {
 		want[wid] = f32(cpuTreeReduce(part[:]))
 	}
 	ldsShare := 1024 / p.WarpsPerBlock
-	return &Workload{
+	wl := &Workload{
 		Abbrev: "DOT", FullName: "Dot Product", Prog: prog,
 		PaperVRegKB: 6.0, PaperSRegKB: 0.141, PaperLDSKB: 1.0,
 		PaperPreemptUs: 138.6, PaperResumeUs: 101.0,
 		NumBlocks: p.NumBlocks, WarpsPerBlock: p.WarpsPerBlock,
-		Init: func(d *sim.Device) error {
+	}
+	return wl.bind(p, func(wl *Workload, aBase int) {
+		bBase := aBase + total*4
+		outBase := bBase + total*4
+		wl.Init = func(d *sim.Device) error {
 			if err := d.WriteWords(aBase, a); err != nil {
 				return err
 			}
 			return d.WriteWords(bBase, bb)
-		},
-		WarpSetup: func(w *sim.Warp) {
+		}
+		wl.WarpSetup = func(w *sim.Warp) {
 			w.SRegs[4] = warpTileBase(aBase, w.ID, perWarp)
 			w.SRegs[5] = warpTileBase(bBase, w.ID, perWarp)
 			w.SRegs[6] = uint64(p.ItersPerWarp)
 			w.SRegs[7] = uint64(w.WarpInBlk * ldsShare)
 			w.SRegs[8] = uint64(outBase + w.ID*4)
-		},
-		Verify: func(d *sim.Device) error { return checkWords(d, outBase, want, "DOT") },
-	}, nil
+		}
+		wl.Verify = func(d *sim.Device) error { return checkWords(d, outBase, want, "DOT") }
+	}), nil
 }
 
 // NewMV builds Matrix-Vector Multiply (13.0 KB vregs, 0.25 KB LDS):
@@ -132,9 +133,6 @@ func NewMV(p Params) (*Workload, error) {
 	rowsPerWarp := p.ItersPerWarp * rowsPerWarpTile
 	warps := p.NumBlocks * p.WarpsPerBlock
 	totalRows := warps * rowsPerWarp
-	xBase := p.base()
-	aBase := xBase + k*4
-	yBase := aBase + totalRows*k*4
 
 	b := isa.NewBuilder("mv", 52, 36, 256)
 	// ABI: s4=A tile base, s5=y tile base, s6=iters, s7=x base addr,
@@ -212,26 +210,30 @@ func NewMV(p Params) (*Workload, error) {
 		}
 		want[row] = f32(s)
 	}
-	return &Workload{
+	wl := &Workload{
 		Abbrev: "MV", FullName: "Matrix-Vector Multiply", Prog: prog,
 		PaperVRegKB: 13.0, PaperSRegKB: 0.141, PaperLDSKB: 0.25,
 		PaperPreemptUs: 254.7, PaperResumeUs: 217.5,
 		NumBlocks: p.NumBlocks, WarpsPerBlock: p.WarpsPerBlock,
-		Init: func(d *sim.Device) error {
+	}
+	return wl.bind(p, func(wl *Workload, xBase int) {
+		aBase := xBase + k*4
+		yBase := aBase + totalRows*k*4
+		wl.Init = func(d *sim.Device) error {
 			if err := d.WriteWords(xBase, x); err != nil {
 				return err
 			}
 			return d.WriteWords(aBase, a)
-		},
-		WarpSetup: func(w *sim.Warp) {
+		}
+		wl.WarpSetup = func(w *sim.Warp) {
 			w.SRegs[4] = warpTileBase(aBase, w.ID, rowsPerWarp*k)
 			w.SRegs[5] = warpTileBase(yBase, w.ID, rowsPerWarp)
 			w.SRegs[6] = uint64(p.ItersPerWarp)
 			w.SRegs[7] = uint64(xBase)
 			w.SRegs[8] = uint64(w.WarpInBlk)
-		},
-		Verify: func(d *sim.Device) error { return checkWords(d, yBase, want, "MV") },
-	}, nil
+		}
+		wl.Verify = func(d *sim.Device) error { return checkWords(d, yBase, want, "MV") }
+	}), nil
 }
 
 // NewMM builds Matrix-Matrix Multiply (13.0 KB vregs, 0.5 KB LDS):
@@ -247,9 +249,6 @@ func NewMM(p Params) (*Workload, error) {
 	rowsPerWarp := 2 * isa.WarpSize // two C rows per lane
 	warps := p.NumBlocks * p.WarpsPerBlock
 	totalRows := warps * rowsPerWarp
-	aBase := p.base()
-	bBase := aBase + totalRows*kDim*4
-	cBase := bBase + kDim*nCols*4
 
 	b := isa.NewBuilder("mm", 49, 36, 512)
 	// ABI: s4=A tile, s5=C tile, s6=kIters, s7=B base, s8=LDS share base,
@@ -327,25 +326,29 @@ func NewMM(p Params) (*Workload, error) {
 		}
 	}
 	ldsShare := 512 / p.WarpsPerBlock
-	return &Workload{
+	wl := &Workload{
 		Abbrev: "MM", FullName: "Matrix-Matrix Multiply", Prog: prog,
 		PaperVRegKB: 13.0, PaperSRegKB: 0.141, PaperLDSKB: 0.5,
 		PaperPreemptUs: 214.6, PaperResumeUs: 152.7,
 		NumBlocks: p.NumBlocks, WarpsPerBlock: p.WarpsPerBlock,
-		Init: func(d *sim.Device) error {
+	}
+	return wl.bind(p, func(wl *Workload, aBase int) {
+		bBase := aBase + totalRows*kDim*4
+		cBase := bBase + kDim*nCols*4
+		wl.Init = func(d *sim.Device) error {
 			if err := d.WriteWords(aBase, a); err != nil {
 				return err
 			}
 			return d.WriteWords(bBase, bm)
-		},
-		WarpSetup: func(w *sim.Warp) {
+		}
+		wl.WarpSetup = func(w *sim.Warp) {
 			w.SRegs[4] = warpTileBase(aBase, w.ID, rowsPerWarp*kDim)
 			w.SRegs[5] = warpTileBase(cBase, w.ID, rowsPerWarp*nCols)
 			w.SRegs[6] = uint64(p.ItersPerWarp)
 			w.SRegs[7] = uint64(bBase)
 			w.SRegs[8] = uint64(w.WarpInBlk * ldsShare)
 			w.SRegs[10] = uint64(kDim)
-		},
-		Verify: func(d *sim.Device) error { return checkWords(d, cBase, want, "MM") },
-	}, nil
+		}
+		wl.Verify = func(d *sim.Device) error { return checkWords(d, cBase, want, "MM") }
+	}), nil
 }

@@ -3,6 +3,7 @@ package kernels
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"ctxback/internal/isa"
@@ -25,10 +26,6 @@ func NewHS(p Params) (*Workload, error) {
 	histPerWarp := p.ItersPerWarp * isa.WarpSize
 	warps := p.NumBlocks * p.WarpsPerBlock
 	totalHist := warps * histPerWarp
-	dataBase := p.base()
-	sortBase := dataBase + totalHist*4
-	outBase := sortBase + warps*hsSortN*4
-	histBase := outBase + warps*hsSortN*4
 
 	b := isa.NewBuilder("hs", 26, 36, 12<<10)
 	// ABI: s4=hist data tile, s5=iters, s6=hist base, s7=sort tile in,
@@ -131,12 +128,17 @@ func NewHS(p Params) (*Workload, error) {
 		sort.Slice(tile, func(i, j int) bool { return int32(tile[i]) < int32(tile[j]) })
 	}
 	ldsShare := (12 << 10) / p.WarpsPerBlock
-	return &Workload{
+	wl := &Workload{
 		Abbrev: "HS", FullName: "Hybrid Sort", Prog: prog,
 		PaperVRegKB: 7.0, PaperSRegKB: 0.141, PaperLDSKB: 12.0,
 		PaperPreemptUs: 304.0, PaperResumeUs: 280.7,
 		NumBlocks: p.NumBlocks, WarpsPerBlock: p.WarpsPerBlock,
-		Init: func(d *sim.Device) error {
+	}
+	return wl.bind(p, func(wl *Workload, dataBase int) {
+		sortBase := dataBase + totalHist*4
+		outBase := sortBase + warps*hsSortN*4
+		histBase := outBase + warps*hsSortN*4
+		wl.Init = func(d *sim.Device) error {
 			if err := d.WriteWords(dataBase, histData); err != nil {
 				return err
 			}
@@ -144,22 +146,22 @@ func NewHS(p Params) (*Workload, error) {
 				return err
 			}
 			return d.WriteWords(histBase, make([]uint32, hsBuckets))
-		},
-		WarpSetup: func(w *sim.Warp) {
+		}
+		wl.WarpSetup = func(w *sim.Warp) {
 			w.SRegs[4] = warpTileBase(dataBase, w.ID, histPerWarp)
 			w.SRegs[5] = uint64(p.ItersPerWarp)
 			w.SRegs[6] = uint64(histBase)
 			w.SRegs[7] = warpTileBase(sortBase, w.ID, hsSortN)
 			w.SRegs[8] = warpTileBase(outBase, w.ID, hsSortN)
 			w.SRegs[9] = uint64(w.WarpInBlk * ldsShare)
-		},
-		Verify: func(d *sim.Device) error {
+		}
+		wl.Verify = func(d *sim.Device) error {
 			if err := checkWords(d, histBase, wantHist, "HS histogram"); err != nil {
 				return err
 			}
 			return checkWords(d, outBase, wantSorted, "HS sorted tiles")
-		},
-	}, nil
+		}
+	}), nil
 }
 
 // NewMS builds one Merge Sort pass (10.5 KB vregs): each lane merges
@@ -171,9 +173,6 @@ func NewMS(p Params) (*Workload, error) {
 	warps := p.NumBlocks * p.WarpsPerBlock
 	pairs := warps * isa.WarpSize * units
 	runStride := runLen + 1 // +1 sentinel
-	aBase := p.base()
-	bBase := aBase + pairs*runStride*4
-	outBase := bBase + pairs*runStride*4
 
 	b := isa.NewBuilder("ms", 42, 36, 0)
 	// ABI: s4=A runs tile, s5=B runs tile, s6=out tile, s7=2*runLen.
@@ -223,7 +222,7 @@ func NewMS(p Params) (*Workload, error) {
 			for i := range vals {
 				vals[i] = rng.Float32()*2 - 1
 			}
-			sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
+			slices.Sort(vals)
 			for i, v := range vals {
 				runs[pr*runStride+i] = f32(v)
 			}
@@ -248,24 +247,28 @@ func NewMS(p Params) (*Workload, error) {
 			}
 		}
 	}
-	return &Workload{
+	wl := &Workload{
 		Abbrev: "MS", FullName: "Merge Sort", Prog: prog,
 		PaperVRegKB: 10.5, PaperSRegKB: 0.141, PaperLDSKB: 0,
 		PaperPreemptUs: 119.0, PaperResumeUs: 93.8,
 		NumBlocks: p.NumBlocks, WarpsPerBlock: p.WarpsPerBlock,
-		Init: func(d *sim.Device) error {
+	}
+	return wl.bind(p, func(wl *Workload, aBase int) {
+		bBase := aBase + pairs*runStride*4
+		outBase := bBase + pairs*runStride*4
+		wl.Init = func(d *sim.Device) error {
 			if err := d.WriteWords(aBase, runsA); err != nil {
 				return err
 			}
 			return d.WriteWords(bBase, runsB)
-		},
-		WarpSetup: func(w *sim.Warp) {
+		}
+		wl.WarpSetup = func(w *sim.Warp) {
 			tile := w.ID * isa.WarpSize * units
 			w.SRegs[4] = uint64(aBase + tile*runStride*4)
 			w.SRegs[5] = uint64(uint32(bBase - aBase)) // B offset from A ptr
 			w.SRegs[6] = uint64(outBase + tile*2*runLen*4)
 			w.SRegs[7] = uint64(2 * runLen)
-		},
-		Verify: func(d *sim.Device) error { return checkWords(d, outBase, want, "MS") },
-	}, nil
+		}
+		wl.Verify = func(d *sim.Device) error { return checkWords(d, outBase, want, "MS") }
+	}), nil
 }

@@ -32,6 +32,13 @@ func preemptedRun(t *testing.T, wl *kernels.Workload, kind Kind, signalCycle int
 	if err != nil {
 		t.Fatalf("%v: %v", kind, err)
 	}
+	return runtimeRun(t, wl, tech, signalCycle)
+}
+
+// runtimeRun is preemptedRun under any runtime.
+func runtimeRun(t *testing.T, wl *kernels.Workload, tech sim.Runtime, signalCycle int64) (*sim.Device, *sim.Episode) {
+	t.Helper()
+	kind := tech.Name()
 	d := mustDevice(sim.TestConfig())
 	d.AttachRuntime(tech)
 	launch, err := wl.Launch(d)

@@ -32,6 +32,8 @@ import (
 //     and that was not yet delivered re-enters admission. Its token is
 //     already paid.
 //
+// The dead device then drops its state (serveDevice.retire).
+//
 // Delivered once: a job's outcome counts at the barrier that merges its
 // first completion. A carried job that completed on the dead device after
 // the checkpoint replays on the replacement, so the restored schedule
@@ -420,7 +422,6 @@ func (sv *server) kill(now int64) error {
 		sv.log(now, "kill", -1, dead.id, "already retired by a migration: nothing lost")
 		return nil
 	}
-	dead.retired = true
 	sv.log(now, "kill", -1, dead.id, fmt.Sprintf("device state lost, %d jobs outstanding", dead.outstanding()))
 
 	c := dead.ckpt
@@ -437,6 +438,7 @@ func (sv *server) kill(now int64) error {
 		}
 		sv.log(now, "replace", -1, nd.id, fmt.Sprintf("from dev%d: requeue=%d (%s)",
 			dead.id, sv.requeueLost(dead, nil), why))
+		dead.retire()
 		return nil
 	}
 	nd, out, err := sv.restoreDevice(c, dead.s.quota, now)
@@ -447,5 +449,6 @@ func (sv *server) kill(now int64) error {
 		fmt.Sprintf("from dev%d epoch %d@%d: carry=%d requeue=%d setup=%d transfer=%d",
 			dead.id, c.epoch, c.cycle, len(nd.s.jobs), sv.requeueLost(dead, c),
 			out.SetupCycles, out.TransferCycles))
+	dead.retire()
 	return nil
 }

@@ -31,15 +31,47 @@ func fleetConfig(every int64, kill *DeviceKill) ServeConfig {
 
 func runFleet(t *testing.T, kind preempt.Kind, jobs []Job, cfg ServeConfig) *ServeResult {
 	t.Helper()
-	res, err := Serve(cfg, kind, jobs)
+	sv, err := newServer(cfg, kind, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := sv.run(); err != nil {
+		t.Fatal(err)
+	}
+	checkRetiredReleased(t, sv)
+	res := sv.result()
 	checkDeliveredOnce(t, res)
 	if res.Completed != len(jobs) {
 		t.Fatalf("fleet completed %d jobs, want %d", res.Completed, len(jobs))
 	}
 	return res
+}
+
+// checkRetiredReleased requires one retired device per kill and
+// migration, each of which has dropped its scheduler, with the
+// simulated device it drives, and its checkpoint.
+func checkRetiredReleased(t *testing.T, sv *server) {
+	t.Helper()
+	want := 0
+	if sv.cfg.Kill != nil {
+		want++
+	}
+	if sv.hyper != nil {
+		want += sv.hyper.migrations
+	}
+	retired := 0
+	for _, dev := range sv.devices {
+		if !dev.retired {
+			continue
+		}
+		retired++
+		if dev.s != nil || dev.ckpt != nil {
+			t.Errorf("retired device %d still holds its scheduler or checkpoint", dev.id)
+		}
+	}
+	if retired != want {
+		t.Errorf("%d devices retired, want %d", retired, want)
+	}
 }
 
 // checkDeliveredOnce pins conservation under failover: arrived ==
@@ -289,8 +321,12 @@ func TestFleetDeliveredOnce(t *testing.T) {
 	if err := sv.run(); err != nil {
 		t.Fatal(err)
 	}
+	checkRetiredReleased(t, sv)
 	replays := 0
 	for _, dev := range sv.devices {
+		if dev.retired {
+			continue
+		}
 		for _, rj := range dev.s.jobs {
 			if rj.delivered {
 				replays++

@@ -238,10 +238,10 @@ func (h *hypervisor) maybeMigrate(sv *server, now int64) error {
 	if err != nil {
 		return fmt.Errorf("sched: migration restore of device %d: %w", donor.id, err)
 	}
-	donor.retired = true
 	// Jobs without a checkpointed launch re-enter admission token-paid at
 	// their original arrival order.
 	requeued := sv.requeueLost(donor, c)
+	donor.retire()
 	h.migrations++
 	sv.log(now, "migrate", -1, nd.id,
 		fmt.Sprintf("from dev%d: carry=%d requeue=%d %s setup=%d transfer=%d",

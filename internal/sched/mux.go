@@ -51,8 +51,12 @@ func (m *muxRuntime) Hook(w *sim.Warp, pc int) ([]isa.Instruction, *sim.SavedCon
 }
 
 // HookAt (sim.HookPredicate) forwards to the warp's own technique so
-// the epoch engine sees through the multiplexer: unknown programs never
-// hook, techniques without a predicate conservatively always might.
+// the device sees through the multiplexer: a launch whose technique
+// never hooks its program is never hooked (sim.Instruments), and the
+// epoch engine drains the hook-free pops of the others. Unknown programs
+// never hook, techniques without a predicate conservatively always
+// might. Admission registers a job's technique before its launch, so
+// the launch-time decision sees it.
 func (m *muxRuntime) HookAt(w *sim.Warp, pc int) bool {
 	t, ok := m.techs[w.Prog]
 	if !ok {

@@ -157,6 +157,15 @@ type serveDevice struct {
 
 func (d *serveDevice) outstanding() int { return len(d.s.jobs) - d.s.nDone }
 
+// retire marks the device retired and drops its scheduler, simulated
+// device and checkpoint. Call it once its jobs have been carried or
+// requeued. The entry stays in sv.devices, so device ids stay stable,
+// and every loop over the devices skips it.
+func (d *serveDevice) retire() {
+	d.retired = true
+	d.s, d.ckpt = nil, nil
+}
+
 func (d *serveDevice) freeSlabs() int {
 	n := 0
 	for _, f := range d.slabFree {
@@ -198,11 +207,11 @@ type server struct {
 	pool    *snapshot.Pool
 	epoch   uint64 // last checkpoint epoch, migration and failover alike
 
-	blocks map[string]int // abbrev -> occupancy-filled NumBlocks
-
-	// wlCache reuses the immutable part of an admission — the built
-	// workload with its host inputs, golden outputs and program — per
-	// (kernel, slab). See prepared() for why reuse is sound.
+	// built holds each kernel's one build of the run, at its
+	// occupancy-filled grid; wlCache holds its rebinding to each slab,
+	// the immutable part of an admission. See prepared() for why reuse
+	// is sound.
+	built   map[string]*kernels.Workload
 	wlCache map[wlKey]*kernels.Workload
 
 	trace   []Job // (arrival, ID) order
@@ -334,24 +343,29 @@ type wlKey struct {
 }
 
 // prepared returns the occupancy-filled workload for (kernel, slab),
-// built once and reused across admissions. Reuse is sound because a
-// Workload is immutable after construction: the program, host inputs and
-// golden outputs are fixed, and Init/WarpSetup/Verify only read them
-// while writing per-episode device state. Per-launch technique state
-// (CTXBack flashback metadata, CKPT warp-keyed visit counts) lives in
-// the technique, which admitPrepared still builds fresh per admission.
-// Same-key reuse cannot overlap on one device — the slab allocator hands
-// each (device, slab) to one job at a time — and sharing one program
-// pointer across devices is already the norm under migration restore.
+// made once and reused across admissions. A kernel is built once per
+// run, at its occupancy-filled grid, and each slab's workload rebinds
+// that build's buffers to the slab (kernels.Workload.Rebase): it shares
+// the instructions, host inputs and golden outputs, but has its own
+// program value, because the mux keys techniques by program pointer and
+// two jobs of one kernel may run on one device in different slabs.
+// Reuse is sound because a Workload is immutable after construction:
+// the program, host inputs and golden outputs are fixed, and
+// Init/WarpSetup/Verify only read them while writing per-episode device
+// state. Per-launch technique state (CTXBack flashback metadata, CKPT
+// warp-keyed visit counts) lives in the technique, which admitPrepared
+// still builds fresh per admission. Same-key reuse cannot overlap on one
+// device — the slab allocator hands each (device, slab) to one job at a
+// time — and sharing one program pointer across devices is already the
+// norm under migration restore. Nothing outlives the run.
 func (sv *server) prepared(abbrev string, slab int) (*kernels.Workload, error) {
 	wk := wlKey{abbrev: abbrev, slab: slab}
 	if wl, ok := sv.wlCache[wk]; ok {
 		return wl, nil
 	}
-	p := sv.cfg.Sched.Params
-	p.MemBase = slabBase + slab*sv.cfg.Sched.SlabBytes
-	blocks, ok := sv.blocks[abbrev]
+	built, ok := sv.built[abbrev]
 	if !ok {
+		p := sv.cfg.Sched.Params
 		probe, err := kernels.ByAbbrev(abbrev, p)
 		if err != nil {
 			return nil, err
@@ -367,14 +381,13 @@ func (sv *server) prepared(abbrev string, slab int) (*kernels.Workload, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sched: occupancy for %s: %w", abbrev, err)
 		}
-		blocks = occ.BlocksPerSM
-		sv.blocks[abbrev] = blocks
+		p.NumBlocks = occ.BlocksPerSM
+		if built, err = kernels.ByAbbrev(abbrev, p); err != nil {
+			return nil, err
+		}
+		sv.built[abbrev] = built
 	}
-	p.NumBlocks = blocks
-	wl, err := kernels.ByAbbrev(abbrev, p)
-	if err != nil {
-		return nil, err
-	}
+	wl := built.Rebase(slabBase + slab*sv.cfg.Sched.SlabBytes)
 	sv.wlCache[wk] = wl
 	return wl, nil
 }
@@ -490,7 +503,7 @@ func newServer(cfg ServeConfig, kind preempt.Kind, jobs []Job) (*server, error) 
 	}
 
 	sv := &server{cfg: cfg, kind: kind, tenants: tenants, trace: ordered,
-		blocks:  make(map[string]int),
+		built:   make(map[string]*kernels.Workload),
 		wlCache: make(map[wlKey]*kernels.Workload),
 		admit:   newAdmitter(cfg.Admit, tenants),
 	}
@@ -582,6 +595,9 @@ func (sv *server) advance(T int64) error {
 // tenant accounting, in device-id order.
 func (sv *server) mergeCompletions() error {
 	for _, dev := range sv.devices {
+		if dev.retired {
+			continue
+		}
 		if dev.verifyErr != nil {
 			return fmt.Errorf("sched: %w", dev.verifyErr)
 		}
@@ -761,8 +777,11 @@ func (sv *server) run() error {
 			if stall > 10_000 {
 				var b strings.Builder
 				for _, dev := range sv.devices {
-					fmt.Fprintf(&b, " dev%d{retired=%v done=%v out=%d slabs=%d blocked=%d clock=%d}",
-						dev.id, dev.retired, dev.done, dev.outstanding(), dev.freeSlabs(),
+					if dev.retired {
+						continue
+					}
+					fmt.Fprintf(&b, " dev%d{done=%v out=%d slabs=%d blocked=%d clock=%d}",
+						dev.id, dev.done, dev.outstanding(), dev.freeSlabs(),
 						dev.blockedUntil, dev.s.d.Now())
 				}
 				return fmt.Errorf("sched: serve made no progress for %d windows at cycle %d: backlog=%d%s",

@@ -93,7 +93,15 @@ func TestServeMigration(t *testing.T) {
 	cfg := serveTestConfig(1, 1)
 	cfg.Hypervisor.MigrateThreshold = 2
 	cfg.WarmPool = 1
-	res := runServe(t, cfg)
+	sv, err := newServer(cfg, preempt.CTXBack, serveTestTrace(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sv.run(); err != nil {
+		t.Fatal(err)
+	}
+	checkRetiredReleased(t, sv)
+	res := sv.result()
 	if res.Migrations == 0 {
 		t.Fatalf("no migration despite threshold 2; events:\n%s", res.EventLog())
 	}

@@ -174,7 +174,7 @@ var benchExecs = []struct {
 func benchWarp() *Warp {
 	prog := &isa.Program{Name: "bench", NumVRegs: 4, NumSRegs: 16,
 		Instrs: []isa.Instruction{{Op: isa.SEndpgm}}}
-	w := newWarp(0, 0, 0, prog, nil)
+	w := newWarp(0, 0, 0, prog, nil, nil)
 	w.SM = &SM{}
 	for l := 0; l < isa.WarpSize; l++ {
 		w.VRegs[1][l] = math.Float32bits(float32(l) + 1.5)

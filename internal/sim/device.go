@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 
 	"ctxback/internal/faults"
 	"ctxback/internal/isa"
@@ -28,6 +29,48 @@ type Runtime interface {
 	// copies). buf, when non-nil, is attached as the context buffer while
 	// the hook runs. Return nil for no instrumentation.
 	Hook(w *Warp, pc int) (instrs []isa.Instruction, buf *SavedContext)
+}
+
+// HookPredicate is an optional interface a Runtime may implement to
+// declare, conservatively, where its Hook may fire or mutate technique
+// state. HookAt must return true whenever Hook(w, pc) could return
+// instrumentation OR have any side effect; it must itself be pure and
+// safe to call concurrently with other HookAt calls (technique state is
+// only mutated by Hook itself, which the engine always serializes).
+//
+// An answer that is false for an unissued warp stays false: if HookAt is
+// false at every PC for a warp of a program that has not issued, Hook
+// returns nothing and changes nothing for any warp of that program, at
+// any time, while the runtime is attached. The device relies on it to
+// call Hook only for launches that can hook (Instruments); the epoch
+// engine asks it per pop of those launches, and a false answer lets the
+// pop drain in a parallel phase (epoch.go). Runtimes without it are
+// still correct: every launch is then hooked and every kernel pop
+// committed serially, which forfeits both savings.
+type HookPredicate interface {
+	HookAt(w *Warp, pc int) bool
+}
+
+// Instruments reports whether rt may instrument prog: whether rt's
+// HookPredicate holds at some PC for a warp of prog that has not issued,
+// or rt has none. A nil runtime instruments nothing. The probe warp has
+// ID -1, which no launch gives a warp, so no runtime has per-warp state
+// for it.
+func Instruments(rt Runtime, prog *isa.Program) bool {
+	if rt == nil {
+		return false
+	}
+	hp, ok := rt.(HookPredicate)
+	if !ok {
+		return true
+	}
+	w := &Warp{ID: -1, Prog: prog}
+	for pc := range prog.Len() {
+		if hp.HookAt(w, pc) {
+			return true
+		}
+	}
+	return false
 }
 
 // Device is the simulated GPU.
@@ -80,6 +123,10 @@ type Device struct {
 	hookPred      HookPredicate
 	distCache     map[*isa.Program][]int32
 	epochShards   []epochShard
+
+	// regFree holds the register files of removed launches for Launch
+	// to reuse (RemoveLaunch).
+	regFree regPool
 }
 
 // DeviceStats aggregates device-wide counters.
@@ -271,6 +318,10 @@ type Launch struct {
 	blocks    []*blockInfo
 	nextBlock int
 	doneWarps int
+	// hooked: the attached runtime may instrument the launch's program
+	// (Instruments), decided at launch and on every AttachRuntime. Kernel
+	// issue and the epoch engine call Hook only for hooked launches.
+	hooked bool
 }
 
 type blockInfo struct {
@@ -298,6 +349,7 @@ func (d *Device) Launch(spec LaunchSpec) (*Launch, error) {
 	l := &Launch{Spec: spec, Dev: d, Occ: occ,
 		Warps:  make([]*Warp, 0, spec.NumBlocks*spec.WarpsPerBlock),
 		blocks: make([]*blockInfo, 0, spec.NumBlocks),
+		hooked: Instruments(d.rt, spec.Prog),
 	}
 	ldsWords := spec.Prog.LDSBytes / 4
 	shareBytes := 0
@@ -309,7 +361,7 @@ func (d *Device) Launch(spec LaunchSpec) (*Launch, error) {
 		bi := &blockInfo{id: b, lds: &LDSBlock{Data: make([]uint32, ldsWords), BlockID: b},
 			warps: make([]*Warp, 0, spec.WarpsPerBlock)}
 		for wi := 0; wi < spec.WarpsPerBlock; wi++ {
-			w := newWarp(wid, b, wi, spec.Prog, bi.lds)
+			w := newWarp(wid, b, wi, spec.Prog, bi.lds, d.regFree)
 			w.LDSShareLo = wi * shareBytes
 			w.LDSShareHi = (wi + 1) * shareBytes
 			w.launch = l
@@ -712,21 +764,31 @@ func (d *Device) runBounded(cond func() bool, timeBound, maxCycles int64, condOb
 // RemoveLaunch drops a fully retired launch from the device's
 // bookkeeping so long-running hosts can bound device state — and
 // checkpoint size — over an unbounded job stream. The launch must be
-// completely done: every block placed and every warp retired. The
-// Launch object itself stays valid for the caller's post-mortem reads;
-// the device simply stops tracking it.
+// completely done: every block placed and every warp retired. Its warps'
+// register files (vector and scalar registers and their ready clocks) go
+// to the device's free list, and later launches reuse them zeroed. The
+// Launch object, its warps' counters, PCs, states and records, and its
+// blocks' LDS stay readable for the caller's post-mortem reads; the
+// warps' VRegs and SRegs become nil, so a stale register read panics
+// instead of seeing another launch's registers.
 func (d *Device) RemoveLaunch(l *Launch) error {
 	if l.nextBlock < len(l.blocks) || !l.Done() {
 		return fmt.Errorf("sim: launch %q still active (%d/%d warps done)",
 			l.Spec.Prog.Name, l.doneWarps, len(l.Warps))
 	}
-	for i, cand := range d.launches {
-		if cand == l {
-			d.launches = append(d.launches[:i], d.launches[i+1:]...)
-			return nil
-		}
+	i := slices.Index(d.launches, l)
+	if i < 0 {
+		return fmt.Errorf("sim: launch %q not tracked by this device", l.Spec.Prog.Name)
 	}
-	return fmt.Errorf("sim: launch %q not tracked by this device", l.Spec.Prog.Name)
+	d.launches = slices.Delete(d.launches, i, i+1)
+	if d.regFree == nil {
+		d.regFree = make(regPool)
+	}
+	for _, w := range l.Warps {
+		d.regFree.give(w.regFile())
+		w.VRegs, w.SRegs, w.vecStore, w.clockStore, w.regReady = nil, nil, nil, nil, regClock{}
+	}
+	return nil
 }
 
 // Run executes until all launches complete (or maxCycles).

@@ -82,19 +82,6 @@ import (
 // differential tests in internal/harness pin this across every kernel
 // and technique, through full preemption episodes.
 
-// HookPredicate is an optional interface a Runtime may implement to
-// declare, conservatively, where its Hook may fire or mutate technique
-// state. HookAt must return true whenever Hook(w, pc) could return
-// instrumentation OR have any side effect; it must itself be pure and
-// safe to call concurrently with other HookAt calls (technique state is
-// only mutated by Hook itself, which the engine always serializes).
-// Runtimes without it are still correct — every kernel pop is then
-// treated as a potential hook site and committed serially, which simply
-// forfeits the parallel speedup while instrumentation is attached.
-type HookPredicate interface {
-	HookAt(w *Warp, pc int) bool
-}
-
 // epochShard accumulates one shard's phase results. Padded so adjacent
 // shards' hot counters never share a cache line.
 type epochShard struct {
@@ -142,7 +129,7 @@ func (d *Device) localStep(sm *SM, w *Warp) bool {
 	if replaying(w) {
 		return false // replaying: any pop may flip resume completion
 	}
-	if d.rt != nil && !w.skipHookOnce {
+	if w.launch.hooked && !w.skipHookOnce {
 		// A hook might inject a routine stream or mutate technique
 		// state; without a predicate, assume every site might.
 		if d.hookPred == nil || d.hookPred.HookAt(w, w.PC) {

@@ -243,7 +243,7 @@ const diffVRegs, diffSRegs = 4, 16
 func diffWarp(rng *rand.Rand) *Warp {
 	prog := &isa.Program{Name: "diff", NumVRegs: diffVRegs, NumSRegs: diffSRegs,
 		Instrs: []isa.Instruction{{Op: isa.SEndpgm}}}
-	w := newWarp(3, 1, 0, prog, nil)
+	w := newWarp(3, 1, 0, prog, nil, nil)
 	w.SM = &SM{}
 	for _, v := range w.VRegs {
 		for l := range v {
@@ -261,7 +261,7 @@ func diffWarp(rng *rand.Rand) *Warp {
 // cloneWarp copies the architectural registers the vector executors
 // touch.
 func cloneWarp(w *Warp) *Warp {
-	c := newWarp(w.ID, w.BlockID, w.WarpInBlk, w.Prog, w.LDS)
+	c := newWarp(w.ID, w.BlockID, w.WarpInBlk, w.Prog, w.LDS, nil)
 	c.SM = &SM{}
 	for i := range w.VRegs {
 		copy(c.VRegs[i], w.VRegs[i])

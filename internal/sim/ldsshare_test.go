@@ -16,7 +16,7 @@ func shareBlock(t *testing.T, states []WarpState) []*Warp {
 	bi := &blockInfo{id: 0, lds: &LDSBlock{Data: make([]uint32, prog.LDSBytes/4)}}
 	l := &Launch{blocks: []*blockInfo{bi}}
 	for wi, st := range states {
-		w := newWarp(wi, 0, wi, prog, bi.lds)
+		w := newWarp(wi, 0, wi, prog, bi.lds, nil)
 		w.LDSShareLo, w.LDSShareHi = wi*share, (wi+1)*share
 		w.State = st
 		w.launch = l

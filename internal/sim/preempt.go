@@ -94,10 +94,14 @@ func (ep *Episode) PhaseNames() trace.PhaseNames { return ep.names }
 
 // AttachRuntime installs the preemption technique runtime whose Hook
 // instrumentation (checkpoints, OSRB copies) should run during normal
-// execution. Required before Preempt with the same runtime.
+// execution, and decides anew for every launch whether rt may hook it
+// (Instruments). Required before Preempt with the same runtime.
 func (d *Device) AttachRuntime(rt Runtime) {
 	d.rt = rt
 	d.hookPred, _ = rt.(HookPredicate)
+	for _, l := range d.launches {
+		l.hooked = Instruments(rt, l.Spec.Prog)
+	}
 }
 
 // Parked reports whether the episode is swapped out: every context is

@@ -441,3 +441,76 @@ func TestStatsAccounting(t *testing.T) {
 		t.Errorf("global bytes = %d", d.Stats.GlobalBytes)
 	}
 }
+
+// TestRemoveLaunchRecyclesRegisters pins RemoveLaunch's register
+// recycling: the removed launch's warps give up their register files,
+// and a later launch with the same register counts takes those files
+// back zeroed, clocks included.
+func TestRemoveLaunchRecyclesRegisters(t *testing.T) {
+	dirty := mustAsm(t, `
+.kernel dirty
+.vregs 4
+.sregs 16
+  v_laneid v0
+  v_add v1, v0, 7
+  s_mov s3, 9
+  s_endpgm
+`)
+	d := mustNewDevice(TestConfig())
+	l, err := d.Launch(LaunchSpec{Prog: dirty, NumBlocks: 2, WarpsPerBlock: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Run(10_000_000); err != nil {
+		t.Fatal(err)
+	}
+	freed := make(map[*uint32]bool)
+	for _, w := range l.Warps {
+		if w.VRegs[1][1] != 8 || w.SRegs[3] != 9 || w.regReady.maxAll() == 0 {
+			t.Fatalf("warp %d did not dirty its registers and clocks", w.ID)
+		}
+		freed[&w.VRegs[0][0]] = true
+	}
+	if err := d.RemoveLaunch(l); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range l.Warps {
+		if w.VRegs != nil || w.SRegs != nil {
+			t.Errorf("removed warp %d still exposes its registers", w.ID)
+		}
+	}
+
+	same := mustAsm(t, `
+.kernel same
+.vregs 4
+.sregs 16
+  s_endpgm
+`)
+	reused := 0
+	setup := func(w *Warp) {
+		if freed[&w.VRegs[0][0]] {
+			reused++
+		}
+		for _, v := range w.VRegs {
+			for _, x := range v {
+				if x != 0 {
+					t.Fatalf("warp %d starts with a non-zero vector register", w.ID)
+				}
+			}
+		}
+		for _, x := range w.SRegs {
+			if x != 0 {
+				t.Fatalf("warp %d starts with a non-zero scalar register", w.ID)
+			}
+		}
+		if w.regReady.maxAll() != 0 {
+			t.Fatalf("warp %d starts with a register still in flight", w.ID)
+		}
+	}
+	if _, err := d.Launch(LaunchSpec{Prog: same, NumBlocks: 2, WarpsPerBlock: 2, Setup: setup}); err != nil {
+		t.Fatal(err)
+	}
+	if reused != len(freed) {
+		t.Fatalf("the new launch reused %d of %d freed register files", reused, len(freed))
+	}
+}

@@ -118,7 +118,7 @@ func (sm *SM) issue(w *Warp, t int64) error {
 	// the instruction in program order, so a warp about to take a forced
 	// checkpoint (e.g. right after a barrier) completes it first. This
 	// keeps checkpoint cuts consistent with cross-warp LDS state.
-	if w.Mode == ModeKernel && d.rt != nil && !w.skipHookOnce {
+	if w.Mode == ModeKernel && w.launch.hooked && !w.skipHookOnce {
 		if instrs, buf := d.rt.Hook(w, w.PC); len(instrs) > 0 {
 			w.skipHookOnce = true
 			w.hookSavedCtx = w.ctx

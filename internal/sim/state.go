@@ -475,7 +475,7 @@ func (d *Device) ImportState(st *DeviceState, rt Runtime, progs []*isa.Program) 
 			ws := &ls.Warps[wi]
 			b := wi / ls.WarpsPerBlock
 			bi := l.blocks[b]
-			w := newWarp(wi, b, wi%ls.WarpsPerBlock, prog, bi.lds)
+			w := newWarp(wi, b, wi%ls.WarpsPerBlock, prog, bi.lds, d.regFree)
 			w.LDSShareLo = ws.LDSShareLo
 			w.LDSShareHi = ws.LDSShareHi
 			w.PC = ws.PC
@@ -584,9 +584,12 @@ func (d *Device) ImportState(st *DeviceState, rt Runtime, progs []*isa.Program) 
 		}
 	}
 
-	if rt != nil {
-		d.AttachRuntime(rt)
+	// Attaching decides for each imported launch whether the runtime
+	// may hook it, the attached one when rt is nil.
+	if rt == nil {
+		rt = d.rt
 	}
+	d.AttachRuntime(rt)
 
 	// Rebuild the ready queue: every ready resident warp re-enqueues.
 	// Insertion order is irrelevant for the pop sequence (the queue keys

@@ -63,6 +63,12 @@ type Warp struct {
 	ReadyAt int64
 	// regReady tracks, per register, the cycle its in-flight value lands.
 	regReady regClock
+	// vecStore and clockStore back VRegs (one row per register) and
+	// regReady (vector clocks, then scalar clocks); RemoveLaunch recycles
+	// them with SRegs (regFile). clockStore is kept apart because a
+	// regClock.set past the end moves regReady's slice off it.
+	vecStore   []uint32
+	clockStore []int64
 	// DynCount counts retired kernel-mode instructions (logical
 	// progress); routine/hook instructions do not count.
 	DynCount int64
@@ -191,7 +197,9 @@ type PreemptRecord struct {
 	HasChecksum   bool
 }
 
-func newWarp(id, blockID, warpInBlk int, prog *isa.Program, lds *LDSBlock) *Warp {
+// newWarp builds a warp of prog whose register storage comes from pool
+// (nil: freshly allocated).
+func newWarp(id, blockID, warpInBlk int, prog *isa.Program, lds *LDSBlock, pool regPool) *Warp {
 	w := &Warp{
 		ID:        id,
 		BlockID:   blockID,
@@ -202,17 +210,67 @@ func newWarp(id, blockID, warpInBlk int, prog *isa.Program, lds *LDSBlock) *Warp
 	}
 	// Register files are sized to the allocated (alignment-padded)
 	// counts: the padding registers physically exist — OSRB stores
-	// backups there and BASELINE swaps them. One backing array serves
-	// every vector register so warp creation stays cheap per episode.
-	nv := prog.AllocatedVRegs()
-	backing := make([]uint32, nv*isa.WarpSize)
-	w.VRegs = make([][]uint32, nv)
-	for i := range w.VRegs {
-		w.VRegs[i] = backing[i*isa.WarpSize : (i+1)*isa.WarpSize : (i+1)*isa.WarpSize]
-	}
-	w.SRegs = make([]uint64, prog.AllocatedSRegs())
-	w.regReady.init(nv, prog.AllocatedSRegs())
+	// backups there and BASELINE swaps them.
+	nv, ns := prog.AllocatedVRegs(), prog.AllocatedSRegs()
+	rf := pool.take(nv, ns)
+	w.VRegs, w.SRegs, w.vecStore, w.clockStore = rf.vregs, rf.sregs, rf.vec, rf.clock
+	w.regReady.v = rf.clock[:nv:nv]
+	w.regReady.s = rf.clock[nv:]
 	return w
+}
+
+// regFile returns the register storage w holds.
+func (w *Warp) regFile() regFile {
+	return regFile{vregs: w.VRegs, vec: w.vecStore, sregs: w.SRegs, clock: w.clockStore}
+}
+
+// regFile is one warp's register storage: its vector and scalar
+// registers and their ready clocks. One backing array serves every
+// vector register and one every clock, so warp creation stays cheap per
+// episode.
+type regFile struct {
+	vregs [][]uint32 // rows of vec, one per vector register
+	vec   []uint32
+	sregs []uint64
+	clock []int64 // vector clocks, then scalar clocks
+}
+
+// regShape is a register file's size: vector and scalar register counts.
+type regShape struct{ v, s int }
+
+// regPool holds the register files of removed launches by shape, for
+// later launches to reuse (Device.RemoveLaunch). A nil pool is empty.
+type regPool map[regShape][]regFile
+
+// take returns a zeroed register file of nv vector and ns scalar
+// registers: a free one of that shape if the pool has one, else a new
+// one.
+func (p regPool) take(nv, ns int) regFile {
+	k := regShape{nv, ns}
+	if free := p[k]; len(free) > 0 {
+		rf := free[len(free)-1]
+		p[k] = free[:len(free)-1]
+		clear(rf.vec)
+		clear(rf.sregs)
+		clear(rf.clock)
+		return rf
+	}
+	rf := regFile{
+		vregs: make([][]uint32, nv),
+		vec:   make([]uint32, nv*isa.WarpSize),
+		sregs: make([]uint64, ns),
+		clock: make([]int64, nv+ns),
+	}
+	for i := range rf.vregs {
+		rf.vregs[i] = rf.vec[i*isa.WarpSize : (i+1)*isa.WarpSize : (i+1)*isa.WarpSize]
+	}
+	return rf
+}
+
+// give returns rf to the pool.
+func (p regPool) give(rf regFile) {
+	k := regShape{len(rf.vregs), len(rf.sregs)}
+	p[k] = append(p[k], rf)
 }
 
 // regClock records, per architectural register, the cycle its in-flight
@@ -226,14 +284,6 @@ type regClock struct {
 }
 
 const numSpecRegs = 3 // EXEC, VCC, SCC
-
-func (c *regClock) init(numVRegs, numSRegs int) {
-	// One backing allocation; a growth in set() simply reallocates that
-	// slice away from the shared array.
-	buf := make([]int64, numVRegs+numSRegs)
-	c.v = buf[:numVRegs:numVRegs]
-	c.s = buf[numVRegs:]
-}
 
 // reset forgets every in-flight value (warp re-materialization).
 func (c *regClock) reset() {
