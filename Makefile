@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check bench bench-smoke bench-test eval trace-smoke evalcheck sched-smoke serve-smoke procs-diff shards-diff snap-diff gen-smoke cache-diff
+.PHONY: all build test check bench bench-smoke bench-test eval trace-smoke evalcheck sched-smoke serve-smoke procs-diff snap-diff gen-smoke cache-diff
 
 all: build
 
@@ -64,18 +64,18 @@ sched-smoke:
 # warm-pool rebalancing migration) to drain. The full decision log and
 # SLO tables must be byte-identical to the checked-in golden, and —
 # since cross-device decisions run serially at global barriers — also
-# across worker and shard counts. The golden carries 3 "shares"
+# across worker counts. The golden carries 3 "shares"
 # re-arbitrations and 1 "migrate" warm restore.
 SERVE_SMOKE_ARGS = -serve -quick -kinds CTXBack -iters 2 -sms 2 \
 	-duration 40000000 -gap 400 -tenants 4 -burst 0.25 -diurnal 0.3 \
 	-admit 150 -queue 12 -hypervisor-every 20000 -report-every 400000 \
 	-migrate-threshold 3 -devices 2 -warm-pool 1 -seed 42
 serve-smoke:
-	$(GO) run ./cmd/schedsim $(SERVE_SMOKE_ARGS) -procs 1 -shards 1 > /tmp/ctxback-serve-p1s1.txt
-	diff -u testdata/serve_smoke.golden /tmp/ctxback-serve-p1s1.txt
-	$(GO) run ./cmd/schedsim $(SERVE_SMOKE_ARGS) -procs 4 -shards 2 > /tmp/ctxback-serve-p4s2.txt
-	diff -u testdata/serve_smoke.golden /tmp/ctxback-serve-p4s2.txt
-	@echo "serve decision log and SLO tables byte-identical across -procs/-shards"
+	$(GO) run ./cmd/schedsim $(SERVE_SMOKE_ARGS) -procs 1 > /tmp/ctxback-serve-p1.txt
+	diff -u testdata/serve_smoke.golden /tmp/ctxback-serve-p1.txt
+	$(GO) run ./cmd/schedsim $(SERVE_SMOKE_ARGS) -procs 4 > /tmp/ctxback-serve-p4.txt
+	diff -u testdata/serve_smoke.golden /tmp/ctxback-serve-p4.txt
+	@echo "serve decision log and SLO tables byte-identical across -procs"
 
 # snap-diff guards failover determinism end to end: the per-job
 # slab-digest state witness must be byte-identical between an
@@ -100,9 +100,9 @@ snap-diff:
 # the benchmark's gencorpus workload draws from, run by the seeded SIMT
 # generator uninterrupted and under forced mid-flight preemption by all
 # 8 techniques, byte-compared against the host-side golden interpreter,
-# with every sampled oracle enabled (scan-vs-readyqueue lockstep, 2-shard
-# epoch engine, resume integrity, snapshot round-trip, fault-injection
-# chaos). genrun exits nonzero on any divergence.
+# with every sampled oracle enabled (scan-vs-readyqueue lockstep, resume
+# integrity, snapshot round-trip, fault-injection chaos). genrun exits
+# nonzero on any divergence.
 gen-smoke:
 	$(GO) run ./cmd/genrun -n 1000 -procs 8
 	@echo "generated corpus differential sweep clean"
@@ -135,23 +135,6 @@ procs-diff:
 	$(GO) run ./cmd/benchtab -quick -qos KM -procs 4 > /tmp/ctxback-qos-procs4.txt
 	diff -u /tmp/ctxback-qos-procs1.txt /tmp/ctxback-qos-procs4.txt
 	@echo "quick sweep and QoS table byte-identical across -procs 1/4"
-
-# shards-diff guards epoch-engine determinism across intra-device
-# parallelism, mirroring procs-diff on the other axis: the quick sweep
-# and the scheduler report must be byte-identical at -shards 1 and
-# -shards 4 (sharding may interleave SM drains, never results). The
-# sched golden is also checked under sharding, at -sms 2 as well since
-# the default -sms 1 clamps every shard count to serial.
-shards-diff:
-	$(GO) run ./cmd/benchtab -quick -shards 1 > /tmp/ctxback-shards1.txt
-	$(GO) run ./cmd/benchtab -quick -shards 4 > /tmp/ctxback-shards4.txt
-	diff -u /tmp/ctxback-shards1.txt /tmp/ctxback-shards4.txt
-	$(GO) run ./cmd/schedsim -quick -seed 9 -shards 4 > /tmp/ctxback-sched-shards.txt
-	diff -u testdata/sched_smoke.golden /tmp/ctxback-sched-shards.txt
-	$(GO) run ./cmd/schedsim -quick -seed 9 -sms 2 -shards 1 > /tmp/ctxback-sched-sms2-s1.txt
-	$(GO) run ./cmd/schedsim -quick -seed 9 -sms 2 -shards 4 > /tmp/ctxback-sched-sms2-s4.txt
-	diff -u /tmp/ctxback-sched-sms2-s1.txt /tmp/ctxback-sched-sms2-s4.txt
-	@echo "quick sweep and sched reports byte-identical across -shards 1/4"
 
 # cache-diff guards the artifact store's byte-identity contract: the
 # quick evaluation sweep and the serve smoke must produce identical

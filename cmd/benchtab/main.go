@@ -4,18 +4,15 @@
 //
 // Usage:
 //
-//	benchtab [-quick] [-samples N] [-procs N] [-shards N] [-table1]
+//	benchtab [-quick] [-samples N] [-procs N] [-table1]
 //	         [-fig7] [-fig8] [-fig9] [-fig10] [-ablation] [-summary]
 //	         [-all] [-metrics]
-//	benchtab -sched [-quick] [-procs N] [-shards N]
+//	benchtab -sched [-quick] [-procs N]
 //	benchtab -chaos [-faults RATE] [-fault-seed N]
 //
-// -procs and -shards are orthogonal parallelism axes: -procs spreads
-// independent preemption episodes across a worker pool, -shards splits
-// each simulated device's SMs across goroutines (the epoch-parallel
-// engine). Reported numbers are byte-identical at every combination;
-// -shards 0 (auto) shards only when the episode pool is serial, since
-// with -procs > 1 the pool already saturates the cores.
+// -procs spreads independent preemption episodes across a worker pool
+// (0, the default, is one worker per GOMAXPROCS); each simulated device
+// runs serially. Reported numbers are byte-identical at every -procs.
 //
 // -sched replays one seeded multi-tenant arrival trace under every
 // technique on the preemptive scheduler (internal/sched) and prints the
@@ -60,7 +57,6 @@ func main() {
 		contention = flag.String("contention", "", "BASELINE switch time vs busy SMs for one benchmark (e.g. -contention KM)")
 		all        = flag.Bool("all", false, "everything (fault-free evaluation; chaos stays opt-in)")
 		procs      = flag.Int("procs", 0, "episode workers: 0 = GOMAXPROCS, 1 = serial (identical numbers either way)")
-		shards     = flag.Int("shards", 0, "SM shards per simulated device: 0 = auto (shard only when -procs resolves serial; the episode pool otherwise saturates the cores), 1 = serial, n>1 = n goroutines; identical numbers either way")
 		metrics    = flag.Bool("metrics", false, "append episode counters, latency histograms and the phase breakdown")
 		schedCmp   = flag.Bool("sched", false, "multi-tenant preemptive-schedule comparison across every technique")
 		chaos      = flag.Bool("chaos", false, "fault-injection robustness sweep across kernels x techniques")
@@ -79,9 +75,6 @@ func main() {
 	if *procs < 0 {
 		usageErr("-procs must be >= 0, got %d", *procs)
 	}
-	if *shards < 0 {
-		usageErr("-shards must be >= 0, got %d", *shards)
-	}
 	if math.IsNaN(*faultRate) || *faultRate < 0 || *faultRate > 1 {
 		usageErr("-faults must be a rate in [0,1], got %v", *faultRate)
 	}
@@ -94,7 +87,6 @@ func main() {
 		opts.Samples = *samples
 	}
 	opts.Parallelism = *procs
-	opts.Shards = *shards
 	if *metrics {
 		opts.Metrics = trace.NewRegistry()
 	}
@@ -203,7 +195,6 @@ func main() {
 		// Long enough that a flush-and-restart forfeits real progress.
 		sc.Params.ItersPerWarp = 24
 		sc.Metrics = opts.Metrics
-		sc.Shards = *shards
 		if *quick {
 			sc.Dev = sim.TestConfig()
 			sc.Dev.NumSMs = 1

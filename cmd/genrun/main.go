@@ -2,27 +2,28 @@
 // differential sweep: every seed's kernel runs uninterrupted and under
 // forced mid-flight preemption by each technique, and the final device
 // memory is byte-compared against the host-side golden interpreter.
-// Sampled oracles ride along: scan-vs-readyqueue lockstep, epoch-
-// parallel shards, resume integrity, snapshot round-trip, and a
-// fault-injection chaos episode.
+// Sampled oracles ride along: scan-vs-readyqueue lockstep, resume
+// integrity, snapshot round-trip, and a fault-injection chaos episode.
 //
 // Usage:
 //
 //	genrun [-start N] [-n N] [-procs N] [-kinds A,B,...] [-fracs F,F]
-//	       [-shards-every N] [-scan-every N] [-integrity-every N]
-//	       [-snapshot-every N] [-chaos-every N] [-chaos-rate R]
+//	       [-scan-every N] [-integrity-every N] [-snapshot-every N]
+//	       [-chaos-every N] [-chaos-rate R]
 //	genrun -dump SEED
 //
 // The sweep is a deterministic function of (-start, -n) and the oracle
-// options: the report is byte-identical at every -procs setting. A
-// failing seed regenerates its exact kernel with -dump for triage.
-// Exit status is nonzero if any seed fails.
+// options: the report is byte-identical at every -procs setting (0, the
+// default, is one worker per GOMAXPROCS). A failing seed regenerates
+// its exact kernel with -dump for triage. Exit status is nonzero if any
+// seed fails.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -38,10 +39,9 @@ func main() {
 	var (
 		start          = flag.Uint64("start", 0, "first seed")
 		n              = flag.Uint64("n", 1000, "number of seeds")
-		procs          = flag.Int("procs", 0, "sweep workers: 0 = one per technique count heuristic (8), 1 = serial; identical report either way")
+		procs          = flag.Int("procs", 0, "sweep workers: 0 = GOMAXPROCS, 1 = serial; identical report either way")
 		kindsFlag      = flag.String("kinds", "", "comma-separated technique names (default: all 8)")
 		fracsFlag      = flag.String("fracs", "", "comma-separated signal fractions in (0,1) (default: 0.3,0.7)")
-		shardsEvery    = flag.Int("shards-every", 4, "run the 2-shard oracle every Nth seed (0 = off)")
 		scanEvery      = flag.Int("scan-every", 4, "run the reference-scheduler lockstep oracle every Nth seed (0 = off)")
 		integrityEvery = flag.Int("integrity-every", 2, "attach the resume-integrity oracle every Nth seed (0 = off)")
 		snapshotEvery  = flag.Int("snapshot-every", 8, "run the snapshot round-trip oracle every Nth seed (0 = off)")
@@ -75,13 +75,15 @@ func main() {
 	if *procs < 0 {
 		usageErr("-procs must be >= 0, got %d", *procs)
 	}
-	for name, v := range map[string]int{
-		"-shards-every": *shardsEvery, "-scan-every": *scanEvery,
-		"-integrity-every": *integrityEvery, "-snapshot-every": *snapshotEvery,
-		"-chaos-every": *chaosEvery,
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"-scan-every", *scanEvery}, {"-integrity-every", *integrityEvery},
+		{"-snapshot-every", *snapshotEvery}, {"-chaos-every", *chaosEvery},
 	} {
-		if v < 0 {
-			usageErr("%s must be >= 0, got %d", name, v)
+		if f.v < 0 {
+			usageErr("%s must be >= 0, got %d", f.name, f.v)
 		}
 	}
 	if *chaosRate <= 0 || *chaosRate > 1 {
@@ -109,7 +111,7 @@ func main() {
 	}
 
 	opt := sweep.DefaultOptions()
-	opt.ShardsEvery, opt.ScanEvery = *shardsEvery, *scanEvery
+	opt.ScanEvery = *scanEvery
 	opt.IntegrityEvery, opt.SnapshotEvery = *integrityEvery, *snapshotEvery
 	opt.ChaosEvery, opt.ChaosRate = *chaosEvery, *chaosRate
 	if *kindsFlag != "" {
@@ -129,7 +131,7 @@ func main() {
 
 	workers := *procs
 	if workers == 0 {
-		workers = 8
+		workers = runtime.GOMAXPROCS(0)
 	}
 	rep := sweep.Run(*start, *n, workers, opt)
 	fmt.Print(rep.Summary())

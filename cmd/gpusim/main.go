@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"runtime"
 	"strings"
 
 	"ctxback/internal/artifact"
@@ -52,8 +51,6 @@ func main() {
 		iters     = flag.Int("iters", 16, "main-loop iterations per warp")
 		tracePath = flag.String("trace", "", "write the preempted run's episode timeline as Chrome trace-event JSON to this file (chrome://tracing)")
 		tailN     = flag.Int("tail", 0, "print the last N executed instructions of the preempted run")
-		procs     = flag.Int("procs", 0, "cap GOMAXPROCS (0 = leave at the runtime default)")
-		shards    = flag.Int("shards", 0, "SM shards per device: 0 = auto (GOMAXPROCS, capped at the SM count), 1 = serial, n>1 = n goroutines; output is byte-identical at every setting (-tail tracing always runs serially)")
 		faultRate = flag.Float64("faults", 0, "fault-injection rate in [0,1] for the preempted run (0 = off)")
 		faultSeed = flag.Uint64("fault-seed", 1, "fault-injection seed")
 		ckpt      = flag.Bool("checkpoint", false, "checkpoint the whole device at the parked episode and finish the run on a device restored from the snapshot bytes")
@@ -67,17 +64,8 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *procs < 0 {
-		usageErr("-procs must be >= 0, got %d", *procs)
-	}
-	if *shards < 0 {
-		usageErr("-shards must be >= 0, got %d", *shards)
-	}
 	if math.IsNaN(*faultRate) || *faultRate < 0 || *faultRate > 1 {
 		usageErr("-faults must be a rate in [0,1], got %v", *faultRate)
-	}
-	if *procs > 0 {
-		runtime.GOMAXPROCS(*procs)
 	}
 
 	fail := func(err error) {
@@ -117,7 +105,6 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	golden.SetShards(*shards)
 	if _, err := wl.Launch(golden); err != nil {
 		fail(err)
 	}
@@ -156,7 +143,7 @@ func main() {
 	// Preempted run, possibly under fault injection. A detected fault
 	// (transfer escalation or integrity violation) degrades gracefully:
 	// the episode re-runs fault-free through the BASELINE technique.
-	runErr := runPreempted(cfg, factory, kind, signal, *shards, *faultRate, faultCfg, *tailN, *tracePath, *ckpt)
+	runErr := runPreempted(cfg, factory, kind, signal, *faultRate, faultCfg, *tailN, *tracePath, *ckpt)
 	if runErr == nil {
 		return
 	}
@@ -167,7 +154,7 @@ func main() {
 	}
 	fmt.Printf("fault detected in-band: %v\n", runErr)
 	fmt.Println("degrading: re-running the episode fault-free through BASELINE")
-	if err := runPreempted(cfg, factory, preempt.Baseline, signal, *shards, 0, faults.Config{}, 0, "", false); err != nil {
+	if err := runPreempted(cfg, factory, preempt.Baseline, signal, 0, faults.Config{}, 0, "", false); err != nil {
 		fail(fmt.Errorf("BASELINE fallback failed: %w", err))
 	}
 }
@@ -178,7 +165,7 @@ func main() {
 // A non-empty tracePath attaches an event recorder to the device and
 // writes the episode timeline as Chrome trace-event JSON after the run.
 func runPreempted(cfg sim.Config, factory func() *kernels.Workload, kind preempt.Kind,
-	signal int64, shards int, faultRate float64, faultCfg faults.Config, tail int,
+	signal int64, faultRate float64, faultCfg faults.Config, tail int,
 	tracePath string, checkpoint bool) error {
 	wl := factory()
 	tech, err := preempt.New(kind, wl.Prog)
@@ -189,7 +176,6 @@ func runPreempted(cfg sim.Config, factory func() *kernels.Workload, kind preempt
 	if err != nil {
 		return err
 	}
-	d.SetShards(shards)
 	if faultRate > 0 {
 		if err := d.InjectFaults(faultCfg); err != nil {
 			return err

@@ -6,7 +6,7 @@
 //
 //	schedsim [-seed N] [-jobs N] [-tenants N] [-gap CYCLES] [-prio N]
 //	         [-sms N] [-iters N] [-kinds all|paper|K1,K2,...]
-//	         [-quick] [-procs N] [-shards N] [-verify=false] [-metrics]
+//	         [-quick] [-procs N] [-verify=false] [-metrics]
 //	         [-events] [-cache-dir DIR]
 //	schedsim -serve [-duration N] [-rate R] [-process P] [-burst F]
 //	         [-diurnal A] [-admit N] [-queue N] [-admit-every N]
@@ -17,10 +17,9 @@
 // The trace (who arrives when, with which kernel and priority) is a
 // pure function of the flags, and each technique's run is a
 // deterministic simulation, so two invocations with the same flags are
-// byte-identical regardless of -procs and -shards. The two flags are
-// orthogonal parallelism axes: -procs runs whole technique replays on
-// separate workers, -shards splits each simulated device's SMs across
-// goroutines (epoch-parallel engine, capped at -sms).
+// byte-identical regardless of -procs, which runs whole technique
+// replays (in -serve mode, the devices' advances between barriers) on
+// separate workers.
 //
 // -events appends each technique's scheduling decision log (arrivals,
 // preemptions, parks, resumes, completions with cycle stamps).
@@ -33,7 +32,7 @@
 // re-arbitrating per-tenant SM shares from measured demand and
 // rebalancing devices through checkpoint/warm-restore migration. The
 // report is each technique's per-tenant SLO table plus the serving
-// decision log, byte-identical at every -procs and -shards setting.
+// decision log, byte-identical at every -procs setting.
 //
 // Failover runs in the same barrier loop. -checkpoint-every checkpoints
 // every busy device whole (internal/snapshot) on that cadence, and
@@ -51,6 +50,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 
@@ -132,8 +132,7 @@ func main() {
 		iters   = flag.Int("iters", 24, "per-warp loop iterations (kernel length)")
 		kindsF  = flag.String("kinds", "all", "techniques: all, paper, or comma-separated names (e.g. BASELINE,CTXBack)")
 		quick   = flag.Bool("quick", false, "small unit-test device model (fast, less faithful)")
-		procs   = flag.Int("procs", 0, "technique-run workers: 0 = GOMAXPROCS, 1 = serial (identical output either way)")
-		shards  = flag.Int("shards", 0, "SM shards inside each technique's device: 0/1 = serial, n>1 = n goroutines capped at -sms (identical output either way; -procs spreads whole technique runs, -shards splits one device)")
+		procs   = flag.Int("procs", 0, "technique-run workers (with -serve, device workers): 0 = GOMAXPROCS, 1 = serial (identical output either way)")
 		verify  = flag.Bool("verify", true, "check every job's output against its CPU golden reference")
 		metrics = flag.Bool("metrics", false, "append per-tenant counters and latency histograms")
 		events  = flag.Bool("events", false, "append each technique's scheduling decision log")
@@ -192,9 +191,6 @@ func main() {
 	if *procs < 0 {
 		usageErr("-procs must be >= 0, got %d", *procs)
 	}
-	if *shards < 0 {
-		usageErr("-shards must be >= 0, got %d", *shards)
-	}
 	if *devices < 0 {
 		usageErr("-devices must be >= 0, got %d", *devices)
 	}
@@ -252,7 +248,6 @@ func main() {
 	sc.Dev.NumSMs = *sms
 	sc.Params.ItersPerWarp = *iters
 	sc.Verify = *verify
-	sc.Shards = *shards
 	if *metrics {
 		sc.Metrics = trace.NewRegistry()
 	}
@@ -276,10 +271,16 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
+		// -procs 0 is one device worker per GOMAXPROCS, as it is one
+		// technique-run worker per GOMAXPROCS without -serve.
+		workers := *procs
+		if workers == 0 {
+			workers = runtime.GOMAXPROCS(0)
+		}
 		svc := sched.ServeConfig{
 			Sched:       sc,
 			Devices:     *devices,
-			Workers:     *procs,
+			Workers:     workers,
 			AdmitEvery:  *admitEvery,
 			ReportEvery: *reportEvery,
 			WarmPool:    *warmPool,
@@ -321,7 +322,6 @@ func main() {
 
 	o := harness.QuickOptions()
 	o.Parallelism = *procs
-	o.Shards = *shards
 	r := harness.NewRunner(o)
 	cmp, err := r.Schedule(tc, sc, kinds)
 	if err != nil {

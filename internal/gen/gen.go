@@ -18,7 +18,7 @@
 //     runs on every build, and cfg.Build/liveness accept the result.
 //
 // Race discipline (what makes the final memory image independent of warp
-// scheduling, preemption points, and SM sharding):
+// scheduling and preemption points):
 //
 //   - global stores go only to the executing warp's private output tile;
 //   - global loads read the read-only input region or the warp's own

@@ -4,9 +4,8 @@
 //
 //   - an uninterrupted run, byte-compared against the interpreter over
 //     the whole device memory;
-//   - scan-vs-readyqueue lockstep and epoch-parallel shard oracles
-//     (sampled): the reference scheduler and the sharded engine must
-//     reproduce the exact cycle count and memory image;
+//   - a scan-vs-readyqueue lockstep oracle (sampled): the reference
+//     scheduler must reproduce the exact cycle count and memory image;
 //   - one forced mid-flight preemption episode per technique per signal
 //     fraction — preempt, save, resume, finish — with the final memory
 //     byte-compared against the interpreter again;
@@ -40,7 +39,6 @@ type Options struct {
 	MaxCycles   int64
 	// Oracle strides: every Nth seed additionally runs the named oracle
 	// (0 disables it).
-	ShardsEvery    int
 	ScanEvery      int
 	IntegrityEvery int
 	SnapshotEvery  int
@@ -57,7 +55,6 @@ func DefaultOptions() Options {
 		Kinds:          preempt.ExtendedKinds(),
 		SignalFracs:    []float64{0.3, 0.7},
 		MaxCycles:      100_000_000,
-		ShardsEvery:    4,
 		ScanEvery:      4,
 		IntegrityEvery: 2,
 		SnapshotEvery:  8,
@@ -83,7 +80,7 @@ type Failure struct {
 }
 
 func (f Failure) String() string {
-	if f.Stage == "golden" || f.Stage == "scan" || f.Stage == "shards" || f.Stage == "snapshot" {
+	if f.Stage == "golden" || f.Stage == "scan" || f.Stage == "snapshot" {
 		return fmt.Sprintf("seed %d [%s]: %v", f.Seed, f.Stage, f.Err)
 	}
 	return fmt.Sprintf("seed %d [%s %v]: %v", f.Seed, f.Stage, f.Kind, f.Err)
@@ -96,7 +93,7 @@ type Report struct {
 	PerKind  map[preempt.Kind]*KindCount
 	Failures []Failure
 
-	ShardRuns, ScanRuns, IntegrityRuns, SnapshotRuns int
+	ScanRuns, IntegrityRuns, SnapshotRuns int
 	// Chaos oracle tallies: every injected-fault episode must end
 	// clean, absorbed in-episode, or detected-and-degraded. Silent
 	// wrong output and failed degradation land in Failures.
@@ -126,7 +123,6 @@ func (r *Report) merge(s *SeedResult) {
 		t.Skipped += c.Skipped
 		t.Fail += c.Fail
 	}
-	r.ShardRuns += s.ShardRuns
 	r.ScanRuns += s.ScanRuns
 	r.IntegrityRuns += s.IntegrityRuns
 	r.SnapshotRuns += s.SnapshotRuns
@@ -143,8 +139,8 @@ func (r *Report) Summary() string {
 		kinds = append(kinds, k)
 	}
 	sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
-	out := fmt.Sprintf("seeds %d passed %d failed %d (oracles: shards %d, scan %d, integrity %d, snapshot %d, chaos %d)\n",
-		r.Seeds, r.Passed, r.Seeds-r.Passed, r.ShardRuns, r.ScanRuns, r.IntegrityRuns, r.SnapshotRuns, r.ChaosRuns)
+	out := fmt.Sprintf("seeds %d passed %d failed %d (oracles: scan %d, integrity %d, snapshot %d, chaos %d)\n",
+		r.Seeds, r.Passed, r.Seeds-r.Passed, r.ScanRuns, r.IntegrityRuns, r.SnapshotRuns, r.ChaosRuns)
 	if r.ChaosRuns > 0 {
 		out += fmt.Sprintf("  chaos: clean %d recovered %d fallback %d\n",
 			r.ChaosClean, r.ChaosRecovered, r.ChaosFallback)
@@ -163,7 +159,7 @@ type SeedResult struct {
 	PerKind  map[preempt.Kind]*KindCount
 	Failures []Failure
 
-	ShardRuns, ScanRuns, IntegrityRuns, SnapshotRuns     int
+	ScanRuns, IntegrityRuns, SnapshotRuns                int
 	ChaosRuns, ChaosClean, ChaosRecovered, ChaosFallback int
 }
 
@@ -228,7 +224,7 @@ func RunSeed(seed uint64, opt Options) *SeedResult {
 		return res
 	}
 
-	// Scheduler and sharding oracles: same semantics, same clock.
+	// Scheduler oracle: same semantics, same clock.
 	if on(seed, opt.ScanEvery) {
 		res.ScanRuns++
 		d, err := runPlain(p, opt, func(d *sim.Device) { d.UseReferenceScheduler() })
@@ -238,17 +234,6 @@ func RunSeed(seed uint64, opt Options) *SeedResult {
 			res.fail(0, "scan", err)
 		} else if d.Now() != goldenCycles {
 			res.fail(0, "scan", fmt.Errorf("reference scheduler finished at cycle %d, ready queue at %d", d.Now(), goldenCycles))
-		}
-	}
-	if on(seed, opt.ShardsEvery) {
-		res.ShardRuns++
-		d, err := runPlain(p, opt, func(d *sim.Device) { d.SetShards(2) })
-		if err != nil {
-			res.fail(0, "shards", err)
-		} else if err := p.CheckDevice(d); err != nil {
-			res.fail(0, "shards", err)
-		} else if d.Now() != goldenCycles {
-			res.fail(0, "shards", fmt.Errorf("sharded run finished at cycle %d, unsharded at %d", d.Now(), goldenCycles))
 		}
 	}
 

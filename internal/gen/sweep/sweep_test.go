@@ -9,7 +9,7 @@ import (
 
 // TestDifferentialSweep is the tier-1 slice of the generated-corpus
 // differential sweep: 64 seeds, all 8 techniques, every oracle sampled
-// (scan lockstep, shards, resume integrity, snapshot round-trip, chaos).
+// (scan lockstep, resume integrity, snapshot round-trip, chaos).
 // The full ≥1000-seed run is `make gen-smoke` / cmd/genrun.
 func TestDifferentialSweep(t *testing.T) {
 	rep := Run(0, 64, 8, DefaultOptions())
@@ -31,7 +31,7 @@ func TestDifferentialSweep(t *testing.T) {
 		}
 	}
 	// And every sampled oracle must have run.
-	if rep.ScanRuns == 0 || rep.ShardRuns == 0 || rep.IntegrityRuns == 0 ||
+	if rep.ScanRuns == 0 || rep.IntegrityRuns == 0 ||
 		rep.SnapshotRuns == 0 || rep.ChaosRuns == 0 {
 		t.Fatalf("an oracle never ran: %s", rep.Summary())
 	}

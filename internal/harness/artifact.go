@@ -25,11 +25,10 @@ const (
 
 // keyInputs folds every Options field that can change a measured result
 // into k: the full device model, the workload scale, and the run limits.
-// Parallelism and Shards are excluded by design — the procs-diff and
-// shards-diff gates prove results are independent of both — as are the
-// observability hooks (Metrics, Logf), whose zero-overhead contract the
-// evalcheck gate pins. The key-coverage regression test walks every
-// included field.
+// Parallelism is excluded by design — the procs-diff gate proves
+// results are independent of it — as are the observability hooks
+// (Metrics, Logf), whose zero-overhead contract the evalcheck gate
+// pins. The key-coverage regression test walks every included field.
 func (o *Options) keyInputs(k *artifact.Key) {
 	c := o.Cfg
 	k.Int("sms", c.NumSMs).

@@ -265,7 +265,7 @@ func (o *Options) chaosEpisode(p *prepared, kind preempt.Kind, signal int64,
 	if err != nil {
 		return run, fmt.Errorf("%s/%v: %w", p.wl.Abbrev, kind, err)
 	}
-	d, err := o.newDevice()
+	d, err := sim.NewDevice(o.Cfg)
 	if err != nil {
 		return run, err
 	}

@@ -100,7 +100,7 @@ func (r *Runner) runSnapshotCell(co ChaosOptions, p *prepared, cell *ChaosCell,
 	if err != nil {
 		return fmt.Errorf("%s/%v: %w", p.wl.Abbrev, cell.Kind, err)
 	}
-	d, err := r.o.newDevice()
+	d, err := sim.NewDevice(r.o.Cfg)
 	if err != nil {
 		return err
 	}

@@ -46,7 +46,7 @@ func contentionPoint(o Options, abbrev string, preemptSMs int) (ContentionRow, e
 	if err != nil {
 		return ContentionRow{}, err
 	}
-	d, err := o.newDevice()
+	d, err := sim.NewDevice(o.Cfg)
 	if err != nil {
 		return ContentionRow{}, err
 	}

@@ -77,7 +77,7 @@ func (g *golden) run(o *Options, p *prepared) (err error) {
 			err = fmt.Errorf("harness: %s golden run panicked: %v\n%s", p.wl.Abbrev, v, debug.Stack())
 		}
 	}()
-	d, err := o.newDevice()
+	d, err := sim.NewDevice(o.Cfg)
 	if err != nil {
 		return err
 	}

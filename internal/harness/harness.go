@@ -33,14 +33,11 @@ type Options struct {
 	// 1 is the legacy serial path, n>1 forces n workers. Reported
 	// numbers are identical at every setting; only wall-clock changes.
 	Parallelism int
-	// Shards is the intra-device SM shard count handed to every device
-	// the harness creates (sim.Device.SetShards). The two parallelism
-	// axes multiply: Parallelism spreads independent episodes across
-	// workers, Shards splits one device's SMs across goroutines. 0
-	// (auto) resolves to intra-device sharding only when the episode
-	// pool is serial — with Parallelism > 1 the pool already saturates
-	// the cores, so auto picks 1 shard per device. Like Parallelism,
-	// the setting never changes reported numbers, only wall-clock.
+	// Shards is ignored: every device runs its one serial loop.
+	//
+	// Deprecated: it selected the width of the epoch-parallel engine,
+	// which is gone. The benchmark still sets it; the benchmark change
+	// that redefines its sharded-episode workload removes it.
 	Shards int
 	// Metrics, when non-nil, receives evaluation counters and latency
 	// histograms (episodes measured/drained, per-phase cycle
@@ -58,22 +55,6 @@ func (o *Options) logf(format string, args ...any) {
 	if o.Logf != nil {
 		o.Logf(format, args...)
 	}
-}
-
-// newDevice builds a device with the resolved shard count applied.
-func (o *Options) newDevice() (*sim.Device, error) {
-	d, err := sim.NewDevice(o.Cfg)
-	if err != nil {
-		return nil, err
-	}
-	shards := o.Shards
-	if shards == 0 && o.procs() > 1 {
-		// Auto: the episode pool already occupies the cores; sharding
-		// each device on top would only oversubscribe.
-		shards = 1
-	}
-	d.SetShards(shards)
-	return d, nil
 }
 
 // DefaultOptions is the configuration used for EXPERIMENTS.md.
@@ -117,7 +98,7 @@ func (o *Options) prepareCold(factory kernels.Factory) (*prepared, error) {
 		return nil, err
 	}
 	if o.FillDevice {
-		d, err := o.newDevice()
+		d, err := sim.NewDevice(o.Cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -132,7 +113,7 @@ func (o *Options) prepareCold(factory kernels.Factory) (*prepared, error) {
 			return nil, err
 		}
 	}
-	d, err := o.newDevice()
+	d, err := sim.NewDevice(o.Cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -194,7 +175,7 @@ func (o *Options) measure(p *prepared, kind preempt.Kind, signalCycle int64, fro
 	if err != nil {
 		return EpisodeStats{}, false, nil, fmt.Errorf("%s/%v: %w", p.wl.Abbrev, kind, err)
 	}
-	d, err := o.newDevice()
+	d, err := sim.NewDevice(o.Cfg)
 	if err != nil {
 		return EpisodeStats{}, false, nil, err
 	}
@@ -323,7 +304,7 @@ func (o *Options) measureAvg(p *prepared, kind preempt.Kind) (EpisodeStats, erro
 // runtimeCycles measures full-kernel execution with tech's
 // instrumentation attached — the Fig 10 runtime overhead.
 func (o *Options) runtimeCycles(p *prepared, tech preempt.Technique) (int64, error) {
-	d, err := o.newDevice()
+	d, err := sim.NewDevice(o.Cfg)
 	if err != nil {
 		return 0, err
 	}

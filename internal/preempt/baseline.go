@@ -77,7 +77,8 @@ func (t *baselineTech) Hook(w *sim.Warp, pc int) ([]isa.Instruction, *sim.SavedC
 }
 
 // HookAt (sim.HookPredicate): BASELINE injects no instrumentation, so
-// the epoch engine may drain every kernel instruction in parallel.
+// the device never hooks its launches and the harness forks its
+// episodes from the golden run.
 func (t *baselineTech) HookAt(w *sim.Warp, pc int) bool { return false }
 
 func (t *baselineTech) StaticContextBytes(pc int) int { return t.all.ContextBytes() }

@@ -193,8 +193,8 @@ func (t *ckptTech) snapshotRegs(pc int) isa.RegSet {
 // where Hook could take a checkpoint OR touch per-run state (a visited
 // site increments its counter even when the interval skips the
 // snapshot). Pure map reads only — safe to call concurrently; the
-// mutations themselves happen in Hook, which the epoch engine always
-// commits serially at PCs reported here.
+// mutations themselves happen in Hook, which the device calls only for
+// launches this predicate says may hook.
 func (t *ckptTech) HookAt(w *sim.Warp, pc int) bool {
 	return w.Prog == t.prog &&
 		(t.last[w.ID] == nil || t.static.forced[pc] || t.static.siteOf[pc])

@@ -227,8 +227,8 @@ func estTrafficCycles(bytes int) int64 {
 
 // techHookAt queries a wrapped technique's hook predicate, defaulting
 // to true (hook possible anywhere) when it does not implement
-// sim.HookPredicate — the conservative answer the epoch engine assumes
-// for predicate-less runtimes anyway.
+// sim.HookPredicate — the conservative answer sim.Instruments gives for
+// predicate-less runtimes anyway.
 func techHookAt(t Technique, w *sim.Warp, pc int) bool {
 	if hp, ok := t.(sim.HookPredicate); ok {
 		return hp.HookAt(w, pc)

@@ -3,8 +3,7 @@ package sched
 // Admission control for serve mode: a per-tenant token bucket in front
 // of a bounded defer queue. Every decision — shed, defer, admit — is a
 // pure function of the global barrier clock and the merged fleet state,
-// so the admission log is byte-identical at every worker and shard
-// count.
+// so the admission log is byte-identical at every worker count.
 
 // AdmitConfig configures the serving front door.
 type AdmitConfig struct {

@@ -269,22 +269,17 @@ func TestFleetNoCheckpointFallsBackToRerun(t *testing.T) {
 	}
 }
 
-// TestFleetDeterministicAcrossShards: a killed run is byte-identical
-// whether devices step serially or epoch-parallel, and whether they
-// advance one at a time or on parallel workers.
-func TestFleetDeterministicAcrossShards(t *testing.T) {
+// TestFleetDeterministicAcrossWorkers: a killed run is byte-identical
+// whether devices advance one at a time or on parallel workers.
+func TestFleetDeterministicAcrossWorkers(t *testing.T) {
 	jobs := fleetTrace(t, 31, 6)
-	run := func(shards, workers int) string {
+	run := func(workers int) string {
 		cfg := fleetConfig(40_000, &DeviceKill{Device: 0, Cycle: 60_000})
-		cfg.Sched.Shards = shards
 		cfg.Workers = workers
 		return fullReport(runFleet(t, preempt.CTXBack, jobs, cfg))
 	}
-	ref := run(1, 1)
-	for _, c := range []struct{ shards, workers int }{{2, 1}, {1, 2}} {
-		if got := run(c.shards, c.workers); got != ref {
-			t.Fatalf("shards=%d workers=%d diverged:\n--- ref\n%s--- got\n%s", c.shards, c.workers, ref, got)
-		}
+	if ref, got := run(1), run(2); got != ref {
+		t.Fatalf("workers=2 diverged:\n--- ref\n%s--- got\n%s", ref, got)
 	}
 }
 

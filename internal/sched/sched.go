@@ -273,10 +273,11 @@ type Config struct {
 	// Metrics, when non-nil, receives per-tenant counters and latency
 	// histograms after the run.
 	Metrics *trace.Registry
-	// Shards is the intra-device SM shard count (sim.Device.SetShards):
-	// 0/1 run the device serially, n>1 shards its SMs across n
-	// goroutines. Schedule outputs — decision log, per-tenant stats,
-	// golden verification — are byte-identical at every setting.
+	// Shards is ignored: every device runs its one serial loop.
+	//
+	// Deprecated: it selected the width of the epoch-parallel engine,
+	// which is gone. The benchmark still sets it; the benchmark change
+	// that redefines its sharded-episode workload removes it.
 	Shards int
 }
 
@@ -420,9 +421,6 @@ func newScheduler(cfg Config, kind preempt.Kind, jobs []Job) (*scheduler, error)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Shards != 0 {
-		d.SetShards(cfg.Shards)
-	}
 	s := &scheduler{cfg: cfg, d: d, mux: newMux(kind), kind: kind,
 		progSeen: make(map[*isa.Program]bool)}
 	// Jobs are admitted in (arrival, ID) order; ties resolve by ID so
@@ -525,20 +523,7 @@ func (s *scheduler) runTo(stop int64) (bool, error) {
 		if s.d.Now() >= stop {
 			return false, nil
 		}
-		// eventReady is a boundary condition except for its arrival
-		// term, whose earliest firing cycle is known exactly — passing
-		// it (clamped to the pause cycle) as the time bound keeps the
-		// epoch engine byte-identical to the serial one (the
-		// arrival-crossing step commits serially).
-		nextArrival := int64(math.MaxInt64)
-		if s.nextArr < len(s.jobs) {
-			nextArrival = s.jobs[s.nextArr].admitAt
-		}
-		bound := nextArrival
-		if stop < bound {
-			bound = stop
-		}
-		if err := s.d.RunUntilBounded(cond, bound, s.cfg.MaxCycles); err != nil {
+		if err := s.d.RunUntil(cond, s.cfg.MaxCycles); err != nil {
 			return false, err
 		}
 		if s.eventReady() {

@@ -26,7 +26,7 @@ import (
 // admission barriers — the parallel axis — and every cross-device
 // decision runs serially at a barrier on state merged in device-id
 // order, so the decision log and SLO tables are byte-identical at every
-// worker and shard count.
+// worker count.
 
 // ServeConfig configures a serving run.
 type ServeConfig struct {
@@ -299,9 +299,6 @@ func newBareScheduler(cfg Config, kind preempt.Kind) (*scheduler, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Shards != 0 {
-		d.SetShards(cfg.Shards)
-	}
 	s := &scheduler{cfg: cfg, d: d, mux: newMux(kind), kind: kind,
 		progSeen: make(map[*isa.Program]bool)}
 	d.AttachRuntime(s.mux)
@@ -525,11 +522,7 @@ func newServer(cfg ServeConfig, kind preempt.Kind, jobs []Job) (*server, error) 
 	}
 
 	if cfg.WarmPool > 0 {
-		shards := cfg.Sched.Shards
-		if shards == 0 {
-			shards = 1
-		}
-		pool, err := snapshot.NewPool(cfg.Sched.Dev, shards, cfg.WarmPool)
+		pool, err := snapshot.NewPool(cfg.Sched.Dev, 1, cfg.WarmPool)
 		if err != nil {
 			return nil, err
 		}

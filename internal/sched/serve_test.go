@@ -7,11 +7,9 @@ import (
 	"ctxback/internal/preempt"
 )
 
-func serveTestConfig(shards, workers int) ServeConfig {
-	sc := testSchedConfig()
-	sc.Shards = shards
+func serveTestConfig(workers int) ServeConfig {
 	return ServeConfig{
-		Sched:          sc,
+		Sched:          testSchedConfig(),
 		Devices:        2,
 		Workers:        workers,
 		AdmitEvery:     500,
@@ -46,7 +44,7 @@ func runServe(t *testing.T, cfg ServeConfig) *ServeResult {
 // TestServeSmall runs a complete serving loop and checks the basic
 // conservation laws of the front door.
 func TestServeSmall(t *testing.T) {
-	res := runServe(t, serveTestConfig(1, 1))
+	res := runServe(t, serveTestConfig(1))
 	if res.Arrived == 0 || res.Completed == 0 {
 		t.Fatalf("no work flowed: %+v", res)
 	}
@@ -66,23 +64,21 @@ func TestServeSmall(t *testing.T) {
 	}
 }
 
-// TestServeDeterministic pins byte-identical output across repeat runs,
-// worker counts and shard counts — the serving layer's core guarantee.
+// TestServeDeterministic pins byte-identical output across repeat runs
+// and worker counts — the serving layer's core guarantee.
 func TestServeDeterministic(t *testing.T) {
-	base := runServe(t, serveTestConfig(1, 1))
+	base := runServe(t, serveTestConfig(1))
 	ref := base.Render() + base.EventLog()
 	for _, tc := range []struct {
-		name            string
-		shards, workers int
+		name    string
+		workers int
 	}{
-		{"repeat", 1, 1},
-		{"workers4", 1, 4},
-		{"shards2", 2, 1},
-		{"shards2workers4", 2, 4},
+		{"repeat", 1},
+		{"workers4", 4},
 	} {
-		got := runServe(t, serveTestConfig(tc.shards, tc.workers))
+		got := runServe(t, serveTestConfig(tc.workers))
 		if s := got.Render() + got.EventLog(); s != ref {
-			t.Errorf("%s: output diverged from the serial single-shard run\n--- ref\n%s\n--- got\n%s", tc.name, ref, s)
+			t.Errorf("%s: output diverged from the serial run\n--- ref\n%s\n--- got\n%s", tc.name, ref, s)
 		}
 	}
 }
@@ -90,7 +86,7 @@ func TestServeDeterministic(t *testing.T) {
 // TestServeMigration forces an imbalanced fleet and checks the
 // hypervisor rebalances through a checkpoint/restore migration.
 func TestServeMigration(t *testing.T) {
-	cfg := serveTestConfig(1, 1)
+	cfg := serveTestConfig(1)
 	cfg.Hypervisor.MigrateThreshold = 2
 	cfg.WarmPool = 1
 	sv, err := newServer(cfg, preempt.CTXBack, serveTestTrace(t))
@@ -116,7 +112,7 @@ func TestServeMigration(t *testing.T) {
 // TestServeShed pins that a tight front door sheds rather than queues
 // without bound, and that shed jobs appear in the log.
 func TestServeShed(t *testing.T) {
-	cfg := serveTestConfig(1, 1)
+	cfg := serveTestConfig(1)
 	cfg.Admit = AdmitConfig{TokensPer100k: 50, Burst: 1, MaxQueue: 2}
 	res := runServe(t, cfg)
 	if res.Shed == 0 {
@@ -132,7 +128,7 @@ func TestServeShed(t *testing.T) {
 
 // TestServeNoAdmission runs with admission control off: nothing sheds.
 func TestServeNoAdmission(t *testing.T) {
-	cfg := serveTestConfig(1, 1)
+	cfg := serveTestConfig(1)
 	cfg.Admit = AdmitConfig{}
 	cfg.Hypervisor = HypervisorConfig{}
 	res := runServe(t, cfg)
@@ -150,7 +146,7 @@ func TestServeNoAdmission(t *testing.T) {
 // TestServeQuotaProgress wedges one tenant behind a 1-SM quota and
 // checks the loop still terminates (quota stalls must not deadlock).
 func TestServeQuotaProgress(t *testing.T) {
-	cfg := serveTestConfig(1, 1)
+	cfg := serveTestConfig(1)
 	cfg.Hypervisor = HypervisorConfig{Every: 1000, MigrateThreshold: -1, StarveWindows: 1}
 	res := runServe(t, cfg)
 	if res.Completed != res.Admitted {

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -105,33 +104,6 @@ func BenchmarkStepFullOccupancy(b *testing.B) { runOccupancyBench(b, false) }
 // retained O(SMs x warps) linear-scan reference scheduler — the
 // before/after pair BENCH_PR5.json records.
 func BenchmarkStepFullOccupancyReference(b *testing.B) { runOccupancyBench(b, true) }
-
-// BenchmarkStepSharded measures the epoch-parallel engine on the exact
-// BenchmarkStepFullOccupancy workload at increasing shard counts —
-// the scaling curve BENCH_PR6.json records. Shards/1 is the sharded
-// engine's serial configuration (identical code path to
-// BenchmarkStepFullOccupancy); the 8-shard point is clamped to the
-// device's NumSMs by SetShards, so on the default 4-SM config it pins
-// the plateau past the useful width.
-func BenchmarkStepSharded(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards-%d", shards), func(b *testing.B) {
-			prog := benchLoopProgram(b)
-			var instrs int64
-			for b.Loop() {
-				d := benchOccupancyDevice(b, prog)
-				d.SetShards(shards)
-				if err := d.Run(1 << 40); err != nil {
-					b.Fatal(err)
-				}
-				instrs += d.Stats.Instructions
-			}
-			if secs := b.Elapsed().Seconds(); secs > 0 {
-				b.ReportMetric(float64(instrs)/secs, "sim_instrs/s")
-			}
-		})
-	}
-}
 
 // BenchmarkSimExecLoop measures the simulator's per-instruction cost on
 // the hot execute/issue path. Run with -benchmem: allocs/op is the

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 
 	"ctxback/internal/faults"
@@ -35,18 +34,19 @@ type Runtime interface {
 // declare, conservatively, where its Hook may fire or mutate technique
 // state. HookAt must return true whenever Hook(w, pc) could return
 // instrumentation OR have any side effect; it must itself be pure and
-// safe to call concurrently with other HookAt calls (technique state is
-// only mutated by Hook itself, which the engine always serializes).
+// safe to call concurrently with other HookAt calls, as the harness's
+// episode workers make them through Instruments (technique state is
+// only mutated by Hook itself, which a device calls from its one run
+// loop).
 //
 // An answer that is false for an unissued warp stays false: if HookAt is
 // false at every PC for a warp of a program that has not issued, Hook
 // returns nothing and changes nothing for any warp of that program, at
 // any time, while the runtime is attached. The device relies on it to
-// call Hook only for launches that can hook (Instruments); the epoch
-// engine asks it per pop of those launches, and a false answer lets the
-// pop drain in a parallel phase (epoch.go). Runtimes without it are
-// still correct: every launch is then hooked and every kernel pop
-// committed serially, which forfeits both savings.
+// call Hook only for launches that can hook (Instruments), and the
+// harness to fork episodes of techniques that never instrument a kernel
+// from its golden run. Runtimes without it are still correct: every
+// launch is then hooked, which forfeits both savings.
 type HookPredicate interface {
 	HookAt(w *Warp, pc int) bool
 }
@@ -108,22 +108,6 @@ type Device struct {
 	// (scheduler cost accounting; see issueAdvanced).
 	migrations int64
 
-	// Epoch-parallel engine state (see epoch.go). shards is the number
-	// of goroutines SMs are partitioned across (1: serial engine);
-	// inPhase is true while shards drain concurrently, switching
-	// enqueueReady to SM-local updates; blocksPending counts launched
-	// blocks not yet placed on an SM (while non-zero, an endpgm can
-	// inject fresh warps, so the epoch horizon must bound distances to
-	// program end); hookPred is the runtime's optional hook-site
-	// predicate; distCache memoizes per-program distance-to-endpgm
-	// tables; epochShards is the reused per-shard accumulator slab.
-	shards        int
-	inPhase       bool
-	blocksPending int
-	hookPred      HookPredicate
-	distCache     map[*isa.Program][]int32
-	epochShards   []epochShard
-
 	// regFree holds the register files of removed launches for Launch
 	// to reuse (RemoveLaunch).
 	regFree regPool
@@ -146,10 +130,9 @@ func NewDevice(cfg Config) (*Device, error) {
 		return nil, err
 	}
 	d := &Device{
-		Cfg:    cfg,
-		Mem:    NewMemory(cfg.GlobalMemBytes / 4),
-		SMs:    make([]*SM, 0, cfg.NumSMs),
-		shards: 1,
+		Cfg: cfg,
+		Mem: NewMemory(cfg.GlobalMemBytes / 4),
+		SMs: make([]*SM, 0, cfg.NumSMs),
 	}
 	// One slab backs every SM's future heap at full capacity so the hot
 	// path never grows a heap slice (the three-index slices keep each
@@ -157,7 +140,6 @@ func NewDevice(cfg Config) (*Device, error) {
 	slab := make([]*Warp, cfg.NumSMs*cfg.MaxWarpsPerSM)
 	for i := 0; i < cfg.NumSMs; i++ {
 		sm := &SM{ID: i, Dev: d, candT: math.MaxInt64, candLast: math.MaxInt64,
-			stats: &d.Stats,
 			// The issue path must not allocate: size the operand scratch
 			// buffers for the widest instructions up front.
 			hazardScratch: make([]isa.Reg, 0, 8),
@@ -174,30 +156,13 @@ func NewDevice(cfg Config) (*Device, error) {
 // Now returns the current simulated cycle.
 func (d *Device) Now() int64 { return d.now }
 
-// SetShards selects how many goroutines the epoch-parallel engine
-// partitions this device's SMs across (see epoch.go). n <= 0 picks an
-// automatic width (GOMAXPROCS capped at NumSMs); explicit values are
-// capped at NumSMs. The shard count is a pure performance knob: every
-// simulation observable — clocks, stats, episode phases, memory,
-// golden outputs — is byte-identical at every width, so it may be
-// changed freely between runs (call it before stepping). One shard, an
-// attached instruction tracer, or the reference scheduler all select
-// the serial engine.
-func (d *Device) SetShards(n int) {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	if n > len(d.SMs) {
-		n = len(d.SMs)
-	}
-	if n < 1 {
-		n = 1
-	}
-	d.shards = n
-}
-
-// Shards returns the configured shard count.
-func (d *Device) Shards() int { return d.shards }
+// SetShards does nothing: n is ignored, and every device runs its one
+// serial loop.
+//
+// Deprecated: the epoch-parallel engine it configured is gone. The
+// benchmark's sharded-episode workload still calls it; the benchmark
+// change that redefines that workload removes it.
+func (d *Device) SetShards(n int) {}
 
 // AttachRecorder installs a structured-event recorder; episode, warp and
 // memory-pipeline events are emitted into it with simulated-cycle
@@ -320,7 +285,7 @@ type Launch struct {
 	doneWarps int
 	// hooked: the attached runtime may instrument the launch's program
 	// (Instruments), decided at launch and on every AttachRuntime. Kernel
-	// issue and the epoch engine call Hook only for hooked launches.
+	// issue calls Hook only for hooked launches.
 	hooked bool
 }
 
@@ -375,7 +340,6 @@ func (d *Device) Launch(spec LaunchSpec) (*Launch, error) {
 		l.blocks = append(l.blocks, bi)
 	}
 	d.launches = append(d.launches, l)
-	d.blocksPending += len(l.blocks)
 	d.dispatch(l)
 	return l, nil
 }
@@ -566,7 +530,6 @@ func (d *Device) dispatch(l *Launch) {
 			d.enqueueReady(w)
 		}
 		l.nextBlock++
-		d.blocksPending--
 	}
 }
 
@@ -701,52 +664,11 @@ func (e *BudgetError) Error() string {
 // RunUntil steps until cond is true, no progress is possible, or the
 // cycle budget would be exceeded. It returns an error on simulation
 // faults, or a *BudgetError — checked before each step commits — when
-// the next issue would land past d.now+maxCycles at entry.
-//
-// Under the epoch-parallel engine (SetShards > 1), cond is only
-// evaluated between epochs, so it must be a *boundary* condition: one
-// that can first become true at a serially-committed boundary event
-// (episode phase transitions, launch completion, deadlock). Every such
-// condition is exact — the engine serializes the step that flips it.
-// For conditions on the clock itself use RunToCycle / RunUntilBounded,
-// which clamp epochs so the crossing step still commits serially.
+// the next issue would land past d.now+maxCycles at entry. cond is
+// checked before every step, so the run stops at the first step after
+// which it holds.
 func (d *Device) RunUntil(cond func() bool, maxCycles int64) error {
-	return d.RunUntilBounded(cond, math.MaxInt64, maxCycles)
-}
-
-// RunToCycle runs until the clock reaches at least target (or no
-// progress / budget exceeded, as RunUntil). Equivalent to
-// RunUntil(func() bool { return d.Now() >= target }, maxCycles) on the
-// serial engine, and exact under sharding: epochs are clamped below
-// target so the step that carries the clock across commits serially.
-func (d *Device) RunToCycle(target, maxCycles int64) error {
-	return d.RunUntilBounded(func() bool { return d.now >= target }, target, maxCycles)
-}
-
-// RunUntilBounded is RunUntil for conditions with a time-based
-// component: timeBound must be a cycle no later than the first cycle at
-// which any purely time-dependent term of cond can hold (MaxInt64 when
-// cond is a pure boundary condition). The epoch engine clamps parallel
-// phases below timeBound, so cond is evaluated with the clock stopped
-// exactly where the serial engine would have stopped it.
-func (d *Device) RunUntilBounded(cond func() bool, timeBound, maxCycles int64) error {
-	// Any external condition may observe a single launch completing
-	// while others still run, so the epoch engine must fence endpgms
-	// (condObservesCompletion); only the nil condition and Run's
-	// whole-device form below are exempt.
-	return d.runBounded(cond, timeBound, maxCycles, cond != nil)
-}
-
-// runBounded is the shared run-loop body. condObservesCompletion tells
-// the epoch engine whether cond could first become true at an
-// individual launch's final endpgm while other work keeps running — if
-// so, phases must stop below every possible endpgm so the clock halts
-// exactly where the serial engine's would.
-func (d *Device) runBounded(cond func() bool, timeBound, maxCycles int64, condObservesCompletion bool) error {
 	limit := d.now + maxCycles
-	if d.shards > 1 && !d.scanMode && d.tracer == nil {
-		return d.runEpochs(cond, timeBound, limit, condObservesCompletion)
-	}
 	for {
 		if cond != nil && cond() {
 			return nil
@@ -759,6 +681,12 @@ func (d *Device) runBounded(cond func() bool, timeBound, maxCycles int64, condOb
 			return nil
 		}
 	}
+}
+
+// RunToCycle runs until the clock reaches at least target (or no
+// progress / budget exceeded, as RunUntil).
+func (d *Device) RunToCycle(target, maxCycles int64) error {
+	return d.RunUntil(func() bool { return d.now >= target }, maxCycles)
 }
 
 // RemoveLaunch drops a fully retired launch from the device's
@@ -793,18 +721,14 @@ func (d *Device) RemoveLaunch(l *Launch) error {
 
 // Run executes until all launches complete (or maxCycles).
 func (d *Device) Run(maxCycles int64) error {
-	// The whole-device completion condition first holds only after the
-	// final pop anywhere on the device, so — unlike a per-launch Done
-	// condition — no local pop can be mis-drained past its flip and the
-	// epoch engine may run with unfenced endpgms.
-	err := d.runBounded(func() bool {
+	err := d.RunUntil(func() bool {
 		for _, l := range d.launches {
 			if !l.Done() {
 				return false
 			}
 		}
 		return true
-	}, math.MaxInt64, maxCycles, false)
+	}, maxCycles)
 	if err != nil {
 		return err
 	}

@@ -98,7 +98,6 @@ func (ep *Episode) PhaseNames() trace.PhaseNames { return ep.names }
 // (Instruments). Required before Preempt with the same runtime.
 func (d *Device) AttachRuntime(rt Runtime) {
 	d.rt = rt
-	d.hookPred, _ = rt.(HookPredicate)
 	for _, l := range d.launches {
 		l.hooked = Instruments(rt, l.Spec.Prog)
 	}

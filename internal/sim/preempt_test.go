@@ -54,9 +54,8 @@ func (naiveRuntime) ResumeRoutine(w *Warp) ([]isa.Instruction, *SavedContext) {
 
 func (naiveRuntime) Hook(w *Warp, pc int) ([]isa.Instruction, *SavedContext) { return nil, nil }
 
-// HookAt declares the hook inert so the epoch engine keeps draining
-// local pops while the runtime is attached — the sharded episode tests
-// then exercise parallel phases through preemption, not just around it.
+// HookAt declares the hook inert, so the device never calls Hook for a
+// launch while this runtime is attached (Instruments).
 func (naiveRuntime) HookAt(w *Warp, pc int) bool { return false }
 
 // sumKernel computes, per lane: out[gid] = sum_{i=1..n} i + lane, looping

@@ -327,19 +327,9 @@ func (d *Device) enqueueReady(w *Warp) {
 	in := w.currentInstr()
 	if in == nil {
 		// The scan surfaced this on the next Step; record it so the
-		// event-driven Step does the same. Inside an epoch phase the
-		// device-wide error slot is shared, so the error parks on the SM
-		// and the phase merge folds it in.
-		err := fmt.Errorf("sim: warp %d ran off the end of its stream (mode %d)", w.ID, w.Mode)
-		if d.inPhase {
-			if sm.phaseErr == nil {
-				sm.phaseErr = err
-			}
-			sm.refreshCand()
-			return
-		}
+		// event-driven Step does the same.
 		if d.qerr == nil {
-			d.qerr = err
+			d.qerr = fmt.Errorf("sim: warp %d ran off the end of its stream (mode %d)", w.ID, w.Mode)
 		}
 		d.smChanged(sm)
 		return
@@ -349,13 +339,6 @@ func (d *Device) enqueueReady(w *Warp) {
 		sm.stalledInsert(w)
 	} else {
 		sm.future.push(w)
-	}
-	// During an epoch phase only the SM-local candidate cache may move:
-	// the device heap is shared across shards and is rebuilt wholesale at
-	// the phase merge (readyQueue.rebuild).
-	if d.inPhase {
-		sm.refreshCand()
-		return
 	}
 	d.smChanged(sm)
 }
@@ -372,30 +355,6 @@ func (d *Device) issueAdvanced(sm *SM) {
 		sm.stalledInsert(sm.future.popRoot())
 	}
 	d.smChanged(sm)
-}
-
-// issueAdvancedLocal is issueAdvanced for epoch-phase drains: migrations
-// are counted per shard and only the SM-local candidate cache is
-// refreshed — the shared device heap is left untouched until the phase
-// merge rebuilds it.
-func (sm *SM) issueAdvancedLocal(sh *epochShard) {
-	for len(sm.future.ws) > 0 && sm.future.ws[0].candTime <= sm.issueFree {
-		sh.migrations++
-		sm.stalledInsert(sm.future.popRoot())
-	}
-	sm.refreshCand()
-}
-
-// rebuild restores the heap invariant over all SMs from their cached
-// candidate keys in O(SMs) (Floyd's heapify). Used at the epoch-phase
-// merge, after shards have moved many SMs' candidates without sifting.
-// Only the heap's *order* is observable — pops take the unique minimum
-// of a strict total order (candT, candLast, SM id), so the array layout
-// this produces never influences simulation output.
-func (q *readyQueue) rebuild() {
-	for i := len(q.sms)/2 - 1; i >= 0; i-- {
-		q.down(i)
-	}
 }
 
 // NextIssueTime returns the cycle of the globally earliest pending

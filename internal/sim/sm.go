@@ -39,27 +39,13 @@ type SM struct {
 
 	episode *Episode // active preemption episode, if any
 
-	// stats is where this SM's issue path accumulates device counters.
-	// It normally points at Device.Stats; during an epoch-parallel phase
-	// (see epoch.go) it points at the owning shard's private accumulator
-	// so concurrent shards never write the same counters. The sums are
-	// folded back at the phase merge, so totals are interleaving-free.
-	stats *DeviceStats
-
-	// Issue-path operand scratch. Per-SM (not per-Device) so epoch
-	// shards draining different SMs never share a buffer; sized up
-	// front so the hot path never allocates.
+	// Issue-path operand scratch, sized up front so the hot path never
+	// allocates.
 	hazardScratch []isa.Reg
 	defsScratch   []isa.Reg
 	// laneScratch holds a vector instruction's splatted scalar sources
 	// and its result under a partial EXEC (exec.go).
 	laneScratch [4]laneVec
-
-	// phaseErr holds a scheduling error discovered by enqueueReady
-	// while this SM drains inside an epoch phase (the parallel
-	// counterpart of Device.qerr, which shards must not write). The
-	// phase merge folds it into the run's first-in-issue-order error.
-	phaseErr error
 }
 
 // hazardRegs collects the registers whose in-flight values gate issue of
@@ -105,7 +91,7 @@ func (sm *SM) accessLDS(start int64, bytes int) int64 {
 	txStart := max(start, sm.ldsFree)
 	dur := int64(float64(bytes)/sm.Dev.Cfg.LDSBytesPerCycle) + 1
 	sm.ldsFree = txStart + dur
-	sm.stats.LDSBytes += int64(bytes)
+	sm.Dev.Stats.LDSBytes += int64(bytes)
 	return txStart + dur + int64(sm.Dev.Cfg.LDSLatency)
 }
 
@@ -145,17 +131,17 @@ func (sm *SM) issue(w *Warp, t int64) error {
 		return err
 	}
 
-	sm.stats.Instructions++
+	d.Stats.Instructions++
 	if tr := d.tracer; tr != nil && (tr.Filter == nil || tr.Filter(w)) {
 		tr.record(TraceEvent{Cycle: t, SM: sm.ID, WarpID: w.ID, Mode: w.Mode, PC: w.PC, Text: in.String()})
 	}
 	switch w.Mode {
 	case ModeKernel:
-		sm.stats.KernelInstrs++
+		d.Stats.KernelInstrs++
 	case ModeHook:
-		sm.stats.HookInstrs++
+		d.Stats.HookInstrs++
 	default:
-		sm.stats.RoutineInstrs++
+		d.Stats.RoutineInstrs++
 	}
 
 	// Timing.

@@ -30,7 +30,6 @@ import (
 // device or an importer copies a page only when it first writes it.
 type DeviceState struct {
 	Cfg     Config
-	Shards  int // epoch-engine width at export (restore target must match)
 	Now     int64
 	MemFree int64
 	CtxFree int64
@@ -227,7 +226,6 @@ func copyArch(s *ArchSnapshot) *ArchSnapshot {
 func (d *Device) ExportState() (*DeviceState, *StateIndex) {
 	st := &DeviceState{
 		Cfg:     d.Cfg,
-		Shards:  d.shards,
 		Now:     d.now,
 		MemFree: d.memFree,
 		CtxFree: d.ctxFree,
@@ -391,7 +389,7 @@ func (d *Device) ExportState() (*DeviceState, *StateIndex) {
 }
 
 // ImportState rebuilds st onto d, which must be a freshly-constructed
-// device with the same Config and shard width (a warm-pool shell).
+// device with the same Config (a warm-pool shell).
 // progs resolves st.Progs positionally; each must byte-match its stored
 // encoding. rt is the technique runtime reattached to the device and
 // its in-flight episodes (nil only if st has no episodes).
@@ -407,10 +405,6 @@ func (d *Device) ImportState(st *DeviceState, rt Runtime, progs []*isa.Program) 
 		return nil, fmt.Errorf("sim: snapshot config mismatch: snapshot was taken on {SMs:%d warps/SM:%d mem:%d}, target is {SMs:%d warps/SM:%d mem:%d}",
 			st.Cfg.NumSMs, st.Cfg.MaxWarpsPerSM, st.Cfg.GlobalMemBytes,
 			d.Cfg.NumSMs, d.Cfg.MaxWarpsPerSM, d.Cfg.GlobalMemBytes)
-	}
-	if d.shards != st.Shards {
-		return nil, fmt.Errorf("sim: snapshot shard width mismatch: snapshot %d, target %d (call SetShards(%d) before import)",
-			st.Shards, d.shards, st.Shards)
 	}
 	if len(progs) != len(st.Progs) {
 		return nil, fmt.Errorf("sim: ImportState needs %d programs, got %d", len(st.Progs), len(progs))
@@ -527,7 +521,6 @@ func (d *Device) ImportState(st *DeviceState, rt Runtime, progs []*isa.Program) 
 			bi.warps = append(bi.warps, w)
 		}
 		d.launches = append(d.launches, l)
-		d.blocksPending += len(l.blocks) - l.nextBlock
 		idx.Launches = append(idx.Launches, l)
 	}
 
@@ -611,9 +604,6 @@ func (d *Device) ImportState(st *DeviceState, rt Runtime, progs []*isa.Program) 
 func (st *DeviceState) CheckInvariants() error {
 	if err := st.Cfg.Validate(); err != nil {
 		return err
-	}
-	if st.Shards < 1 || st.Shards > st.Cfg.NumSMs {
-		return fmt.Errorf("shard width %d out of range [1,%d]", st.Shards, st.Cfg.NumSMs)
 	}
 	if st.Now < 0 {
 		return fmt.Errorf("negative clock %d", st.Now)

@@ -263,8 +263,8 @@ func TestConcurrentImportsOfOneState(t *testing.T) {
 }
 
 // TestImportRejects exercises every clean-refusal path: non-fresh
-// targets, config and shard-width mismatches, wrong programs, and
-// invariant-violating states. Each must error without panicking.
+// targets, config mismatches, wrong programs, and invariant-violating
+// states. Each must error without panicking.
 func TestImportRejects(t *testing.T) {
 	d := oversubscribedDevice(t, 10)
 	if err := d.RunToCycle(300, 1<<40); err != nil {
@@ -294,11 +294,6 @@ func TestImportRejects(t *testing.T) {
 	small.GlobalMemBytes = 1 << 20
 	expectErr("config-mismatch", mustNewDevice(small), st, progs, "config mismatch")
 
-	// Shard-width mismatch (the -shards case).
-	sharded := mustNewDevice(d.Cfg)
-	sharded.SetShards(2)
-	expectErr("shards-mismatch", sharded, st, progs, "shard width mismatch")
-
 	// Wrong program for the fingerprint.
 	other := sumKernel(t)
 	expectErr("prog-mismatch", mustNewDevice(d.Cfg), st, []*isa.Program{other}, "fingerprint")
@@ -325,42 +320,59 @@ func TestImportRejects(t *testing.T) {
 	}
 }
 
-// TestStateRoundTripSharded: a snapshot taken from a sharded device
-// imports onto a shell at the same width and finishes byte-identically
-// to the serial undisturbed run (shard count is a pure perf knob).
-func TestStateRoundTripSharded(t *testing.T) {
-	_, _, want := stateEpisodeRun(t, "none")
+// barrierLoopProgram is a barrier-heavy kernel: two block-wide barriers
+// per loop iteration, with LDS traffic crossing each, so snapshots catch
+// warps parked at barriers.
+func barrierLoopProgram(tb testing.TB) *isa.Program {
+	tb.Helper()
+	p, err := isa.Assemble(`
+.kernel barrloop
+.vregs 8
+.sregs 16
+.lds 512
+  ; s0 = loop count, s1 = out base (bytes)
+  v_laneid v0
+  v_mov v1, 0
+  v_shl v2, v0, 2 !noovf
+loop:
+  v_add v1, v1, s0
+  v_and v1, v1, 0xFFFF
+  v_lstore v2, v1, 0
+  s_barrier
+  v_lload v3, v2, 0
+  v_add v1, v1, v3
+  s_barrier
+  s_sub s0, s0, 1
+  s_cmp_gt s0, 0
+  s_cbranch_scc1 loop
+  v_add v2, v2, s1
+  v_gstore v2, v1, 0
+  s_endpgm
+`)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p
+}
 
-	d := oversubscribedDevice(t, 40)
-	d.SetShards(2)
-	prog := d.launches[0].Spec.Prog
-	if err := d.RunToCycle(1337, 1<<40); err != nil {
-		t.Fatal(err)
-	}
-	ep, err := d.Preempt(0, naiveRuntime{})
+// oversubscribedDevice launches more barrier-kernel blocks than fit, so
+// blocks wait for dispatch deep into the run and every endpgm triggers
+// a dispatch: a snapshot must carry the undispatched blocks.
+func oversubscribedDevice(tb testing.TB, loops uint64) *Device {
+	tb.Helper()
+	cfg := DefaultConfig()
+	cfg.GlobalMemBytes = 1 << 20
+	d := mustNewDevice(cfg)
+	prog := barrierLoopProgram(tb)
+	_, err := d.Launch(LaunchSpec{
+		Prog: prog, NumBlocks: 3 * cfg.NumSMs, WarpsPerBlock: 4,
+		Setup: func(w *Warp) {
+			w.SRegs[0] = loops
+			w.SRegs[1] = uint64(1<<18 + w.ID*isa.WarpSize*4)
+		},
+	})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	if err := d.RunUntil(ep.Saved, 1<<40); err != nil {
-		t.Fatal(err)
-	}
-	st, _ := d.ExportState()
-	shell := mustNewDevice(d.Cfg)
-	shell.SetShards(2)
-	idx, err := shell.ImportState(st, naiveRuntime{}, []*isa.Program{prog})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := shell.Resume(idx.Episodes[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := shell.Run(1 << 40); err != nil {
-		t.Fatal(err)
-	}
-	if i := shell.Mem.Diff(want.Mem); i >= 0 {
-		t.Fatalf("Mem[%d] = %#x, want %#x", i, shell.Mem.Load(i), want.Mem.Load(i))
-	}
-	if shell.Stats != want.Stats {
-		t.Fatalf("stats = %+v, want %+v", shell.Stats, want.Stats)
-	}
+	return d
 }

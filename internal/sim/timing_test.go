@@ -9,8 +9,8 @@ import (
 func TestAdvanceTo(t *testing.T) {
 	d := mustNewDevice(TestConfig())
 	d.AdvanceTo(1000)
-	if d.Now() != 1000 {
-		t.Errorf("Now = %d", d.Now())
+	if d.Now() != 1000 || d.Stats.Cycles != 1000 {
+		t.Errorf("Now = %d, Stats.Cycles = %d", d.Now(), d.Stats.Cycles)
 	}
 	d.AdvanceTo(500) // never goes backwards
 	if d.Now() != 1000 {

@@ -36,29 +36,29 @@ func TransferCycles(cfg sim.Config, encodedBytes int) int64 {
 }
 
 // Pool keeps pre-initialized device shells so a restore can skip the
-// construction cost. All shells share one Config and shard width; Get
-// falls back to constructing a cold shell when the pool is dry, and
-// reports which path it took so the harness can split the restore
-// phase into restore-warm vs restore-cold.
+// construction cost. All shells share one Config; Get falls back to
+// constructing a cold shell when the pool is dry, and reports which path
+// it took so the harness can split the restore phase into restore-warm
+// vs restore-cold.
 type Pool struct {
 	cfg    sim.Config
-	shards int
 	shells []*sim.Device
 }
 
-// NewPool validates cfg and pre-builds n shells at the given shard
-// width (0 and 1 both mean serial).
+// NewPool validates cfg and pre-builds n shells.
+//
+// Deprecated: the shards parameter is ignored. It selected the width of
+// the epoch-parallel engine, which is gone; the benchmark still passes
+// it, and the benchmark change that redefines its sharded-episode
+// workload removes it.
 func NewPool(cfg sim.Config, shards, n int) (*Pool, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if shards == 0 {
-		shards = 1
-	}
 	if n < 0 {
 		return nil, fmt.Errorf("snapshot: pool size %d < 0", n)
 	}
-	p := &Pool{cfg: cfg, shards: shards}
+	p := &Pool{cfg: cfg}
 	for i := 0; i < n; i++ {
 		if err := p.Refill(1); err != nil {
 			return nil, err
@@ -77,24 +77,13 @@ func (p *Pool) Warm() int { return len(p.shells) }
 // pool does between failovers).
 func (p *Pool) Refill(n int) error {
 	for i := 0; i < n; i++ {
-		d, err := p.build()
+		d, err := sim.NewDevice(p.cfg)
 		if err != nil {
 			return err
 		}
 		p.shells = append(p.shells, d)
 	}
 	return nil
-}
-
-func (p *Pool) build() (*sim.Device, error) {
-	d, err := sim.NewDevice(p.cfg)
-	if err != nil {
-		return nil, err
-	}
-	if p.shards > 1 {
-		d.SetShards(p.shards)
-	}
-	return d, nil
 }
 
 // Get pops a warm shell, or builds a cold one when the pool is dry.
@@ -106,6 +95,6 @@ func (p *Pool) Get() (d *sim.Device, warm bool, err error) {
 		p.shells = p.shells[:n-1]
 		return d, true, nil
 	}
-	d, err = p.build()
+	d, err = sim.NewDevice(p.cfg)
 	return d, false, err
 }

@@ -112,9 +112,6 @@ func attempt(pool *Pool, data []byte, wantEpoch uint64, rt sim.Runtime, progs []
 		if err != nil {
 			return nil, err
 		}
-		if snap.State.Shards > 1 {
-			shell.SetShards(snap.State.Shards)
-		}
 	}
 	idx, err := shell.ImportState(snap.State, rt, progs)
 	if err != nil {

@@ -337,9 +337,15 @@ func getNames(r *artifact.Reader) trace.PhaseNames {
 
 // ---- sections ----
 
+// metaWidth fills the meta word that held the shard width of the
+// epoch-parallel engine, which is gone. Encode writes 1, the serial
+// width, so no byte of the format changes; decode rejects any other
+// value.
+const metaWidth = 1
+
 func putMeta(w *artifact.Writer, st *sim.DeviceState) {
 	putConfig(w, st.Cfg)
-	w.I64(int64(st.Shards))
+	w.I64(metaWidth)
 	w.I64(st.Now)
 	w.I64(st.MemFree)
 	w.I64(st.CtxFree)
@@ -354,7 +360,9 @@ func putMeta(w *artifact.Writer, st *sim.DeviceState) {
 
 func getMeta(r *artifact.Reader, st *sim.DeviceState) {
 	st.Cfg = getConfig(r)
-	st.Shards = int(r.I64())
+	if v := r.I64(); v != metaWidth {
+		r.Fail(fmt.Errorf("%w: meta width %d, want %d", artifact.ErrCorrupt, v, metaWidth))
+	}
 	st.Now = r.I64()
 	st.MemFree = r.I64()
 	st.CtxFree = r.I64()

@@ -545,8 +545,8 @@ func TestWarmPoolEquivalence(t *testing.T) {
 	}
 }
 
-// TestRestorePoolMismatch: a pool built for a different device model or
-// shard width must refuse the import cleanly on both paths.
+// TestRestorePoolMismatch: a pool built for a different device model
+// must refuse the import cleanly.
 func TestRestorePoolMismatch(t *testing.T) {
 	wl := mustWorkload(t, "VA")
 	d, _, _ := parked(t, preempt.Baseline, wl)
@@ -564,15 +564,48 @@ func TestRestorePoolMismatch(t *testing.T) {
 		!strings.Contains(err.Error(), "config mismatch") {
 		t.Fatalf("config-mismatch restore: %v", err)
 	}
+}
 
-	sharded, err := NewPool(sim.TestConfig(), 2, 1)
-	if err != nil {
-		t.Fatal(err)
+// TestDecodeRejectsMetaWidth: the meta word that held the shard width
+// of the epoch-parallel engine must read 1. The image is built with the
+// section writers, so every checksum holds and only that word reads 2;
+// Decode and DecodeSpeculative must both refuse it as corrupt, naming
+// the meta section.
+func TestDecodeRejectsMetaWidth(t *testing.T) {
+	d, _, _ := parked(t, preempt.Baseline, mustWorkload(t, "VA"))
+	st, _ := d.ExportState()
+	image := func(width uint64) []byte {
+		cfg := artifact.NewWriter()
+		putConfig(cfg, st.Cfg)
+		meta := artifact.NewWriter()
+		putMeta(meta, st)
+		binary.LittleEndian.PutUint64(meta.Data()[len(cfg.Data()):], width)
+
+		w := artifact.NewWriter()
+		w.Header(magic, version)
+		w.U64(1)
+		w.Section(secMeta, func() { copy(w.Extend(len(meta.Data())), meta.Data()) })
+		w.Section(secProgs, func() { putProgs(w, st) })
+		w.Section(secLaunches, func() { putLaunches(w, st) })
+		w.Section(secSMs, func() { putSMs(w, st) })
+		w.Section(secEpisodes, func() { putEpisodes(w, st) })
+		putMem(w, st.Mem)
+		return w.Data()
 	}
-	if _, err := Restore(sharded, enc, enc, 1, tech, wl.Prog); err == nil ||
-		!strings.Contains(err.Error(), "shard width mismatch") {
-		t.Fatalf("shard-mismatch restore: %v", err)
+	if !bytes.Equal(image(1), Encode(&Snapshot{Epoch: 1, State: st})) {
+		t.Fatal("the test's image at width 1 is not Encode's")
 	}
+	bad := image(2)
+	wantErr := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, artifact.ErrCorrupt) || !strings.HasPrefix(err.Error(), "CSNP section meta: ") {
+			t.Errorf("%s of width 2: err = %v, want ErrCorrupt in CSNP section meta", what, err)
+		}
+	}
+	_, err := Decode(bad)
+	wantErr("Decode", err)
+	_, _, err = DecodeSpeculative(bad)
+	wantErr("DecodeSpeculative", err)
 }
 
 // TestSnapshotPrograms: the embedded program images decode back into
