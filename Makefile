@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check bench bench-smoke bench-test eval trace-smoke evalcheck sched-smoke serve-smoke procs-diff snap-diff gen-smoke cache-diff
+.PHONY: all build test check bench bench-smoke bench-test eval trace-smoke evalcheck sched-smoke serve-smoke procs-diff snap-diff gen-smoke cache-diff chaos-smoke
 
 all: build
 
@@ -12,7 +12,8 @@ test:
 
 # check is the PR gate: require gofmt-clean sources, vet everything, run
 # the packages that carry concurrency (the parallel harness, the
-# simulator it drives, and the metrics registry they share) under the
+# simulator it drives, the fault-recovery policy its chaos sweep shares
+# across workers, and the metrics registry they share) under the
 # race detector, race the technique memo that concurrent episodes share
 # (its tests only: the whole preempt suite takes minutes under -race),
 # race concurrent CTXBack compiles (each owns its workspace; they share
@@ -21,7 +22,7 @@ test:
 check:
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
-	$(GO) test -race ./internal/artifact/ ./internal/harness/ ./internal/sched/ ./internal/sim/ ./internal/snapshot/ ./internal/trace/ ./internal/gen/...
+	$(GO) test -race ./internal/artifact/ ./internal/chaos/ ./internal/harness/ ./internal/sched/ ./internal/sim/ ./internal/snapshot/ ./internal/trace/ ./internal/gen/...
 	$(GO) test -race -run '^TestMemo' ./internal/preempt/
 	$(GO) test -race -run '^TestCompileConcurrent$$' ./internal/core/
 	$(MAKE) trace-smoke
@@ -106,6 +107,16 @@ snap-diff:
 gen-smoke:
 	$(GO) run ./cmd/genrun -n 1000 -procs 8
 	@echo "generated corpus differential sweep clean"
+
+# chaos-smoke runs the quick fault-injection sweep at rate 0.2 over all
+# three detection modes (checksum, resume-integrity oracle, snapshot
+# corruption) and diffs its report against the checked-in golden. The
+# sweep exits nonzero on any silent-wrong or unrecoverable episode,
+# which fails the target before the diff.
+chaos-smoke:
+	$(GO) run ./cmd/benchtab -quick -chaos -faults 0.2 > /tmp/ctxback-chaos-smoke.txt
+	diff -u testdata/chaos_smoke.golden /tmp/ctxback-chaos-smoke.txt
+	@echo "chaos sweep byte-identical"
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem ./internal/sim/ ./internal/core/ ./internal/preempt/ ./internal/snapshot/ ./internal/artifact/

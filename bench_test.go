@@ -28,7 +28,7 @@ func benchOptions() harness.Options {
 func BenchmarkTableI(b *testing.B) {
 	o := benchOptions()
 	for b.Loop() {
-		rows, err := harness.TableI(o)
+		rows, err := harness.NewRunner(o).TableI()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -43,7 +43,7 @@ func BenchmarkTableI(b *testing.B) {
 func BenchmarkFig7ContextSize(b *testing.B) {
 	o := benchOptions()
 	for b.Loop() {
-		fig, err := harness.Fig7(o)
+		fig, err := harness.NewRunner(o).Fig7()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -58,7 +58,7 @@ func BenchmarkFig7ContextSize(b *testing.B) {
 func BenchmarkFig8PreemptTime(b *testing.B) {
 	o := benchOptions()
 	for b.Loop() {
-		fig, err := harness.Fig8(o)
+		fig, _, err := harness.NewRunner(o).MeasureDynamic()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -73,7 +73,7 @@ func BenchmarkFig8PreemptTime(b *testing.B) {
 func BenchmarkFig9ResumeTime(b *testing.B) {
 	o := benchOptions()
 	for b.Loop() {
-		fig, err := harness.Fig9(o)
+		_, fig, err := harness.NewRunner(o).MeasureDynamic()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -88,7 +88,7 @@ func BenchmarkFig9ResumeTime(b *testing.B) {
 func BenchmarkFig10RuntimeOverhead(b *testing.B) {
 	o := benchOptions()
 	for b.Loop() {
-		fig, err := harness.Fig10(o)
+		fig, err := harness.NewRunner(o).Fig10()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -103,7 +103,7 @@ func BenchmarkFig10RuntimeOverhead(b *testing.B) {
 func BenchmarkAblation(b *testing.B) {
 	o := benchOptions()
 	for b.Loop() {
-		rows, err := harness.Ablation(o)
+		rows, err := harness.NewRunner(o).Ablation()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -32,6 +32,7 @@ import (
 	"strings"
 
 	"ctxback/internal/artifact"
+	"ctxback/internal/chaos"
 	"ctxback/internal/faults"
 	"ctxback/internal/kernels"
 	"ctxback/internal/preempt"
@@ -140,28 +141,31 @@ func main() {
 	signal := int64(*at * float64(golden.Now()))
 	faultCfg := faults.Preset(*faultSeed, *faultRate)
 
-	// Preempted run, possibly under fault injection. A detected fault
-	// (transfer escalation or integrity violation) degrades gracefully:
-	// the episode re-runs fault-free through the BASELINE technique.
+	// Preempted run, possibly under fault injection. A fault detected
+	// in-band degrades through the BASELINE fallback ladder.
 	runErr := runPreempted(cfg, factory, kind, signal, *faultRate, faultCfg, *tailN, *tracePath, *ckpt)
 	if runErr == nil {
 		return
 	}
-	var xfer *sim.TransferFaultError
-	var integ *sim.IntegrityError
-	if !errors.As(runErr, &xfer) && !errors.As(runErr, &integ) {
+	if !sim.FaultDetected(runErr) {
 		fail(runErr)
 	}
 	fmt.Printf("fault detected in-band: %v\n", runErr)
-	fmt.Println("degrading: re-running the episode fault-free through BASELINE")
-	if err := runPreempted(cfg, factory, preempt.Baseline, signal, 0, faults.Config{}, 0, "", false); err != nil {
-		fail(fmt.Errorf("BASELINE fallback failed: %w", err))
+	job := chaos.Job{Cfg: cfg, Workload: factory(), Signal: signal, MaxCycles: 1 << 40}
+	rung, err := job.Ladder(faultCfg)
+	if err != nil {
+		fail(fmt.Errorf("BASELINE fallback: %w", err))
 	}
+	if rung == chaos.NoRung {
+		fail(errors.New("BASELINE fallback: no rung of the ladder completed"))
+	}
+	fmt.Printf("degraded: BASELINE re-run on rung %d (%v) completed — output verified identical to golden reference\n", rung, rung)
 }
 
 // runPreempted runs one preemption episode end to end and verifies the
 // final output against the CPU reference. Lost preemption signals are
-// re-raised (bounded); detected faults surface as the returned error.
+// re-raised up to chaos.MaxSignalAttempts deliveries; detected faults
+// surface as the returned error.
 // A non-empty tracePath attaches an event recorder to the device and
 // writes the episode timeline as Chrome trace-event JSON after the run.
 func runPreempted(cfg sim.Config, factory func() *kernels.Workload, kind preempt.Kind,
@@ -197,16 +201,11 @@ func runPreempted(cfg sim.Config, factory func() *kernels.Workload, kind preempt
 	if err := d.RunToCycle(signal, 1<<40); err != nil {
 		return err
 	}
-	var ep *sim.Episode
-	for attempt := 0; ; attempt++ {
-		ep, err = d.Preempt(0, tech)
-		if err == nil {
-			break
-		}
-		if errors.Is(err, sim.ErrSignalLost) && attempt < 8 {
-			fmt.Printf("preemption signal lost (attempt %d), re-raising\n", attempt+1)
-			continue
-		}
+	ep, lost, err := chaos.Raise(d, tech)
+	if lost > 0 {
+		fmt.Printf("preemption signal lost in delivery %d time(s)\n", lost)
+	}
+	if err != nil {
 		return err
 	}
 	if err := d.RunUntil(ep.Saved, 1<<40); err != nil {

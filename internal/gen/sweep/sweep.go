@@ -12,19 +12,23 @@
 //   - a resume-integrity oracle (sampled): live-in registers at the
 //     resumed signal point must match the signal-time snapshot;
 //   - a snapshot round-trip oracle (sampled): a whole-device capture
-//     taken mid-episode must decode∘encode to identity.
+//     taken mid-episode must decode∘encode to identity;
+//   - a chaos oracle (sampled): one fault-injected episode under the
+//     resume-integrity oracle, folded through internal/chaos, must end
+//     clean, recovered or degraded through the BASELINE fallback ladder.
 package sweep
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
 	"sync"
 
 	"ctxback/internal/cfg"
+	"ctxback/internal/chaos"
 	"ctxback/internal/faults"
 	"ctxback/internal/gen"
-	"ctxback/internal/isa"
 	"ctxback/internal/liveness"
 	"ctxback/internal/preempt"
 	"ctxback/internal/sim"
@@ -93,11 +97,11 @@ type Report struct {
 	PerKind  map[preempt.Kind]*KindCount
 	Failures []Failure
 
-	ScanRuns, IntegrityRuns, SnapshotRuns int
-	// Chaos oracle tallies: every injected-fault episode must end
-	// clean, absorbed in-episode, or detected-and-degraded. Silent
-	// wrong output and failed degradation land in Failures.
-	ChaosRuns, ChaosClean, ChaosRecovered, ChaosFallback int
+	ScanRuns, IntegrityRuns, SnapshotRuns, ChaosRuns int
+	// Chaos tallies the chaos oracle's episodes by outcome: every one
+	// must end clean, absorbed in-episode, or detected-and-degraded.
+	// Silent wrong output and failed degradation land in Failures.
+	Chaos [chaos.Fallback + 1]int
 }
 
 func (r *Report) kind(k preempt.Kind) *KindCount {
@@ -127,9 +131,9 @@ func (r *Report) merge(s *SeedResult) {
 	r.IntegrityRuns += s.IntegrityRuns
 	r.SnapshotRuns += s.SnapshotRuns
 	r.ChaosRuns += s.ChaosRuns
-	r.ChaosClean += s.ChaosClean
-	r.ChaosRecovered += s.ChaosRecovered
-	r.ChaosFallback += s.ChaosFallback
+	for o, n := range s.Chaos {
+		r.Chaos[o] += n
+	}
 }
 
 // Summary renders the per-technique table in presentation order.
@@ -143,7 +147,7 @@ func (r *Report) Summary() string {
 		r.Seeds, r.Passed, r.Seeds-r.Passed, r.ScanRuns, r.IntegrityRuns, r.SnapshotRuns, r.ChaosRuns)
 	if r.ChaosRuns > 0 {
 		out += fmt.Sprintf("  chaos: clean %d recovered %d fallback %d\n",
-			r.ChaosClean, r.ChaosRecovered, r.ChaosFallback)
+			r.Chaos[chaos.Clean], r.Chaos[chaos.Recovered], r.Chaos[chaos.Fallback])
 	}
 	for _, k := range kinds {
 		c := r.PerKind[k]
@@ -159,8 +163,8 @@ type SeedResult struct {
 	PerKind  map[preempt.Kind]*KindCount
 	Failures []Failure
 
-	ScanRuns, IntegrityRuns, SnapshotRuns                int
-	ChaosRuns, ChaosClean, ChaosRecovered, ChaosFallback int
+	ScanRuns, IntegrityRuns, SnapshotRuns, ChaosRuns int
+	Chaos                                            [chaos.Fallback + 1]int
 }
 
 func (s *SeedResult) kind(k preempt.Kind) *KindCount {
@@ -237,12 +241,18 @@ func RunSeed(seed uint64, opt Options) *SeedResult {
 		}
 	}
 
-	// Forced mid-flight preemption under every technique.
-	var live *liveness.Info
-	if on(seed, opt.IntegrityEvery) {
+	// Forced mid-flight preemption under every technique; the
+	// resume-integrity oracle rides along on sampled seeds, and on every
+	// chaos episode.
+	chaosOn := on(seed, opt.ChaosEvery) && len(opt.Kinds) > 0 && goldenCycles > 1
+	var oracle, episodeOracle func(*sim.Warp) error
+	if on(seed, opt.IntegrityEvery) || chaosOn {
 		if g, err := cfg.Build(p.Prog); err == nil {
-			live = liveness.Analyze(g)
+			oracle = chaos.Oracle(liveness.Analyze(g), p.WarpsPerBlock)
 		}
+	}
+	if on(seed, opt.IntegrityEvery) {
+		episodeOracle = oracle
 	}
 	for _, kind := range opt.Kinds {
 		count := res.kind(kind)
@@ -252,7 +262,7 @@ func RunSeed(seed uint64, opt Options) *SeedResult {
 				signal = 1
 			}
 			snapTrip := on(seed, opt.SnapshotEvery) && fi == 0 && preempt.Relocatable(kind)
-			outcome, err := runEpisode(p, opt, kind, signal, live, snapTrip, res)
+			outcome, err := runEpisode(p, opt, kind, signal, episodeOracle, snapTrip, res)
 			switch outcome {
 			case episodeSkipped:
 				count.Skipped++
@@ -273,36 +283,33 @@ func RunSeed(seed uint64, opt Options) *SeedResult {
 	// Chaos oracle (sampled): one fault-injected episode, rotating the
 	// technique with the seed. The episode must end clean, absorbed, or
 	// detected-and-degraded — silent wrong output fails the seed.
-	if on(seed, opt.ChaosEvery) && len(opt.Kinds) > 0 && goldenCycles > 1 {
-		runChaos(p, opt, goldenCycles, res)
+	if chaosOn {
+		runChaos(p, opt, goldenCycles, oracle, res)
 	}
 	return res
 }
 
-// runChaos injects seed-derived faults (context-transfer failures,
-// context corruption, lost/duplicated signals) into one forced episode
-// and classifies the outcome the way the harness chaos experiment does,
-// but against the golden interpreter instead of a CPU reference.
-func runChaos(p *gen.Program, opt Options, goldenCycles int64, res *SeedResult) {
+// runChaos runs one fault-injected episode (context-transfer failures,
+// context corruption, lost/duplicated signals) under the resume-integrity
+// oracle and folds it through internal/chaos, the policy the harness
+// chaos experiment runs, but against the golden interpreter instead of a
+// CPU reference: a detection climbs the BASELINE fallback ladder.
+func runChaos(p *gen.Program, opt Options, goldenCycles int64, oracle func(*sim.Warp) error, res *SeedResult) {
 	// Rotate the technique with the seed; skip constructors that refuse
 	// this program (e.g. SM-flushing a non-idempotent kernel).
-	var tech preempt.Technique
 	var kind preempt.Kind
+	refused := true
 	for i := range opt.Kinds {
 		kind = opt.Kinds[(int(res.Seed)+i)%len(opt.Kinds)]
-		if t, err := preempt.New(kind, p.Prog); err == nil {
-			tech = t
+		if _, err := preempt.New(kind, p.Prog); err == nil {
+			refused = false
 			break
 		}
 	}
-	if tech == nil {
+	if refused {
 		return
 	}
 	res.ChaosRuns++
-	signal := goldenCycles / 2
-	if signal < 1 {
-		signal = 1
-	}
 	// Alternate between the configured rate and a light one-tenth rate,
 	// the same split the harness chaos experiment sweeps: heavy rates
 	// exercise detection and degradation, light rates the in-episode
@@ -311,105 +318,25 @@ func runChaos(p *gen.Program, opt Options, goldenCycles int64, res *SeedResult) 
 	if res.Seed%(2*uint64(opt.ChaosEvery)) != 0 {
 		rate /= 10
 	}
-	fcfg := faults.Preset(faults.DeriveSeed(res.Seed, 0xC4A05), rate)
-
-	d, err := sim.NewDevice(opt.Cfg)
+	job := chaos.Job{Cfg: opt.Cfg, Workload: p.Workload(), MaxCycles: opt.MaxCycles,
+		Signal: int64(chaos.SignalFrac * float64(goldenCycles)), Oracle: oracle}
+	fc := faults.Preset(faults.DeriveSeed(res.Seed, 0xC4A05), rate)
+	run, err := job.Episode(kind, &fc)
 	if err != nil {
 		res.fail(kind, "chaos", err)
 		return
 	}
-	if err := d.InjectFaults(fcfg); err != nil {
-		res.fail(kind, "chaos", err)
-		return
+	r, err := job.Settle(run, fc)
+	switch {
+	case err != nil:
+		res.fail(kind, "chaos-fallback", fmt.Errorf("after %s: %w", r.Detected, err))
+	case r.Outcome == chaos.SilentWrong:
+		res.fail(kind, "chaos", fmt.Errorf("silent wrong: %w", run.VerifyErr))
+	case r.Outcome == chaos.Unrecoverable:
+		res.fail(kind, "chaos-fallback", fmt.Errorf("no fallback rung completed after %s", r.Detected))
+	default:
+		res.Chaos[r.Outcome]++
 	}
-	d.AttachRuntime(tech)
-	if _, err := p.Launch(d); err != nil {
-		res.fail(kind, "chaos", err)
-		return
-	}
-	if err := d.RunToCycle(signal, opt.MaxCycles); err != nil {
-		res.fail(kind, "chaos", fmt.Errorf("run to signal: %w", err))
-		return
-	}
-
-	degrade := func(detected error) {
-		// Detected in-band: the episode abandons the device and the job
-		// re-runs fault-free from scratch (the sweep's analogue of the
-		// harness BASELINE fallback).
-		clean, err := runPlain(p, opt, func(d *sim.Device) {})
-		if err != nil {
-			res.fail(kind, "chaos-fallback", fmt.Errorf("after %v: %w", detected, err))
-			return
-		}
-		if err := p.CheckDevice(clean); err != nil {
-			res.fail(kind, "chaos-fallback", fmt.Errorf("after %v: %w", detected, err))
-			return
-		}
-		res.ChaosFallback++
-	}
-
-	var ep *sim.Episode
-	reRaised := 0
-	for attempt := 0; ; attempt++ {
-		ep, err = d.Preempt(0, tech)
-		if err == nil {
-			break
-		}
-		if errors.Is(err, sim.ErrSignalLost) {
-			reRaised++
-			if attempt+1 >= 8 {
-				degrade(err)
-				return
-			}
-			continue
-		}
-		if errors.Is(err, sim.ErrDrained) {
-			// Nothing left to preempt; the remainder must still verify.
-			if err := d.Run(opt.MaxCycles); err != nil {
-				res.fail(kind, "chaos", err)
-			} else if err := p.CheckDevice(d); err != nil {
-				res.fail(kind, "chaos", fmt.Errorf("silent wrong after drain: %w", err))
-			} else {
-				res.ChaosClean++
-			}
-			return
-		}
-		res.fail(kind, "chaos", fmt.Errorf("preempt: %w", err))
-		return
-	}
-	for _, phase := range []func() error{
-		func() error { return d.RunUntil(ep.Saved, opt.MaxCycles) },
-		func() error { return d.Resume(ep) },
-		func() error { return d.RunUntil(ep.Finished, opt.MaxCycles) },
-		func() error { return d.Run(opt.MaxCycles) },
-	} {
-		if err := phase(); err != nil {
-			if chaosDetected(err) {
-				degrade(err)
-			} else {
-				res.fail(kind, "chaos", err)
-			}
-			return
-		}
-	}
-	if err := p.CheckDevice(d); err != nil {
-		res.fail(kind, "chaos", fmt.Errorf("silent wrong: %w", err))
-		return
-	}
-	if reRaised+ep.Faults.TransientRetries+ep.Faults.AbsorbedDupSignals+ep.Faults.CorruptedContexts > 0 {
-		res.ChaosRecovered++
-	} else {
-		res.ChaosClean++
-	}
-}
-
-// chaosDetected reports whether err is an in-band fault detection (vs
-// an infrastructure failure that must fail the seed).
-func chaosDetected(err error) bool {
-	var xfer *sim.TransferFaultError
-	var integ *sim.IntegrityError
-	return errors.As(err, &xfer) || errors.As(err, &integ) ||
-		errors.Is(err, sim.ErrSignalLost) || sim.IsExecutionFault(err)
 }
 
 func on(seed uint64, every int) bool {
@@ -444,10 +371,11 @@ const (
 
 // runEpisode forces one preempt/save/resume/finish episode at
 // signalCycle under kind and checks the completed run against the
-// interpreter. With snapTrip it also round-trips a whole-device
-// snapshot while the episode is parked.
+// interpreter, under the resume-integrity oracle when one is given. With
+// snapTrip it also round-trips a whole-device snapshot while the episode
+// is parked.
 func runEpisode(p *gen.Program, opt Options, kind preempt.Kind, signalCycle int64,
-	live *liveness.Info, snapTrip bool, res *SeedResult) (episodeOutcome, error) {
+	oracle func(*sim.Warp) error, snapTrip bool, res *SeedResult) (episodeOutcome, error) {
 	tech, err := preempt.New(kind, p.Prog)
 	if err != nil {
 		// Expected for SM-flushing (and Chimera) on non-idempotent
@@ -459,8 +387,8 @@ func runEpisode(p *gen.Program, opt Options, kind preempt.Kind, signalCycle int6
 		return episodeFail, err
 	}
 	d.AttachRuntime(tech)
-	if live != nil {
-		d.SetResumeChecker(integrityChecker(live, p.WarpsPerBlock))
+	if oracle != nil {
+		d.SetResumeChecker(oracle)
 		res.IntegrityRuns++
 	}
 	launch, err := p.Launch(d)
@@ -515,103 +443,8 @@ func snapshotRoundTrip(d *sim.Device) error {
 	if err != nil {
 		return fmt.Errorf("decode of fresh capture: %w", err)
 	}
-	if enc2 := snapshot.Encode(again); !equalBytes(enc, enc2) {
+	if enc2 := snapshot.Encode(again); !bytes.Equal(enc, enc2) {
 		return fmt.Errorf("decode∘encode not identity: %d bytes in, %d out", len(enc), len(enc2))
-	}
-	return nil
-}
-
-func equalBytes(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// integrityChecker is the resume-integrity oracle: a warp that resumes
-// exactly at its signal point must present its live-in architectural
-// state unchanged. Warps resuming elsewhere (deferral or flashback
-// targets, replayed checkpoints) are skipped — their progress position
-// legitimately differs.
-func integrityChecker(live *liveness.Info, warpsPerBlock int) func(w *sim.Warp) error {
-	return func(w *sim.Warp) error {
-		snap, rec := w.Snapshot(), w.Record()
-		if snap == nil || rec == nil {
-			return nil
-		}
-		if w.PC != rec.PCAtSignal || w.DynCount != rec.DynAtSignal {
-			return nil
-		}
-		pc := rec.PCAtSignal
-		return integrityDiff(w, snap, live.LiveIn[pc], live.EscIn[pc], warpsPerBlock)
-	}
-}
-
-// integrityDiff compares a resumed warp against its signal-time
-// snapshot over the live-in set (esc: the live vectors whose masked-out
-// lanes are observable). Registers are checked in Sorted order, so when
-// several diverge the error names the first in (class, index) order and
-// its text is the same on every run.
-func integrityDiff(w *sim.Warp, snap *sim.ArchSnapshot, live, esc isa.RegSet, warpsPerBlock int) error {
-	fail := func(format string, args ...any) error {
-		return &sim.IntegrityError{WarpID: w.ID, Stage: "gen-oracle",
-			Detail: fmt.Sprintf(format, args...)}
-	}
-	// EXEC can be dead at the signal point (the instruction there
-	// overwrites it without reading it, e.g. the s_setexec of a
-	// reconvergence); a resume legitimately leaves it unrestored.
-	if live.Has(isa.Exec) && w.Exec != snap.Exec {
-		return fail("EXEC %#x, snapshot %#x at pc %d", w.Exec, snap.Exec, w.PC)
-	}
-	for _, r := range live.Sorted() {
-		switch r.Class {
-		case isa.RegVector:
-			// A live vector register whose masked-out lanes cannot be
-			// observed below the signal point (no EXEC write or lane
-			// read crossed while live) is only readable on the lanes
-			// active at the signal; a resume may legitimately leave
-			// the dead lanes unrestored.
-			lanes := ^uint64(0)
-			if !esc.Has(r) {
-				lanes = snap.Exec
-			}
-			for l, v := range w.VRegs[r.Index] {
-				if lanes&(1<<uint(l)) == 0 {
-					continue
-				}
-				if v != snap.VRegs[r.Index][l] {
-					return fail("v%d[%d] = %#x, snapshot %#x at pc %d", r.Index, l, v, snap.VRegs[r.Index][l], w.PC)
-				}
-			}
-		case isa.RegScalar:
-			if w.SRegs[r.Index] != snap.SRegs[r.Index] {
-				return fail("s%d = %#x, snapshot %#x at pc %d", r.Index, w.SRegs[r.Index], snap.SRegs[r.Index], w.PC)
-			}
-		case isa.RegSpecial:
-			switch r.Index {
-			case isa.SpecVCC:
-				if w.VCC != snap.VCC {
-					return fail("VCC %#x, snapshot %#x at pc %d", w.VCC, snap.VCC, w.PC)
-				}
-			case isa.SpecSCC:
-				if w.SCC != snap.SCC {
-					return fail("SCC %v, snapshot %v at pc %d", w.SCC, snap.SCC, w.PC)
-				}
-			}
-		}
-	}
-	if warpsPerBlock == 1 && len(snap.LDSShare) > 0 {
-		share := w.LDS.Data[w.LDSShareLo>>2 : w.LDSShareHi>>2]
-		for i, v := range share {
-			if v != snap.LDSShare[i] {
-				return fail("LDS[%d] = %#x, snapshot %#x", i, v, snap.LDSShare[i])
-			}
-		}
 	}
 	return nil
 }

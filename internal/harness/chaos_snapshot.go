@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"ctxback/internal/chaos"
 	"ctxback/internal/faults"
 	"ctxback/internal/preempt"
 	"ctxback/internal/sim"
@@ -26,8 +27,8 @@ import (
 //     oracle, or an execution trap — forcing a synchronous re-restore.
 //
 // Only when the authoritative image itself cannot be restored does the
-// episode degrade through the BASELINE re-run ladder. Silent-wrong
-// remains the outcome that must never occur.
+// episode degrade through the BASELINE fallback ladder (internal/chaos).
+// Silent-wrong remains the outcome that must never occur.
 
 // chaosSnapEpoch is the epoch every mode-"snapshot" checkpoint carries;
 // a stale-epoch fault re-encodes the speculative copy at epoch-1.
@@ -55,162 +56,129 @@ func corruptSpec(sf faults.SnapFault, raw uint64, snap *snapshot.Snapshot, enc [
 	return enc
 }
 
-// snapDetected extends detectedFault with the budget guard: replaying
-// against corrupted memory could in principle wander past the cycle
-// budget, which the sweep must classify as detection, not abort on.
-func snapDetected(err error) bool {
-	var be *sim.BudgetError
-	return detectedFault(err) || errors.As(err, &be)
-}
-
 // replayRestored finishes the restored episode: resume the single
 // parked episode under the oracle, run the device dry, then settle the
 // deferred validation. The first return is in-band detection (nil if
 // the replay is trustworthy), the second an infrastructure failure.
-func (r *Runner) replayRestored(res *snapshot.Restored, checker func(*sim.Warp) error) (error, error) {
+// Replaying against corrupted memory could in principle wander past the
+// cycle budget, which counts as detection too, not as a failure.
+func replayRestored(job chaos.Job, res *snapshot.Restored) (error, error) {
 	d := res.Device
-	d.SetResumeChecker(checker)
+	d.SetResumeChecker(job.Oracle)
 	if len(res.Index.Episodes) != 1 {
 		return nil, fmt.Errorf("snapshot chaos: restored %d episodes, want 1", len(res.Index.Episodes))
 	}
 	ep := res.Index.Episodes[0]
 	for _, phase := range []func() error{
 		func() error { return d.Resume(ep) },
-		func() error { return d.RunUntil(ep.Finished, r.o.MaxCycles) },
-		func() error { return d.Run(r.o.MaxCycles) },
+		func() error { return d.RunUntil(ep.Finished, job.MaxCycles) },
+		func() error { return d.Run(job.MaxCycles) },
 	} {
 		if err := phase(); err != nil {
-			if snapDetected(err) {
+			var be *sim.BudgetError
+			if sim.FaultDetected(err) || errors.As(err, &be) {
 				return err, nil
 			}
 			return nil, err
 		}
 	}
-	if err := res.Validate(); err != nil {
-		return err, nil
-	}
-	return nil, nil
+	return res.Validate(), nil
 }
 
 // runSnapshotCell classifies one snapshot-corruption cell end to end.
-func (r *Runner) runSnapshotCell(co ChaosOptions, p *prepared, cell *ChaosCell,
-	fcfg faults.Config, checker func(*sim.Warp) error) error {
-	signal := int64(co.SignalFrac * float64(p.goldenCycles))
-	tech, err := preempt.New(cell.Kind, p.wl.Prog)
-	if err != nil {
-		return fmt.Errorf("%s/%v: %w", p.wl.Abbrev, cell.Kind, err)
-	}
-	d, err := sim.NewDevice(r.o.Cfg)
+func runSnapshotCell(job chaos.Job, cell *ChaosCell, fc faults.Config) error {
+	run, note, err := snapshotEpisode(job, cell, fc)
 	if err != nil {
 		return err
+	}
+	cell.Result, err = job.Settle(run, fc)
+	if cell.Detected == "" {
+		cell.Detected = note
+	}
+	return err
+}
+
+// snapshotEpisode preempts the job, checkpoints the parked episode,
+// corrupts the speculative copy per the injector's draw and finishes
+// the job on a restored device. note names the fault an in-episode
+// recovery absorbed.
+func snapshotEpisode(job chaos.Job, cell *ChaosCell, fc faults.Config) (run chaos.Run, note string, err error) {
+	wl := job.Workload
+	tech, err := preempt.New(cell.Kind, wl.Prog)
+	if err != nil {
+		return run, "", fmt.Errorf("%s/%v: %w", wl.Abbrev, cell.Kind, err)
+	}
+	d, err := sim.NewDevice(job.Cfg)
+	if err != nil {
+		return run, "", err
 	}
 	d.AttachRuntime(tech)
-	if _, err := p.wl.Launch(d); err != nil {
-		return err
+	if _, err := wl.Launch(d); err != nil {
+		return run, "", err
 	}
-	if err := d.RunToCycle(signal, r.o.MaxCycles); err != nil {
-		return err
+	if err := d.RunToCycle(job.Signal, job.MaxCycles); err != nil {
+		return run, "", err
 	}
 	ep, err := d.Preempt(0, tech)
 	if errors.Is(err, sim.ErrDrained) {
 		// Nothing to checkpoint mid-episode; the uninterrupted remainder
 		// must still verify.
-		cell.Skipped = true
-		if err := d.Run(r.o.MaxCycles); err != nil {
-			return err
+		run.Skipped = true
+		if err := d.Run(job.MaxCycles); err != nil {
+			return run, "", err
 		}
-		if p.wl.Verify(d) != nil {
-			cell.Outcome = ChaosSilentWrong
-		}
-		return nil
+		run.VerifyErr = wl.Verify(d)
+		return run, "", nil
 	}
 	if err != nil {
-		return err
+		return run, "", err
 	}
-	if err := d.RunUntil(ep.Saved, r.o.MaxCycles); err != nil {
-		return err
+	if err := d.RunUntil(ep.Saved, job.MaxCycles); err != nil {
+		return run, "", err
 	}
 
 	snap, enc := snapshot.Capture(d, chaosSnapEpoch)
-	inj, err := faults.NewInjector(fcfg)
+	inj, err := faults.NewInjector(fc)
 	if err != nil {
-		return err
+		return run, "", err
 	}
 	sf, raw := inj.SnapshotFault(0)
 	cell.SnapFault = sf.String()
 	spec := corruptSpec(sf, raw, snap, enc)
 
-	restoreOnce := func(specData []byte) (*snapshot.Restored, error) {
-		t2, err := preempt.New(cell.Kind, p.wl.Prog)
+	// restore restores from specData (nil: the authoritative image
+	// alone) and replays; det is an in-band detection.
+	restore := func(specData []byte) (res *snapshot.Restored, det, infra error) {
+		t2, err := preempt.New(cell.Kind, wl.Prog)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return snapshot.Restore(nil, specData, enc, chaosSnapEpoch, t2, p.wl.Prog)
+		res, err = snapshot.Restore(nil, specData, enc, chaosSnapEpoch, t2, wl.Prog)
+		if err != nil {
+			return nil, err, nil // even the authoritative image failed
+		}
+		det, infra = replayRestored(job, res)
+		return res, det, infra
 	}
-
-	var (
-		detected  error // unrecoverable in-episode: degrade to BASELINE
-		recovered bool  // a snapshot fault was absorbed in-episode
-		final     *snapshot.Restored
-	)
-	res, err := restoreOnce(spec)
+	res, det, err := restore(spec)
 	if err != nil {
-		detected = err // even the authoritative image failed
-	} else {
-		if res.Outcome.SyncFallback {
-			recovered = true
-			cell.Detected = res.Outcome.SpecError
-		}
-		det, infra := r.replayRestored(res, checker)
-		if infra != nil {
-			return infra
-		}
-		if det == nil {
-			final = res
-		} else {
-			// The corruption slipped past the speculative decode and was
-			// caught after replay: discard the suspect device and restore
-			// synchronously from the authoritative image.
-			recovered = true
-			cell.Detected = det.Error()
-			res2, err2 := restoreOnce(nil)
-			if err2 != nil {
-				detected = err2
-			} else if det2, infra2 := r.replayRestored(res2, checker); infra2 != nil {
-				return infra2
-			} else if det2 != nil {
-				detected = det2
-			} else {
-				final = res2
-			}
+		return run, "", err
+	}
+	if res != nil && res.Outcome.SyncFallback {
+		run.Absorbed, note = true, res.Outcome.SpecError
+	}
+	if res != nil && det != nil {
+		// The corruption slipped past the speculative decode and was
+		// caught after replay: discard the suspect device and restore
+		// synchronously from the authoritative image.
+		run.Absorbed, note = true, det.Error()
+		if res, det, err = restore(nil); err != nil {
+			return run, "", err
 		}
 	}
-
-	if detected != nil {
-		cell.Detected = detected.Error()
-		salted := fcfg
-		salted.Seed = faults.DeriveSeed(fcfg.Seed, co.FallbackSalt)
-		for _, fb := range []*faults.Config{&salted, nil} {
-			cell.FallbackAttempts++
-			fbRun, err := r.o.chaosEpisode(p, preempt.Baseline, signal, fb, nil, co.MaxSignalAttempts)
-			if err != nil {
-				return err
-			}
-			if fbRun.detected == nil && fbRun.verifyErr == nil {
-				cell.Outcome = ChaosFallback
-				return nil
-			}
-		}
-		cell.Outcome = ChaosUnrecoverable
-		return nil
+	run.Detected = det
+	if det == nil {
+		run.VerifyErr = wl.Verify(res.Device)
 	}
-	switch {
-	case p.wl.Verify(final.Device) != nil:
-		cell.Outcome = ChaosSilentWrong
-	case recovered:
-		cell.Outcome = ChaosRecovered
-	default:
-		cell.Outcome = ChaosClean
-	}
-	return nil
+	return run, note, nil
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"ctxback/internal/chaos"
 	"ctxback/internal/faults"
 	"ctxback/internal/kernels"
 	"ctxback/internal/preempt"
@@ -30,7 +31,7 @@ func TestChaosNoSilentWrong(t *testing.T) {
 	}
 	if n := rep.SilentWrong(); n != 0 {
 		for _, c := range rep.Cells {
-			if c.Outcome == ChaosSilentWrong {
+			if c.Outcome == chaos.SilentWrong {
 				t.Errorf("silent wrong output: %s/%v mode=%s rate=%.2f", c.Kernel, c.Kind, c.Mode, c.Rate)
 			}
 		}
@@ -46,7 +47,7 @@ func TestChaosNoSilentWrong(t *testing.T) {
 	if total == 0 {
 		t.Fatal("sweep produced no classified episodes")
 	}
-	if rep.Counts[ChaosRecovered]+rep.Counts[ChaosFallback] == 0 {
+	if rep.Counts[chaos.Recovered]+rep.Counts[chaos.Fallback] == 0 {
 		t.Error("no episode exercised recovery or fallback; raise the rate")
 	}
 	out := RenderChaos(rep)
@@ -204,18 +205,18 @@ func TestChaosSnapshotMode(t *testing.T) {
 		if c.Mode != "snapshot" {
 			t.Fatalf("unexpected mode %q in snapshot-only sweep", c.Mode)
 		}
-		if c.Outcome == ChaosSilentWrong || c.Outcome == ChaosUnrecoverable {
+		if c.Outcome == chaos.SilentWrong || c.Outcome == chaos.Unrecoverable {
 			t.Errorf("%s/%v snapfault=%s: outcome %v (detected: %s)",
 				c.Kernel, c.Kind, c.SnapFault, c.Outcome, c.Detected)
 		}
-		if c.SnapFault == "none" && !c.Skipped && c.Outcome != ChaosClean {
+		if c.SnapFault == "none" && !c.Skipped && c.Outcome != chaos.Clean {
 			t.Errorf("%s/%v: no fault drawn but outcome %v", c.Kernel, c.Kind, c.Outcome)
 		}
-		if c.SnapFault != "none" && c.SnapFault != "" && !c.Skipped && c.Outcome != ChaosRecovered {
+		if c.SnapFault != "none" && c.SnapFault != "" && !c.Skipped && c.Outcome != chaos.Recovered {
 			t.Errorf("%s/%v snapfault=%s: want recovered, got %v", c.Kernel, c.Kind, c.SnapFault, c.Outcome)
 		}
 	}
-	if rep.Counts[ChaosRecovered] == 0 {
+	if rep.Counts[chaos.Recovered] == 0 {
 		t.Error("no snapshot fault recovered; raise the rate")
 	}
 	fired := map[string]bool{}

@@ -19,9 +19,6 @@ type TableIRow struct {
 	Warps                         int // victims preempted per episode
 }
 
-// TableI runs the Table I experiment on a one-shot Runner.
-func TableI(o Options) ([]TableIRow, error) { return NewRunner(o).TableI() }
-
 // TableI measures the BASELINE context-switch times for every benchmark
 // (paper Table I), fanning the episodes across the worker pool.
 func (r *Runner) TableI() ([]TableIRow, error) {
@@ -89,9 +86,6 @@ func geomeanOrMean(vals []float64) float64 {
 	return math.Exp(logSum / float64(len(vals)))
 }
 
-// Fig7 runs the context-size experiment on a one-shot Runner.
-func Fig7(o Options) (*Figure, error) { return NewRunner(o).Fig7() }
-
 // Fig7 computes the normalized context size per benchmark (static
 // analysis, averaged over the instructions of the kernel, plus each
 // warp's LDS share which every technique must swap). The CKPT series is
@@ -152,11 +146,6 @@ func (r *Runner) Fig7() (*Figure, error) {
 	return fig, nil
 }
 
-// MeasureDynamic runs the preemption experiments on a one-shot Runner.
-func MeasureDynamic(o Options) (fig8, fig9 *Figure, err error) {
-	return NewRunner(o).MeasureDynamic()
-}
-
 // MeasureDynamic runs the preemption experiments once and derives both
 // Fig 8 (preemption time) and Fig 9 (resume time) from the same
 // episodes. Every (kernel, technique, sample) episode runs on the
@@ -197,22 +186,6 @@ func (r *Runner) MeasureDynamic() (fig8, fig9 *Figure, err error) {
 	fill(fig9, func(st EpisodeStats) int64 { return st.ResumeCycles })
 	return fig8, fig9, nil
 }
-
-// Fig8 measures the normalized execution time of the preemption routines.
-func Fig8(o Options) (*Figure, error) {
-	f8, _, err := MeasureDynamic(o)
-	return f8, err
-}
-
-// Fig9 measures the normalized execution time of the resume routines
-// (restoration plus re-execution).
-func Fig9(o Options) (*Figure, error) {
-	_, f9, err := MeasureDynamic(o)
-	return f9, err
-}
-
-// Fig10 runs the runtime-overhead experiment on a one-shot Runner.
-func Fig10(o Options) (*Figure, error) { return NewRunner(o).Fig10() }
 
 // Fig10 measures the runtime overhead of the two techniques that do work
 // during normal execution: CKPT's checkpoint stores and CTXBack's OSRB
@@ -276,9 +249,6 @@ type AblationRow struct {
 	Label     string
 	MeanRatio float64 // mean normalized context vs BASELINE
 }
-
-// Ablation runs the feature-ablation study on a one-shot Runner.
-func Ablation(o Options) ([]AblationRow, error) { return NewRunner(o).Ablation() }
 
 // Ablation quantifies each of CTXBack's three techniques (DESIGN.md
 // call-out): strict condition only, +relaxed, +reverting, +OSRB. Each

@@ -257,8 +257,8 @@ func (o *Options) measure(p *prepared, kind preempt.Kind, signalCycle int64, fro
 // issues) and de-duplicated: a short golden run collapses adjacent
 // fractions onto the same cycle, so the result may hold fewer than n
 // points — always at least one, strictly increasing, all distinct.
-// Callers that want n samples should log the shortfall (see measureAvg
-// and computeCells).
+// Callers that want n samples should log the shortfall (see
+// computeCells).
 func samplePoints(golden int64, n int) []int64 {
 	if n < 1 {
 		n = 1
@@ -277,28 +277,6 @@ func samplePoints(golden int64, n int) []int64 {
 		pts = append(pts, pt)
 	}
 	return pts
-}
-
-// measureAvg averages episode stats over the sample points (the serial
-// path; the Runner's matrix fold shares foldEpisodes with it).
-func (o *Options) measureAvg(p *prepared, kind preempt.Kind) (EpisodeStats, error) {
-	pts := samplePoints(p.goldenCycles, o.Samples)
-	if len(pts) < o.Samples {
-		o.logf("%s/%v: golden run of %d cycles yields only %d distinct sample points (want %d)",
-			p.wl.Abbrev, kind, p.goldenCycles, len(pts), o.Samples)
-	}
-	eps := make([]episodeResult, len(pts))
-	for i, pt := range pts {
-		st, ok, _, err := o.measure(p, kind, pt, nil)
-		eps[i] = episodeResult{st: st, ok: ok, err: err}
-		if err != nil {
-			// Truncate to the attempted prefix: the unattempted tail is
-			// zero-valued and must not reach the fold.
-			eps = eps[:i+1]
-			break
-		}
-	}
-	return foldEpisodes(p.wl.Abbrev, kind, eps)
 }
 
 // runtimeCycles measures full-kernel execution with tech's

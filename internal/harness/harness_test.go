@@ -17,7 +17,7 @@ func TestTableIShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("harness experiments are slow")
 	}
-	rows, err := TableI(quick())
+	rows, err := NewRunner(quick()).TableI()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestTableIShape(t *testing.T) {
 }
 
 func TestFig7Shape(t *testing.T) {
-	fig, err := Fig7(quick())
+	fig, err := NewRunner(quick()).Fig7()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,12 +85,7 @@ func TestFig8Fig9Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("harness experiments are slow")
 	}
-	o := quick()
-	f8, err := Fig8(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f9, err := Fig9(o)
+	f8, f9, err := NewRunner(quick()).MeasureDynamic()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +114,7 @@ func TestFig10Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("harness experiments are slow")
 	}
-	fig, err := Fig10(quick())
+	fig, err := NewRunner(quick()).Fig10()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +136,7 @@ func TestFig10Shape(t *testing.T) {
 }
 
 func TestAblationMonotone(t *testing.T) {
-	rows, err := Ablation(quick())
+	rows, err := NewRunner(quick()).Ablation()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +200,7 @@ func TestWaitDistribution(t *testing.T) {
 	if testing.Short() {
 		t.Skip("harness experiments are slow")
 	}
-	r, err := WaitDistribution(quick(), "VA", 4)
+	r, err := NewRunner(quick()).WaitDistribution("VA", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +216,7 @@ func TestWaitDistribution(t *testing.T) {
 	if s := RenderQoS(r); !strings.Contains(s, "p95") {
 		t.Error("render missing p95 column")
 	}
-	if _, err := WaitDistribution(quick(), "NOPE", 2); err == nil {
+	if _, err := NewRunner(quick()).WaitDistribution("NOPE", 2); err == nil {
 		t.Error("unknown benchmark must error")
 	}
 }

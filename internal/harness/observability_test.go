@@ -144,25 +144,23 @@ func TestMeasurePhaseReconciliation(t *testing.T) {
 	}
 }
 
-func TestMeasureAvgPopulatesMetrics(t *testing.T) {
+// TestRunnerCountsEpisodes: every episode a Runner measures is counted
+// in the metrics registry, and identical runs render identical reports.
+func TestRunnerCountsEpisodes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("harness experiments are slow")
 	}
-	run := func() (*trace.Registry, EpisodeStats) {
+	run := func() (*trace.Registry, []TableIRow) {
 		o := quick()
 		o.Samples = 2
 		o.Metrics = trace.NewRegistry()
-		p, err := o.prepare(vaFactory)
+		rows, err := NewRunner(o).TableI()
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := o.measureAvg(p, preempt.Baseline)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return o.Metrics, st
+		return o.Metrics, rows
 	}
-	m, st := run()
+	m, rows := run()
 	measured := m.Counter("episodes.measured").Value()
 	if measured == 0 {
 		t.Fatal("no episodes counted")
@@ -171,8 +169,10 @@ func TestMeasureAvgPopulatesMetrics(t *testing.T) {
 	if h.Count() != measured {
 		t.Errorf("histogram count %d != episodes measured %d", h.Count(), measured)
 	}
-	if st.PreemptCycles <= 0 {
-		t.Errorf("no preemption latency measured: %+v", st)
+	for _, row := range rows {
+		if row.PreemptUs <= 0 {
+			t.Errorf("%s: no preemption latency measured: %+v", row.Abbrev, row)
+		}
 	}
 	// Determinism: an identical run renders the identical report.
 	m2, _ := run()
@@ -234,24 +234,27 @@ func TestPhaseBreakdownReusesMatrix(t *testing.T) {
 	}
 }
 
-// TestMeasureAvgStopsAtError pins the truncation fix: an episode error
-// surfaces from the fold instead of being diluted by the zero-valued
-// unattempted tail.
-func TestMeasureAvgStopsAtError(t *testing.T) {
+// TestRunnerSurfacesBudgetOverrun: an episode that overruns the cycle
+// budget surfaces its error from the fold instead of being averaged in
+// as a zero-valued sample, on the forked path (BASELINE, which stops
+// the golden run at each signal) and the from-scratch path (CKPT).
+func TestRunnerSurfacesBudgetOverrun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("harness experiments are slow")
 	}
 	o := quick()
 	o.Samples = 3
-	p, err := o.prepare(vaFactory)
-	if err != nil {
+	r := NewRunner(o)
+	if err := r.prepareAll(); err != nil {
 		t.Fatal(err)
 	}
-	// Starve the cycle budget after preparation: measure's first
-	// RunUntil overruns it, so sample 0 errors and samples 1..2 are
-	// never attempted.
-	o.MaxCycles = 1
-	if _, err := o.measureAvg(p, preempt.Baseline); err == nil {
-		t.Error("budget overrun must surface from measureAvg")
+	// Starve the cycle budget after preparation: every episode's first
+	// run to its signal overruns it.
+	r.o.MaxCycles = 1
+	for _, kind := range []preempt.Kind{preempt.Baseline, preempt.Ckpt} {
+		var be *sim.BudgetError
+		if _, err := r.measureMatrix([]preempt.Kind{kind}); !errors.As(err, &be) {
+			t.Errorf("%v: err = %v, want the budget overrun", kind, err)
+		}
 	}
 }

@@ -27,11 +27,6 @@ type QoSResult struct {
 	Rows    []QoSRow
 }
 
-// WaitDistribution runs the distribution study on a one-shot Runner.
-func WaitDistribution(o Options, abbrev string, n int) (*QoSResult, error) {
-	return NewRunner(o).WaitDistribution(abbrev, n)
-}
-
 // WaitDistribution preempts the kernel at n points spread across its
 // whole runtime and reports the preemption-latency distribution per
 // technique. Unlike Fig 8 (means, normalized), this surfaces the tail.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"ctxback/internal/chaos"
 	"ctxback/internal/preempt"
 )
 
@@ -81,8 +82,8 @@ func RenderChaos(rep *ChaosReport) string {
 			kinds[k] = append(kinds[k], c.Kind)
 			cells[k][c.Kind] = map[string]string{}
 		}
-		code := c.Outcome.code()
-		if c.Skipped && c.Outcome != ChaosSilentWrong {
+		code := [...]string{"C", "R", "F", "U", "S!"}[c.Outcome]
+		if c.Skipped && c.Outcome != chaos.SilentWrong {
 			code = "-"
 		}
 		cells[k][c.Kind][c.Kernel] = code
@@ -107,8 +108,8 @@ func RenderChaos(rep *ChaosReport) string {
 		total += n
 	}
 	fmt.Fprintf(&b, "\n%d episodes (+%d skipped): %d clean, %d recovered, %d fallback, %d unrecoverable, %d silent-wrong\n",
-		total, rep.Skipped, rep.Counts[ChaosClean], rep.Counts[ChaosRecovered],
-		rep.Counts[ChaosFallback], rep.Counts[ChaosUnrecoverable], rep.Counts[ChaosSilentWrong])
+		total, rep.Skipped, rep.Counts[chaos.Clean], rep.Counts[chaos.Recovered],
+		rep.Counts[chaos.Fallback], rep.Counts[chaos.Unrecoverable], rep.Counts[chaos.SilentWrong])
 	return b.String()
 }
 

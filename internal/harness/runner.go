@@ -189,8 +189,7 @@ type episodeResult struct {
 func divRound(sum, n int64) int64 { return (sum + n/2) / n }
 
 // foldEpisodes averages the episodes that hit a running SM, walking them
-// in sample order. Both the serial measureAvg path and the parallel
-// matrix fold go through here, so the two paths cannot diverge.
+// in sample order; the first error in that order surfaces.
 func foldEpisodes(abbrev string, kind preempt.Kind, eps []episodeResult) (EpisodeStats, error) {
 	var sum EpisodeStats
 	var count int64

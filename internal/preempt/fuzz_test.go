@@ -113,16 +113,6 @@ func TestFuzzDynamicGoldenEquivalence(t *testing.T) {
 	}
 }
 
-// faultDetected reports whether err is an in-band fault detection: a
-// context-transfer escalation, a checksum/oracle integrity violation, a
-// lost preemption signal, or an execution trap caused by corrupted state.
-func faultDetected(err error) bool {
-	var tf *sim.TransferFaultError
-	var ie *sim.IntegrityError
-	return errors.As(err, &tf) || errors.As(err, &ie) ||
-		errors.Is(err, sim.ErrSignalLost) || sim.IsExecutionFault(err)
-}
-
 // clampUnit folds an arbitrary fuzzed float into [0, 1].
 func clampUnit(x float64) float64 {
 	if math.IsNaN(x) || math.IsInf(x, 0) {
@@ -255,7 +245,7 @@ func FuzzFaultRecovery(f *testing.F) {
 		if skipped {
 			t.Fatalf("run-to-completion after skipped episode failed: %v", runErr)
 		}
-		if !faultDetected(runErr) {
+		if !sim.FaultDetected(runErr) {
 			t.Fatalf("fault escaped in-band detection (seed %d rate %.3f %v): %v", seed, rate, kind, runErr)
 		}
 

@@ -417,14 +417,12 @@ func newScheduler(cfg Config, kind preempt.Kind, jobs []Job) (*scheduler, error)
 		return nil, fmt.Errorf("sched: %d x %d-byte slabs exceed device memory (%d bytes)",
 			len(jobs), cfg.SlabBytes, cfg.Dev.GlobalMemBytes)
 	}
-	d, err := sim.NewDevice(cfg.Dev)
+	s, err := newBareScheduler(cfg, kind)
 	if err != nil {
 		return nil, err
 	}
-	s := &scheduler{cfg: cfg, d: d, mux: newMux(kind), kind: kind,
-		progSeen: make(map[*isa.Program]bool)}
-	// Jobs are admitted in (arrival, ID) order; ties resolve by ID so
-	// simultaneous arrivals admit deterministically.
+	// Jobs are admitted in (arrival, ID) order, job i into slab i; ties
+	// resolve by ID so simultaneous arrivals admit deterministically.
 	ordered := append([]Job(nil), jobs...)
 	sort.SliceStable(ordered, func(i, j int) bool {
 		if ordered[i].Arrival != ordered[j].Arrival {
@@ -432,38 +430,59 @@ func newScheduler(cfg Config, kind preempt.Kind, jobs []Job) (*scheduler, error)
 		}
 		return ordered[i].ID < ordered[j].ID
 	})
+	b := newBuilds(cfg)
 	for i, j := range ordered {
-		p := cfg.Params
-		p.MemBase = slabBase + i*cfg.SlabBytes
-		wl, err := kernels.ByAbbrev(j.Kernel, p)
+		wl, err := b.at(s.d, j.Kernel, i)
 		if err != nil {
 			return nil, fmt.Errorf("sched: job %d: %w", j.ID, err)
 		}
-		// Each job fills every warp slot of its SM (the paper's
-		// persistent-kernel batch model): preemption is the ONLY way a
-		// newcomer gets on, and a parked job's pending blocks can never
-		// race its own resume.
-		occ, err := d.ComputeOccupancy(wl.Prog, p.WarpsPerBlock)
-		if err != nil {
-			return nil, fmt.Errorf("sched: job %d (%s): %w", j.ID, j.Kernel, err)
+		if err := s.admitPrepared(j, wl, j.Arrival); err != nil {
+			return nil, err
 		}
-		p.NumBlocks = occ.BlocksPerSM
-		wl, err = kernels.ByAbbrev(j.Kernel, p)
-		if err != nil {
-			return nil, fmt.Errorf("sched: job %d: %w", j.ID, err)
-		}
-		tech, err := preempt.New(kind, wl.Prog)
-		if err != nil {
-			return nil, fmt.Errorf("sched: job %d (%s) under %v: %w", j.ID, j.Kernel, kind, err)
-		}
-		s.mux.add(wl.Prog, tech)
-		s.jobs = append(s.jobs, &runJob{job: j, wl: wl, sm: -1, admitAt: j.Arrival})
-	}
-	d.AttachRuntime(s.mux)
-	for i := 0; i < cfg.Dev.NumSMs; i++ {
-		s.slots = append(s.slots, &smSlot{id: i, state: smIdle})
 	}
 	return s, nil
+}
+
+// builds holds each kernel's one build of a run and rebinds it to the
+// slabs jobs run in. A kernel is built at its occupancy-filled grid:
+// each job fills every warp slot of its SM (the paper's
+// persistent-kernel batch model), so preemption is the ONLY way a
+// newcomer gets on, and a parked job's pending blocks can never race
+// its own resume. A slab's workload rebinds that build's buffers to the
+// slab (kernels.Workload.Rebase): it shares the instructions, host
+// inputs and golden outputs, but has its own program value, because the
+// mux keys techniques by program pointer and two jobs of one kernel may
+// run on one device in different slabs.
+type builds struct {
+	cfg Config
+	m   map[string]*kernels.Workload
+}
+
+func newBuilds(cfg Config) *builds {
+	return &builds{cfg: cfg, m: make(map[string]*kernels.Workload)}
+}
+
+// at returns kernel abbrev's workload in slab, building the kernel on
+// first use with d's occupancy (which depends only on d's config).
+func (b *builds) at(d *sim.Device, abbrev string, slab int) (*kernels.Workload, error) {
+	built, ok := b.m[abbrev]
+	if !ok {
+		p := b.cfg.Params
+		probe, err := kernels.ByAbbrev(abbrev, p)
+		if err != nil {
+			return nil, err
+		}
+		occ, err := d.ComputeOccupancy(probe.Prog, p.WarpsPerBlock)
+		if err != nil {
+			return nil, fmt.Errorf("occupancy for %s: %w", abbrev, err)
+		}
+		p.NumBlocks = occ.BlocksPerSM
+		if built, err = kernels.ByAbbrev(abbrev, p); err != nil {
+			return nil, err
+		}
+		b.m[abbrev] = built
+	}
+	return built.Rebase(slabBase + slab*b.cfg.SlabBytes), nil
 }
 
 func (s *scheduler) log(cycle int64, what string, job, sm int) {

@@ -207,11 +207,10 @@ type server struct {
 	pool    *snapshot.Pool
 	epoch   uint64 // last checkpoint epoch, migration and failover alike
 
-	// built holds each kernel's one build of the run, at its
-	// occupancy-filled grid; wlCache holds its rebinding to each slab,
-	// the immutable part of an admission. See prepared() for why reuse
-	// is sound.
-	built   map[string]*kernels.Workload
+	// builds holds each kernel's one build of the run; wlCache holds
+	// its rebinding to each slab, the immutable part of an admission.
+	// See prepared() for why reuse is sound.
+	builds  *builds
 	wlCache map[wlKey]*kernels.Workload
 
 	trace   []Job // (arrival, ID) order
@@ -340,16 +339,10 @@ type wlKey struct {
 }
 
 // prepared returns the occupancy-filled workload for (kernel, slab),
-// made once and reused across admissions. A kernel is built once per
-// run, at its occupancy-filled grid, and each slab's workload rebinds
-// that build's buffers to the slab (kernels.Workload.Rebase): it shares
-// the instructions, host inputs and golden outputs, but has its own
-// program value, because the mux keys techniques by program pointer and
-// two jobs of one kernel may run on one device in different slabs.
-// Reuse is sound because a Workload is immutable after construction:
-// the program, host inputs and golden outputs are fixed, and
-// Init/WarpSetup/Verify only read them while writing per-episode device
-// state. Per-launch technique state (CTXBack flashback metadata, CKPT
+// made once (builds.at) and reused across admissions. Reuse is sound
+// because a Workload is immutable after construction: the program, host
+// inputs and golden outputs are fixed, and Init/WarpSetup/Verify only
+// read them while writing per-episode device state. Per-launch technique state (CTXBack flashback metadata, CKPT
 // warp-keyed visit counts) lives in the technique, which admitPrepared
 // still builds fresh per admission. Same-key reuse cannot overlap on one
 // device — the slab allocator hands each (device, slab) to one job at a
@@ -360,31 +353,17 @@ func (sv *server) prepared(abbrev string, slab int) (*kernels.Workload, error) {
 	if wl, ok := sv.wlCache[wk]; ok {
 		return wl, nil
 	}
-	built, ok := sv.built[abbrev]
-	if !ok {
-		p := sv.cfg.Sched.Params
-		probe, err := kernels.ByAbbrev(abbrev, p)
-		if err != nil {
-			return nil, err
+	var dev *serveDevice
+	for _, d := range sv.devices {
+		if !d.retired {
+			dev = d
+			break
 		}
-		var dev *serveDevice
-		for _, d := range sv.devices {
-			if !d.retired {
-				dev = d
-				break
-			}
-		}
-		occ, err := dev.s.d.ComputeOccupancy(probe.Prog, p.WarpsPerBlock)
-		if err != nil {
-			return nil, fmt.Errorf("sched: occupancy for %s: %w", abbrev, err)
-		}
-		p.NumBlocks = occ.BlocksPerSM
-		if built, err = kernels.ByAbbrev(abbrev, p); err != nil {
-			return nil, err
-		}
-		sv.built[abbrev] = built
 	}
-	wl := built.Rebase(slabBase + slab*sv.cfg.Sched.SlabBytes)
+	wl, err := sv.builds.at(dev.s.d, abbrev, slab)
+	if err != nil {
+		return nil, fmt.Errorf("sched: %w", err)
+	}
 	sv.wlCache[wk] = wl
 	return wl, nil
 }
@@ -500,7 +479,7 @@ func newServer(cfg ServeConfig, kind preempt.Kind, jobs []Job) (*server, error) 
 	}
 
 	sv := &server{cfg: cfg, kind: kind, tenants: tenants, trace: ordered,
-		built:   make(map[string]*kernels.Workload),
+		builds:  newBuilds(cfg.Sched),
 		wlCache: make(map[wlKey]*kernels.Workload),
 		admit:   newAdmitter(cfg.Admit, tenants),
 	}

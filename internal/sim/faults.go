@@ -50,15 +50,23 @@ func (e *IntegrityError) Error() string {
 	return fmt.Sprintf("sim: resume integrity violation on warp %d (%s): %s", e.WarpID, e.Stage, e.Detail)
 }
 
-// IsExecutionFault reports whether err is a simulation execution fault
-// (bad address, misalignment, invalid instruction). Under fault
-// injection these traps double as an in-band detector: corrupted state
-// that steers a warp into an illegal access is caught by the device
-// before wrong output can commit, exactly like a GPU memory-protection
-// fault.
-func IsExecutionFault(err error) bool {
-	var fe *faultError
-	return errors.As(err, &fe)
+// FaultDetected reports whether err is an in-band fault detection, as
+// opposed to an infrastructure failure: a context-transfer escalation
+// (TransferFaultError), a checksum or resume-oracle violation
+// (IntegrityError), a preemption signal still lost when the re-raise
+// bound ran out (ErrSignalLost), or an execution fault (bad address,
+// misalignment, invalid instruction). Under fault injection such a trap
+// doubles as a detector: corrupted state that steers a warp into an
+// illegal access is caught by the device before wrong output can
+// commit, exactly like a GPU memory-protection fault. The device must
+// be discarded after any of them; callers degrade through the BASELINE
+// fallback ladder (internal/chaos).
+func FaultDetected(err error) bool {
+	var xfer *TransferFaultError
+	var integ *IntegrityError
+	var trap *faultError
+	return errors.As(err, &xfer) || errors.As(err, &integ) ||
+		errors.Is(err, ErrSignalLost) || errors.As(err, &trap)
 }
 
 // InjectFaults attaches a fault injector built from cfg to the device.

@@ -2,10 +2,12 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"ctxback/internal/faults"
+	"ctxback/internal/isa"
 )
 
 // episode runs one full preempt/resume round trip of the sum kernel on a
@@ -399,5 +401,27 @@ func TestInjectFaultsRejectsBadConfig(t *testing.T) {
 	}
 	if err := d.InjectFaults(faults.Config{Seed: 1, MaxRetries: -1}); err == nil {
 		t.Error("negative retries must be rejected")
+	}
+}
+
+// TestFaultDetectedClasses: the four in-band detection classes, wrapped
+// as callers see them, are detections; a drained SM, a blown cycle
+// budget and an unclassed error are not.
+func TestFaultDetectedClasses(t *testing.T) {
+	wrap := func(err error) error { return fmt.Errorf("episode: %w", err) }
+	for _, err := range []error{
+		wrap(&TransferFaultError{Save: true, Permanent: true}),
+		wrap(&IntegrityError{Stage: "checksum"}),
+		wrap(ErrSignalLost),
+		wrap(&faultError{warp: &Warp{}, in: &isa.Instruction{}, msg: "bad address"}),
+	} {
+		if !FaultDetected(err) {
+			t.Errorf("FaultDetected(%v) = false", err)
+		}
+	}
+	for _, err := range []error{nil, wrap(ErrDrained), wrap(&BudgetError{}), errors.New("boom")} {
+		if FaultDetected(err) {
+			t.Errorf("FaultDetected(%v) = true", err)
+		}
 	}
 }
