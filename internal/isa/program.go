@@ -12,8 +12,9 @@ import (
 // static resource declaration the hardware allocator needs.
 //
 // A program is immutable once built: every analysis derived from it is
-// memoized by its Digest, which is computed once and held on the
-// program. Build a new program (or Clone one) instead of editing one.
+// memoized by its Digest, and the simulator executes its decoded Table;
+// both are computed once and held on the program (and shared by its
+// Aliases). Build a new program (or Clone one) instead of editing one.
 type Program struct {
 	Name string
 	// Instrs is the instruction stream; an instruction's index is its PC.
@@ -28,6 +29,7 @@ type Program struct {
 	Labels map[string]int
 
 	digest atomic.Pointer[[32]byte] // Digest, once computed
+	table  atomic.Pointer[Table]    // Table, once decoded
 }
 
 // Digest returns the SHA-256 of EncodeProgram(p), the program's content
@@ -245,13 +247,15 @@ func (p *Program) Disassemble() string {
 }
 
 // Alias returns a new program value with p's content: it shares p's
-// instructions and labels, which no one may modify, and p's digest. Use
-// it where programs are told apart by pointer but one content serves
-// several of them.
+// instructions and labels, which no one may modify, p's digest and p's
+// decoded Table, which it decodes now if nothing has yet. Use it where
+// programs are told apart by pointer but one content serves several of
+// them.
 func (p *Program) Alias() *Program {
 	a := &Program{Name: p.Name, Instrs: p.Instrs, NumVRegs: p.NumVRegs,
 		NumSRegs: p.NumSRegs, LDSBytes: p.LDSBytes, Labels: p.Labels}
 	a.digest.Store(p.digest.Load())
+	a.table.Store(p.Table())
 	return a
 }
 

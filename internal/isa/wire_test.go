@@ -57,8 +57,9 @@ func TestProgramBytesPinned(t *testing.T) {
 }
 
 // FuzzDecodeProgram: any program the decoder accepts re-encodes to the
-// exact input bytes. Seeds are the kernels, generator programs, and
-// three lenient variants of a valid encoding — a trailing byte, non-zero
+// exact input bytes, and its decoded table matches its instructions
+// (checkTable). Seeds are the kernels, generator programs, and three
+// lenient variants of a valid encoding — a trailing byte, non-zero
 // operand padding and an unknown flag bit — that must be rejected.
 func FuzzDecodeProgram(f *testing.F) {
 	progs := corpus(f, 16)
@@ -84,5 +85,6 @@ func FuzzDecodeProgram(f *testing.F) {
 		if again := isa.EncodeProgram(p); !bytes.Equal(again, data) {
 			t.Fatalf("accepted program re-encodes differently:\n in: % x\nout: % x", data, again)
 		}
+		checkTable(t, p)
 	})
 }

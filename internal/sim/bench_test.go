@@ -142,11 +142,12 @@ var benchExecs = []struct {
 
 // benchWarp is a warp whose v1/v2 hold small finite floats (no
 // denormals, which would time the FPU's slow path instead of the
-// executor), v3 holds word addresses, and s1 a scalar operand.
+// executor), v3 holds word addresses, and s1 a scalar operand. Its LDS
+// covers v3's addresses.
 func benchWarp() *Warp {
 	prog := &isa.Program{Name: "bench", NumVRegs: 4, NumSRegs: 16,
 		Instrs: []isa.Instruction{{Op: isa.SEndpgm}}}
-	w := newWarp(0, 0, 0, prog, nil, nil)
+	w := newWarp(0, 0, 0, prog, &LDSBlock{Data: make([]uint32, 2048)}, nil)
 	w.SM = &SM{}
 	for l := 0; l < isa.WarpSize; l++ {
 		w.VRegs[1][l] = math.Float32bits(float32(l) + 1.5)
@@ -158,16 +159,18 @@ func benchWarp() *Warp {
 	return w
 }
 
-// runInstrBench times one instruction executed repeatedly under each
-// EXEC mask of benchExecs; ns/op is the cost of one warp-wide execution.
+// runInstrBench times one kernel instruction executed repeatedly under
+// each EXEC mask of benchExecs; ns/op is the cost of one warp-wide
+// execution.
 func runInstrBench(b *testing.B, name string, in isa.Instruction) {
 	for _, m := range benchExecs {
 		b.Run(name+"/"+m.name, func(b *testing.B) {
 			d := mustNewDevice(TestConfig())
 			w := benchWarp()
 			w.Exec = m.exec
+			e := kernelDecoded(b, w, in)
 			for b.Loop() {
-				if _, err := d.execute(w, &in); err != nil {
+				if _, err := d.execute(w, e); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -215,6 +218,23 @@ func BenchmarkVectorGlobal(b *testing.B) {
 		{"page-cross/v_gload", isa.Instruction{Op: isa.VGLoad, Dst: isa.V(0), Srcs: [isa.MaxSrcs]isa.Operand{v(3)}, Imm0: cross}},
 		{"page-cross/v_gstore", isa.Instruction{Op: isa.VGStore, Srcs: [isa.MaxSrcs]isa.Operand{v(3), v(1)}, Imm0: cross}},
 		{"page-cross/v_gatomic_add", isa.Instruction{Op: isa.VGAtomicAdd, Srcs: [isa.MaxSrcs]isa.Operand{v(3), v(1)}, Imm0: cross}},
+	} {
+		runInstrBench(b, c.name, c.in)
+	}
+}
+
+// BenchmarkLDS measures one LDS instruction (load, store of a vector and
+// of a scalar value) over 64 consecutive words, under full and partial
+// EXEC.
+func BenchmarkLDS(b *testing.B) {
+	v := func(i int) isa.Operand { return isa.R(isa.V(i)) }
+	for _, c := range []struct {
+		name string
+		in   isa.Instruction
+	}{
+		{"v_lload", isa.Instruction{Op: isa.VLLoad, Dst: isa.V(0), Srcs: [isa.MaxSrcs]isa.Operand{v(3)}, Imm0: 64}},
+		{"v_lstore", isa.Instruction{Op: isa.VLStore, Srcs: [isa.MaxSrcs]isa.Operand{v(3), v(1)}, Imm0: 64}},
+		{"v_lstore_scalar", isa.Instruction{Op: isa.VLStore, Srcs: [isa.MaxSrcs]isa.Operand{v(3), isa.R(isa.S(1))}, Imm0: 64}},
 	} {
 		runInstrBench(b, c.name, c.in)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"ctxback/internal/faults"
 	"ctxback/internal/isa"
@@ -64,7 +65,12 @@ func Instruments(rt Runtime, prog *isa.Program) bool {
 	if !ok {
 		return true
 	}
-	w := &Warp{ID: -1, Prog: prog}
+	w := probes.Get().(*Warp)
+	*w = Warp{ID: -1, Prog: prog}
+	defer func() {
+		w.Prog = nil
+		probes.Put(w)
+	}()
 	for pc := range prog.Len() {
 		if hp.HookAt(w, pc) {
 			return true
@@ -72,6 +78,10 @@ func Instruments(rt Runtime, prog *isa.Program) bool {
 	}
 	return false
 }
+
+// probes recycles Instruments' probe warps: every launch asks, and a
+// probe is a whole Warp. HookAt is pure, so no runtime keeps one.
+var probes = sync.Pool{New: func() any { return new(Warp) }}
 
 // Device is the simulated GPU.
 type Device struct {
@@ -139,12 +149,7 @@ func NewDevice(cfg Config) (*Device, error) {
 	// SM's region from appending into its neighbor's).
 	slab := make([]*Warp, cfg.NumSMs*cfg.MaxWarpsPerSM)
 	for i := 0; i < cfg.NumSMs; i++ {
-		sm := &SM{ID: i, Dev: d, candT: math.MaxInt64, candLast: math.MaxInt64,
-			// The issue path must not allocate: size the operand scratch
-			// buffers for the widest instructions up front.
-			hazardScratch: make([]isa.Reg, 0, 8),
-			defsScratch:   make([]isa.Reg, 0, 8),
-		}
+		sm := &SM{ID: i, Dev: d, candT: math.MaxInt64, candLast: math.MaxInt64}
 		lo, hi := i*cfg.MaxWarpsPerSM, (i+1)*cfg.MaxWarpsPerSM
 		sm.future.ws = slab[lo:lo:hi]
 		d.SMs = append(d.SMs, sm)
@@ -287,6 +292,9 @@ type Launch struct {
 	// (Instruments), decided at launch and on every AttachRuntime. Kernel
 	// issue calls Hook only for hooked launches.
 	hooked bool
+	// table is the program's decoded table (isa.Program.Table), which
+	// kernel-mode fetch reads by PC.
+	table *isa.Table
 }
 
 type blockInfo struct {
@@ -304,14 +312,15 @@ func (d *Device) Launch(spec LaunchSpec) (*Launch, error) {
 	if spec.NumBlocks <= 0 || spec.WarpsPerBlock <= 0 {
 		return nil, fmt.Errorf("sim: launch needs positive grid dimensions")
 	}
-	if err := spec.Prog.Validate(); err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
+	tab := spec.Prog.Table()
+	if tab.Err != nil {
+		return nil, fmt.Errorf("sim: %w", tab.Err)
 	}
 	occ, err := d.ComputeOccupancy(spec.Prog, spec.WarpsPerBlock)
 	if err != nil {
 		return nil, err
 	}
-	l := &Launch{Spec: spec, Dev: d, Occ: occ,
+	l := &Launch{Spec: spec, Dev: d, Occ: occ, table: tab,
 		Warps:  make([]*Warp, 0, spec.NumBlocks*spec.WarpsPerBlock),
 		blocks: make([]*blockInfo, 0, spec.NumBlocks),
 		hooked: Instruments(d.rt, spec.Prog),
@@ -596,11 +605,11 @@ func (d *Device) scanBest() (best *Warp, bestSM *SM, bestT int64, err error) {
 			// The hazard-resolved issue time only changes when the warp
 			// itself advances, so it is cached between selections.
 			if !w.candValid {
-				in := w.currentInstr()
-				if in == nil {
+				e := w.fetch()
+				if e == nil {
 					return nil, nil, 0, fmt.Errorf("sim: warp %d ran off the end of its stream (mode %d)", w.ID, w.Mode)
 				}
-				w.candTime = max(w.ReadyAt, w.regReadyAt(sm.hazardRegs(in)))
+				w.candTime = max(w.ReadyAt, w.hazardsReadyAt(e))
 				w.candValid = true
 			}
 			t := max(sm.issueFree, w.candTime)
@@ -714,7 +723,7 @@ func (d *Device) RemoveLaunch(l *Launch) error {
 	}
 	for _, w := range l.Warps {
 		d.regFree.give(w.regFile())
-		w.VRegs, w.SRegs, w.vecStore, w.clockStore, w.regReady = nil, nil, nil, nil, regClock{}
+		w.VRegs, w.SRegs, w.vecStore, w.clock = nil, nil, nil, nil
 	}
 	return nil
 }

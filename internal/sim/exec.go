@@ -82,16 +82,17 @@ func (w *Warp) writeScalarReg(r isa.Reg, v uint64) {
 	}
 }
 
-// execute runs one instruction functionally and returns its effect.
-func (d *Device) execute(w *Warp, in *isa.Instruction) (effect, error) {
+// execute runs one decoded instruction functionally and returns its
+// effect.
+func (d *Device) execute(w *Warp, e *isa.Decoded) (effect, error) {
 	eff := effect{nextPC: -1}
-	info := in.Op.Info()
+	in := e.In
 
-	switch info.Class {
+	switch e.Info.Class {
 	case isa.ClassScalarALU:
-		d.execScalarALU(w, in)
+		d.execScalarALU(w, e)
 	case isa.ClassVectorALU:
-		d.execVectorALU(w, in)
+		d.execVectorALU(w, e)
 	case isa.ClassBranch:
 		taken := false
 		switch in.Op {
@@ -117,7 +118,7 @@ func (d *Device) execute(w *Warp, in *isa.Instruction) (effect, error) {
 			eff.endpgm = true
 		}
 	case isa.ClassScalarMem, isa.ClassVectorMem, isa.ClassAtomic, isa.ClassLDSMem:
-		return d.execMemory(w, in)
+		return d.execMemory(w, e)
 	case isa.ClassContext:
 		return d.execContext(w, in)
 	default:
@@ -126,13 +127,14 @@ func (d *Device) execute(w *Warp, in *isa.Instruction) (effect, error) {
 	return eff, nil
 }
 
-func (d *Device) execScalarALU(w *Warp, in *isa.Instruction) {
+func (d *Device) execScalarALU(w *Warp, e *isa.Decoded) {
+	in := e.In
 	a := uint64(0)
 	b := uint64(0)
-	if in.NumSrcs() >= 1 {
+	if e.Info.NumSrc >= 1 {
 		a = w.readScalarOperand(in.Srcs[0])
 	}
-	if in.NumSrcs() >= 2 {
+	if e.Info.NumSrc >= 2 {
 		b = w.readScalarOperand(in.Srcs[1])
 	}
 	switch in.Op {
@@ -188,7 +190,8 @@ func (d *Device) execScalarALU(w *Warp, in *isa.Instruction) {
 	}
 }
 
-func (d *Device) execVectorALU(w *Warp, in *isa.Instruction) {
+func (d *Device) execVectorALU(w *Warp, e *isa.Decoded) {
+	in := e.In
 	switch in.Op {
 	case isa.VReadLane:
 		lane := int(in.Imm0)
@@ -206,18 +209,18 @@ func (d *Device) execVectorALU(w *Warp, in *isa.Instruction) {
 	// Sources an op does not take stay pointed at their (unused) scratch.
 	scratch := &w.SM.laneScratch
 	a, b, c := &scratch[0], &scratch[1], &scratch[2]
-	switch in.NumSrcs() {
+	switch e.Info.NumSrc {
 	case 3:
-		c = w.laneSource(in.Srcs[2], c)
+		c = w.laneSource(e, 2, c)
 		fallthrough
 	case 2:
-		b = w.laneSource(in.Srcs[1], b)
+		b = w.laneSource(e, 1, b)
 		fallthrough
 	case 1:
-		a = w.laneSource(in.Srcs[0], a)
+		a = w.laneSource(e, 0, a)
 	}
 	exec := w.Exec
-	if in.Op.Info().WritesVCC {
+	if e.Info.WritesVCC {
 		w.VCC = vcmp(in.Op, a, b) & exec
 		return
 	}
@@ -240,17 +243,22 @@ func (d *Device) execVectorALU(w *Warp, in *isa.Instruction) {
 // laneVec holds one 32-bit value per lane of a warp.
 type laneVec [isa.WarpSize]uint32
 
-// laneSource resolves a vector-context source to its per-lane values: a
-// vector register by reference, an immediate or a scalar or special
-// register (low 32 bits) splatted into scratch.
-func (w *Warp) laneSource(o isa.Operand, scratch *laneVec) *laneVec {
+// laneSource resolves source i of e, read per lane, to its per-lane
+// values: a vector register or the immediate lanes the program's table
+// decoded by reference, a scalar or special register (low 32 bits), or a
+// routine instruction's immediate, splatted into scratch.
+func (w *Warp) laneSource(e *isa.Decoded, i int, scratch *laneVec) *laneVec {
+	if v := e.Lanes[i]; v != nil {
+		return (*laneVec)(v)
+	}
+	o := &e.In.Srcs[i]
 	if o.IsReg() && o.Reg.Class == isa.RegVector {
 		return (*laneVec)(w.VRegs[o.Reg.Index])
 	}
 	return w.splat(o, scratch)
 }
 
-func (w *Warp) splat(o isa.Operand, scratch *laneVec) *laneVec {
+func (w *Warp) splat(o *isa.Operand, scratch *laneVec) *laneVec {
 	v := o.Imm
 	if o.IsReg() {
 		v = uint32(w.readScalarReg(o.Reg))
@@ -261,19 +269,6 @@ func (w *Warp) splat(o isa.Operand, scratch *laneVec) *laneVec {
 		*(*[4]uint32)(scratch[l : l+4]) = quad
 	}
 	return scratch
-}
-
-// resolveVectorOperand splits a vector-context source into its per-lane
-// slice (vector registers) or its lane-uniform value (immediates and
-// broadcast scalar registers).
-func (w *Warp) resolveVectorOperand(o isa.Operand) ([]uint32, uint32) {
-	if o.IsImm() {
-		return nil, o.Imm
-	}
-	if o.Reg.Class == isa.RegVector {
-		return w.VRegs[o.Reg.Index], 0
-	}
-	return nil, uint32(w.readScalarReg(o.Reg))
 }
 
 // f32 and u32 reinterpret a lane's bits as binary32 and back.
@@ -441,8 +436,9 @@ func valu(op isa.Op, out, a, b, c *laneVec, vcc uint64) {
 	}
 }
 
-func (d *Device) execMemory(w *Warp, in *isa.Instruction) (effect, error) {
+func (d *Device) execMemory(w *Warp, e *isa.Decoded) (effect, error) {
 	eff := effect{nextPC: -1}
+	in := e.In
 	switch in.Op {
 	case isa.SGLoad:
 		addr := uint32(w.readScalarOperand(in.Srcs[0])) + uint32(in.Imm0)
@@ -459,41 +455,52 @@ func (d *Device) execMemory(w *Warp, in *isa.Instruction) (effect, error) {
 		}
 		eff.memBytes = 4
 	case isa.VGLoad, isa.VGStore, isa.VGAtomicAdd:
-		return d.execVectorGlobal(w, in)
+		return d.execVectorGlobal(w, e)
 	case isa.VLLoad, isa.VLStore:
-		addrV, addrU := w.resolveVectorOperand(in.Srcs[0])
-		var valV []uint32
-		var valU uint32
-		if in.Op == isa.VLStore {
-			valV, valU = w.resolveVectorOperand(in.Srcs[1])
-		}
-		lanes := 0
-		for lane := 0; lane < isa.WarpSize; lane++ {
-			if w.Exec&(1<<uint(lane)) == 0 {
-				continue
-			}
-			lanes++
-			addr := addrU + uint32(in.Imm0)
-			if addrV != nil {
-				addr = addrV[lane] + uint32(in.Imm0)
-			}
-			idx := int(addr) >> 2
-			if addr%4 != 0 || idx < 0 || idx >= len(w.LDS.Data) {
-				return eff, d.fault(w, in, "LDS address %#x out of range (lds %d bytes)", addr, len(w.LDS.Data)*4)
-			}
-			if in.Op == isa.VLLoad {
-				w.VRegs[in.Dst.Index][lane] = w.LDS.Data[idx]
-			} else {
-				val := valU
-				if valV != nil {
-					val = valV[lane]
-				}
-				w.LDS.Data[idx] = val
-			}
-		}
-		eff.ldsBytes = lanes * 4
+		return d.execLDS(w, e)
 	}
 	return eff, nil
+}
+
+// execLDS runs an LDS load or store lane by lane over the set bits of
+// EXEC, in ascending lane order, as execVectorGlobal does. The first
+// misaligned or out-of-range lane faults after every earlier lane has
+// landed.
+func (d *Device) execLDS(w *Warp, e *isa.Decoded) (effect, error) {
+	eff := effect{nextPC: -1}
+	in := e.In
+	scratch := &w.SM.laneScratch
+	addrs := w.laneSource(e, 0, &scratch[0])
+	off := uint32(in.Imm0)
+	lds := w.LDS.Data
+	exec := w.Exec
+	if in.Op == isa.VLLoad {
+		dst := (*laneVec)(w.VRegs[in.Dst.Index])
+		for m := exec; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			addr := addrs[l] + off
+			if addr%4 != 0 || int(addr>>2) >= len(lds) {
+				return eff, d.ldsFault(w, in, addr)
+			}
+			dst[l] = lds[addr>>2]
+		}
+	} else {
+		vals := w.laneSource(e, 1, &scratch[1])
+		for m := exec; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			addr := addrs[l] + off
+			if addr%4 != 0 || int(addr>>2) >= len(lds) {
+				return eff, d.ldsFault(w, in, addr)
+			}
+			lds[addr>>2] = vals[l]
+		}
+	}
+	eff.ldsBytes = bits.OnesCount64(exec) * 4
+	return eff, nil
+}
+
+func (d *Device) ldsFault(w *Warp, in *isa.Instruction, addr uint32) error {
+	return d.fault(w, in, "LDS address %#x out of range (lds %d bytes)", addr, len(w.LDS.Data)*4)
 }
 
 // execVectorGlobal runs a vector load, store or atomic add lane by lane
@@ -508,10 +515,11 @@ func (d *Device) execMemory(w *Warp, in *isa.Instruction) (effect, error) {
 // address register holds a is aligned and inside pg exactly when word
 // RotateLeft32(a-lo, -2) is below n (see Memory.lanePage). A lane inside
 // pg thus pays one compare; any other faults or moves pg.
-func (d *Device) execVectorGlobal(w *Warp, in *isa.Instruction) (effect, error) {
+func (d *Device) execVectorGlobal(w *Warp, e *isa.Decoded) (effect, error) {
 	eff := effect{nextPC: -1}
+	in := e.In
 	scratch := &w.SM.laneScratch
-	addrs := w.laneSource(in.Srcs[0], &scratch[0])
+	addrs := w.laneSource(e, 0, &scratch[0])
 	off := uint32(in.Imm0)
 	mem := d.Mem
 	exec := w.Exec
@@ -537,7 +545,7 @@ func (d *Device) execVectorGlobal(w *Warp, in *isa.Instruction) (effect, error) 
 			dst[l] = pg[i&pageMask]
 		}
 	case isa.VGStore, isa.VGAtomicAdd:
-		vals := w.laneSource(in.Srcs[1], &scratch[1])
+		vals := w.laneSource(e, 1, &scratch[1])
 		add := in.Op == isa.VGAtomicAdd
 		for m := exec; m != 0; m &= m - 1 {
 			l := bits.TrailingZeros64(m)

@@ -9,11 +9,24 @@ import (
 	"ctxback/internal/isa"
 )
 
-// The per-lane reference executor. The simulator runs vector ALU and
-// vector global-memory instructions op-major (one opcode dispatch per
-// instruction, then one loop over the lanes); these functions are the
-// lane-major path it replaced, kept here as the oracle the op-major path
-// is differentially checked against.
+// The per-lane reference executor. The simulator runs vector ALU,
+// vector global-memory and LDS instructions op-major (one opcode
+// dispatch per instruction, then one loop over the lanes); these
+// functions are the lane-major path it replaced, kept here as the oracle
+// the op-major path is differentially checked against.
+
+// resolveVectorOperand splits a vector-context source into its per-lane
+// slice (vector registers) or its lane-uniform value (immediates and
+// broadcast scalar registers).
+func (w *Warp) resolveVectorOperand(o isa.Operand) ([]uint32, uint32) {
+	if o.IsImm() {
+		return nil, o.Imm
+	}
+	if o.Reg.Class == isa.RegVector {
+		return w.VRegs[o.Reg.Index], 0
+	}
+	return nil, uint32(w.readScalarReg(o.Reg))
+}
 
 func vcmpLane(op isa.Op, a, b uint32) bool {
 	switch op {
@@ -200,6 +213,43 @@ func execVectorGlobalPerLane(d *Device, w *Warp, in *isa.Instruction) (effect, e
 	return eff, nil
 }
 
+// execLDSPerLane executes v_lload or v_lstore one active lane at a time.
+func execLDSPerLane(d *Device, w *Warp, in *isa.Instruction) (effect, error) {
+	eff := effect{nextPC: -1}
+	addrV, addrU := w.resolveVectorOperand(in.Srcs[0])
+	var valV []uint32
+	var valU uint32
+	if in.Op == isa.VLStore {
+		valV, valU = w.resolveVectorOperand(in.Srcs[1])
+	}
+	lanes := 0
+	for lane := 0; lane < isa.WarpSize; lane++ {
+		if w.Exec&(1<<uint(lane)) == 0 {
+			continue
+		}
+		lanes++
+		addr := addrU + uint32(in.Imm0)
+		if addrV != nil {
+			addr = addrV[lane] + uint32(in.Imm0)
+		}
+		idx := int(addr) >> 2
+		if addr%4 != 0 || idx < 0 || idx >= len(w.LDS.Data) {
+			return eff, d.fault(w, in, "LDS address %#x out of range (lds %d bytes)", addr, len(w.LDS.Data)*4)
+		}
+		if in.Op == isa.VLLoad {
+			w.VRegs[in.Dst.Index][lane] = w.LDS.Data[idx]
+		} else {
+			val := valU
+			if valV != nil {
+				val = valV[lane]
+			}
+			w.LDS.Data[idx] = val
+		}
+	}
+	eff.ldsBytes = lanes * 4
+	return eff, nil
+}
+
 // laneWiseVALU lists every vector ALU opcode that operates lane by lane:
 // all of them except the cross-file v_readlane and v_writelane.
 func laneWiseVALU() []isa.Op {
@@ -341,14 +391,33 @@ func nanChoiceOpen(w *Warp, in *isa.Instruction, l int) bool {
 	return false
 }
 
+// lanesIntact fails unless every immediate lane vector e reads still
+// holds its immediate: the table shares them, so an execution that
+// wrote one would corrupt every later execution of the program.
+func lanesIntact(t *testing.T, what string, e *isa.Decoded) {
+	t.Helper()
+	for i, v := range e.Lanes {
+		if v == nil {
+			continue
+		}
+		for l, x := range v {
+			if x != e.In.Srcs[i].Imm {
+				t.Fatalf("%s: immediate lanes of source %d overwritten at lane %d", what, i, l)
+			}
+		}
+	}
+}
+
 // TestOpMajorVALUMatchesPerLane differentially checks the op-major vector
 // ALU against the per-lane reference for every lane-wise op, with each
 // source as a vector, scalar, special or immediate operand, under full,
 // partial, single-lane and zero EXEC, with the destination both distinct
 // from and aliasing a source, over lane values that include NaN, ±0,
-// ±Inf, denormals and floats outside the int32 range. Every vector
-// register, scalar register, VCC, EXEC and SCC must match bit for bit,
-// save the one choice nanChoiceOpen describes.
+// ±Inf, denormals and floats outside the int32 range. Each instruction
+// runs decoded both as a kernel instruction (immediates from the table's
+// lanes) and as a routine instruction (immediates splatted). Every
+// vector register, scalar register, VCC, EXEC and SCC must match bit
+// for bit, save the one choice nanChoiceOpen describes.
 func TestOpMajorVALUMatchesPerLane(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	d := mustNewDevice(TestConfig())
@@ -386,19 +455,26 @@ func TestOpMajorVALUMatchesPerLane(t *testing.T) {
 					w := diffWarp(rng)
 					w.Exec = exec
 					orig, ref := cloneWarp(w), cloneWarp(w)
-					if _, err := d.execute(w, &in); err != nil {
-						t.Fatalf("%s: %v", in.String(), err)
-					}
 					execVectorALUPerLane(ref, &in)
-					if in.Dst.IsVector() {
-						got, want := w.VRegs[in.Dst.Index], ref.VRegs[in.Dst.Index]
-						for l := range got {
-							if got[l] != want[l] && isNaN32(got[l]) && isNaN32(want[l]) && nanChoiceOpen(orig, &in, l) {
-								got[l] = want[l]
+					for _, form := range []struct {
+						name string
+						w    *Warp
+						e    *isa.Decoded
+					}{{"kernel", w, kernelDecoded(t, w, in)}, {"routine", cloneWarp(orig), routineDecoded(w, &in)}} {
+						if _, err := d.execute(form.w, form.e); err != nil {
+							t.Fatalf("%s: %v", in.String(), err)
+						}
+						lanesIntact(t, in.String(), form.e)
+						if in.Dst.IsVector() {
+							got, want := form.w.VRegs[in.Dst.Index], ref.VRegs[in.Dst.Index]
+							for l := range got {
+								if got[l] != want[l] && isNaN32(got[l]) && isNaN32(want[l]) && nanChoiceOpen(orig, &in, l) {
+									got[l] = want[l]
+								}
 							}
 						}
+						sameRegs(t, fmt.Sprintf("%s (%s) exec %#x", in.String(), form.name, exec), form.w, ref)
 					}
-					sameRegs(t, fmt.Sprintf("%s exec %#x", in.String(), exec), w, ref)
 				}
 			}
 		}
@@ -486,7 +562,9 @@ func TestOpMajorVectorGlobalMatchesPerLane(t *testing.T) {
 			ref.Mem = d.Mem.Clone()
 			rw := cloneWarp(w)
 
-			eff, err := d.execute(w, &in)
+			e := kernelDecoded(t, w, in)
+			eff, err := d.execute(w, e)
+			lanesIntact(t, in.String(), e)
 			refEff, refErr := execVectorGlobalPerLane(ref, rw, &in)
 			what := in.String()
 			if (err == nil) != (refErr == nil) || (err != nil && err.Error() != refErr.Error()) {
@@ -514,5 +592,104 @@ func TestOpMajorVectorGlobalMatchesPerLane(t *testing.T) {
 	}
 	if faults < 30 {
 		t.Fatalf("only %d faulting cases; the fault paths are under-exercised", faults)
+	}
+}
+
+// TestOpMajorLDSMatchesPerLane differentially checks LDS loads and stores
+// against the per-lane reference: vector, scalar and immediate address
+// sources, value sources of every form, full, partial, single-lane and
+// zero EXEC, a load whose destination aliases its address register, and
+// a misaligned or out-of-range address at the first, a middle and the
+// last active lane. Odd trials decode the instruction as a routine
+// instruction (immediates splatted), even ones as a kernel instruction.
+// The effect, the error text, the LDS and every register must match; a
+// fault must leave exactly the earlier lanes landed.
+func TestOpMajorLDSMatchesPerLane(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const ldsWords = 256
+	active := func(exec uint64) []int {
+		var ls []int
+		for l := 0; l < isa.WarpSize; l++ {
+			if exec&(1<<uint(l)) != 0 {
+				ls = append(ls, l)
+			}
+		}
+		return ls
+	}
+	var faults, aliased int
+	d := mustNewDevice(TestConfig())
+	for _, op := range []isa.Op{isa.VLLoad, isa.VLStore} {
+		for trial := 0; trial < 400; trial++ {
+			w := diffWarp(rng)
+			w.LDS = &LDSBlock{Data: make([]uint32, ldsWords)}
+			for i := range w.LDS.Data {
+				w.LDS.Data[i] = rng.Uint32()
+			}
+			w.Exec = []uint64{^uint64(0), rng.Uint64(), 1 << uint(rng.Intn(isa.WarpSize)), 0}[trial%4]
+			// Addresses fall in a short window so lanes collide.
+			in := isa.Instruction{Op: op, Imm0: int32(4 * rng.Intn(8))}
+			lo, span := rng.Intn(ldsWords-48), 1+rng.Intn(32)
+			addr := func() uint32 { return uint32(lo+rng.Intn(span))*4 - uint32(in.Imm0) }
+			for l := range w.VRegs[0] {
+				w.VRegs[0][l] = addr()
+			}
+			switch trial / 4 % 3 {
+			case 0:
+				in.Srcs[0] = isa.R(isa.S(1))
+				w.SRegs[1] = uint64(addr())
+			case 1:
+				in.Srcs[0] = isa.ImmU(addr())
+			default:
+				in.Srcs[0] = isa.R(isa.V(0))
+			}
+			if op == isa.VLLoad {
+				in.Dst = isa.V(rng.Intn(diffVRegs))
+				if trial%5 == 0 {
+					in.Dst = isa.V(0)
+				}
+				if in.Srcs[0].IsReg() && in.Srcs[0].Reg == in.Dst {
+					aliased++
+				}
+			} else {
+				in.Srcs[1] = drawOperand(rng, operandKinds[rng.Intn(len(operandKinds))])
+			}
+			// One in three trials plants a bad address at the first, a
+			// middle or the last active lane: misaligned, just past the
+			// end, or far outside.
+			if lanes := active(w.Exec); trial%3 == 0 && len(lanes) > 0 && in.Srcs[0].Reg.IsVector() {
+				at := []int{lanes[0], lanes[len(lanes)/2], lanes[len(lanes)-1]}[trial/3%3]
+				bad := []uint32{uint32(4*lo + 1 + rng.Intn(3)), 4 * ldsWords, 0xFFFFFFFC}[rng.Intn(3)]
+				w.VRegs[0][at] = bad - uint32(in.Imm0)
+			}
+
+			rw := cloneWarp(w)
+			rw.LDS = &LDSBlock{Data: append([]uint32(nil), w.LDS.Data...)}
+			e := kernelDecoded(t, w, in)
+			if trial%2 == 1 {
+				e = routineDecoded(w, &in)
+			}
+			eff, err := d.execute(w, e)
+			lanesIntact(t, in.String(), e)
+			refEff, refErr := execLDSPerLane(d, rw, &in)
+			what := in.String()
+			if (err == nil) != (refErr == nil) || (err != nil && err.Error() != refErr.Error()) {
+				t.Fatalf("%s: error %v, per-lane %v", what, err, refErr)
+			}
+			if err != nil {
+				faults++
+			}
+			if eff != refEff {
+				t.Fatalf("%s: effect %+v, per-lane %+v", what, eff, refEff)
+			}
+			for i := range w.LDS.Data {
+				if w.LDS.Data[i] != rw.LDS.Data[i] {
+					t.Fatalf("%s: lds[%d] = %#x, per-lane %#x", what, i, w.LDS.Data[i], rw.LDS.Data[i])
+				}
+			}
+			sameRegs(t, what, w, rw)
+		}
+	}
+	if faults < 40 || aliased < 20 {
+		t.Fatalf("%d faulting and %d aliasing cases; the paths are under-exercised", faults, aliased)
 	}
 }

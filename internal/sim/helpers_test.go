@@ -1,6 +1,10 @@
 package sim
 
-import "ctxback/internal/isa"
+import (
+	"testing"
+
+	"ctxback/internal/isa"
+)
 
 // mustNewDevice builds a device from a test-verified static config;
 // construction failure is a test bug, so it panics.
@@ -19,4 +23,25 @@ func mustProg(b *isa.Builder) *isa.Program {
 		panic(err)
 	}
 	return p
+}
+
+// kernelDecoded decodes in as a kernel instruction: the first of a
+// program with w's register counts, so the immediates it reads per lane
+// come from the table's shared lanes.
+func kernelDecoded(tb testing.TB, w *Warp, in isa.Instruction) *isa.Decoded {
+	tb.Helper()
+	p := &isa.Program{Name: "one", NumVRegs: w.Prog.NumVRegs, NumSRegs: w.Prog.NumSRegs,
+		Instrs: []isa.Instruction{in, {Op: isa.SEndpgm}}}
+	tab := p.Table()
+	if tab.Err != nil {
+		tb.Fatal(tab.Err)
+	}
+	return &tab.Code[0]
+}
+
+// routineDecoded decodes in as a fetch of a routine instruction does, for
+// a warp of w's register counts: no immediate lanes.
+func routineDecoded(w *Warp, in *isa.Instruction) *isa.Decoded {
+	e := isa.Decode(in, len(w.VRegs), len(w.SRegs))
+	return &e
 }

@@ -535,7 +535,7 @@ func (d *Device) Resume(ep *Episode) error {
 		w.Mode = ModeKernel // enterRoutine overrides; kept for clarity
 		w.enterRoutine(ModeResumeRoutine, instrs)
 		w.ReadyAt = start
-		w.regReady.reset()
+		clear(w.clock)
 		w.lastStoreDone = 0
 		d.enqueueReady(w)
 	}

@@ -324,8 +324,8 @@ func (d *Device) enqueueReady(w *Warp) {
 	if w.qheap != qheapNone {
 		sm.dequeue(w)
 	}
-	in := w.currentInstr()
-	if in == nil {
+	e := w.fetch()
+	if e == nil {
 		// The scan surfaced this on the next Step; record it so the
 		// event-driven Step does the same.
 		if d.qerr == nil {
@@ -334,7 +334,7 @@ func (d *Device) enqueueReady(w *Warp) {
 		d.smChanged(sm)
 		return
 	}
-	w.candTime = max(w.ReadyAt, w.regReadyAt(sm.hazardRegs(in)))
+	w.candTime = max(w.ReadyAt, w.hazardsReadyAt(e))
 	if w.candTime <= sm.issueFree {
 		sm.stalledInsert(w)
 	} else {

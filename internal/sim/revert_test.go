@@ -51,10 +51,11 @@ func TestRevertRoundTripQuick(t *testing.T) {
 			}
 		}
 		before := snapshotReg(w, dst)
-		if _, err := d.execute(w, &in); err != nil {
+		if _, err := d.execute(w, kernelDecoded(t, w, in)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := d.execute(w, &rev); err != nil {
+		// A revert runs inside a resume routine, decoded when fetched.
+		if _, err := d.execute(w, routineDecoded(w, &rev)); err != nil {
 			t.Fatal(err)
 		}
 		after := snapshotReg(w, dst)
@@ -101,10 +102,10 @@ func TestShiftRevertRoundTrip(t *testing.T) {
 	for lane := 0; lane < isa.WarpSize; lane++ {
 		w.VRegs[0][lane] = uint32(lane * 1000) // < 2^28: shift by 4 is exact
 	}
-	if _, err := d.execute(w, &in); err != nil {
+	if _, err := d.execute(w, kernelDecoded(t, w, in)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.execute(w, &rev); err != nil {
+	if _, err := d.execute(w, routineDecoded(w, &rev)); err != nil {
 		t.Fatal(err)
 	}
 	for lane := 0; lane < isa.WarpSize; lane++ {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"ctxback/internal/isa"
@@ -466,7 +467,7 @@ func TestRemoveLaunchRecyclesRegisters(t *testing.T) {
 	}
 	freed := make(map[*uint32]bool)
 	for _, w := range l.Warps {
-		if w.VRegs[1][1] != 8 || w.SRegs[3] != 9 || w.regReady.maxAll() == 0 {
+		if w.VRegs[1][1] != 8 || w.SRegs[3] != 9 || slices.Max(w.clock) == 0 {
 			t.Fatalf("warp %d did not dirty its registers and clocks", w.ID)
 		}
 		freed[&w.VRegs[0][0]] = true
@@ -503,7 +504,7 @@ func TestRemoveLaunchRecyclesRegisters(t *testing.T) {
 				t.Fatalf("warp %d starts with a non-zero scalar register", w.ID)
 			}
 		}
-		if w.regReady.maxAll() != 0 {
+		if slices.Max(w.clock) != 0 {
 			t.Fatalf("warp %d starts with a register still in flight", w.ID)
 		}
 	}

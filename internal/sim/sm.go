@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"ctxback/internal/faults"
 	"ctxback/internal/isa"
@@ -39,31 +40,9 @@ type SM struct {
 
 	episode *Episode // active preemption episode, if any
 
-	// Issue-path operand scratch, sized up front so the hot path never
-	// allocates.
-	hazardScratch []isa.Reg
-	defsScratch   []isa.Reg
 	// laneScratch holds a vector instruction's splatted scalar sources
 	// and its result under a partial EXEC (exec.go).
 	laneScratch [4]laneVec
-}
-
-// hazardRegs collects the registers whose in-flight values gate issue of
-// in (RAW via uses, WAW via defs) into the SM-owned scratch slice.
-func (sm *SM) hazardRegs(in *isa.Instruction) []isa.Reg {
-	sm.hazardScratch = sm.hazardScratch[:0]
-	sm.hazardScratch = in.Uses(sm.hazardScratch)
-	sm.hazardScratch = in.Defs(sm.hazardScratch)
-	return sm.hazardScratch
-}
-
-// defRegs collects in's defined registers into the SM-owned scratch
-// slice — the issue path runs once per simulated instruction and must
-// not allocate.
-func (sm *SM) defRegs(in *isa.Instruction) []isa.Reg {
-	sm.defsScratch = sm.defsScratch[:0]
-	sm.defsScratch = in.Defs(sm.defsScratch)
-	return sm.defsScratch
 }
 
 func (sm *SM) residentWarps() int {
@@ -122,14 +101,15 @@ func (sm *SM) issue(w *Warp, t int64) error {
 		sm.beginPreempt(w, t)
 	}
 
-	in := w.currentInstr()
-	if in == nil {
+	e := w.fetch()
+	if e == nil {
 		return fmt.Errorf("sim: warp %d has no instruction to issue", w.ID)
 	}
-	eff, err := d.execute(w, in)
+	eff, err := d.execute(w, e)
 	if err != nil {
 		return err
 	}
+	in, info := e.In, e.Info
 
 	d.Stats.Instructions++
 	if tr := d.tracer; tr != nil && (tr.Filter == nil || tr.Filter(w)) {
@@ -145,7 +125,6 @@ func (sm *SM) issue(w *Warp, t int64) error {
 	}
 
 	// Timing.
-	info := in.Op.Info()
 	w.lastIssued = t
 	w.candValid = false
 	sm.issueFree = t + 1
@@ -159,8 +138,10 @@ func (sm *SM) issue(w *Warp, t int64) error {
 		// fast bus.
 		ctxPath := info.Class == isa.ClassContext && w.Mode != ModeHook
 		complete := d.accessGlobal(t+int64(info.IssueCycles), eff.memBytes, ctxPath, info.HasDst)
+		// A memory op writes no implicit register: its stamps are its
+		// destination alone.
 		if info.HasDst && in.Dst.Valid() {
-			w.setRegReady(in.Dst, complete)
+			w.stamp(e, complete)
 		} else {
 			w.lastStoreDone = max(w.lastStoreDone, complete)
 		}
@@ -205,20 +186,13 @@ func (sm *SM) issue(w *Warp, t int64) error {
 	case eff.ldsBytes > 0:
 		complete := sm.accessLDS(t+int64(info.IssueCycles), eff.ldsBytes)
 		if info.HasDst && in.Dst.Valid() {
-			w.setRegReady(in.Dst, complete)
+			w.stamp(e, complete)
 		} else {
 			w.lastStoreDone = max(w.lastStoreDone, complete)
 		}
 		done = complete
 	default:
-		if info.HasDst && in.Dst.Valid() {
-			w.setRegReady(in.Dst, done)
-		}
-		for _, r := range sm.defRegs(in) {
-			if r != in.Dst {
-				w.setRegReady(r, done)
-			}
-		}
+		w.stamp(e, done)
 	}
 
 	// Advance the stream.
@@ -268,7 +242,7 @@ func (sm *SM) issue(w *Warp, t int64) error {
 		w.ctx = nil
 		// The state is only restored once every outstanding restore load
 		// has landed.
-		restored := max(done, w.lastStoreDone, w.regReady.maxAll())
+		restored := max(done, w.lastStoreDone, slices.Max(w.clock))
 		if rec := w.preemptRec; rec != nil {
 			rec.RestoreDone = restored
 			w.episode.onWarpRestored(w, restored)
@@ -306,26 +280,29 @@ func (sm *SM) arriveBarrier(w *Warp, t int64) {
 
 func (sm *SM) checkBarrier(w *Warp, t int64) {
 	target := w.BarrierCount + 1
-	var waiters []*Warp
-	for _, peer := range blockPeers(w) {
+	waiting := func(peer *Warp) bool {
+		return peer.State != WarpDone && peer.barrierWait && peer.BarrierCount+1 == target
+	}
+	release := t
+	peers := blockPeers(w)
+	for _, peer := range peers {
 		switch {
 		case peer.State == WarpDone:
 			// Finished warps no longer participate.
 		case peer.BarrierCount >= target:
 			// Already past this instance.
-		case peer.barrierWait && peer.BarrierCount+1 == target:
-			waiters = append(waiters, peer)
+		case waiting(peer):
+			release = max(release, peer.ReadyAt)
 		default:
 			return // someone still on the way
 		}
 	}
-	release := t
-	for _, peer := range waiters {
-		if peer.ReadyAt > release {
-			release = peer.ReadyAt
+	// Release the waiters in block order. A second pass instead of a
+	// collected list keeps barrier issue free of allocation.
+	for _, peer := range peers {
+		if !waiting(peer) {
+			continue
 		}
-	}
-	for _, peer := range waiters {
 		peer.barrierWait = false
 		peer.State = WarpReady
 		peer.BarrierCount = target

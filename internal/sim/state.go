@@ -109,7 +109,7 @@ type WarpSlotState struct {
 	ReadyAt      int64
 	RegReadyV    []int64
 	RegReadyS    []int64
-	RegReadySpec [numSpecRegs]int64
+	RegReadySpec [isa.NumSpecRegs]int64
 	DynCount     int64
 	BarrierCount int
 	BarrierWait  bool
@@ -294,6 +294,7 @@ func (d *Device) ExportState() (*DeviceState, *StateIndex) {
 			ls.Blocks = append(ls.Blocks, bs)
 		}
 		for _, w := range l.Warps {
+			nv, ns := len(w.VRegs), len(w.SRegs)
 			ws := WarpSlotState{
 				SM:           -1,
 				LDSShareLo:   w.LDSShareLo,
@@ -305,9 +306,9 @@ func (d *Device) ExportState() (*DeviceState, *StateIndex) {
 				SCC:          w.SCC,
 				State:        w.State,
 				ReadyAt:      w.ReadyAt,
-				RegReadyV:    append([]int64(nil), w.regReady.v...),
-				RegReadyS:    append([]int64(nil), w.regReady.s...),
-				RegReadySpec: w.regReady.spec,
+				RegReadyV:    append([]int64(nil), w.clock[:nv]...),
+				RegReadyS:    append([]int64(nil), w.clock[nv:nv+ns]...),
+				RegReadySpec: [isa.NumSpecRegs]int64(w.clock[nv+ns:]),
 				DynCount:     w.DynCount,
 				BarrierCount: w.BarrierCount,
 				BarrierWait:  w.barrierWait,
@@ -416,8 +417,13 @@ func (d *Device) ImportState(st *DeviceState, rt Runtime, progs []*isa.Program) 
 		if enc := isa.EncodeProgram(p); string(enc) != string(st.Progs[i]) {
 			return nil, fmt.Errorf("sim: ImportState program %d (%q) does not match the snapshot's program fingerprint", i, p.Name)
 		}
+		if err := p.Table().Err; err != nil {
+			return nil, fmt.Errorf("sim: ImportState program %d: %w", i, err)
+		}
 	}
-	if err := st.CheckInvariants(); err != nil {
+	// progs encode to st.Progs byte for byte, and decoding is canonical,
+	// so they stand in for decoded copies.
+	if err := st.checkInvariants(progs); err != nil {
 		return nil, fmt.Errorf("sim: snapshot state invalid: %w", err)
 	}
 	if rt == nil && len(st.Episodes) > 0 {
@@ -447,6 +453,7 @@ func (d *Device) ImportState(st *DeviceState, rt Runtime, progs []*isa.Program) 
 			},
 			Dev:       d,
 			Occ:       occ,
+			table:     prog.Table(),
 			nextBlock: ls.NextBlock,
 			doneWarps: ls.DoneWarps,
 			Warps:     make([]*Warp, 0, len(ls.Warps)),
@@ -482,11 +489,12 @@ func (d *Device) ImportState(st *DeviceState, rt Runtime, progs []*isa.Program) 
 			w.SCC = ws.SCC
 			w.State = ws.State
 			w.ReadyAt = ws.ReadyAt
-			// newWarp sized the clocks to the program; a longer saved
-			// clock (one grown by set) reallocates.
-			w.regReady.v = append(w.regReady.v[:0], ws.RegReadyV...)
-			w.regReady.s = append(w.regReady.s[:0], ws.RegReadyS...)
-			w.regReady.spec = ws.RegReadySpec
+			// checkInvariants held each saved clock to the program's
+			// register counts, the clock's own layout.
+			nv, ns := len(w.VRegs), len(w.SRegs)
+			copy(w.clock, ws.RegReadyV)
+			copy(w.clock[nv:], ws.RegReadyS)
+			copy(w.clock[nv+ns:], ws.RegReadySpec[:])
 			w.DynCount = ws.DynCount
 			w.BarrierCount = ws.BarrierCount
 			w.barrierWait = ws.BarrierWait
@@ -602,6 +610,19 @@ func (d *Device) ImportState(st *DeviceState, rt Runtime, progs []*isa.Program) 
 // and episode counter sanity. ImportState refuses states that fail it;
 // the snapshot fuzzer calls it on every decoded state.
 func (st *DeviceState) CheckInvariants() error {
+	progs := make([]*isa.Program, len(st.Progs))
+	for i, enc := range st.Progs {
+		p, err := isa.DecodeProgram(enc)
+		if err != nil {
+			return fmt.Errorf("program %d: %w", i, err)
+		}
+		progs[i] = p
+	}
+	return st.checkInvariants(progs)
+}
+
+// checkInvariants is CheckInvariants given st.Progs as valid programs.
+func (st *DeviceState) checkInvariants(progs []*isa.Program) error {
 	if err := st.Cfg.Validate(); err != nil {
 		return err
 	}
@@ -617,15 +638,6 @@ func (st *DeviceState) CheckInvariants() error {
 	if len(st.SMs) != st.Cfg.NumSMs {
 		return fmt.Errorf("state has %d SMs, config needs %d", len(st.SMs), st.Cfg.NumSMs)
 	}
-	progs := make([]*isa.Program, len(st.Progs))
-	for i, enc := range st.Progs {
-		p, err := isa.DecodeProgram(enc)
-		if err != nil {
-			return fmt.Errorf("program %d: %w", i, err)
-		}
-		progs[i] = p
-	}
-	const regClockCap = 1 << 16
 	for li := range st.Launches {
 		ls := &st.Launches[li]
 		if ls.Prog < 0 || ls.Prog >= len(progs) {
@@ -694,9 +706,8 @@ func (st *DeviceState) CheckInvariants() error {
 			if len(ws.SRegs) != ns {
 				return fmt.Errorf("launch %d warp %d: %d sregs, program needs %d", li, wi, len(ws.SRegs), ns)
 			}
-			if len(ws.RegReadyV) < nv || len(ws.RegReadyV) > regClockCap ||
-				len(ws.RegReadyS) < ns || len(ws.RegReadyS) > regClockCap {
-				return fmt.Errorf("launch %d warp %d: register clock sizes %d/%d out of range", li, wi, len(ws.RegReadyV), len(ws.RegReadyS))
+			if len(ws.RegReadyV) != nv || len(ws.RegReadyS) != ns {
+				return fmt.Errorf("launch %d warp %d: register clock sizes %d/%d, program needs %d/%d", li, wi, len(ws.RegReadyV), len(ws.RegReadyS), nv, ns)
 			}
 			if ws.State > WarpPreempted {
 				return fmt.Errorf("launch %d warp %d: invalid state %d", li, wi, ws.State)

@@ -313,6 +313,18 @@ func TestImportRejects(t *testing.T) {
 	bad.Mem = nil
 	expectErr("mem-missing", mustNewDevice(d.Cfg), bad, progs, "no memory image")
 
+	// Invariant violation: a saved register clock one entry longer than
+	// the program's allocated vector or scalar count. A warp's clock is
+	// exactly that long; nothing ever grows it.
+	bad, _ = d.ExportState()
+	ws := &bad.Launches[0].Warps[0]
+	ws.RegReadyV = append(ws.RegReadyV, 0)
+	expectErr("vector-clock", mustNewDevice(d.Cfg), bad, progs, "register clock sizes")
+	bad, _ = d.ExportState()
+	ws = &bad.Launches[0].Warps[0]
+	ws.RegReadyS = append(ws.RegReadyS, 0)
+	expectErr("scalar-clock", mustNewDevice(d.Cfg), bad, progs, "register clock sizes")
+
 	// A valid import still works after all the refusals above (they
 	// never corrupted shared state).
 	if _, err := mustNewDevice(d.Cfg).ImportState(st, naiveRuntime{}, progs); err != nil {

@@ -61,14 +61,15 @@ type Warp struct {
 	State WarpState
 	// ReadyAt is the earliest cycle the warp may attempt its next issue.
 	ReadyAt int64
-	// regReady tracks, per register, the cycle its in-flight value lands.
-	regReady regClock
-	// vecStore and clockStore back VRegs (one row per register) and
-	// regReady (vector clocks, then scalar clocks); RemoveLaunch recycles
-	// them with SRegs (regFile). clockStore is kept apart because a
-	// regClock.set past the end moves regReady's slice off it.
-	vecStore   []uint32
-	clockStore []int64
+	// clock holds, per register slot (isa.Slot: vector registers, then
+	// scalar ones, then EXEC, VCC and SCC), the cycle the register's
+	// in-flight value lands. The scheduler reads it for every operand of
+	// every issued instruction, so it is flat, indexed by the slots the
+	// decoded instruction carries.
+	clock []int64
+	// vecStore backs VRegs (one row per register); RemoveLaunch recycles
+	// it with SRegs and clock (regFile).
+	vecStore []uint32
 	// DynCount counts retired kernel-mode instructions (logical
 	// progress); routine/hook instructions do not count.
 	DynCount int64
@@ -78,8 +79,14 @@ type Warp struct {
 
 	Mode ExecMode
 	// routine is the instruction stream executed in routine/hook modes.
-	routine      []isa.Instruction
-	routinePC    int
+	routine   []isa.Instruction
+	routinePC int
+	// dec is the decoded routine instruction at routinePC (fetch). It is
+	// the warp's own: another warp's fetch between this warp's enqueue
+	// and its issue must not overwrite it. fetch decodes again only when
+	// the stream moves to another instruction; a routine, like a
+	// program, is never edited once handed to the device.
+	dec          isa.Decoded
 	savedMode    ExecMode // mode to restore after a hook completes
 	hookDepth    int
 	hookSavedCtx *SavedContext
@@ -213,15 +220,13 @@ func newWarp(id, blockID, warpInBlk int, prog *isa.Program, lds *LDSBlock, pool 
 	// backups there and BASELINE swaps them.
 	nv, ns := prog.AllocatedVRegs(), prog.AllocatedSRegs()
 	rf := pool.take(nv, ns)
-	w.VRegs, w.SRegs, w.vecStore, w.clockStore = rf.vregs, rf.sregs, rf.vec, rf.clock
-	w.regReady.v = rf.clock[:nv:nv]
-	w.regReady.s = rf.clock[nv:]
+	w.VRegs, w.SRegs, w.vecStore, w.clock = rf.vregs, rf.sregs, rf.vec, rf.clock
 	return w
 }
 
 // regFile returns the register storage w holds.
 func (w *Warp) regFile() regFile {
-	return regFile{vregs: w.VRegs, vec: w.vecStore, sregs: w.SRegs, clock: w.clockStore}
+	return regFile{vregs: w.VRegs, vec: w.vecStore, sregs: w.SRegs, clock: w.clock}
 }
 
 // regFile is one warp's register storage: its vector and scalar
@@ -232,7 +237,7 @@ type regFile struct {
 	vregs [][]uint32 // rows of vec, one per vector register
 	vec   []uint32
 	sregs []uint64
-	clock []int64 // vector clocks, then scalar clocks
+	clock []int64 // one per register slot (isa.Slot)
 }
 
 // regShape is a register file's size: vector and scalar register counts.
@@ -259,7 +264,7 @@ func (p regPool) take(nv, ns int) regFile {
 		vregs: make([][]uint32, nv),
 		vec:   make([]uint32, nv*isa.WarpSize),
 		sregs: make([]uint64, ns),
-		clock: make([]int64, nv+ns),
+		clock: make([]int64, nv+ns+isa.NumSpecRegs),
 	}
 	for i := range rf.vregs {
 		rf.vregs[i] = rf.vec[i*isa.WarpSize : (i+1)*isa.WarpSize : (i+1)*isa.WarpSize]
@@ -271,83 +276,6 @@ func (p regPool) take(nv, ns int) regFile {
 func (p regPool) give(rf regFile) {
 	k := regShape{len(rf.vregs), len(rf.sregs)}
 	p[k] = append(p[k], rf)
-}
-
-// regClock records, per architectural register, the cycle its in-flight
-// value becomes readable. It replaces a map: the scheduler consults it
-// for every operand of every issued instruction, so lookups must be flat
-// array indexing with no hashing or allocation.
-type regClock struct {
-	v    []int64
-	s    []int64
-	spec [numSpecRegs]int64
-}
-
-const numSpecRegs = 3 // EXEC, VCC, SCC
-
-// reset forgets every in-flight value (warp re-materialization).
-func (c *regClock) reset() {
-	clear(c.v)
-	clear(c.s)
-	clear(c.spec[:])
-}
-
-func (c *regClock) get(r isa.Reg) int64 {
-	switch r.Class {
-	case isa.RegVector:
-		if int(r.Index) < len(c.v) {
-			return c.v[r.Index]
-		}
-	case isa.RegScalar:
-		if int(r.Index) < len(c.s) {
-			return c.s[r.Index]
-		}
-	case isa.RegSpecial:
-		if int(r.Index) < numSpecRegs {
-			return c.spec[r.Index]
-		}
-	}
-	return 0
-}
-
-func (c *regClock) set(r isa.Reg, cycle int64) {
-	switch r.Class {
-	case isa.RegVector:
-		if int(r.Index) >= len(c.v) {
-			c.v = append(c.v, make([]int64, int(r.Index)+1-len(c.v))...)
-		}
-		c.v[r.Index] = cycle
-	case isa.RegScalar:
-		if int(r.Index) >= len(c.s) {
-			c.s = append(c.s, make([]int64, int(r.Index)+1-len(c.s))...)
-		}
-		c.s[r.Index] = cycle
-	case isa.RegSpecial:
-		if int(r.Index) < numSpecRegs {
-			c.spec[r.Index] = cycle
-		}
-	}
-}
-
-// maxAll returns the latest in-flight completion across every register.
-func (c *regClock) maxAll() int64 {
-	var t int64
-	for _, x := range c.v {
-		if x > t {
-			t = x
-		}
-	}
-	for _, x := range c.s {
-		if x > t {
-			t = x
-		}
-	}
-	for _, x := range c.spec {
-		if x > t {
-			t = x
-		}
-	}
-	return t
 }
 
 // poison fills the register state with a recognizable garbage pattern.
@@ -369,19 +297,26 @@ func (w *Warp) poison() {
 	w.SCC = true
 }
 
-// currentInstr returns the instruction the warp will issue next, given
-// its mode, or nil when the stream is exhausted.
-func (w *Warp) currentInstr() *isa.Instruction {
+// fetch returns the decoded instruction the warp issues next, given its
+// mode, or nil when the stream is exhausted. Kernel instructions come
+// from the launch's decoded table. Routine and hook instructions belong
+// to no program, so each is decoded into the warp's own entry when
+// first fetched.
+func (w *Warp) fetch() *isa.Decoded {
 	if w.Mode == ModeKernel {
-		if w.PC >= w.Prog.Len() {
+		code := w.launch.table.Code
+		if w.PC >= len(code) {
 			return nil
 		}
-		return w.Prog.At(w.PC)
+		return &code[w.PC]
 	}
 	if w.routinePC >= len(w.routine) {
 		return nil
 	}
-	return &w.routine[w.routinePC]
+	if in := &w.routine[w.routinePC]; w.dec.In != in {
+		w.dec = isa.Decode(in, len(w.VRegs), len(w.SRegs))
+	}
+	return &w.dec
 }
 
 // enterRoutine switches the warp into a routine stream.
@@ -400,20 +335,21 @@ func (w *Warp) enterHook(instrs []isa.Instruction) {
 	w.enterRoutine(ModeHook, instrs)
 }
 
-// regReadyAt returns the cycle at which every register in regs is
-// available.
-func (w *Warp) regReadyAt(regs []isa.Reg) int64 {
+// hazardsReadyAt returns the cycle at which every register e reads or
+// writes has landed its in-flight value.
+func (w *Warp) hazardsReadyAt(e *isa.Decoded) int64 {
 	var t int64
-	for _, r := range regs {
-		if rt := w.regReady.get(r); rt > t {
-			t = rt
-		}
+	for _, s := range e.Hazards() {
+		t = max(t, w.clock[s])
 	}
 	return t
 }
 
-func (w *Warp) setRegReady(r isa.Reg, cycle int64) {
-	w.regReady.set(r, cycle)
+// stamp records that every register e writes lands its value at cycle.
+func (w *Warp) stamp(e *isa.Decoded, cycle int64) {
+	for _, s := range e.Stamps() {
+		w.clock[s] = cycle
+	}
 }
 
 // activeLanes returns the number of set bits in EXEC.
