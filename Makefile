@@ -137,15 +137,19 @@ bench-test:
 # procs-diff guards evaluation-engine determinism across parallelism:
 # the quick sweep and the QoS waiting-time table, which runs on the same
 # worker pool, must emit byte-identical output at -procs 1 and -procs 4
-# (worker count may reorder episode execution, never results).
+# (worker count may reorder episode execution, never results). The
+# -procs 1 sweep must also match testdata/quick_sweep.golden, which the
+# tier-1 TestQuickSweepGolden renders in-process, so the CLI's flag
+# wiring stays pinned too.
 procs-diff:
 	$(GO) run ./cmd/benchtab -quick -procs 1 > /tmp/ctxback-procs1.txt
+	diff -u testdata/quick_sweep.golden /tmp/ctxback-procs1.txt
 	$(GO) run ./cmd/benchtab -quick -procs 4 > /tmp/ctxback-procs4.txt
 	diff -u /tmp/ctxback-procs1.txt /tmp/ctxback-procs4.txt
 	$(GO) run ./cmd/benchtab -quick -qos KM -procs 1 > /tmp/ctxback-qos-procs1.txt
 	$(GO) run ./cmd/benchtab -quick -qos KM -procs 4 > /tmp/ctxback-qos-procs4.txt
 	diff -u /tmp/ctxback-qos-procs1.txt /tmp/ctxback-qos-procs4.txt
-	@echo "quick sweep and QoS table byte-identical across -procs 1/4"
+	@echo "quick sweep matches its golden; it and the QoS table byte-identical across -procs 1/4"
 
 # cache-diff guards the artifact store's byte-identity contract: the
 # quick evaluation sweep and the serve smoke must produce identical

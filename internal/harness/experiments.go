@@ -7,7 +7,6 @@ import (
 	"ctxback/internal/core"
 	"ctxback/internal/kernels"
 	"ctxback/internal/preempt"
-	"ctxback/internal/sim"
 )
 
 // TableIRow is one benchmark's line of Table I.
@@ -212,7 +211,7 @@ func (r *Runner) Fig10() (*Figure, error) {
 		if err != nil {
 			return err
 		}
-		if !sim.Instruments(tech, p.wl.Prog) {
+		if !tech.Instruments(p.wl.Prog) {
 			cycles[f] = p.goldenCycles
 			return nil
 		}

@@ -38,7 +38,7 @@ type episode struct {
 // from-scratch path, which reports the construction error.
 func forkable(kind preempt.Kind, prog *isa.Program) bool {
 	tech, err := preempt.New(kind, prog)
-	return err == nil && !sim.Instruments(tech, prog)
+	return err == nil && !tech.Instruments(prog)
 }
 
 // golden is one kernel's uninstrumented run for one batch of episodes:

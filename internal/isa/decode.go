@@ -23,15 +23,14 @@ func Slot(r Reg, nv, ns int) (slot int, ok bool) {
 }
 
 // Decoded is one instruction's static facts in the form the simulator's
-// issue path reads them, for a warp numbered by Slot. It is a plain
-// value: decoding allocates nothing.
+// issue path reads them, for a warp numbered by Slot. DecodeStream makes
+// them, for a program's Table and for every routine and hook body alike.
 type Decoded struct {
 	In   *Instruction
 	Info *OpInfo
 	// Lanes holds, for each immediate source the op reads per lane, the
 	// immediate over every lane of a warp; it is nil for register
-	// sources and for instructions decoded outside a program's Table.
-	// The vectors are shared: never write through them.
+	// sources. The vectors are shared: never write through them.
 	Lanes [MaxSrcs]*[WarpSize]uint32
 
 	// slots holds the slots of the registers In reads (Uses), then of
@@ -49,19 +48,6 @@ func (e *Decoded) Hazards() []uint16 { return e.slots[:e.nslots] }
 // Stamps returns the slots of the registers the instruction writes
 // (Defs): its destination first, then its implicit defs.
 func (e *Decoded) Stamps() []uint16 { return e.slots[e.uses:e.nslots] }
-
-// Decode decodes in for a warp of nv vector and ns scalar registers,
-// which must be at most MaxVRegs and MaxSRegs. A register the warp does
-// not have gets no slot, so it gates nothing and is stamped by nothing.
-// Decode fills no Lanes: a program's Table does, once per program.
-func Decode(in *Instruction, nv, ns int) Decoded {
-	e := Decoded{In: in, Info: in.Op.Info()}
-	var buf [MaxSrcs + 4]Reg
-	e.add(in.Uses(buf[:0]), nv, ns)
-	e.uses = e.nslots
-	e.add(in.Defs(buf[:0]), nv, ns)
-	return e
-}
 
 func (e *Decoded) add(regs []Reg, nv, ns int) {
 	for _, r := range regs {
@@ -84,9 +70,48 @@ func readsLanes(op Op) bool {
 	return false
 }
 
+// DecodeStream decodes code, one Decoded per instruction, for a warp of
+// nv vector and ns scalar registers, which must be at most MaxVRegs and
+// MaxSRegs. A register the warp does not have gets no slot, so it gates
+// nothing and is stamped by nothing. Each distinct immediate the stream
+// reads per lane is splatted once, and its entries share the vector. The
+// entries point into code, which must not change afterwards.
+func DecodeStream(code []Instruction, nv, ns int) []Decoded {
+	var imms []uint32
+	var lanes []*[WarpSize]uint32
+	out := make([]Decoded, len(code))
+	for i := range code {
+		in, e := &code[i], &out[i]
+		e.In, e.Info = in, in.Op.Info()
+		var buf [MaxSrcs + 4]Reg
+		e.add(in.Uses(buf[:0]), nv, ns)
+		e.uses = e.nslots
+		e.add(in.Defs(buf[:0]), nv, ns)
+		if !readsLanes(in.Op) {
+			continue
+		}
+		for j, o := range in.SrcOperands() {
+			if !o.IsImm() {
+				continue
+			}
+			k := slices.Index(imms, o.Imm)
+			if k < 0 {
+				k, imms = len(imms), append(imms, o.Imm)
+				v := new([WarpSize]uint32)
+				for l := range v {
+					v[l] = o.Imm
+				}
+				lanes = append(lanes, v)
+			}
+			e.Lanes[j] = lanes[k]
+		}
+	}
+	return out
+}
+
 // Table is a program decoded for execution: Validate's verdict and, for
-// a valid program, one Decoded per PC for a warp of the program's
-// allocated register counts.
+// a valid program, its DecodeStream for a warp of the program's
+// allocated register counts, one entry per PC.
 type Table struct {
 	Err  error
 	Code []Decoded
@@ -108,38 +133,5 @@ func (p *Program) decode() *Table {
 	if err := p.Validate(); err != nil {
 		return &Table{Err: err}
 	}
-	// The immediates read per lane, each splatted once into one slab.
-	var imms []uint32
-	for pc := range p.Instrs {
-		in := &p.Instrs[pc]
-		if !readsLanes(in.Op) {
-			continue
-		}
-		for _, o := range in.SrcOperands() {
-			if o.IsImm() && !slices.Contains(imms, o.Imm) {
-				imms = append(imms, o.Imm)
-			}
-		}
-	}
-	lanes := make([][WarpSize]uint32, len(imms))
-	for i, v := range imms {
-		for l := range lanes[i] {
-			lanes[i][l] = v
-		}
-	}
-	nv, ns := p.AllocatedVRegs(), p.AllocatedSRegs()
-	t := &Table{Code: make([]Decoded, len(p.Instrs))}
-	for pc := range p.Instrs {
-		e := &t.Code[pc]
-		*e = Decode(&p.Instrs[pc], nv, ns)
-		if !readsLanes(e.In.Op) {
-			continue
-		}
-		for i, o := range e.In.SrcOperands() {
-			if o.IsImm() {
-				e.Lanes[i] = &lanes[slices.Index(imms, o.Imm)]
-			}
-		}
-	}
-	return t
+	return &Table{Code: DecodeStream(p.Instrs, p.AllocatedVRegs(), p.AllocatedSRegs())}
 }

@@ -2,12 +2,14 @@ package isa_test
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
-	"ctxback/internal/core"
 	"ctxback/internal/isa"
 	"ctxback/internal/kernels"
+	"ctxback/internal/preempt"
+	"ctxback/internal/sim"
 )
 
 // slotOf is the register clock layout spelled out: vector registers
@@ -27,12 +29,11 @@ func slotOf(r isa.Reg, nv, ns int) int {
 }
 
 // checkDecoded requires e to be what Uses, Defs, Op.Info and a splat
-// give for in on a warp of nv vector and ns scalar registers. lanes says
-// whether e comes from a program's table, which splats the immediates
-// of the ops that read their sources per lane (the lane-wise vector ALU
-// ops and vector global, atomic and LDS accesses); a routine
-// instruction, decoded when fetched, has none.
-func checkDecoded(t testing.TB, what string, e *isa.Decoded, in *isa.Instruction, nv, ns int, lanes bool) {
+// give for in on a warp of nv vector and ns scalar registers: every
+// stream splats the immediates of the ops that read their sources per
+// lane (the lane-wise vector ALU ops and vector global, atomic and LDS
+// accesses).
+func checkDecoded(t testing.TB, what string, e *isa.Decoded, in *isa.Instruction, nv, ns int) {
 	t.Helper()
 	if e.In != in || e.Info != in.Op.Info() {
 		t.Fatalf("%s: decoded %p/%p, want the instruction %p and its info", what, e.In, e.Info, in)
@@ -60,11 +61,34 @@ func checkDecoded(t testing.TB, what string, e *isa.Decoded, in *isa.Instruction
 		perLane = true
 	}
 	for i, o := range in.Srcs {
-		want := lanes && perLane && i < in.NumSrcs() && o.IsImm()
+		want := perLane && i < in.NumSrcs() && o.IsImm()
 		if got := e.Lanes[i]; (got != nil) != want {
 			t.Fatalf("%s: source %d has lanes %v, want %v", what, i, got != nil, want)
 		} else if got != nil && *got != splat(o.Imm) {
 			t.Fatalf("%s: source %d lanes %v, want %#x in every lane", what, i, got, o.Imm)
+		}
+	}
+}
+
+// checkStream requires every entry of a decoded stream to decode the
+// instruction it points to as checkDecoded says, and the stream to share
+// one lane vector per immediate value.
+func checkStream(t testing.TB, what string, code []isa.Decoded, nv, ns int) {
+	t.Helper()
+	shared := make(map[uint32]*[isa.WarpSize]uint32)
+	for i := range code {
+		e := &code[i]
+		checkDecoded(t, fmt.Sprintf("%s [%d] (%s)", what, i, e.In), e, e.In, nv, ns)
+		for j, v := range e.Lanes {
+			if v == nil {
+				continue
+			}
+			imm := e.In.Srcs[j].Imm
+			if shared[imm] == nil {
+				shared[imm] = v
+			} else if shared[imm] != v {
+				t.Fatalf("%s [%d]: immediate %#x has a lane vector of its own", what, i, imm)
+			}
 		}
 	}
 }
@@ -76,9 +100,9 @@ func splat(v uint32) (s [isa.WarpSize]uint32) {
 	return s
 }
 
-// checkTable requires p's table to hold Validate's verdict, to decode
-// every PC as checkDecoded says, and to share one lane vector per
-// immediate value.
+// checkTable requires p's table to hold Validate's verdict and, for a
+// valid p, to decode its instructions as checkStream says, one entry per
+// PC.
 func checkTable(t testing.TB, p *isa.Program) {
 	t.Helper()
 	tab := p.Table()
@@ -94,37 +118,106 @@ func checkTable(t testing.TB, p *isa.Program) {
 	if len(tab.Code) != p.Len() {
 		t.Fatalf("%s: %d entries for %d instructions", p.Name, len(tab.Code), p.Len())
 	}
-	nv, ns := p.AllocatedVRegs(), p.AllocatedSRegs()
-	shared := make(map[uint32]*[isa.WarpSize]uint32)
 	for pc := range p.Instrs {
-		e := &tab.Code[pc]
-		checkDecoded(t, fmt.Sprintf("%s pc %d (%s)", p.Name, pc, p.At(pc)), e, p.At(pc), nv, ns, true)
-		for i, v := range e.Lanes {
-			if v == nil {
-				continue
-			}
-			imm := e.In.Srcs[i].Imm
-			if shared[imm] == nil {
-				shared[imm] = v
-			} else if shared[imm] != v {
-				t.Fatalf("%s pc %d: immediate %#x has a lane vector of its own", p.Name, pc, imm)
-			}
+		if tab.Code[pc].In != p.At(pc) {
+			t.Fatalf("%s pc %d: entry decodes another instruction", p.Name, pc)
 		}
 	}
+	checkStream(t, p.Name, tab.Code, p.AllocatedVRegs(), p.AllocatedSRegs())
 	if p.Table() != tab || p.Alias().Table() != tab {
 		t.Fatalf("%s: a second call or an alias decoded again", p.Name)
+	}
+}
+
+// victim launches wl with tech attached, preempts SM 0 and runs until a
+// victim has entered its preemption routine: a warp with a context
+// buffer and a preemption record. It returns the warp and the number of
+// warps of the launch.
+func victim(t *testing.T, wl *kernels.Workload, tech sim.Runtime) (*sim.Warp, int) {
+	t.Helper()
+	d, err := sim.NewDevice(sim.TestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.AttachRuntime(tech)
+	l, err := wl.Launch(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Preempt(0, tech); err != nil {
+		t.Fatal(err)
+	}
+	var w *sim.Warp
+	err = d.RunUntil(func() bool {
+		for _, v := range l.Warps {
+			if v.Mode == sim.ModePreemptRoutine && v.Record() != nil {
+				w = v
+				return true
+			}
+		}
+		return false
+	}, 1_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w, len(l.Warps)
+}
+
+// checkStreams checks every decoded table tech hands the device for wl's
+// program. It asks through a victim warp whose PC, ID, progress, buffer
+// PC and record it sets (the device never steps again): at every PC, at
+// no and at full progress (Chimera flushes a warp that has made little),
+// the preemption and resume routines and the hook of a warp ID with no
+// per-warp state, then the two routines again once that hook gave the
+// warp a buffer (CKPT's checkpoint, SM-flushing's entry image). A second
+// ask for a routine must return the same memoized table.
+func checkStreams(t *testing.T, wl *kernels.Workload, tech preempt.Technique) {
+	w, id := victim(t, wl, tech)
+	p := wl.Prog
+	nv, ns := p.AllocatedVRegs(), p.AllocatedSRegs()
+	seen := make(map[*isa.Decoded]bool)
+	check := func(what string, code []isa.Decoded) {
+		if len(code) > 0 && !seen[&code[0]] {
+			seen[&code[0]] = true
+			checkStream(t, what, code, nv, ns)
+		}
+	}
+	routines := func(what string) {
+		pre := tech.PreemptRoutine(w)
+		res, _ := tech.ResumeRoutine(w)
+		check(what+" preempt", pre)
+		check(what+" resume", res)
+		pre2 := tech.PreemptRoutine(w)
+		res2, _ := tech.ResumeRoutine(w)
+		if &pre2[0] != &pre[0] || &res2[0] != &res[0] {
+			t.Fatalf("%s: a second ask built its routines again", what)
+		}
+	}
+	for pc := range p.Len() {
+		for _, dyn := range []int64{0, math.MaxInt64} {
+			what := fmt.Sprintf("%s/%v pc %d dyn %d", wl.Abbrev, tech.Kind(), pc, dyn)
+			w.ID, w.PC, w.DynCount = id, pc, dyn
+			w.Ctx().PC = pc
+			w.Record().PCAtSignal, w.Record().DynAtSignal = pc, dyn
+			id++
+			routines(what)
+			hook, buf := tech.Hook(w, pc)
+			check(what+" hook", hook)
+			if buf != nil {
+				buf.PC = pc
+				routines(what + " after hook")
+			}
+		}
 	}
 }
 
 // TestDecodedMatchesInstruction checks every decoded entry against Uses,
 // Defs, Op.Info and a splat: each instruction of the twelve kernels, the
 // regression programs and generator seeds 0-199 as table entries, and
-// each instruction of the kernels' CTXBack preempt, resume and backup
-// routines, with the technique's framing context ops, as decoded when
-// fetched.
+// every preemption routine, resume routine and hook table each of the
+// eight techniques hands the device for the twelve kernels.
 func TestDecodedMatchesInstruction(t *testing.T) {
 	progs := corpus(t, 200)
-	kernelProgs := progs[:12]
 	for _, name := range kernels.RegressionNames() {
 		p, err := kernels.Regression(name)
 		if err != nil {
@@ -135,36 +228,20 @@ func TestDecodedMatchesInstruction(t *testing.T) {
 	for _, p := range progs {
 		checkTable(t, p)
 	}
-	framing := []isa.Instruction{{Op: isa.CtxSaveLDS}, {Op: isa.CtxSavePC, Target: 1},
-		{Op: isa.CtxExit}, {Op: isa.CtxLoadLDS}, {Op: isa.CtxResume, Target: 1}}
-	for _, p := range kernelProgs {
-		c, err := core.Compile(p, core.FeatAll)
-		if err != nil {
-			t.Fatalf("%s: %v", p.Name, err)
-		}
-		routines := append(slices.Clone(c.PreemptRoutines), c.ResumeRoutines...)
-		for _, backup := range c.BackupAt {
-			routines = append(routines, backup)
-		}
-		routines = append(routines, framing)
-		nv, ns := p.AllocatedVRegs(), p.AllocatedSRegs()
-		for ri, r := range routines {
-			for i := range r {
-				e := isa.Decode(&r[i], nv, ns)
-				checkDecoded(t, fmt.Sprintf("%s routine %d [%d] (%s)", p.Name, ri, i, &r[i]), &e, &r[i], nv, ns, false)
-			}
-		}
+	wls, err := kernels.All(kernels.TestParams())
+	if err != nil {
+		t.Fatal(err)
 	}
-	// A routine instruction is decoded on every fetch: that must not
-	// allocate.
-	in := &isa.Instruction{Op: isa.VMad, Dst: isa.V(1),
-		Srcs: [isa.MaxSrcs]isa.Operand{isa.R(isa.V(0)), isa.R(isa.S(2)), isa.Imm(3)}}
-	if n := testing.AllocsPerRun(100, func() { sinkDecoded = isa.Decode(in, 4, 16) }); n != 0 {
-		t.Fatalf("Decode allocates %v times", n)
+	for _, wl := range wls {
+		for _, kind := range preempt.ExtendedKinds() {
+			tech, err := preempt.New(kind, wl.Prog)
+			if err != nil {
+				continue // SM-flushing and Chimera need idempotent kernels
+			}
+			checkStreams(t, wl, tech)
+		}
 	}
 }
-
-var sinkDecoded isa.Decoded
 
 // TestTableOfInvalidProgram keeps Validate's error and decodes nothing.
 func TestTableOfInvalidProgram(t *testing.T) {

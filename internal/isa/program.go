@@ -28,19 +28,30 @@ type Program struct {
 	// Labels maps label names to PCs (kept for disassembly/debugging).
 	Labels map[string]int
 
-	digest atomic.Pointer[[32]byte] // Digest, once computed
-	table  atomic.Pointer[Table]    // Table, once decoded
+	enc   atomic.Pointer[encoded] // Encoding and Digest, once computed
+	table atomic.Pointer[Table]   // Table, once decoded
 }
 
-// Digest returns the SHA-256 of EncodeProgram(p), the program's content
-// address. The first call computes it and later calls reuse it.
-func (p *Program) Digest() [32]byte {
-	if d := p.digest.Load(); d != nil {
-		return *d
+// encoded is a program's canonical encoding and its SHA-256.
+type encoded struct {
+	bytes  []byte
+	digest [32]byte
+}
+
+// Encoding returns EncodeProgram(p). The first call of Encoding or
+// Digest computes it and later calls share it: never modify it.
+func (p *Program) Encoding() []byte { return p.encoded().bytes }
+
+// Digest returns the SHA-256 of p's Encoding, the program's content
+// address.
+func (p *Program) Digest() [32]byte { return p.encoded().digest }
+
+func (p *Program) encoded() *encoded {
+	if p.enc.Load() == nil {
+		b := EncodeProgram(p)
+		p.enc.Store(&encoded{b, sha256.Sum256(b)})
 	}
-	d := sha256.Sum256(EncodeProgram(p))
-	p.digest.Store(&d)
-	return d
+	return p.enc.Load()
 }
 
 // Allocation granularities on the modeled hardware (paper §V: AMD Radeon
@@ -247,14 +258,14 @@ func (p *Program) Disassemble() string {
 }
 
 // Alias returns a new program value with p's content: it shares p's
-// instructions and labels, which no one may modify, p's digest and p's
-// decoded Table, which it decodes now if nothing has yet. Use it where
+// instructions and labels, which no one may modify, p's encoding and
+// digest and p's decoded Table, which it decodes now if nothing has yet. Use it where
 // programs are told apart by pointer but one content serves several of
 // them.
 func (p *Program) Alias() *Program {
 	a := &Program{Name: p.Name, Instrs: p.Instrs, NumVRegs: p.NumVRegs,
 		NumSRegs: p.NumSRegs, LDSBytes: p.LDSBytes, Labels: p.Labels}
-	a.digest.Store(p.digest.Load())
+	a.enc.Store(p.enc.Load())
 	a.table.Store(p.Table())
 	return a
 }

@@ -12,6 +12,7 @@ import (
 	"ctxback/internal/isa"
 	"ctxback/internal/kernels"
 	"ctxback/internal/liveness"
+	"ctxback/internal/sim"
 )
 
 // uniqueKM builds a KM workload at the given iteration count. Every
@@ -421,6 +422,123 @@ func TestMemoSingleFlightConcurrent(t *testing.T) {
 		for i := range got {
 			if !sameTables(got[i], want) {
 				t.Fatalf("%s: goroutine %d got different tables", progs[0].Name, i)
+			}
+		}
+	}
+}
+
+// victimWarp launches wl under tech, preempts SM 0 and runs until a
+// victim has entered its preemption routine, so it has a context buffer
+// and a record. It returns the warp and the launch's warp count.
+func victimWarp(t testing.TB, wl *kernels.Workload, tech sim.Runtime) (*sim.Warp, int) {
+	t.Helper()
+	d := mustDevice(sim.TestConfig())
+	d.AttachRuntime(tech)
+	l, err := wl.Launch(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Preempt(0, tech); err != nil {
+		t.Fatal(err)
+	}
+	var w *sim.Warp
+	err = d.RunUntil(func() bool {
+		for _, v := range l.Warps {
+			if v.Mode == sim.ModePreemptRoutine && v.Record() != nil {
+				w = v
+				return true
+			}
+		}
+		return false
+	}, 1_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w, len(l.Warps)
+}
+
+// routineTables asks every kind in ExtendedKinds, constructed on w's
+// program, for its tables through w: at every PC, the preemption and
+// resume routines and the hook of a warp ID with no per-warp state yet,
+// then the routines again once that hook gave the warp a buffer. It
+// sets w's PC, ID, buffer PC and record to ask (w's device never steps
+// again) and returns the tables in asking order.
+func routineTables(w *sim.Warp, id int) ([][]isa.Decoded, error) {
+	var out [][]isa.Decoded
+	for _, k := range ExtendedKinds() {
+		tech, err := New(k, w.Prog)
+		if err != nil {
+			if k == SMFlush {
+				continue
+			}
+			return nil, err
+		}
+		routines := func() {
+			res, _ := tech.ResumeRoutine(w)
+			out = append(out, tech.PreemptRoutine(w), res)
+		}
+		for pc := range w.Prog.Len() {
+			w.ID, w.PC = id, pc
+			w.Ctx().PC, w.Record().PCAtSignal = pc, pc
+			id++
+			routines()
+			hook, buf := tech.Hook(w, pc)
+			out = append(out, hook)
+			if buf != nil {
+				buf.PC = pc
+				routines()
+			}
+		}
+	}
+	return out, nil
+}
+
+// TestMemoRoutineTablesShared: 8 goroutines, two per program value of
+// content-equal programs, ask every technique for every routine and hook
+// table at once, each through a victim warp of its own device. The
+// memos start cold, so the first asks race to fill them; every
+// (PC, variant) must come back as one table shared by all eight.
+func TestMemoRoutineTablesShared(t *testing.T) {
+	for _, f := range memoKernels {
+		const workers = 8
+		warps, ids := make([]*sim.Warp, workers), make([]int, workers)
+		var wl *kernels.Workload
+		for i := range warps {
+			if i%2 == 0 {
+				var err error
+				if wl, err = f(kernels.TestParams()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tech, err := NewBaseline(wl.Prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			warps[i], ids[i] = victimWarp(t, wl, tech)
+		}
+		useStore(t, artifact.NewMemory())
+		got := make([][][]isa.Decoded, workers)
+		errs := make([]error, workers)
+		var wg sync.WaitGroup
+		for i := range warps {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				got[i], errs[i] = routineTables(warps[i], ids[i])
+			}(i)
+		}
+		wg.Wait()
+		for i := range got {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			if len(got[i]) != len(got[0]) {
+				t.Fatalf("%s: goroutine %d got %d tables, goroutine 0 %d", warps[0].Prog.Name, i, len(got[i]), len(got[0]))
+			}
+			for k, code := range got[i] {
+				if len(code) != len(got[0][k]) || len(code) > 0 && &code[0] != &got[0][k][0] {
+					t.Fatalf("%s: goroutine %d table %d is not goroutine 0's", warps[0].Prog.Name, i, k)
+				}
 			}
 		}
 	}

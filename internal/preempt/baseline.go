@@ -13,28 +13,35 @@ import (
 // regardless of liveness.
 type baselineTech struct {
 	prog *isa.Program
+	*baselineStatic
+}
+
+// baselineStatic is BASELINE's compile: the swapped register set and
+// the memo of its routines.
+type baselineStatic struct {
 	all  isa.RegSet
+	code *streams
 }
 
 // NewBaseline compiles the BASELINE technique. The swapped register set
 // is memoized per program and shared read-only across episodes.
 func NewBaseline(prog *isa.Program) (Technique, error) {
-	all, err := baselineRegs(prog)
+	s, err := baselineFor(prog)
 	if err != nil {
 		return nil, err
 	}
-	return &baselineTech{prog: prog, all: all}, nil
+	return &baselineTech{prog: prog, baselineStatic: s}, nil
 }
 
-// baselineRegs is the full allocated register set BASELINE swaps. Its
-// compute validates the program, so validation runs once per program
-// content rather than once per construction.
-func baselineRegs(prog *isa.Program) (isa.RegSet, error) {
+// baselineFor is BASELINE's compile for prog. Its compute validates the
+// program, so validation runs once per program content rather than once
+// per construction.
+func baselineFor(prog *isa.Program) (*baselineStatic, error) {
 	return memo(progKey(kindBaseline, prog),
-		func() (isa.RegSet, error) {
+		func() (*baselineStatic, error) {
 			var all isa.RegSet
 			if err := prog.Validate(); err != nil {
-				return all, err
+				return nil, err
 			}
 			for i := 0; i < prog.AllocatedVRegs(); i++ {
 				all.Add(isa.V(i))
@@ -45,17 +52,17 @@ func baselineRegs(prog *isa.Program) (isa.RegSet, error) {
 			all.Add(isa.Exec)
 			all.Add(isa.VCC)
 			all.Add(isa.SCC)
-			return all, nil
+			return &baselineStatic{all: all, code: newStreams(prog, 2, prog.Len())}, nil
 		},
-		func(all isa.RegSet) []byte {
+		func(s *baselineStatic) []byte {
 			w := artifact.NewWriter()
-			liveness.EncodeRegSet(all, w)
+			liveness.EncodeRegSet(s.all, w)
 			return w.Data()
 		},
-		func(p []byte) (isa.RegSet, error) {
+		func(p []byte) (*baselineStatic, error) {
 			r := artifact.NewReader(p)
-			all := liveness.DecodeRegSet(r)
-			return all, r.Close()
+			s := &baselineStatic{all: liveness.DecodeRegSet(r), code: newStreams(prog, 2, prog.Len())}
+			return s, r.Close()
 		})
 }
 
@@ -64,22 +71,28 @@ func (t *baselineTech) Name() string { return Baseline.String() }
 
 func (t *baselineTech) PhaseNames() trace.PhaseNames { return trace.DefaultPhaseNames() }
 
-func (t *baselineTech) PreemptRoutine(w *sim.Warp) []isa.Instruction {
-	return finishPreempt(w, saveSet(t.all), w.PC)
+// Instruments: BASELINE injects no instrumentation, so the device never
+// hooks its launches and the harness forks its episodes from the golden
+// run.
+func (t *baselineTech) Instruments(prog *isa.Program) bool { return false }
+
+func (t *baselineTech) PreemptRoutine(w *sim.Warp) []isa.Decoded {
+	pc := w.PC
+	return t.code.at(onPreempt, pc, func() []isa.Instruction {
+		return preemptCode(t.prog, saveSet(t.all), pc)
+	})
 }
 
-func (t *baselineTech) ResumeRoutine(w *sim.Warp) ([]isa.Instruction, *sim.SavedContext) {
-	return finishResume(w, loadSet(t.all), w.Ctx().PC), nil
+func (t *baselineTech) ResumeRoutine(w *sim.Warp) ([]isa.Decoded, *sim.SavedContext) {
+	pc := w.Ctx().PC
+	return t.code.at(onResume, pc, func() []isa.Instruction {
+		return resumeCode(t.prog, loadSet(t.all), pc)
+	}), nil
 }
 
-func (t *baselineTech) Hook(w *sim.Warp, pc int) ([]isa.Instruction, *sim.SavedContext) {
+func (t *baselineTech) Hook(w *sim.Warp, pc int) ([]isa.Decoded, *sim.SavedContext) {
 	return nil, nil
 }
-
-// HookAt (sim.HookPredicate): BASELINE injects no instrumentation, so
-// the device never hooks its launches and the harness forks its
-// episodes from the golden run.
-func (t *baselineTech) HookAt(w *sim.Warp, pc int) bool { return false }
 
 func (t *baselineTech) StaticContextBytes(pc int) int { return t.all.ContextBytes() }
 
@@ -91,6 +104,7 @@ func (t *baselineTech) EstPreemptCycles(pc int) int64 {
 type liveTech struct {
 	prog *isa.Program
 	live *liveness.Info
+	code *streams
 }
 
 // NewLive compiles the LIVE technique. Liveness is memoized per program
@@ -100,7 +114,7 @@ func NewLive(prog *isa.Program) (Technique, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &liveTech{prog: prog, live: a.live}, nil
+	return &liveTech{prog: prog, live: a.live, code: a.code}, nil
 }
 
 func (t *liveTech) Kind() Kind   { return Live }
@@ -108,31 +122,36 @@ func (t *liveTech) Name() string { return Live.String() }
 
 func (t *liveTech) PhaseNames() trace.PhaseNames { return trace.DefaultPhaseNames() }
 
-// contextAt is the live register context plus EXEC (the hardware always
-// needs a correct mask to resume).
-func (t *liveTech) contextAt(pc int) isa.RegSet {
-	regs := t.live.Context(pc)
+// Instruments: LIVE injects no instrumentation.
+func (t *liveTech) Instruments(prog *isa.Program) bool { return false }
+
+// liveContext is the live register context at pc plus EXEC (the hardware
+// always needs a correct mask to resume): what LIVE and CS-Defer swap.
+func liveContext(live *liveness.Info, pc int) isa.RegSet {
+	regs := live.Context(pc)
 	regs.Add(isa.Exec)
 	return regs
 }
 
-func (t *liveTech) PreemptRoutine(w *sim.Warp) []isa.Instruction {
-	return finishPreempt(w, saveSet(t.contextAt(w.PC)), w.PC)
+func (t *liveTech) PreemptRoutine(w *sim.Warp) []isa.Decoded {
+	pc := w.PC
+	return t.code.at(onPreempt, pc, func() []isa.Instruction {
+		return preemptCode(t.prog, saveSet(liveContext(t.live, pc)), pc)
+	})
 }
 
-func (t *liveTech) ResumeRoutine(w *sim.Warp) ([]isa.Instruction, *sim.SavedContext) {
+func (t *liveTech) ResumeRoutine(w *sim.Warp) ([]isa.Decoded, *sim.SavedContext) {
 	pc := w.Ctx().PC
-	return finishResume(w, loadSet(t.contextAt(pc)), pc), nil
+	return t.code.at(onResume, pc, func() []isa.Instruction {
+		return resumeCode(t.prog, loadSet(liveContext(t.live, pc)), pc)
+	}), nil
 }
 
-func (t *liveTech) Hook(w *sim.Warp, pc int) ([]isa.Instruction, *sim.SavedContext) {
+func (t *liveTech) Hook(w *sim.Warp, pc int) ([]isa.Decoded, *sim.SavedContext) {
 	return nil, nil
 }
 
-// HookAt (sim.HookPredicate): LIVE injects no instrumentation.
-func (t *liveTech) HookAt(w *sim.Warp, pc int) bool { return false }
-
-func (t *liveTech) StaticContextBytes(pc int) int { return t.contextAt(pc).ContextBytes() }
+func (t *liveTech) StaticContextBytes(pc int) int { return liveContext(t.live, pc).ContextBytes() }
 
 func (t *liveTech) EstPreemptCycles(pc int) int64 {
 	return estTrafficCycles(t.StaticContextBytes(pc))

@@ -66,10 +66,17 @@ func progKey(kind string, prog *isa.Program) *artifact.Key {
 	return artifact.NewKey(kind).Bytes("prog", d[:])
 }
 
-// progAnalysis bundles the shared CFG + liveness result.
+// progAnalysis bundles the shared CFG + liveness result, and the memo
+// of the routines LIVE and CS-Defer build from it: the two share the
+// resume routine restoring the live context at a PC.
 type progAnalysis struct {
 	graph *cfg.Graph
 	live  *liveness.Info
+	code  *streams
+}
+
+func newAnalysis(prog *isa.Program, g *cfg.Graph, live *liveness.Info) *progAnalysis {
+	return &progAnalysis{graph: g, live: live, code: newStreams(prog, 4, prog.Len())}
 }
 
 // analysisFor returns prog's CFG and liveness analysis.
@@ -80,7 +87,7 @@ func analysisFor(prog *isa.Program) (*progAnalysis, error) {
 			if err != nil {
 				return nil, err
 			}
-			return &progAnalysis{graph: g, live: liveness.Analyze(g)}, nil
+			return newAnalysis(prog, g, liveness.Analyze(g)), nil
 		},
 		func(a *progAnalysis) []byte {
 			w := artifact.NewWriter()
@@ -98,6 +105,6 @@ func analysisFor(prog *isa.Program) (*progAnalysis, error) {
 			if err != nil {
 				return nil, err
 			}
-			return &progAnalysis{graph: g, live: live}, r.Close()
+			return newAnalysis(prog, g, live), r.Close()
 		})
 }

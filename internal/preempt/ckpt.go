@@ -1,6 +1,7 @@
 package preempt
 
 import (
+	"slices"
 	"sort"
 
 	"ctxback/internal/artifact"
@@ -28,13 +29,16 @@ type ckptTech struct {
 	prog     *isa.Program
 	interval int
 
-	// Immutable compilation output (checkpoint sites, liveness), shared
-	// read-only across every episode of the same program.
+	// Immutable compilation output (checkpoint sites, liveness, the
+	// routine memo), shared read-only across every episode of the same
+	// program.
 	static *ckptStatic
 
-	// Per-run mutable state.
-	visits map[int]map[int]int // warp id -> site pc -> visit count
-	last   map[int]*sim.SavedContext
+	// Per-run mutable state: last[warp ID] is the warp's latest
+	// checkpoint, and visits[warp ID*blocks + block ID] counts the warp's
+	// visits to the block's checkpoint site. Both grow on demand.
+	last   []*sim.SavedContext
+	visits []int32
 }
 
 // NewCKPT compiles the CKPT technique with the given block-execution
@@ -45,21 +49,21 @@ func NewCKPT(prog *isa.Program, interval int) (Technique, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ckptTech{
-		prog: prog, interval: interval, static: st,
-		visits: make(map[int]map[int]int),
-		last:   make(map[int]*sim.SavedContext),
-	}, nil
+	return &ckptTech{prog: prog, interval: interval, static: st}, nil
 }
 
 // ckptStatic is the immutable part of a CKPT compilation: checkpoint
-// sites and forced-snapshot PCs. Per-run snapshot state lives on the
-// technique instance, never here.
+// sites and forced-snapshot PCs, and the memo of its routines. Per-run
+// snapshot state lives on the technique instance, never here.
 type ckptStatic struct {
 	live   *liveness.Info
 	site   map[int]int
 	siteOf map[int]bool
 	forced map[int]bool
+	// code's hook takes a checkpoint at a PC, its preemption routine
+	// saves the live context of a warp preempted before its first one,
+	// and its resume routine restores a snapshot taken at a PC.
+	code *streams
 }
 
 // ckptStaticFor is the immutable part of a CKPT compilation for prog at
@@ -79,6 +83,7 @@ func ckptStaticFor(prog *isa.Program, interval int) (*ckptStatic, error) {
 				site:   make(map[int]int),
 				siteOf: make(map[int]bool),
 				forced: make(map[int]bool),
+				code:   newStreams(prog, 3, prog.Len()),
 			}
 			for bi := range g.Blocks {
 				b := &g.Blocks[bi]
@@ -157,7 +162,7 @@ func ckptStaticFor(prog *isa.Program, interval int) (*ckptStatic, error) {
 				return nil, err
 			}
 			r := artifact.NewReader(p)
-			s := &ckptStatic{live: a.live}
+			s := &ckptStatic{live: a.live, code: newStreams(prog, 3, prog.Len())}
 			n := r.Len(2 * 8)
 			s.site = make(map[int]int, n)
 			for i := 0; i < n; i++ {
@@ -189,18 +194,11 @@ func (t *ckptTech) snapshotRegs(pc int) isa.RegSet {
 	return regs
 }
 
-// HookAt (sim.HookPredicate) over-approximates Hook: true at every PC
-// where Hook could take a checkpoint OR touch per-run state (a visited
-// site increments its counter even when the interval skips the
-// snapshot). Pure map reads only — safe to call concurrently; the
-// mutations themselves happen in Hook, which the device calls only for
-// launches this predicate says may hook.
-func (t *ckptTech) HookAt(w *sim.Warp, pc int) bool {
-	return w.Prog == t.prog &&
-		(t.last[w.ID] == nil || t.static.forced[pc] || t.static.siteOf[pc])
-}
+// Instruments: every warp of CKPT's own program takes checkpoint 0 at
+// its first instruction.
+func (t *ckptTech) Instruments(prog *isa.Program) bool { return prog == t.prog }
 
-func (t *ckptTech) Hook(w *sim.Warp, pc int) ([]isa.Instruction, *sim.SavedContext) {
+func (t *ckptTech) Hook(w *sim.Warp, pc int) ([]isa.Decoded, *sim.SavedContext) {
 	if w.Prog != t.prog {
 		// Another kernel sharing the device; its warps are not ours to
 		// checkpoint (warp IDs restart per launch).
@@ -208,56 +206,54 @@ func (t *ckptTech) Hook(w *sim.Warp, pc int) ([]isa.Instruction, *sim.SavedConte
 	}
 	take := false
 	switch {
-	case t.last[w.ID] == nil:
+	case warpAt(t.last, w.ID) == nil:
 		// Implicit checkpoint 0 at the first instruction the warp issues.
 		take = true
 	case t.static.forced[pc]:
 		take = true
 	case t.static.siteOf[pc]:
-		if t.visits[w.ID] == nil {
-			t.visits[w.ID] = make(map[int]int)
-		}
-		t.visits[w.ID][pc]++
-		take = t.visits[w.ID][pc]%t.interval == 1
+		// A block holds at most one site, so the block numbers the
+		// warp's counters.
+		g := t.static.live.Graph
+		n := warpSlot(&t.visits, w.ID*len(g.Blocks)+g.BlockOf(pc).ID)
+		*n++
+		take = int(*n)%t.interval == 1
 	}
 	if !take {
 		return nil, nil
 	}
 	buf := sim.NewSavedContext()
-	t.last[w.ID] = buf
-	body := saveSet(t.snapshotRegs(pc))
-	if t.prog.LDSBytes > 0 {
-		body = append(body, isa.Instruction{Op: isa.CtxSaveLDS})
-	}
-	body = append(body, isa.Instruction{Op: isa.CtxSavePC, Target: pc})
-	return body, buf
+	*warpSlot(&t.last, w.ID) = buf
+	return t.static.code.at(onHook, pc, func() []isa.Instruction {
+		return slices.Concat(saveSet(t.snapshotRegs(pc)), ldsOp(t.prog, isa.CtxSaveLDS),
+			[]isa.Instruction{{Op: isa.CtxSavePC, Target: pc}})
+	}), buf
 }
 
 // PreemptRoutine: drop the warp — its context is already checkpointed.
 // A warp preempted before it could take its first snapshot falls back to
 // a live-context save (it has no checkpoint to replay from).
-func (t *ckptTech) PreemptRoutine(w *sim.Warp) []isa.Instruction {
-	if t.last[w.ID] == nil {
-		body := saveSet(t.snapshotRegs(w.PC))
-		return finishPreempt(w, body, w.PC)
+func (t *ckptTech) PreemptRoutine(w *sim.Warp) []isa.Decoded {
+	if warpAt(t.last, w.ID) != nil {
+		return dropCode
 	}
-	return []isa.Instruction{{Op: isa.CtxExit}}
+	pc := w.PC
+	return t.static.code.at(onPreempt, pc, func() []isa.Instruction {
+		return preemptCode(t.prog, saveSet(t.snapshotRegs(pc)), pc)
+	})
 }
 
-func (t *ckptTech) ResumeRoutine(w *sim.Warp) ([]isa.Instruction, *sim.SavedContext) {
-	ck := t.last[w.ID]
-	if ck == nil {
-		pc := w.Ctx().PC
-		return finishResume(w, loadSet(t.snapshotRegs(pc)), pc), nil
+// ResumeRoutine restores the latest checkpoint and replays from it, or
+// a warp's fallback save; either way the routine restores the snapshot
+// registers at the buffer's PC.
+func (t *ckptTech) ResumeRoutine(w *sim.Warp) ([]isa.Decoded, *sim.SavedContext) {
+	ck, pc := warpAt(t.last, w.ID), w.Ctx().PC
+	if ck != nil {
+		pc = ck.PC
 	}
-	pc := ck.PC
-	var body []isa.Instruction
-	if t.prog.LDSBytes > 0 {
-		body = append(body, isa.Instruction{Op: isa.CtxLoadLDS})
-	}
-	body = append(body, loadSet(t.snapshotRegs(pc))...)
-	body = append(body, isa.Instruction{Op: isa.CtxResume, Target: pc})
-	return body, ck
+	return t.static.code.at(onResume, pc, func() []isa.Instruction {
+		return resumeCode(t.prog, loadSet(t.snapshotRegs(pc)), pc)
+	}), ck
 }
 
 // StaticContextBytes reports the checkpoint size for pc's block — the

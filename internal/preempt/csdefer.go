@@ -1,10 +1,11 @@
 package preempt
 
 import (
+	"slices"
+
 	"ctxback/internal/artifact"
 	"ctxback/internal/cfg"
 	"ctxback/internal/isa"
-	"ctxback/internal/liveness"
 	"ctxback/internal/sim"
 	"ctxback/internal/trace"
 )
@@ -15,8 +16,10 @@ import (
 // resume, but the deferral contributes its full execution time —
 // including memory stalls — to the preemption latency.
 type csdeferTech struct {
-	prog *isa.Program
-	live *liveness.Info
+	// liveTech: CS-Defer swaps the live context of the instruction it
+	// defers to, so it resumes, from the same memo, and instruments
+	// nothing, as LIVE does.
+	liveTech
 	// target[pc] is the deferral destination for a signal at pc.
 	target []int
 }
@@ -35,7 +38,7 @@ func NewCSDefer(prog *isa.Program) (Technique, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &csdeferTech{prog: prog, live: a.live, target: target}, nil
+	return &csdeferTech{liveTech: liveTech{prog: prog, live: a.live, code: a.code}, target: target}, nil
 }
 
 // csdeferTargets is the per-PC deferral destination table for prog,
@@ -102,38 +105,18 @@ func (t *csdeferTech) PhaseNames() trace.PhaseNames {
 	return trace.PhaseNames{Drain: "defer", Save: "save", Restore: "restore", Replay: "replay"}
 }
 
-func (t *csdeferTech) contextAt(pc int) isa.RegSet {
-	regs := t.live.Context(pc)
-	regs.Add(isa.Exec)
-	return regs
+func (t *csdeferTech) PreemptRoutine(w *sim.Warp) []isa.Decoded {
+	pc := w.PC
+	return t.code.at(onDefer, pc, func() []isa.Instruction {
+		d := t.target[pc]
+		// Deferral: execute the original instructions up to D inside the
+		// routine (they are real progress; stores land, loads stall).
+		return preemptCode(t.prog, slices.Concat(t.prog.Instrs[pc:d], saveSet(liveContext(t.live, d))), d)
+	})
 }
-
-func (t *csdeferTech) PreemptRoutine(w *sim.Warp) []isa.Instruction {
-	d := t.target[w.PC]
-	var body []isa.Instruction
-	// Deferral: execute the original instructions up to D inside the
-	// routine (they are real progress; stores land, loads stall).
-	for pc := w.PC; pc < d; pc++ {
-		body = append(body, *t.prog.At(pc))
-	}
-	body = append(body, saveSet(t.contextAt(d))...)
-	return finishPreempt(w, body, d)
-}
-
-func (t *csdeferTech) ResumeRoutine(w *sim.Warp) ([]isa.Instruction, *sim.SavedContext) {
-	pc := w.Ctx().PC
-	return finishResume(w, loadSet(t.contextAt(pc)), pc), nil
-}
-
-func (t *csdeferTech) Hook(w *sim.Warp, pc int) ([]isa.Instruction, *sim.SavedContext) {
-	return nil, nil
-}
-
-// HookAt (sim.HookPredicate): CS-Defer injects no instrumentation.
-func (t *csdeferTech) HookAt(w *sim.Warp, pc int) bool { return false }
 
 func (t *csdeferTech) StaticContextBytes(pc int) int {
-	return t.contextAt(t.target[pc]).ContextBytes()
+	return liveContext(t.live, t.target[pc]).ContextBytes()
 }
 
 // EstPreemptCycles sums the deferred instructions' issue cycles plus the

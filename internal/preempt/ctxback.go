@@ -14,6 +14,13 @@ import (
 type ctxbackTech struct {
 	prog     *isa.Program
 	compiled *core.Compiled
+	code     *streams // its hook is empty where the compile placed no backup
+}
+
+// ctxbackStatic is a CTXBack compile and the memo of its routines.
+type ctxbackStatic struct {
+	*core.Compiled
+	code *streams
 }
 
 // NewCTXBack compiles CTXBack with all three techniques enabled.
@@ -23,11 +30,11 @@ func NewCTXBack(prog *isa.Program) (Technique, error) {
 
 // NewCTXBackFeatures compiles CTXBack with a feature subset (ablations).
 func NewCTXBackFeatures(prog *isa.Program, feats core.Feature) (Technique, error) {
-	c, err := CompileCTXBack(prog, feats)
+	s, err := ctxbackFor(prog, feats)
 	if err != nil {
 		return nil, err
 	}
-	return &ctxbackTech{prog: prog, compiled: c}, nil
+	return &ctxbackTech{prog: prog, compiled: s.Compiled, code: s.code}, nil
 }
 
 // CompileCTXBack returns the CTXBack pass output for prog under feats,
@@ -38,23 +45,36 @@ func NewCTXBackFeatures(prog *isa.Program, feats core.Feature) (Technique, error
 // program seen, which is fine because plan PCs are positional. The
 // result is shared read-only.
 func CompileCTXBack(prog *isa.Program, feats core.Feature) (*core.Compiled, error) {
+	s, err := ctxbackFor(prog, feats)
+	if err != nil {
+		return nil, err
+	}
+	return s.Compiled, nil
+}
+
+// ctxbackFor is CompileCTXBack's memo entry: the compile with the memo
+// of its routines.
+func ctxbackFor(prog *isa.Program, feats core.Feature) (*ctxbackStatic, error) {
+	static := func(c *core.Compiled, err error) (*ctxbackStatic, error) {
+		return &ctxbackStatic{c, newStreams(prog, 3, prog.Len())}, err
+	}
 	return memo(progKey(kindCompiled, prog).
 		Int("feats", int(feats)).
 		Int("maxwindow", core.DefaultMaxWindow),
-		func() (*core.Compiled, error) {
+		func() (*ctxbackStatic, error) {
 			a, err := analysisFor(prog)
 			if err != nil {
 				return nil, err
 			}
-			return core.CompileWith(prog, a.graph, a.live, feats, core.DefaultMaxWindow)
+			return static(core.CompileWith(prog, a.graph, a.live, feats, core.DefaultMaxWindow))
 		},
-		core.EncodeCompiled,
-		func(p []byte) (*core.Compiled, error) {
+		func(s *ctxbackStatic) []byte { return core.EncodeCompiled(s.Compiled) },
+		func(p []byte) (*ctxbackStatic, error) {
 			a, err := analysisFor(prog)
 			if err != nil {
 				return nil, err
 			}
-			return core.DecodeCompiled(prog, a.graph, a.live, p)
+			return static(core.DecodeCompiled(prog, a.graph, a.live, p))
 		})
 }
 
@@ -71,34 +91,33 @@ func (t *ctxbackTech) PhaseNames() trace.PhaseNames {
 	return trace.PhaseNames{Drain: "drain", Save: "save", Restore: "restore", Replay: "flashback"}
 }
 
-func (t *ctxbackTech) PreemptRoutine(w *sim.Warp) []isa.Instruction {
-	return finishPreempt(w, t.compiled.PreemptRoutines[w.PC], w.PC)
+// Instruments: OSRB backups fire exactly at the compiled
+// instrumentation sites, so only a compile that placed some instruments
+// its own program.
+func (t *ctxbackTech) Instruments(prog *isa.Program) bool {
+	return prog == t.prog && len(t.compiled.BackupAt) > 0
 }
 
-func (t *ctxbackTech) ResumeRoutine(w *sim.Warp) ([]isa.Instruction, *sim.SavedContext) {
+func (t *ctxbackTech) PreemptRoutine(w *sim.Warp) []isa.Decoded {
+	pc := w.PC
+	return t.code.at(onPreempt, pc, func() []isa.Instruction {
+		return preemptCode(t.prog, t.compiled.PreemptRoutines[pc], pc)
+	})
+}
+
+func (t *ctxbackTech) ResumeRoutine(w *sim.Warp) ([]isa.Decoded, *sim.SavedContext) {
 	pc := w.Ctx().PC
-	return finishResume(w, t.compiled.ResumeRoutines[pc], pc), nil
-}
-
-// HookAt (sim.HookPredicate): OSRB backups fire exactly at the compiled
-// instrumentation sites; BackupAt is immutable after compilation.
-func (t *ctxbackTech) HookAt(w *sim.Warp, pc int) bool {
-	if w.Prog != t.prog {
-		return false
-	}
-	_, ok := t.compiled.BackupAt[pc]
-	return ok
+	return t.code.at(onResume, pc, func() []isa.Instruction {
+		return resumeCode(t.prog, t.compiled.ResumeRoutines[pc], pc)
+	}), nil
 }
 
 // Hook injects the OSRB backup copies at instrumented block entries.
-func (t *ctxbackTech) Hook(w *sim.Warp, pc int) ([]isa.Instruction, *sim.SavedContext) {
+func (t *ctxbackTech) Hook(w *sim.Warp, pc int) ([]isa.Decoded, *sim.SavedContext) {
 	if w.Prog != t.prog {
 		return nil, nil // another kernel sharing the device
 	}
-	if instrs, ok := t.compiled.BackupAt[pc]; ok {
-		return instrs, nil
-	}
-	return nil, nil
+	return t.code.at(onHook, pc, func() []isa.Instruction { return t.compiled.BackupAt[pc] }), nil
 }
 
 func (t *ctxbackTech) StaticContextBytes(pc int) int {
@@ -186,25 +205,25 @@ func (t *combinedTech) pick(pc int) Technique {
 	return t.csd
 }
 
-func (t *combinedTech) PreemptRoutine(w *sim.Warp) []isa.Instruction {
+// Instruments mirrors Hook's delegation.
+func (t *combinedTech) Instruments(prog *isa.Program) bool { return t.ctx.Instruments(prog) }
+
+func (t *combinedTech) PreemptRoutine(w *sim.Warp) []isa.Decoded {
 	return t.pick(w.PC).PreemptRoutine(w)
 }
 
-func (t *combinedTech) ResumeRoutine(w *sim.Warp) ([]isa.Instruction, *sim.SavedContext) {
+func (t *combinedTech) ResumeRoutine(w *sim.Warp) ([]isa.Decoded, *sim.SavedContext) {
 	// The resume routine must match whichever technique generated the
 	// saved context; the choice was a pure function of the PC that
 	// observed the signal.
 	return t.pick(w.PreemptPC()).ResumeRoutine(w)
 }
 
-func (t *combinedTech) Hook(w *sim.Warp, pc int) ([]isa.Instruction, *sim.SavedContext) {
+func (t *combinedTech) Hook(w *sim.Warp, pc int) ([]isa.Decoded, *sim.SavedContext) {
 	// OSRB instrumentation must run regardless of the per-PC choice: a
 	// future signal anywhere in the block may use a CTXBack plan.
 	return t.ctx.Hook(w, pc)
 }
-
-// HookAt (sim.HookPredicate) mirrors Hook's delegation.
-func (t *combinedTech) HookAt(w *sim.Warp, pc int) bool { return techHookAt(t.ctx, w, pc) }
 
 func (t *combinedTech) StaticContextBytes(pc int) int {
 	return t.pick(pc).StaticContextBytes(pc)

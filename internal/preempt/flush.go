@@ -2,6 +2,7 @@ package preempt
 
 import (
 	"fmt"
+	"slices"
 
 	"ctxback/internal/artifact"
 	"ctxback/internal/cfg"
@@ -20,17 +21,10 @@ import (
 // first region hazard would be replayed, e.g. the atomics in HS).
 type flushTech struct {
 	prog *isa.Program
-	// entryRegs is the context a restart needs: the kernel arguments in
-	// scalar registers plus EXEC.
-	entryRegs isa.RegSet
-	// entry[warpID] snapshots the warp's launch-time context, captured
-	// by the first Hook call.
-	entry map[int]*sim.SavedContext
-	// flushable reports whether restarting from scratch is sound: no
-	// atomics (re-running one would double-apply) and no global load
-	// that may alias a global store (the restart would observe its
-	// dropped incarnation's writes instead of the launch image).
-	flushable bool
+	*flushStatic
+	// entry[warp ID] snapshots the warp's launch-time context, captured
+	// by its first Hook call; it grows on demand.
+	entry []*sim.SavedContext
 }
 
 // NewSMFlush compiles the SM-flushing technique. It refuses kernels
@@ -52,21 +46,25 @@ func newFlushTech(prog *isa.Program) (*flushTech, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &flushTech{
-		prog:      prog,
-		entryRegs: fs.entryRegs,
-		entry:     make(map[int]*sim.SavedContext),
-		flushable: fs.flushable,
-	}, nil
+	return &flushTech{prog: prog, flushStatic: fs}, nil
 }
 
-// flushStatic is the immutable part of an SM-flush compilation: the
-// whole-kernel idempotence verdict and the entry register set. Shared
+// flushStatic is the immutable part of an SM-flush compilation, shared
 // read-only across episodes (the per-warp entry snapshots stay on the
 // technique instance).
 type flushStatic struct {
+	// flushable reports whether restarting from scratch is sound: no
+	// atomics (re-running one would double-apply) and no global load
+	// that may alias a global store (the restart would observe its
+	// dropped incarnation's writes instead of the launch image).
 	flushable bool
+	// entryRegs is the context a restart needs: the kernel arguments in
+	// scalar registers plus EXEC.
 	entryRegs isa.RegSet
+	// code holds one table per variant, at PC 0 where every routine
+	// starts or restarts the kernel: the entry snapshot hook, the save of
+	// a warp preempted before its first issue, and the restart.
+	code *streams
 }
 
 // flushStaticFor is prog's flush static analysis: the soundness verdict
@@ -103,7 +101,7 @@ func flushStaticFor(prog *isa.Program) (*flushStatic, error) {
 			if sccObs {
 				regs.Add(isa.SCC)
 			}
-			return &flushStatic{flushable: flushable, entryRegs: regs}, nil
+			return &flushStatic{flushable: flushable, entryRegs: regs, code: newStreams(prog, 3, 1)}, nil
 		},
 		func(s *flushStatic) []byte {
 			w := artifact.NewWriter()
@@ -113,7 +111,7 @@ func flushStaticFor(prog *isa.Program) (*flushStatic, error) {
 		},
 		func(p []byte) (*flushStatic, error) {
 			r := artifact.NewReader(p)
-			s := &flushStatic{flushable: r.Bool(), entryRegs: liveness.DecodeRegSet(r)}
+			s := &flushStatic{flushable: r.Bool(), entryRegs: liveness.DecodeRegSet(r), code: newStreams(prog, 3, 1)}
 			return s, r.Close()
 		})
 }
@@ -127,24 +125,18 @@ func (t *flushTech) PhaseNames() trace.PhaseNames {
 	return trace.PhaseNames{Drain: "drain", Save: "drop", Restore: "restore", Replay: "restart"}
 }
 
-// Flushable reports whether the kernel satisfies the (whole-kernel)
-// idempotence condition SM-flushing needs.
-func (t *flushTech) Flushable() bool { return t.flushable }
-
-// HookAt (sim.HookPredicate): the entry snapshot fires once per warp,
-// on its first issue; afterwards every PC is hook-free.
-func (t *flushTech) HookAt(w *sim.Warp, pc int) bool {
-	return w.Prog == t.prog && t.entry[w.ID] == nil
-}
+// Instruments: every warp of the flushed program takes its entry
+// snapshot at its first instruction.
+func (t *flushTech) Instruments(prog *isa.Program) bool { return prog == t.prog }
 
 // Hook captures the launch-time context at each warp's first
 // instruction; it costs a handful of scalar saves once per warp.
-func (t *flushTech) Hook(w *sim.Warp, pc int) ([]isa.Instruction, *sim.SavedContext) {
-	if w.Prog != t.prog || t.entry[w.ID] != nil {
+func (t *flushTech) Hook(w *sim.Warp, pc int) ([]isa.Decoded, *sim.SavedContext) {
+	if w.Prog != t.prog || warpAt(t.entry, w.ID) != nil {
 		return nil, nil
 	}
 	buf := sim.NewSavedContext()
-	t.entry[w.ID] = buf
+	*warpSlot(&t.entry, w.ID) = buf
 	// The warp's LDS share is part of its launch state too: a restart
 	// must find it zeroed, not holding whatever the resume poison left.
 	// The launch image is all zeros by contract, so the buffer is
@@ -153,40 +145,34 @@ func (t *flushTech) Hook(w *sim.Warp, pc int) ([]isa.Instruction, *sim.SavedCont
 		buf.LDS = make([]uint32, hi/4)
 		buf.LDSLo = w.LDSShareLo
 	}
-	body := saveSet(t.entryRegs)
-	body = append(body, isa.Instruction{Op: isa.CtxSavePC, Target: 0})
-	return body, buf
+	return t.code.at(onHook, 0, func() []isa.Instruction {
+		return slices.Concat(saveSet(t.entryRegs), []isa.Instruction{{Op: isa.CtxSavePC, Target: 0}})
+	}), buf
 }
 
 // PreemptRoutine: drop immediately. The vector state and LDS are
-// discarded — restarting regenerates them.
-func (t *flushTech) PreemptRoutine(w *sim.Warp) []isa.Instruction {
-	if t.entry[w.ID] == nil {
-		// Never issued an instruction: nothing to capture either; the
-		// resume falls back to a (tiny) live save at pc 0.
-		body := saveSet(t.entryRegs)
-		return finishPreempt(w, body, 0)
+// discarded — restarting regenerates them. A warp that never issued an
+// instruction has nothing captured either; the resume falls back to a
+// (tiny) live save at pc 0.
+func (t *flushTech) PreemptRoutine(w *sim.Warp) []isa.Decoded {
+	if warpAt(t.entry, w.ID) != nil {
+		return dropCode
 	}
-	return []isa.Instruction{{Op: isa.CtxExit}}
+	return t.code.at(onPreempt, 0, func() []isa.Instruction {
+		return preemptCode(t.prog, saveSet(t.entryRegs), 0)
+	})
 }
 
-func (t *flushTech) ResumeRoutine(w *sim.Warp) ([]isa.Instruction, *sim.SavedContext) {
-	ck := t.entry[w.ID]
-	if ck == nil {
-		// Never-issued warp: registers still hold launch values in the
-		// fallback save; only the vector poison needs re-zeroing.
-		return finishResume(w, append(loadSet(t.entryRegs), zeroVRegs(t.prog)...), 0), nil
-	}
-	var body []isa.Instruction
-	if t.prog.LDSBytes > 0 {
-		body = append(body, isa.Instruction{Op: isa.CtxLoadLDS})
-	}
-	body = append(body, loadSet(t.entryRegs)...)
-	// Vector registers restart zeroed, matching the launch contract (the
-	// moves run after the EXEC restore, so every lane is written).
-	body = append(body, zeroVRegs(t.prog)...)
-	body = append(body, isa.Instruction{Op: isa.CtxResume, Target: 0})
-	return body, ck
+// ResumeRoutine restarts the warp from its entry snapshot, or from the
+// fallback save of a warp that never issued, which holds the same launch
+// values.
+func (t *flushTech) ResumeRoutine(w *sim.Warp) ([]isa.Decoded, *sim.SavedContext) {
+	return t.code.at(onResume, 0, func() []isa.Instruction {
+		// Vector registers restart zeroed, matching the launch contract
+		// (the moves run after the EXEC restore, so every lane is
+		// written).
+		return resumeCode(t.prog, append(loadSet(t.entryRegs), zeroVRegs(t.prog)...), 0)
+	}), warpAt(t.entry, w.ID)
 }
 
 // launchFlagsObservable reports, per condition flag, whether the kernel
@@ -345,55 +331,43 @@ func (t *chimeraTech) PhaseNames() trace.PhaseNames {
 	return trace.PhaseNames{Drain: "drain", Save: "drop-or-save", Restore: "restore", Replay: "restart"}
 }
 
-// useFlush: flushing inside a mixed-mode episode is only sound for
-// LDS-free kernels — a context-switched warp restores only its own LDS
-// share, so a flushed peer could lose cross-warp LDS state its replay
-// does not regenerate.
-func (t *chimeraTech) useFlush(w *sim.Warp) bool {
-	if !t.flush.Flushable() || t.prog.LDSBytes > 0 {
-		return false
-	}
-	return w.DynCount <= t.flushBudget
+// useFlush reports whether a warp preempted at progress dyn (retired
+// instructions) is flushed. Flushing inside a mixed-mode episode is only
+// sound for LDS-free kernels — a context-switched warp restores only its
+// own LDS share, so a flushed peer could lose cross-warp LDS state its
+// replay does not regenerate.
+func (t *chimeraTech) useFlush(dyn int64) bool {
+	return t.flush.flushable && t.prog.LDSBytes == 0 && dyn <= t.flushBudget
 }
 
-func (t *chimeraTech) PreemptRoutine(w *sim.Warp) []isa.Instruction {
-	if t.useFlush(w) {
+func (t *chimeraTech) PreemptRoutine(w *sim.Warp) []isa.Decoded {
+	if t.useFlush(w.DynCount) {
 		return t.flush.PreemptRoutine(w)
 	}
 	return t.ctx.PreemptRoutine(w)
 }
 
-func (t *chimeraTech) ResumeRoutine(w *sim.Warp) ([]isa.Instruction, *sim.SavedContext) {
-	// The same progress test is stable across the episode: DynCount is
-	// frozen while the warp is preempted... but flushing resets it, so
-	// record the choice via the saved context: a flush resume always
-	// restarts at PC 0 with the entry snapshot.
-	if t.useFlushAtResume(w) {
+func (t *chimeraTech) ResumeRoutine(w *sim.Warp) ([]isa.Decoded, *sim.SavedContext) {
+	// Flushing resets DynCount, so the choice is made again from the
+	// progress the record kept at the signal.
+	if t.useFlush(w.Record().DynAtSignal) {
 		return t.flush.ResumeRoutine(w)
 	}
 	return t.ctx.ResumeRoutine(w)
 }
 
-func (t *chimeraTech) useFlushAtResume(w *sim.Warp) bool {
-	if !t.flush.Flushable() || t.prog.LDSBytes > 0 {
-		return false
-	}
-	rec := w.Record()
-	return rec != nil && rec.DynAtSignal <= t.flushBudget
-}
-
-func (t *chimeraTech) Hook(w *sim.Warp, pc int) ([]isa.Instruction, *sim.SavedContext) {
+func (t *chimeraTech) Hook(w *sim.Warp, pc int) ([]isa.Decoded, *sim.SavedContext) {
 	// Entry snapshots (flush) have priority on the very first
 	// instruction; OSRB backups run everywhere else.
-	if instrs, buf := t.flush.Hook(w, pc); instrs != nil {
-		return instrs, buf
+	if code, buf := t.flush.Hook(w, pc); code != nil {
+		return code, buf
 	}
 	return t.ctx.Hook(w, pc)
 }
 
-// HookAt (sim.HookPredicate): either delegate may fire.
-func (t *chimeraTech) HookAt(w *sim.Warp, pc int) bool {
-	return t.flush.HookAt(w, pc) || techHookAt(t.ctx, w, pc)
+// Instruments: either delegate may hook.
+func (t *chimeraTech) Instruments(prog *isa.Program) bool {
+	return t.flush.Instruments(prog) || t.ctx.Instruments(prog)
 }
 
 func (t *chimeraTech) StaticContextBytes(pc int) int { return t.ctx.StaticContextBytes(pc) }

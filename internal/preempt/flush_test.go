@@ -51,7 +51,7 @@ func TestSMFlushRefusesAtomics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ch.(*chimeraTech).useFlush(&sim.Warp{Prog: wl.Prog, DynCount: 0}) {
+	if ch.(*chimeraTech).useFlush(0) {
 		t.Error("Chimera must never flush a non-idempotent kernel")
 	}
 }
@@ -104,12 +104,10 @@ func TestChimeraPicksFlushEarlyAndSwitchLate(t *testing.T) {
 		t.Fatal(err)
 	}
 	ch := tech.(*chimeraTech)
-	early := &sim.Warp{Prog: wl.Prog, DynCount: 1}
-	late := &sim.Warp{Prog: wl.Prog, DynCount: ch.flushBudget * 100}
-	if !ch.useFlush(early) {
+	if !ch.useFlush(1) {
 		t.Error("a warp with almost no progress should be flushed")
 	}
-	if ch.useFlush(late) {
+	if ch.useFlush(ch.flushBudget * 100) {
 		t.Error("a warp deep into execution should be context-switched")
 	}
 }

@@ -10,26 +10,29 @@ import (
 	"ctxback/internal/sim"
 )
 
-// hookEveryInstr hides its technique's HookPredicate, so the device
-// hooks every launch and calls Hook before every kernel instruction. It
-// counts the instrumentation Hook returns for programs the technique's
-// predicate marks hook-free, which the contract says must be none.
+// hookEveryInstr overrides its technique's Instruments to say yes to
+// every program, so the device hooks every launch and calls Hook before
+// every kernel instruction. It counts the instrumentation Hook returns
+// for programs the technique says it does not instrument, which the
+// contract says must be none.
 type hookEveryInstr struct {
 	Technique
 	free  map[*isa.Program]bool
 	leaks int
 }
 
-func (h *hookEveryInstr) Hook(w *sim.Warp, pc int) ([]isa.Instruction, *sim.SavedContext) {
-	instrs, buf := h.Technique.Hook(w, pc)
-	if len(instrs) > 0 && h.free[w.Prog] {
+func (h *hookEveryInstr) Instruments(prog *isa.Program) bool { return true }
+
+func (h *hookEveryInstr) Hook(w *sim.Warp, pc int) ([]isa.Decoded, *sim.SavedContext) {
+	code, buf := h.Technique.Hook(w, pc)
+	if len(code) > 0 && h.free[w.Prog] {
 		h.leaks++
 	}
-	return instrs, buf
+	return code, buf
 }
 
 // TestHookSkipMatchesHookEveryInstr is the differential test of the
-// per-launch hook skip (sim.Instruments, HookPredicate's contract): a
+// per-launch hook skip (Runtime.Instruments' contract): a
 // preempted, verified episode in which the device calls Hook only for
 // launches it may instrument must equal the same episode with Hook
 // called before every kernel instruction, in final clock, device stats,
@@ -54,7 +57,7 @@ func TestHookSkipMatchesHookEveryInstr(t *testing.T) {
 			if err != nil {
 				continue // SM-flushing and Chimera need idempotent kernels
 			}
-			free := !sim.Instruments(tech, wl.Prog)
+			free := !tech.Instruments(wl.Prog)
 			if free {
 				skipped++
 			}

@@ -4,10 +4,9 @@ import (
 	"testing"
 
 	"ctxback/internal/kernels"
-	"ctxback/internal/sim"
 )
 
-// TestEveryTechniqueNamesItsPhases pins the PhaseNamer contract: each of
+// TestEveryTechniqueNamesItsPhases pins Runtime.PhaseNames: each of
 // the eight techniques labels all four canonical phases, so traces never
 // fall back to the neutral defaults and never carry empty span names.
 func TestEveryTechniqueNamesItsPhases(t *testing.T) {
@@ -20,12 +19,7 @@ func TestEveryTechniqueNamesItsPhases(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
-		pn, ok := tech.(sim.PhaseNamer)
-		if !ok {
-			t.Errorf("%v does not implement sim.PhaseNamer", kind)
-			continue
-		}
-		names := pn.PhaseNames()
+		names := tech.PhaseNames()
 		for phase, name := range map[string]string{
 			"Drain": names.Drain, "Save": names.Save,
 			"Restore": names.Restore, "Replay": names.Replay,

@@ -15,6 +15,8 @@ package preempt
 
 import (
 	"fmt"
+	"slices"
+	"sync/atomic"
 
 	"ctxback/internal/isa"
 	"ctxback/internal/sim"
@@ -186,30 +188,91 @@ func loadSet(regs isa.RegSet) []isa.Instruction {
 	return out
 }
 
-// finishPreempt appends the common tail: LDS share save, resume-PC
-// record, slot release.
-func finishPreempt(w *sim.Warp, body []isa.Instruction, resumePC int) []isa.Instruction {
-	out := append([]isa.Instruction(nil), body...)
-	if w.Prog.LDSBytes > 0 {
-		out = append(out, isa.Instruction{Op: isa.CtxSaveLDS})
-	}
-	out = append(out,
-		isa.Instruction{Op: isa.CtxSavePC, Target: resumePC},
-		isa.Instruction{Op: isa.CtxExit},
-	)
-	return out
+// A memo keeps every routine and hook body it decodes for the life of
+// the process, so the builders below size them exactly (slices.Concat).
+
+// preemptCode is a preemption routine: body, then the common tail of
+// LDS share save, resume-PC record and slot release.
+func preemptCode(prog *isa.Program, body []isa.Instruction, resumePC int) []isa.Instruction {
+	return slices.Concat(body, ldsOp(prog, isa.CtxSaveLDS),
+		[]isa.Instruction{{Op: isa.CtxSavePC, Target: resumePC}, {Op: isa.CtxExit}})
 }
 
-// finishResume prepends the LDS restore (re-executed loads may read it)
-// and appends the jump back into the kernel.
-func finishResume(w *sim.Warp, body []isa.Instruction, resumePC int) []isa.Instruction {
-	var out []isa.Instruction
-	if w.Prog.LDSBytes > 0 {
-		out = append(out, isa.Instruction{Op: isa.CtxLoadLDS})
+// resumeCode is a resume routine: the LDS restore (re-executed loads may
+// read it), body, then the jump back into the kernel.
+func resumeCode(prog *isa.Program, body []isa.Instruction, resumePC int) []isa.Instruction {
+	return slices.Concat(ldsOp(prog, isa.CtxLoadLDS), body,
+		[]isa.Instruction{{Op: isa.CtxResume, Target: resumePC}})
+}
+
+// ldsOp is op, an LDS share save or load, when prog has an LDS share.
+func ldsOp(prog *isa.Program, op isa.Op) []isa.Instruction {
+	if prog.LDSBytes == 0 {
+		return nil
 	}
-	out = append(out, body...)
-	out = append(out, isa.Instruction{Op: isa.CtxResume, Target: resumePC})
-	return out
+	return []isa.Instruction{{Op: op}}
+}
+
+// dropCode is the preemption routine of a warp whose context is already
+// saved elsewhere (a checkpoint, a flush entry image): release the slot.
+var dropCode = isa.DecodeStream([]isa.Instruction{{Op: isa.CtxExit}}, 0, 0)
+
+// streams memoizes the decoded routine and hook bodies a technique hands
+// the device for one program content: table (v, pc) is its variant v
+// (onPreempt, onResume, onHook, or CS-Defer's onDefer) at PC pc. It
+// hangs off the technique's memoized static compile, so every instance
+// on a content-equal program shares it. A table is built on first use
+// and published by compare-and-swap: racing first users each build one,
+// and all return the one that won.
+type streams struct {
+	nv, ns, pcs int
+	tabs        []atomic.Pointer[[]isa.Decoded]
+}
+
+// Variants of a streams memo: the preemption routine, the resume routine
+// and the hook body at a PC, and CS-Defer's deferring preemption routine,
+// which shares LIVE's memo.
+const (
+	onPreempt = iota
+	onResume
+	onHook
+	onDefer
+)
+
+// newStreams returns an empty memo of variants tables of pcs PCs each,
+// decoded for a warp of prog.
+func newStreams(prog *isa.Program, variants, pcs int) *streams {
+	return &streams{nv: prog.AllocatedVRegs(), ns: prog.AllocatedSRegs(), pcs: pcs,
+		tabs: make([]atomic.Pointer[[]isa.Decoded], variants*pcs)}
+}
+
+// at returns table (v, pc), decoding the body build returns on first use.
+func (s *streams) at(v, pc int, build func() []isa.Instruction) []isa.Decoded {
+	p := &s.tabs[v*s.pcs+pc]
+	if t := p.Load(); t != nil {
+		return *t
+	}
+	code := isa.DecodeStream(build(), s.nv, s.ns)
+	p.CompareAndSwap(nil, &code)
+	return *p.Load()
+}
+
+// warpAt returns s[id], the zero value past its end: per-warp state a
+// technique keeps by warp ID, before the warp has any.
+func warpAt[T any](s []T, id int) T {
+	var zero T
+	if id < len(s) {
+		return s[id]
+	}
+	return zero
+}
+
+// warpSlot returns &(*s)[id], growing *s to hold it.
+func warpSlot[T any](s *[]T, id int) *T {
+	if id >= len(*s) {
+		*s = append(*s, make([]T, id+1-len(*s))...)
+	}
+	return &(*s)[id]
 }
 
 // latency/bandwidth constants for the compile-time estimator (paper
@@ -223,15 +286,4 @@ const (
 
 func estTrafficCycles(bytes int) int64 {
 	return estFixedCycles + int64(float64(bytes)/estBytesPerCycle)
-}
-
-// techHookAt queries a wrapped technique's hook predicate, defaulting
-// to true (hook possible anywhere) when it does not implement
-// sim.HookPredicate — the conservative answer sim.Instruments gives for
-// predicate-less runtimes anyway.
-func techHookAt(t Technique, w *sim.Warp, pc int) bool {
-	if hp, ok := t.(sim.HookPredicate); ok {
-		return hp.HookAt(w, pc)
-	}
-	return true
 }

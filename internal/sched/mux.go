@@ -34,15 +34,15 @@ func (m *muxRuntime) add(prog *isa.Program, t preempt.Technique) {
 
 func (m *muxRuntime) Name() string { return m.kind.String() }
 
-func (m *muxRuntime) PreemptRoutine(w *sim.Warp) []isa.Instruction {
+func (m *muxRuntime) PreemptRoutine(w *sim.Warp) []isa.Decoded {
 	return m.techs[w.Prog].PreemptRoutine(w)
 }
 
-func (m *muxRuntime) ResumeRoutine(w *sim.Warp) ([]isa.Instruction, *sim.SavedContext) {
+func (m *muxRuntime) ResumeRoutine(w *sim.Warp) ([]isa.Decoded, *sim.SavedContext) {
 	return m.techs[w.Prog].ResumeRoutine(w)
 }
 
-func (m *muxRuntime) Hook(w *sim.Warp, pc int) ([]isa.Instruction, *sim.SavedContext) {
+func (m *muxRuntime) Hook(w *sim.Warp, pc int) ([]isa.Decoded, *sim.SavedContext) {
 	t, ok := m.techs[w.Prog]
 	if !ok {
 		return nil, nil
@@ -50,30 +50,20 @@ func (m *muxRuntime) Hook(w *sim.Warp, pc int) ([]isa.Instruction, *sim.SavedCon
 	return t.Hook(w, pc)
 }
 
-// HookAt (sim.HookPredicate) forwards to the warp's own technique so
-// the device sees through the multiplexer: a launch whose technique
-// never hooks its program is never hooked (sim.Instruments). Unknown
-// programs never hook, techniques without a predicate conservatively
-// always might. Admission registers a job's technique before its
-// launch, so the launch-time decision sees it.
-func (m *muxRuntime) HookAt(w *sim.Warp, pc int) bool {
-	t, ok := m.techs[w.Prog]
-	if !ok {
-		return false
-	}
-	if hp, ok := t.(sim.HookPredicate); ok {
-		return hp.HookAt(w, pc)
-	}
-	return true
+// Instruments forwards to the program's own technique so the device
+// sees through the multiplexer: a launch whose technique never hooks its
+// program is never hooked. Unknown programs never hook. Admission
+// registers a job's technique before its launch, so the launch-time
+// decision sees it.
+func (m *muxRuntime) Instruments(prog *isa.Program) bool {
+	t, ok := m.techs[prog]
+	return ok && t.Instruments(prog)
 }
 
 // PhaseNames forwards the technique-flavored phase labels. One Kind
 // drives the whole run, so every registered technique agrees; the
 // first-registered one answers for all (deterministically — ranging
-// over the techs map would consult an arbitrary instance).
-func (m *muxRuntime) PhaseNames() trace.PhaseNames {
-	if pn, ok := m.first.(sim.PhaseNamer); ok {
-		return pn.PhaseNames()
-	}
-	return trace.DefaultPhaseNames()
-}
+// over the techs map would consult an arbitrary instance). A device
+// asks only when it preempts, which takes a running job, so some
+// technique is registered by then.
+func (m *muxRuntime) PhaseNames() trace.PhaseNames { return m.first.PhaseNames() }

@@ -4,84 +4,49 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"ctxback/internal/faults"
 	"ctxback/internal/isa"
 	"ctxback/internal/trace"
 )
 
-// Runtime is the hook a preemption technique implements to drive context
-// switching on the simulator. internal/preempt provides implementations.
+// Runtime is the whole contract between a preemption technique and the
+// device; internal/preempt provides implementations. Every stream it
+// hands the device is a decoded table (isa.DecodeStream) for a warp of
+// the warp's program, shared read-only: the device only reads it.
 type Runtime interface {
 	Name() string
+	// PhaseNames labels the four canonical episode phases in the
+	// technique's vocabulary (e.g. CTXBack's replay is a flashback).
+	PhaseNames() trace.PhaseNames
+	// Instruments reports whether Hook may return instrumentation or
+	// change any state for a warp of prog while the runtime is attached.
+	// When it is false, Hook returns nothing and changes nothing for any
+	// warp of prog, at any time, so the device calls Hook only for
+	// launches it instruments and the harness forks episodes of
+	// techniques that never instrument a kernel from its golden run. It
+	// must be pure and safe to call concurrently.
+	Instruments(prog *isa.Program) bool
 	// PreemptRoutine returns the dedicated preemption routine for w
 	// (queried by w.PC, per paper §IV-B). Executed in ModePreemptRoutine
 	// against a fresh context buffer; must end with CtxExit.
-	PreemptRoutine(w *Warp) []isa.Instruction
+	PreemptRoutine(w *Warp) []isa.Decoded
 	// ResumeRoutine returns the dedicated resume routine. ctxOverride,
 	// when non-nil, replaces the warp's context buffer for the routine
 	// (checkpoint-based techniques restore from their own snapshots).
 	// Must end with CtxResume.
-	ResumeRoutine(w *Warp) (instrs []isa.Instruction, ctxOverride *SavedContext)
+	ResumeRoutine(w *Warp) (code []isa.Decoded, ctxOverride *SavedContext)
 	// Hook returns instrumentation to execute immediately before the
 	// kernel instruction at pc (runtime overhead: checkpoint stores, OSRB
 	// copies). buf, when non-nil, is attached as the context buffer while
 	// the hook runs. Return nil for no instrumentation.
-	Hook(w *Warp, pc int) (instrs []isa.Instruction, buf *SavedContext)
+	Hook(w *Warp, pc int) (code []isa.Decoded, buf *SavedContext)
 }
 
-// HookPredicate is an optional interface a Runtime may implement to
-// declare, conservatively, where its Hook may fire or mutate technique
-// state. HookAt must return true whenever Hook(w, pc) could return
-// instrumentation OR have any side effect; it must itself be pure and
-// safe to call concurrently with other HookAt calls, as the harness's
-// episode workers make them through Instruments (technique state is
-// only mutated by Hook itself, which a device calls from its one run
-// loop).
-//
-// An answer that is false for an unissued warp stays false: if HookAt is
-// false at every PC for a warp of a program that has not issued, Hook
-// returns nothing and changes nothing for any warp of that program, at
-// any time, while the runtime is attached. The device relies on it to
-// call Hook only for launches that can hook (Instruments), and the
-// harness to fork episodes of techniques that never instrument a kernel
-// from its golden run. Runtimes without it are still correct: every
-// launch is then hooked, which forfeits both savings.
-type HookPredicate interface {
-	HookAt(w *Warp, pc int) bool
+// instruments reports whether the attached runtime may instrument prog.
+func (d *Device) instruments(prog *isa.Program) bool {
+	return d.rt != nil && d.rt.Instruments(prog)
 }
-
-// Instruments reports whether rt may instrument prog: whether rt's
-// HookPredicate holds at some PC for a warp of prog that has not issued,
-// or rt has none. A nil runtime instruments nothing. The probe warp has
-// ID -1, which no launch gives a warp, so no runtime has per-warp state
-// for it.
-func Instruments(rt Runtime, prog *isa.Program) bool {
-	if rt == nil {
-		return false
-	}
-	hp, ok := rt.(HookPredicate)
-	if !ok {
-		return true
-	}
-	w := probes.Get().(*Warp)
-	*w = Warp{ID: -1, Prog: prog}
-	defer func() {
-		w.Prog = nil
-		probes.Put(w)
-	}()
-	for pc := range prog.Len() {
-		if hp.HookAt(w, pc) {
-			return true
-		}
-	}
-	return false
-}
-
-// probes recycles Instruments' probe warps: every launch asks, and a
-// probe is a whole Warp. HookAt is pure, so no runtime keeps one.
-var probes = sync.Pool{New: func() any { return new(Warp) }}
 
 // Device is the simulated GPU.
 type Device struct {
@@ -289,8 +254,8 @@ type Launch struct {
 	nextBlock int
 	doneWarps int
 	// hooked: the attached runtime may instrument the launch's program
-	// (Instruments), decided at launch and on every AttachRuntime. Kernel
-	// issue calls Hook only for hooked launches.
+	// (Runtime.Instruments), decided at launch and on every
+	// AttachRuntime. Kernel issue calls Hook only for hooked launches.
 	hooked bool
 	// table is the program's decoded table (isa.Program.Table), which
 	// kernel-mode fetch reads by PC.
@@ -323,7 +288,7 @@ func (d *Device) Launch(spec LaunchSpec) (*Launch, error) {
 	l := &Launch{Spec: spec, Dev: d, Occ: occ, table: tab,
 		Warps:  make([]*Warp, 0, spec.NumBlocks*spec.WarpsPerBlock),
 		blocks: make([]*blockInfo, 0, spec.NumBlocks),
-		hooked: Instruments(d.rt, spec.Prog),
+		hooked: d.instruments(spec.Prog),
 	}
 	ldsWords := spec.Prog.LDSBytes / 4
 	shareBytes := 0

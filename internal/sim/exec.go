@@ -244,9 +244,9 @@ func (d *Device) execVectorALU(w *Warp, e *isa.Decoded) {
 type laneVec [isa.WarpSize]uint32
 
 // laneSource resolves source i of e, read per lane, to its per-lane
-// values: a vector register or the immediate lanes the program's table
-// decoded by reference, a scalar or special register (low 32 bits), or a
-// routine instruction's immediate, splatted into scratch.
+// values: a vector register or the immediate lanes the decoded stream
+// holds by reference, or a scalar or special register (low 32 bits)
+// splatted into scratch.
 func (w *Warp) laneSource(e *isa.Decoded, i int, scratch *laneVec) *laneVec {
 	if v := e.Lanes[i]; v != nil {
 		return (*laneVec)(v)
@@ -255,15 +255,8 @@ func (w *Warp) laneSource(e *isa.Decoded, i int, scratch *laneVec) *laneVec {
 	if o.IsReg() && o.Reg.Class == isa.RegVector {
 		return (*laneVec)(w.VRegs[o.Reg.Index])
 	}
-	return w.splat(o, scratch)
-}
-
-func (w *Warp) splat(o *isa.Operand, scratch *laneVec) *laneVec {
-	v := o.Imm
-	if o.IsReg() {
-		v = uint32(w.readScalarReg(o.Reg))
-	}
 	// Four lanes per store: a lane-at-a-time fill costs as much as the op.
+	v := uint32(w.readScalarReg(o.Reg))
 	quad := [4]uint32{v, v, v, v}
 	for l := 0; l+4 <= len(scratch); l += 4 {
 		*(*[4]uint32)(scratch[l : l+4]) = quad

@@ -414,8 +414,8 @@ func lanesIntact(t *testing.T, what string, e *isa.Decoded) {
 // partial, single-lane and zero EXEC, with the destination both distinct
 // from and aliasing a source, over lane values that include NaN, ±0,
 // ±Inf, denormals and floats outside the int32 range. Each instruction
-// runs decoded both as a kernel instruction (immediates from the table's
-// lanes) and as a routine instruction (immediates splatted). Every
+// runs decoded both as a kernel instruction (from its program's table)
+// and as a one-instruction routine stream. Every
 // vector register, scalar register, VCC, EXEC and SCC must match bit
 // for bit, save the one choice nanChoiceOpen describes.
 func TestOpMajorVALUMatchesPerLane(t *testing.T) {
@@ -601,7 +601,7 @@ func TestOpMajorVectorGlobalMatchesPerLane(t *testing.T) {
 // zero EXEC, a load whose destination aliases its address register, and
 // a misaligned or out-of-range address at the first, a middle and the
 // last active lane. Odd trials decode the instruction as a routine
-// instruction (immediates splatted), even ones as a kernel instruction.
+// stream, even ones as a kernel instruction.
 // The effect, the error text, the LDS and every register must match; a
 // fault must leave exactly the earlier lanes landed.
 func TestOpMajorLDSMatchesPerLane(t *testing.T) {

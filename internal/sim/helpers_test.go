@@ -39,9 +39,8 @@ func kernelDecoded(tb testing.TB, w *Warp, in isa.Instruction) *isa.Decoded {
 	return &tab.Code[0]
 }
 
-// routineDecoded decodes in as a fetch of a routine instruction does, for
-// a warp of w's register counts: no immediate lanes.
+// routineDecoded decodes in as the one-instruction routine stream of a
+// warp of w's register counts.
 func routineDecoded(w *Warp, in *isa.Instruction) *isa.Decoded {
-	e := isa.Decode(in, len(w.VRegs), len(w.SRegs))
-	return &e
+	return &isa.DecodeStream([]isa.Instruction{*in}, len(w.VRegs), len(w.SRegs))[0]
 }

@@ -14,14 +14,6 @@ import (
 // discriminate it from real errors with errors.Is.
 var ErrDrained = errors.New("no running kernel warps to preempt (drained)")
 
-// PhaseNamer is optionally implemented by a Runtime to give
-// technique-flavored names to the four canonical episode phases (e.g.
-// CTXBack's replay phase is a flashback). Runtimes that do not implement
-// it get trace.DefaultPhaseNames.
-type PhaseNamer interface {
-	PhaseNames() trace.PhaseNames
-}
-
 // Episode is one preemption of an SM: every kernel-mode warp resident on
 // the SM saves its context through the attached technique and releases
 // its slot; Resume brings them back later.
@@ -95,11 +87,11 @@ func (ep *Episode) PhaseNames() trace.PhaseNames { return ep.names }
 // AttachRuntime installs the preemption technique runtime whose Hook
 // instrumentation (checkpoints, OSRB copies) should run during normal
 // execution, and decides anew for every launch whether rt may hook it
-// (Instruments). Required before Preempt with the same runtime.
+// (Runtime.Instruments). Required before Preempt with the same runtime.
 func (d *Device) AttachRuntime(rt Runtime) {
 	d.rt = rt
 	for _, l := range d.launches {
-		l.hooked = Instruments(rt, l.Spec.Prog)
+		l.hooked = d.instruments(l.Spec.Prog)
 	}
 }
 
@@ -162,10 +154,7 @@ func (d *Device) Preempt(smID int, rt Runtime) (*Episode, error) {
 	// reproduces the launch-time split exactly.
 	coverOrphanLDSShares(ep.Victims)
 	ep.tech = rt.Name()
-	ep.names = trace.DefaultPhaseNames()
-	if pn, ok := rt.(PhaseNamer); ok {
-		ep.names = pn.PhaseNames()
-	}
+	ep.names = rt.PhaseNames()
 	if d.rec != nil {
 		d.rec.Emit(trace.Event{Name: "preempt-signal", Cat: trace.CatEpisode, Ph: trace.PhInstant,
 			Cycle: d.now, SM: smID, Warp: -1, Tech: ep.tech})
@@ -526,14 +515,13 @@ func (d *Device) Resume(ep *Episode) error {
 	}
 	for _, w := range ep.Victims {
 		w.preemptRec.ResumeStart = start
-		instrs, override := ep.rt.ResumeRoutine(w)
+		code, override := ep.rt.ResumeRoutine(w)
 		if override != nil {
 			w.ctx = override
 		}
 		w.poison()
 		w.State = WarpReady
-		w.Mode = ModeKernel // enterRoutine overrides; kept for clarity
-		w.enterRoutine(ModeResumeRoutine, instrs)
+		w.enterRoutine(ModeResumeRoutine, code)
 		w.ReadyAt = start
 		clear(w.clock)
 		w.lastStoreDone = 0

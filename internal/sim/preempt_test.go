@@ -4,16 +4,22 @@ import (
 	"testing"
 
 	"ctxback/internal/isa"
+	"ctxback/internal/trace"
 )
 
 // naiveRuntime is a minimal liveness-blind technique used to validate the
 // preemption engine itself: save every register, EXEC/VCC/SCC and the LDS
-// share; restore all of it and jump back.
+// share; restore all of it and jump back. It decodes each routine when
+// asked, and never instruments a kernel.
 type naiveRuntime struct{}
 
 func (naiveRuntime) Name() string { return "naive" }
 
-func (naiveRuntime) PreemptRoutine(w *Warp) []isa.Instruction {
+func (naiveRuntime) PhaseNames() trace.PhaseNames { return trace.DefaultPhaseNames() }
+
+func (naiveRuntime) Instruments(prog *isa.Program) bool { return false }
+
+func (naiveRuntime) PreemptRoutine(w *Warp) []isa.Decoded {
 	var r []isa.Instruction
 	for i := 0; i < w.Prog.NumVRegs; i++ {
 		r = append(r, isa.Instruction{Op: isa.CtxSaveV, Srcs: [isa.MaxSrcs]isa.Operand{isa.R(isa.V(i))}, Imm0: int32(i)})
@@ -31,10 +37,10 @@ func (naiveRuntime) PreemptRoutine(w *Warp) []isa.Instruction {
 		isa.Instruction{Op: isa.CtxSavePC, Target: w.PC},
 		isa.Instruction{Op: isa.CtxExit},
 	)
-	return r
+	return isa.DecodeStream(r, len(w.VRegs), len(w.SRegs))
 }
 
-func (naiveRuntime) ResumeRoutine(w *Warp) ([]isa.Instruction, *SavedContext) {
+func (naiveRuntime) ResumeRoutine(w *Warp) ([]isa.Decoded, *SavedContext) {
 	var r []isa.Instruction
 	for i := 0; i < w.Prog.NumVRegs; i++ {
 		r = append(r, isa.Instruction{Op: isa.CtxLoadV, Dst: isa.V(i), Imm0: int32(i)})
@@ -49,14 +55,10 @@ func (naiveRuntime) ResumeRoutine(w *Warp) ([]isa.Instruction, *SavedContext) {
 		r = append(r, isa.Instruction{Op: isa.CtxLoadLDS})
 	}
 	r = append(r, isa.Instruction{Op: isa.CtxResume, Target: w.ctx.PC})
-	return r, nil
+	return isa.DecodeStream(r, len(w.VRegs), len(w.SRegs)), nil
 }
 
-func (naiveRuntime) Hook(w *Warp, pc int) ([]isa.Instruction, *SavedContext) { return nil, nil }
-
-// HookAt declares the hook inert, so the device never calls Hook for a
-// launch while this runtime is attached (Instruments).
-func (naiveRuntime) HookAt(w *Warp, pc int) bool { return false }
+func (naiveRuntime) Hook(w *Warp, pc int) ([]isa.Decoded, *SavedContext) { return nil, nil }
 
 // sumKernel computes, per lane: out[gid] = sum_{i=1..n} i + lane, looping
 // n times so there is plenty of execution to preempt in the middle of.

@@ -54,7 +54,7 @@ func TestRevertRoundTripQuick(t *testing.T) {
 		if _, err := d.execute(w, kernelDecoded(t, w, in)); err != nil {
 			t.Fatal(err)
 		}
-		// A revert runs inside a resume routine, decoded when fetched.
+		// A revert runs inside a resume routine stream.
 		if _, err := d.execute(w, routineDecoded(w, &rev)); err != nil {
 			t.Fatal(err)
 		}

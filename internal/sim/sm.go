@@ -84,11 +84,11 @@ func (sm *SM) issue(w *Warp, t int64) error {
 	// checkpoint (e.g. right after a barrier) completes it first. This
 	// keeps checkpoint cuts consistent with cross-warp LDS state.
 	if w.Mode == ModeKernel && w.launch.hooked && !w.skipHookOnce {
-		if instrs, buf := d.rt.Hook(w, w.PC); len(instrs) > 0 {
+		if code, buf := d.rt.Hook(w, w.PC); len(code) > 0 {
 			w.skipHookOnce = true
 			w.hookSavedCtx = w.ctx
 			w.ctx = buf
-			w.enterHook(instrs)
+			w.enterHook(code)
 		}
 	}
 

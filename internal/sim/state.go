@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"ctxback/internal/isa"
 	"ctxback/internal/trace"
@@ -38,7 +39,8 @@ type DeviceState struct {
 
 	// Progs holds the canonical encoding of every distinct program
 	// referenced by the launches, deduplicated by identity in
-	// first-launch order. ImportState resolves them positionally against
+	// first-launch order; ExportState shares each program's Encoding, so
+	// never modify one. ImportState resolves them positionally against
 	// caller-provided live programs (two jobs may run byte-identical
 	// kernels at different slabs via Setup-passed arguments, so byte
 	// matching alone cannot recover launch→program identity).
@@ -197,6 +199,16 @@ func copySavedContext(c *SavedContext) *SavedContext {
 	return n
 }
 
+// streamInstrs returns the instructions a decoded stream holds: what a
+// state records of a routine or hook, which ImportState decodes again.
+func streamInstrs(code []isa.Decoded) []isa.Instruction {
+	var out []isa.Instruction
+	for i := range code {
+		out = append(out, *code[i].In)
+	}
+	return out
+}
+
 // copyArch deep-copies a signal-time architectural snapshot.
 func copyArch(s *ArchSnapshot) *ArchSnapshot {
 	if s == nil {
@@ -240,7 +252,7 @@ func (d *Device) ExportState() (*DeviceState, *StateIndex) {
 		launchIdx[l] = li
 		if _, ok := progIdx[l.Spec.Prog]; !ok {
 			progIdx[l.Spec.Prog] = len(st.Progs)
-			st.Progs = append(st.Progs, isa.EncodeProgram(l.Spec.Prog))
+			st.Progs = append(st.Progs, l.Spec.Prog.Encoding())
 		}
 	}
 
@@ -313,7 +325,7 @@ func (d *Device) ExportState() (*DeviceState, *StateIndex) {
 				BarrierCount: w.BarrierCount,
 				BarrierWait:  w.barrierWait,
 				Mode:         w.Mode,
-				Routine:      append([]isa.Instruction(nil), w.routine...),
+				Routine:      streamInstrs(w.routine),
 				RoutinePC:    w.routinePC,
 				SavedMode:    w.savedMode,
 				HookDepth:    w.hookDepth,
@@ -414,7 +426,7 @@ func (d *Device) ImportState(st *DeviceState, rt Runtime, progs []*isa.Program) 
 		if p == nil {
 			return nil, fmt.Errorf("sim: ImportState program %d is nil", i)
 		}
-		if enc := isa.EncodeProgram(p); string(enc) != string(st.Progs[i]) {
+		if string(p.Encoding()) != string(st.Progs[i]) {
 			return nil, fmt.Errorf("sim: ImportState program %d (%q) does not match the snapshot's program fingerprint", i, p.Name)
 		}
 		if err := p.Table().Err; err != nil {
@@ -499,7 +511,7 @@ func (d *Device) ImportState(st *DeviceState, rt Runtime, progs []*isa.Program) 
 			w.BarrierCount = ws.BarrierCount
 			w.barrierWait = ws.BarrierWait
 			w.Mode = ws.Mode
-			w.routine = append([]isa.Instruction(nil), ws.Routine...)
+			w.routine = isa.DecodeStream(slices.Clone(ws.Routine), nv, ns)
 			w.routinePC = ws.RoutinePC
 			w.savedMode = ws.SavedMode
 			w.hookDepth = ws.HookDepth

@@ -78,15 +78,9 @@ type Warp struct {
 	barrierWait  bool // arrived at a barrier, waiting for the block
 
 	Mode ExecMode
-	// routine is the instruction stream executed in routine/hook modes.
-	routine   []isa.Instruction
-	routinePC int
-	// dec is the decoded routine instruction at routinePC (fetch). It is
-	// the warp's own: another warp's fetch between this warp's enqueue
-	// and its issue must not overwrite it. fetch decodes again only when
-	// the stream moves to another instruction; a routine, like a
-	// program, is never edited once handed to the device.
-	dec          isa.Decoded
+	// routine is the decoded stream executed in routine/hook modes.
+	routine      []isa.Decoded
+	routinePC    int
 	savedMode    ExecMode // mode to restore after a hook completes
 	hookDepth    int
 	hookSavedCtx *SavedContext
@@ -298,41 +292,33 @@ func (w *Warp) poison() {
 }
 
 // fetch returns the decoded instruction the warp issues next, given its
-// mode, or nil when the stream is exhausted. Kernel instructions come
-// from the launch's decoded table. Routine and hook instructions belong
-// to no program, so each is decoded into the warp's own entry when
-// first fetched.
+// mode, or nil when the stream is exhausted: the launch's decoded table
+// at PC in kernel mode, else the routine or hook table at routinePC.
 func (w *Warp) fetch() *isa.Decoded {
+	code, pc := w.routine, w.routinePC
 	if w.Mode == ModeKernel {
-		code := w.launch.table.Code
-		if w.PC >= len(code) {
-			return nil
-		}
-		return &code[w.PC]
+		code, pc = w.launch.table.Code, w.PC
 	}
-	if w.routinePC >= len(w.routine) {
+	if pc >= len(code) {
 		return nil
 	}
-	if in := &w.routine[w.routinePC]; w.dec.In != in {
-		w.dec = isa.Decode(in, len(w.VRegs), len(w.SRegs))
-	}
-	return &w.dec
+	return &code[pc]
 }
 
 // enterRoutine switches the warp into a routine stream.
-func (w *Warp) enterRoutine(mode ExecMode, instrs []isa.Instruction) {
+func (w *Warp) enterRoutine(mode ExecMode, code []isa.Decoded) {
 	w.Mode = mode
-	w.routine = instrs
+	w.routine = code
 	w.routinePC = 0
 }
 
 // enterHook pushes an instrumentation stream; the previous mode resumes
 // when the hook stream ends. Hooks do not nest beyond one level by
 // construction (they are only injected in kernel mode).
-func (w *Warp) enterHook(instrs []isa.Instruction) {
+func (w *Warp) enterHook(code []isa.Decoded) {
 	w.savedMode = w.Mode
 	w.hookDepth++
-	w.enterRoutine(ModeHook, instrs)
+	w.enterRoutine(ModeHook, code)
 }
 
 // hazardsReadyAt returns the cycle at which every register e reads or
