@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check bench bench-smoke bench-test eval trace-smoke evalcheck sched-smoke serve-smoke procs-diff snap-diff gen-smoke cache-diff chaos-smoke
+.PHONY: all build test check bench bench-smoke bench-test eval trace-smoke evalcheck sched-smoke serve-smoke procs-diff snap-diff gen-smoke cache-diff chaos-smoke gpusim-smoke
 
 all: build
 
@@ -103,10 +103,31 @@ snap-diff:
 # 8 techniques, byte-compared against the host-side golden interpreter,
 # with every sampled oracle enabled (scan-vs-readyqueue lockstep, resume
 # integrity, snapshot round-trip, fault-injection chaos). genrun exits
-# nonzero on any divergence.
+# nonzero on any divergence. Its report (per-technique pass, drained and
+# skipped counts, oracle and chaos-outcome tallies) must byte-match
+# testdata/gen_smoke.golden, so a reclassified episode fails too.
 gen-smoke:
-	$(GO) run ./cmd/genrun -n 1000 -procs 8
-	@echo "generated corpus differential sweep clean"
+	$(GO) run ./cmd/genrun -n 1000 -procs 8 > /tmp/ctxback-gen-smoke.txt
+	diff -u testdata/gen_smoke.golden /tmp/ctxback-gen-smoke.txt
+	@echo "generated corpus differential sweep clean and byte-identical"
+
+# gpusim-smoke pins gpusim's stdout: a plain preemption, a whole-device
+# checkpoint and restore, a faulty CKPT run with its instruction tail, a
+# lost signal re-raised, and three lost signals then a detection that
+# degrades through the BASELINE fallback ladder. The runs' concatenated
+# stdout must byte-match testdata/gpusim_smoke.golden. A NaN -at must be
+# a usage error (exit 2).
+GPUSIM_SMOKE_RUNS = "-kernel KM -technique CTXBack" \
+	"-kernel KM -technique CTXBack -checkpoint" \
+	"-kernel VA -technique CKPT -faults 0.05 -fault-seed 1 -tail 3" \
+	"-kernel VA -technique LIVE -faults 0.05 -fault-seed 15" \
+	"-kernel VA -technique LIVE -faults 0.3 -fault-seed 10"
+gpusim-smoke:
+	$(GO) build -o /tmp/ctxback-gpusim ./cmd/gpusim
+	for a in $(GPUSIM_SMOKE_RUNS); do echo "== gpusim $$a"; /tmp/ctxback-gpusim $$a || exit 1; done > /tmp/ctxback-gpusim-smoke.txt
+	diff -u testdata/gpusim_smoke.golden /tmp/ctxback-gpusim-smoke.txt
+	/tmp/ctxback-gpusim -kernel KM -technique CTXBack -at NaN 2> /dev/null; test $$? -eq 2
+	@echo "gpusim runs byte-identical; a NaN -at is a usage error"
 
 # chaos-smoke runs the quick fault-injection sweep at rate 0.2 over all
 # three detection modes (checksum, resume-integrity oracle, snapshot

@@ -23,7 +23,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -129,11 +128,10 @@ func main() {
 		opt.SignalFracs = fracs
 	}
 
-	workers := *procs
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
+	rep, err := sweep.Run(*start, *n, *procs, opt)
+	if err != nil {
+		fail(err)
 	}
-	rep := sweep.Run(*start, *n, workers, opt)
 	fmt.Print(rep.Summary())
 	if len(rep.Failures) > 0 {
 		for i, f := range rep.Failures {

@@ -68,6 +68,9 @@ func main() {
 	if math.IsNaN(*faultRate) || *faultRate < 0 || *faultRate > 1 {
 		usageErr("-faults must be a rate in [0,1], got %v", *faultRate)
 	}
+	if math.IsNaN(*at) || *at < 0 || *at >= 1 {
+		usageErr("-at must be a fraction in [0,1), got %v", *at)
+	}
 
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "gpusim:", err)
@@ -91,17 +94,13 @@ func main() {
 	}
 
 	params := kernels.Params{NumBlocks: *blocks, WarpsPerBlock: *warps, ItersPerWarp: *iters, Seed: 7}
-	factory := func() *kernels.Workload {
-		wl, err := kernels.ByAbbrev(strings.ToUpper(*kernel), params)
-		if err != nil {
-			fail(err)
-		}
-		return wl
+	wl, err := kernels.ByAbbrev(strings.ToUpper(*kernel), params)
+	if err != nil {
+		fail(err)
 	}
 	cfg := sim.DefaultConfig()
 
 	// Golden run.
-	wl := factory()
 	golden, err := sim.NewDevice(cfg)
 	if err != nil {
 		fail(err)
@@ -140,94 +139,61 @@ func main() {
 
 	signal := int64(*at * float64(golden.Now()))
 	faultCfg := faults.Preset(*faultSeed, *faultRate)
+	var fc *faults.Config
+	if *faultRate > 0 {
+		fc = &faultCfg
+	}
 
-	// Preempted run, possibly under fault injection. A fault detected
-	// in-band degrades through the BASELINE fallback ladder.
-	runErr := runPreempted(cfg, factory, kind, signal, *faultRate, faultCfg, *tailN, *tracePath, *ckpt)
-	if runErr == nil {
-		return
-	}
-	if !sim.FaultDetected(runErr) {
-		fail(runErr)
-	}
-	fmt.Printf("fault detected in-band: %v\n", runErr)
-	job := chaos.Job{Cfg: cfg, Workload: factory(), Signal: signal, MaxCycles: 1 << 40}
-	rung, err := job.Ladder(faultCfg)
-	if err != nil {
-		fail(fmt.Errorf("BASELINE fallback: %w", err))
-	}
-	if rung == chaos.NoRung {
-		fail(errors.New("BASELINE fallback: no rung of the ladder completed"))
-	}
-	fmt.Printf("degraded: BASELINE re-run on rung %d (%v) completed — output verified identical to golden reference\n", rung, rung)
-}
-
-// runPreempted runs one preemption episode end to end and verifies the
-// final output against the CPU reference. Lost preemption signals are
-// re-raised up to chaos.MaxSignalAttempts deliveries; detected faults
-// surface as the returned error.
-// A non-empty tracePath attaches an event recorder to the device and
-// writes the episode timeline as Chrome trace-event JSON after the run.
-func runPreempted(cfg sim.Config, factory func() *kernels.Workload, kind preempt.Kind,
-	signal int64, faultRate float64, faultCfg faults.Config, tail int,
-	tracePath string, checkpoint bool) error {
-	wl := factory()
+	// Preempted run, possibly under fault injection, through the episode
+	// driver (chaos.Job). Lost signals are re-raised up to
+	// chaos.MaxSignalAttempts deliveries; a fault detected in-band
+	// degrades through the BASELINE fallback ladder.
+	job := chaos.Job{Cfg: cfg, Workload: wl, Signal: signal, MaxCycles: 1 << 40}
 	tech, err := preempt.New(kind, wl.Prog)
 	if err != nil {
-		return err
+		fail(err)
 	}
-	d, err := sim.NewDevice(cfg)
+	d, err := job.Device(fc)
 	if err != nil {
-		return err
-	}
-	if faultRate > 0 {
-		if err := d.InjectFaults(faultCfg); err != nil {
-			return err
-		}
+		fail(err)
 	}
 	var tr *sim.Tracer
-	if tail > 0 {
-		tr = d.EnableTrace(tail)
+	if *tailN > 0 {
+		tr = d.EnableTrace(*tailN)
 	}
 	var rec *trace.Recorder
-	if tracePath != "" {
+	if *tracePath != "" {
 		rec = trace.NewRecorder()
 		d.AttachRecorder(rec)
 	}
-	d.AttachRuntime(tech)
-	if _, err := wl.Launch(d); err != nil {
-		return err
-	}
-	if err := d.RunToCycle(signal, 1<<40); err != nil {
-		return err
-	}
-	ep, lost, err := chaos.Raise(d, tech)
-	if lost > 0 {
-		fmt.Printf("preemption signal lost in delivery %d time(s)\n", lost)
-	}
-	if err != nil {
-		return err
-	}
-	if err := d.RunUntil(ep.Saved, 1<<40); err != nil {
-		return err
-	}
-	fmt.Printf("preempted SM 0 at cycle %d with %v: %d warps, latency %d cycles (%.2f us), %d context bytes\n",
-		signal, kind, len(ep.Victims), ep.PreemptLatencyCycles(),
-		cfg.CyclesToMicros(ep.PreemptLatencyCycles()), ep.SavedBytes())
-	var validate func() error
-	if checkpoint {
-		wl2 := factory()
-		_, enc := snapshot.Capture(d, 1)
-		tech2, err := preempt.New(kind, wl2.Prog)
-		if err != nil {
-			return err
+	showLost := func(n int) {
+		if n > 0 {
+			fmt.Printf("preemption signal lost in delivery %d time(s)\n", n)
 		}
-		res, err := snapshot.Restore(nil, enc, enc, 1, tech2, wl2.Prog)
+	}
+	var (
+		rd *sim.Device  // the device the episode resumed on
+		ep *sim.Episode // the episode as it resumed
+	)
+	job.Park = func(pd *sim.Device, pep *sim.Episode) (*sim.Device, *sim.Episode, func() error, error) {
+		showLost(pd.FaultStats().DroppedSignals) // each delivery Raise lost
+		fmt.Printf("preempted SM 0 at cycle %d with %v: %d warps, latency %d cycles (%.2f us), %d context bytes\n",
+			signal, kind, len(pep.Victims), pep.PreemptLatencyCycles(),
+			cfg.CyclesToMicros(pep.PreemptLatencyCycles()), pep.SavedBytes())
+		if rd, ep = pd, pep; !*ckpt {
+			return pd, pep, nil, nil
+		}
+		_, enc := snapshot.Capture(pd, 1)
+		tech2, err := preempt.New(kind, wl.Prog)
 		if err != nil {
-			return err
+			return nil, nil, nil, err
+		}
+		res, err := snapshot.Restore(nil, enc, enc, 1, tech2, wl.Prog)
+		if err != nil {
+			return nil, nil, nil, err
 		}
 		if len(res.Index.Episodes) != 1 {
-			return fmt.Errorf("restored %d episodes, want 1", len(res.Index.Episodes))
+			return nil, nil, nil, fmt.Errorf("restored %d episodes, want 1", len(res.Index.Episodes))
 		}
 		path := "synchronous"
 		if res.Outcome.Speculative {
@@ -235,51 +201,59 @@ func runPreempted(cfg sim.Config, factory func() *kernels.Workload, kind preempt
 		}
 		fmt.Printf("checkpointed whole device (%d bytes) and restored it onto a cold shell (%s path): setup %d + transfer %d cycles\n",
 			len(enc), path, res.Outcome.SetupCycles, res.Outcome.TransferCycles)
-		d, ep, wl, validate = res.Device, res.Index.Episodes[0], wl2, res.Validate
+		rd, ep = res.Device, res.Index.Episodes[0]
+		return rd, ep, res.Validate, nil
 	}
-	if err := d.Resume(ep); err != nil {
-		return err
+	run, err := job.EpisodeOn(d, tech)
+	if ep == nil { // the episode never parked
+		showLost(run.ReRaised)
+	} else if ep.Finished() {
+		fmt.Printf("resumed: %d cycles (%.2f us) until all warps regained progress\n",
+			ep.ResumeCycles(), cfg.CyclesToMicros(ep.ResumeCycles()))
 	}
-	if err := d.RunUntil(ep.Finished, 1<<40); err != nil {
-		return err
-	}
-	fmt.Printf("resumed: %d cycles (%.2f us) until all warps regained progress\n",
-		ep.ResumeCycles(), cfg.CyclesToMicros(ep.ResumeCycles()))
-	if err := d.Run(1 << 40); err != nil {
-		return err
-	}
-	if validate != nil {
-		if err := validate(); err != nil {
-			return fmt.Errorf("speculative restore failed deferred validation: %w", err)
+	switch {
+	case err != nil:
+		fail(err)
+	case run.Detected != nil:
+		fmt.Printf("fault detected in-band: %v\n", run.Detected)
+		rung, err := job.Ladder(faultCfg)
+		if err != nil {
+			fail(fmt.Errorf("BASELINE fallback: %w", err))
 		}
+		if rung == chaos.NoRung {
+			fail(errors.New("BASELINE fallback: no rung of the ladder completed"))
+		}
+		fmt.Printf("degraded: BASELINE re-run on rung %d (%v) completed — output verified identical to golden reference\n", rung, rung)
+		return
+	case run.VerifyErr != nil:
+		fail(fmt.Errorf("preempted run failed verification: %w", run.VerifyErr))
+	case run.Skipped:
+		fail(fmt.Errorf("sim: SM 0: %w", sim.ErrDrained))
+	}
+	if *ckpt {
 		fmt.Println("speculative restore validated: deferred memory checksum matches")
 	}
-	if err := wl.Verify(d); err != nil {
-		return fmt.Errorf("preempted run failed verification: %w", err)
-	}
 	fmt.Println("preempted run completed — output verified identical to golden reference")
-	if faultRate > 0 {
-		fs := d.FaultStats()
+	if fc != nil {
+		fs := rd.FaultStats()
 		fmt.Printf("faults injected: %d total (%d transient save, %d transient restore, %d stalls); episode absorbed %d retries\n",
-			fs.Total(), fs.TransientSaveFaults, fs.TransientRestoreFaults, fs.Stalls,
-			ep.Faults.TransientRetries)
+			fs.Total(), fs.TransientSaveFaults, fs.TransientRestoreFaults, fs.Stalls, run.Retries)
 	}
 	if tr != nil {
-		fmt.Printf("\nlast %d executed instructions:\n%s", tail, tr.Render())
+		fmt.Printf("\nlast %d executed instructions:\n%s", *tailN, tr.Render())
 	}
 	if rec != nil {
-		f, err := os.Create(tracePath)
+		f, err := os.Create(*tracePath)
 		if err != nil {
-			return fmt.Errorf("trace: %w", err)
+			fail(fmt.Errorf("trace: %w", err))
 		}
 		if err := trace.WriteChromeTrace(f, rec.Events()); err != nil {
 			f.Close()
-			return fmt.Errorf("trace: %w", err)
+			fail(fmt.Errorf("trace: %w", err))
 		}
 		if err := f.Close(); err != nil {
-			return fmt.Errorf("trace: %w", err)
+			fail(fmt.Errorf("trace: %w", err))
 		}
-		fmt.Printf("wrote %d trace events to %s (open in chrome://tracing)\n", rec.Len(), tracePath)
+		fmt.Printf("wrote %d trace events to %s (open in chrome://tracing)\n", rec.Len(), *tracePath)
 	}
-	return nil
 }

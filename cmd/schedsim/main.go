@@ -50,7 +50,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 
@@ -271,16 +270,10 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		// -procs 0 is one device worker per GOMAXPROCS, as it is one
-		// technique-run worker per GOMAXPROCS without -serve.
-		workers := *procs
-		if workers == 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
 		svc := sched.ServeConfig{
 			Sched:       sc,
 			Devices:     *devices,
-			Workers:     workers,
+			Workers:     *procs,
 			AdmitEvery:  *admitEvery,
 			ReportEvery: *reportEvery,
 			WarmPool:    *warmPool,

@@ -1,8 +1,17 @@
 // Package chaos is the fault-recovery policy of DESIGN.md §5, kept in
-// one place: the resume-integrity oracle, the fault-injected preemption
-// episode, the BASELINE fallback ladder and the fold of an episode into
-// one of five outcomes. The harness chaos experiment, the generated
-// corpus sweep and gpusim's degrade path all run through it.
+// one place: the resume-integrity oracle, the preemption episode, the
+// BASELINE fallback ladder and the fold of an episode into one of five
+// outcomes.
+//
+// Job.Drive is the one episode driver: signal, drain and save, an
+// optional park hook that may move the parked episode to another
+// device, resume and replay. Every single-SM preemption episode outside
+// the benchmark runs through it: the harness's measured episodes, its
+// chaos experiment in all three modes (the snapshot mode's restore is
+// a park hook), the generated-corpus sweep (its snapshot round trip is
+// a park hook) and gpusim (so is its -checkpoint). Job.Episode adds
+// completion, the deferred validation, Workload.Verify and the
+// detection fold.
 //
 // A fault is detected in-band when sim.FaultDetected holds for the
 // error it ends the episode with. Detection abandons the device and
@@ -134,9 +143,34 @@ type Job struct {
 	Workload  *kernels.Workload
 	Signal    int64
 	MaxCycles int64
-	// Oracle, when non-nil, is installed on the episode's device with
-	// sim.Device.SetResumeChecker. The ladder's rungs run without it.
+	// Oracle, when non-nil, is installed on the job's devices (Device)
+	// with sim.Device.SetResumeChecker. The ladder's rungs run without
+	// it.
 	Oracle func(*sim.Warp) error
+	// From, when non-nil, is the uninstrumented golden run's state at
+	// Signal: Drive imports it instead of launching the workload and
+	// simulating the prefix. Only a technique that never instruments the
+	// kernel may start from it.
+	From *sim.DeviceState
+	// Park, when non-nil, is handed the episode once its context is
+	// saved, and may move it to another device: it returns the device
+	// and episode to resume and the validation to defer until the kernel
+	// finishes (nil: none). The ladder's rungs run without it.
+	Park func(d *sim.Device, ep *sim.Episode) (*sim.Device, *sim.Episode, func() error, error)
+}
+
+// Trip is one episode as Drive left it.
+type Trip struct {
+	// Device is the device the episode resumed on: Drive's, or the one
+	// the park hook moved it to.
+	Device *sim.Device
+	// Ep is the episode, nil if no signal landed: the launch had
+	// finished by the signal, or Drive failed before raising it.
+	Ep *sim.Episode
+	// Lost counts the signal deliveries lost in Raise.
+	Lost int
+	// Validate is the park hook's deferred validation (nil: none).
+	Validate func() error
 }
 
 // Raise delivers a preemption signal to SM 0 under tech, re-raising a
@@ -156,73 +190,137 @@ func Raise(d *sim.Device, tech preempt.Technique) (*sim.Episode, int, error) {
 	}
 }
 
-// Episode runs one preempt, save, resume and finish episode of kind on
-// a fresh device, with faults injected per fc (nil: no injector), and
-// verifies the finished output. The error is an infrastructure failure
-// only; an in-band detection lands in Run.Detected.
-func (j Job) Episode(kind preempt.Kind, fc *faults.Config) (Run, error) {
-	var run Run
-	wl := j.Workload
-	tech, err := preempt.New(kind, wl.Prog)
-	if err != nil {
-		return run, fmt.Errorf("%s/%v: %w", wl.Abbrev, kind, err)
-	}
+// Device returns a fresh device for one of the job's episodes, with
+// faults injected per fc (nil: no injector) and the oracle installed.
+func (j Job) Device(fc *faults.Config) (*sim.Device, error) {
 	d, err := sim.NewDevice(j.Cfg)
 	if err != nil {
-		return run, err
+		return nil, err
 	}
 	if fc != nil {
 		if err := d.InjectFaults(*fc); err != nil {
-			return run, err
+			return nil, err
 		}
 	}
 	if j.Oracle != nil {
 		d.SetResumeChecker(j.Oracle)
 	}
-	d.AttachRuntime(tech)
-	if _, err := wl.Launch(d); err != nil {
-		return run, err
+	return d, nil
+}
+
+// Drive is the one episode driver. On d, a fresh device (see Device),
+// it attaches tech and launches the workload and simulates to the
+// signal, or imports From; raises the signal (Raise); runs until the
+// context is saved; hands the parked episode to Park; resumes it and
+// replays until every victim has regained its progress. The caller
+// finishes the run. An error is the failed step's own error wrapped
+// with the step's name (launch, signal, fork, preempt, save, park,
+// resume or replay); one wrapping sim.ErrDrained means SM 0 had no
+// warps left to preempt.
+func (j Job) Drive(d *sim.Device, tech preempt.Technique) (Trip, error) {
+	t := Trip{Device: d}
+	var launch *sim.Launch
+	if j.From == nil {
+		d.AttachRuntime(tech)
+		var err error
+		if launch, err = j.Workload.Launch(d); err != nil {
+			return t, fmt.Errorf("launch: %w", err)
+		}
+		if err := d.RunToCycle(j.Signal, j.MaxCycles); err != nil {
+			return t, fmt.Errorf("signal: %w", err)
+		}
+	} else {
+		idx, err := d.ImportState(j.From, tech, []*isa.Program{j.Workload.Prog})
+		if err != nil {
+			return t, fmt.Errorf("fork: %w", err)
+		}
+		launch = idx.Launches[0]
 	}
-	if err := d.RunToCycle(j.Signal, j.MaxCycles); err != nil {
-		return run, err // pre-signal execution injects no detectable faults
+	if launch.Done() {
+		return t, nil
 	}
 	ep, lost, err := Raise(d, tech)
-	run.ReRaised = lost
+	if t.Lost = lost; err != nil {
+		return t, fmt.Errorf("preempt: %w", err)
+	}
+	t.Ep = ep
+	if err := d.RunUntil(ep.Saved, j.MaxCycles); err != nil {
+		return t, fmt.Errorf("save: %w", err)
+	}
+	if j.Park != nil {
+		pd, pep, validate, err := j.Park(d, ep)
+		if err != nil {
+			return t, fmt.Errorf("park: %w", err)
+		}
+		t.Device, t.Ep, t.Validate = pd, pep, validate
+	}
+	if err := t.Device.Resume(t.Ep); err != nil {
+		return t, fmt.Errorf("resume: %w", err)
+	}
+	if err := t.Device.RunUntil(t.Ep.Finished, j.MaxCycles); err != nil {
+		return t, fmt.Errorf("replay: %w", err)
+	}
+	return t, nil
+}
+
+// Episode runs one episode of kind on a fresh device from Device(fc)
+// (EpisodeOn).
+func (j Job) Episode(kind preempt.Kind, fc *faults.Config) (Run, error) {
+	tech, err := preempt.New(kind, j.Workload.Prog)
+	if err != nil {
+		return Run{}, fmt.Errorf("%s/%v: %w", j.Workload.Abbrev, kind, err)
+	}
+	d, err := j.Device(fc)
+	if err != nil {
+		return Run{}, err
+	}
+	return j.EpisodeOn(d, tech)
+}
+
+// EpisodeOn drives one episode under tech on d (Drive), finishes the
+// run, settles the park hook's deferred validation and verifies the
+// output. The error is an infrastructure failure only; an in-band
+// detection lands in Run.Detected. A failed validation is a detection
+// too, and so is a budget overrun once the park hook has moved the
+// episode to another device: it may have resumed from suspect state.
+func (j Job) EpisodeOn(d *sim.Device, tech preempt.Technique) (Run, error) {
+	t, err := j.Drive(d, tech)
+	run := Run{Counters: Counters{ReRaised: t.Lost}}
 	switch {
-	case errors.Is(err, sim.ErrDrained):
+	case t.Ep == nil && (err == nil || errors.Is(err, sim.ErrDrained)):
+		// SM 0 drained before the signal: the uninterrupted remainder
+		// is verified instead.
 		run.Skipped = true
 		if err := d.Run(j.MaxCycles); err != nil {
 			return run, err
 		}
-		run.VerifyErr = wl.Verify(d)
+		run.VerifyErr = j.Workload.Verify(d)
 		return run, nil
-	case sim.FaultDetected(err):
-		run.Detected = err
-		return run, nil
-	case err != nil:
-		return run, err
+	case t.Ep == nil && !errors.Is(err, sim.ErrSignalLost):
+		return run, err // nothing detectable is injected before the signal
 	}
-	for _, phase := range []func() error{
-		func() error { return d.RunUntil(ep.Saved, j.MaxCycles) },
-		func() error { return d.Resume(ep) },
-		func() error { return d.RunUntil(ep.Finished, j.MaxCycles) },
-		func() error { return d.Run(j.MaxCycles) },
-	} {
-		if err = phase(); err != nil {
-			break
+	cause, suspect := errors.Unwrap(err), false // the failed step's own error
+	if err == nil {
+		if cause = t.Device.Run(j.MaxCycles); cause == nil && t.Validate != nil {
+			cause, suspect = t.Validate(), true
 		}
 	}
-	run.Retries = ep.Faults.TransientRetries
-	run.DupAbsorbed = ep.Faults.AbsorbedDupSignals
-	run.Corrupted = ep.Faults.CorruptedContexts
+	if ep := t.Ep; ep != nil {
+		run.Retries = ep.Faults.TransientRetries
+		run.DupAbsorbed = ep.Faults.AbsorbedDupSignals
+		run.Corrupted = ep.Faults.CorruptedContexts
+	}
 	run.Absorbed = run.Retries+run.ReRaised+run.DupAbsorbed > 0
+	var be *sim.BudgetError
 	switch {
-	case sim.FaultDetected(err):
-		run.Detected = err
+	case cause == nil:
+		run.VerifyErr = j.Workload.Verify(t.Device)
+	case sim.FaultDetected(cause) || suspect || t.Device != d && errors.As(cause, &be):
+		run.Detected = cause
 	case err != nil:
 		return run, err
 	default:
-		run.VerifyErr = wl.Verify(d)
+		return run, cause
 	}
 	return run, nil
 }
@@ -233,7 +331,7 @@ func (j Job) Episode(kind preempt.Kind, fc *faults.Config) (Run, error) {
 func (j Job) Ladder(fc faults.Config) (Rung, error) {
 	salted := fc
 	salted.Seed = faults.DeriveSeed(fc.Seed, FallbackSalt)
-	j.Oracle = nil
+	j.Oracle, j.Park = nil, nil
 	for i, rc := range []*faults.Config{&salted, nil} {
 		run, err := j.Episode(preempt.Baseline, rc)
 		if err != nil {

@@ -7,8 +7,9 @@
 //   - a scan-vs-readyqueue lockstep oracle (sampled): the reference
 //     scheduler must reproduce the exact cycle count and memory image;
 //   - one forced mid-flight preemption episode per technique per signal
-//     fraction — preempt, save, resume, finish — with the final memory
-//     byte-compared against the interpreter again;
+//     fraction through internal/chaos's one episode driver — preempt,
+//     save, resume, finish — with the final memory byte-compared
+//     against the interpreter again;
 //   - a resume-integrity oracle (sampled): live-in registers at the
 //     resumed signal point must match the signal-time snapshot;
 //   - a snapshot round-trip oracle (sampled): a whole-device capture
@@ -20,16 +21,15 @@ package sweep
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"ctxback/internal/cfg"
 	"ctxback/internal/chaos"
 	"ctxback/internal/faults"
 	"ctxback/internal/gen"
 	"ctxback/internal/liveness"
+	"ctxback/internal/pool"
 	"ctxback/internal/preempt"
 	"ctxback/internal/sim"
 	"ctxback/internal/snapshot"
@@ -180,35 +180,23 @@ func (s *SeedResult) fail(kind preempt.Kind, stage string, err error) {
 	s.Failures = append(s.Failures, Failure{Seed: s.Seed, Kind: kind, Stage: stage, Err: err})
 }
 
-// Run sweeps seeds [start, start+n) with a deterministic worker pool:
-// results are merged in seed order, so the report is byte-identical at
-// every parallelism setting.
-func Run(start, n uint64, procs int, opt Options) *Report {
-	if procs < 1 {
-		procs = 1
-	}
+// Run sweeps seeds [start, start+n) on procs workers (pool.Run: 0 is
+// one per GOMAXPROCS). Results are merged in seed order, so the report
+// is byte-identical at every setting. The error is a seed that
+// panicked.
+func Run(start, n uint64, procs int, opt Options) (*Report, error) {
 	results := make([]*SeedResult, n)
-	var wg sync.WaitGroup
-	next := make(chan uint64)
-	for p := 0; p < procs; p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				results[i] = RunSeed(start+i, opt)
-			}
-		}()
+	if err := pool.Run(procs, int(n), func(i int) error {
+		results[i] = RunSeed(start+uint64(i), opt)
+		return nil
+	}); err != nil {
+		return nil, err
 	}
-	for i := uint64(0); i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
 	rep := &Report{PerKind: make(map[preempt.Kind]*KindCount)}
 	for _, s := range results {
 		rep.merge(s)
 	}
-	return rep
+	return rep, nil
 }
 
 // RunSeed runs every check for one seed.
@@ -256,26 +244,26 @@ func RunSeed(seed uint64, opt Options) *SeedResult {
 	}
 	for _, kind := range opt.Kinds {
 		count := res.kind(kind)
+		if _, err := preempt.New(kind, p.Prog); err != nil {
+			// Expected for SM-flushing (and Chimera) on non-idempotent
+			// programs; the sweep records the refusal rather than failing.
+			count.Skipped++
+			continue
+		}
 		for fi, frac := range opt.SignalFracs {
 			signal := int64(frac * float64(goldenCycles))
 			if signal < 1 {
 				signal = 1
 			}
 			snapTrip := on(seed, opt.SnapshotEvery) && fi == 0 && preempt.Relocatable(kind)
-			outcome, err := runEpisode(p, opt, kind, signal, episodeOracle, snapTrip, res)
-			switch outcome {
-			case episodeSkipped:
-				count.Skipped++
-			case episodeDrained:
-				count.Drained++
-			case episodePass:
-				count.Pass++
-			case episodeFail:
+			switch drained, err := runEpisode(p, opt, kind, signal, episodeOracle, snapTrip, res); {
+			case err != nil:
 				count.Fail++
 				res.fail(kind, fmt.Sprintf("episode@%.2f", frac), err)
-			}
-			if outcome == episodeSkipped {
-				break // construction failed; fracs won't change that
+			case drained:
+				count.Drained++
+			default:
+				count.Pass++
 			}
 		}
 	}
@@ -360,76 +348,36 @@ func runPlain(p *gen.Program, opt Options, tweak func(d *sim.Device)) (*sim.Devi
 	return d, nil
 }
 
-type episodeOutcome int
-
-const (
-	episodePass episodeOutcome = iota
-	episodeDrained
-	episodeSkipped
-	episodeFail
-)
-
 // runEpisode forces one preempt/save/resume/finish episode at
-// signalCycle under kind and checks the completed run against the
-// interpreter, under the resume-integrity oracle when one is given. With
-// snapTrip it also round-trips a whole-device snapshot while the episode
-// is parked.
+// signalCycle under kind (chaos.Job) and checks the completed run
+// against the interpreter, under the resume-integrity oracle when one is
+// given. With snapTrip its park hook also round-trips a whole-device
+// snapshot of the parked episode. drained: the kernel drained before the
+// signal.
 func runEpisode(p *gen.Program, opt Options, kind preempt.Kind, signalCycle int64,
-	oracle func(*sim.Warp) error, snapTrip bool, res *SeedResult) (episodeOutcome, error) {
-	tech, err := preempt.New(kind, p.Prog)
-	if err != nil {
-		// Expected for SM-flushing (and Chimera) on non-idempotent
-		// programs; the sweep records the refusal rather than failing.
-		return episodeSkipped, nil
+	oracle func(*sim.Warp) error, snapTrip bool, res *SeedResult) (drained bool, err error) {
+	job := chaos.Job{Cfg: opt.Cfg, Workload: p.Workload(), Signal: signalCycle,
+		MaxCycles: opt.MaxCycles, Oracle: oracle}
+	if snapTrip {
+		job.Park = func(d *sim.Device, ep *sim.Episode) (*sim.Device, *sim.Episode, func() error, error) {
+			res.SnapshotRuns++
+			if err := snapshotRoundTrip(d); err != nil {
+				res.fail(kind, "snapshot", err)
+			}
+			return d, ep, nil, nil
+		}
 	}
-	d, err := sim.NewDevice(opt.Cfg)
-	if err != nil {
-		return episodeFail, err
-	}
-	d.AttachRuntime(tech)
 	if oracle != nil {
-		d.SetResumeChecker(oracle)
 		res.IntegrityRuns++
 	}
-	launch, err := p.Launch(d)
-	if err != nil {
-		return episodeFail, err
+	run, err := job.Episode(kind, nil)
+	switch {
+	case err != nil:
+		return false, err
+	case run.Detected != nil:
+		return false, run.Detected
 	}
-	if err := d.RunToCycle(signalCycle, opt.MaxCycles); err != nil {
-		return episodeFail, fmt.Errorf("run to signal: %w", err)
-	}
-	if launch.Done() {
-		return episodeDrained, nil
-	}
-	ep, err := d.Preempt(0, tech)
-	if err != nil {
-		if errors.Is(err, sim.ErrDrained) {
-			return episodeDrained, nil
-		}
-		return episodeFail, fmt.Errorf("preempt: %w", err)
-	}
-	if err := d.RunUntil(ep.Saved, opt.MaxCycles); err != nil {
-		return episodeFail, fmt.Errorf("save: %w", err)
-	}
-	if snapTrip {
-		res.SnapshotRuns++
-		if err := snapshotRoundTrip(d); err != nil {
-			res.fail(kind, "snapshot", err)
-		}
-	}
-	if err := d.Resume(ep); err != nil {
-		return episodeFail, fmt.Errorf("resume: %w", err)
-	}
-	if err := d.RunUntil(ep.Finished, opt.MaxCycles); err != nil {
-		return episodeFail, fmt.Errorf("replay: %w", err)
-	}
-	if err := d.Run(opt.MaxCycles); err != nil {
-		return episodeFail, fmt.Errorf("completion: %w", err)
-	}
-	if err := p.CheckDevice(d); err != nil {
-		return episodeFail, err
-	}
-	return episodePass, nil
+	return run.Skipped, run.VerifyErr
 }
 
 // snapshotRoundTrip captures the parked device and checks the canonical

@@ -12,7 +12,10 @@ import (
 // (scan lockstep, resume integrity, snapshot round-trip, chaos).
 // The full ≥1000-seed run is `make gen-smoke` / cmd/genrun.
 func TestDifferentialSweep(t *testing.T) {
-	rep := Run(0, 64, 8, DefaultOptions())
+	rep, err := Run(0, 64, 8, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, f := range rep.Failures {
 		t.Error(f.String())
 	}
@@ -43,12 +46,18 @@ func TestDifferentialSweep(t *testing.T) {
 // options) and must render byte-identically at every parallelism.
 func TestSweepDeterministicAcrossProcs(t *testing.T) {
 	opt := DefaultOptions()
-	serial := Run(0, 32, 1, opt).Summary()
-	parallel := Run(0, 32, 8, opt).Summary()
-	if serial != parallel {
+	var sums [2]string
+	for i, procs := range []int{1, 8} {
+		rep, err := Run(0, 32, procs, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sums[i] = rep.Summary()
+	}
+	if serial, parallel := sums[0], sums[1]; serial != parallel {
 		t.Fatalf("summary differs across -procs:\nserial:\n%s\nparallel:\n%s", serial, parallel)
 	}
-	if !strings.Contains(serial, "passed 32") {
-		t.Fatalf("determinism fixture regressed:\n%s", serial)
+	if !strings.Contains(sums[0], "passed 32") {
+		t.Fatalf("determinism fixture regressed:\n%s", sums[0])
 	}
 }

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"errors"
 	"fmt"
 
 	"ctxback/internal/chaos"
@@ -56,129 +55,76 @@ func corruptSpec(sf faults.SnapFault, raw uint64, snap *snapshot.Snapshot, enc [
 	return enc
 }
 
-// replayRestored finishes the restored episode: resume the single
-// parked episode under the oracle, run the device dry, then settle the
-// deferred validation. The first return is in-band detection (nil if
-// the replay is trustworthy), the second an infrastructure failure.
-// Replaying against corrupted memory could in principle wander past the
-// cycle budget, which counts as detection too, not as a failure.
-func replayRestored(job chaos.Job, res *snapshot.Restored) (error, error) {
-	d := res.Device
-	d.SetResumeChecker(job.Oracle)
-	if len(res.Index.Episodes) != 1 {
-		return nil, fmt.Errorf("snapshot chaos: restored %d episodes, want 1", len(res.Index.Episodes))
-	}
-	ep := res.Index.Episodes[0]
-	for _, phase := range []func() error{
-		func() error { return d.Resume(ep) },
-		func() error { return d.RunUntil(ep.Finished, job.MaxCycles) },
-		func() error { return d.Run(job.MaxCycles) },
-	} {
-		if err := phase(); err != nil {
-			var be *sim.BudgetError
-			if sim.FaultDetected(err) || errors.As(err, &be) {
-				return err, nil
-			}
-			return nil, err
-		}
-	}
-	return res.Validate(), nil
-}
-
 // runSnapshotCell classifies one snapshot-corruption cell end to end.
+// It drives the job with a park hook that checkpoints the parked
+// episode with the whole device, corrupts the speculative copy per the
+// injector's draw and restores the episode from it under the oracle. A
+// detection after a successful restore re-drives the job with a hook
+// that restores the authoritative image alone: episodes are
+// deterministic, so the second drive parks in the same state.
 func runSnapshotCell(job chaos.Job, cell *ChaosCell, fc faults.Config) error {
-	run, note, err := snapshotEpisode(job, cell, fc)
+	inj, err := faults.NewInjector(fc)
 	if err != nil {
 		return err
+	}
+	sf, raw := inj.SnapshotFault(0)
+	// The original device runs without the oracle: it would capture
+	// signal-time snapshots, and they would enter the image.
+	oracle := job.Oracle
+	job.Oracle = nil
+	var res *snapshot.Restored // the last successful restore
+	drive := func(speculate bool) (chaos.Run, error) {
+		var lost error // even the authoritative image failed to restore
+		res = nil
+		job.Park = func(d *sim.Device, ep *sim.Episode) (*sim.Device, *sim.Episode, func() error, error) {
+			snap, enc := snapshot.Capture(d, chaosSnapEpoch)
+			var spec []byte
+			if speculate {
+				cell.SnapFault = sf.String()
+				spec = corruptSpec(sf, raw, snap, enc)
+			}
+			tech, err := preempt.New(cell.Kind, job.Workload.Prog)
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			r, err := snapshot.Restore(nil, spec, enc, chaosSnapEpoch, tech, job.Workload.Prog)
+			if lost = err; err != nil {
+				return nil, nil, nil, err
+			}
+			if len(r.Index.Episodes) != 1 {
+				return nil, nil, nil, fmt.Errorf("snapshot chaos: restored %d episodes, want 1", len(r.Index.Episodes))
+			}
+			res = r
+			r.Device.SetResumeChecker(oracle)
+			return r.Device, r.Index.Episodes[0], r.Validate, nil
+		}
+		run, err := job.Episode(cell.Kind, nil)
+		if lost != nil {
+			return chaos.Run{Detected: lost}, nil
+		}
+		return run, err
+	}
+	run, err := drive(true)
+	if err != nil {
+		return err
+	}
+	var note string // the fault an in-episode recovery absorbed
+	if res != nil && res.Outcome.SyncFallback {
+		run.Absorbed, note = true, res.Outcome.SpecError
+	}
+	if res != nil && run.Detected != nil {
+		// The corruption slipped past the speculative decode and was
+		// caught after replay: discard the suspect device and restore
+		// from the authoritative image.
+		note = run.Detected.Error()
+		if run, err = drive(false); err != nil {
+			return err
+		}
+		run.Absorbed = true
 	}
 	cell.Result, err = job.Settle(run, fc)
 	if cell.Detected == "" {
 		cell.Detected = note
 	}
 	return err
-}
-
-// snapshotEpisode preempts the job, checkpoints the parked episode,
-// corrupts the speculative copy per the injector's draw and finishes
-// the job on a restored device. note names the fault an in-episode
-// recovery absorbed.
-func snapshotEpisode(job chaos.Job, cell *ChaosCell, fc faults.Config) (run chaos.Run, note string, err error) {
-	wl := job.Workload
-	tech, err := preempt.New(cell.Kind, wl.Prog)
-	if err != nil {
-		return run, "", fmt.Errorf("%s/%v: %w", wl.Abbrev, cell.Kind, err)
-	}
-	d, err := sim.NewDevice(job.Cfg)
-	if err != nil {
-		return run, "", err
-	}
-	d.AttachRuntime(tech)
-	if _, err := wl.Launch(d); err != nil {
-		return run, "", err
-	}
-	if err := d.RunToCycle(job.Signal, job.MaxCycles); err != nil {
-		return run, "", err
-	}
-	ep, err := d.Preempt(0, tech)
-	if errors.Is(err, sim.ErrDrained) {
-		// Nothing to checkpoint mid-episode; the uninterrupted remainder
-		// must still verify.
-		run.Skipped = true
-		if err := d.Run(job.MaxCycles); err != nil {
-			return run, "", err
-		}
-		run.VerifyErr = wl.Verify(d)
-		return run, "", nil
-	}
-	if err != nil {
-		return run, "", err
-	}
-	if err := d.RunUntil(ep.Saved, job.MaxCycles); err != nil {
-		return run, "", err
-	}
-
-	snap, enc := snapshot.Capture(d, chaosSnapEpoch)
-	inj, err := faults.NewInjector(fc)
-	if err != nil {
-		return run, "", err
-	}
-	sf, raw := inj.SnapshotFault(0)
-	cell.SnapFault = sf.String()
-	spec := corruptSpec(sf, raw, snap, enc)
-
-	// restore restores from specData (nil: the authoritative image
-	// alone) and replays; det is an in-band detection.
-	restore := func(specData []byte) (res *snapshot.Restored, det, infra error) {
-		t2, err := preempt.New(cell.Kind, wl.Prog)
-		if err != nil {
-			return nil, nil, err
-		}
-		res, err = snapshot.Restore(nil, specData, enc, chaosSnapEpoch, t2, wl.Prog)
-		if err != nil {
-			return nil, err, nil // even the authoritative image failed
-		}
-		det, infra = replayRestored(job, res)
-		return res, det, infra
-	}
-	res, det, err := restore(spec)
-	if err != nil {
-		return run, "", err
-	}
-	if res != nil && res.Outcome.SyncFallback {
-		run.Absorbed, note = true, res.Outcome.SpecError
-	}
-	if res != nil && det != nil {
-		// The corruption slipped past the speculative decode and was
-		// caught after replay: discard the suspect device and restore
-		// synchronously from the authoritative image.
-		run.Absorbed, note = true, det.Error()
-		if res, det, err = restore(nil); err != nil {
-			return run, "", err
-		}
-	}
-	run.Detected = det
-	if det == nil {
-		run.VerifyErr = wl.Verify(res.Device)
-	}
-	return run, note, nil
 }

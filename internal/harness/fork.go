@@ -137,17 +137,16 @@ func (r *Runner) measureEpisodes(eps []episode) ([]episodeResult, error) {
 	results := make([]episodeResult, len(eps))
 	err := r.runJobs(len(eps), func(i int) error {
 		e, p := eps[i], r.prep[eps[i].ki].p
+		j := r.o.job(p, e.at)
 		var res episodeResult
 		if !forks[i] {
-			res.st, res.ok, _, res.err = r.o.measure(p, e.kind, e.at, nil)
+			res.st, res.ok, _, res.err = r.o.measure(j, e.kind)
 		} else {
 			g := goldens[e.ki]
 			defer g.release()
 			pi, _ := slices.BinarySearch(g.pts, e.at)
-			if st, err := g.stateAt(&r.o, p, pi); err != nil {
-				res.err = err
-			} else if st != nil {
-				res.st, res.ok, _, res.err = r.o.measure(p, e.kind, e.at, st)
+			if j.From, res.err = g.stateAt(&r.o, p, pi); res.err == nil && j.From != nil {
+				res.st, res.ok, _, res.err = r.o.measure(j, e.kind)
 			}
 		}
 		results[i] = res

@@ -51,7 +51,7 @@ func TestForkedEpisodesMatchFresh(t *testing.T) {
 			}
 			fresh := make([]episodeResult, len(pts))
 			for si, pt := range pts {
-				st, ok, d, err := o.measure(p, kind, pt, nil)
+				st, ok, d, err := o.measure(o.job(p, pt), kind)
 				if err != nil {
 					t.Fatalf("%s/%v@%d from scratch: %v", p.wl.Abbrev, kind, pt, err)
 				}
@@ -70,7 +70,9 @@ func TestForkedEpisodesMatchFresh(t *testing.T) {
 					continue
 				}
 				forked++
-				fst, fok, fd, err := o.measure(p, kind, pt, from)
+				j := o.job(p, pt)
+				j.From = from
+				fst, fok, fd, err := o.measure(j, kind)
 				if err != nil {
 					t.Fatalf("%s/%v@%d forked: %v", p.wl.Abbrev, kind, pt, err)
 				}

@@ -8,7 +8,7 @@ import (
 	"errors"
 	"fmt"
 
-	"ctxback/internal/isa"
+	"ctxback/internal/chaos"
 	"ctxback/internal/kernels"
 	"ctxback/internal/preempt"
 	"ctxback/internal/sim"
@@ -29,9 +29,9 @@ type Options struct {
 	// the output against the CPU golden reference.
 	Verify    bool
 	MaxCycles int64
-	// Parallelism is the episode worker-pool width: 0 uses GOMAXPROCS,
-	// 1 is the legacy serial path, n>1 forces n workers. Reported
-	// numbers are identical at every setting; only wall-clock changes.
+	// Parallelism is the worker count of the episode pool (pool.Run):
+	// 0 is one per GOMAXPROCS, 1 runs inline. Reported numbers are
+	// identical at every setting; only wall-clock changes.
 	Parallelism int
 	// Shards is ignored: every device runs its one serial loop.
 	//
@@ -149,75 +149,42 @@ type EpisodeStats struct {
 	ReplayCycles  int64 // → logical progress regained
 }
 
-// classifyPreemptErr discriminates the benign drained outcome (the SM
-// had no running warps left — an expected race between the signal and
-// kernel completion) from real preemption failures, which must
-// propagate. Non-drain errors pass through unchanged.
-func classifyPreemptErr(err error) (drained bool, failure error) {
-	if err == nil {
-		return false, nil
-	}
-	if errors.Is(err, sim.ErrDrained) {
-		return true, nil
-	}
-	return false, err
+// job is the episode of p signalled at cycle at, simulated from launch.
+func (o *Options) job(p *prepared, at int64) chaos.Job {
+	return chaos.Job{Cfg: o.Cfg, Workload: p.wl, Signal: at, MaxCycles: o.MaxCycles}
 }
 
-// measure preempts SM 0 at signalCycle under the technique, resumes
-// immediately after the save completes, and (optionally) verifies the
-// completed run; it also returns the episode's device as it stopped.
-// ok=false when the kernel drained before the signal. With from nil the
-// episode simulates its prefix from launch; otherwise it starts from
-// from, the golden run's state at signalCycle (fork.go), which only a
-// technique that never instruments the kernel may do.
-func (o *Options) measure(p *prepared, kind preempt.Kind, signalCycle int64, from *sim.DeviceState) (EpisodeStats, bool, *sim.Device, error) {
-	tech, err := preempt.New(kind, p.wl.Prog)
+// measure drives j's episode under kind (chaos.Job.Drive): it preempts
+// SM 0 at the signal, resumes immediately after the save completes, and
+// (optionally) verifies the completed run; it also returns the
+// episode's device as it stopped. ok=false when the kernel drained
+// before the signal. With j.From set the episode starts from the golden
+// run's state at the signal (fork.go), which only a technique that
+// never instruments the kernel may do.
+func (o *Options) measure(j chaos.Job, kind preempt.Kind) (EpisodeStats, bool, *sim.Device, error) {
+	tech, err := preempt.New(kind, j.Workload.Prog)
 	if err != nil {
-		return EpisodeStats{}, false, nil, fmt.Errorf("%s/%v: %w", p.wl.Abbrev, kind, err)
+		return EpisodeStats{}, false, nil, fmt.Errorf("%s/%v: %w", j.Workload.Abbrev, kind, err)
 	}
-	d, err := sim.NewDevice(o.Cfg)
+	d, err := j.Device(nil)
 	if err != nil {
 		return EpisodeStats{}, false, nil, err
 	}
-	var launch *sim.Launch
-	if from == nil {
-		d.AttachRuntime(tech)
-		if launch, err = p.wl.Launch(d); err != nil {
-			return EpisodeStats{}, false, d, err
+	t, err := j.Drive(d, tech)
+	switch {
+	case errors.Is(err, sim.ErrDrained):
+		// The SM had no running warps left: an expected race between
+		// the signal and kernel completion.
+		if m := o.Metrics; m != nil {
+			m.Counter("episodes.drained").Add(1)
 		}
-		if err := d.RunToCycle(signalCycle, o.MaxCycles); err != nil {
-			return EpisodeStats{}, false, d, err
-		}
-	} else {
-		idx, err := d.ImportState(from, tech, []*isa.Program{p.wl.Prog})
-		if err != nil {
-			return EpisodeStats{}, false, d, fmt.Errorf("%s/%v fork: %w", p.wl.Abbrev, kind, err)
-		}
-		launch = idx.Launches[0]
-	}
-	if launch.Done() {
+		return EpisodeStats{}, false, d, nil
+	case err != nil:
+		return EpisodeStats{}, false, d, fmt.Errorf("%s/%v %w", j.Workload.Abbrev, kind, err)
+	case t.Ep == nil:
 		return EpisodeStats{}, false, d, nil
 	}
-	ep, err := d.Preempt(0, tech)
-	if err != nil {
-		drained, failure := classifyPreemptErr(err)
-		if drained {
-			if m := o.Metrics; m != nil {
-				m.Counter("episodes.drained").Add(1)
-			}
-			return EpisodeStats{}, false, d, nil
-		}
-		return EpisodeStats{}, false, d, fmt.Errorf("%s/%v preempt: %w", p.wl.Abbrev, kind, failure)
-	}
-	if err := d.RunUntil(ep.Saved, o.MaxCycles); err != nil {
-		return EpisodeStats{}, false, d, fmt.Errorf("%s/%v save: %w", p.wl.Abbrev, kind, err)
-	}
-	if err := d.Resume(ep); err != nil {
-		return EpisodeStats{}, false, d, err
-	}
-	if err := d.RunUntil(ep.Finished, o.MaxCycles); err != nil {
-		return EpisodeStats{}, false, d, fmt.Errorf("%s/%v resume: %w", p.wl.Abbrev, kind, err)
-	}
+	ep := t.Ep
 	ph := ep.Phases()
 	stats := EpisodeStats{
 		PreemptCycles: ep.PreemptLatencyCycles(),
@@ -242,10 +209,10 @@ func (o *Options) measure(p *prepared, kind preempt.Kind, signalCycle int64, fro
 	}
 	if o.Verify {
 		if err := d.Run(o.MaxCycles); err != nil {
-			return stats, true, d, fmt.Errorf("%s/%v completion: %w", p.wl.Abbrev, kind, err)
+			return stats, true, d, fmt.Errorf("%s/%v completion: %w", j.Workload.Abbrev, kind, err)
 		}
-		if err := p.wl.Verify(d); err != nil {
-			return stats, true, d, fmt.Errorf("%s/%v output corrupted by preemption: %w", p.wl.Abbrev, kind, err)
+		if err := j.Workload.Verify(d); err != nil {
+			return stats, true, d, fmt.Errorf("%s/%v output corrupted by preemption: %w", j.Workload.Abbrev, kind, err)
 		}
 	}
 	return stats, true, d, nil

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"ctxback/internal/gen"
 	"ctxback/internal/kernels"
 	"ctxback/internal/preempt"
 	"ctxback/internal/sim"
@@ -51,21 +52,46 @@ func TestSamplePointsProperties(t *testing.T) {
 	}
 }
 
-func TestClassifyPreemptErr(t *testing.T) {
-	if d, f := classifyPreemptErr(nil); d || f != nil {
-		t.Errorf("nil: got (%v, %v)", d, f)
+// TestMeasureCountsOnlyDrainedSignals pins measure's drained outcomes:
+// a signal that finds SM 0 without warps (generated seed 881 at 0.7 of
+// its golden run, while other SMs still run) and a signal after the
+// launch finished are both ok=false without error, but only the first
+// counts in episodes.drained.
+func TestMeasureCountsOnlyDrainedSignals(t *testing.T) {
+	o := QuickOptions()
+	o.Metrics = trace.NewRegistry()
+	prog := gen.Generate(881)
+	p := &prepared{wl: prog.Workload()}
+	d, err := sim.NewDevice(o.Cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	wrapped := fmt.Errorf("sim: SM 0: %w", sim.ErrDrained)
-	if d, f := classifyPreemptErr(wrapped); !d || f != nil {
-		t.Errorf("wrapped ErrDrained: got (%v, %v), want (true, nil)", d, f)
+	if _, err := p.wl.Launch(d); err != nil {
+		t.Fatal(err)
 	}
-	lost := fmt.Errorf("sim: SM 0: %w", sim.ErrSignalLost)
-	if d, f := classifyPreemptErr(lost); d || !errors.Is(f, sim.ErrSignalLost) {
-		t.Errorf("ErrSignalLost must propagate as a failure, got (%v, %v)", d, f)
+	if err := d.Run(o.MaxCycles); err != nil {
+		t.Fatal(err)
 	}
-	other := errors.New("sim: SM 0 already has an active episode")
-	if d, f := classifyPreemptErr(other); d || f != other {
-		t.Errorf("generic error must pass through, got (%v, %v)", d, f)
+	p.goldenCycles = d.Now()
+	for _, c := range []struct {
+		at                int64
+		ok                bool
+		drained, measured int64
+	}{
+		{p.goldenCycles * 3 / 10, true, 0, 1},
+		{p.goldenCycles * 7 / 10, false, 1, 1},
+		{2 * p.goldenCycles, false, 1, 1},
+	} {
+		_, ok, _, err := o.measure(o.job(p, c.at), preempt.Baseline)
+		if err != nil {
+			t.Fatalf("@%d: %v", c.at, err)
+		}
+		drained := o.Metrics.Counter("episodes.drained").Value()
+		measured := o.Metrics.Counter("episodes.measured").Value()
+		if ok != c.ok || drained != c.drained || measured != c.measured {
+			t.Errorf("@%d: ok %v, drained %d, measured %d; want %v, %d, %d",
+				c.at, ok, drained, measured, c.ok, c.drained, c.measured)
+		}
 	}
 }
 
@@ -122,7 +148,7 @@ func TestMeasurePhaseReconciliation(t *testing.T) {
 	pts := samplePoints(p.goldenCycles, 2)
 	for _, kind := range preempt.Kinds() {
 		for _, pt := range pts {
-			st, ok, _, err := o.measure(p, kind, pt, nil)
+			st, ok, _, err := o.measure(o.job(p, pt), kind)
 			if err != nil {
 				t.Fatalf("%v@%d: %v", kind, pt, err)
 			}

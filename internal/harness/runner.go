@@ -2,13 +2,12 @@ package harness
 
 import (
 	"fmt"
-	"runtime"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
 	"ctxback/internal/artifact"
 	"ctxback/internal/kernels"
+	"ctxback/internal/pool"
 	"ctxback/internal/preempt"
 )
 
@@ -91,15 +90,6 @@ func NewRunner(o Options) *Runner {
 // Options returns the configuration the Runner was built with.
 func (r *Runner) Options() Options { return r.o }
 
-// procs resolves Options.Parallelism: 0 means GOMAXPROCS, 1 is the
-// legacy serial path, n>1 is an explicit worker count.
-func (o *Options) procs() int {
-	if o.Parallelism > 0 {
-		return o.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // preparedFor returns the memoized prepared workload for registry index
 // i. Concurrent callers block on the same sync.Once, so each golden run
 // is simulated exactly once per Runner.
@@ -111,59 +101,10 @@ func (r *Runner) preparedFor(i int) (*prepared, error) {
 	return e.p, e.err
 }
 
-// safeJob runs job(i) converting a panic into an error: a crashing
-// episode must surface as a failure, never fold into results as a
-// zero-valued sample (and a panic on a pool goroutine must not kill the
-// process before the fold can notice).
-func safeJob(job func(i int) error, i int) (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("harness: job %d panicked: %v\n%s", i, p, debug.Stack())
-		}
-	}()
-	return job(i)
-}
-
-// runJobs executes jobs 0..n-1 across the worker pool and returns the
-// first error in job-index order (not completion order), so failures are
-// as deterministic as the results. With one worker it degenerates to the
-// legacy in-order loop. Panics inside jobs are converted to errors.
+// runJobs runs jobs 0..n-1 on the worker pool at Options.Parallelism
+// (pool.Run).
 func (r *Runner) runJobs(n int, job func(i int) error) error {
-	procs := r.o.procs()
-	if procs > n {
-		procs = n
-	}
-	if procs <= 1 {
-		for i := 0; i < n; i++ {
-			if err := safeJob(job, i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < procs; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				errs[i] = safeJob(job, i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return pool.Run(r.o.Parallelism, n, job)
 }
 
 // prepareAll forces every registry kernel's prepared workload, in

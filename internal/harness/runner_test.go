@@ -10,9 +10,10 @@ import (
 )
 
 // TestRunJobsPanicBecomesError pins the worker-crash contract: a
-// panicking job must surface as an error from runJobs — on the serial
-// path and on the pool — never kill the process or leave a silently
-// zero-valued slot behind.
+// panicking job must surface as an error from runJobs (pool.Run) that
+// names the job and carries its stack — on the inline path and on the
+// pool — never kill the process or leave a silently zero-valued slot
+// behind.
 func TestRunJobsPanicBecomesError(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		o := QuickOptions()
@@ -27,7 +28,7 @@ func TestRunJobsPanicBecomesError(t *testing.T) {
 		if err == nil {
 			t.Fatalf("procs=%d: panicking job returned nil error", procs)
 		}
-		if !strings.Contains(err.Error(), "job 5 panicked") || !strings.Contains(err.Error(), "episode exploded") {
+		if !strings.Contains(err.Error(), "job 5 panicked: episode exploded") || !strings.Contains(err.Error(), "goroutine ") {
 			t.Errorf("procs=%d: error does not identify the panic: %v", procs, err)
 		}
 	}

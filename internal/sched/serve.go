@@ -6,10 +6,10 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 
 	"ctxback/internal/isa"
 	"ctxback/internal/kernels"
+	"ctxback/internal/pool"
 	"ctxback/internal/preempt"
 	"ctxback/internal/sim"
 	"ctxback/internal/snapshot"
@@ -37,8 +37,9 @@ type ServeConfig struct {
 	// Devices is the initial fleet size (migration and failover retire
 	// and add device ids, keeping the alive count constant). Default 2.
 	Devices int
-	// Workers caps how many devices advance concurrently between
-	// barriers; 0/1 is serial. Output is identical at every setting.
+	// Workers is the worker count of the device advance between
+	// barriers (pool.Run): 0 is one per GOMAXPROCS, 1 runs inline.
+	// Output is identical at every setting.
 	Workers int
 	// AdmitEvery is the admission/routing barrier cadence in cycles.
 	// Default 2000.
@@ -510,57 +511,24 @@ func newServer(cfg ServeConfig, kind preempt.Kind, jobs []Job) (*server, error) 
 	return sv, nil
 }
 
-// advance drives every alive unfinished device to the barrier, up to
-// Workers at a time. Devices share no mutable state during a window, so
-// the only cross-device order dependence is the merge, which run()
-// performs in device-id order.
+// advance drives every alive unfinished device to the barrier on the
+// worker pool (pool.Run at Workers). Devices share no mutable state
+// during a window, so the only cross-device order dependence is the
+// merge, which run() performs in device-id order.
 func (sv *server) advance(T int64) error {
-	type res struct {
-		done bool
-		err  error
-	}
 	var todo []*serveDevice
 	for _, dev := range sv.devices {
 		if !dev.retired && !dev.done {
 			todo = append(todo, dev)
 		}
 	}
-	results := make([]res, len(todo))
-	workers := sv.cfg.Workers
-	if workers <= 1 || len(todo) <= 1 {
-		for i, dev := range todo {
-			d, err := dev.s.runTo(T)
-			results[i] = res{d, err}
+	return pool.Run(sv.cfg.Workers, len(todo), func(i int) (err error) {
+		dev := todo[i]
+		if dev.done, err = dev.s.runTo(T); err != nil {
+			return fmt.Errorf("sched: device %d: %w", dev.id, err)
 		}
-	} else {
-		if workers > len(todo) {
-			workers = len(todo)
-		}
-		var wg sync.WaitGroup
-		idx := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					d, err := todo[i].s.runTo(T)
-					results[i] = res{d, err}
-				}
-			}()
-		}
-		for i := range todo {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
-	for i, dev := range todo {
-		if results[i].err != nil {
-			return fmt.Errorf("sched: device %d: %w", dev.id, results[i].err)
-		}
-		dev.done = results[i].done
-	}
-	return nil
+		return nil
+	})
 }
 
 // mergeCompletions folds every device's window completions into the
