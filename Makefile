@@ -115,8 +115,9 @@ gen-smoke:
 # checkpoint and restore, a faulty CKPT run with its instruction tail, a
 # lost signal re-raised, and three lost signals then a detection that
 # degrades through the BASELINE fallback ladder. The runs' concatenated
-# stdout must byte-match testdata/gpusim_smoke.golden. A NaN -at must be
-# a usage error (exit 2).
+# stdout must byte-match testdata/gpusim_smoke.golden. A NaN -at, and
+# -faults with -checkpoint (the restored device carries no injector),
+# must be usage errors (exit 2).
 GPUSIM_SMOKE_RUNS = "-kernel KM -technique CTXBack" \
 	"-kernel KM -technique CTXBack -checkpoint" \
 	"-kernel VA -technique CKPT -faults 0.05 -fault-seed 1 -tail 3" \
@@ -127,7 +128,8 @@ gpusim-smoke:
 	for a in $(GPUSIM_SMOKE_RUNS); do echo "== gpusim $$a"; /tmp/ctxback-gpusim $$a || exit 1; done > /tmp/ctxback-gpusim-smoke.txt
 	diff -u testdata/gpusim_smoke.golden /tmp/ctxback-gpusim-smoke.txt
 	/tmp/ctxback-gpusim -kernel KM -technique CTXBack -at NaN 2> /dev/null; test $$? -eq 2
-	@echo "gpusim runs byte-identical; a NaN -at is a usage error"
+	/tmp/ctxback-gpusim -kernel VA -technique CTXBack -checkpoint -faults 0.02 2> /dev/null; test $$? -eq 2
+	@echo "gpusim runs byte-identical; a NaN -at and -faults with -checkpoint are usage errors"
 
 # chaos-smoke runs the quick fault-injection sweep at rate 0.2 over all
 # three detection modes (checksum, resume-integrity oracle, snapshot

@@ -14,7 +14,9 @@
 // device (internal/snapshot), the original device is discarded, and the
 // run finishes on a device restored from the snapshot bytes via the
 // speculative path — the deferred validation settles after replay, and
-// the output must still verify against the CPU reference.
+// the output must still verify against the CPU reference. The restored
+// device carries no tracer, recorder or injector, so -trace, -tail and
+// -faults are usage errors beside -checkpoint.
 //
 // With -trace FILE the preempted run records structured episode, warp
 // and memory-pipeline events and writes them as Chrome trace-event JSON:
@@ -70,6 +72,12 @@ func main() {
 	}
 	if math.IsNaN(*at) || *at < 0 || *at >= 1 {
 		usageErr("-at must be a fraction in [0,1), got %v", *at)
+	}
+	if *ckpt && (*tracePath != "" || *tailN > 0) {
+		usageErr("-checkpoint discards the original device; -trace and -tail cannot follow it")
+	}
+	if *ckpt && *faultRate > 0 {
+		usageErr("-checkpoint finishes on a restored device without an injector; -faults cannot follow it")
 	}
 
 	fail := func(err error) {
@@ -132,9 +140,6 @@ func main() {
 	}
 	if *ckpt && !preempt.Relocatable(kind) {
 		fail(fmt.Errorf("%v episodes do not survive a snapshot trip (technique state is device-resident); pick a relocatable technique", kind))
-	}
-	if *ckpt && (*tracePath != "" || *tailN > 0) {
-		usageErr("-checkpoint discards the original device; -trace and -tail cannot follow it")
 	}
 
 	signal := int64(*at * float64(golden.Now()))

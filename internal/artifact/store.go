@@ -295,3 +295,20 @@ func SetDefault(s *Store) *Store {
 
 // Default returns the process-wide store; it is never nil.
 func Default() *Store { return defaultStore.Load() }
+
+// Memo is the typed entry point to the process store: it resolves key
+// through Default().Do, with enc and dec as the kind's disk form (a
+// memory-only store never calls them). compute must not look up its own
+// key.
+func Memo[T any](key *Key, compute func() (T, error),
+	enc func(T) []byte, dec func([]byte) (T, error)) (T, error) {
+	v, err := Default().Do(key, Codec{
+		Encode: func(v any) []byte { return enc(v.(T)) },
+		Decode: func(p []byte) (any, error) { return dec(p) },
+	}, func() (any, error) { return compute() })
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return v.(T), nil
+}

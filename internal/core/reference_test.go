@@ -130,7 +130,7 @@ func osrbMap(info *progInfo, t osrbTable) map[isa.Reg]isa.Reg {
 // TestCompileMatchesReference: the score-then-build search must emit
 // byte-identical compiles to the build-and-validate-every-candidate
 // reference on the 12 kernels under the four ablation feature sets and
-// on 64 generated programs.
+// on 64 generated programs, one parallel subtest each.
 func TestCompileMatchesReference(t *testing.T) {
 	type job struct {
 		name  string
@@ -151,28 +151,31 @@ func TestCompileMatchesReference(t *testing.T) {
 		jobs = append(jobs, job{fmt.Sprintf("gen%d", seed), gen.Generate(seed).Prog, FeatAll})
 	}
 	for _, j := range jobs {
-		g, err := cfg.Build(j.prog)
-		if err != nil {
-			t.Fatalf("%s: %v", j.name, err)
-		}
-		live := liveness.Analyze(g)
-		got, err := CompileWith(j.prog, g, live, j.feats, DefaultMaxWindow)
-		if err != nil {
-			t.Fatalf("%s: %v", j.name, err)
-		}
-		ws := newWorkspace(j.prog, g, live, DefaultMaxWindow)
-		want, err := compile(ws, j.feats, selectPlanReference(ws))
-		if err != nil {
-			t.Fatalf("%s: reference: %v", j.name, err)
-		}
-		if !bytes.Equal(EncodeCompiled(got), EncodeCompiled(want)) {
-			for pc := range want.Plans {
-				if g, w := got.Plans[pc], want.Plans[pc]; g.String() != w.String() {
-					t.Fatalf("%s: pc %d: got %v, reference %v", j.name, pc, g, w)
-				}
+		t.Run(j.name, func(t *testing.T) {
+			t.Parallel()
+			g, err := cfg.Build(j.prog)
+			if err != nil {
+				t.Fatal(err)
 			}
-			t.Fatalf("%s: compiles differ", j.name)
-		}
+			live := liveness.Analyze(g)
+			got, err := CompileWith(j.prog, g, live, j.feats, DefaultMaxWindow)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ws := newWorkspace(j.prog, g, live, DefaultMaxWindow)
+			want, err := compile(ws, j.feats, selectPlanReference(ws))
+			if err != nil {
+				t.Fatalf("reference: %v", err)
+			}
+			if !bytes.Equal(EncodeCompiled(got), EncodeCompiled(want)) {
+				for pc := range want.Plans {
+					if g, w := got.Plans[pc], want.Plans[pc]; g.String() != w.String() {
+						t.Fatalf("pc %d: got %v, reference %v", pc, g, w)
+					}
+				}
+				t.Fatal("compiles differ")
+			}
+		})
 	}
 }
 

@@ -60,8 +60,7 @@ func (o *Options) keyInputs(k *artifact.Key) {
 // when possible — a warm hit skips the occupancy probe and the full
 // golden simulation, leaving only the cheap host-side construction.
 func (o *Options) prepare(factory kernels.Factory) (*prepared, error) {
-	st := artifact.Default()
-	if st.Dir() == "" {
+	if artifact.Default().Dir() == "" {
 		return o.prepareCold(factory)
 	}
 	base, err := factory(o.Params)
@@ -71,15 +70,14 @@ func (o *Options) prepare(factory kernels.Factory) (*prepared, error) {
 	d := base.Prog.Digest()
 	k := artifact.NewKey(kindPrepared).Bytes("prog", d[:])
 	o.keyInputs(k)
-	v, err := st.Do(k, artifact.Codec{
-		Encode: func(v any) []byte {
-			pr := v.(*prepared)
+	return artifact.Memo(k, func() (*prepared, error) { return o.prepareCold(factory) },
+		func(pr *prepared) []byte {
 			w := artifact.NewWriter()
 			w.Int(pr.wl.NumBlocks)
 			w.I64(pr.goldenCycles)
 			return w.Data()
 		},
-		Decode: func(payload []byte) (any, error) {
+		func(payload []byte) (*prepared, error) {
 			r := artifact.NewReader(payload)
 			blocks := r.Int()
 			golden := r.I64()
@@ -93,12 +91,7 @@ func (o *Options) prepare(factory kernels.Factory) (*prepared, error) {
 				return nil, err
 			}
 			return &prepared{wl: wl, goldenCycles: golden}, nil
-		},
-	}, func() (any, error) { return o.prepareCold(factory) })
-	if err != nil {
-		return nil, err
-	}
-	return v.(*prepared), nil
+		})
 }
 
 // matrixFor is measureMatrix through a persistent artifact store: the
@@ -124,14 +117,9 @@ func (r *Runner) matrixFor(kinds []preempt.Kind) ([][]EpisodeStats, error) {
 		k.Bytes("prog", d[:])
 	}
 	nk, nt := len(r.prep), len(kinds)
-	v, err := artifact.Default().Do(k, artifact.Codec{
-		Encode: func(v any) []byte { return encodeMatrix(v.([][]EpisodeStats)) },
-		Decode: func(payload []byte) (any, error) { return decodeMatrix(payload, nk, nt) },
-	}, func() (any, error) { return r.cellMatrix(kinds) })
-	if err != nil {
-		return nil, err
-	}
-	return v.([][]EpisodeStats), nil
+	return artifact.Memo(k, func() ([][]EpisodeStats, error) { return r.cellMatrix(kinds) },
+		encodeMatrix,
+		func(payload []byte) ([][]EpisodeStats, error) { return decodeMatrix(payload, nk, nt) })
 }
 
 func encodeMatrix(avg [][]EpisodeStats) []byte {

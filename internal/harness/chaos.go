@@ -33,9 +33,10 @@ import (
 //   - mode "snapshot": the parked episode is whole-device checkpointed
 //     (internal/snapshot) and the speculative restore copy is corrupted
 //     — truncated, bit-flipped, or re-stamped with a stale epoch. The
-//     section checksums, epoch check, deferred memory validation and
-//     the resume-integrity oracle must between them catch every class;
-//     recovery re-restores from the authoritative image in-episode.
+//     section checksums, the epoch check, the deferred memory checksum
+//     and execution traps must between them catch every class; recovery
+//     re-restores from the authoritative image in-episode. The mode runs
+//     no resume-integrity oracle (see chaos_snapshot.go).
 //
 // Every mode runs internal/chaos's episode, oracle, fallback ladder and
 // outcome fold: a detected fault abandons the device and re-runs the

@@ -22,8 +22,14 @@ import (
 //     the authoritative synchronous image in-episode.
 //   - a bit flip inside the bulk memory section (whose checksum the
 //     speculative path defers) restores successfully and is only caught
-//     AFTER replay — by the deferred checksum, the resume-integrity
-//     oracle, or an execution trap — forcing a synchronous re-restore.
+//     AFTER replay — by the deferred memory checksum or an execution
+//     trap — forcing a synchronous re-restore.
+//
+// The mode runs no resume-integrity oracle. Only a device with an
+// oracle or an injector captures signal-time snapshots, so the parked
+// device's image carries none for an oracle on the restored device to
+// check; running the oracle on the parked device would put them in the
+// image and change its bytes.
 //
 // Only when the authoritative image itself cannot be restored does the
 // episode degrade through the BASELINE fallback ladder (internal/chaos).
@@ -58,19 +64,16 @@ func corruptSpec(sf faults.SnapFault, raw uint64, snap *snapshot.Snapshot, enc [
 // runSnapshotCell classifies one snapshot-corruption cell end to end.
 // It drives the job with a park hook that checkpoints the parked
 // episode with the whole device, corrupts the speculative copy per the
-// injector's draw and restores the episode from it under the oracle. A
-// detection after a successful restore re-drives the job with a hook
-// that restores the authoritative image alone: episodes are
-// deterministic, so the second drive parks in the same state.
+// injector's draw and restores the episode from it. A detection after
+// a successful restore re-drives the job with a hook that restores the
+// authoritative image alone: episodes are deterministic, so the second
+// drive parks in the same state.
 func runSnapshotCell(job chaos.Job, cell *ChaosCell, fc faults.Config) error {
 	inj, err := faults.NewInjector(fc)
 	if err != nil {
 		return err
 	}
 	sf, raw := inj.SnapshotFault(0)
-	// The original device runs without the oracle: it would capture
-	// signal-time snapshots, and they would enter the image.
-	oracle := job.Oracle
 	job.Oracle = nil
 	var res *snapshot.Restored // the last successful restore
 	drive := func(speculate bool) (chaos.Run, error) {
@@ -95,7 +98,6 @@ func runSnapshotCell(job chaos.Job, cell *ChaosCell, fc faults.Config) error {
 				return nil, nil, nil, fmt.Errorf("snapshot chaos: restored %d episodes, want 1", len(r.Index.Episodes))
 			}
 			res = r
-			r.Device.SetResumeChecker(oracle)
 			return r.Device, r.Index.Episodes[0], r.Validate, nil
 		}
 		run, err := job.Episode(cell.Kind, nil)

@@ -98,11 +98,7 @@ func (o *Options) prepareCold(factory kernels.Factory) (*prepared, error) {
 		return nil, err
 	}
 	if o.FillDevice {
-		d, err := sim.NewDevice(o.Cfg)
-		if err != nil {
-			return nil, err
-		}
-		occ, err := d.ComputeOccupancy(wl.Prog, o.Params.WarpsPerBlock)
+		occ, err := o.Cfg.Occupancy(wl.Prog, o.Params.WarpsPerBlock)
 		if err != nil {
 			return nil, err
 		}

@@ -87,9 +87,6 @@ func NewRunner(o Options) *Runner {
 	}
 }
 
-// Options returns the configuration the Runner was built with.
-func (r *Runner) Options() Options { return r.o }
-
 // preparedFor returns the memoized prepared workload for registry index
 // i. Concurrent callers block on the same sync.Once, so each golden run
 // is simulated exactly once per Runner.

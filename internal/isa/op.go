@@ -349,24 +349,3 @@ func OpByName(name string) (Op, bool) {
 	op, ok := opByName[name]
 	return op, ok
 }
-
-// IsMemory reports whether the op goes through the device/LDS memory
-// pipeline in the timing model.
-func (op Op) IsMemory() bool {
-	switch op.Info().Class {
-	case ClassScalarMem, ClassVectorMem, ClassLDSMem, ClassAtomic, ClassContext:
-		return op != CtxExit && op != CtxResume
-	}
-	return false
-}
-
-// IsGlobalMemory reports whether the op touches device (global) memory.
-func (op Op) IsGlobalMemory() bool {
-	switch op.Info().Class {
-	case ClassScalarMem, ClassVectorMem, ClassAtomic:
-		return true
-	case ClassContext:
-		return op != CtxExit && op != CtxResume
-	}
-	return false
-}

@@ -37,7 +37,7 @@ func NewBaseline(prog *isa.Program) (Technique, error) {
 // program, so validation runs once per program content rather than once
 // per construction.
 func baselineFor(prog *isa.Program) (*baselineStatic, error) {
-	return memo(progKey(kindBaseline, prog),
+	return artifact.Memo(progKey(kindBaseline, prog),
 		func() (*baselineStatic, error) {
 			var all isa.RegSet
 			if err := prog.Validate(); err != nil {

@@ -12,11 +12,11 @@ import (
 // runs), but the static analyses behind a technique — CFG construction,
 // liveness, CTXBack plans, deferral targets, checkpoint sites, the flush
 // verdict — are pure functions of the program. Each of them takes one
-// path: a content key naming the program by its Digest, then the
-// process artifact store's single-flight Do, then the compute. So
-// thousands of episode constructions against the same dozen kernels pay
-// for each analysis once, and a program rebuilt as a fresh but
-// content-equal value shares the result too.
+// path: a content key naming the program by its Digest, then
+// artifact.Memo (the process store's single-flight Do), then the
+// compute. So thousands of episode constructions against the same
+// dozen kernels pay for each analysis once, and a program rebuilt as a
+// fresh but content-equal value shares the result too.
 //
 // The process store is memory-only unless a CLI was given -cache-dir;
 // then the same entries also persist on disk, through the codec each
@@ -44,22 +44,6 @@ const (
 	kindFlush    = "preempt/flush-static"
 )
 
-// memo resolves one program-derived artifact through the process store.
-// enc and dec are the kind's disk form; a memory-only store never calls
-// them. compute must not look up its own key.
-func memo[T any](key *artifact.Key, compute func() (T, error),
-	enc func(T) []byte, dec func([]byte) (T, error)) (T, error) {
-	v, err := artifact.Default().Do(key, artifact.Codec{
-		Encode: func(v any) []byte { return enc(v.(T)) },
-		Decode: func(p []byte) (any, error) { return dec(p) },
-	}, func() (any, error) { return compute() })
-	if err != nil {
-		var zero T
-		return zero, err
-	}
-	return v.(T), nil
-}
-
 // progKey starts the key of an artifact kind derived from prog.
 func progKey(kind string, prog *isa.Program) *artifact.Key {
 	d := prog.Digest()
@@ -81,7 +65,7 @@ func newAnalysis(prog *isa.Program, g *cfg.Graph, live *liveness.Info) *progAnal
 
 // analysisFor returns prog's CFG and liveness analysis.
 func analysisFor(prog *isa.Program) (*progAnalysis, error) {
-	return memo(progKey(kindAnalysis, prog),
+	return artifact.Memo(progKey(kindAnalysis, prog),
 		func() (*progAnalysis, error) {
 			g, err := cfg.Build(prog)
 			if err != nil {

@@ -71,7 +71,7 @@ type ckptStatic struct {
 // structure plus the forced post-hazard snapshot PCs. The liveness link
 // is not part of the disk form; a load re-attaches prog's analysis.
 func ckptStaticFor(prog *isa.Program, interval int) (*ckptStatic, error) {
-	return memo(progKey(kindCkpt, prog).Int("interval", interval),
+	return artifact.Memo(progKey(kindCkpt, prog).Int("interval", interval),
 		func() (*ckptStatic, error) {
 			a, err := analysisFor(prog)
 			if err != nil {

@@ -45,7 +45,7 @@ func NewCSDefer(prog *isa.Program) (Technique, error) {
 // whose analysis is a: each PC's live context size once, then one
 // deferTarget scan per PC.
 func csdeferTargets(prog *isa.Program, a *progAnalysis) ([]int, error) {
-	return memo(progKey(kindCSDefer, prog),
+	return artifact.Memo(progKey(kindCSDefer, prog),
 		func() ([]int, error) {
 			ctxBytes := make([]int, prog.Len())
 			for pc := range ctxBytes {

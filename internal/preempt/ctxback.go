@@ -58,7 +58,7 @@ func ctxbackFor(prog *isa.Program, feats core.Feature) (*ctxbackStatic, error) {
 	static := func(c *core.Compiled, err error) (*ctxbackStatic, error) {
 		return &ctxbackStatic{c, newStreams(prog, 3, prog.Len())}, err
 	}
-	return memo(progKey(kindCompiled, prog).
+	return artifact.Memo(progKey(kindCompiled, prog).
 		Int("feats", int(feats)).
 		Int("maxwindow", core.DefaultMaxWindow),
 		func() (*ctxbackStatic, error) {
@@ -159,7 +159,7 @@ func NewCombined(prog *isa.Program) (Technique, error) {
 	if err != nil {
 		return nil, err
 	}
-	useCTX, err := memo(progKey(kindCombined, prog),
+	useCTX, err := artifact.Memo(progKey(kindCombined, prog),
 		func() ([]bool, error) {
 			useCTX := make([]bool, prog.Len())
 			for pc := range useCTX {

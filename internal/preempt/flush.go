@@ -70,7 +70,7 @@ type flushStatic struct {
 // flushStaticFor is prog's flush static analysis: the soundness verdict
 // and the entry register set, shared by SM-flushing and Chimera.
 func flushStaticFor(prog *isa.Program) (*flushStatic, error) {
-	return memo(progKey(kindFlush, prog),
+	return artifact.Memo(progKey(kindFlush, prog),
 		func() (*flushStatic, error) {
 			if err := prog.Validate(); err != nil {
 				return nil, err

@@ -158,8 +158,8 @@ func (s *scheduler) checkpoint(epoch uint64) (*ckpt, error) {
 	}
 	// The program list must mirror the export's first-seen-in-launch
 	// order exactly: ImportState resolves embedded programs positionally.
-	// Deriving it from the export (not progOrder) also keeps it correct
-	// when completed launches have been pruned from the device.
+	// Deriving it from the export also keeps it correct when completed
+	// launches have been pruned from the device.
 	var progs []*isa.Program
 	seenProg := make(map[*isa.Program]bool)
 	for _, l := range idx.Launches {
@@ -245,12 +245,7 @@ func restoreFrom(c *ckpt, cfg Config, kind preempt.Kind,
 	if err != nil {
 		return nil, nil, err
 	}
-	s := &scheduler{cfg: cfg, d: res.Device, mux: mux, kind: kind,
-		progSeen:  make(map[*isa.Program]bool),
-		progOrder: append([]*isa.Program(nil), c.progs...)}
-	for _, p := range c.progs {
-		s.progSeen[p] = true
-	}
+	s := &scheduler{cfg: cfg, d: res.Device, mux: mux, kind: kind}
 	kept := make(map[int]*runJob, len(c.jobs))
 	nDone := 0
 	for i, jm := range c.meta.jobs {

@@ -18,7 +18,6 @@ import (
 	"sort"
 	"sync"
 
-	"ctxback/internal/isa"
 	"ctxback/internal/kernels"
 	"ctxback/internal/preempt"
 	"ctxback/internal/sim"
@@ -364,12 +363,6 @@ type scheduler struct {
 	waiting []*runJob
 	nextArr int
 
-	// progOrder lists the distinct programs in first-launch order —
-	// exactly the order sim.ExportState serializes them, so a checkpoint
-	// of this device restores against progOrder positionally.
-	progOrder []*isa.Program
-	progSeen  map[*isa.Program]bool
-
 	// onComplete, when set, observes every job completion on this
 	// scheduler's device (the serving layer copies results host-side at
 	// this point, so a later device kill cannot lose delivered output).
@@ -432,7 +425,7 @@ func newScheduler(cfg Config, kind preempt.Kind, jobs []Job) (*scheduler, error)
 	})
 	b := newBuilds(cfg)
 	for i, j := range ordered {
-		wl, err := b.at(s.d, j.Kernel, i)
+		wl, err := b.at(j.Kernel, i)
 		if err != nil {
 			return nil, fmt.Errorf("sched: job %d: %w", j.ID, err)
 		}
@@ -443,8 +436,8 @@ func newScheduler(cfg Config, kind preempt.Kind, jobs []Job) (*scheduler, error)
 	return s, nil
 }
 
-// builds holds each kernel's one build of a run and rebinds it to the
-// slabs jobs run in. A kernel is built at its occupancy-filled grid:
+// builds holds each kernel's one build of a run and its rebinding to
+// each slab jobs run in. A kernel is built at its occupancy-filled grid:
 // each job fills every warp slot of its SM (the paper's
 // persistent-kernel batch model), so preemption is the ONLY way a
 // newcomer gets on, and a parked job's pending blocks can never race
@@ -453,26 +446,44 @@ func newScheduler(cfg Config, kind preempt.Kind, jobs []Job) (*scheduler, error)
 // inputs and golden outputs, but has its own program value, because the
 // mux keys techniques by program pointer and two jobs of one kernel may
 // run on one device in different slabs.
+//
+// Reusing a (kernel, slab) workload across admissions is sound because
+// a Workload is immutable: Init, WarpSetup and Verify only read it while
+// writing device state, and per-job technique state lives in the
+// technique admitPrepared builds fresh. The slab allocator hands each
+// (device, slab) to one job at a time, and sharing one program pointer
+// across devices is already the norm under migration restore.
 type builds struct {
-	cfg Config
-	m   map[string]*kernels.Workload
+	cfg   Config
+	built map[string]*kernels.Workload
+	slabs map[slabKey]*kernels.Workload
+}
+
+type slabKey struct {
+	abbrev string
+	slab   int
 }
 
 func newBuilds(cfg Config) *builds {
-	return &builds{cfg: cfg, m: make(map[string]*kernels.Workload)}
+	return &builds{cfg: cfg, built: make(map[string]*kernels.Workload),
+		slabs: make(map[slabKey]*kernels.Workload)}
 }
 
 // at returns kernel abbrev's workload in slab, building the kernel on
-// first use with d's occupancy (which depends only on d's config).
-func (b *builds) at(d *sim.Device, abbrev string, slab int) (*kernels.Workload, error) {
-	built, ok := b.m[abbrev]
+// first use at the device model's occupancy.
+func (b *builds) at(abbrev string, slab int) (*kernels.Workload, error) {
+	k := slabKey{abbrev, slab}
+	if wl, ok := b.slabs[k]; ok {
+		return wl, nil
+	}
+	built, ok := b.built[abbrev]
 	if !ok {
 		p := b.cfg.Params
 		probe, err := kernels.ByAbbrev(abbrev, p)
 		if err != nil {
 			return nil, err
 		}
-		occ, err := d.ComputeOccupancy(probe.Prog, p.WarpsPerBlock)
+		occ, err := b.cfg.Dev.Occupancy(probe.Prog, p.WarpsPerBlock)
 		if err != nil {
 			return nil, fmt.Errorf("occupancy for %s: %w", abbrev, err)
 		}
@@ -480,9 +491,11 @@ func (b *builds) at(d *sim.Device, abbrev string, slab int) (*kernels.Workload, 
 		if built, err = kernels.ByAbbrev(abbrev, p); err != nil {
 			return nil, err
 		}
-		b.m[abbrev] = built
+		b.built[abbrev] = built
 	}
-	return built.Rebase(slabBase + slab*b.cfg.SlabBytes), nil
+	wl := built.Rebase(slabBase + slab*b.cfg.SlabBytes)
+	b.slabs[k] = wl
+	return wl, nil
 }
 
 func (s *scheduler) log(cycle int64, what string, job, sm int) {
@@ -605,20 +618,23 @@ func (s *scheduler) eventReady() bool {
 		return true
 	}
 	for _, sl := range s.slots {
-		switch sl.state {
-		case smSaving:
-			if sl.victim.episode.Saved() {
-				return true
-			}
-		case smResuming:
-			if sl.cur.episode.Finished() {
-				return true
-			}
-		case smRunning:
-			if sl.cur.launch.Done() {
-				return true
-			}
+		if sl.transitionReady() {
+			return true
 		}
+	}
+	return false
+}
+
+// transitionReady reports whether sl's state machine can advance: its
+// victim has saved, its job has resumed, or its running job is done.
+func (sl *smSlot) transitionReady() bool {
+	switch sl.state {
+	case smSaving:
+		return sl.victim.episode.Saved()
+	case smResuming:
+		return sl.cur.episode.Finished()
+	case smRunning:
+		return sl.cur.launch.Done()
 	}
 	return false
 }
@@ -789,10 +805,6 @@ func (s *scheduler) launch(j *runJob, sm int) error {
 	}
 	j.launch = l
 	j.sm = sm
-	if !s.progSeen[j.wl.Prog] {
-		s.progSeen[j.wl.Prog] = true
-		s.progOrder = append(s.progOrder, j.wl.Prog)
-	}
 	return nil
 }
 
@@ -801,11 +813,12 @@ func (s *scheduler) launch(j *runJob, sm int) error {
 func (s *scheduler) pollTransitions() (bool, error) {
 	changed := false
 	for _, sl := range s.slots {
+		if !sl.transitionReady() {
+			continue
+		}
+		changed = true
 		switch sl.state {
 		case smSaving:
-			if !sl.victim.episode.Saved() {
-				continue
-			}
 			v := sl.victim
 			sl.victim = nil
 			sl.parked = append(sl.parked, v)
@@ -819,19 +832,11 @@ func (s *scheduler) pollTransitions() (bool, error) {
 				inc.start = v.episode.AllSavedCycle
 			}
 			s.log(inc.start, "start", inc.job.ID, sl.id)
-			changed = true
 		case smResuming:
-			if !sl.cur.episode.Finished() {
-				continue
-			}
 			s.log(sl.cur.episode.AllResumed, "resumed", sl.cur.job.ID, sl.id)
 			sl.cur.episode = nil
 			sl.state = smRunning
-			changed = true
 		case smRunning:
-			if !sl.cur.launch.Done() {
-				continue
-			}
 			j := sl.cur
 			j.complete = launchEnd(j.launch)
 			s.log(j.complete, "complete", j.job.ID, sl.id)
@@ -841,7 +846,6 @@ func (s *scheduler) pollTransitions() (bool, error) {
 			if s.onComplete != nil {
 				s.onComplete(j)
 			}
-			changed = true
 		}
 	}
 	return changed, nil
@@ -870,8 +874,17 @@ func (s *scheduler) assignIdle() (bool, error) {
 		if sl.state != smIdle {
 			continue
 		}
-		wi := s.bestStartable(sl, s.waiting)
-		pi := s.bestResumable(sl.parked)
+		// A waiting job must place a block now (see pickIdle). Retired
+		// warps keep their slots until their block completes, so a
+		// parked job may not fit back beside other tenants' residue;
+		// the most recently parked one always does (its launch fit
+		// beside all of today's residue), so skipping cannot deadlock.
+		wi := best(s.waiting, func(j *runJob) bool {
+			return s.d.CanHostBlock(sl.id, j.wl.Prog, j.wl.WarpsPerBlock) && s.underQuota(j.job.Tenant)
+		})
+		pi := best(sl.parked, func(j *runJob) bool {
+			return s.d.CanResume(j.episode) && s.underQuota(j.job.Tenant)
+		})
 		if wi < 0 && pi < 0 {
 			continue
 		}
@@ -908,74 +921,16 @@ func jobLess(a, b Job) bool {
 	return a.ID < b.ID
 }
 
-// bestIndex returns the index of the best job under jobLess, or -1.
-func bestIndex(js []*runJob) int {
-	best := -1
+// best returns the index of the best job of js under jobLess among
+// those ok accepts, or -1.
+func best(js []*runJob, ok func(*runJob) bool) int {
+	b := -1
 	for i, j := range js {
-		if best < 0 || jobLess(j.job, js[best].job) {
-			best = i
+		if ok(j) && (b < 0 || jobLess(j.job, js[b].job)) {
+			b = i
 		}
 	}
-	return best
-}
-
-// bestEligible is bestIndex restricted to jobs whose tenant is under
-// its SM quota; with no quota map it is exactly bestIndex.
-// bestResumable is bestEligible restricted to parked victims whose SM
-// has physical headroom to take them back right now. Retired warps of a
-// partially-finished block keep their slots until the whole block
-// completes, so an SM can carry residue from several parked tenants;
-// the most recently parked victim always fits (its launch fit alongside
-// all of today's residue), so skipping unresumable ones cannot deadlock.
-func (s *scheduler) bestResumable(parked []*runJob) int {
-	best := -1
-	for i, j := range parked {
-		if !s.d.CanResume(j.episode) {
-			continue
-		}
-		if s.quota != nil && !s.underQuota(j.job.Tenant) {
-			continue
-		}
-		if best < 0 || jobLess(j.job, parked[best].job) {
-			best = i
-		}
-	}
-	return best
-}
-
-func (s *scheduler) bestEligible(js []*runJob) int {
-	if s.quota == nil {
-		return bestIndex(js)
-	}
-	best := -1
-	for i, j := range js {
-		if !s.underQuota(j.job.Tenant) {
-			continue
-		}
-		if best < 0 || jobLess(j.job, js[best].job) {
-			best = i
-		}
-	}
-	return best
-}
-
-// bestStartable is bestEligible restricted to jobs slot sl can
-// physically host right now (see pickIdle for why a zero-block
-// placement must never happen).
-func (s *scheduler) bestStartable(sl *smSlot, js []*runJob) int {
-	best := -1
-	for i, j := range js {
-		if !s.d.CanHostBlock(sl.id, j.wl.Prog, j.wl.WarpsPerBlock) {
-			continue
-		}
-		if s.quota != nil && !s.underQuota(j.job.Tenant) {
-			continue
-		}
-		if best < 0 || jobLess(j.job, js[best].job) {
-			best = i
-		}
-	}
-	return best
+	return b
 }
 
 func (s *scheduler) verify() error {

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 
-	"ctxback/internal/isa"
 	"ctxback/internal/kernels"
 	"ctxback/internal/pool"
 	"ctxback/internal/preempt"
@@ -208,11 +207,9 @@ type server struct {
 	pool    *snapshot.Pool
 	epoch   uint64 // last checkpoint epoch, migration and failover alike
 
-	// builds holds each kernel's one build of the run; wlCache holds
-	// its rebinding to each slab, the immutable part of an admission.
-	// See prepared() for why reuse is sound.
-	builds  *builds
-	wlCache map[wlKey]*kernels.Workload
+	// builds holds each kernel's one build of the run and its rebinding
+	// to each slab, the immutable part of an admission.
+	builds *builds
 
 	trace   []Job // (arrival, ID) order
 	nextArr int
@@ -299,8 +296,7 @@ func newBareScheduler(cfg Config, kind preempt.Kind) (*scheduler, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &scheduler{cfg: cfg, d: d, mux: newMux(kind), kind: kind,
-		progSeen: make(map[*isa.Program]bool)}
+	s := &scheduler{cfg: cfg, d: d, mux: newMux(kind), kind: kind}
 	d.AttachRuntime(s.mux)
 	for i := 0; i < cfg.Dev.NumSMs; i++ {
 		s.slots = append(s.slots, &smSlot{id: i, state: smIdle})
@@ -332,43 +328,6 @@ func (s *scheduler) admitPrepared(j Job, wl *kernels.Workload, at int64) error {
 	return nil
 }
 
-// wlKey identifies one immutable occupancy-filled workload: the kernel
-// and the slab whose base address is baked into its launch closures.
-type wlKey struct {
-	abbrev string
-	slab   int
-}
-
-// prepared returns the occupancy-filled workload for (kernel, slab),
-// made once (builds.at) and reused across admissions. Reuse is sound
-// because a Workload is immutable after construction: the program, host
-// inputs and golden outputs are fixed, and Init/WarpSetup/Verify only
-// read them while writing per-episode device state. Per-launch technique state (CTXBack flashback metadata, CKPT
-// warp-keyed visit counts) lives in the technique, which admitPrepared
-// still builds fresh per admission. Same-key reuse cannot overlap on one
-// device — the slab allocator hands each (device, slab) to one job at a
-// time — and sharing one program pointer across devices is already the
-// norm under migration restore. Nothing outlives the run.
-func (sv *server) prepared(abbrev string, slab int) (*kernels.Workload, error) {
-	wk := wlKey{abbrev: abbrev, slab: slab}
-	if wl, ok := sv.wlCache[wk]; ok {
-		return wl, nil
-	}
-	var dev *serveDevice
-	for _, d := range sv.devices {
-		if !d.retired {
-			dev = d
-			break
-		}
-	}
-	wl, err := sv.builds.at(dev.s.d, abbrev, slab)
-	if err != nil {
-		return nil, fmt.Errorf("sched: %w", err)
-	}
-	sv.wlCache[wk] = wl
-	return wl, nil
-}
-
 // route picks the admission destination: the least-loaded alive device
 // with a free slab that is past any restore latency. Ties go to the
 // lower device id. Returns nil when the fleet is at capacity.
@@ -396,10 +355,10 @@ func (sv *server) placeJob(j Job, now int64) error {
 	if !ok {
 		return fmt.Errorf("sched: device %d routed without a free slab", dev.id)
 	}
-	wl, err := sv.prepared(j.Kernel, slab)
+	wl, err := sv.builds.at(j.Kernel, slab)
 	if err != nil {
 		dev.freeSlab(j.ID)
-		return err
+		return fmt.Errorf("sched: %w", err)
 	}
 	if err := dev.s.admitPrepared(j, wl, now); err != nil {
 		dev.freeSlab(j.ID)
@@ -480,9 +439,8 @@ func newServer(cfg ServeConfig, kind preempt.Kind, jobs []Job) (*server, error) 
 	}
 
 	sv := &server{cfg: cfg, kind: kind, tenants: tenants, trace: ordered,
-		builds:  newBuilds(cfg.Sched),
-		wlCache: make(map[wlKey]*kernels.Workload),
-		admit:   newAdmitter(cfg.Admit, tenants),
+		builds: newBuilds(cfg.Sched),
+		admit:  newAdmitter(cfg.Admit, tenants),
 	}
 	if cfg.Hypervisor.enabled() {
 		sv.hyper = newHypervisor(cfg.Hypervisor, tenants)

@@ -165,7 +165,7 @@ func TestServeQuotaProgress(t *testing.T) {
 //  2. Done warps of partially-finished blocks keep their slots until
 //     the block completes, so an SM can carry residue from several
 //     parked tenants and the best parked victim may not physically fit
-//     — fixed by bestResumable probing sim.CanResume before resuming.
+//     — fixed by the idle-SM search probing sim.CanResume before resuming.
 //
 // Verify is on: every completed job's output is checked on the device.
 func TestServeLightKernelChurn(t *testing.T) {

@@ -6,7 +6,11 @@
 // preemption engine that the techniques in internal/preempt plug into.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+
+	"ctxback/internal/isa"
+)
 
 // Config describes the modeled GPU. DefaultConfig approximates the AMD
 // Radeon VII parameters the paper reports (§II-A, §V).
@@ -73,6 +77,43 @@ func TestConfig() Config {
 	c.CtxBytesPerCycle = 4
 	c.CtxRestoreFactor = 1.35
 	return c
+}
+
+// Occupancy describes how many blocks/warps of a kernel fit on one SM.
+type Occupancy struct {
+	WarpsPerSM  int
+	BlocksPerSM int
+	LimitedBy   string
+}
+
+// Occupancy derives the per-SM residency limits for prog with the given
+// block shape; it depends on the SM model alone.
+func (c *Config) Occupancy(prog *isa.Program, warpsPerBlock int) (Occupancy, error) {
+	warp := blockNeeds(prog, 1)
+	if warp.vregBytes == 0 {
+		return Occupancy{}, fmt.Errorf("sim: kernel %q declares no vector registers", prog.Name)
+	}
+	limit := c.MaxWarpsPerSM
+	by := "warp slots"
+	if v := c.VRegFileBytes / warp.vregBytes; v < limit {
+		limit, by = v, "vector registers"
+	}
+	if warp.sregBytes > 0 {
+		if s := c.SRegFileBytes / warp.sregBytes; s < limit {
+			limit, by = s, "scalar registers"
+		}
+	}
+	blocks := limit / warpsPerBlock
+	if warp.ldsBytes > 0 {
+		if l := c.LDSBytesPerSM / warp.ldsBytes; l < blocks {
+			blocks, by = l, "LDS"
+		}
+	}
+	if blocks == 0 {
+		return Occupancy{}, fmt.Errorf("sim: kernel %q (block of %d warps) does not fit on an SM (limited by %s)",
+			prog.Name, warpsPerBlock, by)
+	}
+	return Occupancy{WarpsPerSM: blocks * warpsPerBlock, BlocksPerSM: blocks, LimitedBy: by}, nil
 }
 
 // Validate checks the configuration for usability.

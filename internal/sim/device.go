@@ -194,44 +194,6 @@ func (d *Device) accessGlobal(start int64, bytes int, ctxPath, isLoad bool) int6
 	return complete
 }
 
-// Occupancy describes how many blocks/warps of a kernel fit on one SM.
-type Occupancy struct {
-	WarpsPerSM  int
-	BlocksPerSM int
-	LimitedBy   string
-}
-
-// ComputeOccupancy derives the per-SM residency limits for prog with the
-// given block shape.
-func (d *Device) ComputeOccupancy(prog *isa.Program, warpsPerBlock int) (Occupancy, error) {
-	vregBytes := prog.AllocatedVRegs() * 4 * isa.WarpSize
-	sregBytes := prog.AllocatedSRegs() * 4
-	if vregBytes == 0 {
-		return Occupancy{}, fmt.Errorf("sim: kernel %q declares no vector registers", prog.Name)
-	}
-	limit := d.Cfg.MaxWarpsPerSM
-	by := "warp slots"
-	if v := d.Cfg.VRegFileBytes / vregBytes; v < limit {
-		limit, by = v, "vector registers"
-	}
-	if sregBytes > 0 {
-		if s := d.Cfg.SRegFileBytes / sregBytes; s < limit {
-			limit, by = s, "scalar registers"
-		}
-	}
-	blocks := limit / warpsPerBlock
-	if prog.LDSBytes > 0 {
-		if l := d.Cfg.LDSBytesPerSM / prog.LDSBytes; l < blocks {
-			blocks, by = l, "LDS"
-		}
-	}
-	if blocks == 0 {
-		return Occupancy{}, fmt.Errorf("sim: kernel %q (block of %d warps) does not fit on an SM (limited by %s)",
-			prog.Name, warpsPerBlock, by)
-	}
-	return Occupancy{WarpsPerSM: blocks * warpsPerBlock, BlocksPerSM: blocks, LimitedBy: by}, nil
-}
-
 // LaunchSpec configures a kernel launch.
 type LaunchSpec struct {
 	Prog          *isa.Program
@@ -281,7 +243,7 @@ func (d *Device) Launch(spec LaunchSpec) (*Launch, error) {
 	if tab.Err != nil {
 		return nil, fmt.Errorf("sim: %w", tab.Err)
 	}
-	occ, err := d.ComputeOccupancy(spec.Prog, spec.WarpsPerBlock)
+	occ, err := d.Cfg.Occupancy(spec.Prog, spec.WarpsPerBlock)
 	if err != nil {
 		return nil, err
 	}
@@ -330,48 +292,6 @@ func (l *Launch) allowedSM(sm *SM) bool {
 	return false
 }
 
-// smUsage tallies the physical resources held by an SM's resident
-// (non-swapped-out) warps — across every launch sharing the SM, which
-// the per-launch occupancy limit alone cannot see.
-type smUsage struct {
-	warps     int
-	vregBytes int
-	sregBytes int
-	ldsBytes  int
-}
-
-func (sm *SM) usage() smUsage {
-	var u smUsage
-	var seen map[*blockInfo]bool
-	for _, w := range sm.Warps {
-		if w.State == WarpPreempted {
-			continue // context lives in device memory; slot is free
-		}
-		u.warps++
-		u.vregBytes += w.Prog.AllocatedVRegs() * 4 * isa.WarpSize
-		u.sregBytes += w.Prog.AllocatedSRegs() * 4
-		if w.Prog.LDSBytes > 0 {
-			if seen == nil {
-				seen = make(map[*blockInfo]bool)
-			}
-			if bi := w.launch.blocks[w.BlockID]; !seen[bi] {
-				seen[bi] = true
-				u.ldsBytes += w.Prog.LDSBytes
-			}
-		}
-	}
-	return u
-}
-
-// fits reports whether the SM can additionally host addWarps warps with
-// the given register/LDS footprint.
-func (u smUsage) fits(cfg *Config, addWarps, addVReg, addSReg, addLDS int) bool {
-	return u.warps+addWarps <= cfg.MaxWarpsPerSM &&
-		u.vregBytes+addVReg <= cfg.VRegFileBytes &&
-		u.sregBytes+addSReg <= cfg.SRegFileBytes &&
-		u.ldsBytes+addLDS <= cfg.LDSBytesPerSM
-}
-
 // CanHostBlock reports whether SM sm currently has physical headroom
 // for one block of prog. The scheduler probes it before starting a job
 // on an idle SM: residue from other tenants' partially-finished parked
@@ -382,55 +302,23 @@ func (d *Device) CanHostBlock(sm int, prog *isa.Program, warpsPerBlock int) bool
 	if sm < 0 || sm >= len(d.SMs) {
 		return false
 	}
-	spec := LaunchSpec{Prog: prog, WarpsPerBlock: warpsPerBlock}
-	bw, bv, bs, blds := blockFootprint(&spec)
-	return d.SMs[sm].usage().fits(&d.Cfg, bw, bv, bs, blds)
+	return d.SMs[sm].tally(resident).fits(&d.Cfg, blockNeeds(prog, warpsPerBlock))
 }
 
 // CanDisplace reports whether SM sm, once launch victim's live warps
 // have saved their contexts, will have room for one block of prog. The
-// accounting mirrors the post-save state exactly: the victim's live
+// tally mirrors the post-save state exactly: the victim's live
 // (non-done) warps vanish from the register files and warp slots, and a
-// victim block's LDS frees only when no non-victim resident warp —
-// typically an already-done peer — still pins it.
+// victim block's LDS frees only when no other resident warp — typically
+// an already-done peer — still pins it.
 func (d *Device) CanDisplace(sm int, victim *Launch, prog *isa.Program, warpsPerBlock int) bool {
 	if sm < 0 || sm >= len(d.SMs) {
 		return false
 	}
-	var u smUsage
-	var seen map[*blockInfo]bool
-	for _, w := range d.SMs[sm].Warps {
-		if w.State == WarpPreempted {
-			continue
-		}
-		if w.launch == victim && w.State != WarpDone {
-			continue // saved by the displacement
-		}
-		u.warps++
-		u.vregBytes += w.Prog.AllocatedVRegs() * 4 * isa.WarpSize
-		u.sregBytes += w.Prog.AllocatedSRegs() * 4
-		if w.Prog.LDSBytes > 0 {
-			if seen == nil {
-				seen = make(map[*blockInfo]bool)
-			}
-			if bi := w.launch.blocks[w.BlockID]; !seen[bi] {
-				seen[bi] = true
-				u.ldsBytes += w.Prog.LDSBytes
-			}
-		}
-	}
-	spec := LaunchSpec{Prog: prog, WarpsPerBlock: warpsPerBlock}
-	bw, bv, bs, blds := blockFootprint(&spec)
-	return u.fits(&d.Cfg, bw, bv, bs, blds)
-}
-
-// blockFootprint is the physical resource demand of one block of spec.
-func blockFootprint(spec *LaunchSpec) (warps, vreg, sreg, lds int) {
-	warps = spec.WarpsPerBlock
-	vreg = spec.Prog.AllocatedVRegs() * 4 * isa.WarpSize * warps
-	sreg = spec.Prog.AllocatedSRegs() * 4 * warps
-	lds = spec.Prog.LDSBytes
-	return
+	left := d.SMs[sm].tally(func(w *Warp) bool {
+		return resident(w) && (w.launch != victim || w.State == WarpDone)
+	})
+	return left.fits(&d.Cfg, blockNeeds(prog, warpsPerBlock))
 }
 
 // swappedOut reports whether any of the launch's warps currently sits
@@ -456,13 +344,15 @@ func (l *Launch) swappedOut() bool {
 // their contexts. A swapped-out launch places nothing — its pending
 // blocks wait for the resume-complete redispatch.
 func (d *Device) dispatch(l *Launch) {
-	if l.nextBlock < len(l.blocks) && l.swappedOut() {
+	if l.nextBlock == len(l.blocks) || l.swappedOut() {
 		return
 	}
+	need := blockNeeds(l.Spec.Prog, l.Spec.WarpsPerBlock)
+	own := func(w *Warp) bool { return w.launch == l && resident(w) }
 	for l.nextBlock < len(l.blocks) {
 		bi := l.blocks[l.nextBlock]
-		bw, bv, bs, blds := blockFootprint(&l.Spec)
 		var target *SM
+		targetWarps := 0
 		for _, sm := range d.SMs {
 			if !l.allowedSM(sm) {
 				continue
@@ -477,14 +367,15 @@ func (d *Device) dispatch(l *Launch) {
 				// and never resumed.
 				continue
 			}
-			if sm.blocksOf(l) >= l.Occ.BlocksPerSM {
+			if sm.tally(own).blocks >= l.Occ.BlocksPerSM {
 				continue
 			}
-			if !sm.usage().fits(&d.Cfg, bw, bv, bs, blds) {
+			held := sm.tally(resident)
+			if !held.fits(&d.Cfg, need) {
 				continue
 			}
-			if target == nil || sm.residentWarps() < target.residentWarps() {
-				target = sm
+			if target == nil || held.warps < targetWarps {
+				target, targetWarps = sm, held.warps
 			}
 		}
 		if target == nil {

@@ -164,3 +164,48 @@ func TestBackToBackPreemptionsDifferentTenants(t *testing.T) {
 	checkSumAt(t, d, loops, warps, 4096, "tenant A")
 	checkSumAt(t, d, loops, warps, 8192, "tenant B")
 }
+
+// TestPlacementProbesAllocateNothing: the scheduler probes CanHostBlock,
+// CanDisplace and CanResume at every decision, so the footprint tally
+// behind them allocates nothing, with LDS blocks counted too.
+func TestPlacementProbesAllocateNothing(t *testing.T) {
+	b := isa.NewBuilder("ldsloop", 6, 18, 256)
+	b.Label("loop")
+	b.I(isa.SSub, isa.R(isa.S(0)), isa.R(isa.S(0)), isa.Imm(1))
+	b.I(isa.SCmpGt, isa.R(isa.S(0)), isa.Imm(0))
+	b.Branch(isa.SCBranchSCC1, "loop")
+	b.I(isa.SEndpgm)
+	prog := mustProg(b)
+	d := mustNewDevice(TestConfig())
+	if _, err := d.Launch(LaunchSpec{Prog: prog, NumBlocks: 2, WarpsPerBlock: 2, SMFilter: []int{0},
+		Setup: func(w *Warp) { w.SRegs[0] = 400 }}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.RunUntil(func() bool { return d.Now() > 100 }, 1_000_000); err != nil {
+		t.Fatal(err)
+	}
+	ep, err := d.Preempt(0, naiveRuntime{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.RunUntil(ep.Saved, 10_000_000); err != nil {
+		t.Fatal(err)
+	}
+	// A newcomer block lands beside the parked victims.
+	newcomer, err := d.Launch(LaunchSpec{Prog: prog, NumBlocks: 1, WarpsPerBlock: 2, SMFilter: []int{0},
+		Setup: func(w *Warp) { w.SRegs[0] = 400 }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := func() {
+		d.CanHostBlock(0, prog, 2)
+		d.CanDisplace(0, newcomer, prog, 2)
+		d.CanResume(ep)
+	}
+	if n := testing.AllocsPerRun(100, probe); n != 0 {
+		t.Errorf("placement probes allocate %v times per call", n)
+	}
+	if !d.CanResume(ep) {
+		t.Error("4 parked warps must fit back beside a 2-warp newcomer on an 8-slot SM")
+	}
+}

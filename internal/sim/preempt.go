@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"ctxback/internal/isa"
 	"ctxback/internal/trace"
 )
 
@@ -417,28 +416,8 @@ func (ep *Episode) SavedBytes() int64 {
 // resumeFits reports whether ep's victims physically fit back on their
 // SM alongside whatever is resident now.
 func resumeFits(ep *Episode) bool {
-	var vr, sr, lds int
-	seen := map[*blockInfo]bool{}
-	for _, w := range ep.Victims {
-		vr += w.Prog.AllocatedVRegs() * 4 * isa.WarpSize
-		sr += w.Prog.AllocatedSRegs() * 4
-		if w.Prog.LDSBytes > 0 {
-			if bi := w.launch.blocks[w.BlockID]; !seen[bi] {
-				seen[bi] = true
-				live := false
-				for _, p := range bi.warps {
-					if p.State != WarpPreempted {
-						live = true // block LDS already counted via a resident peer
-						break
-					}
-				}
-				if !live {
-					lds += w.Prog.LDSBytes
-				}
-			}
-		}
-	}
-	return ep.SM.usage().fits(&ep.SM.Dev.Cfg, len(ep.Victims), vr, sr, lds)
+	back := ep.SM.tally(func(w *Warp) bool { return resident(w) || w.episode == ep })
+	return back.fits(&ep.SM.Dev.Cfg, footprint{})
 }
 
 // CanResume reports whether Resume(ep) would start now: the contexts

@@ -297,30 +297,30 @@ func TestMemoryFaultDetected(t *testing.T) {
 }
 
 func TestOccupancyLimits(t *testing.T) {
-	d := mustNewDevice(TestConfig())
+	cfg := TestConfig()
 	small := &isa.Program{Name: "small", NumVRegs: 8, NumSRegs: 16,
 		Instrs: []isa.Instruction{{Op: isa.SEndpgm}}}
-	occ, err := d.ComputeOccupancy(small, 1)
+	occ, err := cfg.Occupancy(small, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if occ.WarpsPerSM != d.Cfg.MaxWarpsPerSM {
-		t.Errorf("small kernel warps/SM = %d, want slot limit %d", occ.WarpsPerSM, d.Cfg.MaxWarpsPerSM)
+	if occ.WarpsPerSM != cfg.MaxWarpsPerSM {
+		t.Errorf("small kernel warps/SM = %d, want slot limit %d", occ.WarpsPerSM, cfg.MaxWarpsPerSM)
 	}
 	// 128 vregs * 256B = 32 KB per warp -> 8 warps in a 256 KB file.
 	big := &isa.Program{Name: "big", NumVRegs: 128, NumSRegs: 16,
 		Instrs: []isa.Instruction{{Op: isa.SEndpgm}}}
-	occ, err = d.ComputeOccupancy(big, 1)
+	occ, err = cfg.Occupancy(big, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := d.Cfg.VRegFileBytes / (128 * 4 * isa.WarpSize); occ.WarpsPerSM != min(want, d.Cfg.MaxWarpsPerSM) {
+	if want := cfg.VRegFileBytes / (128 * 4 * isa.WarpSize); occ.WarpsPerSM != min(want, cfg.MaxWarpsPerSM) {
 		t.Errorf("big kernel warps/SM = %d (limited by %s)", occ.WarpsPerSM, occ.LimitedBy)
 	}
 	// LDS-bound kernel.
 	ldsy := &isa.Program{Name: "ldsy", NumVRegs: 4, NumSRegs: 16, LDSBytes: 32 << 10,
 		Instrs: []isa.Instruction{{Op: isa.SEndpgm}}}
-	occ, err = d.ComputeOccupancy(ldsy, 2)
+	occ, err = cfg.Occupancy(ldsy, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestOccupancyLimits(t *testing.T) {
 	// Does not fit at all.
 	huge := &isa.Program{Name: "huge", NumVRegs: 4, NumSRegs: 16, LDSBytes: 128 << 10,
 		Instrs: []isa.Instruction{{Op: isa.SEndpgm}}}
-	if _, err := d.ComputeOccupancy(huge, 1); err == nil {
+	if _, err := cfg.Occupancy(huge, 1); err == nil {
 		t.Error("oversized kernel must not fit")
 	}
 }

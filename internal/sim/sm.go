@@ -45,24 +45,59 @@ type SM struct {
 	laneScratch [4]laneVec
 }
 
-func (sm *SM) residentWarps() int {
-	n := 0
-	for _, w := range sm.Warps {
-		if w.State != WarpPreempted {
-			n++
-		}
-	}
-	return n
+// footprint is what some warps hold of an SM: warp slots, vector and
+// scalar register bytes, and LDS, which a block holds once however many
+// of its warps are counted. blocks counts those blocks.
+type footprint struct {
+	warps, vregBytes, sregBytes, ldsBytes, blocks int
 }
 
-func (sm *SM) blocksOf(l *Launch) int {
-	seen := map[int]bool{}
+// blockNeeds is the footprint of one block of warpsPerBlock warps of prog.
+func blockNeeds(prog *isa.Program, warpsPerBlock int) footprint {
+	return footprint{
+		warps:     warpsPerBlock,
+		vregBytes: warpsPerBlock * prog.VRegContextBytes(),
+		sregBytes: warpsPerBlock * prog.SRegContextBytes(),
+		ldsBytes:  prog.LDSBytes,
+		blocks:    1,
+	}
+}
+
+// fits reports whether need fits on an SM of cfg beside f.
+func (f footprint) fits(cfg *Config, need footprint) bool {
+	return f.warps+need.warps <= cfg.MaxWarpsPerSM &&
+		f.vregBytes+need.vregBytes <= cfg.VRegFileBytes &&
+		f.sregBytes+need.sregBytes <= cfg.SRegFileBytes &&
+		f.ldsBytes+need.ldsBytes <= cfg.LDSBytesPerSM
+}
+
+// resident reports whether w holds its SM's resources: a preempted
+// warp's context lives in device memory and its slot is free.
+func resident(w *Warp) bool { return w.State != WarpPreempted }
+
+// tally is the footprint of sm's warps that keep accepts, across every
+// launch sharing the SM, which a launch's own occupancy limit cannot
+// see. A block counts once, with its LDS: dispatch appends a block's
+// warps to sm.Warps together and removeBlockWarps drops them together
+// (ImportState keeps the exported order), so a block's warps are
+// adjacent there.
+func (sm *SM) tally(keep func(*Warp) bool) footprint {
+	var f footprint
+	var last *blockInfo
 	for _, w := range sm.Warps {
-		if w.launch == l && w.State != WarpPreempted {
-			seen[w.BlockID] = true
+		if !keep(w) {
+			continue
+		}
+		f.warps++
+		f.vregBytes += w.Prog.VRegContextBytes()
+		f.sregBytes += w.Prog.SRegContextBytes()
+		if bi := w.launch.blocks[w.BlockID]; bi != last {
+			last = bi
+			f.ldsBytes += w.Prog.LDSBytes
+			f.blocks++
 		}
 	}
-	return len(seen)
+	return f
 }
 
 // accessLDS pushes bytes through the SM-private LDS pipeline.

@@ -452,7 +452,7 @@ func (d *Device) ImportState(st *DeviceState, rt Runtime, progs []*isa.Program) 
 	for li := range st.Launches {
 		ls := &st.Launches[li]
 		prog := progs[ls.Prog]
-		occ, err := d.ComputeOccupancy(prog, ls.WarpsPerBlock)
+		occ, err := d.Cfg.Occupancy(prog, ls.WarpsPerBlock)
 		if err != nil {
 			return nil, fmt.Errorf("sim: launch %d: %w", li, err)
 		}

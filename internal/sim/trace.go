@@ -35,9 +35,6 @@ func (d *Device) EnableTrace(capacity int) *Tracer {
 	return d.tracer
 }
 
-// DisableTrace detaches the tracer.
-func (d *Device) DisableTrace() { d.tracer = nil }
-
 func (tr *Tracer) record(ev TraceEvent) {
 	tr.events[tr.next] = ev
 	tr.next++

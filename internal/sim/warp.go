@@ -337,12 +337,3 @@ func (w *Warp) stamp(e *isa.Decoded, cycle int64) {
 		w.clock[s] = cycle
 	}
 }
-
-// activeLanes returns the number of set bits in EXEC.
-func (w *Warp) activeLanes() int {
-	n := 0
-	for m := w.Exec; m != 0; m &= m - 1 {
-		n++
-	}
-	return n
-}
