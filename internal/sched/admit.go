@@ -123,8 +123,7 @@ func (a *admitter) requeue(j Job) {
 	t := j.Tenant
 	q := a.queues[t]
 	pos := 0
-	for pos < len(q) &&
-		(q[pos].job.Arrival < j.Arrival || (q[pos].job.Arrival == j.Arrival && q[pos].job.ID < j.ID)) {
+	for pos < len(q) && arrivalLess(q[pos].job, j) {
 		pos++
 	}
 	q = append(q, pendJob{})
@@ -162,9 +161,7 @@ func (a *admitter) drain(now int64, route func() bool, admit func(Job) error) er
 			if len(q) == 0 || blocked[t] {
 				continue
 			}
-			if best < 0 ||
-				q[0].job.Arrival < a.queues[best][0].job.Arrival ||
-				(q[0].job.Arrival == a.queues[best][0].job.Arrival && q[0].job.ID < a.queues[best][0].job.ID) {
+			if best < 0 || arrivalLess(q[0].job, a.queues[best][0].job) {
 				best = t
 			}
 		}

@@ -16,14 +16,14 @@ import (
 // Failover: periodic whole-device checkpoints and an injected device kill
 // are events at the serve loop's barriers (server.run). At a checkpoint
 // barrier every alive device with outstanding jobs is exported whole
-// (internal/snapshot) together with its host-side slab and tenant
-// bookkeeping. A kill retires its device the way a migration retires its
-// donor, through the same checkpoint/restoreFrom/Validate path:
+// (internal/snapshot) together with its job table. A kill retires its
+// device the way a migration retires its donor, through the same
+// checkpoint/restoreFrom/Validate path:
 //
 //   - under a relocatable technique with a checkpoint, the dead device's
 //     latest checkpoint restores onto a replacement shell — warm from the
-//     pool when one is ready, cold otherwise — with the host-side state
-//     taken alongside it, and the replacement replays the dead device's
+//     pool when one is ready, cold otherwise — whose table holds the jobs
+//     the image carries, and the replacement replays the dead device's
 //     schedule from the checkpoint cycle;
 //   - under CKPT, SM-flushing and Chimera (per-warp state lives outside
 //     the device image), or before the first checkpoint, the replacement
@@ -88,13 +88,7 @@ type jobDigest struct {
 // stateHash renders the witness: one line per delivered job with its
 // slab digest, in (arrival, ID) order.
 func (sv *server) stateHash() string {
-	sort.Slice(sv.digests, func(i, j int) bool {
-		a, b := sv.digests[i].job, sv.digests[j].job
-		if a.Arrival != b.Arrival {
-			return a.Arrival < b.Arrival
-		}
-		return a.ID < b.ID
-	})
+	sort.Slice(sv.digests, func(i, j int) bool { return arrivalLess(sv.digests[i].job, sv.digests[j].job) })
 	var b strings.Builder
 	for _, d := range sv.digests {
 		fmt.Fprintf(&b, "job %3d %-6s slab %016x\n", d.job.ID, d.job.Kernel, d.digest)
@@ -102,9 +96,10 @@ func (sv *server) stateHash() string {
 	return b.String()
 }
 
-// ckpt is one device's checkpoint: the encoded snapshot, the scheduler
-// metadata needed to resume the schedule from it, and the serve layer's
-// host-side bookkeeping at the same instant.
+// ckpt is one device's checkpoint: the encoded snapshot and the
+// scheduler metadata needed to resume the schedule from it. Its jobs are
+// the table's, all outstanding; each carries its slab and tenant, so the
+// host side needs no other copy.
 type ckpt struct {
 	epoch uint64
 	cycle int64
@@ -112,25 +107,20 @@ type ckpt struct {
 	progs []*isa.Program // first-launch order = DeviceState.Progs order
 	jobs  []*runJob      // the scheduler's jobs, parallel to meta.jobs
 	meta  schedMeta
-
-	slabFree   []bool
-	slabOf     map[int]int
-	incomplete []int
 }
 
 type schedMeta struct {
-	nDone int
 	jobs  []jobMeta // parallel to scheduler.jobs
 	slots []slotMeta
 }
 
 type jobMeta struct {
-	started         bool
-	start, complete int64
-	preemptions     int
-	sm              int
-	launchIdx       int // index into the export's Launches, -1 none
-	episodeIdx      int // index into the export's Episodes, -1 none
+	started     bool
+	start       int64
+	preemptions int
+	sm          int
+	launchIdx   int // index into the export's Launches, -1 none
+	episodeIdx  int // index into the export's Episodes, -1 none
 }
 
 type slotMeta struct {
@@ -170,11 +160,10 @@ func (s *scheduler) checkpoint(epoch uint64) (*ckpt, error) {
 	}
 	c := &ckpt{epoch: epoch, cycle: s.d.Now(), enc: enc, progs: progs,
 		jobs: append([]*runJob(nil), s.jobs...)}
-	c.meta.nDone = s.nDone
 	jobPos := make(map[*runJob]int, len(s.jobs))
 	for i, j := range s.jobs {
 		jobPos[j] = i
-		jm := jobMeta{started: j.started, start: j.start, complete: j.complete,
+		jm := jobMeta{started: j.started, start: j.start,
 			preemptions: j.preemptions, sm: j.sm, launchIdx: -1, episodeIdx: -1}
 		if j.launch != nil {
 			li, ok := lidx[j.launch]
@@ -208,29 +197,14 @@ func (s *scheduler) checkpoint(epoch uint64) (*ckpt, error) {
 	return c, nil
 }
 
-// checkpoint captures the device together with its host-side state.
-func (d *serveDevice) checkpoint(epoch uint64) (*ckpt, error) {
-	c, err := d.s.checkpoint(epoch)
-	if err != nil {
-		return nil, err
-	}
-	c.slabFree = append([]bool(nil), d.slabFree...)
-	c.incomplete = append([]int(nil), d.incomplete...)
-	c.slabOf = make(map[int]int, len(d.slabOf))
-	for id, slab := range d.slabOf {
-		c.slabOf[id] = slab
-	}
-	return c, nil
-}
-
 // restoreFrom revives the checkpoint as a replacement scheduler: fresh
 // technique instances drive the restored device (only relocatable kinds
-// may take this path), and the schedule resumes restricted to the jobs
-// the checkpoint carries. A carried job that has completed since the
-// checkpoint is marked delivered. The restore goes through the
-// speculative path against the same authoritative image, so Validate is
-// a cheap post-replay certainty check the caller runs before trusting
-// the replacement.
+// may take this path), and the schedule resumes with a table of the jobs
+// the checkpoint carries, each in the slab it held. A carried job that
+// has completed since the checkpoint is marked delivered. The restore
+// goes through the speculative path against the same authoritative
+// image, so Validate is a cheap post-replay certainty check the caller
+// runs before trusting the replacement.
 func restoreFrom(c *ckpt, cfg Config, kind preempt.Kind,
 	pool *snapshot.Pool) (*scheduler, *snapshot.Restored, error) {
 	mux := newMux(kind)
@@ -247,23 +221,16 @@ func restoreFrom(c *ckpt, cfg Config, kind preempt.Kind,
 	}
 	s := &scheduler{cfg: cfg, d: res.Device, mux: mux, kind: kind}
 	kept := make(map[int]*runJob, len(c.jobs))
-	nDone := 0
 	for i, jm := range c.meta.jobs {
 		if !c.carried(i) {
-			// Unlaunched (the caller re-admits it) or completed and
-			// pruned from the image (it owes nothing): either way the
-			// restored scheduler does not carry it.
+			// Unlaunched: the caller re-admits it.
 			continue
 		}
-		if jm.complete != 0 {
-			nDone++
-		}
 		o := c.jobs[i]
-		rj := &runJob{job: o.job, wl: o.wl, admitAt: o.admitAt, sm: jm.sm,
-			started: jm.started, start: jm.start, complete: jm.complete,
-			preemptions: jm.preemptions,
-			launch:      res.Index.Launches[jm.launchIdx],
-			delivered:   o.delivered || o.complete != 0}
+		rj := &runJob{job: o.job, wl: o.wl, admitAt: o.admitAt, sm: jm.sm, slab: o.slab,
+			started: jm.started, start: jm.start, preemptions: jm.preemptions,
+			launch:    res.Index.Launches[jm.launchIdx],
+			delivered: o.delivered || o.complete != 0}
 		if jm.episodeIdx >= 0 {
 			rj.episode = res.Index.Episodes[jm.episodeIdx]
 		}
@@ -271,7 +238,6 @@ func restoreFrom(c *ckpt, cfg Config, kind preempt.Kind,
 		s.jobs = append(s.jobs, rj)
 	}
 	s.nextArr = len(s.jobs)
-	s.nDone = nDone
 	for i, sm := range c.meta.slots {
 		sl := &smSlot{id: i, state: sm.state}
 		link := func(pos int) (*runJob, error) {
@@ -303,11 +269,11 @@ func restoreFrom(c *ckpt, cfg Config, kind preempt.Kind,
 	return s, res, nil
 }
 
-// restoreDevice brings checkpoint c up as a new device id with the
-// host-side state taken alongside it: the restore is validated, jobs the
-// image does not carry give their slabs back, and routing skips the new
-// device until the modeled restore latency has elapsed. Migration and
-// kill recovery share it.
+// restoreDevice brings checkpoint c up as a new device id: the restore
+// is validated, the new table holds only the jobs the image carries (the
+// slabs of the rest are free), and routing skips the new device until
+// the modeled restore latency has elapsed. Migration and kill recovery
+// share it.
 func (sv *server) restoreDevice(c *ckpt, quota map[int]int, now int64) (*serveDevice, snapshot.Outcome, error) {
 	rs, res, err := restoreFrom(c, sv.cfg.Sched, sv.kind, sv.pool)
 	if err != nil {
@@ -320,24 +286,7 @@ func (sv *server) restoreDevice(c *ckpt, quota map[int]int, now int64) (*serveDe
 		return nil, snapshot.Outcome{}, fmt.Errorf("restored device failed validation: %w", err)
 	}
 	rs.quota = quota
-	nd := &serveDevice{
-		id:           len(sv.devices),
-		s:            rs,
-		slabFree:     append([]bool(nil), c.slabFree...),
-		slabOf:       make(map[int]int, len(c.slabOf)),
-		incomplete:   append([]int(nil), c.incomplete...),
-		blockedUntil: now + res.Outcome.RestoreCycles(),
-	}
-	for id, slab := range c.slabOf {
-		nd.slabOf[id] = slab
-	}
-	for i, jm := range c.meta.jobs {
-		if !c.carried(i) && jm.complete == 0 {
-			j := c.jobs[i].job
-			nd.freeSlab(j.ID)
-			nd.incomplete[j.Tenant]--
-		}
-	}
+	nd := &serveDevice{id: len(sv.devices), s: rs, blockedUntil: now + res.Outcome.RestoreCycles()}
 	sv.hookDevice(nd)
 	sv.devices = append(sv.devices, nd)
 	if m := sv.cfg.Sched.Metrics; m != nil {
@@ -373,7 +322,7 @@ func (sv *server) requeueLost(old *serveDevice, c *ckpt) int {
 	}
 	n := 0
 	for _, rj := range old.s.jobs {
-		if rj.complete != 0 || rj.delivered || carried[rj] {
+		if rj.delivered || carried[rj] {
 			continue
 		}
 		sv.admit.requeue(rj.job)
@@ -395,7 +344,7 @@ func (sv *server) checkpointAll(now int64) error {
 			dev.ckpt = nil
 			continue
 		}
-		c, err := dev.checkpoint(sv.epoch)
+		c, err := dev.s.checkpoint(sv.epoch)
 		if err != nil {
 			return fmt.Errorf("sched: checkpoint of device %d: %w", dev.id, err)
 		}

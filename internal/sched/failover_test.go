@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ctxback/internal/preempt"
+	"ctxback/internal/trace"
 )
 
 // The failover tests drive periodic checkpoints and a device kill
@@ -49,7 +50,9 @@ func runFleet(t *testing.T, kind preempt.Kind, jobs []Job, cfg ServeConfig) *Ser
 
 // checkRetiredReleased requires one retired device per kill and
 // migration, each of which has dropped its scheduler, with the
-// simulated device it drives, and its checkpoint.
+// simulated device it drives, and its checkpoint. It also pins the
+// bounded table of a drained run: every alive device's scheduler holds
+// no job and has recorded no per-job event.
 func checkRetiredReleased(t *testing.T, sv *server) {
 	t.Helper()
 	want := 0
@@ -62,6 +65,10 @@ func checkRetiredReleased(t *testing.T, sv *server) {
 	retired := 0
 	for _, dev := range sv.devices {
 		if !dev.retired {
+			if len(dev.s.jobs) != 0 || len(dev.s.events) != 0 {
+				t.Errorf("drained device %d still holds %d jobs and %d events",
+					dev.id, len(dev.s.jobs), len(dev.s.events))
+			}
 			continue
 		}
 		retired++
@@ -146,15 +153,15 @@ func TestFleetUndisturbedMatchesSingle(t *testing.T) {
 	sc := testSchedConfig()
 	sc.SlabBytes = (sc.Dev.GlobalMemBytes - slabBase) / 8 // Serve's default slab
 	sc.SlabBytes -= sc.SlabBytes % 4096
-	s, err := newScheduler(sc, preempt.CTXBack, jobs)
+	s, all, err := newScheduler(sc, preempt.CTXBack, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.run(); err != nil {
+	if err := s.run(all); err != nil {
 		t.Fatal(err)
 	}
 	var want strings.Builder
-	for i, rj := range s.jobs { // (arrival, ID) order; job i owns slab i
+	for i, rj := range all { // (arrival, ID) order; job i owns slab i
 		lo := (slabBase + i*sc.SlabBytes) / 4
 		fmt.Fprintf(&want, "job %3d %-6s slab %016x\n", rj.job.ID, rj.job.Kernel,
 			slabDigest(s.d.Mem, lo, sc.SlabBytes/4))
@@ -304,36 +311,16 @@ func TestFleetConfigValidation(t *testing.T) {
 
 // TestFleetDeliveredOnce pins the delivered-once rule under a kill:
 // device 0 completes a job between its last checkpoint and the kill,
-// so the restore replays that job. Still arrived == admitted + shed,
-// completed == admitted, and no job counts twice.
+// so the restore replays that job (serve.replays counts it). Still
+// arrived == admitted + shed, completed == admitted, and no job counts
+// twice.
 func TestFleetDeliveredOnce(t *testing.T) {
 	jobs := fleetTrace(t, 31, 6)
 	cfg := fleetConfig(40_000, &DeviceKill{Device: 0, Cycle: 76_000})
-	sv, err := newServer(cfg, preempt.CTXBack, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sv.run(); err != nil {
-		t.Fatal(err)
-	}
-	checkRetiredReleased(t, sv)
-	replays := 0
-	for _, dev := range sv.devices {
-		if dev.retired {
-			continue
-		}
-		for _, rj := range dev.s.jobs {
-			if rj.delivered {
-				replays++
-			}
-		}
-	}
-	res := sv.result()
-	checkDeliveredOnce(t, res)
-	if res.Completed != len(jobs) {
-		t.Fatalf("completed %d jobs, want %d", res.Completed, len(jobs))
-	}
-	if replays == 0 {
+	m := trace.NewRegistry()
+	cfg.Sched.Metrics = m
+	res := runFleet(t, preempt.CTXBack, jobs, cfg)
+	if m.Counter("serve.replays").Value() == 0 {
 		t.Fatalf("the kill replayed no delivered job, leaving the rule untested:\n%s", res.EventLog())
 	}
 }

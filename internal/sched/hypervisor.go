@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"ctxback/internal/preempt"
@@ -62,23 +63,24 @@ func newHypervisor(cfg HypervisorConfig, tenants int) *hypervisor {
 // rearbitrate recomputes fleet-wide tenant SM shares proportional to
 // demand (largest-remainder apportionment, ties to the lower tenant
 // id), applies a starvation floor, and writes per-device quotas. demand
-// counts a tenant's runnable appetite: deferred + admitted-incomplete
-// jobs. Returns true when the share vector changed.
+// counts a tenant's runnable appetite: its deferred jobs plus its jobs
+// in the alive devices' tables. Returns true when the share vector
+// changed.
 func (h *hypervisor) rearbitrate(sv *server, now int64) bool {
 	h.rearbs++
 	tenants := len(h.shares)
 	demand := make([]int64, tenants)
-	var total int64
-	for t := 0; t < tenants; t++ {
-		d := int64(sv.admit.tenantBacklog(t))
-		for _, dev := range sv.devices {
-			if dev.retired {
-				continue
+	for _, dev := range sv.devices {
+		if !dev.retired {
+			for _, rj := range dev.s.jobs {
+				demand[rj.job.Tenant]++
 			}
-			d += int64(dev.incomplete[t])
 		}
-		demand[t] = d
-		total += d
+	}
+	var total int64
+	for t := range demand {
+		demand[t] += int64(sv.admit.tenantBacklog(t))
+		total += demand[t]
 	}
 
 	alive := 0
@@ -219,18 +221,12 @@ func (h *hypervisor) maybeMigrate(sv *server, now int64) error {
 	}
 	// The move only helps if the donor has unlaunched work to
 	// redistribute (launched jobs carry with the checkpoint).
-	requeueable := 0
-	for _, rj := range donor.s.jobs {
-		if rj.launch == nil && rj.complete == 0 {
-			requeueable++
-		}
-	}
-	if requeueable == 0 {
+	if !slices.ContainsFunc(donor.s.jobs, func(rj *runJob) bool { return rj.launch == nil }) {
 		return nil
 	}
 
 	sv.epoch++
-	c, err := donor.checkpoint(sv.epoch)
+	c, err := donor.s.checkpoint(sv.epoch)
 	if err != nil {
 		return fmt.Errorf("sched: migration checkpoint of device %d: %w", donor.id, err)
 	}

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
@@ -280,15 +281,41 @@ type Config struct {
 	Shards int
 }
 
+// defaultMaxCycles bounds a run whose Config leaves MaxCycles unset.
+const defaultMaxCycles = 2_000_000_000
+
 // DefaultSchedConfig is the configuration cmd/schedsim and the harness
 // comparison start from.
 func DefaultSchedConfig() Config {
 	return Config{
 		Dev:       sim.DefaultConfig(),
 		Params:    kernels.TestParams(),
-		MaxCycles: 2_000_000_000,
+		MaxCycles: defaultMaxCycles,
 		Verify:    true,
 	}
+}
+
+// defaults fills the unset bounds of a run whose device memory holds
+// slabs job slabs — MaxCycles, and SlabBytes as an even, page-aligned
+// share of the memory past slabBase — and checks that the slabs fit.
+// Run and Serve both start here; every scheduler they build takes the
+// defaulted config.
+func (c *Config) defaults(slabs int) error {
+	if c.MaxCycles <= 0 {
+		c.MaxCycles = defaultMaxCycles
+	}
+	if c.SlabBytes <= 0 {
+		c.SlabBytes = (c.Dev.GlobalMemBytes - slabBase) / slabs
+		c.SlabBytes -= c.SlabBytes % 4096
+	}
+	if c.SlabBytes <= 0 {
+		return errors.New("sched: device memory too small for the slab pool")
+	}
+	if slabBase+slabs*c.SlabBytes > c.Dev.GlobalMemBytes {
+		return fmt.Errorf("sched: %d slabs of %d bytes exceed device memory (%d bytes)",
+			slabs, c.SlabBytes, c.Dev.GlobalMemBytes)
+	}
+	return nil
 }
 
 // Event is one entry of the run's decision log. The log is part of the
@@ -321,6 +348,7 @@ type runJob struct {
 	wl     *kernels.Workload
 	launch *sim.Launch
 	sm     int
+	slab   int // device-memory slab the job's buffers live in
 
 	// admitAt is the cycle the scheduler first considers the job: the
 	// trace arrival under Run, the admission barrier under Serve.
@@ -358,7 +386,11 @@ type scheduler struct {
 	mux  *muxRuntime
 	kind preempt.Kind
 
-	jobs    []*runJob // admission order
+	// jobs is the device's job table: every admitted job that has not
+	// completed, in admission order, those before nextArr arrived. A job
+	// leaves it when it completes, so it is the one record of what the
+	// device holds: its slabs, its tenants, its outstanding count.
+	jobs    []*runJob
 	slots   []*smSlot
 	waiting []*runJob
 	nextArr int
@@ -374,8 +406,11 @@ type scheduler struct {
 	// populated map must cover every admissible tenant.
 	quota map[int]int
 
-	events []Event
-	nDone  int
+	// logEvents records the per-job decision log in events. Run reports
+	// it; a serve device, which runs for the life of the server, does not
+	// keep one.
+	logEvents bool
+	events    []Event
 }
 
 // Run executes the arrival trace under one preemption technique and
@@ -383,57 +418,101 @@ type scheduler struct {
 // deterministic simulation: no goroutines, no map-order dependence, no
 // wall-clock input.
 func Run(cfg Config, kind preempt.Kind, jobs []Job) (*Result, error) {
-	s, err := newScheduler(cfg, kind, jobs)
+	s, all, err := newScheduler(cfg, kind, jobs)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.run(); err != nil {
+	if err := s.run(all); err != nil {
 		return nil, err
 	}
-	return s.result()
+	return s.result(all), nil
 }
 
 const slabBase = 4096
 
-func newScheduler(cfg Config, kind preempt.Kind, jobs []Job) (*scheduler, error) {
+// arrivalLess is the global admission order: earlier arrival first,
+// ties by lower job ID, so simultaneous arrivals order deterministically.
+func arrivalLess(a, b Job) bool {
+	if a.Arrival != b.Arrival {
+		return a.Arrival < b.Arrival
+	}
+	return a.ID < b.ID
+}
+
+// byArrival returns a copy of jobs in arrivalLess order.
+func byArrival(jobs []Job) []Job {
+	ordered := append([]Job(nil), jobs...)
+	sort.SliceStable(ordered, func(i, j int) bool { return arrivalLess(ordered[i], ordered[j]) })
+	return ordered
+}
+
+// newScheduler admits the whole trace onto one device with its decision
+// log on, job i of the (arrival, ID) order into slab i, and returns the
+// jobs in that order too: the table drops each job as it completes, and
+// Run reports and verifies them all.
+func newScheduler(cfg Config, kind preempt.Kind, jobs []Job) (*scheduler, []*runJob, error) {
 	if len(jobs) == 0 {
-		return nil, errors.New("sched: empty trace")
+		return nil, nil, errors.New("sched: empty trace")
 	}
-	if cfg.MaxCycles <= 0 {
-		cfg.MaxCycles = 2_000_000_000
-	}
-	if cfg.SlabBytes <= 0 {
-		cfg.SlabBytes = (cfg.Dev.GlobalMemBytes - slabBase) / len(jobs)
-		cfg.SlabBytes -= cfg.SlabBytes % 4096
-	}
-	if slabBase+len(jobs)*cfg.SlabBytes > cfg.Dev.GlobalMemBytes {
-		return nil, fmt.Errorf("sched: %d x %d-byte slabs exceed device memory (%d bytes)",
-			len(jobs), cfg.SlabBytes, cfg.Dev.GlobalMemBytes)
+	if err := cfg.defaults(len(jobs)); err != nil {
+		return nil, nil, err
 	}
 	s, err := newBareScheduler(cfg, kind)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	// Jobs are admitted in (arrival, ID) order, job i into slab i; ties
-	// resolve by ID so simultaneous arrivals admit deterministically.
-	ordered := append([]Job(nil), jobs...)
-	sort.SliceStable(ordered, func(i, j int) bool {
-		if ordered[i].Arrival != ordered[j].Arrival {
-			return ordered[i].Arrival < ordered[j].Arrival
-		}
-		return ordered[i].ID < ordered[j].ID
-	})
+	s.logEvents = true
+	ordered := byArrival(jobs)
+	all := make([]*runJob, len(ordered))
 	b := newBuilds(cfg)
 	for i, j := range ordered {
 		wl, err := b.at(j.Kernel, i)
 		if err != nil {
-			return nil, fmt.Errorf("sched: job %d: %w", j.ID, err)
+			return nil, nil, fmt.Errorf("sched: job %d: %w", j.ID, err)
 		}
-		if err := s.admitPrepared(j, wl, j.Arrival); err != nil {
-			return nil, err
+		if all[i], err = s.admitPrepared(j, wl, i, j.Arrival); err != nil {
+			return nil, nil, err
 		}
 	}
+	return s, all, nil
+}
+
+// newBareScheduler builds a scheduler with an empty job table on a
+// config that Config.defaults has filled: the serving layer admits jobs
+// one at a time as the front door releases them.
+func newBareScheduler(cfg Config, kind preempt.Kind) (*scheduler, error) {
+	d, err := sim.NewDevice(cfg.Dev)
+	if err != nil {
+		return nil, err
+	}
+	s := &scheduler{cfg: cfg, d: d, mux: newMux(kind), kind: kind}
+	d.AttachRuntime(s.mux)
+	for i := 0; i < cfg.Dev.NumSMs; i++ {
+		s.slots = append(s.slots, &smSlot{id: i, state: smIdle})
+	}
 	return s, nil
+}
+
+// admitPrepared enters a job with an already-built workload in slab
+// into the table at cycle at. A fresh technique instance replaces any
+// previous registration for the program: slab exclusivity guarantees the
+// previous same-program job has completed, and per-job techniques keep
+// warp-keyed state (CKPT visit counts, saved contexts) from leaking
+// across jobs whose warp ids collide.
+func (s *scheduler) admitPrepared(j Job, wl *kernels.Workload, slab int, at int64) (*runJob, error) {
+	tech, err := preempt.New(s.kind, wl.Prog)
+	if err != nil {
+		return nil, fmt.Errorf("sched: admitting job %d under %v: %w", j.ID, s.kind, err)
+	}
+	s.mux.add(wl.Prog, tech)
+	rj := &runJob{job: j, wl: wl, sm: -1, slab: slab, admitAt: at}
+	pos := s.nextArr
+	for pos < len(s.jobs) &&
+		(s.jobs[pos].admitAt < at || (s.jobs[pos].admitAt == at && s.jobs[pos].job.ID < j.ID)) {
+		pos++
+	}
+	s.jobs = slices.Insert(s.jobs, pos, rj)
+	return rj, nil
 }
 
 // builds holds each kernel's one build of a run and its rebinding to
@@ -450,8 +529,8 @@ func newScheduler(cfg Config, kind preempt.Kind, jobs []Job) (*scheduler, error)
 // Reusing a (kernel, slab) workload across admissions is sound because
 // a Workload is immutable: Init, WarpSetup and Verify only read it while
 // writing device state, and per-job technique state lives in the
-// technique admitPrepared builds fresh. The slab allocator hands each
-// (device, slab) to one job at a time, and sharing one program pointer
+// technique admitPrepared builds fresh. A device's job table holds each
+// of its slabs for one job at a time, and sharing one program pointer
 // across devices is already the norm under migration restore.
 type builds struct {
 	cfg   Config
@@ -499,20 +578,23 @@ func (b *builds) at(abbrev string, slab int) (*kernels.Workload, error) {
 }
 
 func (s *scheduler) log(cycle int64, what string, job, sm int) {
-	s.events = append(s.events, Event{Cycle: cycle, What: what, Job: job, SM: sm})
+	if s.logEvents {
+		s.events = append(s.events, Event{Cycle: cycle, What: what, Job: job, SM: sm})
+	}
 }
 
-// run drives the whole schedule to completion and verifies it.
-func (s *scheduler) run() error {
+// run drives the whole schedule to completion and verifies all, every
+// job it admitted.
+func (s *scheduler) run(all []*runJob) error {
 	done, err := s.runTo(math.MaxInt64)
 	if err != nil {
 		return err
 	}
 	if !done {
-		return fmt.Errorf("sched: run paused at cycle %d with %d/%d jobs complete",
-			s.d.Now(), s.nDone, len(s.jobs))
+		return fmt.Errorf("sched: run paused at cycle %d with %d jobs outstanding",
+			s.d.Now(), len(s.jobs))
 	}
-	return s.verify()
+	return s.verify(all)
 }
 
 // runTo drives the event loop — admit arrivals, poll episode/launch
@@ -549,7 +631,7 @@ func (s *scheduler) runTo(stop int64) (bool, error) {
 				break
 			}
 		}
-		if s.nDone == len(s.jobs) {
+		if len(s.jobs) == 0 {
 			return true, nil
 		}
 		if s.d.Now() >= stop {
@@ -587,11 +669,11 @@ func (s *scheduler) runTo(stop int64) (bool, error) {
 		// device from an indexed issue that never became runnable (which
 		// would indicate a scheduler bug, not a workload deadlock).
 		if next, ok := s.d.NextIssueTime(); ok {
-			return false, fmt.Errorf("sched: deadlock at cycle %d: %d/%d jobs complete, next indexed issue at cycle %d never ran",
-				s.d.Now(), s.nDone, len(s.jobs), next)
+			return false, fmt.Errorf("sched: deadlock at cycle %d: %d jobs outstanding, next indexed issue at cycle %d never ran",
+				s.d.Now(), len(s.jobs), next)
 		}
-		return false, fmt.Errorf("sched: deadlock at cycle %d: %d/%d jobs complete, nothing runnable (no pending issue indexed)",
-			s.d.Now(), s.nDone, len(s.jobs))
+		return false, fmt.Errorf("sched: deadlock at cycle %d: %d jobs outstanding, nothing runnable (no pending issue indexed)",
+			s.d.Now(), len(s.jobs))
 	}
 }
 
@@ -842,7 +924,11 @@ func (s *scheduler) pollTransitions() (bool, error) {
 			s.log(j.complete, "complete", j.job.ID, sl.id)
 			sl.cur = nil
 			sl.state = smIdle
-			s.nDone++
+			// The job leaves the table; it has arrived, so it sat
+			// before nextArr.
+			i := slices.Index(s.jobs, j)
+			s.jobs = slices.Delete(s.jobs, i, i+1)
+			s.nextArr--
 			if s.onComplete != nil {
 				s.onComplete(j)
 			}
@@ -909,16 +995,13 @@ func (s *scheduler) assignIdle() (bool, error) {
 	return changed, nil
 }
 
-// jobLess orders jobs for dispatch: higher priority first, then earlier
-// arrival, then lower ID.
+// jobLess orders jobs for dispatch: higher priority first, then
+// arrivalLess.
 func jobLess(a, b Job) bool {
 	if a.Priority != b.Priority {
 		return a.Priority > b.Priority
 	}
-	if a.Arrival != b.Arrival {
-		return a.Arrival < b.Arrival
-	}
-	return a.ID < b.ID
+	return arrivalLess(a, b)
 }
 
 // best returns the index of the best job of js under jobLess among
@@ -933,11 +1016,11 @@ func best(js []*runJob, ok func(*runJob) bool) int {
 	return b
 }
 
-func (s *scheduler) verify() error {
+func (s *scheduler) verify(all []*runJob) error {
 	if !s.cfg.Verify {
 		return nil
 	}
-	for _, j := range s.jobs {
+	for _, j := range all {
 		if err := j.wl.Verify(s.d); err != nil {
 			return fmt.Errorf("sched: job %d (%s, tenant %d) output corrupt after scheduling: %w",
 				j.job.ID, j.job.Kernel, j.job.Tenant, err)

@@ -4,13 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
-	"ctxback/internal/kernels"
 	"ctxback/internal/pool"
 	"ctxback/internal/preempt"
-	"ctxback/internal/sim"
 	"ctxback/internal/snapshot"
 	"ctxback/internal/trace"
 )
@@ -133,18 +132,18 @@ type ServeResult struct {
 }
 
 // serveDevice wraps one scheduler with the serving layer's host-side
-// state: the slab pool bounding its outstanding jobs, per-tenant
-// admitted-incomplete counts, the routing block after a restore, and the
-// latest failover checkpoint.
+// state: the routing block after a restore and the latest failover
+// checkpoint. The scheduler's job table is the device's only record of
+// its outstanding jobs; their count, slabs and tenants are read from it.
 type serveDevice struct {
 	id      int
 	s       *scheduler
 	retired bool
-	done    bool
-
-	slabFree   []bool      // index -> free
-	slabOf     map[int]int // jobID -> slab index
-	incomplete []int       // per tenant, admitted minus completed
+	// done: the last advance ran the table dry (a new device starts
+	// done, an admission clears it). It is kept, not derived from the
+	// table: a restored device starts not done, so even one that carries
+	// no job is advanced once before the loop may end.
+	done bool
 
 	blockedUntil int64 // routing exclusion after a restore
 	ckpt         *ckpt // latest periodic checkpoint, nil when none
@@ -155,7 +154,7 @@ type serveDevice struct {
 	verifyErr    error
 }
 
-func (d *serveDevice) outstanding() int { return len(d.s.jobs) - d.s.nDone }
+func (d *serveDevice) outstanding() int { return len(d.s.jobs) }
 
 // retire marks the device retired and drops its scheduler, simulated
 // device and checkpoint. Call it once its jobs have been carried or
@@ -166,32 +165,13 @@ func (d *serveDevice) retire() {
 	d.s, d.ckpt = nil, nil
 }
 
-func (d *serveDevice) freeSlabs() int {
-	n := 0
-	for _, f := range d.slabFree {
-		if f {
-			n++
+// lowestFreeSlab returns the lowest slab index no outstanding job
+// holds. Each job holds one slab, so it is at most outstanding().
+func (d *serveDevice) lowestFreeSlab() int {
+	for slab := 0; ; slab++ {
+		if !slices.ContainsFunc(d.s.jobs, func(rj *runJob) bool { return rj.slab == slab }) {
+			return slab
 		}
-	}
-	return n
-}
-
-// allocSlab takes the lowest free slab index.
-func (d *serveDevice) allocSlab(jobID int) (int, bool) {
-	for i, f := range d.slabFree {
-		if f {
-			d.slabFree[i] = false
-			d.slabOf[jobID] = i
-			return i, true
-		}
-	}
-	return 0, false
-}
-
-func (d *serveDevice) freeSlab(jobID int) {
-	if i, ok := d.slabOf[jobID]; ok {
-		d.slabFree[i] = true
-		delete(d.slabOf, jobID)
 	}
 }
 
@@ -216,6 +196,7 @@ type server struct {
 
 	events  []ServeEvent
 	digests []jobDigest // delivered jobs' slab digests (StateHash)
+	replays int         // completions of already delivered jobs, not counted
 
 	// per-tenant accounting
 	arrived     []int
@@ -239,12 +220,13 @@ func (sv *server) log(cycle int64, what string, tenant, device int, detail strin
 	sv.events = append(sv.events, e)
 }
 
-// hookDevice wires a device's completion observer: copy the outcome
-// host-side, verify while the slab is still intact, release the slab.
-// With the state witness on, the slab is hashed and then cleared, so the
-// next job on it starts from zeroed memory; the pages it covers whole
-// give up their storage. Runs inside the device's
-// window advance — it must touch only this device's state.
+// hookDevice wires a device's completion observer, which runs as the
+// job leaves the table and frees its slab: copy the outcome host-side
+// and verify while the slab is still intact. With the state witness on,
+// the slab is hashed and then cleared, so the next job on it starts from
+// zeroed memory; the pages it covers whole give up their storage. Runs
+// inside the device's window advance — it must touch only this device's
+// state.
 func (sv *server) hookDevice(dev *serveDevice) {
 	verify := sv.cfg.Sched.Verify
 	witness, slabBytes := sv.cfg.StateHash, sv.cfg.Sched.SlabBytes
@@ -256,76 +238,20 @@ func (sv *server) hookDevice(dev *serveDevice) {
 			}
 		}
 		if witness {
-			lo := (slabBase + dev.slabOf[rj.job.ID]*slabBytes) / 4
+			lo := (slabBase + rj.slab*slabBytes) / 4
 			rj.digest = slabDigest(dev.s.d.Mem, lo, slabBytes/4)
 			dev.s.d.Mem.Clear(lo, slabBytes/4)
 		}
-		dev.freeSlab(rj.job.ID)
-		dev.incomplete[rj.job.Tenant]--
 		dev.completedWin = append(dev.completedWin, rj)
 	}
 }
 
-// addDevice registers s as a new idle device with an empty slab pool.
+// addDevice registers s as a new idle device.
 func (sv *server) addDevice(s *scheduler) *serveDevice {
-	dev := &serveDevice{id: len(sv.devices), s: s,
-		slabFree:   make([]bool, sv.cfg.SlabsPerDevice),
-		slabOf:     make(map[int]int),
-		incomplete: make([]int, sv.tenants),
-		done:       true,
-	}
-	for i := range dev.slabFree {
-		dev.slabFree[i] = true
-	}
+	dev := &serveDevice{id: len(sv.devices), s: s, done: true}
 	sv.hookDevice(dev)
 	sv.devices = append(sv.devices, dev)
 	return dev
-}
-
-// newBareScheduler builds a scheduler with an empty admission list: the
-// serving layer admits jobs one at a time as the front door releases
-// them.
-func newBareScheduler(cfg Config, kind preempt.Kind) (*scheduler, error) {
-	if cfg.MaxCycles <= 0 {
-		cfg.MaxCycles = 2_000_000_000
-	}
-	if cfg.SlabBytes <= 0 {
-		return nil, errors.New("sched: bare scheduler needs explicit SlabBytes")
-	}
-	d, err := sim.NewDevice(cfg.Dev)
-	if err != nil {
-		return nil, err
-	}
-	s := &scheduler{cfg: cfg, d: d, mux: newMux(kind), kind: kind}
-	d.AttachRuntime(s.mux)
-	for i := 0; i < cfg.Dev.NumSMs; i++ {
-		s.slots = append(s.slots, &smSlot{id: i, state: smIdle})
-	}
-	return s, nil
-}
-
-// admitPrepared inserts a job with an already-built workload at cycle
-// at. A fresh technique instance replaces any previous registration for
-// the program: slab exclusivity guarantees the previous same-program
-// job has completed, and per-job techniques keep warp-keyed state (CKPT
-// visit counts, saved contexts) from leaking across jobs whose warp ids
-// collide.
-func (s *scheduler) admitPrepared(j Job, wl *kernels.Workload, at int64) error {
-	tech, err := preempt.New(s.kind, wl.Prog)
-	if err != nil {
-		return fmt.Errorf("sched: admitting job %d under %v: %w", j.ID, s.kind, err)
-	}
-	s.mux.add(wl.Prog, tech)
-	rj := &runJob{job: j, wl: wl, sm: -1, admitAt: at}
-	pos := s.nextArr
-	for pos < len(s.jobs) &&
-		(s.jobs[pos].admitAt < at || (s.jobs[pos].admitAt == at && s.jobs[pos].job.ID < j.ID)) {
-		pos++
-	}
-	s.jobs = append(s.jobs, nil)
-	copy(s.jobs[pos+1:], s.jobs[pos:])
-	s.jobs[pos] = rj
-	return nil
 }
 
 // route picks the admission destination: the least-loaded alive device
@@ -334,7 +260,7 @@ func (s *scheduler) admitPrepared(j Job, wl *kernels.Workload, at int64) error {
 func (sv *server) route(now int64) *serveDevice {
 	var best *serveDevice
 	for _, dev := range sv.devices {
-		if dev.retired || dev.blockedUntil > now || dev.freeSlabs() == 0 {
+		if dev.retired || dev.blockedUntil > now || dev.outstanding() >= sv.cfg.SlabsPerDevice {
 			continue
 		}
 		if best == nil || dev.outstanding() < best.outstanding() {
@@ -351,20 +277,14 @@ func (sv *server) placeJob(j Job, now int64) error {
 	if dev == nil {
 		return fmt.Errorf("sched: admitted job %d with no routable device", j.ID)
 	}
-	slab, ok := dev.allocSlab(j.ID)
-	if !ok {
-		return fmt.Errorf("sched: device %d routed without a free slab", dev.id)
-	}
+	slab := dev.lowestFreeSlab()
 	wl, err := sv.builds.at(j.Kernel, slab)
 	if err != nil {
-		dev.freeSlab(j.ID)
 		return fmt.Errorf("sched: %w", err)
 	}
-	if err := dev.s.admitPrepared(j, wl, now); err != nil {
-		dev.freeSlab(j.ID)
+	if _, err := dev.s.admitPrepared(j, wl, slab, now); err != nil {
 		return err
 	}
-	dev.incomplete[j.Tenant]++
 	dev.done = false
 	return nil
 }
@@ -402,19 +322,8 @@ func newServer(cfg ServeConfig, kind preempt.Kind, jobs []Job) (*server, error) 
 	if cfg.SlabsPerDevice <= 0 {
 		cfg.SlabsPerDevice = 8
 	}
-	if cfg.Sched.MaxCycles <= 0 {
-		cfg.Sched.MaxCycles = 2_000_000_000
-	}
-	if cfg.Sched.SlabBytes <= 0 {
-		cfg.Sched.SlabBytes = (cfg.Sched.Dev.GlobalMemBytes - slabBase) / cfg.SlabsPerDevice
-		cfg.Sched.SlabBytes -= cfg.Sched.SlabBytes % 4096
-	}
-	if cfg.Sched.SlabBytes <= 0 {
-		return nil, errors.New("sched: device memory too small for the slab pool")
-	}
-	if slabBase+cfg.SlabsPerDevice*cfg.Sched.SlabBytes > cfg.Sched.Dev.GlobalMemBytes {
-		return nil, fmt.Errorf("sched: %d slabs of %d bytes exceed device memory (%d)",
-			cfg.SlabsPerDevice, cfg.Sched.SlabBytes, cfg.Sched.Dev.GlobalMemBytes)
+	if err := cfg.Sched.defaults(cfg.SlabsPerDevice); err != nil {
+		return nil, err
 	}
 	if cfg.ReportEvery <= 0 {
 		if cfg.Hypervisor.Every > 0 {
@@ -424,13 +333,7 @@ func newServer(cfg ServeConfig, kind preempt.Kind, jobs []Job) (*server, error) 
 		}
 	}
 
-	ordered := append([]Job(nil), jobs...)
-	sort.SliceStable(ordered, func(i, j int) bool {
-		if ordered[i].Arrival != ordered[j].Arrival {
-			return ordered[i].Arrival < ordered[j].Arrival
-		}
-		return ordered[i].ID < ordered[j].ID
-	})
+	ordered := byArrival(jobs)
 	tenants := 0
 	for _, j := range ordered {
 		if j.Tenant >= tenants {
@@ -502,6 +405,7 @@ func (sv *server) mergeCompletions() error {
 		for _, rj := range dev.completedWin {
 			if rj.delivered {
 				// A replay of output a killed device already delivered.
+				sv.replays++
 				continue
 			}
 			t := rj.job.Tenant
@@ -611,19 +515,7 @@ func (sv *server) run() error {
 		}
 
 		if T >= nextReport {
-			admitted, shed := sv.admit.flushWindow()
-			for t, n := range shed {
-				if n > 0 {
-					sv.log(T, "shed", t, -1,
-						fmt.Sprintf("n=%d queue=%d", n, sv.admit.tenantBacklog(t)))
-				}
-			}
-			done := 0
-			for _, c := range sv.completed {
-				done += c
-			}
-			sv.log(T, "window", -1, -1,
-				fmt.Sprintf("admitted=%d backlog=%d done=%d", admitted, sv.admit.backlog(), done))
+			sv.report(T, "")
 			for nextReport <= T {
 				nextReport += sv.cfg.ReportEvery
 			}
@@ -639,7 +531,9 @@ func (sv *server) run() error {
 				}
 			}
 			if alldone {
-				sv.finalReport(T)
+				// The log always ends at the final barrier.
+				sv.report(T, " final")
+				sv.duration = T
 				return nil
 			}
 		}
@@ -678,9 +572,8 @@ func (sv *server) run() error {
 					if dev.retired {
 						continue
 					}
-					fmt.Fprintf(&b, " dev%d{done=%v out=%d slabs=%d blocked=%d clock=%d}",
-						dev.id, dev.done, dev.outstanding(), dev.freeSlabs(),
-						dev.blockedUntil, dev.s.d.Now())
+					fmt.Fprintf(&b, " dev%d{done=%v out=%d blocked=%d clock=%d}",
+						dev.id, dev.done, dev.outstanding(), dev.blockedUntil, dev.s.d.Now())
 				}
 				return fmt.Errorf("sched: serve made no progress for %d windows at cycle %d: backlog=%d%s",
 					stall, T, sv.admit.backlog(), b.String())
@@ -712,9 +605,10 @@ func (sv *server) nextUnblock(now int64) int64 {
 	return next
 }
 
-// finalReport emits the closing window aggregate so the log always ends
-// at the final barrier.
-func (sv *server) finalReport(T int64) {
+// report emits the window aggregate at barrier T: a shed line for each
+// tenant that shed since the last report, then the window line, whose
+// detail ends with tag.
+func (sv *server) report(T int64, tag string) {
 	admitted, shed := sv.admit.flushWindow()
 	for t, n := range shed {
 		if n > 0 {
@@ -726,8 +620,7 @@ func (sv *server) finalReport(T int64) {
 		done += c
 	}
 	sv.log(T, "window", -1, -1,
-		fmt.Sprintf("admitted=%d backlog=%d done=%d final", admitted, sv.admit.backlog(), done))
-	sv.duration = T
+		fmt.Sprintf("admitted=%d backlog=%d done=%d%s", admitted, sv.admit.backlog(), done, tag))
 }
 
 // jain computes the Jain fairness index (sum x)^2 / (n * sum x^2) over
@@ -807,6 +700,7 @@ func (sv *server) exportMetrics(r *ServeResult) {
 	m.Counter("serve.completed").Add(int64(r.Completed))
 	m.Counter("serve.preemptions").Add(r.TotalPreemptions)
 	m.Counter("serve.migrations").Add(int64(r.Migrations))
+	m.Counter("serve.replays").Add(int64(sv.replays))
 	m.Counter("serve.rearbitrations").Add(int64(r.Rearbitrations))
 	h := m.Histogram("serve.turnaround_cycles", trace.DefaultCycleBuckets)
 	for t := range sv.turnarounds {

@@ -66,25 +66,25 @@ func percentile(sorted []int64, q float64) int64 {
 
 func divRound(sum, n int64) int64 { return (sum + n/2) / n }
 
-// result folds the scheduler's per-job state into a Result and exports
-// it to the configured metrics registry.
-func (s *scheduler) result() (*Result, error) {
+// result folds the per-job state of all, every job the run admitted,
+// into a Result and exports it to the configured metrics registry.
+func (s *scheduler) result(all []*runJob) *Result {
 	res := &Result{Kind: s.kind, Events: s.events}
-	var all []int64
-	for _, j := range s.jobs {
+	var turns []int64
+	for _, j := range all {
 		st := JobStats{Job: j.job, Start: j.start, Complete: j.complete, Preemptions: j.preemptions}
 		res.Jobs = append(res.Jobs, st)
 		res.TotalPreemptions += int64(j.preemptions)
 		if j.complete > res.Makespan {
 			res.Makespan = j.complete
 		}
-		all = append(all, st.TurnaroundCycles())
+		turns = append(turns, st.TurnaroundCycles())
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	res.P50, res.P95, res.P99 = percentile(all, 0.50), percentile(all, 0.95), percentile(all, 0.99)
+	sort.Slice(turns, func(i, j int) bool { return turns[i] < turns[j] })
+	res.P50, res.P95, res.P99 = percentile(turns, 0.50), percentile(turns, 0.95), percentile(turns, 0.99)
 	res.Tenants = tenantStats(res.Jobs)
 	s.export(res)
-	return res, nil
+	return res
 }
 
 // tenantStats aggregates per-tenant statistics over a run's jobs,

@@ -67,3 +67,38 @@ func TestDispatchSwappedOutLaunch(t *testing.T) {
 		t.Fatalf("resumed launch did not grow: %d blocks placed, want 2", b.nextBlock)
 	}
 }
+
+// TestDispatchWaitingLaunchOnFreedSM pins that a block retiring frees
+// its slots for every launch, not just its own: a launch that placed
+// no block because another launch filled the SM must be placed when
+// that launch's blocks complete.
+func TestDispatchWaitingLaunchOnFreedSM(t *testing.T) {
+	prog := mustAsm(t, `
+.kernel grow
+.vregs 2
+.sregs 4
+  v_mov v0, 1
+  s_endpgm
+`)
+	cfg := TestConfig()
+	cfg.NumSMs = 1
+	d := mustNewDevice(cfg)
+
+	full, err := d.Launch(LaunchSpec{Prog: prog, NumBlocks: 2, WarpsPerBlock: cfg.MaxWarpsPerSM / 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waiting, err := d.Launch(LaunchSpec{Prog: prog, NumBlocks: 1, WarpsPerBlock: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.nextBlock != 2 || waiting.nextBlock != 0 {
+		t.Fatalf("placed %d and %d blocks at launch, want 2 and 0 (SM full)", full.nextBlock, waiting.nextBlock)
+	}
+	if err := d.Run(100_000); err != nil {
+		t.Fatal(err)
+	}
+	if !full.Done() || !waiting.Done() {
+		t.Fatalf("launches done: %v and %v, want both", full.Done(), waiting.Done())
+	}
+}

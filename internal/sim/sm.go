@@ -257,8 +257,20 @@ func (sm *SM) issue(w *Warp, t int64) error {
 		w.State = WarpDone
 		w.ReadyAt = max(done, w.lastStoreDone)
 		w.launch.doneWarps++
-		sm.onBlockMaybeFinished(w)
+		// A retired warp keeps its slots until its block finishes. The
+		// warp's own launch is offered the SM first, then, once the
+		// block has freed its slots, every other launch in launch
+		// order: one that placed no block beside a full SM waits for
+		// exactly this.
+		freed := sm.onBlockMaybeFinished(w)
 		d.dispatch(w.launch)
+		if freed {
+			for _, l := range d.launches {
+				if l != w.launch {
+					d.dispatch(l)
+				}
+			}
+		}
 	case eff.barrier:
 		sm.arriveBarrier(w, max(t+1, w.lastStoreDone))
 	case eff.ctxExit:
@@ -351,8 +363,9 @@ func blockPeers(w *Warp) []*Warp {
 }
 
 // onBlockMaybeFinished frees block bookkeeping when its last warp ends,
-// and re-checks barriers (a finishing warp may unblock waiters).
-func (sm *SM) onBlockMaybeFinished(w *Warp) {
+// reporting whether it did, and re-checks barriers (a finishing warp may
+// unblock waiters).
+func (sm *SM) onBlockMaybeFinished(w *Warp) bool {
 	bi := w.launch.blocks[w.BlockID]
 	bi.done++
 	for _, peer := range bi.warps {
@@ -361,9 +374,11 @@ func (sm *SM) onBlockMaybeFinished(w *Warp) {
 			break
 		}
 	}
-	if bi.done == len(bi.warps) {
-		sm.removeBlockWarps(bi)
+	if bi.done < len(bi.warps) {
+		return false
 	}
+	sm.removeBlockWarps(bi)
+	return true
 }
 
 func (sm *SM) removeBlockWarps(bi *blockInfo) {
