@@ -1,7 +1,6 @@
 package artifact
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -201,6 +200,9 @@ func (r *Reader) Take(n int) []byte {
 	return b
 }
 
+// Offset returns the number of bytes read so far.
+func (r *Reader) Offset() int { return r.off }
+
 // Rest returns every byte not yet read, as Take does.
 func (r *Reader) Rest() []byte { return r.Take(len(r.data) - r.off) }
 
@@ -317,24 +319,20 @@ func (r *Reader) U32s() []uint32 {
 }
 
 // Words decodes the next 4*len(dst) bytes as little-endian words into
-// dst and reports whether any is non-zero. An all-zero run is only
-// compared, not decoded: dst keeps what it held.
+// dst and reports whether any is non-zero. On a failed read dst keeps
+// what it held.
 func (r *Reader) Words(dst []uint32) (nonZero bool) {
 	raw := r.Take(4 * len(dst))
-	for at := 0; at < len(raw) && !nonZero; at += len(zeroRun) {
-		run := raw[at:min(at+len(zeroRun), len(raw))]
-		nonZero = !bytes.Equal(run, zeroRun[:len(run)])
+	if raw == nil {
+		return false
 	}
-	if nonZero {
-		for i := range dst {
-			dst[i] = binary.LittleEndian.Uint32(raw[4*i:])
-		}
+	var or uint32
+	for i := range dst {
+		dst[i] = binary.LittleEndian.Uint32(raw[4*i:])
+		or |= dst[i]
 	}
-	return nonZero
+	return or != 0
 }
-
-// zeroRun is the all-zero run Words compares with.
-var zeroRun [4096]byte
 
 // I32s decodes Writer.I32s; an empty slice decodes as nil.
 func (r *Reader) I32s() []int { return counted(r, 4, (*Reader).I32) }

@@ -42,10 +42,27 @@ func runFleet(t *testing.T, kind preempt.Kind, jobs []Job, cfg ServeConfig) *Ser
 	checkRetiredReleased(t, sv)
 	res := sv.result()
 	checkDeliveredOnce(t, res)
+	checkImagesSparse(t, res)
 	if res.Completed != len(jobs) {
 		t.Fatalf("fleet completed %d jobs, want %d", res.Completed, len(jobs))
 	}
 	return res
+}
+
+// checkImagesSparse requires every periodic checkpoint image of the
+// 64 MiB fleet devices to stay under 8 MiB: the image carries the blocks
+// the jobs wrote, not the device's capacity.
+func checkImagesSparse(t *testing.T, res *ServeResult) {
+	t.Helper()
+	for _, e := range events(res, "checkpoint") {
+		var epoch, n int
+		if _, err := fmt.Sscanf(e.Detail, "epoch %d, %d bytes", &epoch, &n); err != nil {
+			t.Fatalf("checkpoint detail %q: %v", e.Detail, err)
+		}
+		if n >= 8<<20 {
+			t.Errorf("cycle %d: device %d checkpoint of %d bytes, want under 8 MiB", e.Cycle, e.Device, n)
+		}
+	}
 }
 
 // checkRetiredReleased requires one retired device per kill and

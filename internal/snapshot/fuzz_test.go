@@ -6,14 +6,16 @@ import (
 
 	"ctxback/internal/gen"
 	"ctxback/internal/preempt"
+	"ctxback/internal/sim"
 )
 
 // FuzzSnapshotRoundTrip is the satellite-3 fuzz target: any buffer the
 // decoder accepts must re-encode byte-identically (the canonical-form
 // property every downstream checksum and diff depends on), survive
 // CheckInvariants without panicking, and decode identically a second
-// time. Seeds cover an empty state, a mid-run checkpoint, and a parked
-// episode with full context buffers.
+// time. Seeds cover an empty state, a mid-run checkpoint, a parked
+// episode with full context buffers, a 64 MiB device and a memory that
+// ends in a short block.
 func FuzzSnapshotRoundTrip(f *testing.F) {
 	f.Add([]byte("CSNP"))
 	{
@@ -42,6 +44,20 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		wl := gen.Generate(genSeed).Workload()
 		d, _, _ := parked(f, preempt.CTXBack, wl)
 		_, enc := Capture(d, 7)
+		f.Add(enc)
+	}
+
+	// The memory section lists only the blocks holding a non-zero word:
+	// a capture on serve's device shape (the test device with 64 MiB),
+	// and one whose memory ends in a short block holding a word.
+	for _, mem := range []int{64 << 20, 1<<20 + 4*100} {
+		cfg := sim.TestConfig()
+		cfg.GlobalMemBytes = mem
+		d, _, _ := parkedOn(f, cfg, preempt.CTXBack, mustWorkload(f, "VA"))
+		if mem%(4*memBlockWords) != 0 {
+			d.Mem.Store(d.Mem.Words()-1, 0xc0ffee)
+		}
+		_, enc := Capture(d, 1)
 		f.Add(enc)
 	}
 

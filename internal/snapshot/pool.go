@@ -19,10 +19,10 @@ func ColdSetupCycles(cfg sim.Config) int64 {
 	return int64(cfg.NumSMs) * int64(cfg.MaxWarpsPerSM) * ctxCreateCyclesPerSlot
 }
 
-// TransferCycles is the cycles needed to move an encoded snapshot onto
-// the device over the context save/restore path (the same bandwidth
-// the per-warp techniques pay, so snapshot restores and context
-// flashbacks are directly comparable).
+// TransferCycles is the cycles needed to move encodedBytes onto the
+// device over the context save/restore path (the same bandwidth the
+// per-warp techniques pay, so snapshot restores and context flashbacks
+// are directly comparable). A restore charges it wholeDeviceBytes.
 func TransferCycles(cfg sim.Config, encodedBytes int) int64 {
 	if cfg.CtxBytesPerCycle <= 0 {
 		return 0
@@ -33,6 +33,18 @@ func TransferCycles(cfg sim.Config, encodedBytes int) int64 {
 		n++
 	}
 	return n
+}
+
+// wholeDeviceBytes is the image size a restore's transfer is charged
+// for: the header and control sections as encoded (control), then the
+// 18 + 4·words bytes of a dense memory section holding every word of
+// the device, as CSNP version 1 wrote it. The image carries only the
+// blocks the kernels wrote; the charge stays that of the whole device,
+// so no simulated cycle moved with the format. It is the whole-device
+// charge that the ROADMAP's bounded-serve item will replace with one
+// for what a move carries.
+func wholeDeviceBytes(control, words int) int {
+	return control + 2 + 4 + 4 + 4*words + 8 // id, length, word count, words, checksum
 }
 
 // Pool keeps pre-initialized device shells so a restore can skip the

@@ -80,17 +80,7 @@ func Restore(pool *Pool, specData, syncData []byte, wantEpoch uint64, rt sim.Run
 }
 
 func attempt(pool *Pool, data []byte, wantEpoch uint64, rt sim.Runtime, progs []*isa.Program, speculative bool) (*Restored, error) {
-	var (
-		snap     *Snapshot
-		validate func() error
-		err      error
-	)
-	if speculative {
-		snap, validate, err = DecodeSpeculative(data)
-	} else {
-		snap, err = Decode(data)
-		validate = func() error { return nil }
-	}
+	snap, validate, control, err := decode(data, speculative)
 	if err != nil {
 		return nil, err
 	}
@@ -121,7 +111,7 @@ func attempt(pool *Pool, data []byte, wantEpoch uint64, rt sim.Runtime, progs []
 	out := Outcome{
 		Warm:           warm,
 		Speculative:    speculative,
-		TransferCycles: TransferCycles(snap.State.Cfg, len(data)),
+		TransferCycles: TransferCycles(snap.State.Cfg, wholeDeviceBytes(control, snap.State.Mem.Words())),
 	}
 	if !warm {
 		out.SetupCycles = ColdSetupCycles(snap.State.Cfg)

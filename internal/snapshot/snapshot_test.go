@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -136,8 +137,8 @@ func TestEncodePinned(t *testing.T) {
 	d, _, _ := parked(t, preempt.CTXBack, mustWorkload(t, "VA"))
 	_, enc := Capture(d, 1)
 	const (
-		wantLen    = 1069113
-		wantSHA256 = "7c6fb09adfd167c553c75a5366eb227ceaa529c0602f7712893ef0856d65c30d"
+		wantLen    = 94341
+		wantSHA256 = "4821f47af45569f864b77aedeac707f4c0fdb8080d8a120f4f308071ac5fb0c9"
 	)
 	if got := fmt.Sprintf("%x", sha256.Sum256(enc)); len(enc) != wantLen || got != wantSHA256 {
 		t.Fatalf("image is %d bytes, sha256 %s; want %d bytes, sha256 %s", len(enc), got, wantLen, wantSHA256)
@@ -208,6 +209,12 @@ func TestFramingErrorClasses(t *testing.T) {
 		}
 	}
 
+	v1 := bytes.Clone(image)
+	binary.LittleEndian.PutUint16(v1[len(magic):], 1)
+	if _, err := Decode(v1); !errors.Is(err, artifact.ErrStale) {
+		t.Errorf("CSNP version 1: err = %v, want ErrStale", err)
+	}
+
 	flip := bytes.Clone(image)
 	flip[len(flip)-9] ^= 0x10 // the memory payload's last byte
 	_, validate, err := DecodeSpeculative(flip)
@@ -250,6 +257,163 @@ func TestMemoryPagesRoundTrip(t *testing.T) {
 	})
 	if owned == 0 || owned == mem.Words()/sim.PageWords {
 		t.Fatalf("decoded %d of %d pages with storage; the test wants a mix", owned, mem.Words()/sim.PageWords)
+	}
+}
+
+// withMemSection returns image with its memory section replaced by one
+// whose payload is the given words, framed and checksummed as Encode
+// frames it.
+func withMemSection(t testing.TB, image []byte, payload ...uint32) []byte {
+	t.Helper()
+	at, _ := memPayload(t, image)
+	w := artifact.NewWriter()
+	copy(w.Extend(at-6), image[:at-6])
+	w.Section(secMem, func() {
+		for _, v := range payload {
+			w.U32(v)
+		}
+	})
+	return w.Data()
+}
+
+// bareImage encodes a state with no launches, SMs or episodes on a
+// TestConfig device of the given memory size; its memory section is
+// empty but for the word count.
+func bareImage(words int) []byte {
+	cfg := sim.TestConfig()
+	cfg.GlobalMemBytes = 4 * words
+	return Encode(&Snapshot{Epoch: 1, State: &sim.DeviceState{Cfg: cfg, Mem: sim.NewMemory(0)}})
+}
+
+// TestDecodeHostileCountAllocatesLittle: the payload length no longer
+// bounds a memory section's word count, so the decoder checks it
+// against the meta section before it allocates the page table, and
+// bounds the block count by the bytes left. A short image claiming
+// 2^32-1 words, as its meta section does, and 2^31 blocks fails before
+// allocating room for them (the page table alone would take 2.25 MiB);
+// a word count the meta section disagrees with is corrupt, and fails
+// before the page table is allocated.
+func TestDecodeHostileCountAllocatesLittle(t *testing.T) {
+	const words = 1<<32 - 1
+	for _, tc := range []struct {
+		name  string
+		image []byte
+		want  []error
+		limit uint64
+	}{
+		{"blocks", withMemSection(t, bareImage(words), words, 1<<31, 0, 1),
+			[]error{artifact.ErrTruncated, artifact.ErrCorrupt}, 4 << 20},
+		{"word-count", withMemSection(t, bareImage(1<<18), words, 0),
+			[]error{artifact.ErrCorrupt}, 1 << 20},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Decode(tc.image)
+		runtime.ReadMemStats(&after)
+		if !slices.ContainsFunc(tc.want, func(want error) bool { return errors.Is(err, want) }) ||
+			!strings.HasPrefix(err.Error(), "CSNP section memory: ") {
+			t.Errorf("%s: err = %v, want one of %v in CSNP section memory", tc.name, err, tc.want)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= tc.limit {
+			t.Errorf("%s: decode allocated %d bytes", tc.name, got)
+		}
+	}
+}
+
+// TestMemorySectionCanonical pins the memory section's canonical form:
+// hand-built sections whose block indices repeat, descend or run past
+// the end of memory, or that carry an all-zero block, are corrupt. A
+// memory whose size is not a multiple of the block, holding a word in
+// its short last block, decodes and re-encodes byte for byte.
+func TestMemorySectionCanonical(t *testing.T) {
+	const (
+		words = 1<<18 + 100           // a 1 MiB device, and 100 words more
+		last  = words / memBlockWords // the short last block, of 100 words
+	)
+	block := func(index uint32, n int) []uint32 {
+		out := append([]uint32{index}, make([]uint32, n)...)
+		out[len(out)-1] = index + 1
+		return out
+	}
+	base := bareImage(words)
+	if _, err := Decode(withMemSection(t, base, slices.Concat([]uint32{words, 2}, block(1, memBlockWords), block(last, 100))...)); err != nil {
+		t.Fatalf("well-formed hand-built section: %v", err)
+	}
+	for _, tc := range []struct {
+		name    string
+		payload []uint32
+	}{
+		{"repeated-index", slices.Concat([]uint32{words, 2}, block(1, memBlockWords), block(1, memBlockWords))},
+		{"descending-index", slices.Concat([]uint32{words, 2}, block(2, memBlockWords), block(1, memBlockWords))},
+		{"index-at-end", slices.Concat([]uint32{words, 1}, block(last+1, memBlockWords))},
+		{"index-past-end", slices.Concat([]uint32{words, 1}, block(last+9, memBlockWords))},
+		{"all-zero-block", slices.Concat([]uint32{words, 1, 2}, make([]uint32, memBlockWords))},
+	} {
+		for name, decode := range map[string]func([]byte) error{
+			"Decode":            func(b []byte) error { _, err := Decode(b); return err },
+			"DecodeSpeculative": func(b []byte) error { _, _, err := DecodeSpeculative(b); return err },
+		} {
+			err := decode(withMemSection(t, base, tc.payload...))
+			if !errors.Is(err, artifact.ErrCorrupt) || !strings.HasPrefix(err.Error(), "CSNP section memory: ") {
+				t.Errorf("%s %s: err = %v, want ErrCorrupt in CSNP section memory", tc.name, name, err)
+			}
+		}
+	}
+
+	cfg := sim.TestConfig()
+	cfg.GlobalMemBytes = 4 * words
+	d, _, _ := parkedOn(t, cfg, preempt.CTXBack, mustWorkload(t, "VA"))
+	d.Mem.Store(words-1, 0xc0ffee)
+	_, enc := Capture(d, 1)
+	at, n := memPayload(t, enc)
+	if got := binary.LittleEndian.Uint32(enc[at+n-4:]); got != 0xc0ffee {
+		t.Fatalf("the memory section ends in %#x, want the short last block's last word", got)
+	}
+	snap, err := Decode(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again := Encode(snap); !bytes.Equal(enc, again) {
+		t.Fatal("a memory ending in a short block does not re-encode byte for byte")
+	}
+	if i := snap.State.Mem.Diff(d.Mem); i >= 0 {
+		t.Fatalf("decoded mem[%d] = %#x, device %#x", i, snap.State.Mem.Load(i), d.Mem.Load(i))
+	}
+}
+
+// TestImageIndependentOfCapacity: the same parked VA episode captured
+// on a 1 MiB and on a 256 MiB device makes images of equal length,
+// since the memory section carries only the blocks the kernel wrote,
+// while the restores' transfer charges still differ by exactly the
+// extra 4 bytes per word of the larger device.
+func TestImageIndependentOfCapacity(t *testing.T) {
+	wl := mustWorkload(t, "VA")
+	var (
+		images [2][]byte
+		out    [2]Outcome
+		words  [2]int
+	)
+	for i, mib := range []int{1, 256} {
+		cfg := sim.TestConfig()
+		cfg.GlobalMemBytes = mib << 20
+		d, _, _ := parkedOn(t, cfg, preempt.CTXBack, wl)
+		_, images[i] = Capture(d, 1)
+		tech, err := preempt.New(preempt.CTXBack, wl.Prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Restore(nil, images[i], images[i], 1, tech, wl.Prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i], words[i] = res.Outcome, d.Mem.Words()
+	}
+	if len(images[0]) != len(images[1]) {
+		t.Errorf("images of %d and %d bytes; want equal lengths", len(images[0]), len(images[1]))
+	}
+	extra := float64(4*(words[1]-words[0])) / sim.TestConfig().CtxBytesPerCycle
+	if got := out[1].TransferCycles - out[0].TransferCycles; float64(got) != extra {
+		t.Errorf("transfer charges differ by %d cycles, want %v for the extra words", got, extra)
 	}
 }
 
